@@ -1,10 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
 A forward pass builds a Tape of backward closures; Tape.backward replays them
-in exact reverse execution order and accumulates gradients into leaf
-variables created from a ParamStore. The engine covers exactly what the
-deformation-field pipeline needs: dense linear layers, low-rank weighted
-stacks, sine/relu activations, grid sampling, gathers, reductions.
+in exact reverse execution order, dropping each one as it runs, and
+accumulates gradients into leaf variables created from a ParamStore. A
+NoGradTape runs the same forward ops but records nothing, for inference.
+The engine covers exactly what the deformation-field pipeline needs: dense
+linear layers, low-rank weighted stacks, sine/relu activations, grid
+sampling, gathers, reductions.
 
 Everything is 64-bit and single-threaded; identical inputs and evaluation
 order yield bitwise-identical values and gradients.
@@ -16,7 +18,7 @@ import numpy as np
 
 
 class TapeStateError(RuntimeError):
-    """Raised when a tape is replayed twice without a fresh forward pass."""
+    """Raised when a tape is replayed twice, or one that records nothing."""
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -59,14 +61,26 @@ class Tape:
                 np.asarray(output_grad, dtype=np.float64), output.value.shape
             ).copy()
         _accum(output, seed)
-        for fn in reversed(self._nodes):
-            fn()
+        # popping frees each closure, and the Vars it holds, once replayed
+        nodes, self._nodes = self._nodes, []
+        while nodes:
+            nodes.pop()()
+
+
+class NoGradTape(Tape):
+    """A tape that records nothing: forward values only, no closure kept."""
+
+    def record(self, backward_fn) -> None:
+        pass
+
+    def backward(self, output: "Var", output_grad=None) -> None:
+        raise TapeStateError("a NoGradTape records nothing to differentiate")
 
 
 class Var:
     """A node in the computation graph: a float64 array plus its gradient."""
 
-    __slots__ = ("value", "grad", "tape")
+    __slots__ = ("value", "grad", "tape", "__weakref__")
 
     def __init__(self, value, tape: Tape):
         self.value = np.asarray(value, dtype=np.float64)
@@ -575,9 +589,9 @@ def fd_check(loss_fn, params: ParamStore, eps: float = 1e-4, samples: int = 100,
         flat = value.reshape(-1)
         orig = flat[local]
         flat[local] = orig + eps
-        f_plus = float(loss_fn(Tape()).value)
+        f_plus = float(loss_fn(NoGradTape()).value)
         flat[local] = orig - eps
-        f_minus = float(loss_fn(Tape()).value)
+        f_minus = float(loss_fn(NoGradTape()).value)
         flat[local] = orig
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise ValueError(

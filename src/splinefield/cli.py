@@ -163,8 +163,7 @@ def _parse_times(raw: str) -> list:
 def _cmd_interp(args) -> int:
     fld = SplineField.load(args.ckpt)
     times = _parse_times(args.times)
-    frames = np.stack([fld.deform(fld.canonical, t) for t in times])
-    dataio.write_traj(args.out, TrajectorySet(frames))
+    dataio.write_traj(args.out, TrajectorySet(fld.deform(fld.canonical, times)))
     print(f"wrote {args.out}: {len(times)} frames")
     return EXIT_OK
 
@@ -182,11 +181,11 @@ def _cmd_flow(args) -> int:
         raise ValueError("--frames must be >= 1")
     fld = SplineField.load(args.ckpt)
     times = np.linspace(0.0, 1.0, args.frames)
-    for j, t in enumerate(times):
-        pts = fld.deform(fld.canonical, float(t))
-        vel = fld.velocity(fld.canonical, float(t))
-        path = f"{args.out_prefix}_{j:04d}.ply"
-        dataio.export_ply(path, pts, dataio.flow_colors(vel))
+    pts = fld.deform(fld.canonical, times)
+    vel = fld.velocity(fld.canonical, times)
+    for j in range(args.frames):
+        dataio.export_ply(f"{args.out_prefix}_{j:04d}.ply", pts[j],
+                          dataio.flow_colors(vel[j]))
     print(f"wrote {args.frames} PLY files at {args.out_prefix}_*.ply")
     return EXIT_OK
 

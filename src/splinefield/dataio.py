@@ -3,6 +3,7 @@
 Trajectory files use a small binary layout: an 8-byte magic "SDFTRAJ1",
 a u32 frame count T, a u32 point count N_p, then T*N_p*3 little-endian
 f32 positions ordered frame-major. Total size is 16 + 4*T*N_p*3 bytes.
+Every position must be finite.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ class TrajectorySet:
         p = np.asarray(self.positions, dtype=np.float64)
         if p.ndim != 3 or p.shape[2] != 3 or p.shape[0] < 1:
             raise ValueError(f"positions must be [T, N_p, 3], got {p.shape}")
+        if not np.isfinite(p).all():
+            frame, point = np.argwhere(~np.isfinite(p).all(axis=2))[0]
+            raise ValueError(f"non-finite position at frame {frame}, point {point}")
         object.__setattr__(self, "positions", p)
 
     @property
@@ -166,7 +170,10 @@ def read_traj(path) -> TrajectorySet:
             f"payload size mismatch at byte 16: have {len(blob)} bytes, "
             f"expected {expect} for T={n_frames}, N_p={n_points}")
     pos = np.frombuffer(blob, dtype="<f4", offset=16).reshape(n_frames, n_points, 3)
-    return TrajectorySet(pos.astype(np.float64))
+    try:
+        return TrajectorySet(pos.astype(np.float64))
+    except ValueError as e:
+        raise FormatError(f"bad trajectory payload at byte 16: {e}") from None
 
 
 def export_ply(path, points: np.ndarray, colors=None) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from splinefield import autodiff as ad
-from splinefield.autodiff import ParamStore, Tape, Var
+from splinefield.autodiff import NoGradTape, ParamStore, Tape, Var
 
 CODE_INIT_STD = 1e-2      # per-knot temporal codes ~ N(0, (1e-2)^2)
 GRID_INIT_RANGE = 0.1     # grid bases uniform in [-0.1, 0.1]
@@ -38,6 +38,15 @@ def materialize_code(codes, knot_idx: int):
     if isinstance(codes, Var):
         return ad.take(codes, np.array(knot_idx))
     return codes[knot_idx]
+
+
+def _knot_code(tape, store: ParamStore, rank: int, n_knots: int, knot_idx: int):
+    """The knot's code row on the tape, or None at rank 0 (index still checked)."""
+    if rank > 0:
+        return materialize_code(store.var("codes", tape), knot_idx)
+    if not (0 <= knot_idx < n_knots):
+        raise ValueError(f"knot index {knot_idx} out of range")
+    return None
 
 
 def tv_linear_apply(x, w_base, w_res, bias, v_t) -> Var:
@@ -67,26 +76,19 @@ def positional_encode(x, cfg: PositionalEncodingConfig):
     """Sinusoidal encoding: optionally x, then [sin(2^l pi x), cos(2^l pi x)].
 
     x is [B, 3] with coordinates in [-1, 1]; blocks are concatenated along
-    the channel axis, 3 channels per block. Accepts arrays and Vars.
+    the channel axis, 3 channels per block. A Var gives a Var, an array an
+    array.
     """
-    if isinstance(x, Var):
-        blocks = [x] if cfg.include_input else []
-        for l in range(cfg.n_frequencies):
-            w = (2.0 ** l) * np.pi
-            blocks.append(ad.sine(x, w))
-            blocks.append(ad.cosine(x, w))
-        if not blocks:
-            raise ValueError("L=0 without include_input produces an empty encoding")
-        return ad.concat(blocks, axis=1) if len(blocks) > 1 else blocks[0]
-    x = np.asarray(x, dtype=np.float64)
+    if not isinstance(x, Var):
+        return positional_encode(Var(x, NoGradTape()), cfg).value
     blocks = [x] if cfg.include_input else []
     for l in range(cfg.n_frequencies):
         w = (2.0 ** l) * np.pi
-        blocks.append(np.sin(w * x))
-        blocks.append(np.cos(w * x))
+        blocks.append(ad.sine(x, w))
+        blocks.append(ad.cosine(x, w))
     if not blocks:
         raise ValueError("L=0 without include_input produces an empty encoding")
-    return np.concatenate(blocks, axis=1)
+    return ad.concat(blocks, axis=1) if len(blocks) > 1 else blocks[0]
 
 
 def _siren_layer_init(rng, c_in: int, c_out: int, w0: float, first: bool) -> np.ndarray:
@@ -149,16 +151,9 @@ class SirenResFieldsEncoder:
 
     def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
                knot_idx: int) -> Var:
-        v_t = self._code(tape, store, knot_idx)
+        v_t = _knot_code(tape, store, self.rank, self.n_knots, knot_idx)
         x = Var(x_norm, tape)
         return self.mlp.apply(tape, store, x, v_t)
-
-    def _code(self, tape, store, knot_idx):
-        if self.rank == 0:
-            if not (0 <= knot_idx < self.n_knots):
-                raise ValueError(f"knot index {knot_idx} out of range")
-            return None
-        return materialize_code(store.var("codes", tape), knot_idx)
 
 
 class PEResFieldsEncoder:
@@ -180,11 +175,7 @@ class PEResFieldsEncoder:
 
     def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
                knot_idx: int) -> Var:
-        v_t = None
-        if self.rank > 0:
-            v_t = materialize_code(store.var("codes", tape), knot_idx)
-        elif not (0 <= knot_idx < self.n_knots):
-            raise ValueError(f"knot index {knot_idx} out of range")
+        v_t = _knot_code(tape, store, self.rank, self.n_knots, knot_idx)
         feat = positional_encode(x_norm, self.pe)
         return self.mlp.apply(tape, store, Var(feat, tape), v_t)
 
@@ -221,11 +212,7 @@ class TriplaneEncoder:
 
     def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
                knot_idx: int) -> Var:
-        v_t = None
-        if self.rank > 0:
-            v_t = materialize_code(store.var("codes", tape), knot_idx)
-        elif not (0 <= knot_idx < self.n_knots):
-            raise ValueError(f"knot index {knot_idx} out of range")
+        v_t = _knot_code(tape, store, self.rank, self.n_knots, knot_idx)
         if not np.all(np.isfinite(x_norm)):
             raise ValueError("non-finite coordinates")
         feats = []
@@ -288,11 +275,7 @@ class TriaxesEncoder:
 
     def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
                knot_idx: int) -> Var:
-        v_t = None
-        if self.rank > 0:
-            v_t = materialize_code(store.var("codes", tape), knot_idx)
-        elif not (0 <= knot_idx < self.n_knots):
-            raise ValueError(f"knot index {knot_idx} out of range")
+        v_t = _knot_code(tape, store, self.rank, self.n_knots, knot_idx)
         if not np.all(np.isfinite(x_norm)):
             raise ValueError("non-finite coordinates")
         feats = []
@@ -430,4 +413,6 @@ def read_checkpoint(path):
             off += 4 * n
     except struct.error as e:
         raise FormatError(f"truncated file at byte {off}: {e}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise FormatError(f"malformed header or array name at byte {off}: {e}") from None
     return arrays, header

@@ -4,8 +4,12 @@ Composes an encoder and a decoder MLP into per-knot (offset, tangent)
 predictions, then interpolates with the cubic Hermite segment located for
 the query time. Velocity and acceleration come from the closed-form segment
 derivatives, in normalized segment-time units unless physical scaling is
-requested. Constant-velocity advection extrapolates past the fitted
-interval.
+requested; one evaluator serves all three by derivative order.
+Constant-velocity advection extrapolates past the fitted interval.
+
+The plain-array queries take one time or a 1-D sequence of times. They run
+on a NoGradTape and predict each knot once per call, so T times cost one
+network pass per knot instead of two per time.
 
 The coupled-4D baseline variant bypasses the spline entirely: the network
 is queried at the continuous time and returns the offset directly, with
@@ -21,12 +25,15 @@ import numpy as np
 from splinefield import autodiff as ad
 from splinefield import encoders as enc
 from splinefield import spline
-from splinefield.autodiff import ParamStore, Tape, Var
+from splinefield.autodiff import NoGradTape, ParamStore, Tape, Var
 
 VARIANTS = ("siren-resfields", "pe-resfields", "triplanes", "triaxes",
             "coupled4d-baseline")
 
 _FD_T_EPS = 1e-4  # time step for the coupled baseline's FD derivatives
+# basis functions by [quintic][derivative order]
+_BASES = {False: (spline.hermite_basis, spline.hermite_basis_d1, spline.hermite_basis_d2),
+          True: (spline.quintic_basis, spline.quintic_basis_d1, spline.quintic_basis_d2)}
 
 
 @dataclass
@@ -52,21 +59,21 @@ class FieldConfig:
         self.grid_levels = tuple(self.grid_levels)
 
 
-@dataclass
-class KnotPrediction:
-    """Per-point offset and tangent (and curvature on the quintic path)."""
-
-    delta_x: np.ndarray
-    m: np.ndarray
-    a: np.ndarray | None = None
-
-
 class DivergenceError(RuntimeError):
     """Non-finite values encountered during optimization."""
 
     def __init__(self, message, snapshot=None):
         super().__init__(message)
         self.snapshot = snapshot
+
+
+class _ShapesOnly:
+    """Stands in for a Generator when only parameter names and shapes matter."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+    normal = uniform
 
 
 class SplineField:
@@ -91,14 +98,19 @@ class SplineField:
         self.center = np.asarray(normalizer[0], dtype=np.float64)
         self.half_extent = float(normalizer[1])
 
-        if store is None:
-            store = ParamStore()
-            rng = np.random.default_rng(seed)
-            self.encoder = self._build_encoder(store, rng)
-            self._build_decoder(store, rng)
-        else:
-            self.encoder = self._rebind_encoder(store)
-        self.store = store
+        # a given store must hold exactly the names and shapes the config builds
+        built = ParamStore()
+        rng = np.random.default_rng(seed) if store is None else _ShapesOnly()
+        self.encoder = self._build_encoder(built, rng)
+        self._build_decoder(built, rng)
+        if store is not None:
+            want = {n: built.value(n).shape for n in built.names()}
+            have = {n: store.value(n).shape for n in store.names()}
+            bad = [f"{n} has shape {have.get(n)}, expects {want.get(n)}"
+                   for n in sorted(want.keys() | have.keys()) if want.get(n) != have.get(n)]
+            if bad:
+                raise ValueError(f"{cfg.variant} parameters: {'; '.join(bad)}")
+        self.store = built if store is None else store
 
     # -- construction ------------------------------------------------------
 
@@ -118,11 +130,6 @@ class SplineField:
             return enc.TriaxesEncoder(store, rng, c.n_knots, c.rank,
                                       c.grid_levels, c.grid_channels)
         return enc.Coupled4DEncoder(store, rng, c.hidden, c.depth, c.w0)
-
-    def _rebind_encoder(self, store):
-        # encoders hold only topology (dims, names); rebuild into a scratch
-        # store so the loaded store keeps its existing arrays
-        return self._build_encoder(ParamStore(), np.random.default_rng(0))
 
     @property
     def out_channels(self) -> int:
@@ -168,94 +175,84 @@ class SplineField:
             raise ValueError("the coupled-4D baseline has no knot states")
         if not (0 <= knot_idx < self.cfg.n_knots):
             raise ValueError(f"knot index {knot_idx} out of range")
-        x_norm = self.normalize(points)
-        feat = self.encoder.encode(tape, self.store, x_norm, knot_idx)
+        feat = self.encoder.encode(tape, self.store, self.normalize(points), knot_idx)
         out = self._decode(tape, feat)
-        dx = out[:, 0:3]
-        m = out[:, 3:6]
-        a = out[:, 6:9] if self.cfg.quintic else None
-        return dx, m, a
+        return out[:, 0:3], out[:, 3:6], (out[:, 6:9] if self.cfg.quintic else None)
 
-    def _segment_states(self, tape, points, t_query, knot_cache=None):
-        seg = spline.locate_segment(t_query, self.timeline)
-        states = []
+    def derivative_var(self, tape, points, t_query, order: int,
+                       knot_cache=None) -> Var:
+        """Differentiable order-th time derivative (0, 1 or 2) at t_query: the
+        Hermite (or quintic) basis of that order on the two knots around it, in
+        t-bar units. `knot_cache` maps knot index to state for one point set.
+        The coupled-4D baseline differentiates by central differences."""
+        seg = spline.locate_segment(t_query, self.timeline)   # validates t_query
+        if self.cfg.variant == "coupled4d-baseline":
+            return self._coupled_var(tape, points, t_query, order)
+        cache = {} if knot_cache is None else knot_cache
         for k in (seg.start_idx, seg.end_idx):
-            if knot_cache is not None and k in knot_cache:
-                dx, m, a = knot_cache[k]
-            else:
-                dx, m, a = self.predict_knot(tape, points, k)
-                if knot_cache is not None:
-                    knot_cache[k] = (dx, m, a)
-            states.append((dx, m, a))
-        return seg, states
-
-    def _knot_positions(self, points, states):
+            if k not in cache:
+                cache[k] = self.predict_knot(tape, points, k)
+        (dx0, m0, a0), (dx1, m1, a1) = cache[seg.start_idx], cache[seg.end_idx]
         const = np.asarray(points, dtype=np.float64)
-        (dx0, m0, a0), (dx1, m1, a1) = states
-        p0 = ad.add(dx0, const)
-        p1 = ad.add(dx1, const)
-        return p0, m0, a0, p1, m1, a1
+        p0, p1 = ad.add(dx0, const), ad.add(dx1, const)
+        coeffs = _BASES[self.cfg.quintic][order](seg.t_bar)
+        if self.cfg.quintic:
+            return spline._combine6(coeffs, p0, m0, a0, p1, m1, a1)
+        return spline._combine4(coeffs, p0, m0, p1, m1)
+
+    def _coupled_var(self, tape, points, t, order: int) -> Var:
+        if order == 0:
+            feat = self.encoder.encode_at_time(tape, self.store, self.normalize(points), t)
+            return ad.add(self._decode(tape, feat), np.asarray(points, dtype=np.float64))
+        if order == 1:
+            lo, hi = max(t - _FD_T_EPS, 0.0), min(t + _FD_T_EPS, 1.0)
+            a, b = (self._coupled_var(tape, points, s, 0) for s in (hi, lo))
+            return ad.scale(ad.add(a, ad.scale(b, -1.0)), 1.0 / (hi - lo))
+        eps = 10.0 * _FD_T_EPS
+        tq = min(max(t, eps), 1.0 - eps)
+        a, b, c = (self._coupled_var(tape, points, s, 0) for s in (tq + eps, tq, tq - eps))
+        return ad.scale(ad.add(ad.add(a, c), ad.scale(b, -2.0)), 1.0 / eps ** 2)
 
     def deform_var(self, tape, points, t_query, knot_cache=None) -> Var:
         """Differentiable deformation of `points` to time t_query."""
-        if self.cfg.variant == "coupled4d-baseline":
-            x_norm = self.normalize(points)
-            feat = self.encoder.encode_at_time(tape, self.store, x_norm, t_query)
-            dx = self._decode(tape, feat)
-            return ad.add(dx, np.asarray(points, dtype=np.float64))
-        seg, states = self._segment_states(tape, points, t_query, knot_cache)
-        p0, m0, a0, p1, m1, a1 = self._knot_positions(points, states)
-        if self.cfg.quintic:
-            return spline._combine6(spline.quintic_basis(seg.t_bar),
-                                    p0, m0, a0, p1, m1, a1)
-        return spline._combine4(spline.hermite_basis(seg.t_bar), p0, m0, p1, m1)
+        return self.derivative_var(tape, points, t_query, 0, knot_cache)
 
     def velocity_var(self, tape, points, t_query, physical: bool = False,
                      knot_cache=None) -> Var:
-        """Differentiable velocity at t_query (t-bar units by default)."""
-        if self.cfg.variant == "coupled4d-baseline":
-            lo = max(t_query - _FD_T_EPS, 0.0)
-            hi = min(t_query + _FD_T_EPS, 1.0)
-            a = self.deform_var(tape, points, hi)
-            b = self.deform_var(tape, points, lo)
-            return ad.scale(ad.add(a, ad.scale(b, -1.0)), 1.0 / (hi - lo))
-        seg, states = self._segment_states(tape, points, t_query, knot_cache)
-        p0, m0, a0, p1, m1, a1 = self._knot_positions(points, states)
-        if self.cfg.quintic:
-            v = spline._combine6(spline.quintic_basis_d1(seg.t_bar),
-                                 p0, m0, a0, p1, m1, a1)
-        else:
-            v = spline._combine4(spline.hermite_basis_d1(seg.t_bar), p0, m0, p1, m1)
-        if physical:
+        """Differentiable velocity at t_query (t-bar units by default; the
+        coupled baseline's is always per unit of global time)."""
+        v = self.derivative_var(tape, points, t_query, 1, knot_cache)
+        if physical and self.cfg.variant != "coupled4d-baseline":
             v = ad.scale(v, float(self.cfg.n_knots - 1))
         return v
 
     def acceleration_var(self, tape, points, t_query, knot_cache=None) -> Var:
         """Differentiable acceleration at t_query (t-bar units)."""
-        if self.cfg.variant == "coupled4d-baseline":
-            eps = 10.0 * _FD_T_EPS
-            tq = min(max(t_query, eps), 1.0 - eps)
-            a = self.deform_var(tape, points, tq + eps)
-            b = self.deform_var(tape, points, tq)
-            c = self.deform_var(tape, points, tq - eps)
-            return ad.scale(ad.add(ad.add(a, c), ad.scale(b, -2.0)), 1.0 / eps ** 2)
-        seg, states = self._segment_states(tape, points, t_query, knot_cache)
-        p0, m0, a0, p1, m1, a1 = self._knot_positions(points, states)
-        if self.cfg.quintic:
-            return spline._combine6(spline.quintic_basis_d2(seg.t_bar),
-                                    p0, m0, a0, p1, m1, a1)
-        return spline._combine4(spline.hermite_basis_d2(seg.t_bar), p0, m0, p1, m1)
+        return self.derivative_var(tape, points, t_query, 2, knot_cache)
 
-    # plain-array conveniences (inference)
+    def _query(self, var_fn, points, t_query, **kw) -> np.ndarray:
+        tape, cache = NoGradTape(), {}
+        if np.ndim(t_query) == 0:
+            return var_fn(tape, points, t_query, knot_cache=cache, **kw).value
+        times = np.asarray(t_query, dtype=np.float64)
+        if times.ndim != 1 or times.size == 0:
+            raise ValueError(f"t_query must be a scalar or a non-empty 1-D sequence, "
+                             f"got shape {times.shape}")
+        return np.stack([var_fn(tape, points, float(t), knot_cache=cache, **kw).value
+                         for t in times])
 
     def deform(self, points, t_query) -> np.ndarray:
-        return self.deform_var(Tape(), points, t_query).value
+        """Positions at t_query: [N, 3] for a scalar, [T, N, 3] for a 1-D sequence.
+
+        Like velocity and acceleration, it runs on a NoGradTape and predicts
+        each knot it needs once per call, whatever the number of times."""
+        return self._query(self.deform_var, points, t_query)
 
     def velocity(self, points, t_query, physical: bool = False) -> np.ndarray:
-        return self.velocity_var(Tape(), points, t_query, physical=physical).value
+        return self._query(self.velocity_var, points, t_query, physical=physical)
 
     def acceleration(self, points, t_query) -> np.ndarray:
-        return self.acceleration_var(Tape(), points, t_query).value
+        return self._query(self.acceleration_var, points, t_query)
 
     def advect(self, points, from_t: float, dt: float) -> np.ndarray:
         """deform(points, from_t) + physical velocity * dt."""
@@ -263,12 +260,10 @@ class SplineField:
             raise ValueError(f"from_t must be in [0, 1], got {from_t}")
         if dt < 0:
             raise ValueError(f"dt must be >= 0, got {dt}")
-        base = self.deform(points, from_t)
-        if self.cfg.variant == "coupled4d-baseline":
-            vel = self.velocity(points, from_t)
-        else:
-            vel = self.velocity(points, from_t, physical=True)
-        return base + vel * dt
+        tape, cache = NoGradTape(), {}
+        base = self.deform_var(tape, points, from_t, knot_cache=cache).value
+        vel = self.velocity_var(tape, points, from_t, physical=True, knot_cache=cache)
+        return base + vel.value * dt
 
     # -- checkpoints --------------------------------------------------------
 
@@ -284,14 +279,17 @@ class SplineField:
 
     @classmethod
     def load(cls, path) -> "SplineField":
+        """Read a checkpoint; a header, canonical point set or parameter set
+        that does not make a field raises FormatError."""
         arrays, header = enc.read_checkpoint(path)
-        cfg_d = dict(header["config"])
-        cfg_d["grid_levels"] = tuple(cfg_d["grid_levels"])
-        cfg = FieldConfig(**cfg_d)
-        canonical = arrays.pop("__canonical__")
-        store = ParamStore()
-        for name in sorted(arrays):
-            store.add(name, arrays[name])
-        f = cls(cfg, canonical, store=store,
-                normalizer=(np.asarray(header["center"]), header["half_extent"]))
-        return f
+        try:
+            cfg_d = dict(header["config"])
+            cfg_d["grid_levels"] = tuple(cfg_d["grid_levels"])
+            canonical = arrays.pop("__canonical__")
+            store = ParamStore()
+            for name in sorted(arrays):
+                store.add(name, arrays[name])
+            return cls(FieldConfig(**cfg_d), canonical, store=store,
+                       normalizer=(np.asarray(header["center"]), header["half_extent"]))
+        except (KeyError, TypeError, ValueError) as e:
+            raise enc.FormatError(f"malformed checkpoint {path}: {e}") from None

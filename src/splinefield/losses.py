@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from splinefield import autodiff as ad
-from splinefield.autodiff import Var
+from splinefield.autodiff import NoGradTape, Var
 
 DIST_EPS = 1e-8        # distance floor; also guards duplicate points
 _BRUTE_MAX = 4096      # below this, use the exhaustive scan with stable ties
@@ -92,45 +92,41 @@ def velocity_loss(velocities, graph: NeighborGraph):
 
 
 def velocity_loss_rows(velocities, rows, nbrs, weights):
-    """Velocity loss restricted to `rows`; `velocities` is [N, 3] (Var or
-    array) covering both the rows and their neighbor indices `nbrs`."""
+    """Velocity loss restricted to `rows`; `velocities` is [N, 3] (Var, or an
+    array for a float) covering both the rows and their neighbor indices
+    `nbrs`."""
+    if not isinstance(velocities, Var):
+        return float(velocity_loss_rows(Var(velocities, NoGradTape()), rows, nbrs,
+                                        weights).value)
     rows = np.asarray(rows)
-    if isinstance(velocities, Var):
-        vi = ad.reshape(ad.take(velocities, rows), (len(rows), 1, 3))
-        vn = ad.take(velocities, nbrs)
-        diff = ad.add(vi, ad.scale(vn, -1.0))
-        sq = ad.vsum(ad.mul(diff, diff), axis=2)
-        return ad.vmean(ad.vsum(ad.mul(sq, weights), axis=1))
-    v = np.asarray(velocities, dtype=np.float64)
-    diff = v[rows][:, None, :] - v[nbrs]
-    return float(np.mean(np.sum(weights * np.sum(diff ** 2, axis=2), axis=1)))
+    vi = ad.reshape(ad.take(velocities, rows), (len(rows), 1, 3))
+    vn = ad.take(velocities, nbrs)
+    diff = ad.add(vi, ad.scale(vn, -1.0))
+    sq = ad.vsum(ad.mul(diff, diff), axis=2)
+    return ad.vmean(ad.vsum(ad.mul(sq, weights), axis=1))
 
 
 def acceleration_loss(accels, mode: str = "l1"):
-    """Mean |a|: per-component absolute mean ('l1', default) or mean norm ('l2')."""
-    if isinstance(accels, Var):
-        if mode == "l1":
-            return ad.vmean(ad.absolute(accels))
-        if mode == "l2":
-            return ad.vmean(ad.sqrt(ad.vsum(ad.mul(accels, accels), axis=1), eps=1e-24))
-        raise ValueError(f"unknown mode {mode!r}")
-    a = np.asarray(accels, dtype=np.float64)
+    """Mean |a|: per-component absolute mean ('l1', default) or mean norm ('l2').
+
+    A Var gives a Var; an array gives a float."""
+    if not isinstance(accels, Var):
+        return float(acceleration_loss(Var(accels, NoGradTape()), mode).value)
     if mode == "l1":
-        return float(np.mean(np.abs(a)))
+        return ad.vmean(ad.absolute(accels))
     if mode == "l2":
-        return float(np.mean(np.linalg.norm(a, axis=1)))
+        return ad.vmean(ad.sqrt(ad.vsum(ad.mul(accels, accels), axis=1), eps=1e-24))
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def recon_loss_l1(pred, gt):
-    """Mean absolute componentwise error."""
+    """Mean absolute componentwise error; a Var gives a Var, an array a float."""
+    if not isinstance(pred, Var):
+        return float(recon_loss_l1(Var(pred, NoGradTape()), gt).value)
     gt = np.asarray(gt, dtype=np.float64)
-    pv = pred.value if isinstance(pred, Var) else np.asarray(pred, dtype=np.float64)
-    if pv.shape != gt.shape:
-        raise ValueError(f"shape mismatch: pred {pv.shape} vs gt {gt.shape}")
-    if isinstance(pred, Var):
-        return ad.vmean(ad.absolute(ad.add(pred, -gt)))
-    return float(np.mean(np.abs(pv - gt)))
+    if pred.shape != gt.shape:
+        raise ValueError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
+    return ad.vmean(ad.absolute(ad.add(pred, -gt)))
 
 
 def total_loss(recon, lv, lacc, cfg: LossConfig):

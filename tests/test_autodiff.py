@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from splinefield import autodiff as ad
-from splinefield.autodiff import ParamStore, Tape, TapeStateError, Var, fd_check
+from splinefield.autodiff import (NoGradTape, ParamStore, Tape, TapeStateError, Var,
+                                  fd_check)
 
 
 class TestForwardLinear:
@@ -128,6 +132,51 @@ class TestBackward:
         v1, g1 = run()
         v2, g2 = run()
         assert np.array_equal(v1, v2) and np.array_equal(g1, g2)
+
+
+class TestTapeLifetime:
+    def _mlp_loss(self, tape, store):
+        h = ad.sine(ad.forward_linear(np.ones((3, 2)), store.var("W", tape),
+                                      store.var("b", tape)), 2.0)
+        return h, ad.vmean(ad.mul(h, h))
+
+    def _store(self):
+        store = ParamStore()
+        store.add("W", np.random.default_rng(0).normal(size=(2, 4)))
+        store.add("b", np.zeros(4))
+        return store
+
+    def test_no_grad_tape_records_nothing(self):
+        tape = NoGradTape()
+        store = self._store()
+        h, loss = self._mlp_loss(tape, store)
+        assert tape._nodes == []
+        recorded = Tape()
+        h_ref, loss_ref = self._mlp_loss(recorded, store)
+        assert len(recorded._nodes) > 0
+        np.testing.assert_array_equal(h.value, h_ref.value)
+        assert loss.value == loss_ref.value
+
+    def test_no_grad_tape_backward_raises(self):
+        tape = NoGradTape()
+        _, loss = self._mlp_loss(tape, self._store())
+        with pytest.raises(TapeStateError):
+            tape.backward(loss)
+
+    def test_backward_frees_forward_vars_without_gc(self):
+        store = self._store()
+        gc.disable()
+        try:
+            tape = Tape()
+            h, loss = self._mlp_loss(tape, store)
+            ref = weakref.ref(h)
+            tape.backward(loss)
+            del h, loss
+            assert ref() is None
+            assert tape._nodes == []
+        finally:
+            gc.enable()
+        assert np.any(store.grad("W") != 0.0)
 
 
 class TestOps:

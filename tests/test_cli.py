@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from splinefield import cli, dataio, trainer
+from splinefield import cli, dataio, encoders, trainer
 from splinefield.cli import main
 from splinefield.field import DivergenceError
 
@@ -104,6 +106,38 @@ class TestEval:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage!")
         assert main(["eval", "--ckpt", str(bad), "--traj", str(traj)]) == 1
+
+    def test_checkpoint_missing_array_is_io_error(self, tmp_path, capsys):
+        traj = _gen(tmp_path)
+        ckpt = _fit(tmp_path, traj)
+        arrays, header = encoders.read_checkpoint(ckpt)
+        del arrays["dec.l0.W"]
+        encoders.write_checkpoint(ckpt, arrays, header)
+        assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj)]) == 1
+        assert "dec.l0.W" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [b"{not json", b'{"config": "\xff\xfe'])
+    def test_malformed_header_is_io_error(self, tmp_path, header):
+        traj = _gen(tmp_path)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"SDFCKPT1" + struct.pack("<II", 1, len(header)) + header)
+        assert main(["eval", "--ckpt", str(bad), "--traj", str(traj)]) == 1
+
+    def test_truncated_header_is_io_error(self, tmp_path):
+        traj = _gen(tmp_path)
+        ckpt = _fit(tmp_path, traj)
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:30])
+        assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj)]) == 1
+
+    def test_non_finite_trajectory_is_io_error(self, tmp_path, capsys):
+        traj = _gen(tmp_path)
+        blob = bytearray(traj.read_bytes())
+        blob[16 + 4 * 7:16 + 4 * 8] = np.array([np.nan], dtype="<f4").tobytes()
+        traj.write_bytes(bytes(blob))
+        rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt")])
+        assert rc == 1
+        assert "frame 0, point 2" in capsys.readouterr().err
 
 
 class TestInterpAdvectFlow:

@@ -12,6 +12,15 @@ class TestTrajectorySet:
         with pytest.raises(ValueError):
             TrajectorySet(np.zeros((4, 5)))
 
+    def test_non_finite_positions_rejected(self):
+        pos = np.zeros((4, 5, 3))
+        pos[2, 3, 1] = np.nan
+        with pytest.raises(ValueError, match="frame 2, point 3"):
+            TrajectorySet(pos)
+        pos[2, 3, 1] = np.inf
+        with pytest.raises(ValueError):
+            TrajectorySet(pos)
+
     def test_frame_time(self):
         traj = TrajectorySet(np.zeros((5, 2, 3)))
         assert traj.frame_time(0) == 0.0
@@ -116,6 +125,18 @@ class TestTrajFormat:
         write_traj(path, gen_synthetic("rotate", 5, 3, seed=0))
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError):
+            read_traj(path)
+
+
+    def test_non_finite_payload_names_frame_and_point(self, tmp_path):
+        path = tmp_path / "nan.traj"
+        write_traj(path, gen_synthetic("rotate", 6, 4, seed=0))
+        blob = bytearray(path.read_bytes())
+        # frame 2, point 5, z coordinate
+        off = 16 + 4 * ((2 * 6 + 5) * 3 + 2)
+        blob[off:off + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="frame 2, point 5"):
             read_traj(path)
 
 

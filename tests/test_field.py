@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splinefield import autodiff as ad
-from splinefield import spline
+from splinefield import dataio, encoders, spline, trainer
 from splinefield.autodiff import Tape
 from splinefield.field import FieldConfig, SplineField
 
@@ -183,6 +183,92 @@ class TestCoupledField:
         assert np.all(np.isfinite(f.velocity(f.canonical, 0.5)))
         assert np.all(np.isfinite(f.acceleration(f.canonical, 0.5)))
 
+    def test_times_outside_unit_interval_rejected(self):
+        f = SplineField(_small_cfg(variant="coupled4d-baseline"), _points())
+        with pytest.raises(ValueError):
+            f.deform(f.canonical, 1.7)
+        with pytest.raises(ValueError):
+            f.velocity(f.canonical, [0.5, -3.0])
+
+
+def _variant_cfg(variant, quintic=False):
+    if variant in ("triplanes", "triaxes"):
+        return FieldConfig(variant=variant, n_knots=4, rank=2, hidden=8,
+                           grid_levels=(4, 8), grid_channels=3, quintic=quintic)
+    return _small_cfg(variant=variant, n_knots=4, quintic=quintic)
+
+
+_VARIANT_CASES = [("siren-resfields", False), ("pe-resfields", False),
+                  ("triplanes", False), ("triaxes", False),
+                  ("coupled4d-baseline", False), ("siren-resfields", True),
+                  ("triplanes", True)]
+_TIMES = [0.0, 0.1, 0.33, 0.34, 0.5, 0.9, 1.0]
+
+
+def _count_knot_calls(monkeypatch) -> list:
+    """Record the knot index of every SplineField.predict_knot call."""
+    calls = []
+    predict = SplineField.predict_knot
+
+    def counting(self, tape, points, k):
+        calls.append(k)
+        return predict(self, tape, points, k)
+
+    monkeypatch.setattr(SplineField, "predict_knot", counting)
+    return calls
+
+
+class TestMultiTimeQueries:
+    @pytest.mark.parametrize("variant,quintic", _VARIANT_CASES)
+    def test_sequence_equals_per_time_calls(self, variant, quintic):
+        f = _randomized(SplineField(_variant_cfg(variant, quintic), _points(8)))
+        queries = [lambda t: f.deform(f.canonical, t),
+                   lambda t: f.velocity(f.canonical, t),
+                   lambda t: f.velocity(f.canonical, t, physical=True),
+                   lambda t: f.acceleration(f.canonical, t)]
+        for query in queries:
+            many = query(_TIMES)
+            assert many.shape == (len(_TIMES), 8, 3)
+            assert np.array_equal(many, np.stack([query(t) for t in _TIMES]))
+            assert np.array_equal(query(np.asarray(_TIMES)), many)
+
+    def test_scalar_time_keeps_point_shape(self):
+        f = SplineField(_small_cfg(), _points())
+        assert f.deform(f.canonical, 0.5).shape == (6, 3)
+        assert f.deform(f.canonical, [0.5]).shape == (1, 6, 3)
+
+    def test_every_time_is_validated(self):
+        f = SplineField(_small_cfg(), _points())
+        with pytest.raises(ValueError):
+            f.deform(f.canonical, [0.2, 1.5])
+        with pytest.raises(ValueError):
+            f.velocity(f.canonical, [[0.2, 0.4]])
+        with pytest.raises(ValueError):
+            f.acceleration(f.canonical, [])
+
+    def test_sequence_predicts_each_knot_once(self, monkeypatch):
+        f = _randomized(SplineField(_small_cfg(n_knots=4), _points()))
+        calls = _count_knot_calls(monkeypatch)
+        f.deform(f.canonical, np.linspace(0.0, 1.0, 25))
+        assert sorted(calls) == [0, 1, 2, 3]
+
+    def test_evaluate_predicts_at_most_n_knots(self, monkeypatch):
+        traj = dataio.gen_synthetic("composite", 40, 21, seed=0)
+        split = dataio.split_frames(traj, dataio.SplitSpec(4, 0.5), seed=0)
+        f = _randomized(SplineField(_small_cfg(n_knots=5), traj.positions[0]))
+        expected, _ = trainer.evaluate(f, traj, split)
+        calls = _count_knot_calls(monkeypatch)
+        summary, _ = trainer.evaluate(f, traj, split)
+        assert len(split.test_frames) == 15
+        assert len(calls) <= f.cfg.n_knots
+        assert summary == expected
+
+    def test_advect_matches_separate_queries(self):
+        f = _randomized(SplineField(_small_cfg(), _points()))
+        expected = (f.deform(f.canonical, 0.7)
+                    + f.velocity(f.canonical, 0.7, physical=True) * 0.25)
+        assert np.array_equal(f.advect(f.canonical, 0.7, 0.25), expected)
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("variant", ["siren-resfields", "triplanes",
@@ -201,6 +287,31 @@ class TestCheckpoint:
         # f32 round trip: outputs agree to f32 precision, not bitwise
         np.testing.assert_allclose(g.deform(g.canonical, 0.4),
                                    f.deform(f.canonical, 0.4), atol=1e-4)
+
+    def _rewrite(self, tmp_path, edit):
+        path = tmp_path / "field.ckpt"
+        SplineField(_small_cfg(), _points()).save(path)
+        arrays, header = encoders.read_checkpoint(path)
+        edit(arrays)
+        encoders.write_checkpoint(path, arrays, header)
+        return path
+
+    def test_missing_array_is_format_error(self, tmp_path):
+        path = self._rewrite(tmp_path, lambda a: a.pop("dec.l0.W"))
+        with pytest.raises(encoders.FormatError, match="dec.l0.W"):
+            SplineField.load(path)
+
+    def test_misshaped_array_is_format_error(self, tmp_path):
+        def shrink(arrays):
+            arrays["enc.mlp.l1.Wb"] = arrays["enc.mlp.l1.Wb"][:, :3]
+        path = self._rewrite(tmp_path, shrink)
+        with pytest.raises(encoders.FormatError, match="enc.mlp.l1.Wb"):
+            SplineField.load(path)
+
+    def test_unexpected_array_is_format_error(self, tmp_path):
+        path = self._rewrite(tmp_path, lambda a: a.update({"dec.l1.W": np.zeros((6, 6))}))
+        with pytest.raises(encoders.FormatError, match="dec.l1.W"):
+            SplineField.load(path)
 
     def test_save_is_deterministic(self, tmp_path):
         f = SplineField(_small_cfg(), _points())

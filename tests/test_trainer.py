@@ -130,8 +130,8 @@ class TestEvaluate:
         class Replay:
             canonical = traj.positions[0]
 
-            def deform(self, pts, t):
-                idx = int(round(t * (traj.n_frames - 1)))
+            def deform(self, pts, times):
+                idx = np.rint(np.asarray(times) * (traj.n_frames - 1)).astype(int)
                 return traj.positions[idx]
 
         summary, rows = trainer.evaluate(Replay(), traj, split)
