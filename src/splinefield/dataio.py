@@ -3,26 +3,33 @@
 Trajectory files use a small binary layout: an 8-byte magic "SDFTRAJ1",
 a u32 frame count T, a u32 point count N_p, then T*N_p*3 little-endian
 f32 positions ordered frame-major. Total size is 16 + 4*T*N_p*3 bytes.
-Every position must be finite.
+Every position must be finite. Checkpoints (magic "SDFCKPT1") hold named
+f32 arrays and a JSON header; `write_checkpoint` documents the layout.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import FormatError
-
 TRAJ_MAGIC = b"SDFTRAJ1"
+CKPT_MAGIC = b"SDFCKPT1"
+CKPT_VERSION = 1
 
 SYNTHETIC_KINDS = ("rigid-translate", "rotate", "bending-sheet",
                    "swing-arm", "composite")
 
 __all__ = ["FormatError", "TrajectorySet", "SplitSpec", "Split", "split_frames",
-           "gen_synthetic", "write_traj", "read_traj", "export_ply", "flow_colors"]
+           "gen_synthetic", "write_traj", "read_traj", "write_checkpoint",
+           "read_checkpoint", "export_ply", "flow_colors"]
+
+
+class FormatError(Exception):
+    """Malformed checkpoint or trajectory file."""
 
 
 @dataclass(frozen=True)
@@ -174,6 +181,68 @@ def read_traj(path) -> TrajectorySet:
         return TrajectorySet(pos.astype(np.float64))
     except ValueError as e:
         raise FormatError(f"bad trajectory payload at byte 16: {e}") from None
+
+
+def write_checkpoint(path, arrays: dict, header: dict | None = None) -> None:
+    """Write named float arrays plus an optional JSON header.
+
+    Layout: magic 'SDFCKPT1', u32 version, u32 header length, UTF-8 JSON
+    header, u32 section count, then per section: u16 name length, name,
+    u8 shape rank, u32 dims, f32 payload (row-major). Little-endian.
+    """
+    hdr = json.dumps(header or {}, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(CKPT_MAGIC)
+        f.write(struct.pack("<II", CKPT_VERSION, len(hdr)))
+        f.write(hdr)
+        f.write(struct.pack("<I", len(arrays)))
+        for name in sorted(arrays):
+            arr = np.ascontiguousarray(arrays[name], dtype=np.float32)
+            nb = name.encode("utf-8")
+            f.write(struct.pack("<H", len(nb)))
+            f.write(nb)
+            f.write(struct.pack("<B", arr.ndim))
+            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            f.write(arr.tobytes())
+
+
+def read_checkpoint(path):
+    """Read a checkpoint file; returns (arrays, header)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:8] != CKPT_MAGIC:
+        raise FormatError(f"bad magic at byte 0: {data[:8]!r}")
+    off = 8
+    try:
+        version, hlen = struct.unpack_from("<II", data, off)
+        off += 8
+        if version != CKPT_VERSION:
+            raise FormatError(f"unsupported version {version} at byte 8")
+        header = json.loads(data[off:off + hlen].decode("utf-8"))
+        off += hlen
+        (count,) = struct.unpack_from("<I", data, off)
+        off += 4
+        arrays = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<H", data, off)
+            off += 2
+            name = data[off:off + nlen].decode("utf-8")
+            off += nlen
+            (rank,) = struct.unpack_from("<B", data, off)
+            off += 1
+            shape = struct.unpack_from(f"<{rank}I", data, off)
+            off += 4 * rank
+            n = int(np.prod(shape)) if rank else 1
+            payload = data[off:off + 4 * n]
+            if len(payload) != 4 * n:
+                raise FormatError(f"truncated payload for {name!r} at byte {off}")
+            arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+            off += 4 * n
+    except struct.error as e:
+        raise FormatError(f"truncated file at byte {off}: {e}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise FormatError(f"malformed header or array name at byte {off}: {e}") from None
+    return arrays, header
 
 
 def export_ply(path, points: np.ndarray, colors=None) -> None:

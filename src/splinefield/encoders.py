@@ -1,19 +1,18 @@
 """Time-variant spatial encoders.
 
 Each encoder maps (normalized canonical coordinate, knot index) to a feature
-vector. Temporal conditioning enters only through low-rank per-knot codes
-that modulate the encoder's parameters (weights for the MLP variants, grid
-contents for the plane/axis variants); the coordinates themselves never see
-time. The coupled-4D baseline does the opposite: it feeds time as a fourth
-input coordinate to a plain SIREN MLP.
+vector. Temporal conditioning enters only through low-rank per-knot codes:
+one modulation, `low_rank` (base + sum_r v_t[r] * res[r]), builds every
+time-variant tensor at a knot, the layer weights of the MLP variants and the
+factor grids of the plane/axis variants alike; the coordinates themselves
+never see time. The coupled-4D baseline does the opposite: it feeds time as
+a fourth input coordinate to a plain SIREN MLP.
 
 Rank 0 degenerates every variant to a time-invariant encoder.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,36 +29,30 @@ def init_temporal_codes(n_knots: int, rank: int, rng) -> np.ndarray:
     return rng.normal(0.0, CODE_INIT_STD, size=(n_knots, rank))
 
 
-def materialize_code(codes, knot_idx: int):
-    """Row v_t of the code matrix; works on arrays and tape variables."""
-    n = codes.shape[0]
-    if not (0 <= knot_idx < n):
-        raise ValueError(f"knot index {knot_idx} out of range [0, {n})")
-    if isinstance(codes, Var):
-        return ad.take(codes, np.array(knot_idx))
-    return codes[knot_idx]
-
-
-def _knot_code(tape, store: ParamStore, rank: int, n_knots: int, knot_idx: int):
-    """The knot's code row on the tape, or None at rank 0 (index still checked)."""
-    if rank > 0:
-        return materialize_code(store.var("codes", tape), knot_idx)
+def materialize_code(tape, store: ParamStore, n_knots: int, knot_idx: int):
+    """Row v_t of the store's code matrix on the tape, or None when the store
+    holds no codes (rank 0). The knot index is checked either way."""
     if not (0 <= knot_idx < n_knots):
-        raise ValueError(f"knot index {knot_idx} out of range")
-    return None
+        raise ValueError(f"knot index {knot_idx} out of range [0, {n_knots})")
+    if "codes" not in store:
+        return None
+    return ad.take(store.var("codes", tape), np.array(knot_idx))
+
+
+def low_rank(base, res, v_t):
+    """base + sum_r v_t[r] * res[r], the time-variant tensor at one knot.
+
+    res has shape [rank, *base.shape]; None (rank 0) returns base itself.
+    """
+    return base if res is None else ad.add(base, ad.weighted_stack_sum(v_t, res))
 
 
 def tv_linear_apply(x, w_base, w_res, bias, v_t) -> Var:
     """input @ (W_base + sum_r v_t[r] * W_res[r]) + bias.
 
-    w_res has shape [rank, C_in, C_out]; rank 0 reduces to a plain linear.
+    w_res has shape [rank, C_in, C_out]; None (rank 0) is a plain linear.
     """
-    rank = ad._val(w_res).shape[0] if w_res is not None else 0
-    if rank > 0:
-        w = ad.add(w_base, ad.weighted_stack_sum(v_t, w_res))
-    else:
-        w = w_base
-    return ad.forward_linear(x, w, bias)
+    return ad.forward_linear(x, low_rank(w_base, w_res, v_t), bias)
 
 
 @dataclass(frozen=True)
@@ -151,7 +144,7 @@ class SirenResFieldsEncoder:
 
     def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
                knot_idx: int) -> Var:
-        v_t = _knot_code(tape, store, self.rank, self.n_knots, knot_idx)
+        v_t = materialize_code(tape, store, self.n_knots, knot_idx)
         x = Var(x_norm, tape)
         return self.mlp.apply(tape, store, x, v_t)
 
@@ -175,7 +168,7 @@ class PEResFieldsEncoder:
 
     def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
                knot_idx: int) -> Var:
-        v_t = _knot_code(tape, store, self.rank, self.n_knots, knot_idx)
+        v_t = materialize_code(tape, store, self.n_knots, knot_idx)
         feat = positional_encode(x_norm, self.pe)
         return self.mlp.apply(tape, store, Var(feat, tape), v_t)
 
@@ -186,11 +179,16 @@ def _to_grid_units(x01: np.ndarray, d: int) -> np.ndarray:
 
 
 class TriplaneEncoder:
-    """Multi-level time-variant triplanes: bilinear samples of the XY/YZ/XZ
-    planes combined by elementwise product, levels concatenated."""
+    """Multi-level time-variant factorized grid: each factor is a grid over
+    some of the coordinates (the XY/YZ/XZ planes here), its features are
+    combined by elementwise product, and levels are concatenated.
+
+    At a knot each factor's grid is built once with `low_rank` and sampled
+    once, bilinearly for a plane and linearly for an axis.
+    """
 
     name = "triplanes"
-    PLANES = (("xy", 0, 1), ("yz", 1, 2), ("xz", 0, 2))
+    FACTORS = (("xy", (0, 1)), ("yz", (1, 2)), ("xz", (0, 2)))
 
     def __init__(self, store: ParamStore, rng, n_knots: int, rank: int,
                  levels: tuple = (32, 64), channels: int = 16):
@@ -201,47 +199,40 @@ class TriplaneEncoder:
         if rank > 0:
             store.add("codes", init_temporal_codes(n_knots, rank, rng))
         for li, d in enumerate(self.levels):
-            for pname, _, _ in self.PLANES:
-                store.add(f"enc.grid.L{li}.{pname}.base",
-                          rng.uniform(-GRID_INIT_RANGE, GRID_INIT_RANGE, (d, d, channels)))
+            for fname, axes in self.FACTORS:
+                shape = (d,) * len(axes) + (channels,)
+                store.add(f"enc.grid.L{li}.{fname}.base",
+                          rng.uniform(-GRID_INIT_RANGE, GRID_INIT_RANGE, shape))
                 if rank > 0:
-                    store.add(f"enc.grid.L{li}.{pname}.res",
+                    store.add(f"enc.grid.L{li}.{fname}.res",
                               rng.uniform(-GRID_INIT_RANGE, GRID_INIT_RANGE,
-                                          (rank, d, d, channels)) * 0.1)
+                                          (rank,) + shape) * 0.1)
         self.out_dim = channels * len(self.levels)
 
     def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
                knot_idx: int) -> Var:
-        v_t = _knot_code(tape, store, self.rank, self.n_knots, knot_idx)
+        v_t = materialize_code(tape, store, self.n_knots, knot_idx)
         if not np.all(np.isfinite(x_norm)):
             raise ValueError("non-finite coordinates")
         feats = []
         for li, d in enumerate(self.levels):
             level = None
-            for pname, ax_u, ax_v in self.PLANES:
-                u = _to_grid_units(x_norm[:, ax_u], d)
-                v = _to_grid_units(x_norm[:, ax_v], d)
-                f = self._sample(tape, store, f"enc.grid.L{li}.{pname}", u, v, v_t)
+            for fname, axes in self.FACTORS:
+                key = f"enc.grid.L{li}.{fname}"
+                res = store.var(f"{key}.res", tape) if self.rank > 0 else None
+                grid = low_rank(store.var(f"{key}.base", tape), res, v_t)
+                coords = [_to_grid_units(x_norm[:, a], d) for a in axes]
+                sample = ad.bilinear_sample if len(axes) == 2 else ad.linear_sample
+                f = sample(grid, *coords)
                 level = f if level is None else ad.mul(level, f)
             feats.append(level)
         return ad.concat(feats, axis=1) if len(feats) > 1 else feats[0]
 
-    def _sample(self, tape, store, key, u, v, v_t):
-        # lazy route: sample base and residual planes, then weight by v_t;
-        # equals sampling the materialized plane by linearity of bilinear
-        # interpolation.
-        f = ad.bilinear_sample(store.var(f"{key}.base", tape), u, v)
-        if self.rank > 0:
-            res = store.var(f"{key}.res", tape)
-            for r in range(self.rank):
-                fr = ad.bilinear_sample(res[r], u, v)
-                f = ad.add(f, ad.mul(v_t[np.array(r)], fr))
-        return f
-
-    def materialized_plane(self, store: ParamStore, level: int, pname: str,
-                           knot_idx: int) -> np.ndarray:
-        """Explicit P(t) = base + sum_r v_t[r] * res[r]; used by equivalence tests."""
-        key = f"enc.grid.L{level}.{pname}"
+    def materialized(self, store: ParamStore, level: int, factor: str,
+                     knot_idx: int) -> np.ndarray:
+        """Explicit grid base + sum_r v_t[r] * res[r] in numpy; the oracle of
+        the equivalence tests."""
+        key = f"enc.grid.L{level}.{factor}"
         p = store.value(f"{key}.base").copy()
         if self.rank > 0:
             v = store.value("codes")[knot_idx]
@@ -249,61 +240,11 @@ class TriplaneEncoder:
         return p
 
 
-class TriaxesEncoder:
-    """Multi-level time-variant axes: linear samples of the X/Y/Z axes
-    combined by elementwise product, levels concatenated."""
+class TriaxesEncoder(TriplaneEncoder):
+    """The factorized grid over the X/Y/Z axes, each a grid over one coordinate."""
 
     name = "triaxes"
-
-    def __init__(self, store: ParamStore, rng, n_knots: int, rank: int,
-                 levels: tuple = (32, 64), channels: int = 16):
-        self.n_knots = n_knots
-        self.rank = rank
-        self.levels = tuple(levels)
-        self.channels = channels
-        if rank > 0:
-            store.add("codes", init_temporal_codes(n_knots, rank, rng))
-        for li, d in enumerate(self.levels):
-            for aname in "xyz":
-                store.add(f"enc.grid.L{li}.{aname}.base",
-                          rng.uniform(-GRID_INIT_RANGE, GRID_INIT_RANGE, (d, channels)))
-                if rank > 0:
-                    store.add(f"enc.grid.L{li}.{aname}.res",
-                              rng.uniform(-GRID_INIT_RANGE, GRID_INIT_RANGE,
-                                          (rank, d, channels)) * 0.1)
-        self.out_dim = channels * len(self.levels)
-
-    def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
-               knot_idx: int) -> Var:
-        v_t = _knot_code(tape, store, self.rank, self.n_knots, knot_idx)
-        if not np.all(np.isfinite(x_norm)):
-            raise ValueError("non-finite coordinates")
-        feats = []
-        for li, d in enumerate(self.levels):
-            level = None
-            for ax, aname in enumerate("xyz"):
-                u = _to_grid_units(x_norm[:, ax], d)
-                f = self._sample(tape, store, f"enc.grid.L{li}.{aname}", u, v_t)
-                level = f if level is None else ad.mul(level, f)
-            feats.append(level)
-        return ad.concat(feats, axis=1) if len(feats) > 1 else feats[0]
-
-    def _sample(self, tape, store, key, u, v_t):
-        f = ad.linear_sample(store.var(f"{key}.base", tape), u)
-        if self.rank > 0:
-            res = store.var(f"{key}.res", tape)
-            for r in range(self.rank):
-                f = ad.add(f, ad.mul(v_t[np.array(r)], ad.linear_sample(res[r], u)))
-        return f
-
-    def materialized_axis(self, store: ParamStore, level: int, aname: str,
-                          knot_idx: int) -> np.ndarray:
-        key = f"enc.grid.L{level}.{aname}"
-        a = store.value(f"{key}.base").copy()
-        if self.rank > 0:
-            v = store.value("codes")[knot_idx]
-            a += np.tensordot(v, store.value(f"{key}.res"), axes=(0, 0))
-        return a
+    FACTORS = (("x", (0,)), ("y", (1,)), ("z", (2,)))
 
 
 class Coupled4DEncoder:
@@ -344,75 +285,3 @@ class Coupled4DEncoder:
             b = store.var(f"enc.mlp.l{i}.b", tape)
             h = ad.sine(ad.forward_linear(h, wb, b), self.w0)
         return h
-
-
-# -- checkpoint file format ------------------------------------------------
-
-_MAGIC = b"SDFCKPT1"
-_VERSION = 1
-
-
-class FormatError(Exception):
-    """Malformed checkpoint or trajectory file."""
-
-
-def write_checkpoint(path, arrays: dict, header: dict | None = None) -> None:
-    """Write named float arrays plus an optional JSON header.
-
-    Layout: magic 'SDFCKPT1', u32 version, u32 header length, UTF-8 JSON
-    header, u32 section count, then per section: u16 name length, name,
-    u8 shape rank, u32 dims, f32 payload (row-major). Little-endian.
-    """
-    hdr = json.dumps(header or {}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<II", _VERSION, len(hdr)))
-        f.write(hdr)
-        f.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype=np.float32)
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
-
-
-def read_checkpoint(path):
-    """Read a checkpoint file; returns (arrays, header)."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:8] != _MAGIC:
-        raise FormatError(f"bad magic at byte 0: {data[:8]!r}")
-    off = 8
-    try:
-        version, hlen = struct.unpack_from("<II", data, off)
-        off += 8
-        if version != _VERSION:
-            raise FormatError(f"unsupported version {version} at byte 8")
-        header = json.loads(data[off:off + hlen].decode("utf-8"))
-        off += hlen
-        (count,) = struct.unpack_from("<I", data, off)
-        off += 4
-        arrays = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", data, off)
-            off += 2
-            name = data[off:off + nlen].decode("utf-8")
-            off += nlen
-            (rank,) = struct.unpack_from("<B", data, off)
-            off += 1
-            shape = struct.unpack_from(f"<{rank}I", data, off)
-            off += 4 * rank
-            n = int(np.prod(shape)) if rank else 1
-            payload = data[off:off + 4 * n]
-            if len(payload) != 4 * n:
-                raise FormatError(f"truncated payload for {name!r} at byte {off}")
-            arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
-            off += 4 * n
-    except struct.error as e:
-        raise FormatError(f"truncated file at byte {off}: {e}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise FormatError(f"malformed header or array name at byte {off}: {e}") from None
-    return arrays, header

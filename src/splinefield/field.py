@@ -23,6 +23,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from splinefield import autodiff as ad
+from splinefield import dataio
 from splinefield import encoders as enc
 from splinefield import spline
 from splinefield.autodiff import NoGradTape, ParamStore, Tape, Var
@@ -56,7 +57,12 @@ class FieldConfig:
             raise ValueError("n_knots must be >= 2")
         if self.rank < 0:
             raise ValueError("rank must be >= 0")
+        if min(self.hidden, self.depth, self.grid_channels) < 1:
+            raise ValueError("hidden, depth and grid_channels must be >= 1")
         self.grid_levels = tuple(self.grid_levels)
+        if not self.grid_levels or min(self.grid_levels) < 2:
+            raise ValueError(f"grid_levels must be non-empty with each level >= 2, "
+                             f"got {self.grid_levels}")
 
 
 class DivergenceError(RuntimeError):
@@ -97,6 +103,11 @@ class SplineField:
             normalizer = (center, half)
         self.center = np.asarray(normalizer[0], dtype=np.float64)
         self.half_extent = float(normalizer[1])
+        if self.center.shape != (3,) or not np.all(np.isfinite(self.center)):
+            raise ValueError(f"normalizer center must be 3 finite numbers, got {self.center}")
+        if not (np.isfinite(self.half_extent) and self.half_extent > 0):
+            raise ValueError(f"normalizer half_extent must be finite and > 0, "
+                             f"got {self.half_extent}")
 
         # a given store must hold exactly the names and shapes the config builds
         built = ParamStore()
@@ -123,12 +134,9 @@ class SplineField:
             return enc.PEResFieldsEncoder(
                 store, rng, c.n_knots, c.rank, c.hidden, c.depth,
                 enc.PositionalEncodingConfig(c.pe_frequencies))
-        if c.variant == "triplanes":
-            return enc.TriplaneEncoder(store, rng, c.n_knots, c.rank,
-                                       c.grid_levels, c.grid_channels)
-        if c.variant == "triaxes":
-            return enc.TriaxesEncoder(store, rng, c.n_knots, c.rank,
-                                      c.grid_levels, c.grid_channels)
+        if c.variant in ("triplanes", "triaxes"):
+            grid = enc.TriplaneEncoder if c.variant == "triplanes" else enc.TriaxesEncoder
+            return grid(store, rng, c.n_knots, c.rank, c.grid_levels, c.grid_channels)
         return enc.Coupled4DEncoder(store, rng, c.hidden, c.depth, c.w0)
 
     @property
@@ -140,8 +148,7 @@ class SplineField:
     def _build_decoder(self, store, rng):
         feat = self.encoder.out_dim
         out = self.out_channels
-        grid = self.cfg.variant in ("triplanes", "triaxes")
-        if grid:
+        if isinstance(self.encoder, enc.TriplaneEncoder):
             # grid features go through a small two-layer MLP
             h = self.cfg.hidden
             store.add("dec.l0.W", rng.uniform(-np.sqrt(6.0 / feat), np.sqrt(6.0 / feat),
@@ -275,13 +282,13 @@ class SplineField:
         }
         arrays = {name: self.store.value(name) for name in self.store.names()}
         arrays["__canonical__"] = self.canonical
-        enc.write_checkpoint(path, arrays, header)
+        dataio.write_checkpoint(path, arrays, header)
 
     @classmethod
     def load(cls, path) -> "SplineField":
         """Read a checkpoint; a header, canonical point set or parameter set
         that does not make a field raises FormatError."""
-        arrays, header = enc.read_checkpoint(path)
+        arrays, header = dataio.read_checkpoint(path)
         try:
             cfg_d = dict(header["config"])
             cfg_d["grid_levels"] = tuple(cfg_d["grid_levels"])
@@ -292,4 +299,4 @@ class SplineField:
             return cls(FieldConfig(**cfg_d), canonical, store=store,
                        normalizer=(np.asarray(header["center"]), header["half_extent"]))
         except (KeyError, TypeError, ValueError) as e:
-            raise enc.FormatError(f"malformed checkpoint {path}: {e}") from None
+            raise dataio.FormatError(f"malformed checkpoint {path}: {e}") from None

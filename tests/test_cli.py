@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from splinefield import cli, dataio, encoders, trainer
+from splinefield import cli, dataio, trainer
 from splinefield.cli import main
 from splinefield.field import DivergenceError
 
@@ -110,11 +110,26 @@ class TestEval:
     def test_checkpoint_missing_array_is_io_error(self, tmp_path, capsys):
         traj = _gen(tmp_path)
         ckpt = _fit(tmp_path, traj)
-        arrays, header = encoders.read_checkpoint(ckpt)
+        arrays, header = dataio.read_checkpoint(ckpt)
         del arrays["dec.l0.W"]
-        encoders.write_checkpoint(ckpt, arrays, header)
+        dataio.write_checkpoint(ckpt, arrays, header)
         assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj)]) == 1
         assert "dec.l0.W" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda h: h.update(center=h["center"][:2]), "center"),
+        (lambda h: h.update(half_extent=0.0), "half_extent"),
+        (lambda h: h["config"].update(hidden=0), "hidden"),
+        (lambda h: h["config"].update(grid_levels=[]), "grid_levels"),
+    ], ids=["center-2-entries", "half-extent-0", "hidden-0", "no-grid-levels"])
+    def test_checkpoint_bad_header_value_is_io_error(self, tmp_path, capsys, edit, named):
+        traj = _gen(tmp_path)
+        ckpt = _fit(tmp_path, traj)
+        arrays, header = dataio.read_checkpoint(ckpt)
+        edit(header)
+        dataio.write_checkpoint(ckpt, arrays, header)
+        assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj)]) == 1
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("header", [b"{not json", b'{"config": "\xff\xfe'])
     def test_malformed_header_is_io_error(self, tmp_path, header):

@@ -1,20 +1,30 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from splinefield import autodiff as ad
+from splinefield import dataio
 from splinefield import encoders as enc
 from splinefield.autodiff import ParamStore, Tape, Var
+
+
+def _codes(values) -> ParamStore:
+    store = ParamStore()
+    store.add("codes", values)
+    return store
 
 
 class TestTemporalCodes:
     def test_rank_zero_is_empty(self):
         codes = enc.init_temporal_codes(5, 0, np.random.default_rng(0))
         assert codes.shape == (5, 0)
-        assert enc.materialize_code(codes, 2).size == 0
+        assert enc.materialize_code(Tape(), _codes(codes), 5, 2).value.size == 0
+        assert enc.materialize_code(Tape(), ParamStore(), 5, 2) is None
 
     def test_zero_codes_give_zero_vector(self):
-        codes = np.zeros((4, 3))
-        np.testing.assert_array_equal(enc.materialize_code(codes, 1), np.zeros(3))
+        v = enc.materialize_code(Tape(), _codes(np.zeros((4, 3))), 4, 1)
+        np.testing.assert_array_equal(v.value, np.zeros(3))
 
     def test_init_scale_monte_carlo(self):
         # half-normal mean: E|x| = sigma * sqrt(2/pi) ~ 0.00798 for sigma 0.01
@@ -22,15 +32,14 @@ class TestTemporalCodes:
         assert np.mean(np.abs(codes)) == pytest.approx(0.008, abs=5e-4)
 
     def test_index_out_of_range(self):
-        codes = np.zeros((4, 3))
-        with pytest.raises(ValueError):
-            enc.materialize_code(codes, 4)
+        for store in (_codes(np.zeros((4, 3))), ParamStore()):   # rank > 0 and rank 0
+            with pytest.raises(ValueError):
+                enc.materialize_code(Tape(), store, 4, 4)
 
     def test_differentiable_wrt_codes(self):
-        store = ParamStore()
-        store.add("codes", np.arange(6.0).reshape(2, 3))
+        store = _codes(np.arange(6.0).reshape(2, 3))
         tape = Tape()
-        v = enc.materialize_code(store.var("codes", tape), 1)
+        v = enc.materialize_code(tape, store, 2, 1)
         tape.backward(ad.vsum(v))
         np.testing.assert_array_equal(store.grad("codes"),
                                       [[0, 0, 0], [1, 1, 1]])
@@ -174,24 +183,6 @@ class TestTriplanes:
         out = e.encode(Tape(), store, np.zeros((2, 3)), 0)
         np.testing.assert_array_equal(out.value[:, :3], np.zeros((2, 3)))
 
-    def test_lazy_sampling_equals_materialized_plane(self):
-        # sampling base+residual separately must match sampling P(t)
-        e, store = _build("triplanes", rank=3)
-        x = np.random.default_rng(10).uniform(-0.95, 0.95, size=(6, 3))
-        lazy = e.encode(Tape(), store, x, 1).value
-        feats = []
-        for li, d in enumerate(e.levels):
-            level = None
-            for pname, au, av in e.PLANES:
-                p = e.materialized_plane(store, li, pname, 1)
-                tape = Tape()
-                u = enc._to_grid_units(x[:, au], d)
-                v = enc._to_grid_units(x[:, av], d)
-                f = ad.bilinear_sample(Var(p, tape), u, v).value
-                level = f if level is None else level * f
-            feats.append(level)
-        np.testing.assert_allclose(lazy, np.concatenate(feats, axis=1), atol=1e-12)
-
 
 class TestTriaxes:
     def test_constant_axes_give_constant_cubed(self):
@@ -203,19 +194,89 @@ class TestTriaxes:
         np.testing.assert_allclose(out.value, np.full(out.value.shape, 0.125),
                                    atol=1e-14)
 
-    def test_lazy_sampling_equals_materialized_axis(self):
-        e, store = _build("triaxes", rank=2)
-        x = np.random.default_rng(12).uniform(-0.95, 0.95, size=(6, 3))
-        lazy = e.encode(Tape(), store, x, 2).value
+
+def _lazy_encode(e, tape, store, x, knot_idx):
+    """Oracle: sample each factor's base and every residual grid separately
+    (1 + rank samples), then weight the residual samples by v_t. By linearity
+    of interpolation this equals sampling the grid built at the knot."""
+    v_t = ad.take(store.var("codes", tape), np.array(knot_idx)) if e.rank > 0 else None
+    feats = []
+    for li, d in enumerate(e.levels):
+        level = None
+        for fname, axes in e.FACTORS:
+            key = f"enc.grid.L{li}.{fname}"
+            coords = [enc._to_grid_units(x[:, a], d) for a in axes]
+            sample = ad.bilinear_sample if len(axes) == 2 else ad.linear_sample
+            f = sample(store.var(f"{key}.base", tape), *coords)
+            if e.rank > 0:
+                res = store.var(f"{key}.res", tape)
+                for r in range(e.rank):
+                    f = ad.add(f, ad.mul(v_t[np.array(r)], sample(res[r], *coords)))
+            level = f if level is None else ad.mul(level, f)
+        feats.append(level)
+    return ad.concat(feats, axis=1)
+
+
+# factor names and the number of coordinates each factor's grid spans
+GRID_FACTORS = {"triplanes": (("xy", "yz", "xz"), 2), "triaxes": (("x", "y", "z"), 1)}
+# sha256 of every parameter's float64 bytes, in store order, for _build(variant)
+GRID_INIT_SHA256 = {
+    "triplanes": "3731420985563a74bd15a7296180b023b059b044f3a1885666b381b141b22b6c",
+    "triaxes": "43a61d6e80d71c26094378608d88d3d7518cb2e3c7751d14f042e8addd8836d5",
+}
+
+
+class TestGridEncoders:
+    @pytest.mark.parametrize("variant", ["triplanes", "triaxes"])
+    def test_encode_equals_sampling_materialized_grid(self, variant):
+        e, store = _build(variant, rank=3)
+        x = np.random.default_rng(10).uniform(-0.95, 0.95, size=(6, 3))
+        got = e.encode(Tape(), store, x, 1).value
         feats = []
         for li, d in enumerate(e.levels):
             level = None
-            for ax, aname in enumerate("xyz"):
-                a = e.materialized_axis(store, li, aname, 2)
-                f = ad.linear_sample(Var(a, Tape()), enc._to_grid_units(x[:, ax], d)).value
+            for fname, axes in e.FACTORS:
+                grid = Var(e.materialized(store, li, fname, 1), Tape())
+                coords = [enc._to_grid_units(x[:, a], d) for a in axes]
+                sample = ad.bilinear_sample if len(axes) == 2 else ad.linear_sample
+                f = sample(grid, *coords).value
                 level = f if level is None else level * f
             feats.append(level)
-        np.testing.assert_allclose(lazy, np.concatenate(feats, axis=1), atol=1e-12)
+        np.testing.assert_allclose(got, np.concatenate(feats, axis=1), atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    @pytest.mark.parametrize("variant", ["triplanes", "triaxes"])
+    def test_values_and_gradients_match_lazy_sampling(self, variant, rank):
+        e, store = _build(variant, rank=rank)
+        rng = np.random.default_rng(15)
+        x = rng.uniform(-1.1, 1.1, size=(7, 3))
+        w = rng.normal(size=(7, e.out_dim))
+        results = []
+        for route in (e.encode, lambda *a: _lazy_encode(e, *a)):
+            store.zero_grad()
+            tape = Tape()
+            out = route(tape, store, x, 2)
+            tape.backward(ad.vsum(ad.mul(out, w)))
+            results.append((out.value, {n: store.grad(n).copy() for n in store.names()}))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for name in store.names():
+            assert np.any(want_grads[name] != 0), name
+            np.testing.assert_allclose(got_grads[name], want_grads[name], rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("variant", ["triplanes", "triaxes"])
+    def test_same_seed_init_is_pinned(self, variant):
+        _, store = _build(variant)
+        factors, k = GRID_FACTORS[variant]
+        want = [("codes", (3, 2))] + [
+            (f"enc.grid.L{li}.{f}.{part}", (2,) * (part == "res") + (d,) * k + (3,))
+            for li, d in enumerate((4, 8)) for f in factors for part in ("base", "res")]
+        assert [(n, store.value(n).shape) for n in store.names()] == want
+        digest = hashlib.sha256()
+        for n in store.names():
+            digest.update(store.value(n).tobytes())
+        assert digest.hexdigest() == GRID_INIT_SHA256[variant]
 
 
 class TestCoupled4D:
@@ -250,8 +311,8 @@ class TestCheckpointFormat:
         rng = np.random.default_rng(14)
         arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=7)}
         path = tmp_path / "ckpt.bin"
-        enc.write_checkpoint(path, arrays, {"note": 1})
-        back, header = enc.read_checkpoint(path)
+        dataio.write_checkpoint(path, arrays, {"note": 1})
+        back, header = dataio.read_checkpoint(path)
         assert header == {"note": 1}
         for k, v in arrays.items():
             np.testing.assert_allclose(back[k], v, atol=1e-6)
@@ -259,20 +320,20 @@ class TestCheckpointFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTMAGIC" + b"\0" * 20)
-        with pytest.raises(enc.FormatError):
-            enc.read_checkpoint(path)
+        with pytest.raises(dataio.FormatError):
+            dataio.read_checkpoint(path)
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "ckpt.bin"
-        enc.write_checkpoint(path, {"a": np.ones((4, 4))})
+        dataio.write_checkpoint(path, {"a": np.ones((4, 4))})
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
-        with pytest.raises(enc.FormatError):
-            enc.read_checkpoint(path)
+        with pytest.raises(dataio.FormatError):
+            dataio.read_checkpoint(path)
 
     def test_deterministic_bytes(self, tmp_path):
         arrays = {"z": np.ones(3), "a": np.zeros((2, 2))}
         p1, p2 = tmp_path / "1.bin", tmp_path / "2.bin"
-        enc.write_checkpoint(p1, arrays)
-        enc.write_checkpoint(p2, dict(reversed(list(arrays.items()))))
+        dataio.write_checkpoint(p1, arrays)
+        dataio.write_checkpoint(p2, dict(reversed(list(arrays.items()))))
         assert p1.read_bytes() == p2.read_bytes()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splinefield import autodiff as ad
-from splinefield import dataio, encoders, spline, trainer
+from splinefield import dataio, spline, trainer
 from splinefield.autodiff import Tape
 from splinefield.field import FieldConfig, SplineField
 
@@ -33,6 +33,19 @@ class TestConfig:
             FieldConfig(variant="nope")
         with pytest.raises(ValueError):
             FieldConfig(n_knots=1)
+
+    @pytest.mark.parametrize("bad", [dict(hidden=0), dict(depth=0), dict(grid_channels=0),
+                                     dict(grid_levels=()), dict(grid_levels=(1, 8))])
+    def test_sizes_that_build_no_field_are_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            FieldConfig(**bad)
+
+    @pytest.mark.parametrize("center, half", [((0.0, 0.0), 1.0), ((0.0, np.nan, 0.0), 1.0),
+                                              ((0.0, 0.0, 0.0), 0.0),
+                                              ((0.0, 0.0, 0.0), np.inf)])
+    def test_bad_normalizer_is_rejected(self, center, half):
+        with pytest.raises(ValueError, match="normalizer"):
+            SplineField(_small_cfg(), _points(), normalizer=(center, half))
 
 
 class TestPredictKnot:
@@ -291,26 +304,26 @@ class TestCheckpoint:
     def _rewrite(self, tmp_path, edit):
         path = tmp_path / "field.ckpt"
         SplineField(_small_cfg(), _points()).save(path)
-        arrays, header = encoders.read_checkpoint(path)
+        arrays, header = dataio.read_checkpoint(path)
         edit(arrays)
-        encoders.write_checkpoint(path, arrays, header)
+        dataio.write_checkpoint(path, arrays, header)
         return path
 
     def test_missing_array_is_format_error(self, tmp_path):
         path = self._rewrite(tmp_path, lambda a: a.pop("dec.l0.W"))
-        with pytest.raises(encoders.FormatError, match="dec.l0.W"):
+        with pytest.raises(dataio.FormatError, match="dec.l0.W"):
             SplineField.load(path)
 
     def test_misshaped_array_is_format_error(self, tmp_path):
         def shrink(arrays):
             arrays["enc.mlp.l1.Wb"] = arrays["enc.mlp.l1.Wb"][:, :3]
         path = self._rewrite(tmp_path, shrink)
-        with pytest.raises(encoders.FormatError, match="enc.mlp.l1.Wb"):
+        with pytest.raises(dataio.FormatError, match="enc.mlp.l1.Wb"):
             SplineField.load(path)
 
     def test_unexpected_array_is_format_error(self, tmp_path):
         path = self._rewrite(tmp_path, lambda a: a.update({"dec.l1.W": np.zeros((6, 6))}))
-        with pytest.raises(encoders.FormatError, match="dec.l1.W"):
+        with pytest.raises(dataio.FormatError, match="dec.l1.W"):
             SplineField.load(path)
 
     def test_save_is_deterministic(self, tmp_path):
