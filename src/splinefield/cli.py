@@ -146,7 +146,7 @@ def _cmd_eval(args) -> int:
     if args.report:
         metrics.write_report(args.report, rows)
     print(f"epe={summary['epe']:.6g} mean_I={summary['mean_I']:.6g} "
-          f"frames={summary['n_frames']}")
+          f"frames={summary['n_frames']} skipped={len(summary['skipped'])}")
     return EXIT_OK
 
 

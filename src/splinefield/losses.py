@@ -59,8 +59,8 @@ class LossConfig:
 def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     """Exact k nearest neighbors (self excluded), ties broken by ascending index."""
     n = points.shape[0]
-    if n <= k:
-        raise ValueError(f"need more points than neighbors: N={n}, k={k}")
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < N neighbors: N={n}, k={k}")
     if n <= _BRUTE_MAX:
         d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
         np.fill_diagonal(d2, np.inf)
@@ -68,11 +68,9 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
         return order[:, :k]
     tree = cKDTree(points)
     _, idx = tree.query(points, k=k + 1)
-    out = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        row = idx[i][idx[i] != i][:k]
-        out[i] = row
-    return out
+    # move self to the end of its row (it may be absent among coincident points)
+    order = np.argsort(idx == np.arange(n)[:, None], axis=1, kind="stable")
+    return np.take_along_axis(idx, order[:, :k], axis=1)
 
 
 def build_knn(points: np.ndarray, k: int) -> NeighborGraph:

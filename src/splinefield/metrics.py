@@ -10,6 +10,8 @@ energy:
     I_i = (K / sum_jk w_jk) * (sum_jk w_jk <v_j, v_k>) / (sum_j ||v_j||^2)
 
 This yields exactly 1 for uniform motion and ~0 for independent noise.
+A sequence is scored over its consecutive frames; `trainer.evaluate` passes
+the held-out frames, so a transition may span training frames between them.
 The classical mean-centered global Moran's I is available separately for
 sensitivity analysis.
 """
@@ -23,6 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 ZERO_MOTION_EPS = 1e-12
+_BLOCK = 4096      # points per pair-kernel block; bounds temporaries to O(block*K)
 
 
 @dataclass(frozen=True)
@@ -64,31 +67,44 @@ def _neighborhoods(positions: np.ndarray, k: int, brute: bool) -> np.ndarray:
     return idx
 
 
+def _block_scores(p: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
+    """I_i of a [3, K, B] neighbor-major block of positions and vectors, for
+    the points with pair weight and motion energy. Each unordered pair is
+    visited once, one neighbor offset at a time; w and <v_j, v_k> are
+    symmetric with no weight on the diagonal, so both sums are doubled."""
+    num, wsum = np.zeros(p.shape[2]), np.zeros(p.shape[2])
+    for o in range(1, k):
+        dp = p[:, o:] - p[:, :-o]
+        dist = np.sqrt(np.einsum("ckn,ckn->kn", dp, dp))
+        # coincident points contribute no pair weight
+        w = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0)
+        dots = np.einsum("ckn,ckn->kn", v[:, o:], v[:, :-o])
+        dots *= w
+        num += dots.sum(axis=0)
+        wsum += w.sum(axis=0)
+    num, wsum = 2.0 * num, 2.0 * wsum
+    energy = np.einsum("ckn,ckn->n", v, v)
+    valid = (wsum > 0) & (energy > ZERO_MOTION_EPS ** 2)
+    return (k / wsum[valid]) * num[valid] / energy[valid]
+
+
 def morans_i_frame(positions: np.ndarray, vectors: np.ndarray, k: int = 10,
                    brute_force: bool = False):
     """Mean Moran's I of one frame's motion vectors, or None if the frame
     has no motion (all vectors below 1e-12)."""
+    if k < 2:
+        raise ValueError(f"Moran's I needs K >= 2 neighbors, got K={k}: "
+                         "a neighborhood of one point has no pairs")
     positions = np.asarray(positions, dtype=np.float64)
     vectors = np.asarray(vectors, dtype=np.float64)
     if positions.shape != vectors.shape or positions.ndim != 2:
         raise ValueError("positions and vectors must both be [N_p, 3]")
     if np.all(np.linalg.norm(vectors, axis=1) < ZERO_MOTION_EPS):
         return None
-    nbhd = _neighborhoods(positions, k, brute_force)   # [N, K]
-    p = positions[nbhd]                                # [N, K, 3]
-    v = vectors[nbhd]                                  # [N, K, 3]
-    dist = np.linalg.norm(p[:, :, None, :] - p[:, None, :, :], axis=3)
-    with np.errstate(divide="ignore"):
-        w = 1.0 / dist
-    eye = np.eye(k, dtype=bool)
-    w[:, eye] = 0.0
-    w[~np.isfinite(w)] = 0.0   # coincident points contribute no pair weight
-    dots = np.einsum("nkc,nlc->nkl", v, v)
-    num = np.einsum("nkl,nkl->n", w, dots)
-    wsum = w.sum(axis=(1, 2))
-    energy = np.einsum("nkc,nkc->n", v, v)
-    valid = (wsum > 0) & (energy > ZERO_MOTION_EPS ** 2)
-    scores = (k / wsum[valid]) * num[valid] / energy[valid]
+    nbhd = _neighborhoods(positions, k, brute_force).T   # [K, N]
+    blocks = [nbhd[:, b:b + _BLOCK] for b in range(0, nbhd.shape[1], _BLOCK)]
+    scores = np.concatenate([_block_scores(positions.T[:, cols], vectors.T[:, cols], k)
+                             for cols in blocks])
     if scores.size == 0:
         return None
     return float(np.mean(scores))

@@ -49,6 +49,10 @@ class TrainConfig:
     knn_k: int = 10
     snapshot_every: int = 100
 
+    def __post_init__(self):
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k (--K-neighbors) must be >= 1, got {self.knn_k}")
+
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
@@ -245,27 +249,26 @@ def evaluate(field: SplineField, traj: TrajectorySet, split: Split,
     """End-point error and motion coherence on held-out frames.
 
     All frames are deformed by one multi-time `field.deform` call, which runs
-    without recording a tape and predicts each knot once. Returns (summary
-    dict, per-frame rows for a CSV report)."""
+    without recording a tape and predicts each knot once. Moran's I scores the
+    transitions between consecutive held-out frames, so with stride 4 the
+    3 -> 5 transition spans training frame 4. Returns (summary dict with
+    `epe`, `mean_I`, `n_frames` and `skipped`, the frames whose transition
+    had no motion; per-frame rows for a CSV report)."""
     frames = list(split.test_frames if frames is None else frames)
     if not frames:
         raise ValueError("no frames to evaluate")
     preds = field.deform(field.canonical, [traj.frame_time(t) for t in frames])
     gts = traj.positions[frames]
     overall = metrics.epe(preds, gts, scale=scale)
-    coherence = (metrics.morans_i_sequence(preds, k=k)
-                 if len(frames) >= 2 else None)
-    per_i = {}
-    if coherence is not None:
-        per_i = dict(zip(coherence.frame_ids, coherence.per_frame))
+    coherence = (metrics.morans_i_sequence(preds, k=k) if len(frames) >= 2
+                 else metrics.CoherenceReport([], [], [], k))
+    per_i = dict(zip(coherence.frame_ids, coherence.per_frame))
     rows = []
     for j, t in enumerate(frames):
         rows.append({"frame_idx": t,
                      "mean_I": per_i.get(j),
                      "epe": metrics.epe(preds[j], gts[j], scale=scale),
                      "n_points": field.canonical.shape[0]})
-    summary = {"epe": overall,
-               "mean_I": coherence.mean if coherence and coherence.per_frame
-               else float("nan"),
-               "n_frames": len(frames)}
+    summary = {"epe": overall, "mean_I": coherence.mean, "n_frames": len(frames),
+               "skipped": [frames[j] for j in coherence.skipped]}
     return summary, rows

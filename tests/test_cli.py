@@ -73,6 +73,15 @@ class TestFit:
         c2 = _fit(tmp_path, traj)
         assert blob1 == c2.read_bytes()
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_neighbors_below_one_is_usage_error(self, tmp_path, capsys, k):
+        traj = _gen(tmp_path, points=50)
+        rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt"),
+                   "--frac", "1.0", "--steps", "1", "--K-neighbors", k])
+        assert rc == 2
+        assert "knn_k" in capsys.readouterr().err
+        assert not (tmp_path / "f.ckpt").exists()
+
     def test_missing_traj_is_io_error(self, tmp_path):
         rc = main(["fit", "--traj", str(tmp_path / "nope.traj"),
                    "--out", str(tmp_path / "f.ckpt")])
@@ -100,6 +109,22 @@ class TestEval:
         assert rc == 0
         lines = report.read_text().strip().splitlines()
         assert len(lines) - 1 == 4   # 9 frames, stride 2 -> 4 held out
+
+    def test_prints_skipped_transition_count(self, tmp_path, capsys):
+        traj = _gen(tmp_path)
+        ckpt = _fit(tmp_path, traj)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj),
+                     "--stride", "2"]) == 0
+        assert "skipped=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k", ["1", "0", "-3"])
+    def test_fewer_than_two_neighbors_is_usage_error(self, tmp_path, capsys, k):
+        traj = _gen(tmp_path)
+        ckpt = _fit(tmp_path, traj)
+        assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj),
+                     "--stride", "2", "--K-neighbors", k]) == 2
+        assert f"K={k}" in capsys.readouterr().err
 
     def test_corrupt_checkpoint_is_io_error(self, tmp_path):
         traj = _gen(tmp_path)

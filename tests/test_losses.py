@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from splinefield import losses
 from splinefield.autodiff import Tape, Var
@@ -33,6 +34,28 @@ class TestKnn:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             knn_indices(np.zeros((3, 3)), 3)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected(self, k):
+        pts = np.random.default_rng(3).normal(size=(50, 3))
+        with pytest.raises(ValueError, match="k="):
+            knn_indices(pts, k)
+        with pytest.raises(ValueError, match="k="):
+            build_knn(pts, k)
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_kdtree_self_removal_matches_loop_oracle(self, k, monkeypatch):
+        rng = np.random.default_rng(4)
+        pts = rng.normal(size=(300, 3))
+        pts[:20] = pts[0]           # more than k+1 coincident: self may be absent
+        pts[20:23] = pts[20]
+        tree_idx = cKDTree(pts).query(pts, k=k + 1)[1]
+        oracle = np.array([row[row != i][:k] for i, row in enumerate(tree_idx)])
+        assert any(i not in row for i, row in enumerate(tree_idx))
+        monkeypatch.setattr(losses, "_BRUTE_MAX", 0)
+        idx = knn_indices(pts, k)
+        assert idx.dtype == np.int64
+        np.testing.assert_array_equal(idx, oracle)
 
     def test_weights_row_normalized(self):
         pts = np.random.default_rng(2).normal(size=(20, 3))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,73 @@ class TestMoransIFrame:
         fast = morans_i_frame(pts, v, k=10)
         slow = morans_i_frame(pts, v, k=10, brute_force=True)
         assert abs(fast - slow) < 1e-10
+
+
+def _loop_oracle(positions, vectors, k, brute):
+    """Mean of I_i = (K / sum w) * (sum w <v_j, v_k>) / (sum ||v_j||^2) over
+    the points with pair weight and motion, one point and one pair at a time."""
+    nbhd = metrics._neighborhoods(positions, k, brute)
+    scores = []
+    for i in range(positions.shape[0]):
+        num = wsum = energy = 0.0
+        for a in nbhd[i]:
+            energy += float(vectors[a] @ vectors[a])
+            for b in nbhd[i]:
+                dist = np.linalg.norm(positions[a] - positions[b])
+                if a != b and dist > 0:
+                    num += float(vectors[a] @ vectors[b]) / dist
+                    wsum += 1.0 / dist
+        if wsum > 0 and energy > metrics.ZERO_MOTION_EPS ** 2:
+            scores.append(k / wsum * num / energy)
+    return float(np.mean(scores)), len(scores)
+
+
+def _awkward_scene(n=240, seed=13):
+    """Random motion plus a run of coincident points (neighborhoods with no
+    pair weight) and a distant still cluster (neighborhoods with no energy)."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 3))
+    vec = rng.normal(size=(n, 3)) * 0.1 + np.sin(pts)
+    pts[:15] = pts[0]
+    pts[200:] = rng.normal(size=(n - 200, 3)) * 0.2 + 40.0
+    vec[200:] = 0.0
+    return pts, vec
+
+
+class TestMoransIDefinition:
+    @pytest.mark.parametrize("brute", [False, True], ids=["kdtree", "brute"])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_matches_loop_oracle(self, k, brute):
+        pts, vec = _awkward_scene()
+        oracle, n_scored = _loop_oracle(pts, vec, k, brute)
+        assert n_scored < pts.shape[0] - 40   # both exclusions are exercised
+        assert morans_i_frame(pts, vec, k=k, brute_force=brute) == \
+            pytest.approx(oracle, rel=1e-12)
+
+    def test_blocks_do_not_change_the_score(self, monkeypatch):
+        pts, vec = _awkward_scene()
+        whole = morans_i_frame(pts, vec, k=10)
+        monkeypatch.setattr(metrics, "_BLOCK", 7)
+        assert morans_i_frame(pts, vec, k=10) == whole
+
+    @pytest.mark.parametrize("brute", [False, True], ids=["kdtree", "brute"])
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_fewer_than_two_neighbors_rejected(self, k, brute):
+        pts, vec = _awkward_scene()
+        with pytest.raises(ValueError, match="K >= 2"):
+            morans_i_frame(pts, vec, k=k, brute_force=brute)
+
+    def test_memory_does_not_grow_with_pairs_per_point(self):
+        rng = np.random.default_rng(14)
+        n, k = 50_000, 10
+        pts, vec = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            morans_i_frame(pts, vec, k=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * k * 3 * 8 / 5   # one [N, K, K, 3] float64 is 120 MB
 
 
 class TestMoransISequence:

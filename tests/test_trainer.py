@@ -72,6 +72,13 @@ class TestRunConfigParsing:
         with pytest.raises(ValueError):
             parse_run_config(["steps"])
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_knn_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="knn_k"):
+            TrainConfig(knn_k=k)
+        with pytest.raises(ValueError, match="knn_k"):
+            parse_run_config([f"knn_k={k}"])
+
 
 def _tiny_run(steps=15, **kw):
     traj = dataio.gen_synthetic("rigid-translate", 30, 9, seed=0)
@@ -140,6 +147,26 @@ class TestEvaluate:
         gt_rep = __import__("splinefield.metrics", fromlist=["x"]) \
             .morans_i_sequence(traj.positions[list(split.test_frames)], k=10)
         assert summary["mean_I"] == pytest.approx(gt_rep.mean, rel=1e-12)
+
+    def test_still_transitions_are_reported_as_skipped(self):
+        base = np.random.default_rng(2).normal(size=(30, 3))
+        steps = np.minimum(np.arange(12), 6)[:, None, None]   # still from frame 6
+        traj = dataio.TrajectorySet(base + steps * np.array([0.1, 0.0, 0.0]))
+        split = split_frames(traj, SplitSpec(stride=4, supervised_fraction=1.0))
+
+        class Replay:
+            canonical = traj.positions[0]
+
+            def deform(self, pts, times):
+                idx = np.rint(np.asarray(times) * (traj.n_frames - 1)).astype(int)
+                return traj.positions[idx]
+
+        frames = [1, 3, 6, 7, 9]
+        summary, rows = trainer.evaluate(Replay(), traj, split, frames=frames, k=5)
+        assert summary["skipped"] == [6, 7]
+        assert [r["mean_I"] is None for r in rows] == [False, False, True, True, True]
+        assert summary["mean_I"] == pytest.approx(1.0, abs=1e-12)
+        assert summary["n_frames"] == 5
 
     def test_split_arithmetic(self):
         traj = dataio.gen_synthetic("rigid-translate", 20, 120, seed=0)
