@@ -18,7 +18,6 @@ from splinefield import autodiff as ad
 from splinefield.autodiff import NoGradTape, Var
 
 DIST_EPS = 1e-8        # distance floor; also guards duplicate points
-_BRUTE_MAX = 4096      # below this, use the exhaustive scan with stable ties
 
 
 @dataclass(frozen=True)
@@ -57,20 +56,28 @@ class LossConfig:
 
 
 def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
-    """Exact k nearest neighbors (self excluded), ties broken by ascending index."""
+    """Exact k nearest neighbors (self excluded), ties broken by ascending index.
+
+    k-d tree candidates are re-sorted by exact (d², index); a row whose k-th d²
+    is not clearly below its farthest candidate's is re-queried with twice as many."""
     n = points.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < N neighbors: N={n}, k={k}")
-    if n <= _BRUTE_MAX:
-        d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
-        np.fill_diagonal(d2, np.inf)
-        order = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), d2), axis=1)
-        return order[:, :k]
     tree = cKDTree(points)
-    _, idx = tree.query(points, k=k + 1)
-    # move self to the end of its row (it may be absent among coincident points)
-    order = np.argsort(idx == np.arange(n)[:, None], axis=1, kind="stable")
-    return np.take_along_axis(idx, order[:, :k], axis=1)
+    out = np.empty((n, k), dtype=np.int64)
+    todo, c = np.arange(n), k + 2    # self, k neighbors and one to spare
+    while todo.size:
+        c = min(c, n)
+        idx = tree.query(points[todo], k=c)[1]
+        d2 = np.sum((points[todo, None, :] - points[idx]) ** 2, axis=2)
+        far = d2.max(axis=1)
+        d2[idx == todo[:, None]] = np.inf
+        order = np.lexsort((idx, d2), axis=1)[:, :k]
+        out[todo] = np.take_along_axis(idx, order, axis=1)
+        kth = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
+        todo = todo[(kth * (1.0 + 1e-9) >= far) & (c < n)]
+        c *= 2
+    return out
 
 
 def build_knn(points: np.ndarray, k: int) -> NeighborGraph:

@@ -2,8 +2,11 @@
 
 Training supervises the field at a random subset of frames per step with
 an L1 reconstruction term, plus velocity-coherence and acceleration
-penalties sampled at a random time. Parameters update with Adam; grid and
-temporal-code parameters get a 10x learning rate.
+penalties sampled at a random time. A step predicts each knot's state once:
+the two knots around that time run on the velocity term's neighbor closure
+and are sliced to the batch rows, and all three terms share those states.
+Parameters update with Adam; grid and temporal-code parameters get a 10x
+learning rate. The run log times each step's forward, backward and update.
 """
 
 from __future__ import annotations
@@ -127,10 +130,13 @@ class Adam:
 class RunLog:
     rows: list = dc_field(default_factory=list)
 
-    def record(self, step, recon, lv, lacc, total, wallclock_ms) -> None:
+    def record(self, step, recon, lv, lacc, total, wallclock_ms, forward_ms=float("nan"),
+               backward_ms=float("nan"), optimizer_ms=float("nan")) -> None:
+        """One row per step, with its forward (to the loss), backward and Adam ms."""
         self.rows.append({"step": step, "recon": recon, "lv": lv,
                           "lacc": lacc, "total": total,
-                          "wallclock_ms": wallclock_ms})
+                          "wallclock_ms": wallclock_ms, "forward_ms": forward_ms,
+                          "backward_ms": backward_ms, "optimizer_ms": optimizer_ms})
 
     @property
     def final_total(self) -> float:
@@ -167,8 +173,10 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
 
     sup = np.asarray(split.supervised)
     sup_pts = canonical[sup]
-    graph = None
-    if cfg.alpha > 0 and sup.shape[0] > cfg.knn_k:
+    if cfg.alpha > 0:
+        if sup.shape[0] <= cfg.knn_k:
+            raise ValueError(f"knn_k (--K-neighbors) {cfg.knn_k} needs more than "
+                             f"{sup.shape[0]} supervised points")
         graph = losses.build_knn(sup_pts, cfg.knn_k)
     loss_cfg = losses.LossConfig(alpha=cfg.alpha, beta=cfg.beta, k=cfg.knn_k)
 
@@ -180,15 +188,29 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
 
     for step in range(cfg.steps):
         tape = Tape()
+        t_step = time.perf_counter()
         if cfg.batch_points and cfg.batch_points < sup.shape[0]:
             rows = np.sort(rng.choice(sup.shape[0], cfg.batch_points, replace=False))
         else:
             rows = np.arange(sup.shape[0])
         batch_pts = sup_pts[rows]
-
         n_f = min(cfg.frames_per_step, train_frames.shape[0])
         frame_ids = rng.choice(train_frames.shape[0], n_f, replace=False)
+        if cfg.alpha > 0 or cfg.beta > 0:
+            t_rand = float(rng.uniform(0.0, 1.0))
+
+        # one knot state per knot: the two around t_rand run on the velocity
+        # closure and are sliced to the batch rows, the rest on the batch
         knot_cache = {}
+        lv = lacc = 0.0
+        if cfg.alpha > 0:
+            needed, loc_rows, loc_nbrs, w_rows = graph.subgraph_closure(rows)
+            vel = fld.velocity_var(tape, sup_pts[needed], t_rand, knot_cache=knot_cache)
+            lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
+            if len(needed) > len(rows):
+                knot_cache = {k: tuple(s if s is None else ad.take(s, loc_rows)
+                                       for s in state)
+                              for k, state in knot_cache.items()}
         recon = None
         for fi in train_frames[frame_ids]:
             t_q = traj.frame_time(int(fi))
@@ -197,28 +219,16 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
             term = losses.recon_loss_l1(pred, gt)
             recon = term if recon is None else recon + term
         recon = recon * (1.0 / n_f)
-
-        lv = 0.0
-        lacc = 0.0
-        if cfg.alpha > 0 or cfg.beta > 0:
-            t_rand = float(rng.uniform(0.0, 1.0))
-            reg_cache = {}
-            if cfg.alpha > 0 and graph is not None:
-                needed, loc_rows, loc_nbrs, w_rows = graph.subgraph_closure(rows)
-                vel = fld.velocity_var(tape, sup_pts[needed], t_rand,
-                                       knot_cache=reg_cache)
-                lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
-            if cfg.beta > 0:
-                # the knot cache is keyed by knot index for one point set, so
-                # it cannot be shared with the velocity term's closure points
-                acc = fld.acceleration_var(tape, batch_pts, t_rand, knot_cache={})
-                lacc = losses.acceleration_loss(acc, mode=cfg.accel_mode)
+        if cfg.beta > 0:
+            acc = fld.acceleration_var(tape, batch_pts, t_rand, knot_cache=knot_cache)
+            lacc = losses.acceleration_loss(acc, mode=cfg.accel_mode)
 
         total = losses.total_loss(recon, lv, lacc, loss_cfg)
         if not np.isfinite(total.value):
             raise DivergenceError(
                 f"non-finite loss at step {step}", snapshot=snapshot)
 
+        t_fwd = time.perf_counter()
         fld.store.zero_grad()
         tape.backward(total)
         if cfg.lr_decay < 1.0 and cfg.steps > 1:
@@ -227,16 +237,19 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
                 * 0.5 * (1.0 + np.cos(np.pi * frac))
         else:
             lr_scale = 1.0
+        t_bwd = time.perf_counter()
         try:
             opt.step(lr_scale)
         except DivergenceError as e:
             raise DivergenceError(f"{e} at step {step}", snapshot=snapshot) from None
+        t_opt = time.perf_counter()
 
         if cfg.snapshot_every and step % cfg.snapshot_every == 0:
             snapshot = fld.store.snapshot()
         log.record(step, float(_scalar(recon)), float(_scalar(lv)),
                    float(_scalar(lacc)), float(total.value),
-                   (time.perf_counter() - t0) * 1e3)
+                   (time.perf_counter() - t0) * 1e3, forward_ms=(t_fwd - t_step) * 1e3,
+                   backward_ms=(t_bwd - t_fwd) * 1e3, optimizer_ms=(t_opt - t_bwd) * 1e3)
     return fld, log
 
 

@@ -82,6 +82,23 @@ class TestFit:
         assert "knn_k" in capsys.readouterr().err
         assert not (tmp_path / "f.ckpt").exists()
 
+    def test_k_neighbors_at_supervised_count_is_usage_error(self, tmp_path, capsys):
+        traj = _gen(tmp_path, kind="composite", points=200)
+        rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt"),
+                   "--frac", "0.25", "--steps", "2", "--K-neighbors", "50"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "50" in err and "50 supervised points" in err
+        assert not (tmp_path / "f.ckpt").exists()
+
+    def test_prints_median_phase_times(self, tmp_path, capsys):
+        _fit(tmp_path, _gen(tmp_path))
+        line = [s for s in capsys.readouterr().out.splitlines()
+                if s.startswith("median step ms:")]
+        assert len(line) == 1
+        assert [p.split("=")[0] for p in line[0].split()[3:]] == \
+            ["forward", "backward", "optimizer"]
+
     def test_missing_traj_is_io_error(self, tmp_path):
         rc = main(["fit", "--traj", str(tmp_path / "nope.traj"),
                    "--out", str(tmp_path / "f.ckpt")])

@@ -9,6 +9,14 @@ from splinefield.losses import (LossConfig, acceleration_loss, build_knn,
                                 velocity_loss)
 
 
+def _brute_knn(points, k):
+    """Exhaustive k nearest neighbors, self excluded, ties by ascending index."""
+    n = points.shape[0]
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return np.lexsort((np.broadcast_to(np.arange(n), (n, n)), d2), axis=1)[:, :k]
+
+
 class TestKnn:
     def test_collinear_middle_picks_nearer_endpoint(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
@@ -44,18 +52,29 @@ class TestKnn:
             build_knn(pts, k)
 
     @pytest.mark.parametrize("k", [1, 4, 10])
-    def test_kdtree_self_removal_matches_loop_oracle(self, k, monkeypatch):
+    def test_coincident_points_match_brute_oracle(self, k):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(300, 3))
         pts[:20] = pts[0]           # more than k+1 coincident: self may be absent
         pts[20:23] = pts[20]
         tree_idx = cKDTree(pts).query(pts, k=k + 1)[1]
-        oracle = np.array([row[row != i][:k] for i, row in enumerate(tree_idx)])
         assert any(i not in row for i, row in enumerate(tree_idx))
-        monkeypatch.setattr(losses, "_BRUTE_MAX", 0)
         idx = knn_indices(pts, k)
         assert idx.dtype == np.int64
-        np.testing.assert_array_equal(idx, oracle)
+        np.testing.assert_array_equal(idx, _brute_knn(pts, k))
+
+    @pytest.mark.parametrize("k", [1, 6, 26])
+    def test_exact_distance_ties_match_brute_oracle(self, k):
+        # a shuffled integer lattice, some sites doubled: every distance ties
+        axis = np.arange(7.0)
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        pts = np.random.default_rng(5).permutation(np.concatenate([grid, grid[::9]]))
+        np.testing.assert_array_equal(knn_indices(pts, k), _brute_knn(pts, k))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_random_points_match_brute_oracle(self, seed):
+        pts = np.random.default_rng(seed).uniform(size=(500, 3))
+        np.testing.assert_array_equal(knn_indices(pts, 10), _brute_knn(pts, 10))
 
     def test_weights_row_normalized(self):
         pts = np.random.default_rng(2).normal(size=(20, 3))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from splinefield import dataio, trainer
-from splinefield.autodiff import ParamStore
+from splinefield import autodiff as ad
+from splinefield import dataio, losses, trainer
+from splinefield.autodiff import ParamStore, Tape
 from splinefield.dataio import SplitSpec, split_frames
+from splinefield.field import SplineField
 from splinefield.trainer import Adam, TrainConfig, parse_run_config, train
 
 
@@ -80,8 +82,8 @@ class TestRunConfigParsing:
             parse_run_config([f"knn_k={k}"])
 
 
-def _tiny_run(steps=15, **kw):
-    traj = dataio.gen_synthetic("rigid-translate", 30, 9, seed=0)
+def _tiny_run(steps=15, kind="rigid-translate", **kw):
+    traj = dataio.gen_synthetic(kind, 30, 9, seed=0)
     split = split_frames(traj, SplitSpec(stride=2, supervised_fraction=0.5), seed=0)
     base = dict(steps=steps, rank=2, hidden=16, depth=2, knn_k=4, seed=0)
     base.update(kw)
@@ -126,6 +128,186 @@ class TestTrain:
         traj, split, cfg = _tiny_run(steps=5, batch_points=6)
         _, log = train(traj, split, cfg)
         assert len(log.rows) == 5
+
+
+class _Perturbed(SplineField):
+    """A field whose decoder output is not zero at init, so that knot states
+    differ between points and a misaligned slice shows in the gradients."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        rng = np.random.default_rng(7)
+        for name in self.store.names():
+            value = self.store.value(name)
+            self.store.set_value(name, value + rng.normal(0.0, 0.05, value.shape))
+
+
+def _three_cache_step(traj, split, cfg):
+    """The former training step, one knot cache per loss term: recon frames,
+    velocity closure and acceleration. Returns (total, {group: gradient})."""
+    rng = np.random.default_rng(cfg.seed)
+    canonical = traj.positions[0]
+    n_knots = trainer.resolve_n_knots(cfg, len(split.train_frames))
+    fld = _Perturbed(trainer._field_config(cfg, n_knots), canonical, seed=cfg.seed)
+    sup = np.asarray(split.supervised)
+    sup_pts = canonical[sup]
+    graph = losses.build_knn(sup_pts, cfg.knn_k) if cfg.alpha > 0 else None
+    loss_cfg = losses.LossConfig(alpha=cfg.alpha, beta=cfg.beta, k=cfg.knn_k)
+    train_frames = np.asarray(split.train_frames)
+
+    tape = Tape()
+    if cfg.batch_points and cfg.batch_points < sup.shape[0]:
+        rows = np.sort(rng.choice(sup.shape[0], cfg.batch_points, replace=False))
+    else:
+        rows = np.arange(sup.shape[0])
+    batch_pts = sup_pts[rows]
+    n_f = min(cfg.frames_per_step, train_frames.shape[0])
+    frame_ids = rng.choice(train_frames.shape[0], n_f, replace=False)
+    knot_cache = {}
+    recon = None
+    for fi in train_frames[frame_ids]:
+        pred = fld.deform_var(tape, batch_pts, traj.frame_time(int(fi)),
+                              knot_cache=knot_cache)
+        term = losses.recon_loss_l1(pred, traj.positions[fi][sup[rows]])
+        recon = term if recon is None else recon + term
+    recon = recon * (1.0 / n_f)
+    lv = lacc = 0.0
+    if cfg.alpha > 0 or cfg.beta > 0:
+        t_rand = float(rng.uniform(0.0, 1.0))
+        if cfg.alpha > 0:
+            needed, loc_rows, loc_nbrs, w_rows = graph.subgraph_closure(rows)
+            vel = fld.velocity_var(tape, sup_pts[needed], t_rand, knot_cache={})
+            lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
+        if cfg.beta > 0:
+            acc = fld.acceleration_var(tape, batch_pts, t_rand, knot_cache={})
+            lacc = losses.acceleration_loss(acc, mode=cfg.accel_mode)
+    total = losses.total_loss(recon, lv, lacc, loss_cfg)
+    fld.store.zero_grad()
+    tape.backward(total)
+    return float(total.value), {n: fld.store.grad(n).copy() for n in fld.store.names()}
+
+
+class _KnotCalls:
+    """Records (knot index, point count) of every predict_knot call, per step."""
+
+    def __init__(self, monkeypatch):
+        self.steps = []
+        predict = SplineField.predict_knot
+        tape_cls = trainer.Tape
+
+        def counting(fld, tape, points, knot_idx):
+            self.steps[-1].append((knot_idx, len(points)))
+            return predict(fld, tape, points, knot_idx)
+
+        def step_tape():
+            self.steps.append([])
+            return tape_cls()
+
+        monkeypatch.setattr(SplineField, "predict_knot", counting)
+        monkeypatch.setattr(trainer, "Tape", step_tape)
+
+
+class TestSharedKnotStates:
+    @pytest.mark.parametrize("batch_points", [0, 6])
+    def test_each_knot_runs_at_most_once_per_step(self, monkeypatch, batch_points):
+        traj, split, cfg = _tiny_run(steps=12, kind="composite", n_knots=4,
+                                     batch_points=batch_points)
+        calls = _KnotCalls(monkeypatch)
+        train(traj, split, cfg)
+        n_sup = len(split.supervised)
+        batch = batch_points or n_sup
+        assert len(calls.steps) == 12
+        for step in calls.steps:
+            knots = [k for k, _ in step]
+            assert len(knots) == len(set(knots))
+            # only the two knots around t_rand run on the velocity closure
+            on_closure = [n for _, n in step if n != batch]
+            assert len(on_closure) <= 2
+            assert all(batch < n <= n_sup for n in on_closure)
+        sizes = {n for step in calls.steps for _, n in step}
+        assert batch in sizes and (len(sizes) > 1) == bool(batch_points)
+
+    @pytest.mark.parametrize("batch_points,quintic,alpha,beta", [
+        (0, False, 1.0, 0.01), (6, False, 1.0, 0.01), (0, True, 1.0, 0.01),
+        (6, True, 1.0, 0.01), (6, False, 0.0, 0.01), (6, False, 1.0, 0.0),
+        (0, True, 1.0, 0.0)])
+    def test_gradients_match_three_cache_step(self, monkeypatch, batch_points, quintic,
+                                              alpha, beta):
+        # a non-rigid scene, so that a misaligned row shows in the recon term,
+        # which reads every training frame and so the knots around t_rand too
+        traj, split, cfg = _tiny_run(steps=1, kind="composite", batch_points=batch_points,
+                                     frames_per_step=9, n_knots=4, quintic=quintic,
+                                     alpha=alpha, beta=beta)
+        monkeypatch.setattr(trainer, "SplineField", _Perturbed)
+        fld, log = train(traj, split, cfg)
+        total, grads = _three_cache_step(traj, split, cfg)
+        assert log.rows[0]["total"] == pytest.approx(total, rel=1e-12, abs=0)
+        for name, g in grads.items():
+            tol = 1e-12 * max(np.max(np.abs(g)), 1e-300)
+            np.testing.assert_allclose(fld.store.grad(name), g, rtol=0, atol=tol,
+                                       err_msg=name)
+
+    def test_sliced_knot_states_pass_fd_check(self):
+        traj, split, cfg = _tiny_run(quintic=True)
+        sup_pts = traj.positions[0][np.asarray(split.supervised)]
+        fld = SplineField(trainer._field_config(cfg, 4), traj.positions[0], seed=3)
+        rng = np.random.default_rng(3)
+        for name in fld.store.names():
+            fld.store.set_value(name, rng.normal(0.0, 0.05, fld.store.value(name).shape))
+        graph = losses.build_knn(sup_pts, cfg.knn_k)
+        rows = np.array([1, 4, 7, 8, 12])
+        needed, loc_rows, loc_nbrs, w_rows = graph.subgraph_closure(rows)
+        assert len(needed) > len(rows)
+
+        def loss(tape):
+            cache = {}
+            vel = fld.velocity_var(tape, sup_pts[needed], 0.4, knot_cache=cache)
+            lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
+            cache = {k: tuple(ad.take(s, loc_rows) for s in state)
+                     for k, state in cache.items()}
+            pos = fld.deform_var(tape, sup_pts[rows], 0.9, knot_cache=cache)
+            acc = fld.acceleration_var(tape, sup_pts[rows], 0.4, knot_cache=cache)
+            # smooth terms only: an L1 kink would fail the central difference
+            return lv + ad.vmean(ad.mul(pos, pos)) + ad.vmean(ad.mul(acc, acc))
+
+        assert ad.fd_check(loss, fld.store, samples=40,
+                           rng=np.random.default_rng(0)) < 1e-4
+
+
+class TestTrainBoundaries:
+    def _sparse(self):
+        traj = dataio.gen_synthetic("composite", 200, 9, seed=0)
+        split = split_frames(traj, SplitSpec(stride=2, supervised_fraction=0.25), seed=0)
+        assert len(split.supervised) == 50
+        return traj, split
+
+    @pytest.mark.parametrize("k", [50, 60])
+    def test_knn_k_not_below_supervised_count_rejected(self, k):
+        traj, split = self._sparse()
+        cfg = TrainConfig(steps=1, rank=2, hidden=16, depth=2, knn_k=k)
+        with pytest.raises(ValueError, match=f"{k}.*50 supervised"):
+            train(traj, split, cfg)
+
+    def test_knn_k_unused_without_velocity_term(self):
+        traj, split = self._sparse()
+        cfg = TrainConfig(steps=2, rank=2, hidden=16, depth=2, knn_k=50, alpha=0.0)
+        _, log = train(traj, split, cfg)
+        assert [r["lv"] for r in log.rows] == [0.0, 0.0]
+
+    def test_runlog_rows_carry_phase_times(self):
+        traj, split, cfg = _tiny_run(steps=3)
+        _, log = train(traj, split, cfg)
+        for row in log.rows:
+            for key in ("forward_ms", "backward_ms", "optimizer_ms"):
+                assert np.isfinite(row[key]) and row[key] > 0
+            assert row["forward_ms"] + row["backward_ms"] + row["optimizer_ms"] \
+                <= row["wallclock_ms"]
+
+    def test_record_keeps_positional_arguments(self):
+        log = trainer.RunLog()
+        log.record(0, 1.0, 0.5, 0.25, 2.0, 3.0)
+        assert log.rows[0]["wallclock_ms"] == 3.0
+        assert np.isnan(log.rows[0]["forward_ms"])
 
 
 class TestEvaluate:
