@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
 A forward pass builds a Tape of backward closures; Tape.backward replays them
-in exact reverse execution order, dropping each one as it runs, and
-accumulates gradients into leaf variables created from a ParamStore. A
-NoGradTape runs the same forward ops but records nothing, for inference.
+in exact reverse execution order, dropping each one as it runs. A ParamStore
+gives each parameter one leaf Var per tape whose grad is the store's array, so
+backward sums into it in place: zero the grads first. A NoGradTape runs the
+same forward ops but records nothing, for inference.
 The engine covers exactly what the deformation-field pipeline needs: dense
 linear layers, low-rank weighted stacks, sine/relu activations, grid
 sampling, gathers, reductions.
@@ -40,6 +41,7 @@ class Tape:
     def __init__(self):
         self._nodes = []
         self._used = False
+        self._leaves = {}       # (store, name) -> leaf; dropped by backward
 
     def record(self, backward_fn) -> None:
         self._nodes.append(backward_fn)
@@ -54,6 +56,7 @@ class Tape:
         if self._used:
             raise TapeStateError("backward called twice on the same tape")
         self._used = True
+        self._leaves = None     # breaks the tape -> leaf -> tape cycle
         if output_grad is None:
             seed = np.ones_like(output.value)
         else:
@@ -69,6 +72,10 @@ class Tape:
 
 class NoGradTape(Tape):
     """A tape that records nothing: forward values only, no closure kept."""
+
+    def __init__(self):
+        super().__init__()
+        self._leaves = None
 
     def record(self, backward_fn) -> None:
         pass
@@ -120,18 +127,7 @@ class Var:
         return matmul(self, other)
 
     def __getitem__(self, key):
-        src = self
-        out = Var(self.value[key].copy(), self.tape)
-
-        def bw():
-            if out.grad is None:
-                return
-            if src.grad is None:
-                src.grad = np.zeros_like(src.value)
-            src.grad[key] += out.grad
-
-        self.tape.record(bw)
-        return out
+        return take(self, key)
 
 
 def _cval(x) -> np.ndarray:
@@ -341,17 +337,17 @@ def concat(xs, axis: int = 0) -> Var:
     return out
 
 
-def take(x: Var, indices) -> Var:
-    """Gather rows along axis 0; indices can be any integer array shape."""
-    idx = np.asarray(indices)
-    out = Var(x.value[idx], x.tape)
+def take(x: Var, key) -> Var:
+    """x.value[key] for any numpy key: slices, or integer arrays gathering
+    rows along axis 0. Repeated indices sum their gradients."""
+    out = Var(np.array(x.value[key]), x.tape)
 
     def bw():
         if out.grad is None:
             return
         if x.grad is None:
             x.grad = np.zeros_like(x.value)
-        np.add.at(x.grad, idx, out.grad)
+        np.add.at(x.grad, key, out.grad)
 
     x.tape.record(bw)
     return out
@@ -374,7 +370,12 @@ def weighted_stack_sum(v: Var, stack) -> Var:
             return
         g = out.grad
         _accum(v, np.tensordot(sv, g, axes=(tuple(range(1, sv.ndim)), tuple(range(g.ndim)))))
-        _accum(stack, vv.reshape((-1,) + (1,) * g.ndim) * g[None, ...])
+        if isinstance(stack, Var):      # one rank at a time, no [rank, ...] temporary
+            if stack.grad is None:
+                stack.grad = np.zeros_like(sv)
+            term = np.empty_like(g)
+            for r in range(vv.shape[0]):
+                stack.grad[r] += np.multiply(g, vv[r], out=term)
 
     tape.record(bw)
     return out
@@ -482,11 +483,6 @@ def activation(x: Var, kind: str, w0: float = 30.0) -> Var:
     raise ValueError(f"unknown activation kind: {kind!r}")
 
 
-def backward(tape: Tape, output: Var, output_grad=None) -> None:
-    """Run the backward sweep; see Tape.backward."""
-    tape.backward(output, output_grad)
-
-
 class ParamStore:
     """Named float64 parameter arrays with mirrored gradient buffers."""
 
@@ -497,7 +493,7 @@ class ParamStore:
     def add(self, name: str, value) -> np.ndarray:
         if name in self._values:
             raise ValueError(f"duplicate parameter name: {name!r}")
-        arr = np.array(value, dtype=np.float64)
+        arr = np.array(value, dtype=np.float64, order="C")   # reshape(-1) is a view
         self._values[name] = arr
         self._grads[name] = np.zeros_like(arr)
         return arr
@@ -526,9 +522,6 @@ class ParamStore:
         for g in self._grads.values():
             g[...] = 0.0
 
-    def n_params(self) -> int:
-        return sum(v.size for v in self._values.values())
-
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self._values.items()}
 
@@ -537,20 +530,15 @@ class ParamStore:
             self._values[k][...] = v
 
     def var(self, name: str, tape: Tape) -> Var:
-        """Create a leaf Var for a parameter on the given tape.
-
-        Gradient accumulated on the leaf during backward is flushed
-        (additively) into the store's gradient buffer.
-        """
-        v = Var(self._values[name], tape)
-        grads = self._grads
-
-        def flush():
-            if v.grad is not None:
-                grads[name] += v.grad
-
-        tape.record(flush)
-        return v
+        """The parameter's leaf Var on the given tape, one per tape (a NoGradTape
+        gets a fresh one per call). Its grad is the store's gradient array, so
+        backward sums each use into it in place: zero the grads before backward."""
+        leaves = {} if tape._leaves is None else tape._leaves
+        leaf = leaves.get((self, name))
+        if leaf is None:
+            leaf = leaves[self, name] = Var(self._values[name], tape)
+            leaf.grad = self._grads[name]
+        return leaf
 
 
 def fd_check(loss_fn, params: ParamStore, eps: float = 1e-4, samples: int = 100,

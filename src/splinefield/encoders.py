@@ -228,17 +228,6 @@ class TriplaneEncoder:
             feats.append(level)
         return ad.concat(feats, axis=1) if len(feats) > 1 else feats[0]
 
-    def materialized(self, store: ParamStore, level: int, factor: str,
-                     knot_idx: int) -> np.ndarray:
-        """Explicit grid base + sum_r v_t[r] * res[r] in numpy; the oracle of
-        the equivalence tests."""
-        key = f"enc.grid.L{level}.{factor}"
-        p = store.value(f"{key}.base").copy()
-        if self.rank > 0:
-            v = store.value("codes")[knot_idx]
-            p += np.tensordot(v, store.value(f"{key}.res"), axes=(0, 0))
-        return p
-
 
 class TriaxesEncoder(TriplaneEncoder):
     """The factorized grid over the X/Y/Z axes, each a grid over one coordinate."""

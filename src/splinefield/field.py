@@ -163,13 +163,11 @@ class SplineField:
 
     def _decode(self, tape, feat: Var) -> Var:
         store = self.store
+        h = ad.forward_linear(feat, store.var("dec.l0.W", tape), store.var("dec.l0.b", tape))
         if "dec.l1.W" in store:
-            h = ad.relu(ad.forward_linear(feat, store.var("dec.l0.W", tape),
-                                          store.var("dec.l0.b", tape)))
-            return ad.forward_linear(h, store.var("dec.l1.W", tape),
-                                     store.var("dec.l1.b", tape))
-        return ad.forward_linear(feat, store.var("dec.l0.W", tape),
-                                 store.var("dec.l0.b", tape))
+            h = ad.forward_linear(ad.relu(h), store.var("dec.l1.W", tape),
+                                  store.var("dec.l1.b", tape))
+        return h
 
     # -- queries -----------------------------------------------------------
 

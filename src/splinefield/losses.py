@@ -18,6 +18,7 @@ from splinefield import autodiff as ad
 from splinefield.autodiff import NoGradTape, Var
 
 DIST_EPS = 1e-8        # distance floor; also guards duplicate points
+ACCEL_MODES = ("l1", "l2")
 
 
 @dataclass(frozen=True)

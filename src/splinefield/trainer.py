@@ -6,7 +6,9 @@ penalties sampled at a random time. A step predicts each knot's state once:
 the two knots around that time run on the velocity term's neighbor closure
 and are sliced to the batch rows, and all three terms share those states.
 Parameters update with Adam; grid and temporal-code parameters get a 10x
-learning rate. The run log times each step's forward, backward and update.
+learning rate. Adam's squared-norm pass per gradient checks finiteness and
+gives the run log's per-group gradient norms; its update runs in place, in
+cache-sized blocks. The run log also times each step's phases.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.knn_k < 1:
             raise ValueError(f"knn_k (--K-neighbors) must be >= 1, got {self.knn_k}")
+        for name, ok, want in [
+                ("steps", self.steps >= 1, ">= 1"), ("lr_decay", 0 < self.lr_decay <= 1, "in (0, 1]"),
+                ("frames_per_step", self.frames_per_step >= 1, ">= 1"),
+                ("batch_points", self.batch_points >= 0, ">= 0"),
+                ("lr", np.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
+                ("accel_mode", self.accel_mode in losses.ACCEL_MODES, f"in {losses.ACCEL_MODES}")]:
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -64,7 +74,6 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 def parse_run_config(pairs, base: TrainConfig | None = None) -> TrainConfig:
     """Build a TrainConfig from key=value strings."""
     cfg = base or TrainConfig()
-    types = {f.name: f.type for f in fields(TrainConfig)}
     values = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
     for pair in pairs:
         if "=" not in pair:
@@ -91,7 +100,9 @@ def parse_run_config(pairs, base: TrainConfig | None = None) -> TrainConfig:
 
 
 class Adam:
-    """Adam with per-parameter-name state and per-name learning rates."""
+    """Adam with per-name state and learning rates, in place in BLOCK-sized blocks."""
+
+    BLOCK = 1 << 15
 
     def __init__(self, store: ParamStore, cfg: TrainConfig):
         self.store = store
@@ -99,6 +110,7 @@ class Adam:
         self.t = 0
         self._m = {n: np.zeros_like(store.value(n)) for n in store.names()}
         self._v = {n: np.zeros_like(store.value(n)) for n in store.names()}
+        self._scratch = np.empty((2, self.BLOCK))
 
     def lr_for(self, name: str, lr_scale: float = 1.0) -> float:
         lr = self.cfg.lr * lr_scale
@@ -106,24 +118,43 @@ class Adam:
             return lr * self.cfg.grid_lr_mult
         return lr
 
-    def step(self, lr_scale: float = 1.0) -> None:
+    def grad_norms(self) -> dict:
+        """{name: gradient L2 norm}; a NaN or inf raises DivergenceError naming its group."""
+        norms = {}
+        for name in self.store.names():
+            g = self.store.grad(name).reshape(-1)
+            norms[name] = float(np.sqrt(g @ g))
+            if not np.isfinite(norms[name]):
+                if not np.all(np.isfinite(g)):
+                    raise DivergenceError(f"non-finite gradient in parameter group {name!r}")
+                top = np.abs(g).max()       # finite entries whose squares overflow
+                norms[name] = float(top * np.sqrt((g / top) @ (g / top)))
+        return norms
+
+    def step(self, lr_scale: float = 1.0) -> dict:
+        """One Adam update of every parameter; returns the gradient norms."""
+        norms = self.grad_norms()
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
         for name in self.store.names():
-            g = self.store.grad(name)
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError(f"non-finite gradient in parameter group {name!r}")
-            m = self._m[name]
-            v = self._v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + c.eps)
-            self.store.set_value(name, self.store.value(name)
-                                 - self.lr_for(name, lr_scale) * update)
+            lr = self.lr_for(name, lr_scale)
+            p, g = self.store.value(name).reshape(-1), self.store.grad(name).reshape(-1)
+            m, v = self._m[name].reshape(-1), self._v[name].reshape(-1)
+            for lo in range(0, p.size, self.BLOCK):
+                blk = slice(lo, lo + self.BLOCK)
+                gb, mb, vb = g[blk], m[blk], v[blk]
+                s, u = self._scratch[:, :gb.size]
+                mb *= c.beta1
+                mb += np.multiply(1.0 - c.beta1, gb, out=s)
+                vb *= c.beta2
+                vb += np.multiply(np.multiply(1.0 - c.beta2, gb, out=s), gb, out=s)
+                np.sqrt(np.divide(vb, bc2, out=s), out=s)
+                s += c.eps
+                np.divide(np.divide(mb, bc1, out=u), s, out=u)
+                p[blk] -= np.multiply(lr, u, out=u)
+        return norms
 
 
 @dataclass
@@ -131,12 +162,13 @@ class RunLog:
     rows: list = dc_field(default_factory=list)
 
     def record(self, step, recon, lv, lacc, total, wallclock_ms, forward_ms=float("nan"),
-               backward_ms=float("nan"), optimizer_ms=float("nan")) -> None:
-        """One row per step, with its forward (to the loss), backward and Adam ms."""
+               backward_ms=float("nan"), optimizer_ms=float("nan"), grad_norms=None) -> None:
+        """One row per step: losses, forward (to the loss)/backward/Adam ms, grad norms."""
         self.rows.append({"step": step, "recon": recon, "lv": lv,
                           "lacc": lacc, "total": total,
                           "wallclock_ms": wallclock_ms, "forward_ms": forward_ms,
-                          "backward_ms": backward_ms, "optimizer_ms": optimizer_ms})
+                          "backward_ms": backward_ms, "optimizer_ms": optimizer_ms,
+                          "grad_norms": grad_norms or {}})
 
     @property
     def final_total(self) -> float:
@@ -239,7 +271,7 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
             lr_scale = 1.0
         t_bwd = time.perf_counter()
         try:
-            opt.step(lr_scale)
+            norms = opt.step(lr_scale)
         except DivergenceError as e:
             raise DivergenceError(f"{e} at step {step}", snapshot=snapshot) from None
         t_opt = time.perf_counter()
@@ -249,7 +281,8 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
         log.record(step, float(_scalar(recon)), float(_scalar(lv)),
                    float(_scalar(lacc)), float(total.value),
                    (time.perf_counter() - t0) * 1e3, forward_ms=(t_fwd - t_step) * 1e3,
-                   backward_ms=(t_bwd - t_fwd) * 1e3, optimizer_ms=(t_opt - t_bwd) * 1e3)
+                   backward_ms=(t_bwd - t_fwd) * 1e3, optimizer_ms=(t_opt - t_bwd) * 1e3,
+                   grad_norms=norms)
     return fld, log
 
 

@@ -134,6 +134,13 @@ class TestBackward:
         assert np.array_equal(v1, v2) and np.array_equal(g1, g2)
 
 
+def _wb_store():
+    store = ParamStore()
+    store.add("W", np.random.default_rng(0).normal(size=(2, 4)))
+    store.add("b", np.zeros(4))
+    return store
+
+
 class TestTapeLifetime:
     def _mlp_loss(self, tape, store):
         h = ad.sine(ad.forward_linear(np.ones((3, 2)), store.var("W", tape),
@@ -141,10 +148,7 @@ class TestTapeLifetime:
         return h, ad.vmean(ad.mul(h, h))
 
     def _store(self):
-        store = ParamStore()
-        store.add("W", np.random.default_rng(0).normal(size=(2, 4)))
-        store.add("b", np.zeros(4))
-        return store
+        return _wb_store()
 
     def test_no_grad_tape_records_nothing(self):
         tape = NoGradTape()
@@ -178,6 +182,89 @@ class TestTapeLifetime:
             gc.enable()
         assert np.any(store.grad("W") != 0.0)
 
+    @staticmethod
+    def _field():
+        from splinefield.field import FieldConfig, SplineField
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 3))
+        return SplineField(FieldConfig(n_knots=4, rank=2, hidden=8, depth=2), pts, seed=0)
+
+    @staticmethod
+    def _freed_without_gc(fld):
+        refs = [weakref.ref(fld.store.value(n)) for n in fld.store.names()]
+        refs += [weakref.ref(fld.store.grad(n)) for n in fld.store.names()]
+        return refs
+
+    def test_trained_field_freed_without_gc(self):
+        from splinefield import dataio, trainer
+        traj = dataio.gen_synthetic("composite", 30, 9, seed=0)
+        split = dataio.split_frames(traj, dataio.SplitSpec(2, 0.5), seed=0)
+        cfg = trainer.TrainConfig(steps=2, rank=2, hidden=8, depth=2, knn_k=4)
+        gc.collect()
+        gc.disable()
+        try:
+            fld, _ = trainer.train(traj, split, cfg)
+            refs = self._freed_without_gc(fld)
+            del fld
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    def test_no_grad_tape_field_freed_without_gc(self):
+        gc.collect()
+        gc.disable()
+        try:
+            fld = self._field()
+            fld.deform(fld.canonical, [0.2, 0.7])
+            fld.velocity(fld.canonical, 0.5)
+            refs = self._freed_without_gc(fld)
+            del fld
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+
+class TestParamStoreLeaves:
+    def test_one_leaf_per_parameter_per_tape(self):
+        store = _wb_store()
+        tape, other = Tape(), Tape()
+        leaf = store.var("W", tape)
+        assert store.var("W", tape) is leaf
+        assert store.var("W", other) is not leaf
+        assert store.var("b", tape) is not leaf
+        assert leaf.grad is store.grad("W") and leaf.value is store.value("W")
+
+    def test_stores_sharing_a_name_get_their_own_leaves(self):
+        a, b = _wb_store(), _wb_store()
+        tape = Tape()
+        tape.backward(ad.vsum(a.var("W", tape)) + ad.vsum(ad.scale(b.var("W", tape), 2.0)))
+        np.testing.assert_array_equal(a.grad("W"), np.ones((2, 4)))
+        np.testing.assert_array_equal(b.grad("W"), np.full((2, 4), 2.0))
+
+    def test_no_grad_tape_caches_nothing(self):
+        store = _wb_store()
+        tape = NoGradTape()
+        assert store.var("W", tape) is not store.var("W", tape)
+
+    def test_backward_drops_the_leaf_cache(self):
+        store = _wb_store()
+        tape = Tape()
+        leaf = store.var("W", tape)
+        tape.backward(ad.vsum(leaf))
+        assert tape._leaves is None
+
+    def test_uses_sum_in_place_into_the_store(self):
+        store = _wb_store()
+        tape = Tape()
+        w = store.var("W", tape)
+        loss = ad.vsum(w) + ad.vsum(ad.scale(store.var("W", tape), 3.0))
+        grad = store.grad("W")
+        tape.backward(loss)
+        assert store.grad("W") is grad
+        np.testing.assert_array_equal(grad, np.full((2, 4), 4.0))
+        tape = Tape()
+        tape.backward(ad.vsum(store.var("W", tape)))
+        np.testing.assert_array_equal(grad, np.full((2, 4), 5.0))   # no zero_grad
+
 
 class TestOps:
     def test_getitem_and_take_gradients(self):
@@ -189,6 +276,32 @@ class TestOps:
         tape.backward(out)
         np.testing.assert_array_equal(store.grad("x"),
                                       [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+
+    def test_getitem_repeated_indices_sum(self):
+        tape = Tape()
+        x = Var(np.array([1.0, 2.0, 3.0]), tape)
+        tape.backward(ad.vsum(x[np.array([0, 0, 1])]))
+        np.testing.assert_array_equal(x.grad, [2.0, 1.0, 0.0])
+
+    def test_getitem_repeated_index_pairs_sum(self):
+        tape = Tape()
+        x = Var(np.zeros((2, 3)), tape)
+        out = x[np.array([1, 1, 0]), np.array([2, 2, 2])]
+        tape.backward(out, np.array([1.0, 10.0, 100.0]))
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 100.0], [0.0, 0.0, 11.0]])
+
+    def test_weighted_stack_sum_gradient_matches_outer_product(self):
+        rng = np.random.default_rng(3)
+        store = ParamStore()
+        store.add("v", rng.normal(size=4))
+        store.add("s", rng.normal(size=(4, 5, 3)))
+        store.grad("s")[...] = rng.normal(size=(4, 5, 3))
+        before = store.grad("s").copy()
+        g = rng.normal(size=(5, 3))
+        tape = Tape()
+        tape.backward(ad.weighted_stack_sum(store.var("v", tape), store.var("s", tape)), g)
+        outer = store.value("v")[:, None, None] * g[None]
+        np.testing.assert_array_equal(store.grad("s"), before + outer)
 
     def test_weighted_stack_sum(self):
         rng = np.random.default_rng(7)

@@ -91,6 +91,24 @@ class TestFit:
         assert "50" in err and "50 supervised points" in err
         assert not (tmp_path / "f.ckpt").exists()
 
+    @pytest.mark.parametrize("field,args", [
+        ("frames_per_step", ["--set", "frames_per_step=0"]),
+        ("steps", ["--steps", "-5"]),
+        ("lr", ["--lr", "-1"]),
+        ("lr", ["--lr", "nan"]),
+        ("lr", ["--lr", "inf"]),
+        ("batch_points", ["--set", "batch_points=-1"]),
+        ("lr_decay", ["--set", "lr_decay=2"]),
+        ("lr_decay", ["--set", "lr_decay=0"]),
+        ("accel_mode", ["--set", "accel_mode=l3"])])
+    def test_bad_train_config_is_usage_error(self, tmp_path, capsys, field, args):
+        traj = _gen(tmp_path)
+        rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt"),
+                   "--steps", "2", *args])
+        assert rc == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "f.ckpt").exists()
+
     def test_prints_median_phase_times(self, tmp_path, capsys):
         _fit(tmp_path, _gen(tmp_path))
         line = [s for s in capsys.readouterr().out.splitlines()

@@ -59,6 +59,95 @@ class TestAdam:
         assert opt.lr_for("enc.mlp.l0.Wb") == pytest.approx(1e-3)
 
 
+class _FormerAdam(Adam):
+    """The per-name Adam with whole-array temporaries that the blocked,
+    in-place step replaced; the oracle of its bitwise tests."""
+
+    def step(self, lr_scale: float = 1.0) -> None:
+        c = self.cfg
+        self.t += 1
+        bc1 = 1.0 - c.beta1 ** self.t
+        bc2 = 1.0 - c.beta2 ** self.t
+        for name in self.store.names():
+            g = self.store.grad(name)
+            if not np.all(np.isfinite(g)):
+                raise trainer.DivergenceError(
+                    f"non-finite gradient in parameter group {name!r}")
+            m = self._m[name]
+            v = self._v[name]
+            m *= c.beta1
+            m += (1.0 - c.beta1) * g
+            v *= c.beta2
+            v += (1.0 - c.beta2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            self.store.set_value(name, self.store.value(name)
+                                 - self.lr_for(name, lr_scale) * update)
+
+
+class TestBlockedAdam:
+    SIZES = {"codes": (3, 4), "enc.grid.L0.xy.base": (Adam.BLOCK,),
+             "enc.grid.L0.xy.res": (2, Adam.BLOCK + 17), "dec.l0.W": (Adam.BLOCK - 1,),
+             "dec.l0.b": (5,)}
+
+    def _stores(self):
+        rng = np.random.default_rng(11)
+        stores = ParamStore(), ParamStore()
+        for name, shape in self.SIZES.items():
+            value = rng.normal(size=shape)
+            for store in stores:
+                store.add(name, value)
+        return stores
+
+    def test_bitwise_equal_to_former_adam(self):
+        new, old = self._stores()
+        cfg = TrainConfig(lr=3e-3, grid_lr_mult=10.0)
+        opt_new, opt_old = Adam(new, cfg), _FormerAdam(old, cfg)
+        rng = np.random.default_rng(12)
+        for step in range(5):
+            for name, shape in self.SIZES.items():
+                g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+                new.grad(name)[...] = g
+                old.grad(name)[...] = g
+            lr_scale = 1.0 - 0.15 * step
+            opt_new.step(lr_scale)
+            opt_old.step(lr_scale)
+        for name in self.SIZES:
+            np.testing.assert_array_equal(new.value(name), old.value(name), err_msg=name)
+            np.testing.assert_array_equal(opt_new._m[name], opt_old._m[name], err_msg=name)
+            np.testing.assert_array_equal(opt_new._v[name], opt_old._v[name], err_msg=name)
+
+    def test_step_returns_gradient_norms(self):
+        store, _ = self._stores()
+        rng = np.random.default_rng(13)
+        for name, shape in self.SIZES.items():
+            store.grad(name)[...] = rng.normal(size=shape)
+        norms = Adam(store, TrainConfig()).step()
+        assert list(norms) == list(self.SIZES)
+        for name in self.SIZES:
+            assert norms[name] == pytest.approx(np.linalg.norm(store.grad(name)), rel=1e-12)
+
+    def test_overflowing_squares_are_not_divergence(self):
+        store = _store_with([1.0, 2.0])
+        store.grad("theta")[:] = [3e200, -4e200]
+        with np.errstate(over="ignore"):
+            norms = Adam(store, TrainConfig()).step()
+        assert norms["theta"] == pytest.approx(5e200, rel=1e-12)
+        assert np.all(np.isfinite(store.value("theta")))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_gradient_names_group_and_updates_nothing(self, bad):
+        store = ParamStore()
+        store.add("a", [1.0, 2.0])
+        store.add("b", [3.0, 4.0])
+        store.grad("a")[:] = 0.5
+        store.grad("b")[1] = bad
+        opt = Adam(store, TrainConfig())
+        with pytest.raises(trainer.DivergenceError, match="'b'"):
+            opt.step()
+        np.testing.assert_array_equal(store.value("a"), [1.0, 2.0])
+        assert opt.t == 0
+
+
 class TestRunConfigParsing:
     def test_key_value_overrides(self):
         cfg = parse_run_config(["steps=50", "lr=0.01", "variant=triplanes",
@@ -272,6 +361,99 @@ class TestSharedKnotStates:
 
         assert ad.fd_check(loss, fld.store, samples=40,
                            rng=np.random.default_rng(0)) < 1e-4
+
+
+def _flush_per_call_var(store, name, tape):
+    """The former ParamStore.var: a new leaf per call, flushed into the
+    store's gradient by its own closure."""
+    v = ad.Var(store.value(name), tape)
+
+    def flush():
+        if v.grad is not None:
+            store.grad(name)[...] += v.grad
+
+    tape.record(flush)
+    return v
+
+
+def _outer_product_stack_sum(v, stack):
+    """The former weighted_stack_sum, whose backward builds the full
+    [rank, ...] product for the stack."""
+    tape = ad._tape_of(v, stack)
+    vv, sv = ad._val(v), ad._val(stack)
+    out = ad.Var(np.tensordot(vv, sv, axes=(0, 0)), tape)
+
+    def bw():
+        if out.grad is None:
+            return
+        g = out.grad
+        ad._accum(v, np.tensordot(sv, g, axes=(tuple(range(1, sv.ndim)),
+                                               tuple(range(g.ndim)))))
+        ad._accum(stack, vv.reshape((-1,) + (1,) * g.ndim) * g[None, ...])
+
+    tape.record(bw)
+    return out
+
+
+class TestOneLeafPerTape:
+    VARIANTS = [("siren-resfields", False), ("pe-resfields", False), ("triplanes", False),
+                ("triaxes", False), ("coupled4d-baseline", False), ("siren-resfields", True)]
+
+    @pytest.mark.parametrize("variant,quintic", VARIANTS)
+    def test_fit_bitwise_equal_to_flush_per_call(self, monkeypatch, variant, quintic):
+        traj, split, cfg = _tiny_run(steps=3, kind="composite", variant=variant,
+                                     quintic=quintic, batch_points=6, lr_decay=0.5)
+        monkeypatch.setattr(trainer, "SplineField", _Perturbed)
+        fld, log = train(traj, split, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(ParamStore, "var", _flush_per_call_var)
+            m.setattr(ad, "weighted_stack_sum", _outer_product_stack_sum)
+            m.setattr(trainer, "Adam", _FormerAdam)
+            ref, ref_log = train(traj, split, cfg)
+        assert [r["total"] for r in log.rows] == [r["total"] for r in ref_log.rows]
+        for name in ref.store.names():
+            np.testing.assert_array_equal(fld.store.value(name), ref.store.value(name),
+                                          err_msg=name)
+            np.testing.assert_array_equal(fld.store.grad(name), ref.store.grad(name),
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("variant", ["siren-resfields", "triplanes"])
+    def test_fit_step_makes_one_leaf_per_parameter(self, monkeypatch, variant):
+        leaves = []
+        var = ParamStore.var
+
+        def counting_var(store, name, tape):
+            leaf = var(store, name, tape)
+            leaves.append((tape, name, leaf))
+            return leaf
+
+        monkeypatch.setattr(ParamStore, "var", counting_var)
+        traj, split, cfg = _tiny_run(steps=2, kind="composite", variant=variant)
+        fld, _ = train(traj, split, cfg)
+        tapes = {id(t) for t, _, _ in leaves}
+        assert len(tapes) == 2
+        for tape_id in tapes:
+            per_name = {}
+            for t, name, leaf in leaves:
+                if id(t) == tape_id:
+                    per_name.setdefault(name, set()).add(id(leaf))
+            assert sorted(per_name) == sorted(fld.store.names())
+            assert all(len(ids) == 1 for ids in per_name.values())
+            assert len([n for t, n, _ in leaves if id(t) == tape_id]) > len(per_name)
+
+    def test_runlog_rows_carry_gradient_norms(self, monkeypatch):
+        norms = []
+        step = Adam.step
+        monkeypatch.setattr(Adam, "step", lambda opt, *a: norms.append(
+            {n: float(np.linalg.norm(opt.store.grad(n))) for n in opt.store.names()})
+            or step(opt, *a))
+        traj, split, cfg = _tiny_run(steps=3)
+        fld, log = train(traj, split, cfg)
+        assert len(norms) == 3
+        for row, want in zip(log.rows, norms):
+            assert list(row["grad_norms"]) == fld.store.names()
+            for name, value in want.items():
+                assert row["grad_norms"][name] == pytest.approx(value, rel=1e-12)
 
 
 class TestTrainBoundaries:
