@@ -10,14 +10,9 @@ and evaluates temporal interpolation (EPE) and spatial coherence
 from splinefield.spline import (
     SplineTimeline,
     SegmentQuery,
-    HermiteState,
-    QuinticState,
     knot_count,
     locate_segment,
-    hermite_position,
-    hermite_velocity,
-    hermite_acceleration,
-    quintic_position,
+    segment_derivative,
 )
 from splinefield.autodiff import Tape, Var, ParamStore, fd_check
 from splinefield.field import FieldConfig, SplineField
@@ -27,14 +22,9 @@ from splinefield.trainer import TrainConfig, train, evaluate
 __all__ = [
     "SplineTimeline",
     "SegmentQuery",
-    "HermiteState",
-    "QuinticState",
     "knot_count",
     "locate_segment",
-    "hermite_position",
-    "hermite_velocity",
-    "hermite_acceleration",
-    "quintic_position",
+    "segment_derivative",
     "Tape",
     "Var",
     "ParamStore",

@@ -230,20 +230,6 @@ def sine(x: Var, w0: float = 1.0) -> Var:
     return out
 
 
-def cosine(x: Var, w0: float = 1.0) -> Var:
-    """Elementwise cos(w0 * x)."""
-    xv = x.value
-    out = Var(np.cos(w0 * xv), x.tape)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(x, out.grad * (-w0 * np.sin(w0 * xv)))
-
-    x.tape.record(bw)
-    return out
-
-
 def relu(x: Var) -> Var:
     mask = x.value > 0.0
     out = Var(np.where(mask, x.value, 0.0), x.tape)
@@ -462,7 +448,7 @@ def linear_sample(axis_grid: Var, u) -> Var:
 # -- layers and the spec-facing surface ----------------------------------
 
 
-def forward_linear(x, W, b, tape: Tape = None) -> Var:
+def forward_linear(x, W, b) -> Var:
     """x @ W + b with shape validation; multiplicands recorded on the tape."""
     xv, wv, bv = _val(x), _val(W), _val(b)
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != (wv.shape[1],):
@@ -470,17 +456,6 @@ def forward_linear(x, W, b, tape: Tape = None) -> Var:
             f"linear shape mismatch: x {xv.shape}, W {wv.shape}, b {bv.shape}"
         )
     return add(matmul(x, W), b)
-
-
-def activation(x: Var, kind: str, w0: float = 30.0) -> Var:
-    """Elementwise activation: 'sine' (sin(w0*x)) or 'relu'."""
-    if kind == "sine":
-        if w0 <= 0:
-            raise ValueError(f"w0 must be positive, got {w0}")
-        return sine(x, w0)
-    if kind == "relu":
-        return relu(x)
-    raise ValueError(f"unknown activation kind: {kind!r}")
 
 
 class ParamStore:

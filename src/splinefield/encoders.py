@@ -3,22 +3,21 @@
 Each encoder maps (normalized canonical coordinate, knot index) to a feature
 vector. Temporal conditioning enters only through low-rank per-knot codes:
 one modulation, `low_rank` (base + sum_r v_t[r] * res[r]), builds every
-time-variant tensor at a knot, the layer weights of the MLP variants and the
-factor grids of the plane/axis variants alike; the coordinates themselves
-never see time. The coupled-4D baseline does the opposite: it feeds time as
-a fourth input coordinate to a plain SIREN MLP.
+time-variant tensor at a knot, the layer weights of the MLP encoder and the
+factor grids of the plane/axis encoder alike; the coordinates themselves
+never see time. Rank 0 degenerates both to a time-invariant encoder.
 
-Rank 0 degenerates every variant to a time-invariant encoder.
+The MLP variants differ only in the MLP's feature map and activation (see
+`SirenResFieldsEncoder`). The coupled-4D baseline is the rank-0 sine MLP
+whose feature map appends time as a fourth input coordinate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from splinefield import autodiff as ad
-from splinefield.autodiff import NoGradTape, ParamStore, Tape, Var
+from splinefield.autodiff import ParamStore, Tape, Var
 
 CODE_INIT_STD = 1e-2      # per-knot temporal codes ~ N(0, (1e-2)^2)
 GRID_INIT_RANGE = 0.1     # grid bases uniform in [-0.1, 0.1]
@@ -55,33 +54,28 @@ def tv_linear_apply(x, w_base, w_res, bias, v_t) -> Var:
     return ad.forward_linear(x, low_rank(w_base, w_res, v_t), bias)
 
 
-@dataclass(frozen=True)
-class PositionalEncodingConfig:
-    n_frequencies: int = 4
-    include_input: bool = True
-
-    @property
-    def out_dim(self) -> int:
-        return 3 * (2 * self.n_frequencies + (1 if self.include_input else 0))
+def xyz(x_norm: np.ndarray, t) -> np.ndarray:
+    """The identity feature map of the SIREN variant."""
+    return x_norm
 
 
-def positional_encode(x, cfg: PositionalEncodingConfig):
-    """Sinusoidal encoding: optionally x, then [sin(2^l pi x), cos(2^l pi x)].
+def xyzt(x_norm: np.ndarray, t: float) -> np.ndarray:
+    """The coupled baseline's feature map: time t in [0, 1] as a fourth
+    coordinate 2t - 1 in [-1, 1]."""
+    return np.concatenate([x_norm, np.full((x_norm.shape[0], 1), 2.0 * t - 1.0)], axis=1)
+
+
+def positional_encode(x: np.ndarray, n_frequencies: int) -> np.ndarray:
+    """Sinusoidal encoding: x, then [sin(2^l pi x), cos(2^l pi x)] per l.
 
     x is [B, 3] with coordinates in [-1, 1]; blocks are concatenated along
-    the channel axis, 3 channels per block. A Var gives a Var, an array an
-    array.
+    the channel axis, 3 channels per block.
     """
-    if not isinstance(x, Var):
-        return positional_encode(Var(x, NoGradTape()), cfg).value
-    blocks = [x] if cfg.include_input else []
-    for l in range(cfg.n_frequencies):
+    blocks = [x]
+    for l in range(n_frequencies):
         w = (2.0 ** l) * np.pi
-        blocks.append(ad.sine(x, w))
-        blocks.append(ad.cosine(x, w))
-    if not blocks:
-        raise ValueError("L=0 without include_input produces an empty encoding")
-    return ad.concat(blocks, axis=1) if len(blocks) > 1 else blocks[0]
+        blocks += [np.sin(w * x), np.cos(w * x)]
+    return np.concatenate(blocks, axis=1)
 
 
 def _siren_layer_init(rng, c_in: int, c_out: int, w0: float, first: bool) -> np.ndarray:
@@ -92,85 +86,53 @@ def _siren_layer_init(rng, c_in: int, c_out: int, w0: float, first: bool) -> np.
     return rng.uniform(-bound, bound, size=(c_in, c_out))
 
 
-class _ResFieldsMLP:
-    """Shared machinery of the SIREN/PE ResFields variants: a stack of
-    time-variant linear layers whose weights are modulated by v_t."""
+class SirenResFieldsEncoder:
+    """The MLP encoder of every MLP variant: a feature map of the normalized
+    coordinates, then `depth` time-variant linear layers (weights built by
+    `low_rank` from the knot's code) with sine(w0) or ReLU activations.
 
-    def __init__(self, prefix, store: ParamStore, rng, in_dim: int, hidden: int,
-                 depth: int, rank: int, act: str, w0: float):
-        self.prefix = prefix
-        self.depth = depth
+    The SIREN variant uses the identity features `xyz` and sines, the PE
+    variant `positional_encode` and ReLUs, and the coupled baseline `xyzt`
+    and sines at rank 0, so its only temporal input is the time coordinate.
+    """
+
+    def __init__(self, store: ParamStore, rng, n_knots: int, rank: int,
+                 hidden: int = 64, depth: int = 3, w0: float = 30.0,
+                 features=xyz, act: str = "sine"):
+        self.n_knots = n_knots
         self.rank = rank
-        self.act = act
-        self.w0 = w0
+        self.depth = depth
+        self.features = features
+        self._act = {"sine": lambda h: ad.sine(h, w0), "relu": ad.relu}[act]
         self.out_dim = hidden
-        dims = [in_dim] + [hidden] * depth
+        if rank > 0:
+            store.add("codes", init_temporal_codes(n_knots, rank, rng))
+        dims = [features(np.zeros((1, 3)), 0.0).shape[1]] + [hidden] * depth
         for i, (ci, co) in enumerate(zip(dims[:-1], dims[1:])):
             if act == "sine":
                 base = _siren_layer_init(rng, ci, co, w0, first=(i == 0))
             else:
                 base = rng.uniform(-np.sqrt(6.0 / ci), np.sqrt(6.0 / ci), size=(ci, co))
-            store.add(f"{prefix}.l{i}.Wb", base)
+            store.add(f"enc.mlp.l{i}.Wb", base)
             if rank > 0:
                 # residual stacks start small so training begins near the base
                 res = rng.normal(0.0, 1.0 / max(ci, 1), size=(rank, ci, co)) * 0.1
-                store.add(f"{prefix}.l{i}.Wres", res)
-            store.add(f"{prefix}.l{i}.b", np.zeros(co))
+                store.add(f"enc.mlp.l{i}.Wres", res)
+            store.add(f"enc.mlp.l{i}.b", np.zeros(co))
 
-    def apply(self, tape: Tape, store: ParamStore, x, v_t) -> Var:
-        h = x
+    def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
+               knot_idx: int | None, t: float | None = None) -> Var:
+        """Features at knot `knot_idx`, whose code modulates the weights; the
+        coupled baseline has no knots and passes None with its query time t."""
+        v_t = None if knot_idx is None else materialize_code(tape, store, self.n_knots,
+                                                             knot_idx)
+        h = Var(self.features(x_norm, t), tape)
         for i in range(self.depth):
-            wb = store.var(f"{self.prefix}.l{i}.Wb", tape)
-            wres = store.var(f"{self.prefix}.l{i}.Wres", tape) if self.rank > 0 else None
-            b = store.var(f"{self.prefix}.l{i}.b", tape)
-            h = tv_linear_apply(h, wb, wres, b, v_t)
-            h = ad.activation(h, self.act, self.w0)
+            wb = store.var(f"enc.mlp.l{i}.Wb", tape)
+            wres = store.var(f"enc.mlp.l{i}.Wres", tape) if self.rank > 0 else None
+            b = store.var(f"enc.mlp.l{i}.b", tape)
+            h = self._act(tv_linear_apply(h, wb, wres, b, v_t))
         return h
-
-
-class SirenResFieldsEncoder:
-    """Time-variant SIREN MLP (sine activations, ResFields-style weights)."""
-
-    name = "siren-resfields"
-
-    def __init__(self, store: ParamStore, rng, n_knots: int, rank: int,
-                 hidden: int = 64, depth: int = 3, w0: float = 30.0):
-        self.n_knots = n_knots
-        self.rank = rank
-        if rank > 0:
-            store.add("codes", init_temporal_codes(n_knots, rank, rng))
-        self.mlp = _ResFieldsMLP("enc.mlp", store, rng, 3, hidden, depth, rank, "sine", w0)
-        self.out_dim = hidden
-
-    def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
-               knot_idx: int) -> Var:
-        v_t = materialize_code(tape, store, self.n_knots, knot_idx)
-        x = Var(x_norm, tape)
-        return self.mlp.apply(tape, store, x, v_t)
-
-
-class PEResFieldsEncoder:
-    """Positional encoding followed by a ReLU ResFields MLP."""
-
-    name = "pe-resfields"
-
-    def __init__(self, store: ParamStore, rng, n_knots: int, rank: int,
-                 hidden: int = 64, depth: int = 3,
-                 pe: PositionalEncodingConfig = PositionalEncodingConfig()):
-        self.n_knots = n_knots
-        self.rank = rank
-        self.pe = pe
-        if rank > 0:
-            store.add("codes", init_temporal_codes(n_knots, rank, rng))
-        self.mlp = _ResFieldsMLP("enc.mlp", store, rng, pe.out_dim, hidden, depth,
-                                 rank, "relu", 0.0)
-        self.out_dim = hidden
-
-    def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
-               knot_idx: int) -> Var:
-        v_t = materialize_code(tape, store, self.n_knots, knot_idx)
-        feat = positional_encode(x_norm, self.pe)
-        return self.mlp.apply(tape, store, Var(feat, tape), v_t)
 
 
 def _to_grid_units(x01: np.ndarray, d: int) -> np.ndarray:
@@ -187,7 +149,6 @@ class TriplaneEncoder:
     once, bilinearly for a plane and linearly for an axis.
     """
 
-    name = "triplanes"
     FACTORS = (("xy", (0, 1)), ("yz", (1, 2)), ("xz", (0, 2)))
 
     def __init__(self, store: ParamStore, rng, n_knots: int, rank: int,
@@ -232,45 +193,4 @@ class TriplaneEncoder:
 class TriaxesEncoder(TriplaneEncoder):
     """The factorized grid over the X/Y/Z axes, each a grid over one coordinate."""
 
-    name = "triaxes"
     FACTORS = (("x", (0,)), ("y", (1,)), ("z", (2,)))
-
-
-class Coupled4DEncoder:
-    """Baseline encoder with time as a fourth input coordinate (plain SIREN).
-
-    No temporal codes; temporal behaviour comes entirely from the network's
-    smoothness over the t axis, which is precisely the coupling the
-    decoupled variants avoid.
-    """
-
-    name = "coupled4d-baseline"
-
-    def __init__(self, store: ParamStore, rng, hidden: int = 64, depth: int = 3,
-                 w0: float = 30.0):
-        self.depth = depth
-        self.w0 = w0
-        dims = [4] + [hidden] * depth
-        for i, (ci, co) in enumerate(zip(dims[:-1], dims[1:])):
-            store.add(f"enc.mlp.l{i}.Wb", _siren_layer_init(rng, ci, co, w0, first=(i == 0)))
-            store.add(f"enc.mlp.l{i}.b", np.zeros(co))
-        self.out_dim = hidden
-
-    def encode_at_time(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
-                       t: float) -> Var:
-        """Encode with continuous time t in [0, 1] (mapped to [-1, 1])."""
-        tcol = np.full((x_norm.shape[0], 1), 2.0 * t - 1.0)
-        h = Var(np.concatenate([x_norm, tcol], axis=1), tape)
-        return self._apply(tape, store, h)
-
-    def encode_xyzt(self, tape: Tape, store: ParamStore, xyzt) -> Var:
-        """Encode a [B, 4] input directly (all coordinates differentiable)."""
-        h = xyzt if isinstance(xyzt, Var) else Var(xyzt, tape)
-        return self._apply(tape, store, h)
-
-    def _apply(self, tape, store, h):
-        for i in range(self.depth):
-            wb = store.var(f"enc.mlp.l{i}.Wb", tape)
-            b = store.var(f"enc.mlp.l{i}.b", tape)
-            h = ad.sine(ad.forward_linear(h, wb, b), self.w0)
-        return h

@@ -2,17 +2,20 @@
 
 Composes an encoder and a decoder MLP into per-knot (offset, tangent)
 predictions, then interpolates with the cubic Hermite segment located for
-the query time. Velocity and acceleration come from the closed-form segment
-derivatives, in normalized segment-time units unless physical scaling is
-requested; one evaluator serves all three by derivative order.
+the query time. The MLP variants share one encoder class and differ only in
+its feature map and activation; the plane and axis variants share the
+factorized-grid class. Velocity and acceleration come from the closed-form
+segment derivatives, in normalized segment-time units unless physical
+scaling is requested; one evaluator, `spline.segment_derivative`, serves
+all three by derivative order.
 Constant-velocity advection extrapolates past the fitted interval.
 
 The plain-array queries take one time or a 1-D sequence of times. They run
 on a NoGradTape and predict each knot once per call, so T times cost one
 network pass per knot instead of two per time.
 
-The coupled-4D baseline variant bypasses the spline entirely: the network
-is queried at the continuous time and returns the offset directly, with
+The coupled-4D baseline variant bypasses the spline entirely: its MLP takes
+the continuous time as a fourth input and returns the offset directly, with
 velocity/acceleration obtained by central finite differences in t.
 """
 
@@ -32,9 +35,7 @@ VARIANTS = ("siren-resfields", "pe-resfields", "triplanes", "triaxes",
             "coupled4d-baseline")
 
 _FD_T_EPS = 1e-4  # time step for the coupled baseline's FD derivatives
-# basis functions by [quintic][derivative order]
-_BASES = {False: (spline.hermite_basis, spline.hermite_basis_d1, spline.hermite_basis_d2),
-          True: (spline.quintic_basis, spline.quintic_basis_d1, spline.quintic_basis_d2)}
+_GRIDS = {"triplanes": enc.TriplaneEncoder, "triaxes": enc.TriaxesEncoder}
 
 
 @dataclass
@@ -57,6 +58,8 @@ class FieldConfig:
             raise ValueError("n_knots must be >= 2")
         if self.rank < 0:
             raise ValueError("rank must be >= 0")
+        if not (np.isfinite(self.w0) and self.w0 > 0):
+            raise ValueError(f"w0 must be finite and > 0, got {self.w0!r}")
         if min(self.hidden, self.depth, self.grid_channels) < 1:
             raise ValueError("hidden, depth and grid_channels must be >= 1")
         self.grid_levels = tuple(self.grid_levels)
@@ -127,17 +130,17 @@ class SplineField:
 
     def _build_encoder(self, store, rng):
         c = self.cfg
-        if c.variant == "siren-resfields":
-            return enc.SirenResFieldsEncoder(store, rng, c.n_knots, c.rank,
-                                             c.hidden, c.depth, c.w0)
-        if c.variant == "pe-resfields":
-            return enc.PEResFieldsEncoder(
-                store, rng, c.n_knots, c.rank, c.hidden, c.depth,
-                enc.PositionalEncodingConfig(c.pe_frequencies))
-        if c.variant in ("triplanes", "triaxes"):
-            grid = enc.TriplaneEncoder if c.variant == "triplanes" else enc.TriaxesEncoder
-            return grid(store, rng, c.n_knots, c.rank, c.grid_levels, c.grid_channels)
-        return enc.Coupled4DEncoder(store, rng, c.hidden, c.depth, c.w0)
+        if c.variant in _GRIDS:
+            return _GRIDS[c.variant](store, rng, c.n_knots, c.rank, c.grid_levels,
+                                     c.grid_channels)
+        features, act, rank = {
+            "siren-resfields": (enc.xyz, "sine", c.rank),
+            "pe-resfields": (lambda x, t: enc.positional_encode(x, c.pe_frequencies),
+                             "relu", c.rank),
+            "coupled4d-baseline": (enc.xyzt, "sine", 0),
+        }[c.variant]
+        return enc.SirenResFieldsEncoder(store, rng, c.n_knots, rank, c.hidden, c.depth,
+                                         c.w0, features, act)
 
     @property
     def out_channels(self) -> int:
@@ -200,14 +203,12 @@ class SplineField:
         (dx0, m0, a0), (dx1, m1, a1) = cache[seg.start_idx], cache[seg.end_idx]
         const = np.asarray(points, dtype=np.float64)
         p0, p1 = ad.add(dx0, const), ad.add(dx1, const)
-        coeffs = _BASES[self.cfg.quintic][order](seg.t_bar)
-        if self.cfg.quintic:
-            return spline._combine6(coeffs, p0, m0, a0, p1, m1, a1)
-        return spline._combine4(coeffs, p0, m0, p1, m1)
+        ends = (p0, m0, a0, p1, m1, a1) if self.cfg.quintic else (p0, m0, p1, m1)
+        return spline.segment_derivative(ends, seg.t_bar, order)
 
     def _coupled_var(self, tape, points, t, order: int) -> Var:
         if order == 0:
-            feat = self.encoder.encode_at_time(tape, self.store, self.normalize(points), t)
+            feat = self.encoder.encode(tape, self.store, self.normalize(points), None, t)
             return ad.add(self._decode(tape, feat), np.asarray(points, dtype=np.float64))
         if order == 1:
             lo, hi = max(t - _FD_T_EPS, 0.0), min(t + _FD_T_EPS, 1.0)
@@ -263,8 +264,8 @@ class SplineField:
         """deform(points, from_t) + physical velocity * dt."""
         if not (0.0 <= from_t <= 1.0):
             raise ValueError(f"from_t must be in [0, 1], got {from_t}")
-        if dt < 0:
-            raise ValueError(f"dt must be >= 0, got {dt}")
+        if not (np.isfinite(dt) and dt >= 0):
+            raise ValueError(f"dt must be finite and >= 0, got {dt}")
         tape, cache = NoGradTape(), {}
         base = self.deform_var(tape, points, from_t, knot_cache=cache).value
         vel = self.velocity_var(tape, points, from_t, physical=True, knot_cache=cache)

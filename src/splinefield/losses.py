@@ -5,6 +5,7 @@ The velocity loss penalizes squared velocity differences between each point
 and its k nearest canonical-space neighbors, weighted by normalized inverse
 distance. The acceleration loss is the mean absolute component of the
 analytic acceleration (an L2-norm alternative is available via `mode`).
+Each loss takes Vars and returns a scalar Var.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from splinefield import autodiff as ad
-from splinefield.autodiff import NoGradTape, Var
+from splinefield.autodiff import Var
 
 DIST_EPS = 1e-8        # distance floor; also guards duplicate points
 ACCEL_MODES = ("l1", "l2")
@@ -91,19 +92,9 @@ def build_knn(points: np.ndarray, k: int) -> NeighborGraph:
     return NeighborGraph(k=k, indices=idx, weights=w)
 
 
-def velocity_loss(velocities, graph: NeighborGraph):
-    """Mean over points of sum_j w_ij ||v_i - v_j||^2 over the full graph."""
-    rows = np.arange(graph.indices.shape[0])
-    return velocity_loss_rows(velocities, rows, graph.indices, graph.weights)
-
-
-def velocity_loss_rows(velocities, rows, nbrs, weights):
-    """Velocity loss restricted to `rows`; `velocities` is [N, 3] (Var, or an
-    array for a float) covering both the rows and their neighbor indices
-    `nbrs`."""
-    if not isinstance(velocities, Var):
-        return float(velocity_loss_rows(Var(velocities, NoGradTape()), rows, nbrs,
-                                        weights).value)
+def velocity_loss_rows(velocities: Var, rows, nbrs, weights) -> Var:
+    """Mean over `rows` of sum_j w_ij ||v_i - v_j||^2; `velocities` is [N, 3]
+    covering both the rows and their neighbor indices `nbrs`."""
     rows = np.asarray(rows)
     vi = ad.reshape(ad.take(velocities, rows), (len(rows), 1, 3))
     vn = ad.take(velocities, nbrs)
@@ -112,12 +103,8 @@ def velocity_loss_rows(velocities, rows, nbrs, weights):
     return ad.vmean(ad.vsum(ad.mul(sq, weights), axis=1))
 
 
-def acceleration_loss(accels, mode: str = "l1"):
-    """Mean |a|: per-component absolute mean ('l1', default) or mean norm ('l2').
-
-    A Var gives a Var; an array gives a float."""
-    if not isinstance(accels, Var):
-        return float(acceleration_loss(Var(accels, NoGradTape()), mode).value)
+def acceleration_loss(accels: Var, mode: str = "l1") -> Var:
+    """Mean |a|: per-component absolute mean ('l1', default) or mean norm ('l2')."""
     if mode == "l1":
         return ad.vmean(ad.absolute(accels))
     if mode == "l2":
@@ -125,10 +112,8 @@ def acceleration_loss(accels, mode: str = "l1"):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def recon_loss_l1(pred, gt):
-    """Mean absolute componentwise error; a Var gives a Var, an array a float."""
-    if not isinstance(pred, Var):
-        return float(recon_loss_l1(Var(pred, NoGradTape()), gt).value)
+def recon_loss_l1(pred: Var, gt) -> Var:
+    """Mean absolute componentwise error."""
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")

@@ -12,8 +12,6 @@ energy:
 This yields exactly 1 for uniform motion and ~0 for independent noise.
 A sequence is scored over its consecutive frames; `trainer.evaluate` passes
 the held-out frames, so a transition may span training frames between them.
-The classical mean-centered global Moran's I is available separately for
-sensitivity analysis.
 """
 
 from __future__ import annotations
@@ -41,10 +39,6 @@ class CoherenceReport:
             return float("nan")
         return float(np.mean(self.per_frame))
 
-    @property
-    def no_motion(self) -> bool:
-        return not self.per_frame
-
 
 def motion_vectors(positions: np.ndarray) -> np.ndarray:
     """Consecutive-frame differences of a [T, N_p, 3] trajectory."""
@@ -54,17 +48,12 @@ def motion_vectors(positions: np.ndarray) -> np.ndarray:
     return positions[1:] - positions[:-1]
 
 
-def _neighborhoods(positions: np.ndarray, k: int, brute: bool) -> np.ndarray:
+def _neighborhoods(positions: np.ndarray, k: int) -> np.ndarray:
     """K-point neighborhoods (self included) per point."""
     n = positions.shape[0]
     if n <= k:
         raise ValueError(f"need more points than K: N={n}, K={k}")
-    if brute:
-        d2 = np.sum((positions[:, None, :] - positions[None, :, :]) ** 2, axis=2)
-        return np.argsort(d2, axis=1, kind="stable")[:, :k]
-    tree = cKDTree(positions)
-    _, idx = tree.query(positions, k=k)
-    return idx
+    return cKDTree(positions).query(positions, k=k)[1]
 
 
 def _block_scores(p: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
@@ -88,8 +77,7 @@ def _block_scores(p: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
     return (k / wsum[valid]) * num[valid] / energy[valid]
 
 
-def morans_i_frame(positions: np.ndarray, vectors: np.ndarray, k: int = 10,
-                   brute_force: bool = False):
+def morans_i_frame(positions: np.ndarray, vectors: np.ndarray, k: int = 10):
     """Mean Moran's I of one frame's motion vectors, or None if the frame
     has no motion (all vectors below 1e-12)."""
     if k < 2:
@@ -101,7 +89,7 @@ def morans_i_frame(positions: np.ndarray, vectors: np.ndarray, k: int = 10,
         raise ValueError("positions and vectors must both be [N_p, 3]")
     if np.all(np.linalg.norm(vectors, axis=1) < ZERO_MOTION_EPS):
         return None
-    nbhd = _neighborhoods(positions, k, brute_force).T   # [K, N]
+    nbhd = _neighborhoods(positions, k).T   # [K, N]
     blocks = [nbhd[:, b:b + _BLOCK] for b in range(0, nbhd.shape[1], _BLOCK)]
     scores = np.concatenate([_block_scores(positions.T[:, cols], vectors.T[:, cols], k)
                              for cols in blocks])
@@ -110,13 +98,12 @@ def morans_i_frame(positions: np.ndarray, vectors: np.ndarray, k: int = 10,
     return float(np.mean(scores))
 
 
-def morans_i_sequence(positions: np.ndarray, k: int = 10,
-                      brute_force: bool = False) -> CoherenceReport:
+def morans_i_sequence(positions: np.ndarray, k: int = 10) -> CoherenceReport:
     """Mean Moran's I over all frame transitions of a [T, N_p, 3] trajectory."""
     vectors = motion_vectors(positions)
     per_frame, frame_ids, skipped = [], [], []
     for t in range(vectors.shape[0]):
-        score = morans_i_frame(positions[t], vectors[t], k, brute_force)
+        score = morans_i_frame(positions[t], vectors[t], k)
         if score is None:
             skipped.append(t)
         else:
@@ -124,27 +111,6 @@ def morans_i_sequence(positions: np.ndarray, k: int = 10,
             frame_ids.append(t)
     return CoherenceReport(per_frame=per_frame, frame_ids=frame_ids,
                            skipped=skipped, k=k)
-
-
-def global_morans_i(positions: np.ndarray, values: np.ndarray, k: int = 10) -> float:
-    """Classical mean-centered global Moran's I, applied per component and
-    averaged; kept for sensitivity analysis against the ratio above."""
-    positions = np.asarray(positions, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    n = positions.shape[0]
-    tree = cKDTree(positions)
-    d, idx = tree.query(positions, k=k + 1)
-    d, idx = d[:, 1:], idx[:, 1:]
-    w = 1.0 / np.maximum(d, 1e-12)
-    scores = []
-    for c in range(values.shape[1]):
-        z = values[:, c] - values[:, c].mean()
-        denom = np.sum(z ** 2)
-        if denom < 1e-30:
-            continue
-        num = np.sum(w * z[:, None] * z[idx])
-        scores.append((n / w.sum()) * num / denom)
-    return float(np.mean(scores)) if scores else float("nan")
 
 
 def epe(pred: np.ndarray, gt: np.ndarray, scale: float = 1e4) -> float:

@@ -4,17 +4,16 @@ All functions here are stateless and parameter-free. Tangents are expressed
 per segment in normalized-time units (derivatives w.r.t. t-bar); multiply by
 (n_knots - 1) to convert a tangent to a physical-time derivative on [0, 1].
 
-The basis application helpers accept anything supporting scalar
-multiplication and addition (numpy arrays, autodiff variables), so the same
-formulas serve both plain evaluation and the differentiable field pipeline.
+`segment_derivative` applies a basis to endpoint states of any type that
+supports scalar multiplication and addition (numpy arrays, autodiff
+variables), so the same formulas serve both plain evaluation and the
+differentiable field pipeline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -27,14 +26,6 @@ class SplineTimeline:
         if self.n_knots < 2:
             raise ValueError(f"n_knots must be >= 2, got {self.n_knots}")
 
-    @property
-    def tau(self) -> float:
-        """Length of one segment in normalized time."""
-        return 1.0 / (self.n_knots - 1)
-
-    def knot_time(self, idx: int) -> float:
-        return idx / (self.n_knots - 1)
-
 
 @dataclass(frozen=True)
 class SegmentQuery:
@@ -46,28 +37,6 @@ class SegmentQuery:
     @property
     def end_idx(self) -> int:
         return self.start_idx + 1
-
-
-@dataclass(frozen=True)
-class HermiteState:
-    """Endpoint positions and tangents of one cubic segment."""
-
-    p0: np.ndarray
-    m0: np.ndarray
-    p1: np.ndarray
-    m1: np.ndarray
-
-
-@dataclass(frozen=True)
-class QuinticState:
-    """Endpoint positions, tangents, and second derivatives of one quintic segment."""
-
-    p0: np.ndarray
-    m0: np.ndarray
-    a0: np.ndarray
-    p1: np.ndarray
-    m1: np.ndarray
-    a1: np.ndarray
 
 
 def knot_count(n_timestamps: int, dof_factor: int) -> int:
@@ -87,7 +56,7 @@ def knot_count(n_timestamps: int, dof_factor: int) -> int:
 def locate_segment(t_query: float, timeline: SplineTimeline) -> SegmentQuery:
     """Map a global query time in [0, 1] to (segment start index, t_bar).
 
-    start = clamp(floor(t_query / tau), 0, N - 2); t_bar = t_query*(N-1) - start.
+    start = clamp(floor(t_query * (N - 1)), 0, N - 2); t_bar = t_query*(N-1) - start.
     t_query = 1.0 lands on the last segment with t_bar = 1.0 via the clamp.
     """
     if not (0.0 <= t_query <= 1.0):
@@ -130,26 +99,6 @@ def hermite_basis_d2(t_bar):
         -12.0 * t_bar + 6.0,
         6.0 * t_bar - 2.0,
     )
-
-
-def _combine4(coeffs, p0, m0, p1, m1):
-    c0, c1, c2, c3 = coeffs
-    return c0 * p0 + c1 * m0 + c2 * p1 + c3 * m1
-
-
-def hermite_position(t_bar: float, s: HermiteState):
-    """Evaluate the cubic segment at relative time t_bar."""
-    return _combine4(hermite_basis(t_bar), s.p0, s.m0, s.p1, s.m1)
-
-
-def hermite_velocity(t_bar: float, s: HermiteState):
-    """First derivative of the cubic segment w.r.t. t_bar."""
-    return _combine4(hermite_basis_d1(t_bar), s.p0, s.m0, s.p1, s.m1)
-
-
-def hermite_acceleration(t_bar: float, s: HermiteState):
-    """Second derivative of the cubic segment w.r.t. t_bar."""
-    return _combine4(hermite_basis_d2(t_bar), s.p0, s.m0, s.p1, s.m1)
 
 
 def quintic_basis(t_bar):
@@ -195,19 +144,17 @@ def quintic_basis_d2(t_bar):
     )
 
 
-def _combine6(coeffs, p0, m0, a0, p1, m1, a1):
-    c0, c1, c2, c3, c4, c5 = coeffs
-    return c0 * p0 + c1 * m0 + c2 * a0 + c3 * p1 + c4 * m1 + c5 * a1
+_BASES = {4: (hermite_basis, hermite_basis_d1, hermite_basis_d2),
+          6: (quintic_basis, quintic_basis_d1, quintic_basis_d2)}
 
 
-def quintic_position(t_bar: float, s: QuinticState):
-    """Evaluate the quintic segment at relative time t_bar."""
-    return _combine6(quintic_basis(t_bar), s.p0, s.m0, s.a0, s.p1, s.m1, s.a1)
-
-
-def quintic_velocity(t_bar: float, s: QuinticState):
-    return _combine6(quintic_basis_d1(t_bar), s.p0, s.m0, s.a0, s.p1, s.m1, s.a1)
-
-
-def quintic_acceleration(t_bar: float, s: QuinticState):
-    return _combine6(quintic_basis_d2(t_bar), s.p0, s.m0, s.a0, s.p1, s.m1, s.a1)
+def segment_derivative(ends, t_bar: float, order: int):
+    """order-th derivative (0, 1 or 2) w.r.t. t_bar of the segment with endpoint
+    states `ends`: (p0, m0, p1, m1) for a cubic Hermite segment, (p0, m0, a0,
+    p1, m1, a1) for a quintic one. The basis weights sum the states left to
+    right."""
+    coeffs = _BASES[len(ends)][order](t_bar)
+    out = coeffs[0] * ends[0]
+    for c, e in zip(coeffs[1:], ends[1:]):
+        out = out + c * e
+    return out

@@ -62,6 +62,11 @@ class TrainConfig:
                 ("frames_per_step", self.frames_per_step >= 1, ">= 1"),
                 ("batch_points", self.batch_points >= 0, ">= 0"),
                 ("lr", np.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
+                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("eps", np.isfinite(self.eps) and self.eps > 0, "finite and > 0"),
+                ("grid_lr_mult", np.isfinite(self.grid_lr_mult) and self.grid_lr_mult >= 0,
+                 "finite and >= 0"),
                 ("accel_mode", self.accel_mode in losses.ACCEL_MODES, f"in {losses.ACCEL_MODES}")]:
             if not ok:
                 raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")

@@ -47,12 +47,12 @@ class TestForwardLinear:
 class TestActivations:
     def test_sine_at_zero(self):
         tape = Tape()
-        out = ad.activation(Var(np.zeros(3), tape), "sine", w0=30.0)
+        out = ad.sine(Var(np.zeros(3), tape), 30.0)
         np.testing.assert_array_equal(out.value, np.zeros(3))
 
     def test_relu_clamps_negative(self):
         tape = Tape()
-        out = ad.activation(Var(np.array([-1.0, 2.0]), tape), "relu")
+        out = ad.relu(Var(np.array([-1.0, 2.0]), tape))
         np.testing.assert_array_equal(out.value, [0.0, 2.0])
 
     def test_sine_gradient_matches_fd(self):
@@ -67,10 +67,6 @@ class TestActivations:
         eps = 1e-6
         fd = (np.sin(w0 * (x0 + eps)) - np.sin(w0 * (x0 - eps))) / (2 * eps)
         np.testing.assert_allclose(x.grad, fd, rtol=1e-4, atol=1e-6)
-
-    def test_unknown_activation(self):
-        with pytest.raises(ValueError):
-            ad.activation(Var(np.zeros(1), Tape()), "tanh")
 
 
 class TestBackward:

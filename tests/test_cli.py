@@ -100,7 +100,17 @@ class TestFit:
         ("batch_points", ["--set", "batch_points=-1"]),
         ("lr_decay", ["--set", "lr_decay=2"]),
         ("lr_decay", ["--set", "lr_decay=0"]),
-        ("accel_mode", ["--set", "accel_mode=l3"])])
+        ("accel_mode", ["--set", "accel_mode=l3"]),
+        ("beta1", ["--set", "beta1=1"]),
+        ("beta1", ["--set", "beta1=-0.5"]),
+        ("beta2", ["--set", "beta2=1"]),
+        ("eps", ["--set", "eps=0"]),
+        ("eps", ["--set", "eps=-1"]),
+        ("eps", ["--set", "eps=nan"]),
+        ("grid_lr_mult", ["--set", "grid_lr_mult=-1"]),
+        ("grid_lr_mult", ["--set", "grid_lr_mult=inf"]),
+        ("w0", ["--set", "w0=0"]),
+        ("w0", ["--set", "w0=-5"])])
     def test_bad_train_config_is_usage_error(self, tmp_path, capsys, field, args):
         traj = _gen(tmp_path)
         rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt"),
@@ -181,7 +191,8 @@ class TestEval:
         (lambda h: h.update(half_extent=0.0), "half_extent"),
         (lambda h: h["config"].update(hidden=0), "hidden"),
         (lambda h: h["config"].update(grid_levels=[]), "grid_levels"),
-    ], ids=["center-2-entries", "half-extent-0", "hidden-0", "no-grid-levels"])
+        (lambda h: h["config"].update(w0=0), "w0"),
+    ], ids=["center-2-entries", "half-extent-0", "hidden-0", "no-grid-levels", "w0-0"])
     def test_checkpoint_bad_header_value_is_io_error(self, tmp_path, capsys, edit, named):
         traj = _gen(tmp_path)
         ckpt = _fit(tmp_path, traj)
@@ -254,6 +265,47 @@ class TestInterpAdvectFlow:
                    "--out-prefix", str(tmp_path / "flow")])
         assert rc == 0
         assert len(list(tmp_path.glob("flow_*.ply"))) == 6
+
+
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """A 10-step checkpoint and its 9-frame, 40-point trajectory."""
+    tmp_path = tmp_path_factory.mktemp("fitted")
+    traj = _gen(tmp_path)
+    return traj, _fit(tmp_path, traj)
+
+
+# malformed inputs of each subcommand and what the error names; "{traj}" and
+# "{ckpt}" stand for real files
+MALFORMED = {
+    "advect-from-t-1.5": (["advect", "--ckpt", "{ckpt}", "--from-t", "1.5", "--dt", "0.1"],
+                          "from_t"),
+    "advect-dt-negative": (["advect", "--ckpt", "{ckpt}", "--from-t", "0.5", "--dt", "-1"],
+                           "dt"),
+    "advect-dt-nan": (["advect", "--ckpt", "{ckpt}", "--from-t", "0.5", "--dt", "nan"], "dt"),
+    "advect-dt-inf": (["advect", "--ckpt", "{ckpt}", "--from-t", "0.5", "--dt", "inf"], "dt"),
+    "flow-frames-0": (["flow", "--ckpt", "{ckpt}", "--frames", "0"], "--frames"),
+    "interp-non-numeric-time": (["interp", "--ckpt", "{ckpt}", "--times", "0.1,abc"], "abc"),
+    "gen-points-0": (["gen", "--kind", "rotate", "--points", "0"], "n_points"),
+    "fit-stride-0": (["fit", "--traj", "{traj}", "--stride", "0"], "stride"),
+    "fit-frac-0": (["fit", "--traj", "{traj}", "--frac", "0"], "supervised_fraction"),
+    "fit-frac-1.5": (["fit", "--traj", "{traj}", "--frac", "1.5"], "supervised_fraction"),
+    "fit-one-train-frame": (["fit", "--traj", "{traj}", "--stride", "9"], "training frames"),
+    "fit-unknown-set-key": (["fit", "--traj", "{traj}", "--set", "nope=1"], "nope"),
+    "fit-unknown-variant": (["fit", "--traj", "{traj}", "--variant", "nope"], "nope"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, named", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_is_usage_error(self, fitted, tmp_path, capsys, argv, named):
+        traj, ckpt = fitted
+        out = "--out-prefix" if argv[0] == "flow" else "--out"
+        argv = [a.format(traj=traj, ckpt=ckpt) for a in argv]
+        assert main([*argv, out, str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestEnv:

@@ -7,6 +7,7 @@ from splinefield import autodiff as ad
 from splinefield import dataio
 from splinefield import encoders as enc
 from splinefield.autodiff import ParamStore, Tape, Var
+from splinefield.field import FieldConfig, SplineField
 
 
 def _codes(values) -> ParamStore:
@@ -83,44 +84,41 @@ class TestTimeVariantLinear:
 
 class TestPositionalEncoding:
     def test_zero_input_pattern(self):
-        cfg = enc.PositionalEncodingConfig(n_frequencies=2, include_input=True)
-        out = enc.positional_encode(np.zeros((1, 3)), cfg)
-        assert out.shape == (1, cfg.out_dim)
+        out = enc.positional_encode(np.zeros((1, 3)), 2)
+        assert out.shape == (1, 15)
         # per coordinate: [0, sin0=0, cos0=1, sin1=0, cos1=1]
         expect = np.concatenate([np.zeros(3), np.zeros(3), np.ones(3),
                                  np.zeros(3), np.ones(3)])
         np.testing.assert_allclose(out[0], expect, atol=1e-15)
 
     def test_l0_with_input_is_identity(self):
-        cfg = enc.PositionalEncodingConfig(n_frequencies=0, include_input=True)
         x = np.random.default_rng(5).normal(size=(4, 3))
-        np.testing.assert_array_equal(enc.positional_encode(x, cfg), x)
+        np.testing.assert_array_equal(enc.positional_encode(x, 0), x)
 
     def test_first_frequency_at_half(self):
-        cfg = enc.PositionalEncodingConfig(n_frequencies=1, include_input=False)
-        out = enc.positional_encode(np.full((1, 3), 0.5), cfg)
-        np.testing.assert_allclose(out[0, :3], np.ones(3), atol=1e-15)   # sin(pi/2)
-        np.testing.assert_allclose(out[0, 3:], np.zeros(3), atol=1e-15)  # cos(pi/2)
+        out = enc.positional_encode(np.full((1, 3), 0.5), 1)
+        np.testing.assert_allclose(out[0, 3:6], np.ones(3), atol=1e-15)   # sin(pi/2)
+        np.testing.assert_allclose(out[0, 6:], np.zeros(3), atol=1e-15)   # cos(pi/2)
 
     def test_out_dim(self):
-        assert enc.PositionalEncodingConfig(4, True).out_dim == 27
-        assert enc.PositionalEncodingConfig(2, False).out_dim == 12
+        assert enc.positional_encode(np.zeros((2, 3)), 4).shape == (2, 27)
+        assert enc.positional_encode(np.zeros((2, 3)), 2).shape == (2, 15)
+
+
+MLP_VARIANTS = ["siren-resfields", "pe-resfields", "coupled4d-baseline"]
 
 
 def _build(variant, rank=2, n_knots=3, seed=0):
+    """An encoder and its store; an MLP encoder as the field builds it, with
+    the zero-initialised decoder's parameters in the store too."""
+    if variant in MLP_VARIANTS:
+        cfg = FieldConfig(variant=variant, n_knots=n_knots, rank=rank, hidden=16, depth=2)
+        f = SplineField(cfg, np.eye(3), seed=seed)
+        return f.encoder, f.store
     store = ParamStore()
     rng = np.random.default_rng(seed)
-    if variant == "siren-resfields":
-        e = enc.SirenResFieldsEncoder(store, rng, n_knots, rank, hidden=16, depth=2)
-    elif variant == "pe-resfields":
-        e = enc.PEResFieldsEncoder(store, rng, n_knots, rank, hidden=16, depth=2)
-    elif variant == "triplanes":
-        e = enc.TriplaneEncoder(store, rng, n_knots, rank, levels=(4, 8), channels=3)
-    elif variant == "triaxes":
-        e = enc.TriaxesEncoder(store, rng, n_knots, rank, levels=(4, 8), channels=3)
-    else:
-        e = enc.Coupled4DEncoder(store, rng, hidden=16, depth=2)
-    return e, store
+    grid = enc.TriplaneEncoder if variant == "triplanes" else enc.TriaxesEncoder
+    return grid(store, rng, n_knots, rank, levels=(4, 8), channels=3), store
 
 
 ALL_KNOT_VARIANTS = ["siren-resfields", "pe-resfields", "triplanes", "triaxes"]
@@ -295,27 +293,37 @@ class TestCoupled4D:
     def test_time_changes_output_for_static_input(self):
         e, store = _build("coupled4d-baseline")
         x = np.zeros((2, 3))
-        a = e.encode_at_time(Tape(), store, x, 0.0).value
-        b = e.encode_at_time(Tape(), store, x, 1.0).value
+        a = e.encode(Tape(), store, x, None, 0.0).value
+        b = e.encode(Tape(), store, x, None, 1.0).value
         assert not np.allclose(a, b)
 
-    def test_gradient_wrt_t_matches_fd(self):
-        e, store = _build("coupled4d-baseline")
-        rng = np.random.default_rng(13)
-        xyzt0 = rng.uniform(-1, 1, size=(2, 4))
-        tape = Tape()
-        xyzt = Var(xyzt0.copy(), tape)
-        out = ad.vsum(e.encode_xyzt(tape, store, xyzt))
-        tape.backward(out)
-        eps = 1e-6
-        for col in range(4):
-            plus = xyzt0.copy()
-            plus[:, col] += eps
-            minus = xyzt0.copy()
-            minus[:, col] -= eps
-            fd = (e.encode_xyzt(Tape(), store, plus).value.sum()
-                  - e.encode_xyzt(Tape(), store, minus).value.sum()) / (2 * eps)
-            assert xyzt.grad[:, col].sum() == pytest.approx(fd, rel=1e-4)
+
+# sha256 of every encoder parameter's float64 bytes, in store order, for _build(variant)
+MLP_INIT_SHA256 = {
+    "siren-resfields": "74a62f0b99882a7aaa7787aec93b234aaf54de546dc31ab016967ec094d56703",
+    "pe-resfields": "c5fed635f020829b9231f360096d4e043e293425edbf19911b1189d574df49a5",
+    "coupled4d-baseline": "ca5783ce338f4a34bbfd327a8556b4dbf14fe4ea7c3bab0303f8c9766d9b3bd8",
+}
+
+
+class TestMLPEncoder:
+    @pytest.mark.parametrize("variant", MLP_VARIANTS)
+    def test_same_seed_init_is_pinned(self, variant):
+        _, store = _build(variant)
+        names = [n for n in store.names() if not n.startswith("dec.")]
+        in_dim = {"siren-resfields": 3, "pe-resfields": 27, "coupled4d-baseline": 4}[variant]
+        rank = 0 if variant == "coupled4d-baseline" else 2
+        want = [("codes", (3, 2))] if rank else []
+        for i, ci in enumerate((in_dim, 16)):
+            want.append((f"enc.mlp.l{i}.Wb", (ci, 16)))
+            if rank:
+                want.append((f"enc.mlp.l{i}.Wres", (2, ci, 16)))
+            want.append((f"enc.mlp.l{i}.b", (16,)))
+        assert [(n, store.value(n).shape) for n in names] == want
+        digest = hashlib.sha256()
+        for n in names:
+            digest.update(store.value(n).tobytes())
+        assert digest.hexdigest() == MLP_INIT_SHA256[variant]
 
 
 class TestCheckpointFormat:

@@ -35,7 +35,9 @@ class TestConfig:
             FieldConfig(n_knots=1)
 
     @pytest.mark.parametrize("bad", [dict(hidden=0), dict(depth=0), dict(grid_channels=0),
-                                     dict(grid_levels=()), dict(grid_levels=(1, 8))])
+                                     dict(grid_levels=()), dict(grid_levels=(1, 8)),
+                                     dict(w0=0.0), dict(w0=-5.0), dict(w0=np.nan),
+                                     dict(w0=np.inf)])
     def test_sizes_that_build_no_field_are_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             FieldConfig(**bad)
@@ -94,7 +96,7 @@ class TestDeform:
     def test_knot_time_query_equals_offset_prediction(self):
         f = _randomized(SplineField(_small_cfg(), _points()))
         for k in range(f.cfg.n_knots):
-            t = f.timeline.knot_time(k)
+            t = k / (f.cfg.n_knots - 1)
             dx = f.predict_knot(Tape(), f.canonical, k)[0].value
             np.testing.assert_allclose(f.deform(f.canonical, t),
                                        f.canonical + dx, atol=1e-12)
@@ -105,10 +107,9 @@ class TestDeform:
         seg = spline.locate_segment(t, f.timeline)
         dx0, m0, _ = f.predict_knot(Tape(), f.canonical, seg.start_idx)
         dx1, m1, _ = f.predict_knot(Tape(), f.canonical, seg.end_idx)
-        state = spline.HermiteState(f.canonical + dx0.value, m0.value,
-                                    f.canonical + dx1.value, m1.value)
+        ends = (f.canonical + dx0.value, m0.value, f.canonical + dx1.value, m1.value)
         np.testing.assert_allclose(f.deform(f.canonical, t),
-                                   spline.hermite_position(seg.t_bar, state),
+                                   spline.segment_derivative(ends, seg.t_bar, 0),
                                    atol=1e-12)
 
 
@@ -121,7 +122,7 @@ class TestVelocityAcceleration:
     def test_velocity_at_knot_equals_tangent(self):
         f = _randomized(SplineField(_small_cfg(), _points()))
         m = f.predict_knot(Tape(), f.canonical, 1)[1].value
-        t = f.timeline.knot_time(1)
+        t = 1 / (f.cfg.n_knots - 1)
         np.testing.assert_allclose(f.velocity(f.canonical, t), m, atol=1e-12)
 
     def test_velocity_matches_fd_of_deform(self):
@@ -147,8 +148,8 @@ class TestVelocityAcceleration:
     def test_linear_in_tbar_motion_has_zero_acceleration(self):
         p0 = np.zeros((1, 3))
         p1 = np.ones((1, 3))
-        st = spline.HermiteState(p0, p1 - p0, p1, p1 - p0)
-        np.testing.assert_allclose(spline.hermite_acceleration(0.3, st), 0.0,
+        ends = (p0, p1 - p0, p1, p1 - p0)
+        np.testing.assert_allclose(spline.segment_derivative(ends, 0.3, 2), 0.0,
                                    atol=1e-14)
 
 
@@ -169,6 +170,9 @@ class TestAdvect:
             f.advect(f.canonical, 1.5, 0.1)
         with pytest.raises(ValueError):
             f.advect(f.canonical, 0.5, -0.1)
+        for dt in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt must be finite"):
+                f.advect(f.canonical, 0.5, dt)
 
 
 class TestQuinticField:

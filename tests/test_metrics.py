@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,25 @@ class TestMotionVectors:
             motion_vectors(np.zeros((1, 5, 3)))
 
 
+def _brute_neighborhoods(positions, k):
+    """Oracle of metrics._neighborhoods: the K nearest points (self included)
+    by an exhaustive distance sort, ties by ascending index."""
+    n = positions.shape[0]
+    if n <= k:
+        raise ValueError(f"need more points than K: N={n}, K={k}")
+    d2 = np.sum((positions[:, None, :] - positions[None, :, :]) ** 2, axis=2)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+@contextlib.contextmanager
+def _brute(on=True):
+    """Score with the exhaustive neighborhoods instead of the k-d tree's."""
+    with pytest.MonkeyPatch.context() as mp:
+        if on:
+            mp.setattr(metrics, "_neighborhoods", _brute_neighborhoods)
+        yield
+
+
 class TestMoransIFrame:
     def test_identical_vectors_give_exactly_one(self):
         pts = np.random.default_rng(3).normal(size=(100, 3))
@@ -59,21 +79,23 @@ class TestMoransIFrame:
         pts = np.vstack([a, b])
         v = np.vstack([np.tile([1.0, 0, 0], (200, 1)),
                        np.tile([-1.0, 0, 0], (200, 1))])
-        assert morans_i_frame(pts, v, k=10, brute_force=True) > 0.99
+        with _brute():
+            assert morans_i_frame(pts, v, k=10) > 0.99
 
     def test_kdtree_matches_brute_force(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(500, 3))
         v = rng.normal(size=(500, 3))
         fast = morans_i_frame(pts, v, k=10)
-        slow = morans_i_frame(pts, v, k=10, brute_force=True)
+        with _brute():
+            slow = morans_i_frame(pts, v, k=10)
         assert abs(fast - slow) < 1e-10
 
 
-def _loop_oracle(positions, vectors, k, brute):
+def _loop_oracle(positions, vectors, k):
     """Mean of I_i = (K / sum w) * (sum w <v_j, v_k>) / (sum ||v_j||^2) over
     the points with pair weight and motion, one point and one pair at a time."""
-    nbhd = metrics._neighborhoods(positions, k, brute)
+    nbhd = metrics._neighborhoods(positions, k)
     scores = []
     for i in range(positions.shape[0]):
         num = wsum = energy = 0.0
@@ -106,10 +128,10 @@ class TestMoransIDefinition:
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_matches_loop_oracle(self, k, brute):
         pts, vec = _awkward_scene()
-        oracle, n_scored = _loop_oracle(pts, vec, k, brute)
-        assert n_scored < pts.shape[0] - 40   # both exclusions are exercised
-        assert morans_i_frame(pts, vec, k=k, brute_force=brute) == \
-            pytest.approx(oracle, rel=1e-12)
+        with _brute(brute):
+            oracle, n_scored = _loop_oracle(pts, vec, k)
+            assert n_scored < pts.shape[0] - 40   # both exclusions are exercised
+            assert morans_i_frame(pts, vec, k=k) == pytest.approx(oracle, rel=1e-12)
 
     def test_blocks_do_not_change_the_score(self, monkeypatch):
         pts, vec = _awkward_scene()
@@ -121,8 +143,8 @@ class TestMoransIDefinition:
     @pytest.mark.parametrize("k", [1, 0, -3])
     def test_fewer_than_two_neighbors_rejected(self, k, brute):
         pts, vec = _awkward_scene()
-        with pytest.raises(ValueError, match="K >= 2"):
-            morans_i_frame(pts, vec, k=k, brute_force=brute)
+        with _brute(brute), pytest.raises(ValueError, match="K >= 2"):
+            morans_i_frame(pts, vec, k=k)
 
     def test_memory_does_not_grow_with_pairs_per_point(self):
         rng = np.random.default_rng(14)
@@ -155,13 +177,14 @@ class TestMoransISequence:
     def test_bending_sheet_matches_brute_oracle(self):
         traj = gen_synthetic("bending-sheet", 300, 10, seed=0).positions
         fast = morans_i_sequence(traj, k=10)
-        slow = morans_i_sequence(traj, k=10, brute_force=True)
+        with _brute():
+            slow = morans_i_sequence(traj, k=10)
         np.testing.assert_allclose(fast.per_frame, slow.per_frame, atol=1e-10)
 
     def test_static_sequence_all_skipped(self):
         traj = np.tile(np.random.default_rng(9).normal(size=(1, 50, 3)), (4, 1, 1))
         rep = morans_i_sequence(traj, k=5)
-        assert rep.no_motion and np.isnan(rep.mean)
+        assert not rep.per_frame and np.isnan(rep.mean)
 
 
 class TestEpe:
@@ -197,11 +220,3 @@ class TestReport:
         assert lines[0] == "frame_idx,mean_I,epe,n_points"
         assert len(lines) == 3
         assert lines[2].startswith("2,,")
-
-    def test_global_morans_centered_variant(self):
-        rng = np.random.default_rng(12)
-        pts = rng.normal(size=(300, 3))
-        # smooth field over space: positively autocorrelated
-        v = np.column_stack([np.sin(pts[:, 0]), np.cos(pts[:, 1]),
-                             np.sin(pts[:, 2])])
-        assert metrics.global_morans_i(pts, v, k=10) > 0.3

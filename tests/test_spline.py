@@ -1,12 +1,44 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from splinefield import spline
-from splinefield.spline import (HermiteState, QuinticState, SplineTimeline,
-                                hermite_acceleration, hermite_position,
-                                hermite_velocity, knot_count, locate_segment,
-                                quintic_acceleration, quintic_position,
-                                quintic_velocity)
+from splinefield.spline import SegmentQuery, SplineTimeline, knot_count, locate_segment
+
+
+class HermiteState(NamedTuple):
+    """Endpoint positions and tangents of one cubic segment."""
+    p0: np.ndarray
+    m0: np.ndarray
+    p1: np.ndarray
+    m1: np.ndarray
+
+
+class QuinticState(NamedTuple):
+    """Endpoint positions, tangents and second derivatives of one quintic segment."""
+    p0: np.ndarray
+    m0: np.ndarray
+    a0: np.ndarray
+    p1: np.ndarray
+    m1: np.ndarray
+    a1: np.ndarray
+
+
+def hermite_position(t_bar, s):
+    return spline.segment_derivative(s, t_bar, 0)
+
+
+def hermite_velocity(t_bar, s):
+    return spline.segment_derivative(s, t_bar, 1)
+
+
+def hermite_acceleration(t_bar, s):
+    return spline.segment_derivative(s, t_bar, 2)
+
+
+quintic_position, quintic_velocity, quintic_acceleration = (
+    hermite_position, hermite_velocity, hermite_acceleration)   # the state picks the basis
 
 
 def _state(rng):
@@ -58,9 +90,10 @@ class TestLocateSegment:
             locate_segment(1.1, SplineTimeline(5))
 
     def test_tau_and_knot_times(self):
+        # segments are 0.25 long: knots 1 and 3 sit at t = 0.25 and 0.75
         tl = SplineTimeline(5)
-        assert tl.tau == pytest.approx(0.25)
-        assert tl.knot_time(4) == pytest.approx(1.0)
+        assert locate_segment(0.25, tl) == SegmentQuery(1, 0.0)
+        assert locate_segment(0.75, tl) == SegmentQuery(3, 0.0)
 
 
 class TestHermitePosition:
