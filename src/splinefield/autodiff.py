@@ -16,6 +16,7 @@ order yield bitwise-identical values and gradients.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class TapeStateError(RuntimeError):
@@ -368,45 +369,77 @@ def weighted_stack_sum(v: Var, stack) -> Var:
 
 
 def _cell_coords(u: np.ndarray, n: int):
-    """Clamp-to-edge cell lookup for grid sampling: (i0, frac)."""
+    """Clamp-to-edge cell lookup for grid sampling: (int32 i0, frac).
+
+    NaN has no cell and raises ValueError (the interpolation matrix does not
+    bounds-check its columns); +-inf clamps to the border."""
+    if u.ndim != 1:
+        raise ValueError(f"sample coordinates must be 1-D, got shape {u.shape}")
+    if n < 2:
+        raise ValueError(f"a sampled grid needs at least 2 cells per axis, got {n}")
+    if np.isnan(u).any():
+        raise ValueError("grid sample coordinates contain NaN")
     uc = np.clip(u, 0.0, n - 1.0)
-    i0 = np.minimum(np.floor(uc).astype(np.int64), n - 2)
-    return uc, i0, uc - i0
+    i0 = np.minimum(np.floor(uc).astype(np.int32), n - 2)
+    return i0, uc - i0
 
 
-def bilinear_sample(plane: Var, u, v) -> Var:
-    """Sample a [D, D, C] plane at fractional grid coordinates (u, v).
+def _sample_grid(grid: Var, cols: np.ndarray, weights: np.ndarray,
+                 backward_coords) -> Var:
+    """Row b of the result is sum_k weights[b, k] * grid cell cols[b, k].
 
-    Coordinates are in grid units [0, D-1] and clamped to the border.
-    Gradients flow to the plane and, when u/v are Vars, to the coordinates
-    (piecewise-constant derivative; exact within a cell).
-    """
-    tape = plane.tape
-    pv = plane.value
-    if pv.ndim != 3:
-        raise ValueError(f"plane must be [D, D, C], got {pv.shape}")
-    du, dv = pv.shape[0], pv.shape[1]
-    uv, i0, fu = _cell_coords(_val(u), du)
-    vv, j0, fv = _cell_coords(_val(v), dv)
-    i1, j1 = i0 + 1, j0 + 1
-    p00, p10 = pv[i0, j0], pv[i1, j0]
-    p01, p11 = pv[i0, j1], pv[i1, j1]
-    wu, wv = fu[:, None], fv[:, None]
-    out = Var(
-        p00 * (1 - wu) * (1 - wv) + p10 * wu * (1 - wv) + p01 * (1 - wu) * wv + p11 * wu * wv,
-        tape,
-    )
+    One CSR matrix S holds the weights; every row has the same k nonzeros,
+    so indptr is a stride-k range and no COO conversion or index sort is
+    needed. The forward is S @ grid, the backward adds S.T @ g to the
+    grid's gradient, then calls backward_coords(g) for the coordinates."""
+    gv = grid.value
+    n_cells = gv.size // gv.shape[-1]
+    b, k = cols.shape
+    S = sp.csr_matrix((weights.reshape(-1), cols.reshape(-1),
+                       np.arange(0, k * b + 1, k, dtype=np.int32)), shape=(b, n_cells))
+    out = Var(S @ gv.reshape(n_cells, -1), grid.tape)
 
     def bw():
         if out.grad is None:
             return
         g = out.grad
-        if plane.grad is None:
-            plane.grad = np.zeros_like(pv)
-        np.add.at(plane.grad, (i0, j0), g * (1 - wu) * (1 - wv))
-        np.add.at(plane.grad, (i1, j0), g * wu * (1 - wv))
-        np.add.at(plane.grad, (i0, j1), g * (1 - wu) * wv)
-        np.add.at(plane.grad, (i1, j1), g * wu * wv)
+        scattered = (S.T @ g).reshape(gv.shape)
+        if grid.grad is None:
+            grid.grad = scattered
+        else:
+            grid.grad += scattered
+        backward_coords(g)
+
+    grid.tape.record(bw)
+    return out
+
+
+def bilinear_sample(plane: Var, u, v) -> Var:
+    """Sample a [D, D, C] plane at fractional grid coordinates (u, v).
+
+    Coordinates are 1-D, in grid units [0, D-1], clamped to the border (so
+    +-inf reads the edge); NaN raises ValueError. One call builds one sparse
+    interpolation matrix S ([B, D*D], the 4 bilinear corner weights per
+    row): the forward is S @ plane and the plane's gradient S.T @ g.
+    Gradients also flow to u/v when they are Vars (piecewise-constant
+    derivative; exact within a cell).
+    """
+    pv = plane.value
+    if pv.ndim != 3:
+        raise ValueError(f"plane must be [D, D, C], got {pv.shape}")
+    du, dv = pv.shape[0], pv.shape[1]
+    i0, fu = _cell_coords(_val(u), du)
+    j0, fv = _cell_coords(_val(v), dv)
+    cols = (i0 * dv + j0)[:, None] + np.array([0, dv, 1, dv + 1], dtype=np.int32)
+    weights = np.stack([(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv], axis=1)
+
+    def backward_coords(g):
+        if not (isinstance(u, Var) or isinstance(v, Var)):
+            return
+        i1, j1 = i0 + 1, j0 + 1
+        p00, p10 = pv[i0, j0], pv[i1, j0]
+        p01, p11 = pv[i0, j1], pv[i1, j1]
+        wu, wv = fu[:, None], fv[:, None]
         if isinstance(u, Var):
             dpdu = (p10 - p00) * (1 - wv) + (p11 - p01) * wv
             _accum(u, (g * dpdu).sum(axis=1))
@@ -414,35 +447,27 @@ def bilinear_sample(plane: Var, u, v) -> Var:
             dpdv = (p01 - p00) * (1 - wu) + (p11 - p10) * wu
             _accum(v, (g * dpdv).sum(axis=1))
 
-    tape.record(bw)
-    return out
+    return _sample_grid(plane, cols, weights, backward_coords)
 
 
 def linear_sample(axis_grid: Var, u) -> Var:
-    """Sample a [D, C] axis at fractional grid coordinates u (clamped)."""
-    tape = axis_grid.tape
+    """Sample a [D, C] axis at fractional grid coordinates u.
+
+    Same contract as bilinear_sample: 1-D coordinates clamped to the
+    border, NaN rejected, and one sparse interpolation matrix ([B, D], 2
+    linear weights per row) applied forward and, transposed, backward.
+    """
     av = axis_grid.value
     if av.ndim != 2:
         raise ValueError(f"axis grid must be [D, C], got {av.shape}")
-    _, i0, fu = _cell_coords(_val(u), av.shape[0])
-    i1 = i0 + 1
-    a0, a1 = av[i0], av[i1]
-    wu = fu[:, None]
-    out = Var(a0 * (1 - wu) + a1 * wu, tape)
+    i0, fu = _cell_coords(_val(u), av.shape[0])
+    cols = i0[:, None] + np.array([0, 1], dtype=np.int32)
 
-    def bw():
-        if out.grad is None:
-            return
-        g = out.grad
-        if axis_grid.grad is None:
-            axis_grid.grad = np.zeros_like(av)
-        np.add.at(axis_grid.grad, i0, g * (1 - wu))
-        np.add.at(axis_grid.grad, i1, g * wu)
+    def backward_coords(g):
         if isinstance(u, Var):
-            _accum(u, (g * (a1 - a0)).sum(axis=1))
+            _accum(u, (g * (av[i0 + 1] - av[i0])).sum(axis=1))
 
-    tape.record(bw)
-    return out
+    return _sample_grid(axis_grid, cols, np.stack([1 - fu, fu], axis=1), backward_coords)
 
 
 # -- layers and the spec-facing surface ----------------------------------

@@ -141,6 +141,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if not (np.isfinite(args.scale) and args.scale > 0):
+        raise ValueError(f"--scale must be finite and > 0, got {args.scale}")
     fld = SplineField.load(args.ckpt)
     traj = dataio.read_traj(args.traj)
     split = dataio.split_frames(traj, SplitSpec(args.stride, args.frac),

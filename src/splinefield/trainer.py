@@ -304,7 +304,12 @@ def evaluate(field: SplineField, traj: TrajectorySet, split: Split,
     transitions between consecutive held-out frames, so with stride 4 the
     3 -> 5 transition spans training frame 4. Returns (summary dict with
     `epe`, `mean_I`, `n_frames` and `skipped`, the frames whose transition
-    had no motion; per-frame rows for a CSV report)."""
+    had no motion; per-frame rows for a CSV report). A trajectory whose point
+    count differs from the field's canonical points is a ValueError, raised
+    before anything is deformed."""
+    if traj.n_points != field.canonical.shape[0]:
+        raise ValueError(f"trajectory has {traj.n_points} points, "
+                         f"checkpoint has {field.canonical.shape[0]}")
     frames = list(split.test_frames if frames is None else frames)
     if not frames:
         raise ValueError("no frames to evaluate")

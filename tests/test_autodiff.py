@@ -359,6 +359,176 @@ class TestOps:
         np.testing.assert_array_equal(out.value[0], axis[2])
 
 
+# -- the former grid samplers: corner gathers forward, np.add.at back --------
+
+
+def _scatter_cells(u, n):
+    uc = np.clip(u, 0.0, n - 1.0)
+    i0 = np.minimum(np.floor(uc).astype(np.int64), n - 2)
+    return i0, uc - i0
+
+
+def _scatter_bilinear(plane, u, v, g):
+    """(value, d plane, d u, d v) of the four-gather, np.add.at sampler."""
+    i0, fu = _scatter_cells(u, plane.shape[0])
+    j0, fv = _scatter_cells(v, plane.shape[1])
+    i1, j1 = i0 + 1, j0 + 1
+    p00, p10 = plane[i0, j0], plane[i1, j0]
+    p01, p11 = plane[i0, j1], plane[i1, j1]
+    wu, wv = fu[:, None], fv[:, None]
+    value = p00 * (1 - wu) * (1 - wv) + p10 * wu * (1 - wv) + p01 * (1 - wu) * wv + p11 * wu * wv
+    grad = np.zeros_like(plane)
+    np.add.at(grad, (i0, j0), g * (1 - wu) * (1 - wv))
+    np.add.at(grad, (i1, j0), g * wu * (1 - wv))
+    np.add.at(grad, (i0, j1), g * (1 - wu) * wv)
+    np.add.at(grad, (i1, j1), g * wu * wv)
+    dpdu = (p10 - p00) * (1 - wv) + (p11 - p01) * wv
+    dpdv = (p01 - p00) * (1 - wu) + (p11 - p10) * wu
+    return value, grad, (g * dpdu).sum(axis=1), (g * dpdv).sum(axis=1)
+
+
+def _scatter_linear(axis, u, g):
+    """(value, d axis, d u) of the two-gather, np.add.at sampler."""
+    i0, fu = _scatter_cells(u, axis.shape[0])
+    i1 = i0 + 1
+    a0, a1 = axis[i0], axis[i1]
+    wu = fu[:, None]
+    grad = np.zeros_like(axis)
+    np.add.at(grad, i0, g * (1 - wu))
+    np.add.at(grad, i1, g * wu)
+    return a0 * (1 - wu) + a1 * wu, grad, (g * (a1 - a0)).sum(axis=1)
+
+
+def _assert_rel(actual, desired, tol=1e-14):
+    scale = max(np.abs(desired).max(), 1e-300)
+    assert np.abs(actual - desired).max() / scale <= tol
+
+
+def _sampled(D, B, case, rng):
+    """Coordinates in grid units for one sampling case."""
+    if case == "uniform":
+        return rng.uniform(0, D - 1, B)
+    if case == "one-cell":          # every sample lands in cell [1, 2)
+        return 1.0 + rng.uniform(0, 1, B)
+    if case == "upper-edge":        # exactly on D - 1, the last vertex
+        return np.full(B, D - 1.0)
+    if case == "below-zero":
+        return rng.uniform(-3.0, 0.0, B)
+    raise ValueError(case)
+
+
+CASES = [(D, case) for D in (2, 5) for case in ("uniform", "one-cell", "upper-edge",
+                                                "below-zero") if (D, case) != (2, "one-cell")]
+
+
+class TestGridSampling:
+    @pytest.mark.parametrize("D, case", CASES)
+    def test_bilinear_matches_scatter_oracle(self, D, case):
+        rng = np.random.default_rng(D)
+        B = 40
+        plane = rng.normal(size=(D, D, 3))
+        u = _sampled(D, B, case, rng)
+        v = rng.uniform(-1, D, B) if case == "upper-edge" else _sampled(D, B, case, rng)
+        g = rng.normal(size=(B, 3))
+        tape = Tape()
+        pvar, uvar, vvar = Var(plane, tape), Var(u, tape), Var(v, tape)
+        out = ad.bilinear_sample(pvar, uvar, vvar)
+        tape.backward(out, g)
+        value, dplane, du, dv = _scatter_bilinear(plane, u, v, g)
+        _assert_rel(out.value, value)
+        _assert_rel(pvar.grad, dplane)
+        _assert_rel(uvar.grad, du)
+        _assert_rel(vvar.grad, dv)
+
+    @pytest.mark.parametrize("D, case", CASES)
+    def test_linear_matches_scatter_oracle(self, D, case):
+        rng = np.random.default_rng(D)
+        B = 40
+        axis = rng.normal(size=(D, 3))
+        u = _sampled(D, B, case, rng)
+        g = rng.normal(size=(B, 3))
+        tape = Tape()
+        avar, uvar = Var(axis, tape), Var(u, tape)
+        out = ad.linear_sample(avar, uvar)
+        tape.backward(out, g)
+        value, daxis, du = _scatter_linear(axis, u, g)
+        _assert_rel(out.value, value)
+        _assert_rel(avar.grad, daxis)
+        _assert_rel(uvar.grad, du)
+
+    def test_grid_gradient_adds_to_existing_grad(self):
+        rng = np.random.default_rng(4)
+        plane = rng.normal(size=(4, 4, 2))
+        u, v = rng.uniform(0, 3, 9), rng.uniform(0, 3, 9)
+        g = rng.normal(size=(9, 2))
+        before = rng.normal(size=plane.shape)
+        tape = Tape()
+        pvar = Var(plane, tape)
+        pvar.grad = before.copy()
+        tape.backward(ad.bilinear_sample(pvar, u, v), g)
+        _assert_rel(pvar.grad, before + _scatter_bilinear(plane, u, v, g)[1])
+
+    @pytest.mark.parametrize("where", ["u", "v"])
+    def test_nan_coordinate_raises(self, where):
+        coords = {"u": np.array([0.5, 1.0]), "v": np.array([0.5, 1.0])}
+        coords[where][1] = np.nan
+        tape = Tape()
+        with pytest.raises(ValueError, match="NaN"):
+            ad.bilinear_sample(Var(np.zeros((3, 3, 2)), tape), coords["u"], coords["v"])
+        with pytest.raises(ValueError, match="NaN"):
+            ad.linear_sample(Var(np.zeros((3, 2)), tape), coords[where])
+
+    def test_infinite_coordinates_clamp_to_edge(self):
+        plane = np.arange(18.0).reshape(3, 3, 2)
+        axis = np.arange(6.0).reshape(3, 2)
+        u, v = np.array([-np.inf, np.inf]), np.array([np.inf, -np.inf])
+        tape = Tape()
+        pvar, avar = Var(plane, tape), Var(axis, tape)
+        pout = ad.bilinear_sample(pvar, u, v)
+        aout = ad.linear_sample(avar, u)
+        np.testing.assert_array_equal(pout.value, [plane[0, 2], plane[2, 0]])
+        np.testing.assert_array_equal(aout.value, [axis[0], axis[2]])
+        tape.backward(ad.vsum(pout) + ad.vsum(aout))
+        expected = np.zeros_like(plane)
+        expected[0, 2] = expected[2, 0] = 1.0
+        np.testing.assert_array_equal(pvar.grad, expected)
+        np.testing.assert_array_equal(avar.grad, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+
+    def test_single_cell_grid_or_2d_coordinates_rejected(self):
+        tape = Tape()
+        with pytest.raises(ValueError, match="at least 2"):
+            ad.linear_sample(Var(np.zeros((1, 2)), tape), np.array([0.0]))
+        with pytest.raises(ValueError, match="1-D"):
+            ad.bilinear_sample(Var(np.zeros((3, 3, 2)), tape), np.zeros((2, 2)),
+                               np.zeros((2, 2)))
+
+    def test_backward_runs_without_add_at(self, monkeypatch):
+        class AddWithoutAt:
+            def __init__(self, ufunc):
+                self._ufunc = ufunc
+
+            def __call__(self, *args, **kwargs):
+                return self._ufunc(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._ufunc, name)
+
+            def at(self, *args, **kwargs):
+                raise AssertionError("np.add.at called")
+
+        monkeypatch.setattr(np, "add", AddWithoutAt(np.add))
+        with pytest.raises(AssertionError):     # the patch reaches autodiff
+            ad.np.add.at(np.zeros(2), [0], 1.0)
+        rng = np.random.default_rng(5)
+        tape = Tape()
+        plane, axis = Var(rng.normal(size=(4, 4, 2)), tape), Var(rng.normal(size=(4, 2)), tape)
+        u = Var(rng.uniform(0, 3, 6), tape)
+        out = ad.mul(ad.bilinear_sample(plane, u, rng.uniform(0, 3, 6)),
+                     ad.linear_sample(axis, u))
+        tape.backward(ad.vsum(out))
+        assert plane.grad is not None and axis.grad is not None and u.grad is not None
+
+
 class TestParamStore:
     def test_grad_buffer_mirrors_shape_and_zeroes(self):
         store = ParamStore()

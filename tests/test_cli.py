@@ -5,7 +5,7 @@ import pytest
 
 from splinefield import cli, dataio, trainer
 from splinefield.cli import main
-from splinefield.field import DivergenceError
+from splinefield.field import DivergenceError, SplineField
 
 
 def _gen(tmp_path, kind="rigid-translate", points=40, frames=9, seed=0):
@@ -244,7 +244,6 @@ class TestInterpAdvectFlow:
         assert rc == 2
 
     def test_advect_dt_zero_equals_deform(self, tmp_path):
-        from splinefield.field import SplineField
         traj = _gen(tmp_path)
         ckpt = _fit(tmp_path, traj)
         out = tmp_path / "adv.ply"
@@ -293,6 +292,8 @@ MALFORMED = {
     "fit-one-train-frame": (["fit", "--traj", "{traj}", "--stride", "9"], "training frames"),
     "fit-unknown-set-key": (["fit", "--traj", "{traj}", "--set", "nope=1"], "nope"),
     "fit-unknown-variant": (["fit", "--traj", "{traj}", "--variant", "nope"], "nope"),
+    **{f"eval-scale-{x}": (["eval", "--ckpt", "{ckpt}", "--traj", "{traj}", "--scale", x],
+                           "--scale") for x in ("nan", "-1", "0", "inf")},
 }
 
 
@@ -300,12 +301,24 @@ class TestMalformedInput:
     @pytest.mark.parametrize("argv, named", MALFORMED.values(), ids=MALFORMED.keys())
     def test_is_usage_error(self, fitted, tmp_path, capsys, argv, named):
         traj, ckpt = fitted
-        out = "--out-prefix" if argv[0] == "flow" else "--out"
+        out = {"flow": "--out-prefix", "eval": "--report"}.get(argv[0], "--out")
         argv = [a.format(traj=traj, ckpt=ckpt) for a in argv]
         assert main([*argv, out, str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    def test_eval_point_count_mismatch_fails_before_deforming(self, fitted, tmp_path,
+                                                              capsys, monkeypatch):
+        _, ckpt = fitted
+        traj = _gen(tmp_path, points=50)
+
+        def no_deform(*args, **kwargs):
+            raise AssertionError("deform ran before the point counts were checked")
+        monkeypatch.setattr(SplineField, "deform", no_deform)
+        assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj)]) == 2
+        err = capsys.readouterr().err
+        assert "trajectory has 50 points, checkpoint has 40" in err
 
 
 class TestEnv:
