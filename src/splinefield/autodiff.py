@@ -5,6 +5,12 @@ in exact reverse execution order, dropping each one as it runs. A ParamStore
 gives each parameter one leaf Var per tape whose grad is the store's array, so
 backward sums into it in place: zero the grads first. A NoGradTape runs the
 same forward ops but records nothing, for inference.
+
+Every primitive keeps one contract, through `_op`: one forward value and
+one backward rule, which runs only once a gradient has reached the output.
+Operands may be Vars or constants (arrays, floats); a constant operand gets
+no gradient, and none is computed for it.
+
 The engine covers exactly what the deformation-field pipeline needs: dense
 linear layers, low-rank weighted stacks, sine/relu activations, grid
 sampling, gathers, reductions.
@@ -103,40 +109,17 @@ class Var:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0) if isinstance(other, Var) else -_cval(other))
-
-    def __rsub__(self, other):
-        return add(scale(self, -1.0), other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            raise TypeError("Var / Var not supported; divide by a constant")
-        return scale(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take(self, key)
 
 
-def _cval(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
 def _val(x) -> np.ndarray:
-    return x.value if isinstance(x, Var) else _cval(x)
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
 def _tape_of(*xs) -> Tape:
@@ -156,207 +139,139 @@ def _accum(x, g) -> None:
         x.grad += g
 
 
+def _op(value, tape: Tape, backward) -> Var:
+    """The output Var of one primitive, with one closure on the tape that
+    calls backward(out.grad) once a gradient has reached the output. An
+    output that never reaches the loss leaves its operands' grads alone."""
+    out = Var(value, tape)
+
+    def bw():
+        if out.grad is not None:
+            backward(out.grad)
+
+    tape.record(bw)
+    return out
+
+
 # -- primitive operations ------------------------------------------------
 
 
 def add(a, b) -> Var:
-    tape = _tape_of(a, b)
-    out = Var(_val(a) + _val(b), tape)
+    def backward(g):
+        _accum(a, g)
+        _accum(b, g)
 
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, out.grad)
-        _accum(b, out.grad)
-
-    tape.record(bw)
-    return out
+    return _op(_val(a) + _val(b), _tape_of(a, b), backward)
 
 
 def mul(a, b) -> Var:
-    tape = _tape_of(a, b)
+    """Elementwise a * b; a constant factor (array or float) gets no gradient."""
     av, bv = _val(a), _val(b)
-    out = Var(av * bv, tape)
 
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, out.grad * bv)
-        _accum(b, out.grad * av)
+    def backward(g):
+        if isinstance(a, Var):
+            _accum(a, g * bv)
+        if isinstance(b, Var):
+            _accum(b, g * av)
 
-    tape.record(bw)
-    return out
-
-
-def scale(a: Var, c: float) -> Var:
-    out = Var(a.value * c, a.tape)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, out.grad * c)
-
-    a.tape.record(bw)
-    return out
+    return _op(av * bv, _tape_of(a, b), backward)
 
 
 def matmul(a, b) -> Var:
-    tape = _tape_of(a, b)
     av, bv = _val(a), _val(b)
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-    out = Var(av @ bv, tape)
 
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, out.grad @ bv.T)
-        _accum(b, av.T @ out.grad)
+    def backward(g):
+        if isinstance(a, Var):
+            _accum(a, g @ bv.T)
+        if isinstance(b, Var):
+            _accum(b, av.T @ g)
 
-    tape.record(bw)
-    return out
+    return _op(av @ bv, _tape_of(a, b), backward)
 
 
 def sine(x: Var, w0: float = 1.0) -> Var:
     """Elementwise sin(w0 * x)."""
     xv = x.value
-    out = Var(np.sin(w0 * xv), x.tape)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(x, out.grad * (w0 * np.cos(w0 * xv)))
-
-    x.tape.record(bw)
-    return out
+    return _op(np.sin(w0 * xv), x.tape, lambda g: _accum(x, g * (w0 * np.cos(w0 * xv))))
 
 
 def relu(x: Var) -> Var:
     mask = x.value > 0.0
-    out = Var(np.where(mask, x.value, 0.0), x.tape)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(x, out.grad * mask)
-
-    x.tape.record(bw)
-    return out
+    return _op(np.where(mask, x.value, 0.0), x.tape, lambda g: _accum(x, g * mask))
 
 
 def absolute(x: Var) -> Var:
     """Elementwise |x| with subgradient 0 at 0."""
     s = np.sign(x.value)
-    out = Var(np.abs(x.value), x.tape)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(x, out.grad * s)
-
-    x.tape.record(bw)
-    return out
+    return _op(np.abs(x.value), x.tape, lambda g: _accum(x, g * s))
 
 
 def sqrt(x: Var, eps: float = 0.0) -> Var:
     """Elementwise sqrt(x + eps); pass a small eps to keep gradients finite at 0."""
     root = np.sqrt(x.value + eps)
-    out = Var(root, x.tape)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(x, out.grad * (0.5 / np.maximum(root, 1e-300)))
-
-    x.tape.record(bw)
-    return out
+    return _op(root, x.tape, lambda g: _accum(x, g * (0.5 / np.maximum(root, 1e-300))))
 
 
 def vsum(x: Var, axis=None, keepdims: bool = False) -> Var:
-    out = Var(x.value.sum(axis=axis, keepdims=keepdims), x.tape)
-
-    def bw():
-        if out.grad is None:
-            return
-        g = out.grad
+    def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(x, np.broadcast_to(g, x.value.shape))
 
-    x.tape.record(bw)
-    return out
+    return _op(x.value.sum(axis=axis, keepdims=keepdims), x.tape, backward)
 
 
 def vmean(x: Var, axis=None, keepdims: bool = False) -> Var:
     n = x.value.size if axis is None else np.prod(
         [x.value.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
     )
-    return scale(vsum(x, axis=axis, keepdims=keepdims), 1.0 / float(n))
+    return mul(vsum(x, axis=axis, keepdims=keepdims), 1.0 / float(n))
 
 
 def reshape(x: Var, shape) -> Var:
-    out = Var(x.value.reshape(shape), x.tape)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(x, out.grad.reshape(x.value.shape))
-
-    x.tape.record(bw)
-    return out
+    return _op(x.value.reshape(shape), x.tape, lambda g: _accum(x, g.reshape(x.value.shape)))
 
 
 def concat(xs, axis: int = 0) -> Var:
-    tape = _tape_of(*xs)
     vals = [_val(x) for x in xs]
-    out = Var(np.concatenate(vals, axis=axis), tape)
     offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
 
-    def bw():
-        if out.grad is None:
-            return
+    def backward(g):
         for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * out.grad.ndim
+            sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
-            _accum(x, out.grad[tuple(sl)])
+            _accum(x, g[tuple(sl)])
 
-    tape.record(bw)
-    return out
+    return _op(np.concatenate(vals, axis=axis), _tape_of(*xs), backward)
 
 
 def take(x: Var, key) -> Var:
     """x.value[key] for any numpy key: slices, or integer arrays gathering
     rows along axis 0. Repeated indices sum their gradients."""
-    out = Var(np.array(x.value[key]), x.tape)
 
-    def bw():
-        if out.grad is None:
-            return
+    def backward(g):
         if x.grad is None:
             x.grad = np.zeros_like(x.value)
-        np.add.at(x.grad, key, out.grad)
+        np.add.at(x.grad, key, g)
 
-    x.tape.record(bw)
-    return out
+    return _op(np.array(x.value[key]), x.tape, backward)
 
 
-def weighted_stack_sum(v: Var, stack) -> Var:
+def weighted_stack_sum(v, stack) -> Var:
     """sum_r v[r] * stack[r] over the leading axis of `stack`.
 
     v has shape [rank], stack [rank, ...]; the result has stack's trailing
-    shape. Gradients flow to both operands.
+    shape. Gradients flow to the operands that are Vars.
     """
-    tape = _tape_of(v, stack)
     vv, sv = _val(v), _val(stack)
     if vv.ndim != 1 or sv.shape[0] != vv.shape[0]:
         raise ValueError(f"rank mismatch: v {vv.shape} vs stack {sv.shape}")
-    out = Var(np.tensordot(vv, sv, axes=(0, 0)), tape)
 
-    def bw():
-        if out.grad is None:
-            return
-        g = out.grad
-        _accum(v, np.tensordot(sv, g, axes=(tuple(range(1, sv.ndim)), tuple(range(g.ndim)))))
+    def backward(g):
+        if isinstance(v, Var):
+            _accum(v, np.tensordot(sv, g, axes=(tuple(range(1, sv.ndim)), tuple(range(g.ndim)))))
         if isinstance(stack, Var):      # one rank at a time, no [rank, ...] temporary
             if stack.grad is None:
                 stack.grad = np.zeros_like(sv)
@@ -364,15 +279,15 @@ def weighted_stack_sum(v: Var, stack) -> Var:
             for r in range(vv.shape[0]):
                 stack.grad[r] += np.multiply(g, vv[r], out=term)
 
-    tape.record(bw)
-    return out
+    return _op(np.tensordot(vv, sv, axes=(0, 0)), _tape_of(v, stack), backward)
 
 
-def _cell_coords(u: np.ndarray, n: int):
+def _cell_coords(u, n: int):
     """Clamp-to-edge cell lookup for grid sampling: (int32 i0, frac).
 
     NaN has no cell and raises ValueError (the interpolation matrix does not
     bounds-check its columns); +-inf clamps to the border."""
+    u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError(f"sample coordinates must be 1-D, got shape {u.shape}")
     if n < 2:
@@ -384,90 +299,63 @@ def _cell_coords(u: np.ndarray, n: int):
     return i0, uc - i0
 
 
-def _sample_grid(grid: Var, cols: np.ndarray, weights: np.ndarray,
-                 backward_coords) -> Var:
+def _sample_grid(grid: Var, cols: np.ndarray, weights: np.ndarray) -> Var:
     """Row b of the result is sum_k weights[b, k] * grid cell cols[b, k].
 
     One CSR matrix S holds the weights; every row has the same k nonzeros,
     so indptr is a stride-k range and no COO conversion or index sort is
     needed. The forward is S @ grid, the backward adds S.T @ g to the
-    grid's gradient, then calls backward_coords(g) for the coordinates."""
+    grid's gradient."""
     gv = grid.value
     n_cells = gv.size // gv.shape[-1]
     b, k = cols.shape
     S = sp.csr_matrix((weights.reshape(-1), cols.reshape(-1),
                        np.arange(0, k * b + 1, k, dtype=np.int32)), shape=(b, n_cells))
-    out = Var(S @ gv.reshape(n_cells, -1), grid.tape)
 
-    def bw():
-        if out.grad is None:
-            return
-        g = out.grad
+    def backward(g):
         scattered = (S.T @ g).reshape(gv.shape)
         if grid.grad is None:
             grid.grad = scattered
         else:
             grid.grad += scattered
-        backward_coords(g)
 
-    grid.tape.record(bw)
-    return out
+    return _op(S @ gv.reshape(n_cells, -1), grid.tape, backward)
 
 
 def bilinear_sample(plane: Var, u, v) -> Var:
     """Sample a [D, D, C] plane at fractional grid coordinates (u, v).
 
-    Coordinates are 1-D, in grid units [0, D-1], clamped to the border (so
-    +-inf reads the edge); NaN raises ValueError. One call builds one sparse
-    interpolation matrix S ([B, D*D], the 4 bilinear corner weights per
-    row): the forward is S @ plane and the plane's gradient S.T @ g.
-    Gradients also flow to u/v when they are Vars (piecewise-constant
-    derivative; exact within a cell).
+    The coordinates are 1-D arrays in grid units [0, D-1] and get no
+    gradient. They are clamped to the border (so +-inf reads the edge);
+    NaN raises ValueError. One call builds one sparse interpolation matrix
+    S ([B, D*D], the 4 bilinear corner weights per row): the forward is
+    S @ plane and the plane's gradient S.T @ g.
     """
     pv = plane.value
     if pv.ndim != 3:
         raise ValueError(f"plane must be [D, D, C], got {pv.shape}")
     du, dv = pv.shape[0], pv.shape[1]
-    i0, fu = _cell_coords(_val(u), du)
-    j0, fv = _cell_coords(_val(v), dv)
+    i0, fu = _cell_coords(u, du)
+    j0, fv = _cell_coords(v, dv)
     cols = (i0 * dv + j0)[:, None] + np.array([0, dv, 1, dv + 1], dtype=np.int32)
     weights = np.stack([(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv], axis=1)
-
-    def backward_coords(g):
-        if not (isinstance(u, Var) or isinstance(v, Var)):
-            return
-        i1, j1 = i0 + 1, j0 + 1
-        p00, p10 = pv[i0, j0], pv[i1, j0]
-        p01, p11 = pv[i0, j1], pv[i1, j1]
-        wu, wv = fu[:, None], fv[:, None]
-        if isinstance(u, Var):
-            dpdu = (p10 - p00) * (1 - wv) + (p11 - p01) * wv
-            _accum(u, (g * dpdu).sum(axis=1))
-        if isinstance(v, Var):
-            dpdv = (p01 - p00) * (1 - wu) + (p11 - p10) * wu
-            _accum(v, (g * dpdv).sum(axis=1))
-
-    return _sample_grid(plane, cols, weights, backward_coords)
+    return _sample_grid(plane, cols, weights)
 
 
 def linear_sample(axis_grid: Var, u) -> Var:
     """Sample a [D, C] axis at fractional grid coordinates u.
 
-    Same contract as bilinear_sample: 1-D coordinates clamped to the
-    border, NaN rejected, and one sparse interpolation matrix ([B, D], 2
-    linear weights per row) applied forward and, transposed, backward.
+    Same contract as bilinear_sample: a 1-D coordinate array that gets no
+    gradient, clamped to the border, NaN rejected, and one sparse
+    interpolation matrix ([B, D], 2 linear weights per row) applied forward
+    and, transposed, backward.
     """
     av = axis_grid.value
     if av.ndim != 2:
         raise ValueError(f"axis grid must be [D, C], got {av.shape}")
-    i0, fu = _cell_coords(_val(u), av.shape[0])
+    i0, fu = _cell_coords(u, av.shape[0])
     cols = i0[:, None] + np.array([0, 1], dtype=np.int32)
-
-    def backward_coords(g):
-        if isinstance(u, Var):
-            _accum(u, (g * (av[i0 + 1] - av[i0])).sum(axis=1))
-
-    return _sample_grid(axis_grid, cols, np.stack([1 - fu, fu], axis=1), backward_coords)
+    return _sample_grid(axis_grid, cols, np.stack([1 - fu, fu], axis=1))
 
 
 # -- layers and the spec-facing surface ----------------------------------

@@ -207,7 +207,10 @@ def write_checkpoint(path, arrays: dict, header: dict | None = None) -> None:
 
 
 def read_checkpoint(path):
-    """Read a checkpoint file; returns (arrays, header)."""
+    """Read a checkpoint file; returns (arrays, header).
+
+    A non-finite value, a repeated array name or bytes after the last
+    section raise FormatError naming the array or the byte offset."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:8] != CKPT_MAGIC:
@@ -227,6 +230,8 @@ def read_checkpoint(path):
             (nlen,) = struct.unpack_from("<H", data, off)
             off += 2
             name = data[off:off + nlen].decode("utf-8")
+            if name in arrays:
+                raise FormatError(f"repeated array {name!r} at byte {off}")
             off += nlen
             (rank,) = struct.unpack_from("<B", data, off)
             off += 1
@@ -236,12 +241,17 @@ def read_checkpoint(path):
             payload = data[off:off + 4 * n]
             if len(payload) != 4 * n:
                 raise FormatError(f"truncated payload for {name!r} at byte {off}")
-            arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+            arr = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+            if not np.isfinite(arr).all():
+                raise FormatError(f"non-finite value in array {name!r} at byte {off}")
+            arrays[name] = arr
             off += 4 * n
     except struct.error as e:
         raise FormatError(f"truncated file at byte {off}: {e}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"malformed header or array name at byte {off}: {e}") from None
+    if off != len(data):
+        raise FormatError(f"{len(data) - off} trailing bytes at byte {off}")
     return arrays, header
 
 

@@ -126,7 +126,7 @@ class SirenResFieldsEncoder:
         coupled baseline has no knots and passes None with its query time t."""
         v_t = None if knot_idx is None else materialize_code(tape, store, self.n_knots,
                                                              knot_idx)
-        h = Var(self.features(x_norm, t), tape)
+        h = self.features(x_norm, t)
         for i in range(self.depth):
             wb = store.var(f"enc.mlp.l{i}.Wb", tape)
             wres = store.var(f"enc.mlp.l{i}.Wres", tape) if self.rank > 0 else None
@@ -173,8 +173,6 @@ class TriplaneEncoder:
     def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
                knot_idx: int) -> Var:
         v_t = materialize_code(tape, store, self.n_knots, knot_idx)
-        if not np.all(np.isfinite(x_norm)):
-            raise ValueError("non-finite coordinates")
         feats = []
         for li, d in enumerate(self.levels):
             level = None

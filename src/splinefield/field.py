@@ -175,7 +175,12 @@ class SplineField:
     # -- queries -----------------------------------------------------------
 
     def normalize(self, points: np.ndarray) -> np.ndarray:
-        return (np.asarray(points, dtype=np.float64) - self.center) / self.half_extent
+        """Query points mapped to the encoders' [-1, 1] box; every query of
+        every variant passes here, so a NaN or inf point raises ValueError."""
+        points = np.asarray(points, dtype=np.float64)
+        if not np.all(np.isfinite(points)):
+            raise ValueError("query points must be finite")
+        return (points - self.center) / self.half_extent
 
     def predict_knot(self, tape: Tape, points: np.ndarray, knot_idx: int):
         """Predict (delta_x, m[, a]) Vars of shape [B, 3] at one knot."""
@@ -213,11 +218,11 @@ class SplineField:
         if order == 1:
             lo, hi = max(t - _FD_T_EPS, 0.0), min(t + _FD_T_EPS, 1.0)
             a, b = (self._coupled_var(tape, points, s, 0) for s in (hi, lo))
-            return ad.scale(ad.add(a, ad.scale(b, -1.0)), 1.0 / (hi - lo))
+            return ad.mul(ad.add(a, ad.mul(b, -1.0)), 1.0 / (hi - lo))
         eps = 10.0 * _FD_T_EPS
         tq = min(max(t, eps), 1.0 - eps)
         a, b, c = (self._coupled_var(tape, points, s, 0) for s in (tq + eps, tq, tq - eps))
-        return ad.scale(ad.add(ad.add(a, c), ad.scale(b, -2.0)), 1.0 / eps ** 2)
+        return ad.mul(ad.add(ad.add(a, c), ad.mul(b, -2.0)), 1.0 / eps ** 2)
 
     def deform_var(self, tape, points, t_query, knot_cache=None) -> Var:
         """Differentiable deformation of `points` to time t_query."""
@@ -229,7 +234,7 @@ class SplineField:
         coupled baseline's is always per unit of global time)."""
         v = self.derivative_var(tape, points, t_query, 1, knot_cache)
         if physical and self.cfg.variant != "coupled4d-baseline":
-            v = ad.scale(v, float(self.cfg.n_knots - 1))
+            v = ad.mul(v, float(self.cfg.n_knots - 1))
         return v
 
     def acceleration_var(self, tape, points, t_query, knot_cache=None) -> Var:

@@ -98,7 +98,7 @@ def velocity_loss_rows(velocities: Var, rows, nbrs, weights) -> Var:
     rows = np.asarray(rows)
     vi = ad.reshape(ad.take(velocities, rows), (len(rows), 1, 3))
     vn = ad.take(velocities, nbrs)
-    diff = ad.add(vi, ad.scale(vn, -1.0))
+    diff = ad.add(vi, ad.mul(vn, -1.0))
     sq = ad.vsum(ad.mul(diff, diff), axis=2)
     return ad.vmean(ad.vsum(ad.mul(sq, weights), axis=1))
 

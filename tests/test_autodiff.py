@@ -1,4 +1,5 @@
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -232,7 +233,7 @@ class TestParamStoreLeaves:
     def test_stores_sharing_a_name_get_their_own_leaves(self):
         a, b = _wb_store(), _wb_store()
         tape = Tape()
-        tape.backward(ad.vsum(a.var("W", tape)) + ad.vsum(ad.scale(b.var("W", tape), 2.0)))
+        tape.backward(ad.vsum(a.var("W", tape)) + ad.vsum(ad.mul(b.var("W", tape), 2.0)))
         np.testing.assert_array_equal(a.grad("W"), np.ones((2, 4)))
         np.testing.assert_array_equal(b.grad("W"), np.full((2, 4), 2.0))
 
@@ -252,7 +253,7 @@ class TestParamStoreLeaves:
         store = _wb_store()
         tape = Tape()
         w = store.var("W", tape)
-        loss = ad.vsum(w) + ad.vsum(ad.scale(store.var("W", tape), 3.0))
+        loss = ad.vsum(w) + ad.vsum(ad.mul(store.var("W", tape), 3.0))
         grad = store.grad("W")
         tape.backward(loss)
         assert store.grad("W") is grad
@@ -369,7 +370,7 @@ def _scatter_cells(u, n):
 
 
 def _scatter_bilinear(plane, u, v, g):
-    """(value, d plane, d u, d v) of the four-gather, np.add.at sampler."""
+    """(value, d plane) of the four-gather, np.add.at sampler."""
     i0, fu = _scatter_cells(u, plane.shape[0])
     j0, fv = _scatter_cells(v, plane.shape[1])
     i1, j1 = i0 + 1, j0 + 1
@@ -382,13 +383,11 @@ def _scatter_bilinear(plane, u, v, g):
     np.add.at(grad, (i1, j0), g * wu * (1 - wv))
     np.add.at(grad, (i0, j1), g * (1 - wu) * wv)
     np.add.at(grad, (i1, j1), g * wu * wv)
-    dpdu = (p10 - p00) * (1 - wv) + (p11 - p01) * wv
-    dpdv = (p01 - p00) * (1 - wu) + (p11 - p10) * wu
-    return value, grad, (g * dpdu).sum(axis=1), (g * dpdv).sum(axis=1)
+    return value, grad
 
 
 def _scatter_linear(axis, u, g):
-    """(value, d axis, d u) of the two-gather, np.add.at sampler."""
+    """(value, d axis) of the two-gather, np.add.at sampler."""
     i0, fu = _scatter_cells(u, axis.shape[0])
     i1 = i0 + 1
     a0, a1 = axis[i0], axis[i1]
@@ -396,7 +395,7 @@ def _scatter_linear(axis, u, g):
     grad = np.zeros_like(axis)
     np.add.at(grad, i0, g * (1 - wu))
     np.add.at(grad, i1, g * wu)
-    return a0 * (1 - wu) + a1 * wu, grad, (g * (a1 - a0)).sum(axis=1)
+    return a0 * (1 - wu) + a1 * wu, grad
 
 
 def _assert_rel(actual, desired, tol=1e-14):
@@ -431,14 +430,12 @@ class TestGridSampling:
         v = rng.uniform(-1, D, B) if case == "upper-edge" else _sampled(D, B, case, rng)
         g = rng.normal(size=(B, 3))
         tape = Tape()
-        pvar, uvar, vvar = Var(plane, tape), Var(u, tape), Var(v, tape)
-        out = ad.bilinear_sample(pvar, uvar, vvar)
+        pvar = Var(plane, tape)
+        out = ad.bilinear_sample(pvar, u, v)
         tape.backward(out, g)
-        value, dplane, du, dv = _scatter_bilinear(plane, u, v, g)
+        value, dplane = _scatter_bilinear(plane, u, v, g)
         _assert_rel(out.value, value)
         _assert_rel(pvar.grad, dplane)
-        _assert_rel(uvar.grad, du)
-        _assert_rel(vvar.grad, dv)
 
     @pytest.mark.parametrize("D, case", CASES)
     def test_linear_matches_scatter_oracle(self, D, case):
@@ -448,13 +445,12 @@ class TestGridSampling:
         u = _sampled(D, B, case, rng)
         g = rng.normal(size=(B, 3))
         tape = Tape()
-        avar, uvar = Var(axis, tape), Var(u, tape)
-        out = ad.linear_sample(avar, uvar)
+        avar = Var(axis, tape)
+        out = ad.linear_sample(avar, u)
         tape.backward(out, g)
-        value, daxis, du = _scatter_linear(axis, u, g)
+        value, daxis = _scatter_linear(axis, u, g)
         _assert_rel(out.value, value)
         _assert_rel(avar.grad, daxis)
-        _assert_rel(uvar.grad, du)
 
     def test_grid_gradient_adds_to_existing_grad(self):
         rng = np.random.default_rng(4)
@@ -522,11 +518,73 @@ class TestGridSampling:
         rng = np.random.default_rng(5)
         tape = Tape()
         plane, axis = Var(rng.normal(size=(4, 4, 2)), tape), Var(rng.normal(size=(4, 2)), tape)
-        u = Var(rng.uniform(0, 3, 6), tape)
+        u = rng.uniform(0, 3, 6)
         out = ad.mul(ad.bilinear_sample(plane, u, rng.uniform(0, 3, 6)),
                      ad.linear_sample(axis, u))
         tape.backward(ad.vsum(out))
-        assert plane.grad is not None and axis.grad is not None and u.grad is not None
+        assert plane.grad is not None and axis.grad is not None
+
+
+# every primitive on operands it differentiates: name -> (operand values, call)
+_R = np.random.default_rng(11)
+PRIMITIVES = {
+    "add": ([_R.normal(size=(3, 2)), _R.normal(size=2)], ad.add),
+    "mul": ([_R.normal(size=(3, 2)), _R.normal(size=(3, 2))], ad.mul),
+    "matmul": ([_R.normal(size=(3, 2)), _R.normal(size=(2, 4))], ad.matmul),
+    "sine": ([_R.normal(size=5)], lambda x: ad.sine(x, 3.0)),
+    "relu": ([_R.normal(size=5)], ad.relu),
+    "absolute": ([_R.normal(size=5)], ad.absolute),
+    "sqrt": ([_R.uniform(1, 2, 5)], ad.sqrt),
+    "vsum": ([_R.normal(size=(3, 2))], lambda x: ad.vsum(x, axis=1)),
+    "reshape": ([_R.normal(size=(3, 2))], lambda x: ad.reshape(x, (6,))),
+    "concat": ([_R.normal(size=(3, 2)), _R.normal(size=(3, 1))],
+               lambda a, b: ad.concat([a, b], axis=1)),
+    "take": ([_R.normal(size=(4, 2))], lambda x: ad.take(x, np.array([0, 2, 2]))),
+    "weighted_stack_sum": ([_R.normal(size=2), _R.normal(size=(2, 3, 3))],
+                           ad.weighted_stack_sum),
+    "bilinear_sample": ([_R.normal(size=(3, 3, 2))],
+                        lambda p: ad.bilinear_sample(p, np.linspace(0, 2, 4),
+                                                     np.linspace(2, 0, 4))),
+    "linear_sample": ([_R.normal(size=(3, 2))],
+                      lambda a: ad.linear_sample(a, np.linspace(0, 2, 4))),
+}
+
+
+class TestOpContract:
+    def test_every_primitive_is_listed(self):
+        built_on_op = {name for name, f in vars(ad).items()
+                       if inspect.isfunction(f) and not name.startswith("_")
+                       and {"_op", "_sample_grid"} & set(f.__code__.co_names)}
+        assert built_on_op == set(PRIMITIVES)
+
+    def test_records_one_node(self):
+        for values, call in PRIMITIVES.values():
+            tape = Tape()
+            call(*[Var(v, tape) for v in values])
+            assert len(tape._nodes) == 1
+
+    @pytest.mark.parametrize("name", PRIMITIVES)
+    def test_output_off_the_loss_path_leaves_operands_alone(self, name):
+        values, call = PRIMITIVES[name]
+        tape = Tape()
+        operands = [Var(v, tape) for v in values]
+        call(*operands)                     # recorded, never reaches the loss
+        z = Var(np.arange(3.0), tape)
+        tape.backward(ad.vsum(ad.mul(z, z)))
+        assert [x.grad for x in operands] == [None] * len(operands)
+        np.testing.assert_array_equal(z.grad, 2.0 * np.arange(3.0))
+
+    @pytest.mark.parametrize("name, expected", [
+        ("mul", lambda c, x: c),
+        ("matmul", lambda c, x: c.T @ np.ones((c.shape[0], x.shape[1]))),
+        ("weighted_stack_sum", lambda c, x: c[:, None, None] * np.ones_like(x)),
+    ])
+    def test_constant_first_operand(self, name, expected):
+        (c, xv), call = PRIMITIVES[name]
+        tape = Tape()
+        x = Var(xv, tape)
+        tape.backward(ad.vsum(call(c, x)))
+        np.testing.assert_array_equal(x.grad, expected(c, xv))
 
 
 class TestParamStore:
@@ -572,7 +630,7 @@ class TestFdCheck:
 
         def loss(tape):
             th = store.var("theta", tape)
-            return ad.vsum(ad.scale(th, 0.0))
+            return ad.vsum(ad.mul(th, 0.0))
 
         assert fd_check(loss, store, samples=2) == 0.0
 

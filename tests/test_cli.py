@@ -321,6 +321,62 @@ class TestMalformedInput:
         assert "trajectory has 50 points, checkpoint has 40" in err
 
 
+def _nan_in_bias(ckpt, bad):
+    """One NaN in dec.l0.b."""
+    arrays, header = dataio.read_checkpoint(ckpt)
+    arrays["dec.l0.b"][0] = np.nan
+    dataio.write_checkpoint(bad, arrays, header)
+
+
+def _second_canonical(ckpt, bad):
+    """A second __canonical__ section, of zeros, after the last one."""
+    data = bytearray(ckpt.read_bytes())
+    (hlen,) = struct.unpack_from("<I", data, 12)
+    (count,) = struct.unpack_from("<I", data, 16 + hlen)
+    struct.pack_into("<I", data, 16 + hlen, count + 1)
+    n = dataio.read_checkpoint(ckpt)[0]["__canonical__"].shape[0]
+    name = b"__canonical__"
+    data += (struct.pack("<H", len(name)) + name + struct.pack("<BII", 2, n, 3)
+             + np.zeros((n, 3), dtype="<f4").tobytes())
+    bad.write_bytes(bytes(data))
+
+
+def _trailing_garbage(ckpt, bad):
+    bad.write_bytes(ckpt.read_bytes() + b"garbage")
+
+
+CORRUPTIONS = {"nan-in-dec.l0.b": (_nan_in_bias, "'dec.l0.b'"),
+               "repeated-canonical": (_second_canonical, "'__canonical__'"),
+               "trailing-bytes": (_trailing_garbage, "trailing bytes")}
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--traj", "{traj}", "--report", "{out}/report.csv"],
+        ["interp", "--times", "0.0,0.5", "--out", "{out}/interp.traj"],
+        ["advect", "--from-t", "0.5", "--dt", "0.1", "--out", "{out}/adv.ply"],
+        ["flow", "--frames", "2", "--out-prefix", "{out}/flow"],
+    ], ids=["eval", "interp", "advect", "flow"])
+    def test_non_finite_value_is_io_error(self, fitted, tmp_path, capsys, argv):
+        traj, ckpt = fitted
+        bad, out = tmp_path / "bad.ckpt", tmp_path / "out"
+        _nan_in_bias(ckpt, bad)
+        out.mkdir()
+        argv = [a.format(traj=traj, out=out) for a in argv]
+        assert main([argv[0], "--ckpt", str(bad), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "'dec.l0.b'" in err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("corrupt, named", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+    def test_eval_is_io_error(self, fitted, tmp_path, capsys, corrupt, named):
+        traj, ckpt = fitted
+        bad = tmp_path / "bad.ckpt"
+        corrupt(ckpt, bad)
+        assert main(["eval", "--ckpt", str(bad), "--traj", str(traj)]) == 1
+        assert named in capsys.readouterr().err
+
+
 class TestEnv:
     def test_bad_threads_value(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SDF_THREADS", "banana")

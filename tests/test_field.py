@@ -4,7 +4,7 @@ import pytest
 from splinefield import autodiff as ad
 from splinefield import dataio, spline, trainer
 from splinefield.autodiff import Tape
-from splinefield.field import FieldConfig, SplineField
+from splinefield.field import VARIANTS, FieldConfig, SplineField
 
 
 def _small_cfg(**kw):
@@ -173,6 +173,24 @@ class TestAdvect:
         for dt in (np.nan, np.inf):
             with pytest.raises(ValueError, match="dt must be finite"):
                 f.advect(f.canonical, 0.5, dt)
+
+
+class TestNonFiniteQueryPoints:
+    QUERIES = {"deform": lambda f, p: f.deform(p, 0.5),
+               "velocity": lambda f, p: f.velocity(p, 0.5),
+               "acceleration": lambda f, p: f.acceleration(p, 0.5),
+               "advect": lambda f, p: f.advect(p, 0.5, 0.1)}
+
+    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_raises_for_every_variant(self, variant, bad, query):
+        f = _randomized(SplineField(_small_cfg(variant=variant, grid_levels=(4, 8),
+                                               grid_channels=4), _points()))
+        pts = f.canonical.copy()
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="query points must be finite"):
+            self.QUERIES[query](f, pts)
 
 
 class TestQuinticField:
