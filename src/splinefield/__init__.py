@@ -14,7 +14,7 @@ from splinefield.spline import (
     locate_segment,
     segment_derivative,
 )
-from splinefield.autodiff import Tape, Var, ParamStore, fd_check
+from splinefield.autodiff import Tape, Var, ParamStore
 from splinefield.field import FieldConfig, SplineField
 from splinefield.dataio import TrajectorySet, SplitSpec, gen_synthetic, split_frames
 from splinefield.trainer import TrainConfig, train, evaluate
@@ -28,7 +28,6 @@ __all__ = [
     "Tape",
     "Var",
     "ParamStore",
-    "fd_check",
     "FieldConfig",
     "SplineField",
     "TrajectorySet",

@@ -53,24 +53,15 @@ class Tape:
     def record(self, backward_fn) -> None:
         self._nodes.append(backward_fn)
 
-    def backward(self, output: "Var", output_grad=None) -> None:
-        """Run the backward sweep seeded with d(loss)/d(output).
-
-        output_grad defaults to ones (i.e. output is the loss itself).
-        A tape can only be replayed once; rerun the forward pass to
-        differentiate again.
-        """
+    def backward(self, output: "Var") -> None:
+        """Run the backward sweep from output, seeded with ones (output is
+        the loss). A tape can only be replayed once; rerun the forward pass
+        to differentiate again."""
         if self._used:
             raise TapeStateError("backward called twice on the same tape")
         self._used = True
         self._leaves = None     # breaks the tape -> leaf -> tape cycle
-        if output_grad is None:
-            seed = np.ones_like(output.value)
-        else:
-            seed = np.broadcast_to(
-                np.asarray(output_grad, dtype=np.float64), output.value.shape
-            ).copy()
-        _accum(output, seed)
+        _accum(output, np.ones_like(output.value))
         # popping frees each closure, and the Vars it holds, once replayed
         nodes, self._nodes = self._nodes, []
         while nodes:
@@ -87,7 +78,7 @@ class NoGradTape(Tape):
     def record(self, backward_fn) -> None:
         pass
 
-    def backward(self, output: "Var", output_grad=None) -> None:
+    def backward(self, output: "Var") -> None:
         raise TapeStateError("a NoGradTape records nothing to differentiate")
 
 
@@ -214,20 +205,18 @@ def sqrt(x: Var, eps: float = 0.0) -> Var:
     return _op(root, x.tape, lambda g: _accum(x, g * (0.5 / np.maximum(root, 1e-300))))
 
 
-def vsum(x: Var, axis=None, keepdims: bool = False) -> Var:
+def vsum(x: Var, axis=None) -> Var:
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _accum(x, np.broadcast_to(g, x.value.shape))
 
-    return _op(x.value.sum(axis=axis, keepdims=keepdims), x.tape, backward)
+    return _op(x.value.sum(axis=axis), x.tape, backward)
 
 
-def vmean(x: Var, axis=None, keepdims: bool = False) -> Var:
-    n = x.value.size if axis is None else np.prod(
-        [x.value.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return mul(vsum(x, axis=axis, keepdims=keepdims), 1.0 / float(n))
+def vmean(x: Var) -> Var:
+    """The mean of every element."""
+    return mul(vsum(x), 1.0 / float(x.value.size))
 
 
 def reshape(x: Var, shape) -> Var:
@@ -398,24 +387,9 @@ class ParamStore:
     def grad(self, name: str) -> np.ndarray:
         return self._grads[name]
 
-    def set_value(self, name: str, value) -> None:
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.shape != self._values[name].shape:
-            raise ValueError(
-                f"shape mismatch for {name!r}: {arr.shape} vs {self._values[name].shape}"
-            )
-        self._values[name][...] = arr
-
     def zero_grad(self) -> None:
         for g in self._grads.values():
             g[...] = 0.0
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self._values.items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for k, v in snap.items():
-            self._values[k][...] = v
 
     def var(self, name: str, tape: Tape) -> Var:
         """The parameter's leaf Var on the given tape, one per tape (a NoGradTape
@@ -427,55 +401,3 @@ class ParamStore:
             leaf = leaves[self, name] = Var(self._values[name], tape)
             leaf.grad = self._grads[name]
         return leaf
-
-
-def fd_check(loss_fn, params: ParamStore, eps: float = 1e-4, samples: int = 100,
-             rng=None) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    loss_fn(tape) must build a scalar Var on the given tape, deterministic
-    in the parameter values. Checks `samples` randomly chosen coordinates
-    across all parameters and returns the worst relative error (absolute
-    error below 1e-8 magnitude).
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    rng = np.random.default_rng(0) if rng is None else rng
-
-    params.zero_grad()
-    tape = Tape()
-    out = loss_fn(tape)
-    if out.value.size != 1:
-        raise ValueError("loss_fn must return a scalar")
-    tape.backward(out)
-    analytic = {n: params.grad(n).copy() for n in params.names()}
-
-    names = params.names()
-    sizes = np.array([params.value(n).size for n in names])
-    total = int(sizes.sum())
-    flat_ids = rng.choice(total, size=min(samples, total), replace=False)
-    bounds = np.cumsum(sizes)
-
-    worst = 0.0
-    for fid in flat_ids:
-        which = int(np.searchsorted(bounds, fid, side="right"))
-        name = names[which]
-        local = int(fid - (bounds[which - 1] if which > 0 else 0))
-        value = params.value(name)
-        flat = value.reshape(-1)
-        orig = flat[local]
-        flat[local] = orig + eps
-        f_plus = float(loss_fn(NoGradTape()).value)
-        flat[local] = orig - eps
-        f_minus = float(loss_fn(NoGradTape()).value)
-        flat[local] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError(
-                f"non-finite loss while probing parameter {name!r} index {local}"
-            )
-        fd = (f_plus - f_minus) / (2.0 * eps)
-        an = float(analytic[name].reshape(-1)[local])
-        denom = max(abs(fd), abs(an))
-        err = abs(fd - an) if denom < 1e-8 else abs(fd - an) / denom
-        worst = max(worst, err)
-    return worst

@@ -5,7 +5,9 @@ held-out frames), interp (deform to arbitrary times), advect (extrapolate
 past a query time), flow (velocity-colored point clouds).
 
 Exit codes: 0 success, 1 I/O failure, 2 bad usage or validation, 3
-optimization divergence. Set SDF_THREADS=0 for a deterministic run (the
+optimization divergence. `fit` checks its `--out` and `--log-csv` paths
+before training, so an output that cannot be written exits 1 before the
+first step. Set SDF_THREADS=0 for a deterministic run (the
 implementation is single threaded regardless).
 """
 
@@ -19,7 +21,8 @@ import numpy as np
 
 from . import dataio, metrics, trainer
 from .dataio import FormatError, SplitSpec, TrajectorySet
-from .field import DivergenceError, SplineField
+from .field import SplineField
+from .trainer import DivergenceError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -112,7 +115,21 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _check_output(path: str) -> None:
+    """An OSError naming path unless a file can be written there."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise OSError(f"cannot write {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        raise OSError(f"cannot write {path}: directory {parent} is not writable")
+
+
 def _cmd_fit(args) -> int:
+    for path in (args.out, args.log_csv):
+        if path:
+            _check_output(path)
     traj = dataio.read_traj(args.traj)
     split = dataio.split_frames(traj, SplitSpec(args.stride, args.frac),
                                 seed=args.seed)

@@ -68,14 +68,6 @@ class FieldConfig:
                              f"got {self.grid_levels}")
 
 
-class DivergenceError(RuntimeError):
-    """Non-finite values encountered during optimization."""
-
-    def __init__(self, message, snapshot=None):
-        super().__init__(message)
-        self.snapshot = snapshot
-
-
 class _ShapesOnly:
     """Stands in for a Generator when only parameter names and shapes matter."""
 

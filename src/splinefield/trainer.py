@@ -9,6 +9,9 @@ Parameters update with Adam; grid and temporal-code parameters get a 10x
 learning rate. Adam's squared-norm pass per gradient checks finiteness and
 gives the run log's per-group gradient norms; its update runs in place, in
 cache-sized blocks. The run log also times each step's phases.
+
+A non-finite loss or gradient raises DivergenceError naming the step (and,
+for a gradient, the parameter group) before any parameter is updated.
 """
 
 from __future__ import annotations
@@ -25,7 +28,11 @@ from . import metrics
 from . import spline
 from .autodiff import ParamStore, Tape
 from .dataio import Split, TrajectorySet
-from .field import DivergenceError, FieldConfig, SplineField
+from .field import FieldConfig, SplineField
+
+
+class DivergenceError(RuntimeError):
+    """Non-finite values encountered during optimization."""
 
 
 @dataclass
@@ -52,7 +59,6 @@ class TrainConfig:
     batch_points: int = 0       # 0 means use every supervised point
     frames_per_step: int = 4
     knn_k: int = 10
-    snapshot_every: int = 100
 
     def __post_init__(self):
         if self.knn_k < 1:
@@ -85,7 +91,7 @@ def parse_run_config(pairs, base: TrainConfig | None = None) -> TrainConfig:
             raise ValueError(f"expected key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
         if key not in values:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}; valid keys: {', '.join(values)}")
         cur = values[key]
         if isinstance(cur, bool):
             low = raw.lower()
@@ -166,27 +172,32 @@ class Adam:
 class RunLog:
     rows: list = dc_field(default_factory=list)
 
-    def record(self, step, recon, lv, lacc, total, wallclock_ms, forward_ms=float("nan"),
-               backward_ms=float("nan"), optimizer_ms=float("nan"), grad_norms=None) -> None:
+    def record(self, step, recon, lv, lacc, total, wallclock_ms, forward_ms,
+               backward_ms, optimizer_ms, grad_norms) -> None:
         """One row per step: losses, forward (to the loss)/backward/Adam ms, grad norms."""
         self.rows.append({"step": step, "recon": recon, "lv": lv,
                           "lacc": lacc, "total": total,
                           "wallclock_ms": wallclock_ms, "forward_ms": forward_ms,
                           "backward_ms": backward_ms, "optimizer_ms": optimizer_ms,
-                          "grad_norms": grad_norms or {}})
+                          "grad_norms": grad_norms})
 
     @property
     def final_total(self) -> float:
         return self.rows[-1]["total"] if self.rows else float("nan")
 
     def write_csv(self, path) -> None:
+        """The losses and wallclock, then the phase times and one `gn:<group>`
+        gradient-norm column per parameter group, in store order."""
+        terms = ("recon", "lv", "lacc", "total")
+        times = ("wallclock_ms", "forward_ms", "backward_ms", "optimizer_ms")
+        groups = list(self.rows[0]["grad_norms"]) if self.rows else []
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
-            writer.writerow(["step", "recon", "lv", "lacc", "total", "wallclock_ms"])
+            writer.writerow(["step", *terms, *times, *(f"gn:{g}" for g in groups)])
             for r in self.rows:
-                writer.writerow([r["step"], repr(r["recon"]), repr(r["lv"]),
-                                 repr(r["lacc"]), repr(r["total"]),
-                                 f"{r['wallclock_ms']:.3f}"])
+                writer.writerow([r["step"], *(repr(r[k]) for k in terms),
+                                 *(f"{r[k]:.3f}" for k in times),
+                                 *(repr(r["grad_norms"][g]) for g in groups)])
 
 
 def resolve_n_knots(cfg: TrainConfig, n_train_frames: int) -> int:
@@ -220,7 +231,6 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
     train_frames = np.asarray(split.train_frames)
     opt = Adam(fld.store, cfg)
     log = RunLog()
-    snapshot = fld.store.snapshot()
     t0 = time.perf_counter()
 
     for step in range(cfg.steps):
@@ -262,8 +272,7 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
 
         total = losses.total_loss(recon, lv, lacc, loss_cfg)
         if not np.isfinite(total.value):
-            raise DivergenceError(
-                f"non-finite loss at step {step}", snapshot=snapshot)
+            raise DivergenceError(f"non-finite loss at step {step}")
 
         t_fwd = time.perf_counter()
         fld.store.zero_grad()
@@ -278,11 +287,9 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
         try:
             norms = opt.step(lr_scale)
         except DivergenceError as e:
-            raise DivergenceError(f"{e} at step {step}", snapshot=snapshot) from None
+            raise DivergenceError(f"{e} at step {step}") from None
         t_opt = time.perf_counter()
 
-        if cfg.snapshot_every and step % cfg.snapshot_every == 0:
-            snapshot = fld.store.snapshot()
         log.record(step, float(_scalar(recon)), float(_scalar(lv)),
                    float(_scalar(lacc)), float(total.value),
                    (time.perf_counter() - t0) * 1e3, forward_ms=(t_fwd - t_step) * 1e3,
@@ -305,11 +312,13 @@ def evaluate(field: SplineField, traj: TrajectorySet, split: Split,
     3 -> 5 transition spans training frame 4. Returns (summary dict with
     `epe`, `mean_I`, `n_frames` and `skipped`, the frames whose transition
     had no motion; per-frame rows for a CSV report). A trajectory whose point
-    count differs from the field's canonical points is a ValueError, raised
-    before anything is deformed."""
-    if traj.n_points != field.canonical.shape[0]:
-        raise ValueError(f"trajectory has {traj.n_points} points, "
-                         f"checkpoint has {field.canonical.shape[0]}")
+    count differs from the field's canonical points, or a `k` outside
+    [2, point count), is a ValueError, raised before anything is deformed."""
+    n = field.canonical.shape[0]
+    if traj.n_points != n:
+        raise ValueError(f"trajectory has {traj.n_points} points, checkpoint has {n}")
+    if not 2 <= k < n:
+        raise ValueError(f"Moran's I needs 2 <= K < {n} (the point count), got K={k}")
     frames = list(split.test_frames if frames is None else frames)
     if not frames:
         raise ValueError("no frames to evaluate")
@@ -324,7 +333,7 @@ def evaluate(field: SplineField, traj: TrajectorySet, split: Split,
         rows.append({"frame_idx": t,
                      "mean_I": per_i.get(j),
                      "epe": metrics.epe(preds[j], gts[j], scale=scale),
-                     "n_points": field.canonical.shape[0]})
+                     "n_points": n})
     summary = {"epe": overall, "mean_I": coherence.mean, "n_frames": len(frames),
                "skipped": [frames[j] for j in coherence.skipped]}
     return summary, rows

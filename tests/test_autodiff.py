@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from splinefield import autodiff as ad
-from splinefield.autodiff import (NoGradTape, ParamStore, Tape, TapeStateError, Var,
-                                  fd_check)
+from splinefield.autodiff import NoGradTape, ParamStore, Tape, TapeStateError, Var
+
+from gradcheck import fd_check
 
 
 class TestForwardLinear:
@@ -84,14 +85,6 @@ class TestBackward:
         for j in range(3):
             np.testing.assert_allclose(store.grad("W")[:, j], x0[0], rtol=1e-14)
 
-    def test_zero_output_grad_leaves_gradients_zero(self):
-        store = ParamStore()
-        store.add("W", np.ones((2, 2)))
-        tape = Tape()
-        out = ad.vsum(ad.matmul(Var(np.ones((1, 2)), tape), store.var("W", tape)))
-        tape.backward(out, output_grad=np.zeros(()))
-        np.testing.assert_array_equal(store.grad("W"), np.zeros((2, 2)))
-
     def test_gradient_linearity(self):
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(3, 2))
@@ -102,7 +95,7 @@ class TestBackward:
             store.add("W", np.array([[1.0, 2.0], [3.0, 4.0]]))
             tape = Tape()
             out = ad.matmul(Var(x0, tape), store.var("W", tape))
-            tape.backward(out, output_grad=g)
+            tape.backward(ad.vsum(ad.mul(out, g)))
             return store.grad("W").copy()
 
         np.testing.assert_allclose(run(g1 + g2), run(g1) + run(g2), atol=1e-12)
@@ -284,7 +277,7 @@ class TestOps:
         tape = Tape()
         x = Var(np.zeros((2, 3)), tape)
         out = x[np.array([1, 1, 0]), np.array([2, 2, 2])]
-        tape.backward(out, np.array([1.0, 10.0, 100.0]))
+        tape.backward(ad.vsum(ad.mul(out, np.array([1.0, 10.0, 100.0]))))
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 100.0], [0.0, 0.0, 11.0]])
 
     def test_weighted_stack_sum_gradient_matches_outer_product(self):
@@ -296,7 +289,8 @@ class TestOps:
         before = store.grad("s").copy()
         g = rng.normal(size=(5, 3))
         tape = Tape()
-        tape.backward(ad.weighted_stack_sum(store.var("v", tape), store.var("s", tape)), g)
+        out = ad.weighted_stack_sum(store.var("v", tape), store.var("s", tape))
+        tape.backward(ad.vsum(ad.mul(out, g)))
         outer = store.value("v")[:, None, None] * g[None]
         np.testing.assert_array_equal(store.grad("s"), before + outer)
 
@@ -432,7 +426,7 @@ class TestGridSampling:
         tape = Tape()
         pvar = Var(plane, tape)
         out = ad.bilinear_sample(pvar, u, v)
-        tape.backward(out, g)
+        tape.backward(ad.vsum(ad.mul(out, g)))
         value, dplane = _scatter_bilinear(plane, u, v, g)
         _assert_rel(out.value, value)
         _assert_rel(pvar.grad, dplane)
@@ -447,7 +441,7 @@ class TestGridSampling:
         tape = Tape()
         avar = Var(axis, tape)
         out = ad.linear_sample(avar, u)
-        tape.backward(out, g)
+        tape.backward(ad.vsum(ad.mul(out, g)))
         value, daxis = _scatter_linear(axis, u, g)
         _assert_rel(out.value, value)
         _assert_rel(avar.grad, daxis)
@@ -461,7 +455,7 @@ class TestGridSampling:
         tape = Tape()
         pvar = Var(plane, tape)
         pvar.grad = before.copy()
-        tape.backward(ad.bilinear_sample(pvar, u, v), g)
+        tape.backward(ad.vsum(ad.mul(ad.bilinear_sample(pvar, u, v), g)))
         _assert_rel(pvar.grad, before + _scatter_bilinear(plane, u, v, g)[1])
 
     @pytest.mark.parametrize("where", ["u", "v"])
@@ -603,48 +597,3 @@ class TestParamStore:
         store.add("a", np.ones(2))
         with pytest.raises(ValueError):
             store.add("a", np.ones(2))
-
-    def test_snapshot_restore(self):
-        store = ParamStore()
-        store.add("a", np.ones(2))
-        snap = store.snapshot()
-        store.set_value("a", np.zeros(2))
-        store.restore(snap)
-        np.testing.assert_array_equal(store.value("a"), np.ones(2))
-
-
-class TestFdCheck:
-    def test_quadratic_is_exact_to_roundoff(self):
-        store = ParamStore()
-        store.add("theta", np.array([3.0]))
-
-        def loss(tape):
-            th = store.var("theta", tape)
-            return ad.vsum(ad.mul(th, th))
-
-        assert fd_check(loss, store, samples=1) < 1e-9
-
-    def test_constant_function_gives_zero_both_ways(self):
-        store = ParamStore()
-        store.add("theta", np.array([1.0, 2.0]))
-
-        def loss(tape):
-            th = store.var("theta", tape)
-            return ad.vsum(ad.mul(th, 0.0))
-
-        assert fd_check(loss, store, samples=2) == 0.0
-
-    def test_mlp_loss_passes(self):
-        rng = np.random.default_rng(10)
-        store = ParamStore()
-        store.add("W0", rng.normal(size=(3, 8)) * 0.5)
-        store.add("W1", rng.normal(size=(8, 2)) * 0.5)
-        store.add("b1", rng.normal(size=2))
-        x0 = rng.normal(size=(4, 3))
-
-        def loss(tape):
-            h = ad.sine(ad.matmul(Var(x0, tape), store.var("W0", tape)), 3.0)
-            out = ad.forward_linear(h, store.var("W1", tape), store.var("b1", tape))
-            return ad.vmean(ad.absolute(out))
-
-        assert fd_check(loss, store, samples=40, rng=np.random.default_rng(1)) < 1e-4

@@ -5,7 +5,8 @@ import pytest
 
 from splinefield import cli, dataio, trainer
 from splinefield.cli import main
-from splinefield.field import DivergenceError, SplineField
+from splinefield.field import SplineField
+from splinefield.trainer import DivergenceError
 
 
 def _gen(tmp_path, kind="rigid-translate", points=40, frames=9, seed=0):
@@ -131,6 +132,26 @@ class TestFit:
         rc = main(["fit", "--traj", str(tmp_path / "nope.traj"),
                    "--out", str(tmp_path / "f.ckpt")])
         assert rc == 1
+
+    @pytest.mark.parametrize("flag", ["--out", "--log-csv"])
+    @pytest.mark.parametrize("bad", ["missing-dir", "directory", "read-only-dir"])
+    def test_unwritable_output_fails_before_training(self, tmp_path, capsys, monkeypatch,
+                                                     flag, bad):
+        traj = _gen(tmp_path)
+
+        def no_train(*a, **kw):
+            raise AssertionError("training started before the output paths were checked")
+        monkeypatch.setattr(trainer, "train", no_train)
+        paths = {"--out": tmp_path / "f.ckpt", "--log-csv": tmp_path / "log.csv"}
+        paths[flag] = {"missing-dir": tmp_path / "nope" / "f.out", "directory": tmp_path,
+                       "read-only-dir": tmp_path / "ro" / "f.out"}[bad]
+        (tmp_path / "ro").mkdir()
+        access = cli.os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: (
+            not path.endswith("ro") and access(path, mode)))
+        rc = main(["fit", "--traj", str(traj), *(str(a) for kv in paths.items() for a in kv)])
+        assert rc == 1
+        assert f"cannot write {paths[flag]}" in capsys.readouterr().err
 
     def test_divergence_maps_to_exit_3(self, tmp_path, monkeypatch):
         traj = _gen(tmp_path)
@@ -291,6 +312,8 @@ MALFORMED = {
     "fit-frac-1.5": (["fit", "--traj", "{traj}", "--frac", "1.5"], "supervised_fraction"),
     "fit-one-train-frame": (["fit", "--traj", "{traj}", "--stride", "9"], "training frames"),
     "fit-unknown-set-key": (["fit", "--traj", "{traj}", "--set", "nope=1"], "nope"),
+    "fit-set-snapshot-every": (["fit", "--traj", "{traj}", "--set", "snapshot_every=5"],
+                               "unknown config key 'snapshot_every'"),
     "fit-unknown-variant": (["fit", "--traj", "{traj}", "--variant", "nope"], "nope"),
     **{f"eval-scale-{x}": (["eval", "--ckpt", "{ckpt}", "--traj", "{traj}", "--scale", x],
                            "--scale") for x in ("nan", "-1", "0", "inf")},
@@ -319,6 +342,17 @@ class TestMalformedInput:
         assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj)]) == 2
         err = capsys.readouterr().err
         assert "trajectory has 50 points, checkpoint has 40" in err
+
+    @pytest.mark.parametrize("k", ["1", "40"])
+    def test_eval_bad_k_fails_before_deforming(self, fitted, capsys, monkeypatch, k):
+        traj, ckpt = fitted
+
+        def no_deform(*args, **kwargs):
+            raise AssertionError("deform ran before K was checked")
+        monkeypatch.setattr(SplineField, "deform", no_deform)
+        assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj),
+                     "--K-neighbors", k]) == 2
+        assert f"2 <= K < 40 (the point count), got K={k}" in capsys.readouterr().err
 
 
 def _nan_in_bias(ckpt, bad):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from splinefield.autodiff import ParamStore, Tape
 from splinefield.dataio import SplitSpec, split_frames
 from splinefield.field import SplineField
 from splinefield.trainer import Adam, TrainConfig, parse_run_config, train
+
+from gradcheck import fd_check
 
 
 def _store_with(theta):
@@ -80,8 +84,7 @@ class _FormerAdam(Adam):
             v *= c.beta2
             v += (1.0 - c.beta2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + c.eps)
-            self.store.set_value(name, self.store.value(name)
-                                 - self.lr_for(name, lr_scale) * update)
+            self.store.value(name)[...] -= self.lr_for(name, lr_scale) * update
 
 
 class TestBlockedAdam:
@@ -156,8 +159,9 @@ class TestRunConfigParsing:
             (50, 0.01, "triplanes", True)
 
     def test_bad_key(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'nonsense'") as exc:
             parse_run_config(["nonsense=1"])
+        assert ", ".join(f.name for f in fields(TrainConfig)) in str(exc.value)
 
     def test_bad_format(self):
         with pytest.raises(ValueError):
@@ -206,12 +210,30 @@ class TestTrain:
 
     def test_runlog_csv(self, tmp_path):
         traj, split, cfg = _tiny_run(steps=3)
-        _, log = train(traj, split, cfg)
+        fld, log = train(traj, split, cfg)
         path = tmp_path / "log.csv"
         log.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,recon,lv,lacc,total,wallclock_ms"
+        lines = path.read_bytes().decode().splitlines()
+        assert lines[0].split(",") == [
+            "step", "recon", "lv", "lacc", "total", "wallclock_ms", "forward_ms",
+            "backward_ms", "optimizer_ms", *(f"gn:{n}" for n in fld.store.names())]
         assert len(lines) == 4
+        # the six columns written before the phase times and norms, unchanged
+        former = ["step,recon,lv,lacc,total,wallclock_ms"] + [
+            f"{r['step']},{r['recon']!r},{r['lv']!r},{r['lacc']!r},{r['total']!r},"
+            f"{r['wallclock_ms']:.3f}" for r in log.rows]
+        assert [",".join(line.split(",")[:6]) for line in lines] == former
+
+    def test_runlog_csv_row(self, tmp_path):
+        log = trainer.RunLog()
+        log.record(4, 0.5, 0.25, 0.125, 1.0, 12.3456, 1.5, 2.25, 0.0625,
+                   {"codes": 3.0, "dec.l0.W": 0.1})
+        path = tmp_path / "log.csv"
+        log.write_csv(path)
+        assert path.read_bytes() == (
+            b"step,recon,lv,lacc,total,wallclock_ms,forward_ms,backward_ms,optimizer_ms,"
+            b"gn:codes,gn:dec.l0.W\r\n"
+            b"4,0.5,0.25,0.125,1.0,12.346,1.500,2.250,0.062,3.0,0.1\r\n")
 
     def test_batched_points_run(self):
         traj, split, cfg = _tiny_run(steps=5, batch_points=6)
@@ -228,7 +250,7 @@ class _Perturbed(SplineField):
         rng = np.random.default_rng(7)
         for name in self.store.names():
             value = self.store.value(name)
-            self.store.set_value(name, value + rng.normal(0.0, 0.05, value.shape))
+            value += rng.normal(0.0, 0.05, value.shape)
 
 
 def _three_cache_step(traj, split, cfg):
@@ -342,7 +364,7 @@ class TestSharedKnotStates:
         fld = SplineField(trainer._field_config(cfg, 4), traj.positions[0], seed=3)
         rng = np.random.default_rng(3)
         for name in fld.store.names():
-            fld.store.set_value(name, rng.normal(0.0, 0.05, fld.store.value(name).shape))
+            fld.store.value(name)[...] = rng.normal(0.0, 0.05, fld.store.value(name).shape)
         graph = losses.build_knn(sup_pts, cfg.knn_k)
         rows = np.array([1, 4, 7, 8, 12])
         needed, loc_rows, loc_nbrs, w_rows = graph.subgraph_closure(rows)
@@ -359,8 +381,8 @@ class TestSharedKnotStates:
             # smooth terms only: an L1 kink would fail the central difference
             return lv + ad.vmean(ad.mul(pos, pos)) + ad.vmean(ad.mul(acc, acc))
 
-        assert ad.fd_check(loss, fld.store, samples=40,
-                           rng=np.random.default_rng(0)) < 1e-4
+        assert fd_check(loss, fld.store, samples=40,
+                        rng=np.random.default_rng(0)) < 1e-4
 
 
 def _flush_per_call_var(store, name, tape):
@@ -476,6 +498,38 @@ class TestTrainBoundaries:
         _, log = train(traj, split, cfg)
         assert [r["lv"] for r in log.rows] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("fault, message", [
+        ("loss", "non-finite loss at step 2"),
+        ("gradient", "non-finite gradient in parameter group '.*' at step 2")])
+    def test_divergence_names_the_step_and_updates_nothing(self, monkeypatch, fault,
+                                                           message):
+        traj, split, cfg = _tiny_run(steps=4)
+        clean, _ = train(traj, split, TrainConfig(**{**vars(cfg), "steps": 2}))
+        made, calls = [], []
+        recon = losses.recon_loss_l1
+
+        class Kept(SplineField):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        def faulty(pred, gt):
+            term = recon(pred, gt)
+            calls.append(None)
+            if len(calls) <= 2 * min(cfg.frames_per_step, len(split.train_frames)):
+                return term                 # steps 0 and 1 run clean
+            if fault == "loss":
+                return ad.mul(term, np.nan)
+            return ad._op(term.value, term.tape,
+                          lambda g: ad._accum(term, np.full_like(g, np.nan)))
+        monkeypatch.setattr(trainer, "SplineField", Kept)
+        monkeypatch.setattr(losses, "recon_loss_l1", faulty)
+        with pytest.raises(trainer.DivergenceError, match=message):
+            train(traj, split, cfg)
+        for name in clean.store.names():
+            np.testing.assert_array_equal(made[0].store.value(name),
+                                          clean.store.value(name), err_msg=name)
+
     def test_runlog_rows_carry_phase_times(self):
         traj, split, cfg = _tiny_run(steps=3)
         _, log = train(traj, split, cfg)
@@ -487,9 +541,10 @@ class TestTrainBoundaries:
 
     def test_record_keeps_positional_arguments(self):
         log = trainer.RunLog()
-        log.record(0, 1.0, 0.5, 0.25, 2.0, 3.0)
-        assert log.rows[0]["wallclock_ms"] == 3.0
-        assert np.isnan(log.rows[0]["forward_ms"])
+        log.record(0, 1.0, 0.5, 0.25, 2.0, 3.0, 0.5, 1.5, 0.25, {"a": 1.0})
+        assert [log.rows[0][k] for k in ("step", "total", "wallclock_ms", "forward_ms",
+                                         "backward_ms", "optimizer_ms", "grad_norms")] \
+            == [0, 2.0, 3.0, 0.5, 1.5, 0.25, {"a": 1.0}]
 
 
 class TestEvaluate:
