@@ -8,8 +8,6 @@ and evaluates temporal interpolation (EPE) and spatial coherence
 """
 
 from splinefield.spline import (
-    SplineTimeline,
-    SegmentQuery,
     knot_count,
     locate_segment,
     segment_derivative,
@@ -20,8 +18,6 @@ from splinefield.dataio import TrajectorySet, SplitSpec, gen_synthetic, split_fr
 from splinefield.trainer import TrainConfig, train, evaluate
 
 __all__ = [
-    "SplineTimeline",
-    "SegmentQuery",
     "knot_count",
     "locate_segment",
     "segment_derivative",

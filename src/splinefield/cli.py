@@ -5,10 +5,12 @@ held-out frames), interp (deform to arbitrary times), advect (extrapolate
 past a query time), flow (velocity-colored point clouds).
 
 Exit codes: 0 success, 1 I/O failure, 2 bad usage or validation, 3
-optimization divergence. `fit` checks its `--out` and `--log-csv` paths
-before training, so an output that cannot be written exits 1 before the
-first step. Set SDF_THREADS=0 for a deterministic run (the
-implementation is single threaded regardless).
+optimization divergence. Every subcommand checks the paths it will write
+(`--out`, `fit --log-csv`, `eval --report`, the first file of `flow
+--out-prefix`) before it reads or computes anything, so an output that
+cannot be written exits 1 before a fit's first step or a query's first
+knot. Set SDF_THREADS=0 for a deterministic run (the implementation is
+single threaded regardless).
 """
 
 from __future__ import annotations
@@ -127,9 +129,6 @@ def _check_output(path: str) -> None:
 
 
 def _cmd_fit(args) -> int:
-    for path in (args.out, args.log_csv):
-        if path:
-            _check_output(path)
     traj = dataio.read_traj(args.traj)
     split = dataio.split_frames(traj, SplitSpec(args.stride, args.frac),
                                 seed=args.seed)
@@ -215,6 +214,10 @@ def _cmd_flow(args) -> int:
 
 _COMMANDS = {"gen": _cmd_gen, "fit": _cmd_fit, "eval": _cmd_eval,
              "interp": _cmd_interp, "advect": _cmd_advect, "flow": _cmd_flow}
+# the paths each subcommand writes; main checks them before any work starts
+_OUTPUTS = {"gen": lambda a: [a.out], "fit": lambda a: [a.out, a.log_csv],
+            "eval": lambda a: [a.report], "interp": lambda a: [a.out],
+            "advect": lambda a: [a.out], "flow": lambda a: [f"{a.out_prefix}_0000.ply"]}
 
 
 def main(argv=None) -> int:
@@ -222,6 +225,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _threads()
+        for path in _OUTPUTS[args.command](args):
+            if path:
+                _check_output(path)
         return _COMMANDS[args.command](args)
     except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -41,6 +41,8 @@ class TrajectorySet:
         p = np.asarray(self.positions, dtype=np.float64)
         if p.ndim != 3 or p.shape[2] != 3 or p.shape[0] < 1:
             raise ValueError(f"positions must be [T, N_p, 3], got {p.shape}")
+        if p.shape[1] < 1:
+            raise ValueError(f"need at least one point per frame, got N_p={p.shape[1]}")
         if not np.isfinite(p).all():
             frame, point = np.argwhere(~np.isfinite(p).all(axis=2))[0]
             raise ValueError(f"non-finite position at frame {frame}, point {point}")

@@ -1,13 +1,14 @@
 """The spline deformation field.
 
-Composes an encoder and a decoder MLP into per-knot (offset, tangent)
-predictions, then interpolates with the cubic Hermite segment located for
-the query time. The MLP variants share one encoder class and differ only in
-its feature map and activation; the plane and axis variants share the
-factorized-grid class. Velocity and acceleration come from the closed-form
-segment derivatives, in normalized segment-time units unless physical
-scaling is requested; one evaluator, `spline.segment_derivative`, serves
-all three by derivative order.
+Composes an encoder and a decoder MLP into per-knot states, the tuple
+(offset, tangent) or, for a quintic field, (offset, tangent, curvature),
+then interpolates with the Hermite segment located for the query time,
+whose family the tuple's length picks. The MLP variants share one encoder
+class and differ only in its feature map and activation; the plane and axis
+variants share the factorized-grid class. Velocity and acceleration come
+from the closed-form segment derivatives, in normalized segment-time units
+unless physical scaling is requested; one evaluator,
+`spline.segment_derivative`, serves all three by derivative order.
 Constant-velocity advection extrapolates past the fitted interval.
 
 The plain-array queries take one time or a 1-D sequence of times. They run
@@ -89,7 +90,6 @@ class SplineField:
             raise ValueError("canonical points must be finite")
         self.cfg = cfg
         self.canonical = canonical_points
-        self.timeline = spline.SplineTimeline(cfg.n_knots)
         if normalizer is None:
             lo = canonical_points.min(axis=0)
             hi = canonical_points.max(axis=0)
@@ -174,15 +174,16 @@ class SplineField:
             raise ValueError("query points must be finite")
         return (points - self.center) / self.half_extent
 
-    def predict_knot(self, tape: Tape, points: np.ndarray, knot_idx: int):
-        """Predict (delta_x, m[, a]) Vars of shape [B, 3] at one knot."""
+    def predict_knot(self, tape: Tape, points: np.ndarray, knot_idx: int) -> tuple:
+        """The knot state at one knot: Vars (delta_x, m) of shape [B, 3], and the
+        curvature a as a third for a quintic field."""
         if self.cfg.variant == "coupled4d-baseline":
             raise ValueError("the coupled-4D baseline has no knot states")
         if not (0 <= knot_idx < self.cfg.n_knots):
             raise ValueError(f"knot index {knot_idx} out of range")
         feat = self.encoder.encode(tape, self.store, self.normalize(points), knot_idx)
         out = self._decode(tape, feat)
-        return out[:, 0:3], out[:, 3:6], (out[:, 6:9] if self.cfg.quintic else None)
+        return tuple(out[:, j:j + 3] for j in range(0, self.out_channels, 3))
 
     def derivative_var(self, tape, points, t_query, order: int,
                        knot_cache=None) -> Var:
@@ -190,18 +191,17 @@ class SplineField:
         Hermite (or quintic) basis of that order on the two knots around it, in
         t-bar units. `knot_cache` maps knot index to state for one point set.
         The coupled-4D baseline differentiates by central differences."""
-        seg = spline.locate_segment(t_query, self.timeline)   # validates t_query
+        start, t_bar = spline.locate_segment(t_query, self.cfg.n_knots)   # validates t_query
         if self.cfg.variant == "coupled4d-baseline":
             return self._coupled_var(tape, points, t_query, order)
         cache = {} if knot_cache is None else knot_cache
-        for k in (seg.start_idx, seg.end_idx):
+        for k in (start, start + 1):
             if k not in cache:
                 cache[k] = self.predict_knot(tape, points, k)
-        (dx0, m0, a0), (dx1, m1, a1) = cache[seg.start_idx], cache[seg.end_idx]
+        (dx0, *rest0), (dx1, *rest1) = cache[start], cache[start + 1]
         const = np.asarray(points, dtype=np.float64)
-        p0, p1 = ad.add(dx0, const), ad.add(dx1, const)
-        ends = (p0, m0, a0, p1, m1, a1) if self.cfg.quintic else (p0, m0, p1, m1)
-        return spline.segment_derivative(ends, seg.t_bar, order)
+        ends = (ad.add(dx0, const), *rest0, ad.add(dx1, const), *rest1)
+        return spline.segment_derivative(ends, t_bar, order)
 
     def _coupled_var(self, tape, points, t, order: int) -> Var:
         if order == 0:

@@ -26,7 +26,6 @@ ACCEL_MODES = ("l1", "l2")
 class NeighborGraph:
     """k nearest neighbors per point with normalized inverse-distance weights."""
 
-    k: int
     indices: np.ndarray   # [N_p, k] int
     weights: np.ndarray   # [N_p, k] float, rows sum to 1
 
@@ -42,19 +41,6 @@ class NeighborGraph:
         remap = np.full(int(needed.max()) + 1, -1, dtype=np.int64)
         remap[needed] = np.arange(len(needed))
         return needed, remap[rows], remap[self.indices[rows]], self.weights[rows]
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    alpha: float = 1.0    # weight of the velocity-coherence term
-    beta: float = 0.01    # weight of the acceleration term
-    k: int = 10
-
-    def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not (np.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
@@ -89,7 +75,7 @@ def build_knn(points: np.ndarray, k: int) -> NeighborGraph:
     d = np.linalg.norm(points[:, None, :] - points[idx], axis=2)
     w = 1.0 / (d + DIST_EPS)
     w /= w.sum(axis=1, keepdims=True)
-    return NeighborGraph(k=k, indices=idx, weights=w)
+    return NeighborGraph(indices=idx, weights=w)
 
 
 def velocity_loss_rows(velocities: Var, rows, nbrs, weights) -> Var:
@@ -120,11 +106,11 @@ def recon_loss_l1(pred: Var, gt) -> Var:
     return ad.vmean(ad.absolute(ad.add(pred, -gt)))
 
 
-def total_loss(recon, lv, lacc, cfg: LossConfig):
+def total_loss(recon, lv, lacc, alpha: float, beta: float):
     """recon + alpha * lv + beta * lacc (works on Vars and floats)."""
     out = recon
-    if cfg.alpha != 0.0:
-        out = out + cfg.alpha * lv
-    if cfg.beta != 0.0:
-        out = out + cfg.beta * lacc
+    if alpha != 0.0:
+        out = out + alpha * lv
+    if beta != 0.0:
+        out = out + beta * lacc
     return out

@@ -31,7 +31,6 @@ class CoherenceReport:
     per_frame: list          # mean I per non-skipped frame transition
     frame_ids: list          # transition start frames that were scored
     skipped: list            # transitions skipped for zero motion
-    k: int
 
     @property
     def mean(self) -> float:
@@ -109,8 +108,7 @@ def morans_i_sequence(positions: np.ndarray, k: int = 10) -> CoherenceReport:
         else:
             per_frame.append(score)
             frame_ids.append(t)
-    return CoherenceReport(per_frame=per_frame, frame_ids=frame_ids,
-                           skipped=skipped, k=k)
+    return CoherenceReport(per_frame=per_frame, frame_ids=frame_ids, skipped=skipped)
 
 
 def epe(pred: np.ndarray, gt: np.ndarray, scale: float = 1e4) -> float:

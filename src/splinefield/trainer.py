@@ -2,9 +2,10 @@
 
 Training supervises the field at a random subset of frames per step with
 an L1 reconstruction term, plus velocity-coherence and acceleration
-penalties sampled at a random time. A step predicts each knot's state once:
-the two knots around that time run on the velocity term's neighbor closure
-and are sliced to the batch rows, and all three terms share those states.
+penalties sampled at a random time. A step predicts each knot's state (the
+tuple of Vars `SplineField.predict_knot` returns) once: the two knots around
+that time run on the velocity term's neighbor closure and each Var of their
+states is sliced to the batch rows, and all three terms share those states.
 Parameters update with Adam; grid and temporal-code parameters get a 10x
 learning rate. Adam's squared-norm pass per gradient checks finiteness and
 gives the run log's per-group gradient norms; its update runs in place, in
@@ -73,6 +74,8 @@ class TrainConfig:
                 ("eps", np.isfinite(self.eps) and self.eps > 0, "finite and > 0"),
                 ("grid_lr_mult", np.isfinite(self.grid_lr_mult) and self.grid_lr_mult >= 0,
                  "finite and >= 0"),
+                ("alpha", np.isfinite(self.alpha) and self.alpha >= 0, "finite and >= 0"),
+                ("beta", np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
                 ("accel_mode", self.accel_mode in losses.ACCEL_MODES, f"in {losses.ACCEL_MODES}")]:
             if not ok:
                 raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
@@ -226,7 +229,6 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
             raise ValueError(f"knn_k (--K-neighbors) {cfg.knn_k} needs more than "
                              f"{sup.shape[0]} supervised points")
         graph = losses.build_knn(sup_pts, cfg.knn_k)
-    loss_cfg = losses.LossConfig(alpha=cfg.alpha, beta=cfg.beta, k=cfg.knn_k)
 
     train_frames = np.asarray(split.train_frames)
     opt = Adam(fld.store, cfg)
@@ -255,8 +257,7 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
             vel = fld.velocity_var(tape, sup_pts[needed], t_rand, knot_cache=knot_cache)
             lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
             if len(needed) > len(rows):
-                knot_cache = {k: tuple(s if s is None else ad.take(s, loc_rows)
-                                       for s in state)
+                knot_cache = {k: tuple(ad.take(s, loc_rows) for s in state)
                               for k, state in knot_cache.items()}
         recon = None
         for fi in train_frames[frame_ids]:
@@ -270,7 +271,7 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
             acc = fld.acceleration_var(tape, batch_pts, t_rand, knot_cache=knot_cache)
             lacc = losses.acceleration_loss(acc, mode=cfg.accel_mode)
 
-        total = losses.total_loss(recon, lv, lacc, loss_cfg)
+        total = losses.total_loss(recon, lv, lacc, cfg.alpha, cfg.beta)
         if not np.isfinite(total.value):
             raise DivergenceError(f"non-finite loss at step {step}")
 
@@ -326,7 +327,7 @@ def evaluate(field: SplineField, traj: TrajectorySet, split: Split,
     gts = traj.positions[frames]
     overall = metrics.epe(preds, gts, scale=scale)
     coherence = (metrics.morans_i_sequence(preds, k=k) if len(frames) >= 2
-                 else metrics.CoherenceReport([], [], [], k))
+                 else metrics.CoherenceReport([], [], []))
     per_i = dict(zip(coherence.frame_ids, coherence.per_frame))
     rows = []
     for j, t in enumerate(frames):

@@ -111,7 +111,12 @@ class TestFit:
         ("grid_lr_mult", ["--set", "grid_lr_mult=-1"]),
         ("grid_lr_mult", ["--set", "grid_lr_mult=inf"]),
         ("w0", ["--set", "w0=0"]),
-        ("w0", ["--set", "w0=-5"])])
+        ("w0", ["--set", "w0=-5"]),
+        ("alpha", ["--alpha", "-1"]),
+        ("alpha", ["--alpha", "nan"]),
+        ("beta", ["--beta", "nan"]),
+        ("beta", ["--beta", "-0.5"]),
+        ("beta", ["--set", "beta=inf"])])
     def test_bad_train_config_is_usage_error(self, tmp_path, capsys, field, args):
         traj = _gen(tmp_path)
         rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt"),
@@ -153,6 +158,13 @@ class TestFit:
         assert rc == 1
         assert f"cannot write {paths[flag]}" in capsys.readouterr().err
 
+    def test_zero_point_trajectory_is_io_error(self, tmp_path, capsys):
+        traj = tmp_path / "empty.traj"
+        traj.write_bytes(dataio.TRAJ_MAGIC + struct.pack("<II", 9, 0))
+        rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt")])
+        assert rc == 1
+        assert "N_p=0" in capsys.readouterr().err
+
     def test_divergence_maps_to_exit_3(self, tmp_path, monkeypatch):
         traj = _gen(tmp_path)
 
@@ -163,6 +175,37 @@ class TestFit:
         rc = main(["fit", "--traj", str(traj), "--out",
                    str(tmp_path / "f.ckpt")])
         assert rc == 3
+
+
+# the argv of each writing subcommand other than fit, with its output flag last
+WRITERS = {
+    "gen": ["gen", "--kind", "rotate", "--out"],
+    "eval": ["eval", "--ckpt", "{ckpt}", "--traj", "{traj}", "--report"],
+    "interp": ["interp", "--ckpt", "{ckpt}", "--times", "0.5", "--out"],
+    "advect": ["advect", "--ckpt", "{ckpt}", "--from-t", "0.5", "--dt", "0.1", "--out"],
+    "flow": ["flow", "--ckpt", "{ckpt}", "--out-prefix"],
+}
+
+
+class TestOutputChecks:
+    @pytest.mark.parametrize("command", WRITERS)
+    @pytest.mark.parametrize("bad", ["missing-dir", "read-only-dir"])
+    def test_unwritable_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     command, bad):
+        def no_work(*a, **kw):
+            raise AssertionError("work started before the output paths were checked")
+        monkeypatch.setattr(SplineField, "load", no_work)
+        monkeypatch.setattr(dataio, "gen_synthetic", no_work)
+        (tmp_path / "ro").mkdir()
+        access = cli.os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: (
+            not path.endswith("ro") and access(path, mode)))
+        out = tmp_path / {"missing-dir": "nope", "read-only-dir": "ro"}[bad] / "f"
+        argv = [a.format(ckpt=tmp_path / "f.ckpt", traj=tmp_path / "s.traj")
+                for a in WRITERS[command]]
+        assert main([*argv, str(out)]) == 1
+        named = f"{out}_0000.ply" if command == "flow" else str(out)
+        assert f"cannot write {named}" in capsys.readouterr().err
 
 
 class TestEval:

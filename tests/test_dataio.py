@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from splinefield import dataio, metrics
-from splinefield.dataio import (FormatError, SplitSpec, TrajectorySet,
+from splinefield.dataio import (TRAJ_MAGIC, FormatError, SplitSpec, TrajectorySet,
                                 export_ply, flow_colors, gen_synthetic,
                                 read_traj, split_frames, write_traj)
 
@@ -127,6 +129,12 @@ class TestTrajFormat:
         with pytest.raises(FormatError):
             read_traj(path)
 
+
+    def test_zero_points_rejected_with_count(self, tmp_path):
+        path = tmp_path / "empty.traj"
+        path.write_bytes(TRAJ_MAGIC + struct.pack("<II", 9, 0))
+        with pytest.raises(FormatError, match="N_p=0"):
+            read_traj(path)
 
     def test_non_finite_payload_names_frame_and_point(self, tmp_path):
         path = tmp_path / "nan.traj"

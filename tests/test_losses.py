@@ -4,7 +4,7 @@ from scipy.spatial import cKDTree
 
 from splinefield import losses
 from splinefield.autodiff import NoGradTape, Tape, Var
-from splinefield.losses import LossConfig, build_knn, knn_indices, total_loss
+from splinefield.losses import build_knn, knn_indices, total_loss
 
 
 def _value(loss, x, *args, **kw) -> float:
@@ -195,20 +195,13 @@ class TestReconLoss:
 
 class TestTotalLoss:
     def test_zero_weights_reduce_to_recon(self):
-        assert total_loss(1.7, 5.0, 9.0, LossConfig(alpha=0, beta=0)) == 1.7
+        assert total_loss(1.7, 5.0, 9.0, 0.0, 0.0) == 1.7
 
     def test_default_weights_hand_value(self):
-        assert total_loss(1.0, 2.0, 3.0, LossConfig()) == pytest.approx(3.03)
+        assert total_loss(1.0, 2.0, 3.0, 1.0, 0.01) == pytest.approx(3.03)
 
     def test_linearity_per_term(self):
-        cfg = LossConfig(alpha=0.5, beta=0.25)
-        base = total_loss(1.0, 2.0, 4.0, cfg)
-        assert total_loss(2.0, 2.0, 4.0, cfg) - base == pytest.approx(1.0)
-        assert total_loss(1.0, 4.0, 4.0, cfg) - base == pytest.approx(1.0)
-        assert total_loss(1.0, 2.0, 8.0, cfg) - base == pytest.approx(1.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LossConfig(alpha=-1.0)
-        with pytest.raises(ValueError):
-            LossConfig(beta=float("nan"))
+        base = total_loss(1.0, 2.0, 4.0, 0.5, 0.25)
+        assert total_loss(2.0, 2.0, 4.0, 0.5, 0.25) - base == pytest.approx(1.0)
+        assert total_loss(1.0, 4.0, 4.0, 0.5, 0.25) - base == pytest.approx(1.0)
+        assert total_loss(1.0, 2.0, 8.0, 0.5, 0.25) - base == pytest.approx(1.0)

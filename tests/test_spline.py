@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splinefield import spline
-from splinefield.spline import SegmentQuery, SplineTimeline, knot_count, locate_segment
+from splinefield.spline import knot_count, locate_segment
 
 
 class HermiteState(NamedTuple):
@@ -41,6 +41,92 @@ quintic_position, quintic_velocity, quintic_acceleration = (
     hermite_position, hermite_velocity, hermite_acceleration)   # the state picks the basis
 
 
+# Reference oracle: each basis and its derivatives written out by hand.
+# spline.basis derives orders 1 and 2 from one coefficient table per family
+# and must match these bit for bit.
+
+def hermite_basis(t_bar):
+    """Cubic Hermite basis (h00, h10, h01, h11) at t_bar."""
+    t2 = t_bar * t_bar
+    t3 = t2 * t_bar
+    return (
+        2.0 * t3 - 3.0 * t2 + 1.0,
+        t3 - 2.0 * t2 + t_bar,
+        -2.0 * t3 + 3.0 * t2,
+        t3 - t2,
+    )
+
+
+def hermite_basis_d1(t_bar):
+    """First derivative of the cubic Hermite basis w.r.t. t_bar."""
+    t2 = t_bar * t_bar
+    return (
+        6.0 * t2 - 6.0 * t_bar,
+        3.0 * t2 - 4.0 * t_bar + 1.0,
+        -6.0 * t2 + 6.0 * t_bar,
+        3.0 * t2 - 2.0 * t_bar,
+    )
+
+
+def hermite_basis_d2(t_bar):
+    """Second derivative of the cubic Hermite basis w.r.t. t_bar."""
+    return (
+        12.0 * t_bar - 6.0,
+        6.0 * t_bar - 4.0,
+        -12.0 * t_bar + 6.0,
+        6.0 * t_bar - 2.0,
+    )
+
+
+def quintic_basis(t_bar):
+    """Quintic Hermite basis (value, tangent, curvature weights at both ends)."""
+    t2 = t_bar * t_bar
+    t3 = t2 * t_bar
+    t4 = t3 * t_bar
+    t5 = t4 * t_bar
+    return (
+        -6.0 * t5 + 15.0 * t4 - 10.0 * t3 + 1.0,
+        -3.0 * t5 + 8.0 * t4 - 6.0 * t3 + t_bar,
+        -0.5 * t5 + 1.5 * t4 - 1.5 * t3 + 0.5 * t2,
+        6.0 * t5 - 15.0 * t4 + 10.0 * t3,
+        -3.0 * t5 + 7.0 * t4 - 4.0 * t3,
+        0.5 * t5 - t4 + 0.5 * t3,
+    )
+
+
+def quintic_basis_d1(t_bar):
+    """First derivative of the quintic basis w.r.t. t_bar."""
+    t2 = t_bar * t_bar
+    t3 = t2 * t_bar
+    t4 = t3 * t_bar
+    return (
+        -30.0 * t4 + 60.0 * t3 - 30.0 * t2,
+        -15.0 * t4 + 32.0 * t3 - 18.0 * t2 + 1.0,
+        -2.5 * t4 + 6.0 * t3 - 4.5 * t2 + t_bar,
+        30.0 * t4 - 60.0 * t3 + 30.0 * t2,
+        -15.0 * t4 + 28.0 * t3 - 12.0 * t2,
+        2.5 * t4 - 4.0 * t3 + 1.5 * t2,
+    )
+
+
+def quintic_basis_d2(t_bar):
+    """Second derivative of the quintic basis w.r.t. t_bar."""
+    t2 = t_bar * t_bar
+    t3 = t2 * t_bar
+    return (
+        -120.0 * t3 + 180.0 * t2 - 60.0 * t_bar,
+        -60.0 * t3 + 96.0 * t2 - 36.0 * t_bar,
+        -10.0 * t3 + 18.0 * t2 - 9.0 * t_bar + 1.0,
+        120.0 * t3 - 180.0 * t2 + 60.0 * t_bar,
+        -60.0 * t3 + 84.0 * t2 - 24.0 * t_bar,
+        10.0 * t3 - 12.0 * t2 + 3.0 * t_bar,
+    )
+
+
+ORACLES = {4: (hermite_basis, hermite_basis_d1, hermite_basis_d2),
+           6: (quintic_basis, quintic_basis_d1, quintic_basis_d2)}
+
+
 def _state(rng):
     return HermiteState(*(rng.normal(size=3) for _ in range(4)))
 
@@ -70,30 +156,48 @@ class TestKnotCount:
 
 class TestLocateSegment:
     def test_left_boundary(self):
-        q = locate_segment(0.0, SplineTimeline(5))
-        assert (q.start_idx, q.t_bar) == (0, 0.0)
+        assert locate_segment(0.0, 5) == (0, 0.0)
 
     def test_right_boundary_clamps(self):
-        q = locate_segment(1.0, SplineTimeline(5))
-        assert (q.start_idx, q.t_bar) == (3, 1.0)
-        assert q.end_idx == 4
+        start, t_bar = locate_segment(1.0, 5)
+        assert (start, t_bar) == (3, 1.0)
+        assert start + 1 == 4
 
     def test_interior(self):
-        q = locate_segment(0.3, SplineTimeline(5))
-        assert q.start_idx == 1
-        assert q.t_bar == pytest.approx(0.2, abs=1e-12)
+        start, t_bar = locate_segment(0.3, 5)
+        assert start == 1
+        assert t_bar == pytest.approx(0.2, abs=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            locate_segment(-0.1, SplineTimeline(5))
+            locate_segment(-0.1, 5)
         with pytest.raises(ValueError):
-            locate_segment(1.1, SplineTimeline(5))
+            locate_segment(1.1, 5)
 
     def test_tau_and_knot_times(self):
         # segments are 0.25 long: knots 1 and 3 sit at t = 0.25 and 0.75
-        tl = SplineTimeline(5)
-        assert locate_segment(0.25, tl) == SegmentQuery(1, 0.0)
-        assert locate_segment(0.75, tl) == SegmentQuery(3, 0.0)
+        assert locate_segment(0.25, 5) == (1, 0.0)
+        assert locate_segment(0.75, 5) == (3, 0.0)
+
+    @pytest.mark.parametrize("n_knots", [1, 0, -3])
+    def test_rejects_fewer_than_two_knots(self, n_knots):
+        with pytest.raises(ValueError, match="n_knots must be >= 2"):
+            locate_segment(0.5, n_knots)
+
+
+class TestBasisTables:
+    T_BARS = [0.0, 1.0, 0.5, 1.0 - 2.0 ** -53, 5e-324,
+              *np.random.default_rng(12).uniform(0.0, 1.0, 10_000)]
+
+    @pytest.mark.parametrize("n_ends", [4, 6])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_matches_expanded_oracle_bit_for_bit(self, n_ends, order):
+        oracle = ORACLES[n_ends][order]
+        for t in self.T_BARS:
+            got, want = spline.basis(n_ends, float(t), order), oracle(float(t))
+            assert len(got) == len(want) == n_ends
+            for g, w in zip(got, want):
+                assert g == w and np.signbit(g) == np.signbit(w), (t, g, w)
 
 
 class TestHermitePosition:
@@ -109,7 +213,7 @@ class TestHermitePosition:
     def test_partition_of_unity(self):
         ts = np.random.default_rng(1).uniform(0, 1, 1000)
         for t in ts:
-            b = spline.hermite_basis(t)
+            b = spline.basis(4, t, 0)
             assert abs(b[0] + b[2] - 1.0) < 1e-12
 
 

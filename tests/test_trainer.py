@@ -167,6 +167,12 @@ class TestRunConfigParsing:
         with pytest.raises(ValueError):
             parse_run_config(["steps"])
 
+    @pytest.mark.parametrize("name, value", [("alpha", -1.0), ("alpha", float("nan")),
+                                             ("beta", float("inf")), ("beta", -0.5)])
+    def test_bad_loss_weight_rejected_on_build(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            TrainConfig(**{name: value})
+
     @pytest.mark.parametrize("k", [0, -3])
     def test_knn_k_below_one_rejected(self, k):
         with pytest.raises(ValueError, match="knn_k"):
@@ -263,7 +269,6 @@ def _three_cache_step(traj, split, cfg):
     sup = np.asarray(split.supervised)
     sup_pts = canonical[sup]
     graph = losses.build_knn(sup_pts, cfg.knn_k) if cfg.alpha > 0 else None
-    loss_cfg = losses.LossConfig(alpha=cfg.alpha, beta=cfg.beta, k=cfg.knn_k)
     train_frames = np.asarray(split.train_frames)
 
     tape = Tape()
@@ -292,7 +297,7 @@ def _three_cache_step(traj, split, cfg):
         if cfg.beta > 0:
             acc = fld.acceleration_var(tape, batch_pts, t_rand, knot_cache={})
             lacc = losses.acceleration_loss(acc, mode=cfg.accel_mode)
-    total = losses.total_loss(recon, lv, lacc, loss_cfg)
+    total = losses.total_loss(recon, lv, lacc, cfg.alpha, cfg.beta)
     fld.store.zero_grad()
     tape.backward(total)
     return float(total.value), {n: fld.store.grad(n).copy() for n in fld.store.names()}
