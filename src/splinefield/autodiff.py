@@ -219,10 +219,6 @@ def vmean(x: Var) -> Var:
     return mul(vsum(x), 1.0 / float(x.value.size))
 
 
-def reshape(x: Var, shape) -> Var:
-    return _op(x.value.reshape(shape), x.tape, lambda g: _accum(x, g.reshape(x.value.shape)))
-
-
 def concat(xs, axis: int = 0) -> Var:
     vals = [_val(x) for x in xs]
     offsets = np.cumsum([0] + [v.shape[axis] for v in vals])

@@ -53,20 +53,17 @@ class FieldConfig:
     quintic: bool = False
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown encoder variant {self.variant!r}")
-        if self.n_knots < 2:
-            raise ValueError("n_knots must be >= 2")
-        if self.rank < 0:
-            raise ValueError("rank must be >= 0")
-        if not (np.isfinite(self.w0) and self.w0 > 0):
-            raise ValueError(f"w0 must be finite and > 0, got {self.w0!r}")
-        if min(self.hidden, self.depth, self.grid_channels) < 1:
-            raise ValueError("hidden, depth and grid_channels must be >= 1")
         self.grid_levels = tuple(self.grid_levels)
-        if not self.grid_levels or min(self.grid_levels) < 2:
-            raise ValueError(f"grid_levels must be non-empty with each level >= 2, "
-                             f"got {self.grid_levels}")
+        for name, ok, want in [
+                ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
+                ("n_knots", self.n_knots >= 2, ">= 2"), ("rank", self.rank >= 0, ">= 0"),
+                ("w0", np.isfinite(self.w0) and self.w0 > 0, "finite and > 0"),
+                ("hidden", self.hidden >= 1, ">= 1"), ("depth", self.depth >= 1, ">= 1"),
+                ("grid_channels", self.grid_channels >= 1, ">= 1"),
+                ("grid_levels", bool(self.grid_levels) and min(self.grid_levels) >= 2,
+                 "non-empty with each level >= 2")]:
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
 
 class _ShapesOnly:
@@ -131,8 +128,8 @@ class SplineField:
                              "relu", c.rank),
             "coupled4d-baseline": (enc.xyzt, "sine", 0),
         }[c.variant]
-        return enc.SirenResFieldsEncoder(store, rng, c.n_knots, rank, c.hidden, c.depth,
-                                         c.w0, features, act)
+        return enc.MLPEncoder(store, rng, c.n_knots, rank, c.hidden, c.depth,
+                              c.w0, features, act)
 
     @property
     def out_channels(self) -> int:

@@ -82,7 +82,7 @@ def velocity_loss_rows(velocities: Var, rows, nbrs, weights) -> Var:
     """Mean over `rows` of sum_j w_ij ||v_i - v_j||^2; `velocities` is [N, 3]
     covering both the rows and their neighbor indices `nbrs`."""
     rows = np.asarray(rows)
-    vi = ad.reshape(ad.take(velocities, rows), (len(rows), 1, 3))
+    vi = ad.take(velocities, rows[:, None])     # [R, 1, 3]
     vn = ad.take(velocities, nbrs)
     diff = ad.add(vi, ad.mul(vn, -1.0))
     sq = ad.vsum(ad.mul(diff, diff), axis=2)

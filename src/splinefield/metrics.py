@@ -10,33 +10,20 @@ energy:
     I_i = (K / sum_jk w_jk) * (sum_jk w_jk <v_j, v_k>) / (sum_j ||v_j||^2)
 
 This yields exactly 1 for uniform motion and ~0 for independent noise.
-A sequence is scored over its consecutive frames; `trainer.evaluate` passes
-the held-out frames, so a transition may span training frames between them.
+A sequence is scored per transition between consecutive frames, with None for
+a transition that has no motion; `trainer.evaluate` passes the held-out
+frames, so a transition may span training frames between them.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 ZERO_MOTION_EPS = 1e-12
 _BLOCK = 4096      # points per pair-kernel block; bounds temporaries to O(block*K)
-
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    per_frame: list          # mean I per non-skipped frame transition
-    frame_ids: list          # transition start frames that were scored
-    skipped: list            # transitions skipped for zero motion
-
-    @property
-    def mean(self) -> float:
-        if not self.per_frame:
-            return float("nan")
-        return float(np.mean(self.per_frame))
 
 
 def motion_vectors(positions: np.ndarray) -> np.ndarray:
@@ -97,18 +84,12 @@ def morans_i_frame(positions: np.ndarray, vectors: np.ndarray, k: int = 10):
     return float(np.mean(scores))
 
 
-def morans_i_sequence(positions: np.ndarray, k: int = 10) -> CoherenceReport:
-    """Mean Moran's I over all frame transitions of a [T, N_p, 3] trajectory."""
+def morans_i_sequence(positions: np.ndarray, k: int = 10) -> list:
+    """Mean Moran's I of each consecutive-frame transition of a [T, N_p, 3]
+    trajectory: T - 1 entries, the one for frames t -> t+1 at index t, each
+    None if that transition has no motion."""
     vectors = motion_vectors(positions)
-    per_frame, frame_ids, skipped = [], [], []
-    for t in range(vectors.shape[0]):
-        score = morans_i_frame(positions[t], vectors[t], k)
-        if score is None:
-            skipped.append(t)
-        else:
-            per_frame.append(score)
-            frame_ids.append(t)
-    return CoherenceReport(per_frame=per_frame, frame_ids=frame_ids, skipped=skipped)
+    return [morans_i_frame(positions[t], vectors[t], k) for t in range(vectors.shape[0])]
 
 
 def epe(pred: np.ndarray, gt: np.ndarray, scale: float = 1e4) -> float:

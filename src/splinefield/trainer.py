@@ -62,9 +62,8 @@ class TrainConfig:
     knn_k: int = 10
 
     def __post_init__(self):
-        if self.knn_k < 1:
-            raise ValueError(f"knn_k (--K-neighbors) must be >= 1, got {self.knn_k}")
         for name, ok, want in [
+                ("knn_k", self.knn_k >= 1, ">= 1 (--K-neighbors)"),
                 ("steps", self.steps >= 1, ">= 1"), ("lr_decay", 0 < self.lr_decay <= 1, "in (0, 1]"),
                 ("frames_per_step", self.frames_per_step >= 1, ">= 1"),
                 ("batch_points", self.batch_points >= 0, ">= 0"),
@@ -76,9 +75,12 @@ class TrainConfig:
                  "finite and >= 0"),
                 ("alpha", np.isfinite(self.alpha) and self.alpha >= 0, "finite and >= 0"),
                 ("beta", np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
-                ("accel_mode", self.accel_mode in losses.ACCEL_MODES, f"in {losses.ACCEL_MODES}")]:
+                ("accel_mode", self.accel_mode in losses.ACCEL_MODES, f"in {losses.ACCEL_MODES}"),
+                ("knot_factor", self.knot_factor >= 1, ">= 1"),
+                ("n_knots", self.n_knots == 0 or self.n_knots >= 2, "0 or >= 2")]:
             if not ok:
                 raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
+        _field_config(self, 2)      # FieldConfig checks variant, rank, hidden, depth, w0
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -204,9 +206,7 @@ class RunLog:
 
 
 def resolve_n_knots(cfg: TrainConfig, n_train_frames: int) -> int:
-    if cfg.n_knots:
-        return cfg.n_knots
-    return spline.knot_count(n_train_frames, cfg.knot_factor)
+    return cfg.n_knots or spline.knot_count(n_train_frames, cfg.knot_factor)
 
 
 def _field_config(cfg: TrainConfig, n_knots: int) -> FieldConfig:
@@ -304,15 +304,16 @@ def _scalar(x) -> float:
 
 
 def evaluate(field: SplineField, traj: TrajectorySet, split: Split,
-             frames=None, k: int = 10, scale: float = 1e4):
-    """End-point error and motion coherence on held-out frames.
+             k: int = 10, scale: float = 1e4):
+    """End-point error and motion coherence on the split's held-out frames.
 
     All frames are deformed by one multi-time `field.deform` call, which runs
     without recording a tape and predicts each knot once. Moran's I scores the
     transitions between consecutive held-out frames, so with stride 4 the
     3 -> 5 transition spans training frame 4. Returns (summary dict with
-    `epe`, `mean_I`, `n_frames` and `skipped`, the frames whose transition
-    had no motion; per-frame rows for a CSV report). A trajectory whose point
+    `epe`, `mean_I`, `n_frames` and `skipped`, the frames whose outgoing
+    transition had no motion; per-frame rows, each with its outgoing
+    transition's `mean_I`, None on the last). A trajectory whose point
     count differs from the field's canonical points, or a `k` outside
     [2, point count), is a ValueError, raised before anything is deformed."""
     n = field.canonical.shape[0]
@@ -320,21 +321,18 @@ def evaluate(field: SplineField, traj: TrajectorySet, split: Split,
         raise ValueError(f"trajectory has {traj.n_points} points, checkpoint has {n}")
     if not 2 <= k < n:
         raise ValueError(f"Moran's I needs 2 <= K < {n} (the point count), got K={k}")
-    frames = list(split.test_frames if frames is None else frames)
+    frames = list(split.test_frames)
     if not frames:
         raise ValueError("no frames to evaluate")
     preds = field.deform(field.canonical, [traj.frame_time(t) for t in frames])
     gts = traj.positions[frames]
-    overall = metrics.epe(preds, gts, scale=scale)
-    coherence = (metrics.morans_i_sequence(preds, k=k) if len(frames) >= 2
-                 else metrics.CoherenceReport([], [], []))
-    per_i = dict(zip(coherence.frame_ids, coherence.per_frame))
-    rows = []
-    for j, t in enumerate(frames):
-        rows.append({"frame_idx": t,
-                     "mean_I": per_i.get(j),
-                     "epe": metrics.epe(preds[j], gts[j], scale=scale),
-                     "n_points": n})
-    summary = {"epe": overall, "mean_I": coherence.mean, "n_frames": len(frames),
-               "skipped": [frames[j] for j in coherence.skipped]}
+    scores = metrics.morans_i_sequence(preds, k=k) if len(frames) >= 2 else []
+    rows = [{"frame_idx": t, "mean_I": score,
+             "epe": metrics.epe(preds[j], gts[j], scale=scale), "n_points": n}
+            for j, (t, score) in enumerate(zip(frames, scores + [None]))]
+    scored = [s for s in scores if s is not None]
+    summary = {"epe": metrics.epe(preds, gts, scale=scale),
+               "mean_I": float(np.mean(scored)) if scored else float("nan"),
+               "n_frames": len(frames),
+               "skipped": [t for t, s in zip(frames, scores) if s is None]}
     return summary, rows

@@ -530,7 +530,6 @@ PRIMITIVES = {
     "absolute": ([_R.normal(size=5)], ad.absolute),
     "sqrt": ([_R.uniform(1, 2, 5)], ad.sqrt),
     "vsum": ([_R.normal(size=(3, 2))], lambda x: ad.vsum(x, axis=1)),
-    "reshape": ([_R.normal(size=(3, 2))], lambda x: ad.reshape(x, (6,))),
     "concat": ([_R.normal(size=(3, 2)), _R.normal(size=(3, 1))],
                lambda a, b: ad.concat([a, b], axis=1)),
     "take": ([_R.normal(size=(4, 2))], lambda x: ad.take(x, np.array([0, 2, 2]))),

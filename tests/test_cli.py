@@ -116,14 +116,34 @@ class TestFit:
         ("alpha", ["--alpha", "nan"]),
         ("beta", ["--beta", "nan"]),
         ("beta", ["--beta", "-0.5"]),
-        ("beta", ["--set", "beta=inf"])])
+        ("beta", ["--set", "beta=inf"]),
+        ("knot_factor", ["--set", "knot_factor=0"]),
+        ("knot_factor", ["--K", "0"]),
+        ("n_knots", ["--set", "n_knots=-1"]),
+        ("n_knots", ["--set", "n_knots=1"]),
+        ("rank", ["--set", "rank=-1"]),
+        ("hidden", ["--set", "hidden=0"]),
+        ("depth", ["--set", "depth=0"]),
+        ("variant", ["--variant", "nope"])])
     def test_bad_train_config_is_usage_error(self, tmp_path, capsys, field, args):
         traj = _gen(tmp_path)
         rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt"),
                    "--steps", "2", *args])
         assert rc == 2
-        assert f"{field} must be" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert f"{field} must be" in err
+        assert "fitting" not in out     # rejected where the config is built
         assert not (tmp_path / "f.ckpt").exists()
+
+    def test_log_csv_has_one_row_per_step(self, tmp_path):
+        log = tmp_path / "log.csv"
+        _fit(tmp_path, _gen(tmp_path), extra=["--log-csv", str(log)])
+        lines = log.read_text().splitlines()
+        assert lines[0].split(",")[:9] == ["step", "recon", "lv", "lacc", "total",
+                                           "wallclock_ms", "forward_ms", "backward_ms",
+                                           "optimizer_ms"]
+        assert lines[0].split(",")[9].startswith("gn:")
+        assert [line.split(",")[0] for line in lines[1:]] == [str(s) for s in range(10)]
 
     def test_prints_median_phase_times(self, tmp_path, capsys):
         _fit(tmp_path, _gen(tmp_path))
@@ -459,3 +479,10 @@ class TestEnv:
         monkeypatch.setenv("SDF_THREADS", "banana")
         assert main(["gen", "--kind", "rotate", "--points", "5",
                      "--frames", "3", "--out", str(tmp_path / "t.traj")]) == 2
+
+    def test_negative_threads_value(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SDF_THREADS", "-1")
+        assert main(["gen", "--kind", "rotate", "--points", "5",
+                     "--frames", "3", "--out", str(tmp_path / "t.traj")]) == 2
+        assert "SDF_THREADS must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "t.traj").exists()

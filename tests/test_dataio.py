@@ -6,7 +6,8 @@ import pytest
 from splinefield import dataio, metrics
 from splinefield.dataio import (TRAJ_MAGIC, FormatError, SplitSpec, TrajectorySet,
                                 export_ply, flow_colors, gen_synthetic,
-                                read_traj, split_frames, write_traj)
+                                read_checkpoint, read_traj, split_frames,
+                                write_checkpoint, write_traj)
 
 
 class TestTrajectorySet:
@@ -44,8 +45,8 @@ class TestGenSynthetic:
 
     def test_bending_sheet_is_coherent(self):
         traj = gen_synthetic("bending-sheet", 500, 12, seed=1)
-        rep = metrics.morans_i_sequence(traj.positions, k=10)
-        assert rep.mean > 0.95
+        scores = metrics.morans_i_sequence(traj.positions, k=10)
+        assert np.mean([s for s in scores if s is not None]) > 0.95
 
     def test_rotation_is_rigid(self):
         traj = gen_synthetic("rotate", 40, 8, seed=2)
@@ -147,6 +148,21 @@ class TestTrajFormat:
         with pytest.raises(FormatError, match="frame 2, point 5"):
             read_traj(path)
 
+    # `ckpt` holds one section, "w" of shape [2, 3]: a 6-float payload after
+    # its u8 rank and two u32 dims
+    @pytest.mark.parametrize("read, damage, named", [
+        (read_traj, lambda ckpt: TRAJ_MAGIC + b"\x01", "header needs 16 bytes"),
+        (read_checkpoint, lambda ckpt: ckpt[:8] + struct.pack("<I", 7) + ckpt[12:],
+         "unsupported version 7"),
+        (read_checkpoint, lambda ckpt: ckpt[:-4 * 6 - 5], "truncated file"),
+    ], ids=["traj-under-16-bytes", "ckpt-version-7", "ckpt-cut-in-section-dims"])
+    def test_short_or_unsupported_file_is_format_error(self, tmp_path, read, damage, named):
+        good, bad = tmp_path / "good.ckpt", tmp_path / "bad.bin"
+        write_checkpoint(good, {"w": np.zeros((2, 3))})
+        bad.write_bytes(damage(good.read_bytes()))
+        with pytest.raises(FormatError, match=named):
+            read(bad)
+
 
 class TestPly:
     def test_single_point_header(self, tmp_path):
@@ -179,3 +195,14 @@ class TestPly:
         text = path.read_text()
         assert "property uchar red" in text
         assert text.strip().endswith("0.000000 0.000000 0.000000 10 10 10")
+
+    @pytest.mark.parametrize("points, colors, named", [
+        (np.zeros((2, 2)), None, "points must be"),
+        (np.zeros(3), None, "points must be"),
+        (np.zeros((2, 3)), np.zeros((3, 3)), "colors must match"),
+        (np.zeros((2, 3)), np.zeros((2, 4)), "colors must match")])
+    def test_bad_shapes_are_rejected_before_writing(self, tmp_path, points, colors, named):
+        path = tmp_path / "p.ply"
+        with pytest.raises(ValueError, match=named):
+            export_ply(path, points, colors)
+        assert not path.exists()

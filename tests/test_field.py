@@ -39,7 +39,7 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [dict(hidden=0), dict(depth=0), dict(grid_channels=0),
                                      dict(grid_levels=()), dict(grid_levels=(1, 8)),
                                      dict(w0=0.0), dict(w0=-5.0), dict(w0=np.nan),
-                                     dict(w0=np.inf)])
+                                     dict(w0=np.inf), dict(rank=-1)])
     def test_sizes_that_build_no_field_are_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             FieldConfig(**bad)
@@ -50,6 +50,14 @@ class TestConfig:
     def test_bad_normalizer_is_rejected(self, center, half):
         with pytest.raises(ValueError, match="normalizer"):
             SplineField(_small_cfg(), _points(), normalizer=(center, half))
+
+    @pytest.mark.parametrize("points, named", [
+        (np.zeros((6, 2)), r"\[N_p, 3\]"), (np.zeros(3), r"\[N_p, 3\]"),
+        (np.where(np.eye(6, 3) > 0, np.nan, 0.0), "finite"),
+        (np.where(np.eye(6, 3) > 0, np.inf, 0.0), "finite")])
+    def test_bad_canonical_points_are_rejected(self, points, named):
+        with pytest.raises(ValueError, match=f"canonical points must be {named}"):
+            SplineField(_small_cfg(), points)
 
 
 class TestPredictKnot:

@@ -63,6 +63,10 @@ class TestMoransIFrame:
         pts = np.random.default_rng(4).normal(size=(50, 3))
         assert morans_i_frame(pts, np.zeros((50, 3)), k=5) is None
 
+    def test_coincident_points_have_no_pair_weight(self):
+        # every point moves, but all pairs are at distance 0 and carry no weight
+        assert morans_i_frame(np.ones((20, 3)), np.tile([1.0, 0, 0], (20, 1)), k=5) is None
+
     def test_iid_noise_near_zero(self):
         scores = []
         for seed in range(5):
@@ -163,28 +167,30 @@ class TestMoransISequence:
     def test_uniform_translation_sequence(self):
         base = np.random.default_rng(7).normal(size=(100, 3))
         traj = np.stack([base + i * np.array([0.1, 0, 0]) for i in range(5)])
-        rep = morans_i_sequence(traj, k=10)
-        assert rep.mean == pytest.approx(1.0, abs=1e-12)
-        assert rep.skipped == []
+        scores = morans_i_sequence(traj, k=10)
+        assert len(scores) == 4
+        np.testing.assert_allclose(scores, 1.0, atol=1e-12)
 
     def test_single_pair_equals_frame_call(self):
         rng = np.random.default_rng(8)
         traj = rng.normal(size=(2, 60, 3))
-        rep = morans_i_sequence(traj, k=5)
         direct = morans_i_frame(traj[0], traj[1] - traj[0], k=5)
-        assert rep.mean == pytest.approx(direct, rel=1e-14)
+        assert morans_i_sequence(traj, k=5) == [direct]
 
     def test_bending_sheet_matches_brute_oracle(self):
         traj = gen_synthetic("bending-sheet", 300, 10, seed=0).positions
         fast = morans_i_sequence(traj, k=10)
         with _brute():
             slow = morans_i_sequence(traj, k=10)
-        np.testing.assert_allclose(fast.per_frame, slow.per_frame, atol=1e-10)
+        # the sheet turns back mid-sequence, so one transition has no motion
+        assert [s is None for s in fast] == [s is None for s in slow]
+        assert fast.count(None) == 1
+        np.testing.assert_allclose([s for s in fast if s is not None],
+                                   [s for s in slow if s is not None], atol=1e-10)
 
     def test_static_sequence_all_skipped(self):
         traj = np.tile(np.random.default_rng(9).normal(size=(1, 50, 3)), (4, 1, 1))
-        rep = morans_i_sequence(traj, k=5)
-        assert not rep.per_frame and np.isnan(rep.mean)
+        assert morans_i_sequence(traj, k=5) == [None, None, None]
 
 
 class TestEpe:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splinefield import autodiff as ad
-from splinefield import dataio, losses, trainer
+from splinefield import dataio, losses, metrics, trainer
 from splinefield.autodiff import ParamStore, Tape
 from splinefield.dataio import SplitSpec, split_frames
 from splinefield.field import SplineField
@@ -166,6 +166,13 @@ class TestRunConfigParsing:
     def test_bad_format(self):
         with pytest.raises(ValueError):
             parse_run_config(["steps"])
+
+    def test_false_boolean(self):
+        assert parse_run_config(["quintic=off"], TrainConfig(quintic=True)).quintic is False
+
+    def test_bad_boolean(self):
+        with pytest.raises(ValueError, match="bad boolean for quintic: 'maybe'"):
+            parse_run_config(["quintic=maybe"])
 
     @pytest.mark.parametrize("name, value", [("alpha", -1.0), ("alpha", float("nan")),
                                              ("beta", float("inf")), ("beta", -0.5)])
@@ -552,45 +559,49 @@ class TestTrainBoundaries:
             == [0, 2.0, 3.0, 0.5, 1.5, 0.25, {"a": 1.0}]
 
 
+class _Replay:
+    """A field stand-in whose deform looks up the ground-truth frame at each time."""
+
+    def __init__(self, traj):
+        self.traj, self.canonical = traj, traj.positions[0]
+
+    def deform(self, pts, times):
+        idx = np.rint(np.asarray(times) * (self.traj.n_frames - 1)).astype(int)
+        return self.traj.positions[idx]
+
+
 class TestEvaluate:
     def test_ground_truth_replay_scores_zero_epe(self):
         # a field is replaced by direct ground-truth lookup via a stub
         traj = dataio.gen_synthetic("bending-sheet", 200, 12, seed=1)
         split = split_frames(traj, SplitSpec(stride=4, supervised_fraction=0.5))
-
-        class Replay:
-            canonical = traj.positions[0]
-
-            def deform(self, pts, times):
-                idx = np.rint(np.asarray(times) * (traj.n_frames - 1)).astype(int)
-                return traj.positions[idx]
-
-        summary, rows = trainer.evaluate(Replay(), traj, split)
+        summary, rows = trainer.evaluate(_Replay(traj), traj, split)
         assert summary["epe"] == 0.0
         assert len(rows) == len(split.test_frames)
-        gt_rep = __import__("splinefield.metrics", fromlist=["x"]) \
-            .morans_i_sequence(traj.positions[list(split.test_frames)], k=10)
-        assert summary["mean_I"] == pytest.approx(gt_rep.mean, rel=1e-12)
+        gt_scores = metrics.morans_i_sequence(traj.positions[list(split.test_frames)], k=10)
+        assert summary["mean_I"] == pytest.approx(
+            np.mean([s for s in gt_scores if s is not None]), rel=1e-12)
 
     def test_still_transitions_are_reported_as_skipped(self):
         base = np.random.default_rng(2).normal(size=(30, 3))
         steps = np.minimum(np.arange(12), 6)[:, None, None]   # still from frame 6
         traj = dataio.TrajectorySet(base + steps * np.array([0.1, 0.0, 0.0]))
-        split = split_frames(traj, SplitSpec(stride=4, supervised_fraction=1.0))
-
-        class Replay:
-            canonical = traj.positions[0]
-
-            def deform(self, pts, times):
-                idx = np.rint(np.asarray(times) * (traj.n_frames - 1)).astype(int)
-                return traj.positions[idx]
-
-        frames = [1, 3, 6, 7, 9]
-        summary, rows = trainer.evaluate(Replay(), traj, split, frames=frames, k=5)
+        split = dataio.Split(train_frames=(0, 4, 8), test_frames=(1, 3, 6, 7, 9),
+                             supervised=np.arange(30))
+        summary, rows = trainer.evaluate(_Replay(traj), traj, split, k=5)
         assert summary["skipped"] == [6, 7]
         assert [r["mean_I"] is None for r in rows] == [False, False, True, True, True]
         assert summary["mean_I"] == pytest.approx(1.0, abs=1e-12)
         assert summary["n_frames"] == 5
+
+    def test_one_held_out_frame_has_no_transition(self):
+        traj = dataio.gen_synthetic("rigid-translate", 30, 5, seed=0)
+        split = dataio.Split(train_frames=(0, 1, 3, 4), test_frames=(2,),
+                             supervised=np.arange(30))
+        summary, rows = trainer.evaluate(_Replay(traj), traj, split, k=5)
+        assert np.isnan(summary["mean_I"])
+        assert summary["skipped"] == [] and summary["n_frames"] == 1
+        assert [(r["frame_idx"], r["mean_I"], r["epe"]) for r in rows] == [(2, None, 0.0)]
 
     def test_split_arithmetic(self):
         traj = dataio.gen_synthetic("rigid-translate", 20, 120, seed=0)
@@ -598,7 +609,6 @@ class TestEvaluate:
         assert len(split.test_frames) == 90
 
     def test_report_matches_direct_metric_calls(self):
-        from splinefield import metrics
         traj, split, cfg = _tiny_run(steps=10)
         fld, _ = train(traj, split, cfg)
         summary, rows = trainer.evaluate(fld, traj, split, scale=1e4)
