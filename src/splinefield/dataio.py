@@ -10,6 +10,7 @@ f32 arrays and a JSON header; `write_checkpoint` documents the layout.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -84,7 +85,9 @@ class Split:
 
 def split_frames(traj: TrajectorySet, spec: SplitSpec, seed: int = 0) -> Split:
     """Every stride-th frame trains; the rest are held out. A random subset
-    of points is supervised."""
+    of points, drawn with `seed` (>= 0), is supervised."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if spec.stride == 1:
         warnings.warn("stride=1 leaves no held-out frames", stacklevel=2)
     train = tuple(range(0, traj.n_frames, spec.stride))
@@ -239,7 +242,7 @@ def read_checkpoint(path):
             off += 1
             shape = struct.unpack_from(f"<{rank}I", data, off)
             off += 4 * rank
-            n = int(np.prod(shape)) if rank else 1
+            n = math.prod(shape)
             payload = data[off:off + 4 * n]
             if len(payload) != 4 * n:
                 raise FormatError(f"truncated payload for {name!r} at byte {off}")

@@ -1,11 +1,12 @@
 """Time-variant spatial encoders.
 
-Each encoder maps (normalized canonical coordinate, knot index) to a feature
-vector. Temporal conditioning enters only through low-rank per-knot codes:
-one modulation, `low_rank` (base + sum_r v_t[r] * res[r]), builds every
-time-variant tensor at a knot, the layer weights of the MLP encoder and the
-factor grids of the plane/axis encoder alike; the coordinates themselves
-never see time. Rank 0 degenerates both to a time-invariant encoder.
+Each encoder maps (normalized canonical coordinate, knot code v_t) to a
+feature vector; `SplineField` owns the per-knot codes and passes a knot's
+row in. Time enters only through that code: one modulation, `low_rank`
+(base + sum_r v_t[r] * res[r]), builds every time-variant tensor at a knot,
+the layer weights of the MLP encoder and the factor grids of the plane/axis
+encoder alike; the coordinates never see time. Rank 0 (v_t None) degenerates
+both to a time-invariant encoder.
 
 The MLP variants differ only in the MLP's feature map and activation (see
 `MLPEncoder`). The coupled-4D baseline is the rank-0 sine MLP
@@ -19,23 +20,7 @@ import numpy as np
 from splinefield import autodiff as ad
 from splinefield.autodiff import ParamStore, Tape, Var
 
-CODE_INIT_STD = 1e-2      # per-knot temporal codes ~ N(0, (1e-2)^2)
 GRID_INIT_RANGE = 0.1     # grid bases uniform in [-0.1, 0.1]
-
-
-def init_temporal_codes(n_knots: int, rank: int, rng) -> np.ndarray:
-    """Per-knot code matrix V of shape [n_knots, rank]."""
-    return rng.normal(0.0, CODE_INIT_STD, size=(n_knots, rank))
-
-
-def materialize_code(tape, store: ParamStore, n_knots: int, knot_idx: int):
-    """Row v_t of the store's code matrix on the tape, or None when the store
-    holds no codes (rank 0). The knot index is checked either way."""
-    if not (0 <= knot_idx < n_knots):
-        raise ValueError(f"knot index {knot_idx} out of range [0, {n_knots})")
-    if "codes" not in store:
-        return None
-    return ad.take(store.var("codes", tape), np.array(knot_idx))
 
 
 def low_rank(base, res, v_t):
@@ -44,14 +29,6 @@ def low_rank(base, res, v_t):
     res has shape [rank, *base.shape]; None (rank 0) returns base itself.
     """
     return base if res is None else ad.add(base, ad.weighted_stack_sum(v_t, res))
-
-
-def tv_linear_apply(x, w_base, w_res, bias, v_t) -> Var:
-    """input @ (W_base + sum_r v_t[r] * W_res[r]) + bias.
-
-    w_res has shape [rank, C_in, C_out]; None (rank 0) is a plain linear.
-    """
-    return ad.forward_linear(x, low_rank(w_base, w_res, v_t), bias)
 
 
 def xyz(x_norm: np.ndarray, t) -> np.ndarray:
@@ -96,17 +73,13 @@ class MLPEncoder:
     and sines at rank 0, so its only temporal input is the time coordinate.
     """
 
-    def __init__(self, store: ParamStore, rng, n_knots: int, rank: int,
-                 hidden: int = 64, depth: int = 3, w0: float = 30.0,
-                 features=xyz, act: str = "sine"):
-        self.n_knots = n_knots
+    def __init__(self, store: ParamStore, rng, rank: int, hidden: int = 64,
+                 depth: int = 3, w0: float = 30.0, features=xyz, act: str = "sine"):
         self.rank = rank
         self.depth = depth
         self.features = features
         self._act = {"sine": lambda h: ad.sine(h, w0), "relu": ad.relu}[act]
         self.out_dim = hidden
-        if rank > 0:
-            store.add("codes", init_temporal_codes(n_knots, rank, rng))
         dims = [features(np.zeros((1, 3)), 0.0).shape[1]] + [hidden] * depth
         for i, (ci, co) in enumerate(zip(dims[:-1], dims[1:])):
             if act == "sine":
@@ -121,17 +94,15 @@ class MLPEncoder:
             store.add(f"enc.mlp.l{i}.b", np.zeros(co))
 
     def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
-               knot_idx: int | None, t: float | None = None) -> Var:
-        """Features at knot `knot_idx`, whose code modulates the weights; the
-        coupled baseline has no knots and passes None with its query time t."""
-        v_t = None if knot_idx is None else materialize_code(tape, store, self.n_knots,
-                                                             knot_idx)
+               v_t: Var | None, t: float | None = None) -> Var:
+        """Features under the knot code v_t, which modulates the weights; the
+        coupled baseline passes v_t None with its query time t."""
         h = self.features(x_norm, t)
         for i in range(self.depth):
             wb = store.var(f"enc.mlp.l{i}.Wb", tape)
             wres = store.var(f"enc.mlp.l{i}.Wres", tape) if self.rank > 0 else None
             b = store.var(f"enc.mlp.l{i}.b", tape)
-            h = self._act(tv_linear_apply(h, wb, wres, b, v_t))
+            h = self._act(ad.forward_linear(h, low_rank(wb, wres, v_t), b))
         return h
 
 
@@ -151,14 +122,11 @@ class TriplaneEncoder:
 
     FACTORS = (("xy", (0, 1)), ("yz", (1, 2)), ("xz", (0, 2)))
 
-    def __init__(self, store: ParamStore, rng, n_knots: int, rank: int,
-                 levels: tuple = (32, 64), channels: int = 16):
-        self.n_knots = n_knots
+    def __init__(self, store: ParamStore, rng, rank: int, levels: tuple = (32, 64),
+                 channels: int = 16):
         self.rank = rank
         self.levels = tuple(levels)
         self.channels = channels
-        if rank > 0:
-            store.add("codes", init_temporal_codes(n_knots, rank, rng))
         for li, d in enumerate(self.levels):
             for fname, axes in self.FACTORS:
                 shape = (d,) * len(axes) + (channels,)
@@ -171,8 +139,8 @@ class TriplaneEncoder:
         self.out_dim = channels * len(self.levels)
 
     def encode(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
-               knot_idx: int) -> Var:
-        v_t = materialize_code(tape, store, self.n_knots, knot_idx)
+               v_t: Var | None) -> Var:
+        """Features under the knot code v_t (None at rank 0)."""
         feats = []
         for li, d in enumerate(self.levels):
             level = None

@@ -3,9 +3,11 @@
 Composes an encoder and a decoder MLP into per-knot states, the tuple
 (offset, tangent) or, for a quintic field, (offset, tangent, curvature),
 then interpolates with the Hermite segment located for the query time,
-whose family the tuple's length picks. The MLP variants share one encoder
-class and differ only in its feature map and activation; the plane and axis
-variants share the factorized-grid class. Velocity and acceleration come
+whose family the tuple's length picks. The field owns the per-knot codes
+([n_knots, rank]): it checks the knot index and hands the encoder that
+knot's code v_t. The MLP variants share one encoder class and differ only
+in its feature map and activation; the plane and axis variants share the
+factorized-grid class. Velocity and acceleration come
 from the closed-form segment derivatives, in normalized segment-time units
 unless physical scaling is requested; one evaluator,
 `spline.segment_derivative`, serves all three by derivative order.
@@ -22,6 +24,7 @@ velocity/acceleration obtained by central finite differences in t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -35,6 +38,7 @@ from splinefield.autodiff import NoGradTape, ParamStore, Tape, Var
 VARIANTS = ("siren-resfields", "pe-resfields", "triplanes", "triaxes",
             "coupled4d-baseline")
 
+CODE_INIT_STD = 1e-2      # per-knot temporal codes ~ N(0, (1e-2)^2)
 _FD_T_EPS = 1e-4  # time step for the coupled baseline's FD derivatives
 _GRIDS = {"triplanes": enc.TriplaneEncoder, "triaxes": enc.TriaxesEncoder}
 
@@ -67,9 +71,16 @@ class FieldConfig:
 
 
 class _ShapesOnly:
-    """Stands in for a Generator when only parameter names and shapes matter."""
+    """Stands in for a Generator when only parameter names and shapes matter;
+    a draw larger than `limit`, the largest stored array, raises ValueError."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
 
     def uniform(self, low, high, size):
+        if math.prod(size) > self.limit:
+            raise ValueError(f"the config builds an array of shape {size}, larger "
+                             f"than any stored array")
         return np.zeros(size)
 
     normal = uniform
@@ -103,7 +114,8 @@ class SplineField:
 
         # a given store must hold exactly the names and shapes the config builds
         built = ParamStore()
-        rng = np.random.default_rng(seed) if store is None else _ShapesOnly()
+        rng = np.random.default_rng(seed) if store is None else _ShapesOnly(
+            max((store.value(n).size for n in store.names()), default=0))
         self.encoder = self._build_encoder(built, rng)
         self._build_decoder(built, rng)
         if store is not None:
@@ -119,17 +131,18 @@ class SplineField:
 
     def _build_encoder(self, store, rng):
         c = self.cfg
+        rank = 0 if c.variant == "coupled4d-baseline" else c.rank
+        if rank > 0:
+            store.add("codes", rng.normal(0.0, CODE_INIT_STD, size=(c.n_knots, rank)))
         if c.variant in _GRIDS:
-            return _GRIDS[c.variant](store, rng, c.n_knots, c.rank, c.grid_levels,
-                                     c.grid_channels)
-        features, act, rank = {
-            "siren-resfields": (enc.xyz, "sine", c.rank),
+            return _GRIDS[c.variant](store, rng, rank, c.grid_levels, c.grid_channels)
+        features, act = {
+            "siren-resfields": (enc.xyz, "sine"),
             "pe-resfields": (lambda x, t: enc.positional_encode(x, c.pe_frequencies),
-                             "relu", c.rank),
-            "coupled4d-baseline": (enc.xyzt, "sine", 0),
+                             "relu"),
+            "coupled4d-baseline": (enc.xyzt, "sine"),
         }[c.variant]
-        return enc.MLPEncoder(store, rng, c.n_knots, rank, c.hidden, c.depth,
-                              c.w0, features, act)
+        return enc.MLPEncoder(store, rng, rank, c.hidden, c.depth, c.w0, features, act)
 
     @property
     def out_channels(self) -> int:
@@ -177,8 +190,10 @@ class SplineField:
         if self.cfg.variant == "coupled4d-baseline":
             raise ValueError("the coupled-4D baseline has no knot states")
         if not (0 <= knot_idx < self.cfg.n_knots):
-            raise ValueError(f"knot index {knot_idx} out of range")
-        feat = self.encoder.encode(tape, self.store, self.normalize(points), knot_idx)
+            raise ValueError(f"knot index {knot_idx} out of range [0, {self.cfg.n_knots})")
+        v_t = (ad.take(self.store.var("codes", tape), np.array(knot_idx))
+               if "codes" in self.store else None)
+        feat = self.encoder.encode(tape, self.store, self.normalize(points), v_t)
         out = self._decode(tape, feat)
         return tuple(out[:, j:j + 3] for j in range(0, self.out_channels, 3))
 

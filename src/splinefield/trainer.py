@@ -66,7 +66,7 @@ class TrainConfig:
                 ("knn_k", self.knn_k >= 1, ">= 1 (--K-neighbors)"),
                 ("steps", self.steps >= 1, ">= 1"), ("lr_decay", 0 < self.lr_decay <= 1, "in (0, 1]"),
                 ("frames_per_step", self.frames_per_step >= 1, ">= 1"),
-                ("batch_points", self.batch_points >= 0, ">= 0"),
+                ("batch_points", self.batch_points >= 0, ">= 0"), ("seed", self.seed >= 0, ">= 0"),
                 ("lr", np.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
                 ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
                 ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
@@ -106,10 +106,11 @@ def parse_run_config(pairs, base: TrainConfig | None = None) -> TrainConfig:
                 values[key] = False
             else:
                 raise ValueError(f"bad boolean for {key}: {raw!r}")
-        elif isinstance(cur, int):
-            values[key] = int(raw)
-        elif isinstance(cur, float):
-            values[key] = float(raw)
+        elif isinstance(cur, (int, float)):
+            try:
+                values[key] = type(cur)(raw)
+            except ValueError:
+                raise ValueError(f"{key} must be {type(cur).__name__}, got {raw!r}") from None
         else:
             values[key] = raw
     return TrainConfig(**values)

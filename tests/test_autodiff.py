@@ -580,6 +580,25 @@ class TestOpContract:
         np.testing.assert_array_equal(x.grad, expected(c, xv))
 
 
+class TestOperandChecks:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda t: ad.add(np.ones(2), np.ones(2)), TypeError, "at least one operand"),
+        (lambda t: ad.matmul(Var(np.zeros((2, 3)), t), np.zeros((2, 3))), ValueError,
+         r"matmul shape mismatch: \(2, 3\) @ \(2, 3\)"),
+        (lambda t: ad.weighted_stack_sum(Var(np.zeros(2), t), np.zeros((3, 4))), ValueError,
+         "rank mismatch"),
+        (lambda t: ad.bilinear_sample(Var(np.zeros((3, 3)), t), np.zeros(2), np.zeros(2)),
+         ValueError, r"plane must be \[D, D, C\]"),
+        (lambda t: ad.linear_sample(Var(np.zeros((3, 3, 2)), t), np.zeros(2)), ValueError,
+         r"axis grid must be \[D, C\]"),
+    ], ids=["no-var-operand", "matmul", "weighted-stack-sum", "plane", "axis"])
+    def test_bad_operands_rejected_before_recording(self, call, error, match):
+        tape = Tape()
+        with pytest.raises(error, match=match):
+            call(tape)
+        assert tape._nodes == []
+
+
 class TestParamStore:
     def test_grad_buffer_mirrors_shape_and_zeroes(self):
         store = ParamStore()

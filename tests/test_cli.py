@@ -124,7 +124,11 @@ class TestFit:
         ("rank", ["--set", "rank=-1"]),
         ("hidden", ["--set", "hidden=0"]),
         ("depth", ["--set", "depth=0"]),
-        ("variant", ["--variant", "nope"])])
+        ("variant", ["--variant", "nope"]),
+        ("seed", ["--set", "seed=-1"]),
+        ("seed", ["--seed", "-1"]),
+        ("steps", ["--set", "steps=1e3"]),
+        ("lr", ["--set", "lr=fast"])])
     def test_bad_train_config_is_usage_error(self, tmp_path, capsys, field, args):
         traj = _gen(tmp_path)
         rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt"),
@@ -369,6 +373,7 @@ MALFORMED = {
     "advect-dt-inf": (["advect", "--ckpt", "{ckpt}", "--from-t", "0.5", "--dt", "inf"], "dt"),
     "flow-frames-0": (["flow", "--ckpt", "{ckpt}", "--frames", "0"], "--frames"),
     "interp-non-numeric-time": (["interp", "--ckpt", "{ckpt}", "--times", "0.1,abc"], "abc"),
+    "interp-no-times": (["interp", "--ckpt", "{ckpt}", "--times", ","], "no times given"),
     "gen-points-0": (["gen", "--kind", "rotate", "--points", "0"], "n_points"),
     "fit-stride-0": (["fit", "--traj", "{traj}", "--stride", "0"], "stride"),
     "fit-frac-0": (["fit", "--traj", "{traj}", "--frac", "0"], "supervised_fraction"),
@@ -393,6 +398,13 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    def test_eval_stride_one_has_no_frames(self, fitted, tmp_path, capsys):
+        traj, ckpt = fitted
+        with pytest.warns(UserWarning, match="no held-out frames"):
+            assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj),
+                         "--stride", "1"]) == 2
+        assert "no frames to evaluate" in capsys.readouterr().err
 
     def test_eval_point_count_mismatch_fails_before_deforming(self, fitted, tmp_path,
                                                               capsys, monkeypatch):
@@ -442,9 +454,33 @@ def _trailing_garbage(ckpt, bad):
     bad.write_bytes(ckpt.read_bytes() + b"garbage")
 
 
+def _wrapping_dims(ckpt, bad):
+    """A last section whose dims (65536,)*4 multiply to 2**64 elements, 0 in int64."""
+    data = bytearray(ckpt.read_bytes())
+    (hlen,) = struct.unpack_from("<I", data, 12)
+    (count,) = struct.unpack_from("<I", data, 16 + hlen)
+    struct.pack_into("<I", data, 16 + hlen, count + 1)
+    name = b"huge"
+    data += struct.pack("<H", len(name)) + name + struct.pack("<B4I", 4, *(65536,) * 4)
+    bad.write_bytes(bytes(data))
+
+
+def _config(**edits):
+    """A header whose config asks for arrays of over 128 TiB, far beyond the
+    checkpoint's; loading must refuse them before allocating anything."""
+    def corrupt(ckpt, bad):
+        arrays, header = dataio.read_checkpoint(ckpt)
+        header["config"].update(edits)
+        dataio.write_checkpoint(bad, arrays, header)
+    return corrupt
+
+
 CORRUPTIONS = {"nan-in-dec.l0.b": (_nan_in_bias, "'dec.l0.b'"),
                "repeated-canonical": (_second_canonical, "'__canonical__'"),
-               "trailing-bytes": (_trailing_garbage, "trailing bytes")}
+               "trailing-bytes": (_trailing_garbage, "trailing bytes"),
+               "dims-wrap-int64": (_wrapping_dims, "truncated payload for 'huge'"),
+               "n_knots-1e14": (_config(n_knots=10 ** 14), "(100000000000000, 2)"),
+               "hidden-2**45": (_config(hidden=2 ** 45), "larger than any stored array")}
 
 
 class TestMalformedCheckpoint:
@@ -471,7 +507,8 @@ class TestMalformedCheckpoint:
         bad = tmp_path / "bad.ckpt"
         corrupt(ckpt, bad)
         assert main(["eval", "--ckpt", str(bad), "--traj", str(traj)]) == 1
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
 
 
 class TestEnv:

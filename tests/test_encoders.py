@@ -12,43 +12,93 @@ from splinefield.field import FieldConfig, SplineField
 from gradcheck import fd_check
 
 
-def _codes(values) -> ParamStore:
-    store = ParamStore()
-    store.add("codes", values)
-    return store
+MLP_VARIANTS = ["siren-resfields", "pe-resfields", "coupled4d-baseline"]
+ALL_KNOT_VARIANTS = ["siren-resfields", "pe-resfields", "triplanes", "triaxes"]
+
+
+def _field(variant, rank=2, n_knots=3, seed=0) -> SplineField:
+    cfg = FieldConfig(variant=variant, n_knots=n_knots, rank=rank, hidden=16, depth=2,
+                      grid_levels=(4, 8), grid_channels=3)
+    return SplineField(cfg, np.eye(3), seed=seed)
+
+
+def _build(variant, rank=2, n_knots=3, seed=0):
+    """An encoder and its store as the field builds them: the store also holds
+    the field's codes and its decoder's parameters."""
+    f = _field(variant, rank, n_knots, seed)
+    return f.encoder, f.store
+
+
+def _code(tape, store: ParamStore, knot_idx: int):
+    """The code v_t the field hands the encoder at a knot: row knot_idx of the
+    store's codes on the tape, or None at rank 0."""
+    return ad.take(store.var("codes", tape), np.array(knot_idx)) if "codes" in store else None
+
+
+def _randomized(f: SplineField, seed=99) -> SplineField:
+    """Perturb the zero-initialised decoder so knot states depend on the features."""
+    rng = np.random.default_rng(seed)
+    for name in f.store.names():
+        if name.startswith("dec."):
+            f.store.value(name)[...] += rng.normal(0.0, 0.5, f.store.value(name).shape)
+    return f
+
+
+def _states(f: SplineField, knot_idx: int) -> np.ndarray:
+    """The knot state at knot_idx for five fixed points, as one [5, 6] array."""
+    points = np.random.default_rng(12).uniform(-1, 1, (5, 3))
+    return np.concatenate([s.value for s in f.predict_knot(Tape(), points, knot_idx)], axis=1)
 
 
 class TestTemporalCodes:
+    """The field's per-knot codes, seen through `SplineField.predict_knot`."""
+
     def test_rank_zero_is_empty(self):
-        codes = enc.init_temporal_codes(5, 0, np.random.default_rng(0))
-        assert codes.shape == (5, 0)
-        assert enc.materialize_code(Tape(), _codes(codes), 5, 2).value.size == 0
-        assert enc.materialize_code(Tape(), ParamStore(), 5, 2) is None
+        for variant in ALL_KNOT_VARIANTS:
+            assert "codes" not in _field(variant, rank=0).store, variant
+        assert "codes" not in _field("coupled4d-baseline", rank=2).store
 
     def test_zero_codes_give_zero_vector(self):
-        v = enc.materialize_code(Tape(), _codes(np.zeros((4, 3))), 4, 1)
-        np.testing.assert_array_equal(v.value, np.zeros(3))
+        # zero codes reduce every layer or grid to its base: the residual
+        # stacks stop mattering and every knot gives the same state
+        for variant in ALL_KNOT_VARIANTS:
+            f = _randomized(_field(variant, rank=2))
+            f.store.value("codes")[...] = 0.0
+            want = _states(f, 0)
+            rng = np.random.default_rng(13)
+            for name in f.store.names():
+                if name.endswith(("Wres", ".res")):
+                    f.store.value(name)[...] = rng.normal(size=f.store.value(name).shape)
+            for k in range(3):
+                np.testing.assert_array_equal(_states(f, k), want, err_msg=variant)
 
     def test_init_scale_monte_carlo(self):
         # half-normal mean: E|x| = sigma * sqrt(2/pi) ~ 0.00798 for sigma 0.01
-        codes = enc.init_temporal_codes(100, 100, np.random.default_rng(1))
+        codes = _field("siren-resfields", rank=100, n_knots=100, seed=1).store.value("codes")
+        assert codes.shape == (100, 100)
         assert np.mean(np.abs(codes)) == pytest.approx(0.008, abs=5e-4)
 
     def test_index_out_of_range(self):
-        for store in (_codes(np.zeros((4, 3))), ParamStore()):   # rank > 0 and rank 0
-            with pytest.raises(ValueError):
-                enc.materialize_code(Tape(), store, 4, 4)
+        for variant in ALL_KNOT_VARIANTS:
+            for rank in (0, 2):
+                f = _field(variant, rank=rank)
+                for k in (-1, 3):
+                    with pytest.raises(ValueError, match=r"out of range \[0, 3\)"):
+                        f.predict_knot(Tape(), np.zeros((1, 3)), k)
 
     def test_differentiable_wrt_codes(self):
-        store = _codes(np.arange(6.0).reshape(2, 3))
+        f = _randomized(_field("siren-resfields", rank=2, n_knots=4))
         tape = Tape()
-        v = enc.materialize_code(tape, store, 2, 1)
-        tape.backward(ad.vsum(v))
-        np.testing.assert_array_equal(store.grad("codes"),
-                                      [[0, 0, 0], [1, 1, 1]])
+        dx, m = f.predict_knot(tape, np.random.default_rng(14).uniform(-1, 1, (4, 3)), 1)
+        tape.backward(ad.vsum(ad.mul(dx, dx)))
+        grad = f.store.grad("codes")
+        assert np.all(grad[1] != 0)
+        np.testing.assert_array_equal(np.delete(grad, 1, axis=0), np.zeros((3, 2)))
 
 
 class TestTimeVariantLinear:
+    """The MLP encoder's layer, input @ low_rank(W_base, W_res, v_t) + bias."""
+
     def test_zero_code_reduces_to_base(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 4))
@@ -56,8 +106,8 @@ class TestTimeVariantLinear:
         wres = rng.normal(size=(2, 4, 2))
         b = rng.normal(size=2)
         tape = Tape()
-        out = enc.tv_linear_apply(Var(x, tape), Var(wb, tape), Var(wres, tape),
-                                  Var(b, tape), Var(np.zeros(2), tape))
+        w = enc.low_rank(Var(wb, tape), Var(wres, tape), Var(np.zeros(2), tape))
+        out = ad.forward_linear(Var(x, tape), w, Var(b, tape))
         np.testing.assert_allclose(out.value, x @ wb + b, atol=1e-14)
 
     def test_residual_cancellation(self):
@@ -65,9 +115,8 @@ class TestTimeVariantLinear:
         x = rng.normal(size=(3, 4))
         wb = rng.normal(size=(4, 2))
         tape = Tape()
-        out = enc.tv_linear_apply(Var(x, tape), Var(wb, tape),
-                                  Var(-wb[None], tape), Var(np.zeros(2), tape),
-                                  Var(np.ones(1), tape))
+        w = enc.low_rank(Var(wb, tape), Var(-wb[None], tape), Var(np.ones(1), tape))
+        out = ad.forward_linear(Var(x, tape), w, Var(np.zeros(2), tape))
         np.testing.assert_allclose(out.value, np.zeros((3, 2)), atol=1e-14)
 
     def test_matches_explicit_materialization(self):
@@ -78,8 +127,8 @@ class TestTimeVariantLinear:
         b = rng.normal(size=3)
         vt = rng.normal(size=3)
         tape = Tape()
-        out = enc.tv_linear_apply(Var(x, tape), Var(wb, tape), Var(wres, tape),
-                                  Var(b, tape), Var(vt, tape))
+        w = enc.low_rank(Var(wb, tape), Var(wres, tape), Var(vt, tape))
+        out = ad.forward_linear(Var(x, tape), w, Var(b, tape))
         w_explicit = wb + np.tensordot(vt, wres, axes=(0, 0))
         np.testing.assert_allclose(out.value, x @ w_explicit + b, atol=1e-12)
 
@@ -107,50 +156,30 @@ class TestPositionalEncoding:
         assert enc.positional_encode(np.zeros((2, 3)), 2).shape == (2, 15)
 
 
-MLP_VARIANTS = ["siren-resfields", "pe-resfields", "coupled4d-baseline"]
-
-
-def _build(variant, rank=2, n_knots=3, seed=0):
-    """An encoder and its store; an MLP encoder as the field builds it, with
-    the zero-initialised decoder's parameters in the store too."""
-    if variant in MLP_VARIANTS:
-        cfg = FieldConfig(variant=variant, n_knots=n_knots, rank=rank, hidden=16, depth=2)
-        f = SplineField(cfg, np.eye(3), seed=seed)
-        return f.encoder, f.store
-    store = ParamStore()
-    rng = np.random.default_rng(seed)
-    grid = enc.TriplaneEncoder if variant == "triplanes" else enc.TriaxesEncoder
-    return grid(store, rng, n_knots, rank, levels=(4, 8), channels=3), store
-
-
-ALL_KNOT_VARIANTS = ["siren-resfields", "pe-resfields", "triplanes", "triaxes"]
-
-
 class TestEncoders:
     @pytest.mark.parametrize("variant", ALL_KNOT_VARIANTS)
     def test_deterministic_and_time_varying(self, variant):
         e, store = _build(variant)
         x = np.random.default_rng(6).uniform(-1, 1, size=(4, 3))
-        a = e.encode(Tape(), store, x, 0).value
-        b = e.encode(Tape(), store, x, 0).value
-        c = e.encode(Tape(), store, x, 1).value
+        a, b, c = (e.encode(t, store, x, _code(t, store, k)).value
+                   for t, k in ((Tape(), 0), (Tape(), 0), (Tape(), 1)))
         np.testing.assert_array_equal(a, b)
         assert not np.allclose(a, c)   # codes differ per knot
 
     @pytest.mark.parametrize("variant", ALL_KNOT_VARIANTS)
     def test_rank_zero_is_time_invariant(self, variant):
-        e, store = _build(variant, rank=0)
-        x = np.random.default_rng(7).uniform(-1, 1, size=(4, 3))
-        a = e.encode(Tape(), store, x, 0).value
-        c = e.encode(Tape(), store, x, 2).value
-        np.testing.assert_array_equal(a, c)
+        f = _randomized(_field(variant, rank=0))
+        assert not any("res" in n for n in f.store.names())
+        np.testing.assert_array_equal(_states(f, 0), _states(f, 2))
 
     @pytest.mark.parametrize("variant", ALL_KNOT_VARIANTS)
-    def test_knot_index_validated(self, variant):
-        e, store = _build(variant)
-        x = np.zeros((1, 3))
-        with pytest.raises(ValueError):
-            e.encode(Tape(), store, x, 3)
+    def test_knot_index_validated(self, variant, monkeypatch):
+        # the field checks the index once, before the encoder runs
+        f = _field(variant)
+        monkeypatch.setattr(f.encoder, "encode", lambda *a: pytest.fail("encoder ran"))
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match=r"knot index -?\d out of range \[0, 3\)"):
+                f.predict_knot(Tape(), np.zeros((1, 3)), k)
 
     @pytest.mark.parametrize("variant", ALL_KNOT_VARIANTS)
     def test_gradients_pass_fd_check(self, variant):
@@ -158,7 +187,7 @@ class TestEncoders:
         x = np.random.default_rng(8).uniform(-0.9, 0.9, size=(3, 3))
 
         def loss(tape):
-            out = e.encode(tape, store, x, 1)
+            out = e.encode(tape, store, x, _code(tape, store, 1))
             return ad.vmean(ad.mul(out, out))
 
         err = fd_check(loss, store, samples=30, rng=np.random.default_rng(0))
@@ -172,14 +201,14 @@ class TestTriplanes:
         for name in store.names():
             if name.startswith("enc.grid"):
                 store.value(name)[...] = c
-        out = e.encode(Tape(), store, np.random.default_rng(9).uniform(-1, 1, (5, 3)), 0)
+        out = e.encode(Tape(), store, np.random.default_rng(9).uniform(-1, 1, (5, 3)), None)
         np.testing.assert_allclose(out.value, np.full(out.value.shape, c ** 3),
                                    atol=1e-12)
 
     def test_zero_plane_annihilates(self):
         e, store = _build("triplanes", rank=0)
         store.value("enc.grid.L0.xy.base")[...] = 0.0
-        out = e.encode(Tape(), store, np.zeros((2, 3)), 0)
+        out = e.encode(Tape(), store, np.zeros((2, 3)), None)
         np.testing.assert_array_equal(out.value[:, :3], np.zeros((2, 3)))
 
 
@@ -189,16 +218,15 @@ class TestTriaxes:
         for name in store.names():
             if name.startswith("enc.grid"):
                 store.value(name)[...] = 0.5
-        out = e.encode(Tape(), store, np.random.default_rng(11).uniform(-1, 1, (4, 3)), 0)
+        out = e.encode(Tape(), store, np.random.default_rng(11).uniform(-1, 1, (4, 3)), None)
         np.testing.assert_allclose(out.value, np.full(out.value.shape, 0.125),
                                    atol=1e-14)
 
 
-def _lazy_encode(e, tape, store, x, knot_idx):
+def _lazy_encode(e, tape, store, x, v_t):
     """Oracle: sample each factor's base and every residual grid separately
     (1 + rank samples), then weight the residual samples by v_t. By linearity
     of interpolation this equals sampling the grid built at the knot."""
-    v_t = ad.take(store.var("codes", tape), np.array(knot_idx)) if e.rank > 0 else None
     feats = []
     for li, d in enumerate(e.levels):
         level = None
@@ -218,7 +246,8 @@ def _lazy_encode(e, tape, store, x, knot_idx):
 
 # factor names and the number of coordinates each factor's grid spans
 GRID_FACTORS = {"triplanes": (("xy", "yz", "xz"), 2), "triaxes": (("x", "y", "z"), 1)}
-# sha256 of every parameter's float64 bytes, in store order, for _build(variant)
+# sha256 of the codes' and every encoder parameter's float64 bytes, in store
+# order, for _build(variant)
 GRID_INIT_SHA256 = {
     "triplanes": "3731420985563a74bd15a7296180b023b059b044f3a1885666b381b141b22b6c",
     "triaxes": "43a61d6e80d71c26094378608d88d3d7518cb2e3c7751d14f042e8addd8836d5",
@@ -242,7 +271,8 @@ class TestGridEncoders:
     def test_encode_equals_sampling_materialized_grid(self, variant):
         e, store = _build(variant, rank=3)
         x = np.random.default_rng(10).uniform(-0.95, 0.95, size=(6, 3))
-        got = e.encode(Tape(), store, x, 1).value
+        tape = Tape()
+        got = e.encode(tape, store, x, _code(tape, store, 1)).value
         feats = []
         for li, d in enumerate(e.levels):
             level = None
@@ -262,16 +292,17 @@ class TestGridEncoders:
         rng = np.random.default_rng(15)
         x = rng.uniform(-1.1, 1.1, size=(7, 3))
         w = rng.normal(size=(7, e.out_dim))
+        names = [n for n in store.names() if not n.startswith("dec.")]
         results = []
         for route in (e.encode, lambda *a: _lazy_encode(e, *a)):
             store.zero_grad()
             tape = Tape()
-            out = route(tape, store, x, 2)
+            out = route(tape, store, x, _code(tape, store, 2))
             tape.backward(ad.vsum(ad.mul(out, w)))
-            results.append((out.value, {n: store.grad(n).copy() for n in store.names()}))
+            results.append((out.value, {n: store.grad(n).copy() for n in names}))
         (got, got_grads), (want, want_grads) = results
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        for name in store.names():
+        for name in names:
             assert np.any(want_grads[name] != 0), name
             np.testing.assert_allclose(got_grads[name], want_grads[name], rtol=0,
                                        atol=1e-12, err_msg=name)
@@ -279,13 +310,14 @@ class TestGridEncoders:
     @pytest.mark.parametrize("variant", ["triplanes", "triaxes"])
     def test_same_seed_init_is_pinned(self, variant):
         _, store = _build(variant)
+        names = [n for n in store.names() if not n.startswith("dec.")]
         factors, k = GRID_FACTORS[variant]
         want = [("codes", (3, 2))] + [
             (f"enc.grid.L{li}.{f}.{part}", (2,) * (part == "res") + (d,) * k + (3,))
             for li, d in enumerate((4, 8)) for f in factors for part in ("base", "res")]
-        assert [(n, store.value(n).shape) for n in store.names()] == want
+        assert [(n, store.value(n).shape) for n in names] == want
         digest = hashlib.sha256()
-        for n in store.names():
+        for n in names:
             digest.update(store.value(n).tobytes())
         assert digest.hexdigest() == GRID_INIT_SHA256[variant]
 
@@ -299,7 +331,8 @@ class TestCoupled4D:
         assert not np.allclose(a, b)
 
 
-# sha256 of every encoder parameter's float64 bytes, in store order, for _build(variant)
+# sha256 of the codes' and every encoder parameter's float64 bytes, in store
+# order, for _build(variant)
 MLP_INIT_SHA256 = {
     "siren-resfields": "74a62f0b99882a7aaa7787aec93b234aaf54de546dc31ab016967ec094d56703",
     "pe-resfields": "c5fed635f020829b9231f360096d4e043e293425edbf19911b1189d574df49a5",

@@ -150,6 +150,14 @@ class TestMoransIDefinition:
         with _brute(brute), pytest.raises(ValueError, match="K >= 2"):
             morans_i_frame(pts, vec, k=k)
 
+    @pytest.mark.parametrize("n_vectors, k, match", [
+        (5, 5, "need more points than K: N=5, K=5"),
+        (4, 2, r"positions and vectors must both be \[N_p, 3\]")])
+    def test_bad_input_rejected(self, n_vectors, k, match):
+        rng = np.random.default_rng(16)
+        with pytest.raises(ValueError, match=match):
+            morans_i_frame(rng.normal(size=(5, 3)), rng.normal(size=(n_vectors, 3)), k=k)
+
     def test_memory_does_not_grow_with_pairs_per_point(self):
         rng = np.random.default_rng(14)
         n, k = 50_000, 10
