@@ -21,6 +21,8 @@ order yield bitwise-identical values and gradients.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -284,63 +286,92 @@ def _cell_coords(u, n: int):
     return i0, uc - i0
 
 
-def _sample_grid(grid: Var, cols: np.ndarray, weights: np.ndarray) -> Var:
-    """Row b of the result is sum_k weights[b, k] * grid cell cols[b, k].
+def interp_matrix(coords, dims) -> sp.csr_matrix:
+    """The [B, prod(dims)] interpolation matrix S of B points on a grid with
+    `dims` cells per axis (one axis, linear, or two, bilinear).
 
-    One CSR matrix S holds the weights; every row has the same k nonzeros,
-    so indptr is a stride-k range and no COO conversion or index sort is
-    needed. The forward is S @ grid, the backward adds S.T @ g to the
-    grid's gradient."""
-    gv = grid.value
-    n_cells = gv.size // gv.shape[-1]
+    `coords` holds one 1-D array of fractional grid coordinates per axis, in
+    grid units [0, D-1]; they are clamped to the border (so +-inf reads the
+    edge) and NaN raises ValueError. Row b holds point b's 2 or 4 corner
+    weights; every row has the same nonzero count, so indptr is a stride
+    range and no COO conversion or index sort is needed."""
+    if len(coords) == 1:
+        i0, fu = _cell_coords(coords[0], dims[0])
+        cols = i0[:, None] + np.array([0, 1], dtype=np.int32)
+        weights = np.stack([1 - fu, fu], axis=1)
+    else:
+        du, dv = dims
+        i0, fu = _cell_coords(coords[0], du)
+        j0, fv = _cell_coords(coords[1], dv)
+        cols = (i0 * dv + j0)[:, None] + np.array([0, dv, 1, dv + 1], dtype=np.int32)
+        weights = np.stack([(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv],
+                           axis=1)
     b, k = cols.shape
-    S = sp.csr_matrix((weights.reshape(-1), cols.reshape(-1),
-                       np.arange(0, k * b + 1, k, dtype=np.int32)), shape=(b, n_cells))
+    return sp.csr_matrix((weights.reshape(-1), cols.reshape(-1),
+                          np.arange(0, k * b + 1, k, dtype=np.int32)),
+                         shape=(b, math.prod(dims)))
+
+
+def _sample_grid(grid: Var, S: sp.csr_matrix, stacked: bool) -> Var:
+    """S applied to the cells of one grid [*cells, C] (result [B, C]), or to
+    each grid of a stack [R, *cells, C] (result [R, B, C]) through the
+    block-diagonal matrix of R copies of S. The forward is S @ grid, the
+    backward adds S.T @ g to the grid's gradient."""
+    gv = grid.value
+    (b, n_cells), c = S.shape, gv.shape[-1]
+    lead = gv.shape[:1] if stacked else ()
+    if gv.ndim < 2 + stacked or gv.size != math.prod(lead) * n_cells * c:
+        raise ValueError(f"{'stack' if stacked else 'grid'} of shape {gv.shape} does not "
+                         f"hold {n_cells} cells per grid")
+    if stacked:
+        r = lead[0]
+        shift = np.arange(r, dtype=np.int32)[:, None]
+        indptr = np.append(S.indptr[:-1] + S.nnz * shift, r * S.nnz).astype(np.int32)
+        S = sp.csr_matrix((np.tile(S.data, r), (S.indices + n_cells * shift).reshape(-1),
+                           indptr), shape=(r * b, r * n_cells))
 
     def backward(g):
-        scattered = (S.T @ g).reshape(gv.shape)
+        scattered = (S.T @ g.reshape(-1, c)).reshape(gv.shape)
         if grid.grad is None:
             grid.grad = scattered
         else:
             grid.grad += scattered
 
-    return _op(S @ gv.reshape(n_cells, -1), grid.tape, backward)
+    return _op((S @ gv.reshape(-1, c)).reshape(*lead, b, c), grid.tape, backward)
+
+
+def sample_grid(grid: Var, S: sp.csr_matrix) -> Var:
+    """Sample one grid [*cells, C] at the points of an `interp_matrix` S:
+    [B, C]. The points get no gradient."""
+    return _sample_grid(grid, S, stacked=False)
+
+
+def sample_stack(stack: Var, S: sp.csr_matrix) -> Var:
+    """Sample every grid of a stack [R, *cells, C] at the points of an
+    `interp_matrix` S: [R, B, C], one `sample_grid` per grid in one node."""
+    return _sample_grid(stack, S, stacked=True)
 
 
 def bilinear_sample(plane: Var, u, v) -> Var:
     """Sample a [D, D, C] plane at fractional grid coordinates (u, v).
 
     The coordinates are 1-D arrays in grid units [0, D-1] and get no
-    gradient. They are clamped to the border (so +-inf reads the edge);
-    NaN raises ValueError. One call builds one sparse interpolation matrix
-    S ([B, D*D], the 4 bilinear corner weights per row): the forward is
-    S @ plane and the plane's gradient S.T @ g.
+    gradient; see `interp_matrix` for clamping. The forward is S @ plane
+    and the plane's gradient S.T @ g, with S [B, D*D] (4 weights per row).
     """
     pv = plane.value
     if pv.ndim != 3:
         raise ValueError(f"plane must be [D, D, C], got {pv.shape}")
-    du, dv = pv.shape[0], pv.shape[1]
-    i0, fu = _cell_coords(u, du)
-    j0, fv = _cell_coords(v, dv)
-    cols = (i0 * dv + j0)[:, None] + np.array([0, dv, 1, dv + 1], dtype=np.int32)
-    weights = np.stack([(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv], axis=1)
-    return _sample_grid(plane, cols, weights)
+    return _sample_grid(plane, interp_matrix((u, v), pv.shape[:2]), stacked=False)
 
 
 def linear_sample(axis_grid: Var, u) -> Var:
-    """Sample a [D, C] axis at fractional grid coordinates u.
-
-    Same contract as bilinear_sample: a 1-D coordinate array that gets no
-    gradient, clamped to the border, NaN rejected, and one sparse
-    interpolation matrix ([B, D], 2 linear weights per row) applied forward
-    and, transposed, backward.
-    """
+    """Sample a [D, C] axis at fractional grid coordinates u: the contract
+    of bilinear_sample with S [B, D] (2 weights per row)."""
     av = axis_grid.value
     if av.ndim != 2:
         raise ValueError(f"axis grid must be [D, C], got {av.shape}")
-    i0, fu = _cell_coords(u, av.shape[0])
-    cols = i0[:, None] + np.array([0, 1], dtype=np.int32)
-    return _sample_grid(axis_grid, cols, np.stack([1 - fu, fu], axis=1))
+    return _sample_grid(axis_grid, interp_matrix((u,), av.shape[:1]), stacked=False)
 
 
 # -- layers and the spec-facing surface ----------------------------------

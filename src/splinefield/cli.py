@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: gen (synthetic scenes), fit (train a field), eval (metrics on
-held-out frames), interp (deform to arbitrary times), advect (extrapolate
-past a query time), flow (velocity-colored point clouds).
+held-out frames, then its own wall time on a line of its own), interp
+(deform to arbitrary times), advect (extrapolate past a query time), flow
+(velocity-colored point clouds).
 
 Exit codes: 0 success, 1 I/O failure, 2 bad usage or validation, 3
 optimization divergence. Every subcommand checks the paths it will write
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -157,6 +159,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    t0 = time.perf_counter()
     if not (np.isfinite(args.scale) and args.scale > 0):
         raise ValueError(f"--scale must be finite and > 0, got {args.scale}")
     fld = SplineField.load(args.ckpt)
@@ -169,6 +172,7 @@ def _cmd_eval(args) -> int:
         metrics.write_report(args.report, rows)
     print(f"epe={summary['epe']:.6g} mean_I={summary['mean_I']:.6g} "
           f"frames={summary['n_frames']} skipped={len(summary['skipped'])}")
+    print(f"eval wall time: {time.perf_counter() - t0:.3f} s")
     return EXIT_OK
 
 

@@ -108,6 +108,8 @@ def gen_synthetic(kind: str, n_points: int, n_frames: int,
         raise ValueError(f"unknown scene kind {kind!r}, choose from {SYNTHETIC_KINDS}")
     if n_points < 1 or n_frames < 2:
         raise ValueError("need n_points >= 1 and n_frames >= 2")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, n_frames)
 

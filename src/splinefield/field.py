@@ -13,9 +13,14 @@ unless physical scaling is requested; one evaluator,
 `spline.segment_derivative`, serves all three by derivative order.
 Constant-velocity advection extrapolates past the fitted interval.
 
-The plain-array queries take one time or a 1-D sequence of times. They run
-on a NoGradTape and predict each knot once per call, so T times cost one
-network pass per knot instead of two per time.
+A `KnotCache` holds the knot states predicted on one point set, and that
+point set's encoder `spatial` (the time-invariant half of the encoder's
+work, see `encoders`), so each knot only modulates what the first one
+computed; it is made with the number of knots it will hold, which the grid
+encoder's size rule reads. The plain-array queries take one time or a 1-D
+sequence of times. They run on a NoGradTape and predict each knot once per
+call, so T times cost one spatial pass and one modulation per knot instead
+of two network passes per time.
 
 The coupled-4D baseline variant bypasses the spline entirely: its MLP takes
 the continuous time as a fourth input and returns the offset directly, with
@@ -39,6 +44,10 @@ VARIANTS = ("siren-resfields", "pe-resfields", "triplanes", "triaxes",
             "coupled4d-baseline")
 
 CODE_INIT_STD = 1e-2      # per-knot temporal codes ~ N(0, (1e-2)^2)
+# Positional-encoding octaves. A float64 coordinate in [0.5, 1] is a multiple
+# of 2^-53, so at 2^l pi x with l >= 53 every such x is a whole number of
+# periods and sin, cos carry nothing; 2.0 ** l itself overflows at l = 1024.
+PE_FREQUENCIES_MAX = 52
 _FD_T_EPS = 1e-4  # time step for the coupled baseline's FD derivatives
 _GRIDS = {"triplanes": enc.TriplaneEncoder, "triaxes": enc.TriaxesEncoder}
 
@@ -62,6 +71,8 @@ class FieldConfig:
                 ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
                 ("n_knots", self.n_knots >= 2, ">= 2"), ("rank", self.rank >= 0, ">= 0"),
                 ("w0", np.isfinite(self.w0) and self.w0 > 0, "finite and > 0"),
+                ("pe_frequencies", 0 <= self.pe_frequencies <= PE_FREQUENCIES_MAX,
+                 f"in [0, {PE_FREQUENCIES_MAX}]"),
                 ("hidden", self.hidden >= 1, ">= 1"), ("depth", self.depth >= 1, ">= 1"),
                 ("grid_channels", self.grid_channels >= 1, ">= 1"),
                 ("grid_levels", bool(self.grid_levels) and min(self.grid_levels) >= 2,
@@ -84,6 +95,18 @@ class _ShapesOnly:
         return np.zeros(size)
 
     normal = uniform
+
+
+class KnotCache(dict):
+    """Knot index -> knot state on one point set, plus that point set's
+    encoder `spatial`, computed by the first knot predicted into the cache.
+    `knots` is how many knots will be predicted on the point set, which the
+    grid encoder's size rule reads."""
+
+    def __init__(self, knots: int, states=()):
+        super().__init__(states)
+        self.knots = knots
+        self.spatial = None
 
 
 class SplineField:
@@ -184,32 +207,37 @@ class SplineField:
             raise ValueError("query points must be finite")
         return (points - self.center) / self.half_extent
 
-    def predict_knot(self, tape: Tape, points: np.ndarray, knot_idx: int) -> tuple:
+    def predict_knot(self, tape: Tape, points: np.ndarray, knot_idx: int,
+                     cache: KnotCache | None = None) -> tuple:
         """The knot state at one knot: Vars (delta_x, m) of shape [B, 3], and the
-        curvature a as a third for a quintic field."""
+        curvature a as a third for a quintic field. The encoder's `spatial` of
+        `points` comes from `cache`, which gets it if it has none yet."""
         if self.cfg.variant == "coupled4d-baseline":
             raise ValueError("the coupled-4D baseline has no knot states")
         if not (0 <= knot_idx < self.cfg.n_knots):
             raise ValueError(f"knot index {knot_idx} out of range [0, {self.cfg.n_knots})")
+        cache = KnotCache(1) if cache is None else cache
+        if cache.spatial is None:
+            cache.spatial = self.encoder.spatial(tape, self.store, self.normalize(points),
+                                                 cache.knots)
         v_t = (ad.take(self.store.var("codes", tape), np.array(knot_idx))
                if "codes" in self.store else None)
-        feat = self.encoder.encode(tape, self.store, self.normalize(points), v_t)
-        out = self._decode(tape, feat)
+        out = self._decode(tape, self.encoder.encode(tape, self.store, cache.spatial, v_t))
         return tuple(out[:, j:j + 3] for j in range(0, self.out_channels, 3))
 
     def derivative_var(self, tape, points, t_query, order: int,
-                       knot_cache=None) -> Var:
+                       knot_cache: KnotCache | None = None) -> Var:
         """Differentiable order-th time derivative (0, 1 or 2) at t_query: the
         Hermite (or quintic) basis of that order on the two knots around it, in
-        t-bar units. `knot_cache` maps knot index to state for one point set.
+        t-bar units. `knot_cache` holds the knot states of one point set.
         The coupled-4D baseline differentiates by central differences."""
         start, t_bar = spline.locate_segment(t_query, self.cfg.n_knots)   # validates t_query
         if self.cfg.variant == "coupled4d-baseline":
             return self._coupled_var(tape, points, t_query, order)
-        cache = {} if knot_cache is None else knot_cache
+        cache = KnotCache(2) if knot_cache is None else knot_cache
         for k in (start, start + 1):
             if k not in cache:
-                cache[k] = self.predict_knot(tape, points, k)
+                cache[k] = self.predict_knot(tape, points, k, cache)
         (dx0, *rest0), (dx1, *rest1) = cache[start], cache[start + 1]
         const = np.asarray(points, dtype=np.float64)
         ends = (ad.add(dx0, const), *rest0, ad.add(dx1, const), *rest1)
@@ -217,7 +245,8 @@ class SplineField:
 
     def _coupled_var(self, tape, points, t, order: int) -> Var:
         if order == 0:
-            feat = self.encoder.encode(tape, self.store, self.normalize(points), None, t)
+            h = self.encoder.spatial(tape, self.store, self.normalize(points), 1, t)
+            feat = self.encoder.encode(tape, self.store, h, None)
             return ad.add(self._decode(tape, feat), np.asarray(points, dtype=np.float64))
         if order == 1:
             lo, hi = max(t - _FD_T_EPS, 0.0), min(t + _FD_T_EPS, 1.0)
@@ -246,13 +275,14 @@ class SplineField:
         return self.derivative_var(tape, points, t_query, 2, knot_cache)
 
     def _query(self, var_fn, points, t_query, **kw) -> np.ndarray:
-        tape, cache = NoGradTape(), {}
+        tape = NoGradTape()
         if np.ndim(t_query) == 0:
-            return var_fn(tape, points, t_query, knot_cache=cache, **kw).value
+            return var_fn(tape, points, t_query, knot_cache=KnotCache(2), **kw).value
         times = np.asarray(t_query, dtype=np.float64)
         if times.ndim != 1 or times.size == 0:
             raise ValueError(f"t_query must be a scalar or a non-empty 1-D sequence, "
                              f"got shape {times.shape}")
+        cache = KnotCache(len(spline.segment_knots(times, self.cfg.n_knots)))
         return np.stack([var_fn(tape, points, float(t), knot_cache=cache, **kw).value
                          for t in times])
 
@@ -275,7 +305,7 @@ class SplineField:
             raise ValueError(f"from_t must be in [0, 1], got {from_t}")
         if not (np.isfinite(dt) and dt >= 0):
             raise ValueError(f"dt must be finite and >= 0, got {dt}")
-        tape, cache = NoGradTape(), {}
+        tape, cache = NoGradTape(), KnotCache(2)
         base = self.deform_var(tape, points, from_t, knot_cache=cache).value
         vel = self.velocity_var(tape, points, from_t, physical=True, knot_cache=cache)
         return base + vel.value * dt

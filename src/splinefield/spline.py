@@ -48,6 +48,12 @@ def locate_segment(t_query: float, n_knots: int):
     return start, t_query * (n_knots - 1) - start
 
 
+def segment_knots(times, n_knots: int) -> set:
+    """The knots of the segments around `times`: start and start + 1 of each."""
+    starts = {locate_segment(t, n_knots)[0] for t in times}
+    return starts | {s + 1 for s in starts}
+
+
 # Power coefficients (constant term first) of each basis function, one row per
 # endpoint state in the order segment_derivative sums them.
 _TABLES = {

@@ -6,6 +6,10 @@ penalties sampled at a random time. A step predicts each knot's state (the
 tuple of Vars `SplineField.predict_knot` returns) once: the two knots around
 that time run on the velocity term's neighbor closure and each Var of their
 states is sliced to the batch rows, and all three terms share those states.
+The slice keeps no encoder `spatial`, which belongs to the closure's point
+set: the other knots compute the batch's once and share it. Each cache is
+made with the number of knots its point set will predict, the size rule's
+input (see `encoders.TriplaneEncoder`).
 Parameters update with Adam; grid and temporal-code parameters get a 10x
 learning rate. Adam's squared-norm pass per gradient checks finiteness and
 gives the run log's per-group gradient norms; its update runs in place, in
@@ -29,7 +33,7 @@ from . import metrics
 from . import spline
 from .autodiff import ParamStore, Tape
 from .dataio import Split, TrajectorySet
-from .field import FieldConfig, SplineField
+from .field import FieldConfig, KnotCache, SplineField
 
 
 class DivergenceError(RuntimeError):
@@ -246,23 +250,29 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
         batch_pts = sup_pts[rows]
         n_f = min(cfg.frames_per_step, train_frames.shape[0])
         frame_ids = rng.choice(train_frames.shape[0], n_f, replace=False)
+        frame_times = [traj.frame_time(int(fi)) for fi in train_frames[frame_ids]]
+        step_times = list(frame_times)
         if cfg.alpha > 0 or cfg.beta > 0:
             t_rand = float(rng.uniform(0.0, 1.0))
+            step_times.append(t_rand)
 
         # one knot state per knot: the two around t_rand run on the velocity
         # closure and are sliced to the batch rows, the rest on the batch
-        knot_cache = {}
+        knots = len(spline.segment_knots(step_times, n_knots))
+        knot_cache = KnotCache(knots)
         lv = lacc = 0.0
         if cfg.alpha > 0:
             needed, loc_rows, loc_nbrs, w_rows = graph.subgraph_closure(rows)
-            vel = fld.velocity_var(tape, sup_pts[needed], t_rand, knot_cache=knot_cache)
+            sliced = len(needed) > len(rows)
+            closure = KnotCache(2) if sliced else knot_cache
+            vel = fld.velocity_var(tape, sup_pts[needed], t_rand, knot_cache=closure)
             lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
-            if len(needed) > len(rows):
-                knot_cache = {k: tuple(ad.take(s, loc_rows) for s in state)
-                              for k, state in knot_cache.items()}
+            if sliced:
+                states = {k: tuple(ad.take(s, loc_rows) for s in state)
+                          for k, state in closure.items()}
+                knot_cache = KnotCache(knots - 2, states)
         recon = None
-        for fi in train_frames[frame_ids]:
-            t_q = traj.frame_time(int(fi))
+        for fi, t_q in zip(train_frames[frame_ids], frame_times):
             pred = fld.deform_var(tape, batch_pts, t_q, knot_cache=knot_cache)
             gt = traj.positions[fi][sup[rows]]
             term = losses.recon_loss_l1(pred, gt)

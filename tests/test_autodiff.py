@@ -492,6 +492,25 @@ class TestGridSampling:
             ad.bilinear_sample(Var(np.zeros((3, 3, 2)), tape), np.zeros((2, 2)),
                                np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("n", [7, 0])
+    @pytest.mark.parametrize("dims", [(5,), (4, 6)])
+    def test_stack_sample_equals_sampling_each_grid(self, dims, n):
+        rng = np.random.default_rng(len(dims))
+        stack = rng.normal(size=(3, *dims, 2))
+        coords = [rng.uniform(-0.5, d - 0.5, n) for d in dims]
+        S = ad.interp_matrix(coords, dims)
+        sample = ad.bilinear_sample if len(dims) == 2 else ad.linear_sample
+        g = rng.normal(size=(3, n, 2))
+        tape = Tape()
+        svar = Var(stack, tape)
+        grids = [Var(stack[r], tape) for r in range(3)]
+        out = ad.sample_stack(svar, S)
+        singles = [sample(grid, *coords) for grid in grids]
+        tape.backward(ad.vsum(ad.mul(out, g)) + ad.vsum(ad.mul(
+            ad.concat(singles, axis=0), g.reshape(3 * n, 2))))
+        np.testing.assert_array_equal(out.value, np.stack([v.value for v in singles]))
+        np.testing.assert_array_equal(svar.grad, np.stack([v.grad for v in grids]))
+
     def test_backward_runs_without_add_at(self, monkeypatch):
         class AddWithoutAt:
             def __init__(self, ufunc):
@@ -521,6 +540,7 @@ class TestGridSampling:
 
 # every primitive on operands it differentiates: name -> (operand values, call)
 _R = np.random.default_rng(11)
+_S = ad.interp_matrix((np.linspace(0, 2, 4), np.linspace(2, 0, 4)), (3, 3))
 PRIMITIVES = {
     "add": ([_R.normal(size=(3, 2)), _R.normal(size=2)], ad.add),
     "mul": ([_R.normal(size=(3, 2)), _R.normal(size=(3, 2))], ad.mul),
@@ -540,6 +560,8 @@ PRIMITIVES = {
                                                      np.linspace(2, 0, 4))),
     "linear_sample": ([_R.normal(size=(3, 2))],
                       lambda a: ad.linear_sample(a, np.linspace(0, 2, 4))),
+    "sample_grid": ([_R.normal(size=(3, 3, 2))], lambda p: ad.sample_grid(p, _S)),
+    "sample_stack": ([_R.normal(size=(2, 3, 3, 2))], lambda s: ad.sample_stack(s, _S)),
 }
 
 
@@ -591,7 +613,16 @@ class TestOperandChecks:
          ValueError, r"plane must be \[D, D, C\]"),
         (lambda t: ad.linear_sample(Var(np.zeros((3, 3, 2)), t), np.zeros(2)), ValueError,
          r"axis grid must be \[D, C\]"),
-    ], ids=["no-var-operand", "matmul", "weighted-stack-sum", "plane", "axis"])
+        (lambda t: ad.sample_grid(Var(np.zeros((4, 4, 2)), t), _S), ValueError,
+         r"grid of shape \(4, 4, 2\) does not hold 9 cells"),
+        (lambda t: ad.sample_grid(Var(np.zeros((2, 3, 3, 2)), t), _S), ValueError,
+         r"grid of shape \(2, 3, 3, 2\) does not hold 9 cells"),
+        (lambda t: ad.sample_stack(Var(np.zeros((3, 3, 2)), t), _S), ValueError,
+         r"stack of shape \(3, 3, 2\) does not hold 9 cells"),
+        (lambda t: ad.sample_stack(Var(np.zeros((9, 2)), t), _S), ValueError,
+         r"stack of shape \(9, 2\) does not hold 9 cells"),
+    ], ids=["no-var-operand", "matmul", "weighted-stack-sum", "plane", "axis",
+            "grid-cells", "stack-as-grid", "grid-as-stack", "stack-without-grid"])
     def test_bad_operands_rejected_before_recording(self, call, error, match):
         tape = Tape()
         with pytest.raises(error, match=match):

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -43,6 +44,13 @@ class TestGen:
         main(["gen", "--kind", "rigid-translate", "--points", "40",
               "--frames", "9", "--seed", "7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+    def test_negative_seed_names_the_key(self, tmp_path, capsys):
+        assert main(["gen", "--kind", "rotate", "--seed", "-1",
+                     "--out", str(tmp_path / "s.traj")]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "s.traj").exists()
 
 
 class TestFit:
@@ -250,6 +258,30 @@ class TestEval:
         assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj),
                      "--stride", "2"]) == 0
         assert "skipped=0" in capsys.readouterr().out
+
+    def test_prints_its_wall_time_on_its_own_line(self, tmp_path, capsys):
+        traj = _gen(tmp_path)
+        ckpt = _fit(tmp_path, traj)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj), "--stride", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        trajset = dataio.read_traj(traj)
+        split = dataio.split_frames(trajset, dataio.SplitSpec(2, 0.25), seed=0)
+        summary, _ = trainer.evaluate(SplineField.load(ckpt), trajset, split)
+        assert lines[0] == (f"epe={summary['epe']:.6g} mean_I={summary['mean_I']:.6g} "
+                            f"frames={summary['n_frames']} skipped=0")
+        assert len(lines) == 2 and re.fullmatch(r"eval wall time: \d+\.\d{3} s", lines[1])
+
+    def test_checkpoint_pe_frequencies_beyond_bound_is_io_error(self, tmp_path, capsys):
+        traj = _gen(tmp_path)
+        ckpt = _fit(tmp_path, traj, extra=["--variant", "pe-resfields"])
+        arrays, header = dataio.read_checkpoint(ckpt)
+        header["config"]["pe_frequencies"] = 100000
+        dataio.write_checkpoint(ckpt, arrays, header)
+        with pytest.raises(dataio.FormatError, match="pe_frequencies must be in"):
+            SplineField.load(ckpt)
+        assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj)]) == 1
+        assert "pe_frequencies" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", ["1", "0", "-3"])
     def test_fewer_than_two_neighbors_is_usage_error(self, tmp_path, capsys, k):

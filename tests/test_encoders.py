@@ -156,12 +156,18 @@ class TestPositionalEncoding:
         assert enc.positional_encode(np.zeros((2, 3)), 2).shape == (2, 15)
 
 
+def _encode(e, tape, store, x, v_t):
+    """One knot's features of the points x: the encoder's spatial of x for
+    that one knot, then the knot's modulation of it."""
+    return e.encode(tape, store, e.spatial(tape, store, x, 1), v_t)
+
+
 class TestEncoders:
     @pytest.mark.parametrize("variant", ALL_KNOT_VARIANTS)
     def test_deterministic_and_time_varying(self, variant):
         e, store = _build(variant)
         x = np.random.default_rng(6).uniform(-1, 1, size=(4, 3))
-        a, b, c = (e.encode(t, store, x, _code(t, store, k)).value
+        a, b, c = (_encode(e, t, store, x, _code(t, store, k)).value
                    for t, k in ((Tape(), 0), (Tape(), 0), (Tape(), 1)))
         np.testing.assert_array_equal(a, b)
         assert not np.allclose(a, c)   # codes differ per knot
@@ -187,7 +193,7 @@ class TestEncoders:
         x = np.random.default_rng(8).uniform(-0.9, 0.9, size=(3, 3))
 
         def loss(tape):
-            out = e.encode(tape, store, x, _code(tape, store, 1))
+            out = _encode(e, tape, store, x, _code(tape, store, 1))
             return ad.vmean(ad.mul(out, out))
 
         err = fd_check(loss, store, samples=30, rng=np.random.default_rng(0))
@@ -201,14 +207,14 @@ class TestTriplanes:
         for name in store.names():
             if name.startswith("enc.grid"):
                 store.value(name)[...] = c
-        out = e.encode(Tape(), store, np.random.default_rng(9).uniform(-1, 1, (5, 3)), None)
+        out = _encode(e, Tape(), store, np.random.default_rng(9).uniform(-1, 1, (5, 3)), None)
         np.testing.assert_allclose(out.value, np.full(out.value.shape, c ** 3),
                                    atol=1e-12)
 
     def test_zero_plane_annihilates(self):
         e, store = _build("triplanes", rank=0)
         store.value("enc.grid.L0.xy.base")[...] = 0.0
-        out = e.encode(Tape(), store, np.zeros((2, 3)), None)
+        out = _encode(e, Tape(), store, np.zeros((2, 3)), None)
         np.testing.assert_array_equal(out.value[:, :3], np.zeros((2, 3)))
 
 
@@ -218,7 +224,7 @@ class TestTriaxes:
         for name in store.names():
             if name.startswith("enc.grid"):
                 store.value(name)[...] = 0.5
-        out = e.encode(Tape(), store, np.random.default_rng(11).uniform(-1, 1, (4, 3)), None)
+        out = _encode(e, Tape(), store, np.random.default_rng(11).uniform(-1, 1, (4, 3)), None)
         np.testing.assert_allclose(out.value, np.full(out.value.shape, 0.125),
                                    atol=1e-14)
 
@@ -242,6 +248,102 @@ def _lazy_encode(e, tape, store, x, v_t):
             level = f if level is None else ad.mul(level, f)
         feats.append(level)
     return ad.concat(feats, axis=1)
+
+
+def _build_then_sample(e, tape, store, x, v_t):
+    """Oracle: each factor's knot grid built with `low_rank` on the tape, then
+    sampled with bilinear_sample or linear_sample, at every knot."""
+    feats = []
+    for li, d in enumerate(e.levels):
+        level = None
+        for fname, axes in e.FACTORS:
+            key = f"enc.grid.L{li}.{fname}"
+            res = store.var(f"{key}.res", tape) if e.rank > 0 else None
+            grid = enc.low_rank(store.var(f"{key}.base", tape), res, v_t)
+            coords = [enc._to_grid_units(x[:, a], d) for a in axes]
+            sample = ad.bilinear_sample if len(axes) == 2 else ad.linear_sample
+            f = sample(grid, *coords)
+            level = f if level is None else ad.mul(level, f)
+        feats.append(level)
+    return ad.concat(feats, axis=1)
+
+
+# (variant, point count B, knots K, per level whether the rule samples
+# first): case (a) where B is below the factor's cell count (16 and 64 for
+# planes at levels (4, 8), 4 and 8 for axes) and 8 * B below K times it,
+# build-then-sample (b) elsewhere
+SIZE_RULE_SIDES = [("triplanes", 10, 8, [True, True]), ("triplanes", 30, 8, [False, True]),
+                   ("triplanes", 70, 8, [False, False]), ("triplanes", 3, 2, [True, True]),
+                   ("triplanes", 10, 2, [False, True]), ("triplanes", 20, 2, [False, False]),
+                   ("triaxes", 3, 8, [True, True]), ("triaxes", 6, 8, [False, True]),
+                   ("triaxes", 12, 8, [False, False]), ("triaxes", 1, 2, [False, True])]
+
+
+def _knot_outputs(e, store, x, tape, route, knots):
+    """Three knots' features for one point set; `route` is "spatial" (one
+    spatial for `knots` knots, shared by the three) or "oracle"."""
+    if route == "oracle":
+        return [_build_then_sample(e, tape, store, x, _code(tape, store, k)) for k in range(3)]
+    spatial = e.spatial(tape, store, x, knots)
+    return [e.encode(tape, store, spatial, _code(tape, store, k)) for k in range(3)]
+
+
+class TestSizeRule:
+    @pytest.mark.parametrize("variant, b, knots, below", SIZE_RULE_SIDES)
+    def test_takes_the_case_its_size_picks(self, variant, b, knots, below):
+        e, store = _build(variant, rank=2)
+        x = np.random.default_rng(b).uniform(-1, 1, (b, 3))
+        spatial = e.spatial(Tape(), store, x, knots)
+        assert [all(S is None for _, _, S in level) for level in spatial] == below
+        assert [any(S is None for _, _, S in level) for level in spatial] == below
+        for (base, res, S), (_, axes) in zip(spatial[0], e.FACTORS):
+            want = (b, 3) if S is None else (4,) * len(axes) + (3,)
+            assert base.shape == want and res.shape == (2,) + want
+
+    def test_rank_zero_builds_at_every_size(self):
+        e, store = _build("triplanes", rank=0)
+        spatial = e.spatial(Tape(), store, np.zeros((2, 3)), 8)
+        assert all(S is not None and res is None for level in spatial for _, res, S in level)
+
+    @pytest.mark.parametrize("variant, b, knots, below", SIZE_RULE_SIDES)
+    def test_values_and_gradients_match_build_then_sample(self, variant, b, knots, below):
+        e, store = _build(variant, rank=2)
+        rng = np.random.default_rng(b + 1)
+        x = rng.uniform(-1.05, 1.05, (b, 3))
+        w = rng.normal(size=(3, b, e.out_dim))
+        names = [n for n in store.names() if not n.startswith("dec.")]
+        results = []
+        for route in ("spatial", "oracle"):
+            store.zero_grad()
+            tape = Tape()
+            outs = _knot_outputs(e, store, x, tape, route, knots)
+            loss = None
+            for out, wk in zip(outs, w):
+                term = ad.vsum(ad.mul(out, wk))
+                loss = term if loss is None else loss + term
+            tape.backward(loss)
+            results.append(([o.value for o in outs],
+                            {n: store.grad(n).copy() for n in names}))
+        (got, got_grads), (want, want_grads) = results
+        for g, wv in zip(got, want):
+            np.testing.assert_allclose(g, wv, rtol=0, atol=1e-13 * np.abs(wv).max())
+        assert {"codes"} < set(names)
+        for name in names:
+            assert np.any(want_grads[name] != 0), name
+            np.testing.assert_allclose(got_grads[name], want_grads[name], rtol=0,
+                                       atol=1e-13 * np.abs(want_grads[name]).max(),
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("variant, b, knots, below", SIZE_RULE_SIDES)
+    def test_gradients_pass_fd_check(self, variant, b, knots, below):
+        e, store = _build(variant, rank=2)
+        x = np.random.default_rng(b + 2).uniform(-0.95, 0.95, (b, 3))
+
+        def loss(tape):
+            a, _, c = _knot_outputs(e, store, x, tape, "spatial", knots)
+            return ad.vmean(ad.mul(a, a)) + ad.vmean(ad.mul(a, c))
+
+        assert fd_check(loss, store, samples=40, rng=np.random.default_rng(0)) < 1e-4
 
 
 # factor names and the number of coordinates each factor's grid spans
@@ -272,7 +374,7 @@ class TestGridEncoders:
         e, store = _build(variant, rank=3)
         x = np.random.default_rng(10).uniform(-0.95, 0.95, size=(6, 3))
         tape = Tape()
-        got = e.encode(tape, store, x, _code(tape, store, 1)).value
+        got = _encode(e, tape, store, x, _code(tape, store, 1)).value
         feats = []
         for li, d in enumerate(e.levels):
             level = None
@@ -294,7 +396,7 @@ class TestGridEncoders:
         w = rng.normal(size=(7, e.out_dim))
         names = [n for n in store.names() if not n.startswith("dec.")]
         results = []
-        for route in (e.encode, lambda *a: _lazy_encode(e, *a)):
+        for route in (lambda *a: _encode(e, *a), lambda *a: _lazy_encode(e, *a)):
             store.zero_grad()
             tape = Tape()
             out = route(tape, store, x, _code(tape, store, 2))
@@ -326,8 +428,8 @@ class TestCoupled4D:
     def test_time_changes_output_for_static_input(self):
         e, store = _build("coupled4d-baseline")
         x = np.zeros((2, 3))
-        a = e.encode(Tape(), store, x, None, 0.0).value
-        b = e.encode(Tape(), store, x, None, 1.0).value
+        a, b = (e.encode(Tape(), store, e.spatial(Tape(), store, x, 1, t), None).value
+                for t in (0.0, 1.0))
         assert not np.allclose(a, b)
 
 

@@ -44,6 +44,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=next(iter(bad))):
             FieldConfig(**bad)
 
+    @pytest.mark.parametrize("value", [-3, 53, 100000])
+    def test_pe_frequencies_outside_its_bound_is_rejected(self, value):
+        with pytest.raises(ValueError, match=rf"pe_frequencies must be in \[0, 52\], "
+                                             rf"got {value}"):
+            FieldConfig(variant="pe-resfields", pe_frequencies=value)
+
     @pytest.mark.parametrize("center, half", [((0.0, 0.0), 1.0), ((0.0, np.nan, 0.0), 1.0),
                                               ((0.0, 0.0, 0.0), 0.0),
                                               ((0.0, 0.0, 0.0), np.inf)])
@@ -254,9 +260,9 @@ def _count_knot_calls(monkeypatch) -> list:
     calls = []
     predict = SplineField.predict_knot
 
-    def counting(self, tape, points, k):
+    def counting(self, tape, points, k, cache=None):
         calls.append(k)
-        return predict(self, tape, points, k)
+        return predict(self, tape, points, k, cache)
 
     monkeypatch.setattr(SplineField, "predict_knot", counting)
     return calls
@@ -295,6 +301,23 @@ class TestMultiTimeQueries:
         calls = _count_knot_calls(monkeypatch)
         f.deform(f.canonical, np.linspace(0.0, 1.0, 25))
         assert sorted(calls) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("variant", ["siren-resfields", "pe-resfields", "triplanes"])
+    def test_sequence_computes_the_spatial_encoding_once(self, monkeypatch, variant):
+        # once per call, told how many knots will modulate it: the size rule's input
+        f = _randomized(SplineField(_variant_cfg(variant, False), _points(8)))
+        calls = []
+        spatial = f.encoder.spatial
+
+        def counting(tape, store, x_norm, knots):
+            calls.append((len(x_norm), knots))
+            return spatial(tape, store, x_norm, knots)
+        monkeypatch.setattr(f.encoder, "spatial", counting)
+        f.deform(f.canonical, np.linspace(0.0, 1.0, 25))
+        f.deform(f.canonical, [0.1, 0.2, 0.3])
+        f.velocity(f.canonical, 0.3)
+        f.advect(f.canonical, 0.3, 0.1)
+        assert calls == [(8, 4), (8, 2), (8, 2), (8, 2)]
 
     def test_evaluate_predicts_at_most_n_knots(self, monkeypatch):
         traj = dataio.gen_synthetic("composite", 40, 21, seed=0)

@@ -7,7 +7,7 @@ from splinefield import autodiff as ad
 from splinefield import dataio, losses, metrics, trainer
 from splinefield.autodiff import ParamStore, Tape
 from splinefield.dataio import SplitSpec, split_frames
-from splinefield.field import SplineField
+from splinefield.field import KnotCache, SplineField
 from splinefield.trainer import Adam, TrainConfig, parse_run_config, train
 
 from gradcheck import fd_check
@@ -286,7 +286,7 @@ def _three_cache_step(traj, split, cfg):
     batch_pts = sup_pts[rows]
     n_f = min(cfg.frames_per_step, train_frames.shape[0])
     frame_ids = rng.choice(train_frames.shape[0], n_f, replace=False)
-    knot_cache = {}
+    knot_cache = KnotCache(n_knots)
     recon = None
     for fi in train_frames[frame_ids]:
         pred = fld.deform_var(tape, batch_pts, traj.frame_time(int(fi)),
@@ -299,10 +299,10 @@ def _three_cache_step(traj, split, cfg):
         t_rand = float(rng.uniform(0.0, 1.0))
         if cfg.alpha > 0:
             needed, loc_rows, loc_nbrs, w_rows = graph.subgraph_closure(rows)
-            vel = fld.velocity_var(tape, sup_pts[needed], t_rand, knot_cache={})
+            vel = fld.velocity_var(tape, sup_pts[needed], t_rand, knot_cache=KnotCache(2))
             lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
         if cfg.beta > 0:
-            acc = fld.acceleration_var(tape, batch_pts, t_rand, knot_cache={})
+            acc = fld.acceleration_var(tape, batch_pts, t_rand, knot_cache=KnotCache(2))
             lacc = losses.acceleration_loss(acc, mode=cfg.accel_mode)
     total = losses.total_loss(recon, lv, lacc, cfg.alpha, cfg.beta)
     fld.store.zero_grad()
@@ -318,9 +318,9 @@ class _KnotCalls:
         predict = SplineField.predict_knot
         tape_cls = trainer.Tape
 
-        def counting(fld, tape, points, knot_idx):
+        def counting(fld, tape, points, knot_idx, cache=None):
             self.steps[-1].append((knot_idx, len(points)))
-            return predict(fld, tape, points, knot_idx)
+            return predict(fld, tape, points, knot_idx, cache)
 
         def step_tape():
             self.steps.append([])
@@ -349,6 +349,50 @@ class TestSharedKnotStates:
             assert all(batch < n <= n_sup for n in on_closure)
         sizes = {n for step in calls.steps for _, n in step}
         assert batch in sizes and (len(sizes) > 1) == bool(batch_points)
+
+    @pytest.mark.parametrize("batch_points", [0, 6])
+    def test_grid_factors_are_sampled_once_per_point_set(self, monkeypatch, batch_points):
+        # 15 supervised points: every triplanes factor (32 * 32 or 64 * 64
+        # cells) samples its base and residual stack in `spatial`, once per
+        # point set of the step, and no knot samples a grid
+        traj, split, cfg = _tiny_run(steps=3, variant="triplanes", n_knots=4,
+                                     batch_points=batch_points)
+        calls = _KnotCalls(monkeypatch)
+        for name in ("interp_matrix", "sample_grid", "sample_stack"):
+            def counting(*args, _name=name, _counted=getattr(ad, name)):
+                calls.steps[-1].append((_name, None))
+                return _counted(*args)
+            monkeypatch.setattr(ad, name, counting)
+        train(traj, split, cfg)
+        factors = 2 * 3
+        for step in calls.steps:
+            names = [k for k, _ in step]
+            knots = [(k, n) for k, n in step if isinstance(k, int)]
+            point_sets = {n for _, n in knots}
+            assert len(knots) >= 3
+            for name in ("interp_matrix", "sample_grid", "sample_stack"):
+                assert names.count(name) == factors * len(point_sets)
+            assert len(point_sets) == 1 or batch_points
+
+    @pytest.mark.parametrize("batch_points,alpha,beta", [
+        (0, 1.0, 0.01), (6, 1.0, 0.01), (6, 0.0, 0.01), (6, 1.0, 0.0), (6, 0.0, 0.0)])
+    def test_each_cache_predicts_the_knots_it_was_made_for(self, monkeypatch, batch_points,
+                                                           alpha, beta):
+        # KnotCache.knots is the grid encoder's size-rule input
+        traj, split, cfg = _tiny_run(steps=6, kind="composite", n_knots=6, frames_per_step=2,
+                                     batch_points=batch_points, alpha=alpha, beta=beta)
+        caches = []
+        predict = SplineField.predict_knot
+
+        def counting(fld, tape, points, knot_idx, cache=None):
+            caches.append(cache)
+            return predict(fld, tape, points, knot_idx, cache)
+        monkeypatch.setattr(SplineField, "predict_knot", counting)
+        train(traj, split, cfg)
+        made = {id(c): c for c in caches}
+        assert len(made) > cfg.steps or not (batch_points and alpha)
+        for key, cache in made.items():
+            assert sum(id(c) == key for c in caches) == cache.knots
 
     @pytest.mark.parametrize("batch_points,quintic,alpha,beta", [
         (0, False, 1.0, 0.01), (6, False, 1.0, 0.01), (0, True, 1.0, 0.01),
@@ -383,11 +427,11 @@ class TestSharedKnotStates:
         assert len(needed) > len(rows)
 
         def loss(tape):
-            cache = {}
+            cache = KnotCache(2)
             vel = fld.velocity_var(tape, sup_pts[needed], 0.4, knot_cache=cache)
             lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
-            cache = {k: tuple(ad.take(s, loc_rows) for s in state)
-                     for k, state in cache.items()}
+            cache = KnotCache(2, {k: tuple(ad.take(s, loc_rows) for s in state)
+                                  for k, state in cache.items()})
             pos = fld.deform_var(tape, sup_pts[rows], 0.9, knot_cache=cache)
             acc = fld.acceleration_var(tape, sup_pts[rows], 0.4, knot_cache=cache)
             # smooth terms only: an L1 kink would fail the central difference
