@@ -405,9 +405,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._values)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
-
     def value(self, name: str) -> np.ndarray:
         return self._values[name]
 

@@ -23,6 +23,11 @@ knot builds its grid and samples it (see `TriplaneEncoder`).
 The MLP variants differ only in the MLP's feature map and activation (see
 `MLPEncoder`). The coupled-4D baseline is the rank-0 sine MLP
 whose feature map appends time as a fourth input coordinate.
+
+An encoder holds no parameters: `params()` declares each as (name, shape,
+init) in draw order, init(rng, shape) drawing the array (None: zeros).
+`SplineField` draws a new field from these and checks a load against them,
+which draws nothing.
 """
 
 from __future__ import annotations
@@ -67,12 +72,14 @@ def positional_encode(x: np.ndarray, n_frequencies: int) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def _siren_layer_init(rng, c_in: int, c_out: int, w0: float, first: bool) -> np.ndarray:
-    if first:
-        bound = 1.0 / c_in
-    else:
-        bound = np.sqrt(6.0 / c_in) / w0
-    return rng.uniform(-bound, bound, size=(c_in, c_out))
+def uniform(bound: float, scale: float = 1.0):
+    """The init drawing U(-bound, bound), times scale."""
+    return lambda rng, shape: rng.uniform(-bound, bound, shape) * scale
+
+
+def normal(std: float, scale: float = 1.0):
+    """The init drawing N(0, std^2), times scale."""
+    return lambda rng, shape: rng.normal(0.0, std, shape) * scale
 
 
 class MLPEncoder:
@@ -85,25 +92,28 @@ class MLPEncoder:
     and sines at rank 0, so its only temporal input is the time coordinate.
     """
 
-    def __init__(self, store: ParamStore, rng, rank: int, hidden: int = 64,
-                 depth: int = 3, w0: float = 30.0, features=xyz, act: str = "sine"):
+    def __init__(self, rank: int, in_dim: int, hidden: int = 64, depth: int = 3,
+                 w0: float = 30.0, features=xyz, act: str = "sine"):
         self.rank = rank
+        self.in_dim = in_dim
         self.depth = depth
         self.features = features
-        self._act = {"sine": lambda h: ad.sine(h, w0), "relu": ad.relu}[act]
+        # the activation, and the uniform init bound of layer i with ci inputs
+        self._act, self._bound = {
+            "sine": (lambda h: ad.sine(h, w0),
+                     lambda i, ci: 1.0 / ci if i == 0 else np.sqrt(6.0 / ci) / w0),
+            "relu": (ad.relu, lambda i, ci: np.sqrt(6.0 / ci))}[act]
         self.out_dim = hidden
-        dims = [features(np.zeros((1, 3)), 0.0).shape[1]] + [hidden] * depth
-        for i, (ci, co) in enumerate(zip(dims[:-1], dims[1:])):
-            if act == "sine":
-                base = _siren_layer_init(rng, ci, co, w0, first=(i == 0))
-            else:
-                base = rng.uniform(-np.sqrt(6.0 / ci), np.sqrt(6.0 / ci), size=(ci, co))
-            store.add(f"enc.mlp.l{i}.Wb", base)
-            if rank > 0:
+
+    def params(self):
+        """Each layer's base weights, residual stack (rank > 0) and bias."""
+        for i in range(self.depth):
+            ci, co = self.in_dim if i == 0 else self.out_dim, self.out_dim
+            yield f"enc.mlp.l{i}.Wb", (ci, co), uniform(self._bound(i, ci))
+            if self.rank > 0:
                 # residual stacks start small so training begins near the base
-                res = rng.normal(0.0, 1.0 / max(ci, 1), size=(rank, ci, co)) * 0.1
-                store.add(f"enc.mlp.l{i}.Wres", res)
-            store.add(f"enc.mlp.l{i}.b", np.zeros(co))
+                yield f"enc.mlp.l{i}.Wres", (self.rank, ci, co), normal(1.0 / ci, 0.1)
+            yield f"enc.mlp.l{i}.b", (co,), None
 
     def spatial(self, tape: Tape, store: ParamStore, x_norm: np.ndarray, knots: int,
                 t: float | None = None) -> np.ndarray:
@@ -153,21 +163,21 @@ class TriplaneEncoder:
 
     FACTORS = (("xy", (0, 1)), ("yz", (1, 2)), ("xz", (0, 2)))
 
-    def __init__(self, store: ParamStore, rng, rank: int, levels: tuple = (32, 64),
-                 channels: int = 16):
+    def __init__(self, rank: int, levels: tuple = (32, 64), channels: int = 16):
         self.rank = rank
         self.levels = tuple(levels)
         self.channels = channels
+        self.out_dim = channels * len(self.levels)
+
+    def params(self):
+        """Each level's factor bases and residual stacks (rank > 0)."""
         for li, d in enumerate(self.levels):
             for fname, axes in self.FACTORS:
-                shape = (d,) * len(axes) + (channels,)
-                store.add(f"enc.grid.L{li}.{fname}.base",
-                          rng.uniform(-GRID_INIT_RANGE, GRID_INIT_RANGE, shape))
-                if rank > 0:
-                    store.add(f"enc.grid.L{li}.{fname}.res",
-                              rng.uniform(-GRID_INIT_RANGE, GRID_INIT_RANGE,
-                                          (rank,) + shape) * 0.1)
-        self.out_dim = channels * len(self.levels)
+                shape = (d,) * len(axes) + (self.channels,)
+                yield f"enc.grid.L{li}.{fname}.base", shape, uniform(GRID_INIT_RANGE)
+                if self.rank > 0:
+                    yield (f"enc.grid.L{li}.{fname}.res", (self.rank,) + shape,
+                           uniform(GRID_INIT_RANGE, 0.1))
 
     def spatial(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
                 knots: int) -> list:

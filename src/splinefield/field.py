@@ -13,6 +13,10 @@ unless physical scaling is requested; one evaluator,
 `spline.segment_derivative`, serves all three by derivative order.
 Constant-velocity advection extrapolates past the fitted interval.
 
+Each parameter is declared once (`SplineField.params`: codes, encoder, decoder).
+A new field draws them in order from default_rng(seed); a load checks the
+checkpoint's arrays against them, drawing and allocating nothing more.
+
 A `KnotCache` holds the knot states predicted on one point set, and that
 point set's encoder `spatial` (the time-invariant half of the encoder's
 work, see `encoders`), so each knot only modulates what the first one
@@ -29,7 +33,7 @@ velocity/acceleration obtained by central finite differences in t.
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -50,6 +54,11 @@ CODE_INIT_STD = 1e-2      # per-knot temporal codes ~ N(0, (1e-2)^2)
 PE_FREQUENCIES_MAX = 52
 _FD_T_EPS = 1e-4  # time step for the coupled baseline's FD derivatives
 _GRIDS = {"triplanes": enc.TriplaneEncoder, "triaxes": enc.TriaxesEncoder}
+_SIZES = ("n_knots", "rank", "hidden", "depth", "pe_frequencies", "grid_channels")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass
@@ -67,7 +76,17 @@ class FieldConfig:
 
     def __post_init__(self):
         self.grid_levels = tuple(self.grid_levels)
-        for name, ok, want in [
+        for name, ok, want in self._checks():
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
+
+    def _checks(self):
+        # (field, ok, requirement); every type is checked before any value is compared
+        yield from ((k, _is_int(getattr(self, k)), "an integer") for k in _SIZES)
+        yield "grid_levels", all(map(_is_int, self.grid_levels)), "integers"
+        yield "quintic", isinstance(self.quintic, bool), "a bool"
+        yield "w0", isinstance(self.w0, numbers.Real) and not isinstance(self.w0, bool), "a number"
+        yield from [
                 ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
                 ("n_knots", self.n_knots >= 2, ">= 2"), ("rank", self.rank >= 0, ">= 0"),
                 ("w0", np.isfinite(self.w0) and self.w0 > 0, "finite and > 0"),
@@ -76,25 +95,7 @@ class FieldConfig:
                 ("hidden", self.hidden >= 1, ">= 1"), ("depth", self.depth >= 1, ">= 1"),
                 ("grid_channels", self.grid_channels >= 1, ">= 1"),
                 ("grid_levels", bool(self.grid_levels) and min(self.grid_levels) >= 2,
-                 "non-empty with each level >= 2")]:
-            if not ok:
-                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
-
-
-class _ShapesOnly:
-    """Stands in for a Generator when only parameter names and shapes matter;
-    a draw larger than `limit`, the largest stored array, raises ValueError."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-
-    def uniform(self, low, high, size):
-        if math.prod(size) > self.limit:
-            raise ValueError(f"the config builds an array of shape {size}, larger "
-                             f"than any stored array")
-        return np.zeros(size)
-
-    normal = uniform
+                 "non-empty with each level >= 2")]
 
 
 class KnotCache(dict):
@@ -113,7 +114,8 @@ class SplineField:
     """A fitted (or fittable) deformation field over canonical points."""
 
     def __init__(self, cfg: FieldConfig, canonical_points: np.ndarray, seed: int = 0,
-                 store: ParamStore | None = None, normalizer=None):
+                 arrays: dict | None = None, normalizer=None):
+        """Draws a new field's parameters from default_rng(seed), or takes `arrays`."""
         canonical_points = np.asarray(canonical_points, dtype=np.float64)
         if canonical_points.ndim != 2 or canonical_points.shape[1] != 3:
             raise ValueError("canonical points must be [N_p, 3]")
@@ -135,66 +137,57 @@ class SplineField:
             raise ValueError(f"normalizer half_extent must be finite and > 0, "
                              f"got {self.half_extent}")
 
-        # a given store must hold exactly the names and shapes the config builds
-        built = ParamStore()
-        rng = np.random.default_rng(seed) if store is None else _ShapesOnly(
-            max((store.value(n).size for n in store.names()), default=0))
-        self.encoder = self._build_encoder(built, rng)
-        self._build_decoder(built, rng)
-        if store is not None:
-            want = {n: built.value(n).shape for n in built.names()}
-            have = {n: store.value(n).shape for n in store.names()}
-            bad = [f"{n} has shape {have.get(n)}, expects {want.get(n)}"
-                   for n in sorted(want.keys() | have.keys()) if want.get(n) != have.get(n)]
-            if bad:
-                raise ValueError(f"{cfg.variant} parameters: {'; '.join(bad)}")
-        self.store = built if store is None else store
+        self.encoder = self._build_encoder()
+        self.out_channels = 3 if cfg.variant == "coupled4d-baseline" else 9 if cfg.quintic else 6
+        # grid features go through a small two-layer MLP
+        hidden = (cfg.hidden,) if cfg.variant in _GRIDS else ()
+        self._decoder_dims = (self.encoder.out_dim, *hidden, self.out_channels)
+        self.store = ParamStore()
+        if arrays is None:
+            rng = np.random.default_rng(seed)
+            for name, shape, init in self.params():
+                self.store.add(name, np.zeros(shape) if init is None else init(rng, shape))
+            return
+        # params() is lazy, so the first missing or misshapen name ends a load
+        for name, shape, _ in self.params():
+            have = arrays[name].shape if name in arrays else None
+            if have != shape:
+                raise ValueError(f"parameter {name} has shape {have}, {cfg.variant} wants {shape}")
+            self.store.add(name, arrays[name])
+        if extra := sorted(arrays.keys() - set(self.store.names())):
+            raise ValueError(f"{cfg.variant} declares no parameter {', '.join(extra)}")
 
     # -- construction ------------------------------------------------------
 
-    def _build_encoder(self, store, rng):
+    def _build_encoder(self):
         c = self.cfg
-        rank = 0 if c.variant == "coupled4d-baseline" else c.rank
-        if rank > 0:
-            store.add("codes", rng.normal(0.0, CODE_INIT_STD, size=(c.n_knots, rank)))
         if c.variant in _GRIDS:
-            return _GRIDS[c.variant](store, rng, rank, c.grid_levels, c.grid_channels)
-        features, act = {
-            "siren-resfields": (enc.xyz, "sine"),
+            return _GRIDS[c.variant](c.rank, c.grid_levels, c.grid_channels)
+        features, in_dim, act = {
+            "siren-resfields": (enc.xyz, 3, "sine"),
             "pe-resfields": (lambda x, t: enc.positional_encode(x, c.pe_frequencies),
-                             "relu"),
-            "coupled4d-baseline": (enc.xyzt, "sine"),
+                             3 + 6 * c.pe_frequencies, "relu"),
+            "coupled4d-baseline": (enc.xyzt, 4, "sine"),
         }[c.variant]
-        return enc.MLPEncoder(store, rng, rank, c.hidden, c.depth, c.w0, features, act)
+        rank = 0 if c.variant == "coupled4d-baseline" else c.rank
+        return enc.MLPEncoder(rank, in_dim, c.hidden, c.depth, c.w0, features, act)
 
-    @property
-    def out_channels(self) -> int:
-        if self.cfg.variant == "coupled4d-baseline":
-            return 3
-        return 9 if self.cfg.quintic else 6
+    def params(self):
+        """(name, shape, init) of each parameter in draw order: codes, encoder, decoder."""
+        if self.encoder.rank > 0:
+            yield "codes", (self.cfg.n_knots, self.encoder.rank), enc.normal(CODE_INIT_STD)
+        yield from self.encoder.params()
+        dims = self._decoder_dims
+        for i, (ci, co) in enumerate(zip(dims[:-1], dims[1:])):
+            # a zero last layer starts optimization from the identity deformation
+            last = i == len(dims) - 2
+            yield f"dec.l{i}.W", (ci, co), None if last else enc.uniform(np.sqrt(6.0 / ci))
+            yield f"dec.l{i}.b", (co,), None
 
-    def _build_decoder(self, store, rng):
-        feat = self.encoder.out_dim
-        out = self.out_channels
-        if isinstance(self.encoder, enc.TriplaneEncoder):
-            # grid features go through a small two-layer MLP
-            h = self.cfg.hidden
-            store.add("dec.l0.W", rng.uniform(-np.sqrt(6.0 / feat), np.sqrt(6.0 / feat),
-                                              (feat, h)))
-            store.add("dec.l0.b", np.zeros(h))
-            store.add("dec.l1.W", np.zeros((h, out)))
-            store.add("dec.l1.b", np.zeros(out))
-        else:
-            # zero-init so optimization starts from the identity deformation
-            store.add("dec.l0.W", np.zeros((feat, out)))
-            store.add("dec.l0.b", np.zeros(out))
-
-    def _decode(self, tape, feat: Var) -> Var:
-        store = self.store
-        h = ad.forward_linear(feat, store.var("dec.l0.W", tape), store.var("dec.l0.b", tape))
-        if "dec.l1.W" in store:
-            h = ad.forward_linear(ad.relu(h), store.var("dec.l1.W", tape),
-                                  store.var("dec.l1.b", tape))
+    def _decode(self, tape, h: Var) -> Var:
+        for i in range(len(self._decoder_dims) - 1):
+            h = ad.forward_linear(ad.relu(h) if i else h, self.store.var(f"dec.l{i}.W", tape),
+                                  self.store.var(f"dec.l{i}.b", tape))
         return h
 
     # -- queries -----------------------------------------------------------
@@ -221,7 +214,7 @@ class SplineField:
             cache.spatial = self.encoder.spatial(tape, self.store, self.normalize(points),
                                                  cache.knots)
         v_t = (ad.take(self.store.var("codes", tape), np.array(knot_idx))
-               if "codes" in self.store else None)
+               if self.encoder.rank > 0 else None)
         out = self._decode(tape, self.encoder.encode(tape, self.store, cache.spatial, v_t))
         return tuple(out[:, j:j + 3] for j in range(0, self.out_channels, 3))
 
@@ -331,10 +324,7 @@ class SplineField:
             cfg_d = dict(header["config"])
             cfg_d["grid_levels"] = tuple(cfg_d["grid_levels"])
             canonical = arrays.pop("__canonical__")
-            store = ParamStore()
-            for name in sorted(arrays):
-                store.add(name, arrays[name])
-            return cls(FieldConfig(**cfg_d), canonical, store=store,
+            return cls(FieldConfig(**cfg_d), canonical, arrays=arrays,
                        normalizer=(np.asarray(header["center"]), header["half_extent"]))
         except (KeyError, TypeError, ValueError) as e:
             raise dataio.FormatError(f"malformed checkpoint {path}: {e}") from None

@@ -144,12 +144,13 @@ class Adam:
         norms = {}
         for name in self.store.names():
             g = self.store.grad(name).reshape(-1)
-            norms[name] = float(np.sqrt(g @ g))
+            # einsum's summation order, unlike a BLAS dot's, ignores the thread count
+            norms[name] = float(np.sqrt(np.einsum("i,i->", g, g)))
             if not np.isfinite(norms[name]):
                 if not np.all(np.isfinite(g)):
                     raise DivergenceError(f"non-finite gradient in parameter group {name!r}")
                 top = np.abs(g).max()       # finite entries whose squares overflow
-                norms[name] = float(top * np.sqrt((g / top) @ (g / top)))
+                norms[name] = float(top * np.sqrt(np.einsum("i,i->", g / top, g / top)))
         return norms
 
     def step(self, lr_scale: float = 1.0) -> dict:

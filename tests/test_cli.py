@@ -312,15 +312,30 @@ class TestEval:
         (lambda h: h["config"].update(hidden=0), "hidden"),
         (lambda h: h["config"].update(grid_levels=[]), "grid_levels"),
         (lambda h: h["config"].update(w0=0), "w0"),
-    ], ids=["center-2-entries", "half-extent-0", "hidden-0", "no-grid-levels", "w0-0"])
-    def test_checkpoint_bad_header_value_is_io_error(self, tmp_path, capsys, edit, named):
-        traj = _gen(tmp_path)
-        ckpt = _fit(tmp_path, traj)
+        # the sizes the checkpoint holds, as floats or bools: an equal float
+        # makes the same shapes, so only the type check refuses it
+        *((lambda h, k=k: h["config"].update({k: float(h["config"][k])}),
+           f"{k} must be an integer") for k in ("n_knots", "rank", "hidden", "grid_channels")),
+        (lambda h: h["config"].update(depth=True), "depth must be an integer"),
+        (lambda h: h["config"].update(grid_levels=[32.0, 64]), "grid_levels must be integers"),
+        (lambda h: h["config"].update(variant="pe-resfields", pe_frequencies=4.0),
+         "pe_frequencies must be an integer"),
+        (lambda h: h["config"].update(quintic=0), "quintic must be a bool"),
+        (lambda h: h["config"].update(w0=True), "w0 must be a number"),
+    ], ids=["center-2-entries", "half-extent-0", "hidden-0", "no-grid-levels", "w0-0",
+            "n_knots-float", "rank-float", "hidden-float", "grid_channels-float",
+            "depth-bool", "grid_levels-float", "pe-resfields-pe_frequencies-float", "quintic-0",
+            "w0-true"])
+    def test_checkpoint_bad_header_value_is_io_error(self, fitted, tmp_path, capsys, edit,
+                                                     named):
+        traj, ckpt = fitted
+        bad = tmp_path / "bad.ckpt"
         arrays, header = dataio.read_checkpoint(ckpt)
         edit(header)
-        dataio.write_checkpoint(ckpt, arrays, header)
-        assert main(["eval", "--ckpt", str(ckpt), "--traj", str(traj)]) == 1
-        assert named in capsys.readouterr().err
+        dataio.write_checkpoint(bad, arrays, header)
+        assert main(["eval", "--ckpt", str(bad), "--traj", str(traj)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     @pytest.mark.parametrize("header", [b"{not json", b'{"config": "\xff\xfe'])
     def test_malformed_header_is_io_error(self, tmp_path, header):
@@ -498,8 +513,9 @@ def _wrapping_dims(ckpt, bad):
 
 
 def _config(**edits):
-    """A header whose config asks for arrays of over 128 TiB, far beyond the
-    checkpoint's; loading must refuse them before allocating anything."""
+    """A header whose config asks for arrays of over 128 TiB, or for 10**12
+    layers, far beyond the checkpoint's; loading must refuse them before
+    allocating anything, in the time a small checkpoint takes."""
     def corrupt(ckpt, bad):
         arrays, header = dataio.read_checkpoint(ckpt)
         header["config"].update(edits)
@@ -512,7 +528,10 @@ CORRUPTIONS = {"nan-in-dec.l0.b": (_nan_in_bias, "'dec.l0.b'"),
                "trailing-bytes": (_trailing_garbage, "trailing bytes"),
                "dims-wrap-int64": (_wrapping_dims, "truncated payload for 'huge'"),
                "n_knots-1e14": (_config(n_knots=10 ** 14), "(100000000000000, 2)"),
-               "hidden-2**45": (_config(hidden=2 ** 45), "larger than any stored array")}
+               "hidden-2**45": (_config(hidden=2 ** 45), "35184372088832"),
+               "triplanes-level-65536": (_config(variant="triplanes", grid_levels=[65536]),
+                                         "(65536, 65536, 16)"),
+               "depth-10**12": (_config(depth=10 ** 12), "enc.mlp.l2.Wb has shape None")}
 
 
 class TestMalformedCheckpoint:

@@ -39,10 +39,21 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [dict(hidden=0), dict(depth=0), dict(grid_channels=0),
                                      dict(grid_levels=()), dict(grid_levels=(1, 8)),
                                      dict(w0=0.0), dict(w0=-5.0), dict(w0=np.nan),
-                                     dict(w0=np.inf), dict(rank=-1)])
+                                     dict(w0=np.inf), dict(rank=-1),
+                                     # sizes are integers, quintic a bool, w0 a number
+                                     dict(n_knots=3.0), dict(rank=True), dict(hidden=16.0),
+                                     dict(depth=np.float64(2)), dict(pe_frequencies=4.0),
+                                     dict(grid_channels=False), dict(grid_levels=(32, 64.0)),
+                                     dict(quintic=0), dict(quintic=np.bool_(True)),
+                                     dict(w0=True), dict(w0="30")])
     def test_sizes_that_build_no_field_are_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             FieldConfig(**bad)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        cfg = FieldConfig(n_knots=np.int64(3), rank=np.int32(2), grid_levels=(np.int16(4), 8),
+                          w0=np.float32(30))
+        assert SplineField(cfg, _points()).store.value("codes").shape == (3, 2)
 
     @pytest.mark.parametrize("value", [-3, 53, 100000])
     def test_pe_frequencies_outside_its_bound_is_rejected(self, value):
@@ -379,6 +390,12 @@ class TestCheckpoint:
         path = self._rewrite(tmp_path, lambda a: a.update({"dec.l1.W": np.zeros((6, 6))}))
         with pytest.raises(dataio.FormatError, match="dec.l1.W"):
             SplineField.load(path)
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        path = self._rewrite(tmp_path, lambda a: None)
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("load drew"))
+        g = SplineField.load(path)
+        assert g.store.names() == [name for name, _, _ in g.params()]
 
     def test_save_is_deterministic(self, tmp_path):
         f = SplineField(_small_cfg(), _points())

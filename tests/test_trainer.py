@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -136,6 +139,24 @@ class TestBlockedAdam:
             norms = Adam(store, TrainConfig()).step()
         assert norms["theta"] == pytest.approx(5e200, rel=1e-12)
         assert np.all(np.isfinite(store.value("theta")))
+
+    def test_norms_do_not_depend_on_the_blas_thread_count(self):
+        # a BLAS dot product splits a 2**20-element sum by thread; "big" takes
+        # the overflow fallback
+        script = "\n".join([
+            "import numpy as np", "from splinefield.autodiff import ParamStore",
+            "from splinefield.trainer import Adam, TrainConfig",
+            "store, g = ParamStore(), np.random.default_rng(0).normal(size=1 << 20)",
+            "for name, scale in (('small', 1e3), ('big', 1e200)):",
+            "    store.add(name, np.zeros(g.size))", "    store.grad(name)[:] = g * scale",
+            "with np.errstate(over='ignore'):",
+            "    print(repr(Adam(store, TrainConfig()).grad_norms()))"])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(trainer.__file__)))
+        out = [subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src,
+                                              "OPENBLAS_NUM_THREADS": n}).stdout
+               for n in ("1", "2")]
+        assert out[0] == out[1] and "'big': 1." in out[0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_gradient_names_group_and_updates_nothing(self, bad):
