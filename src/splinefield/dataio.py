@@ -275,14 +275,14 @@ def export_ply(path, points: np.ndarray, colors=None) -> None:
             raise ValueError("colors must match points shape")
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
     lines.append("end_header")
-    for i in range(points.shape[0]):
-        row = f"{points[i, 0]:.6f} {points[i, 1]:.6f} {points[i, 2]:.6f}"
-        if colors is not None:
-            c = colors[i].astype(int)
-            row += f" {c[0]} {c[1]} {c[2]}"
-        lines.append(row)
+    # the body is one %-format over every value in row order, colors as ints
+    table = np.empty((points.shape[0], 3 if colors is None else 6), dtype=object)
+    table[:, :3] = points
+    if colors is not None:
+        table[:, 3:] = colors.astype(int)
+    row = " ".join(["%.6f"] * 3 + ["%d"] * (table.shape[1] - 3)) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("\n".join(lines) + "\n" + (row * len(table)) % tuple(table.ravel()))
 
 
 def flow_colors(velocities: np.ndarray) -> np.ndarray:

@@ -21,10 +21,15 @@ A `KnotCache` holds the knot states predicted on one point set, and that
 point set's encoder `spatial` (the time-invariant half of the encoder's
 work, see `encoders`), so each knot only modulates what the first one
 computed; it is made with the number of knots it will hold, which the grid
-encoder's size rule reads. The plain-array queries take one time or a 1-D
-sequence of times. They run on a NoGradTape and predict each knot once per
-call, so T times cost one spatial pass and one modulation per knot instead
-of two network passes per time.
+encoder's size rule reads. The plain-array queries (`deform`, `velocity`,
+`acceleration`, `advect`) take one time or a 1-D sequence of times and run
+on a NoGradTape. A loaded field is read-only (its canonical points,
+normalizer center and parameter arrays raise ValueError on a write), so
+it keeps one `KnotCache(n_knots)` for its canonical points: each knot is
+predicted at most once per loaded field, by the first query that needs it,
+and any later query there is a Hermite evaluation of cached states. Other
+point sets, and fields built from a seed (which training updates in
+place), get a new cache per call, which predicts each knot once.
 
 The coupled-4D baseline variant bypasses the spline entirely: its MLP takes
 the continuous time as a fourth input and returns the offset directly, with
@@ -34,7 +39,7 @@ velocity/acceleration obtained by central finite differences in t.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -102,7 +107,9 @@ class KnotCache(dict):
     """Knot index -> knot state on one point set, plus that point set's
     encoder `spatial`, computed by the first knot predicted into the cache.
     `knots` is how many knots will be predicted on the point set, which the
-    grid encoder's size rule reads."""
+    grid encoder's size rule reads. A loaded field keeps one for its
+    canonical points for its whole life, which its read-only arrays make
+    safe; any other cache lives for one query or one training step."""
 
     def __init__(self, knots: int, states=()):
         super().__init__(states)
@@ -143,6 +150,7 @@ class SplineField:
         hidden = (cfg.hidden,) if cfg.variant in _GRIDS else ()
         self._decoder_dims = (self.encoder.out_dim, *hidden, self.out_channels)
         self.store = ParamStore()
+        self._canonical_knots = None    # a loaded field's KnotCache, see load
         if arrays is None:
             rng = np.random.default_rng(seed)
             for name, shape, init in self.params():
@@ -267,15 +275,24 @@ class SplineField:
         """Differentiable acceleration at t_query (t-bar units)."""
         return self.derivative_var(tape, points, t_query, 2, knot_cache)
 
+    def _knot_cache(self, points, knots: int) -> KnotCache:
+        """A loaded field's canonical cache when `points` equal (shape and
+        values) its canonical points, else a new cache for `knots` knots."""
+        c = self._canonical_knots
+        return c if c is not None and np.array_equal(points, self.canonical) else KnotCache(knots)
+
     def _query(self, var_fn, points, t_query, **kw) -> np.ndarray:
+        """var_fn's values at one time or a 1-D sequence of times, with the
+        knots of `_knot_cache`: a loaded field's canonical ones, or this call's."""
         tape = NoGradTape()
         if np.ndim(t_query) == 0:
-            return var_fn(tape, points, t_query, knot_cache=KnotCache(2), **kw).value
+            cache = self._knot_cache(points, 2)
+            return var_fn(tape, points, t_query, knot_cache=cache, **kw).value
         times = np.asarray(t_query, dtype=np.float64)
         if times.ndim != 1 or times.size == 0:
             raise ValueError(f"t_query must be a scalar or a non-empty 1-D sequence, "
                              f"got shape {times.shape}")
-        cache = KnotCache(len(spline.segment_knots(times, self.cfg.n_knots)))
+        cache = self._knot_cache(points, len(spline.segment_knots(times, self.cfg.n_knots)))
         return np.stack([var_fn(tape, points, float(t), knot_cache=cache, **kw).value
                          for t in times])
 
@@ -283,7 +300,8 @@ class SplineField:
         """Positions at t_query: [N, 3] for a scalar, [T, N, 3] for a 1-D sequence.
 
         Like velocity and acceleration, it runs on a NoGradTape and predicts
-        each knot it needs once per call, whatever the number of times."""
+        each knot it needs once per call, whatever the number of times, or
+        once per loaded field on its canonical points."""
         return self._query(self.deform_var, points, t_query)
 
     def velocity(self, points, t_query, physical: bool = False) -> np.ndarray:
@@ -298,7 +316,7 @@ class SplineField:
             raise ValueError(f"from_t must be in [0, 1], got {from_t}")
         if not (np.isfinite(dt) and dt >= 0):
             raise ValueError(f"dt must be finite and >= 0, got {dt}")
-        tape, cache = NoGradTape(), KnotCache(2)
+        tape, cache = NoGradTape(), self._knot_cache(points, 2)
         base = self.deform_var(tape, points, from_t, knot_cache=cache).value
         vel = self.velocity_var(tape, points, from_t, physical=True, knot_cache=cache)
         return base + vel.value * dt
@@ -317,14 +335,22 @@ class SplineField:
 
     @classmethod
     def load(cls, path) -> "SplineField":
-        """Read a checkpoint; a header, canonical point set or parameter set
-        that does not make a field raises FormatError."""
+        """Read a checkpoint into a read-only field with a canonical knot cache
+        (see the module docstring); a header that lacks a config key, or a
+        header, canonical point set or parameter set that does not make a
+        field, raises FormatError."""
         arrays, header = dataio.read_checkpoint(path)
         try:
             cfg_d = dict(header["config"])
+            if missing := [f.name for f in fields(FieldConfig) if f.name not in cfg_d]:
+                raise ValueError(f"header config has no {', '.join(missing)}")
             cfg_d["grid_levels"] = tuple(cfg_d["grid_levels"])
             canonical = arrays.pop("__canonical__")
-            return cls(FieldConfig(**cfg_d), canonical, arrays=arrays,
-                       normalizer=(np.asarray(header["center"]), header["half_extent"]))
+            fld = cls(FieldConfig(**cfg_d), canonical, arrays=arrays,
+                      normalizer=(np.asarray(header["center"]), header["half_extent"]))
         except (KeyError, TypeError, ValueError) as e:
             raise dataio.FormatError(f"malformed checkpoint {path}: {e}") from None
+        for a in (fld.canonical, fld.center, *map(fld.store.value, fld.store.names())):
+            a.flags.writeable = False
+        fld._canonical_knots = KnotCache(fld.cfg.n_knots)
+        return fld

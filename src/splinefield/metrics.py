@@ -98,7 +98,10 @@ def epe(pred: np.ndarray, gt: np.ndarray, scale: float = 1e4) -> float:
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    return float(np.mean(np.linalg.norm(pred - gt, axis=-1))) * scale
+    # the sum of squares np.linalg.norm takes, in place: one temporary, not three
+    sq = pred - gt
+    sq *= sq
+    return float(np.mean(np.sqrt(sq.sum(axis=-1)))) * scale
 
 
 def write_report(path, rows) -> None:

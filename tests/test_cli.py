@@ -322,10 +322,14 @@ class TestEval:
          "pe_frequencies must be an integer"),
         (lambda h: h["config"].update(quintic=0), "quintic must be a bool"),
         (lambda h: h["config"].update(w0=True), "w0 must be a number"),
+        # a key the header lacks is named, not given its FieldConfig default
+        (lambda h: h["config"].pop("w0"), "header config has no w0"),
+        (lambda h: [h["config"].pop(k) for k in ("quintic", "rank")],
+         "header config has no rank, quintic"),
     ], ids=["center-2-entries", "half-extent-0", "hidden-0", "no-grid-levels", "w0-0",
             "n_knots-float", "rank-float", "hidden-float", "grid_channels-float",
             "depth-bool", "grid_levels-float", "pe-resfields-pe_frequencies-float", "quintic-0",
-            "w0-true"])
+            "w0-true", "no-w0", "no-quintic-no-rank"])
     def test_checkpoint_bad_header_value_is_io_error(self, fitted, tmp_path, capsys, edit,
                                                      named):
         traj, ckpt = fitted
@@ -399,6 +403,20 @@ class TestInterpAdvectFlow:
                    "--out-prefix", str(tmp_path / "flow")])
         assert rc == 0
         assert len(list(tmp_path.glob("flow_*.ply"))) == 6
+
+    def test_flow_predicts_each_knot_once(self, fitted, tmp_path, monkeypatch):
+        # deform and velocity at every frame time share the loaded field's knots
+        _, ckpt = fitted
+        calls = []
+        predict = SplineField.predict_knot
+
+        def counting(self, tape, points, k, cache=None):
+            calls.append(k)
+            return predict(self, tape, points, k, cache)
+        monkeypatch.setattr(SplineField, "predict_knot", counting)
+        assert main(["flow", "--ckpt", str(ckpt), "--frames", "5",
+                     "--out-prefix", str(tmp_path / "flow")]) == 0
+        assert sorted(calls) == list(range(SplineField.load(ckpt).cfg.n_knots))
 
 
 @pytest.fixture(scope="module")

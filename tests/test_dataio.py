@@ -196,6 +196,48 @@ class TestPly:
         assert "property uchar red" in text
         assert text.strip().endswith("0.000000 0.000000 0.000000 10 10 10")
 
+    @staticmethod
+    def _per_row(path, points, colors=None):
+        """The per-point formatting export_ply replaced: the byte oracle."""
+        lines = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}",
+                 "property float x", "property float y", "property float z"]
+        if colors is not None:
+            lines += ["property uchar red", "property uchar green", "property uchar blue"]
+        lines.append("end_header")
+        for i in range(points.shape[0]):
+            row = f"{points[i, 0]:.6f} {points[i, 1]:.6f} {points[i, 2]:.6f}"
+            if colors is not None:
+                c = colors[i].astype(int)
+                row += f" {c[0]} {c[1]} {c[2]}"
+            lines.append(row)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("n", [0, 1, 500])
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_bytes_equal_the_per_row_format(self, tmp_path, n, colored):
+        rng = np.random.default_rng(n)
+        edge = [-0.0, 0.0, 5e-7, -5e-7, 0.0000015, 2.0000005, 0.1234565, -1.9999995,
+                1e6, -1e6, 123456789.1234565, 1e15, -3.5e20, 1e-300, 2.675]
+        points = rng.normal(0.0, 10.0 ** rng.integers(-8, 9, (n, 3)), (n, 3))
+        points.ravel()[:min(len(edge), points.size)] = edge[:points.size]
+        colors = rng.integers(0, 256, (n, 3)).astype(np.uint8) if colored else None
+        got, want = tmp_path / "got.ply", tmp_path / "want.ply"
+        export_ply(got, points, colors)
+        self._per_row(want, points, colors)
+        assert got.read_bytes() == want.read_bytes()
+        if points.size >= len(edge):
+            assert b"end_header\n-0.000000 0.000000 " in got.read_bytes()
+            assert b" 1000000.000000" in got.read_bytes()
+
+    def test_float_colors_truncate_like_the_per_row_format(self, tmp_path):
+        points = np.zeros((3, 3))
+        colors = np.array([[0.0, 127.9, 255.0], [1.5, 2.5, 3.99], [10, 20, 30]])
+        got, want = tmp_path / "got.ply", tmp_path / "want.ply"
+        export_ply(got, points, colors)
+        self._per_row(want, points, colors)
+        assert got.read_bytes() == want.read_bytes()
+
     @pytest.mark.parametrize("points, colors, named", [
         (np.zeros((2, 2)), None, "points must be"),
         (np.zeros(3), None, "points must be"),

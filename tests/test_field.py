@@ -403,3 +403,88 @@ class TestCheckpoint:
         f.save(p1)
         f.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+_CACHED_CASES = [("siren-resfields", False), ("pe-resfields", False), ("triplanes", False),
+                 ("triaxes", False), ("siren-resfields", True)]
+# (name, query on a field and a point set); every order of these on one
+# loaded field must give what each gives on a fresh load
+_QUERIES = [
+    ("deform", lambda f, p: f.deform(p, 0.37)),
+    ("deform-seq", lambda f, p: f.deform(p, _TIMES)),
+    ("velocity", lambda f, p: f.velocity(p, 0.9)),
+    ("velocity-seq-physical", lambda f, p: f.velocity(p, _TIMES, physical=True)),
+    ("acceleration", lambda f, p: f.acceleration(p, 0.1)),
+    ("acceleration-seq", lambda f, p: f.acceleration(p, _TIMES[::-1])),
+    ("advect", lambda f, p: f.advect(p, 0.5, 0.2)),
+]
+
+
+def _saved(tmp_path, variant, quintic):
+    path = tmp_path / f"{variant}-{quintic}.ckpt"
+    _randomized(SplineField(_variant_cfg(variant, quintic), _points(8))).save(path)
+    return path
+
+
+def _assert_same(got, want, variant):
+    if variant in ("triplanes", "triaxes"):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    else:
+        assert np.array_equal(got, want)
+
+
+class TestLoadedFieldKnotCache:
+    @pytest.mark.parametrize("variant,quintic", _CACHED_CASES)
+    def test_a_loaded_field_refuses_writes(self, tmp_path, variant, quintic):
+        g = SplineField.load(_saved(tmp_path, variant, quintic))
+        for name in g.store.names():
+            with pytest.raises(ValueError, match="read-only"):
+                g.store.value(name)[...] += 1.0
+        for frozen in (g.canonical, g.center):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 0.5
+
+    @pytest.mark.parametrize("variant,quintic", _CACHED_CASES)
+    def test_every_query_order_equals_a_fresh_load(self, tmp_path, monkeypatch, variant,
+                                                    quintic):
+        path = _saved(tmp_path, variant, quintic)
+        want = {}
+        for name, query in _QUERIES:
+            fresh = SplineField.load(path)
+            want[name] = query(fresh, fresh.canonical)
+        calls = _count_knot_calls(monkeypatch)
+        for order in (_QUERIES, _QUERIES[::-1], _QUERIES[3:] + _QUERIES[:3]):
+            g = SplineField.load(path)
+            calls.clear()
+            for name, query in order:
+                _assert_same(query(g, g.canonical), want[name], variant)
+            # and a copy of the canonical points is the same point set
+            for name, query in order:
+                _assert_same(query(g, g.canonical.copy()), want[name], variant)
+            assert sorted(calls) == list(range(g.cfg.n_knots))
+
+    @pytest.mark.parametrize("variant,quintic", _CACHED_CASES)
+    def test_other_points_bypass_the_cache(self, tmp_path, monkeypatch, variant, quintic):
+        g = SplineField.load(_saved(tmp_path, variant, quintic))
+        # the same arrays in a field built without load: no cache, no freeze
+        twin = SplineField(g.cfg, g.canonical,
+                           arrays={n: g.store.value(n) for n in g.store.names()},
+                           normalizer=(g.center, g.half_extent))
+        g.deform(g.canonical, _TIMES)
+        calls = _count_knot_calls(monkeypatch)
+        for points in (g.canonical[:5], g.canonical[::-1], g.canonical + 1e-3):
+            for name, query in _QUERIES:
+                calls.clear()
+                got = query(g, points)
+                assert calls, name
+                assert np.array_equal(got, query(twin, points)), name
+        calls.clear()
+        g.deform(g.canonical, _TIMES)
+        assert calls == []
+
+    @pytest.mark.parametrize("variant,quintic", _CACHED_CASES)
+    def test_a_seeded_field_recomputes(self, variant, quintic):
+        f = _randomized(SplineField(_variant_cfg(variant, quintic), _points(8)))
+        before = f.deform(f.canonical, 0.37)
+        _randomized(f, seed=7)      # an in-place decoder edit, as Adam makes
+        assert not np.allclose(f.deform(f.canonical, 0.37), before)

@@ -13,8 +13,9 @@ CHANGES.md.
 The scene has 280 points, 70 of them supervised, so the triaxes factors
 (32 and 64 cells) take the encoder's build-then-sample path on every point
 set, while the triplanes factors (1024 and 4096 cells) sample their base and
-residual stacks first in training; on all 280 points, a query that meets
-only two knots (`advect`) builds the level-32 planes instead.
+residual stacks first in training. The scene's fields have two knots, so
+on all 280 points the reloaded field's queries, which share its canonical
+knot cache, build the level-32 planes instead.
 
 `tests/data/triplanes_small.ckpt` is a perturbed 20-point triplanes field
 (levels (4, 8), 4 channels) written by an earlier commit, and

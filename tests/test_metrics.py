@@ -222,6 +222,20 @@ class TestEpe:
         with pytest.raises(ValueError):
             epe(np.zeros((2, 3)), np.zeros((3, 3)))
 
+    def test_bitwise_the_norm_of_the_difference_with_one_temporary(self):
+        rng = np.random.default_rng(12)
+        pred, gt = rng.normal(size=(45, 400, 3)) * 300.0, rng.normal(size=(45, 400, 3))
+        want = float(np.mean(np.linalg.norm(pred - gt, axis=-1))) * 1e4
+        tracemalloc.start()
+        try:
+            got = epe(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        # the [T, N, 3] squares plus the [T, N] sums and roots; norm took three
+        assert peak < 2 * pred.nbytes
+
 
 class TestReport:
     def test_csv_columns_and_rows(self, tmp_path):
