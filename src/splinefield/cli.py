@@ -5,6 +5,10 @@ held-out frames, then its own wall time on a line of its own), interp
 (deform to arbitrary times), advect (extrapolate past a query time), flow
 (velocity-colored point clouds).
 
+`fit --set key=value` takes any TrainConfig or FieldConfig key, grid_levels
+as a comma list (`--set grid_levels=16,32`). A flag of fit or eval that sets
+a TrainConfig or SplitSpec field has that field's default, and no other.
+
 Exit codes: 0 success, 1 I/O failure, 2 bad usage or validation, 3
 optimization divergence. Every subcommand checks the paths it will write
 (`--out`, `fit --log-csv`, `eval --report`, the first file of `flow
@@ -20,6 +24,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -45,11 +50,6 @@ def _threads() -> int:
     return n
 
 
-def with_usage(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="splinefield",
                                 description="spline deformation fields for "
@@ -63,30 +63,32 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
 
-    f = sub.add_parser("fit", help="fit a field to a trajectory file")
+    f = sub.add_parser("fit", help="fit a field to a trajectory file",
+                       argument_default=argparse.SUPPRESS)
     f.add_argument("--traj", required=True)
     f.add_argument("--out", required=True, help="checkpoint path")
     f.add_argument("--log-csv", default=None)
-    f.add_argument("--stride", type=int, default=4)
-    f.add_argument("--frac", type=float, default=0.25,
+    f.add_argument("--stride", type=int)
+    f.add_argument("--frac", type=float, dest="supervised_fraction",
                    help="supervised point fraction")
-    f.add_argument("--steps", type=int, default=2000)
-    f.add_argument("--lr", type=float, default=1e-3)
-    f.add_argument("--alpha", type=float, default=1.0)
-    f.add_argument("--beta", type=float, default=0.01)
-    f.add_argument("--K", type=int, default=2,
-                   help="frames per spline knot")
-    f.add_argument("--K-neighbors", type=int, default=10)
-    f.add_argument("--variant", default="siren-resfields")
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--steps", type=int)
+    f.add_argument("--lr", type=float)
+    f.add_argument("--alpha", type=float)
+    f.add_argument("--beta", type=float)
+    f.add_argument("--K", type=int, dest="knot_factor", help="frames per spline knot")
+    f.add_argument("--K-neighbors", type=int, dest="knn_k")
+    f.add_argument("--variant")
+    f.add_argument("--seed", type=int)
     f.add_argument("--set", action="append", default=[], metavar="key=value",
-                   help="extra training config overrides")
+                   help="any TrainConfig or FieldConfig key, e.g. rank=4 or "
+                        "grid_levels=16,32 (a comma list)")
 
-    e = sub.add_parser("eval", help="score a checkpoint on held-out frames")
+    e = sub.add_parser("eval", help="score a checkpoint on held-out frames",
+                       argument_default=argparse.SUPPRESS)
     e.add_argument("--ckpt", required=True)
     e.add_argument("--traj", required=True)
-    e.add_argument("--stride", type=int, default=4)
-    e.add_argument("--frac", type=float, default=0.25)
+    e.add_argument("--stride", type=int)
+    e.add_argument("--frac", type=float, dest="supervised_fraction")
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--K-neighbors", type=int, default=10)
     e.add_argument("--scale", type=float, default=1e4)
@@ -130,16 +132,17 @@ def _check_output(path: str) -> None:
         raise OSError(f"cannot write {path}: directory {parent} is not writable")
 
 
+def _given(args, cls) -> dict:
+    """The flags given on the command line that set a field of dataclass cls."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
 def _cmd_fit(args) -> int:
     traj = dataio.read_traj(args.traj)
-    split = dataio.split_frames(traj, SplitSpec(args.stride, args.frac),
-                                seed=args.seed)
-    base = trainer.TrainConfig(steps=args.steps, lr=args.lr, alpha=args.alpha,
-                               beta=args.beta, knot_factor=args.K,
-                               knn_k=args.K_neighbors, variant=args.variant,
-                               seed=args.seed)
-    cfg = trainer.parse_run_config(args.set, base)
-    n_knots = trainer.resolve_n_knots(cfg, len(split.train_frames))
+    cfg = trainer.parse_run_config(args.set,
+                                   trainer.TrainConfig(**_given(args, trainer.TrainConfig)))
+    split = dataio.split_frames(traj, SplitSpec(**_given(args, SplitSpec)), seed=cfg.seed)
+    n_knots = cfg.field_config(len(split.train_frames)).n_knots
     print(f"fitting {cfg.variant}: {len(split.train_frames)} train frames, "
           f"{split.supervised.shape[0]} supervised points, {n_knots} knots")
     try:
@@ -164,8 +167,7 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"--scale must be finite and > 0, got {args.scale}")
     fld = SplineField.load(args.ckpt)
     traj = dataio.read_traj(args.traj)
-    split = dataio.split_frames(traj, SplitSpec(args.stride, args.frac),
-                                seed=args.seed)
+    split = dataio.split_frames(traj, SplitSpec(**_given(args, SplitSpec)), seed=args.seed)
     summary, rows = trainer.evaluate(fld, traj, split, k=args.K_neighbors,
                                      scale=args.scale)
     if args.report:
@@ -177,7 +179,12 @@ def _cmd_eval(args) -> int:
 
 
 def _parse_times(raw: str) -> list:
-    times = [float(s) for s in raw.split(",") if s.strip()]
+    times = []
+    for s in filter(str.strip, raw.split(",")):
+        try:
+            times.append(float(s))
+        except ValueError:
+            raise ValueError(f"--times entry {s.strip()!r} is not a number") from None
     if not times:
         raise ValueError("no times given")
     for t in times:
@@ -233,11 +240,9 @@ def main(argv=None) -> int:
             if path:
                 _check_output(path)
         return _COMMANDS[args.command](args)
-    except (FormatError, OSError) as e:
+    except (FormatError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as e:
-        return with_usage(str(e))
+        return EXIT_USAGE if isinstance(e, ValueError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -92,8 +92,8 @@ class MLPEncoder:
     and sines at rank 0, so its only temporal input is the time coordinate.
     """
 
-    def __init__(self, rank: int, in_dim: int, hidden: int = 64, depth: int = 3,
-                 w0: float = 30.0, features=xyz, act: str = "sine"):
+    def __init__(self, rank: int, in_dim: int, hidden: int, depth: int, w0: float,
+                 features, act: str):
         self.rank = rank
         self.in_dim = in_dim
         self.depth = depth
@@ -163,9 +163,9 @@ class TriplaneEncoder:
 
     FACTORS = (("xy", (0, 1)), ("yz", (1, 2)), ("xz", (0, 2)))
 
-    def __init__(self, rank: int, levels: tuple = (32, 64), channels: int = 16):
+    def __init__(self, rank: int, levels: tuple, channels: int):
         self.rank = rank
-        self.levels = tuple(levels)
+        self.levels = levels
         self.channels = channels
         self.out_dim = channels * len(self.levels)
 

@@ -27,7 +27,8 @@ on a NoGradTape. A loaded field is read-only (its canonical points,
 normalizer center and parameter arrays raise ValueError on a write), so
 it keeps one `KnotCache(n_knots)` for its canonical points: each knot is
 predicted at most once per loaded field, by the first query that needs it,
-and any later query there is a Hermite evaluation of cached states. Other
+and any later query there is a Hermite evaluation of cached states (the
+cache drops its `spatial` once it holds every knot). Other
 point sets, and fields built from a seed (which training updates in
 place), get a new cache per call, which predicts each knot once.
 
@@ -239,6 +240,8 @@ class SplineField:
         for k in (start, start + 1):
             if k not in cache:
                 cache[k] = self.predict_knot(tape, points, k, cache)
+                if cache is self._canonical_knots and len(cache) == cache.knots:
+                    cache.spatial = None    # every knot is cached: no query reads it again
         (dx0, *rest0), (dx1, *rest1) = cache[start], cache[start + 1]
         const = np.asarray(points, dtype=np.float64)
         ends = (ad.add(dx0, const), *rest0, ad.add(dx1, const), *rest1)
@@ -325,7 +328,7 @@ class SplineField:
 
     def save(self, path) -> None:
         header = {
-            "config": {**asdict(self.cfg), "grid_levels": list(self.cfg.grid_levels)},
+            "config": asdict(self.cfg),
             "center": self.center.tolist(),
             "half_extent": self.half_extent,
         }
@@ -344,7 +347,6 @@ class SplineField:
             cfg_d = dict(header["config"])
             if missing := [f.name for f in fields(FieldConfig) if f.name not in cfg_d]:
                 raise ValueError(f"header config has no {', '.join(missing)}")
-            cfg_d["grid_levels"] = tuple(cfg_d["grid_levels"])
             canonical = arrays.pop("__canonical__")
             fld = cls(FieldConfig(**cfg_d), canonical, arrays=arrays,
                       normalizer=(np.asarray(header["center"]), header["half_extent"]))

@@ -17,6 +17,9 @@ cache-sized blocks. The run log also times each step's phases.
 
 A non-finite loss or gradient raises DivergenceError naming the step (and,
 for a gradient, the parameter group) before any parameter is updated.
+
+`TrainConfig` takes its field keys, with their one default and check, from
+`FieldConfig`; its n_knots of 0 means derive the count from knot_factor.
 """
 
 from __future__ import annotations
@@ -41,7 +44,11 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(FieldConfig):
+    """The training keys; the field keys come from FieldConfig, but an
+    n_knots of 0 here means derive it (see `field_config`)."""
+
+    n_knots: int = 0
     steps: int = 2000
     lr: float = 1e-3
     lr_decay: float = 1.0       # final lr fraction, cosine-annealed over steps
@@ -53,20 +60,13 @@ class TrainConfig:
     beta: float = 0.01
     accel_mode: str = "l1"
     knot_factor: int = 2
-    n_knots: int = 0            # 0 means derive from knot_factor
-    rank: int = 8
-    variant: str = "siren-resfields"
-    hidden: int = 64
-    depth: int = 3
-    w0: float = 30.0
-    quintic: bool = False
     seed: int = 0
     batch_points: int = 0       # 0 means use every supervised point
     frames_per_step: int = 4
     knn_k: int = 10
 
-    def __post_init__(self):
-        for name, ok, want in [
+    def _checks(self):
+        yield from [
                 ("knn_k", self.knn_k >= 1, ">= 1 (--K-neighbors)"),
                 ("steps", self.steps >= 1, ">= 1"), ("lr_decay", 0 < self.lr_decay <= 1, "in (0, 1]"),
                 ("frames_per_step", self.frames_per_step >= 1, ">= 1"),
@@ -80,11 +80,15 @@ class TrainConfig:
                 ("alpha", np.isfinite(self.alpha) and self.alpha >= 0, "finite and >= 0"),
                 ("beta", np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
                 ("accel_mode", self.accel_mode in losses.ACCEL_MODES, f"in {losses.ACCEL_MODES}"),
-                ("knot_factor", self.knot_factor >= 1, ">= 1"),
-                ("n_knots", self.n_knots == 0 or self.n_knots >= 2, "0 or >= 2")]:
-            if not ok:
-                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
-        _field_config(self, 2)      # FieldConfig checks variant, rank, hidden, depth, w0
+                ("knot_factor", self.knot_factor >= 1, ">= 1")]
+        self.field_config(2)        # the field keys: FieldConfig raises on a bad one
+
+    def field_config(self, n_train_frames: int) -> FieldConfig:
+        """The FieldConfig of the field this run fits; an n_knots of 0 becomes
+        spline.knot_count(n_train_frames, knot_factor)."""
+        keys = {f.name: getattr(self, f.name) for f in fields(FieldConfig)}
+        keys["n_knots"] = self.n_knots or spline.knot_count(n_train_frames, self.knot_factor)
+        return FieldConfig(**keys)
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -92,7 +96,8 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def parse_run_config(pairs, base: TrainConfig | None = None) -> TrainConfig:
-    """Build a TrainConfig from key=value strings."""
+    """Build a TrainConfig from key=value strings over `base`; any TrainConfig
+    or FieldConfig key, with a tuple (grid_levels) as a comma list."""
     cfg = base or TrainConfig()
     values = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
     for pair in pairs:
@@ -103,18 +108,16 @@ def parse_run_config(pairs, base: TrainConfig | None = None) -> TrainConfig:
             raise ValueError(f"unknown config key {key!r}; valid keys: {', '.join(values)}")
         cur = values[key]
         if isinstance(cur, bool):
-            low = raw.lower()
-            if low in _BOOL_TRUE:
-                values[key] = True
-            elif low in _BOOL_FALSE:
-                values[key] = False
-            else:
+            if raw.lower() not in _BOOL_TRUE | _BOOL_FALSE:
                 raise ValueError(f"bad boolean for {key}: {raw!r}")
-        elif isinstance(cur, (int, float)):
+            values[key] = raw.lower() in _BOOL_TRUE
+        elif isinstance(cur, (int, float, tuple)):
+            tuple_ = isinstance(cur, tuple)
             try:
-                values[key] = type(cur)(raw)
+                values[key] = tuple(map(int, raw.split(","))) if tuple_ else type(cur)(raw)
             except ValueError:
-                raise ValueError(f"{key} must be {type(cur).__name__}, got {raw!r}") from None
+                want = "a comma list of integers" if tuple_ else type(cur).__name__
+                raise ValueError(f"{key} must be {want}, got {raw!r}") from None
         else:
             values[key] = raw
     return TrainConfig(**values)
@@ -211,22 +214,11 @@ class RunLog:
                                  *(repr(r["grad_norms"][g]) for g in groups)])
 
 
-def resolve_n_knots(cfg: TrainConfig, n_train_frames: int) -> int:
-    return cfg.n_knots or spline.knot_count(n_train_frames, cfg.knot_factor)
-
-
-def _field_config(cfg: TrainConfig, n_knots: int) -> FieldConfig:
-    return FieldConfig(variant=cfg.variant, n_knots=n_knots, rank=cfg.rank,
-                       hidden=cfg.hidden, depth=cfg.depth, w0=cfg.w0,
-                       quintic=cfg.quintic)
-
-
 def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
     """Fit a SplineField to the training frames. Returns (field, run log)."""
     rng = np.random.default_rng(cfg.seed)
     canonical = traj.positions[0]
-    n_knots = resolve_n_knots(cfg, len(split.train_frames))
-    fld = SplineField(_field_config(cfg, n_knots), canonical, seed=cfg.seed)
+    fld = SplineField(cfg.field_config(len(split.train_frames)), canonical, seed=cfg.seed)
 
     sup = np.asarray(split.supervised)
     sup_pts = canonical[sup]
@@ -259,7 +251,7 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
 
         # one knot state per knot: the two around t_rand run on the velocity
         # closure and are sliced to the batch rows, the rest on the batch
-        knots = len(spline.segment_knots(step_times, n_knots))
+        knots = len(spline.segment_knots(step_times, fld.cfg.n_knots))
         knot_cache = KnotCache(knots)
         lv = lacc = 0.0
         if cfg.alpha > 0:

@@ -70,8 +70,44 @@ class TestFit:
     def test_default_regularizer_weights(self):
         parser = cli._build_parser()
         args = parser.parse_args(["fit", "--traj", "x", "--out", "y"])
-        assert args.alpha == 1.0 and args.beta == 0.01
-        assert args.K == 2 and args.frac == 0.25 and args.K_neighbors == 10
+        # the flags carry no default of their own: the dataclasses' apply
+        assert cli._given(args, trainer.TrainConfig) == cli._given(args, dataio.SplitSpec) == {}
+        cfg = trainer.TrainConfig(**cli._given(args, trainer.TrainConfig))
+        spec = dataio.SplitSpec(**cli._given(args, dataio.SplitSpec))
+        assert cfg.alpha == 1.0 and cfg.beta == 0.01
+        assert cfg.knot_factor == 2 and spec.supervised_fraction == 0.25 and cfg.knn_k == 10
+
+    def test_given_flags_reach_the_configs(self):
+        args = cli._build_parser().parse_args([
+            "fit", "--traj", "x", "--out", "y", "--stride", "3", "--frac", "0.5",
+            "--steps", "7", "--lr", "0.01", "--alpha", "0.5", "--beta", "0.02", "--K", "3",
+            "--K-neighbors", "6", "--variant", "triaxes", "--seed", "4"])
+        assert cli._given(args, dataio.SplitSpec) == {"stride": 3, "supervised_fraction": 0.5}
+        assert cli._given(args, trainer.TrainConfig) == {
+            "steps": 7, "lr": 0.01, "alpha": 0.5, "beta": 0.02, "knot_factor": 3,
+            "knn_k": 6, "variant": "triaxes", "seed": 4}
+
+    def test_seed_flag_and_set_seed_give_the_same_run(self, tmp_path):
+        # the split draws its supervised points with the run's seed either way
+        traj = _gen(tmp_path, kind="composite", points=60)
+        blobs = []
+        for i, seed in enumerate((["--seed", "5"], ["--set", "seed=5"])):
+            ckpt = tmp_path / f"{i}.ckpt"
+            assert main(["fit", "--traj", str(traj), "--out", str(ckpt), "--stride", "2",
+                         "--steps", "2", "--set", "rank=2", "--set", "hidden=8",
+                         "--set", "depth=2", "--set", "knn_k=4", *seed]) == 0
+            blobs.append(ckpt.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("variant, sets, want", [
+        ("triplanes", ["grid_levels=16,32", "grid_channels=4"],
+         {"grid_levels": (16, 32), "grid_channels": 4}),
+        ("pe-resfields", ["pe_frequencies=2"], {"pe_frequencies": 2})])
+    def test_set_reaches_field_keys(self, tmp_path, variant, sets, want):
+        extra = ["--variant", variant, *(a for kv in sets for a in ("--set", kv))]
+        cfg = SplineField.load(_fit(tmp_path, _gen(tmp_path), extra=extra)).cfg
+        assert cfg.variant == variant
+        assert {k: getattr(cfg, k) for k in want} == want
 
     def test_rerun_same_seed_byte_identical_checkpoint(self, tmp_path,
                                                        monkeypatch):
@@ -136,7 +172,12 @@ class TestFit:
         ("seed", ["--set", "seed=-1"]),
         ("seed", ["--seed", "-1"]),
         ("steps", ["--set", "steps=1e3"]),
-        ("lr", ["--set", "lr=fast"])])
+        ("lr", ["--set", "lr=fast"]),
+        ("grid_levels", ["--set", "grid_levels=16,x"]),
+        ("grid_levels", ["--set", "grid_levels="]),
+        ("grid_levels", ["--set", "grid_levels=1"]),
+        ("pe_frequencies", ["--set", "pe_frequencies=53"]),
+        ("grid_channels", ["--set", "grid_channels=0"])])
     def test_bad_train_config_is_usage_error(self, tmp_path, capsys, field, args):
         traj = _gen(tmp_path)
         rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt"),
@@ -437,7 +478,8 @@ MALFORMED = {
     "advect-dt-nan": (["advect", "--ckpt", "{ckpt}", "--from-t", "0.5", "--dt", "nan"], "dt"),
     "advect-dt-inf": (["advect", "--ckpt", "{ckpt}", "--from-t", "0.5", "--dt", "inf"], "dt"),
     "flow-frames-0": (["flow", "--ckpt", "{ckpt}", "--frames", "0"], "--frames"),
-    "interp-non-numeric-time": (["interp", "--ckpt", "{ckpt}", "--times", "0.1,abc"], "abc"),
+    "interp-non-numeric-time": (["interp", "--ckpt", "{ckpt}", "--times", "0.1,abc"],
+                                "--times entry 'abc' is not a number"),
     "interp-no-times": (["interp", "--ckpt", "{ckpt}", "--times", ","], "no times given"),
     "gen-points-0": (["gen", "--kind", "rotate", "--points", "0"], "n_points"),
     "fit-stride-0": (["fit", "--traj", "{traj}", "--stride", "0"], "stride"),

@@ -482,6 +482,18 @@ class TestLoadedFieldKnotCache:
         g.deform(g.canonical, _TIMES)
         assert calls == []
 
+    def test_a_full_cache_drops_the_encoder_samples(self, tmp_path):
+        path = _saved(tmp_path, "triplanes", False)
+        g, fresh = SplineField.load(path), SplineField.load(path)
+        cache = g._canonical_knots
+        before = g.deform(g.canonical, 0.0)
+        assert len(cache) < g.cfg.n_knots and cache.spatial is not None
+        g.deform(g.canonical, np.linspace(0.0, 1.0, 2 * g.cfg.n_knots))
+        assert len(cache) == g.cfg.n_knots and cache.spatial is None
+        assert np.array_equal(g.deform(g.canonical, 0.0), before)
+        for name, query in _QUERIES:
+            assert np.array_equal(query(g, g.canonical), query(fresh, fresh.canonical)), name
+
     @pytest.mark.parametrize("variant,quintic", _CACHED_CASES)
     def test_a_seeded_field_recomputes(self, variant, quintic):
         f = _randomized(SplineField(_variant_cfg(variant, quintic), _points(8)))

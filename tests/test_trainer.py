@@ -10,7 +10,7 @@ from splinefield import autodiff as ad
 from splinefield import dataio, losses, metrics, trainer
 from splinefield.autodiff import ParamStore, Tape
 from splinefield.dataio import SplitSpec, split_frames
-from splinefield.field import KnotCache, SplineField
+from splinefield.field import FieldConfig, KnotCache, SplineField
 from splinefield.trainer import Adam, TrainConfig, parse_run_config, train
 
 from gradcheck import fd_check
@@ -209,6 +209,39 @@ class TestRunConfigParsing:
             parse_run_config([f"knn_k={k}"])
 
 
+class TestOneDefault:
+    """Each field key has one default and one check, in FieldConfig."""
+
+    def test_field_config_is_the_field_keys_with_derived_knots(self):
+        got = TrainConfig().field_config(30)
+        assert type(got) is FieldConfig and got == FieldConfig(n_knots=15)
+
+    def test_train_config_declares_only_n_knots_of_the_field_keys(self):
+        assert issubclass(TrainConfig, FieldConfig)
+        assert {"n_knots"} == set(TrainConfig.__annotations__) & \
+            {f.name for f in fields(FieldConfig)}
+
+    def test_every_field_key_is_a_run_config_key(self):
+        cfg = TrainConfig()
+        for f in fields(FieldConfig):
+            value = getattr(cfg, f.name)
+            raw = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            assert getattr(parse_run_config([f"{f.name}={raw}"]), f.name) == value
+
+    def test_every_key_round_trips_off_its_default(self):
+        off = dict(variant="triplanes", n_knots=5, rank=3, hidden=12, depth=2, w0=12.5,
+                   pe_frequencies=2, grid_levels=(8, 16), grid_channels=4, quintic=True,
+                   steps=7, lr=0.003, lr_decay=0.5, grid_lr_mult=2.0, beta1=0.8,
+                   beta2=0.99, eps=1e-6, alpha=0.5, beta=0.02, accel_mode="l2",
+                   knot_factor=3, seed=11, batch_points=9, frames_per_step=2, knn_k=6)
+        assert set(off) == {f.name for f in fields(TrainConfig)}
+        default = TrainConfig()
+        assert all(getattr(default, k) != v for k, v in off.items())
+        raw = [f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
+               for k, v in off.items()]
+        assert parse_run_config(raw) == TrainConfig(**off)
+
+
 def _tiny_run(steps=15, kind="rigid-translate", **kw):
     traj = dataio.gen_synthetic(kind, 30, 9, seed=0)
     split = split_frames(traj, SplitSpec(stride=2, supervised_fraction=0.5), seed=0)
@@ -239,8 +272,8 @@ class TestTrain:
         assert log.rows[-1]["recon"] > 0.02 * moved
 
     def test_knot_count_resolution(self):
-        assert trainer.resolve_n_knots(TrainConfig(knot_factor=2), 30) == 15
-        assert trainer.resolve_n_knots(TrainConfig(n_knots=7), 30) == 7
+        assert TrainConfig(knot_factor=2).field_config(30).n_knots == 15
+        assert TrainConfig(n_knots=7).field_config(30).n_knots == 7
 
     def test_runlog_csv(self, tmp_path):
         traj, split, cfg = _tiny_run(steps=3)
@@ -292,8 +325,7 @@ def _three_cache_step(traj, split, cfg):
     velocity closure and acceleration. Returns (total, {group: gradient})."""
     rng = np.random.default_rng(cfg.seed)
     canonical = traj.positions[0]
-    n_knots = trainer.resolve_n_knots(cfg, len(split.train_frames))
-    fld = _Perturbed(trainer._field_config(cfg, n_knots), canonical, seed=cfg.seed)
+    fld = _Perturbed(cfg.field_config(len(split.train_frames)), canonical, seed=cfg.seed)
     sup = np.asarray(split.supervised)
     sup_pts = canonical[sup]
     graph = losses.build_knn(sup_pts, cfg.knn_k) if cfg.alpha > 0 else None
@@ -307,7 +339,7 @@ def _three_cache_step(traj, split, cfg):
     batch_pts = sup_pts[rows]
     n_f = min(cfg.frames_per_step, train_frames.shape[0])
     frame_ids = rng.choice(train_frames.shape[0], n_f, replace=False)
-    knot_cache = KnotCache(n_knots)
+    knot_cache = KnotCache(fld.cfg.n_knots)
     recon = None
     for fi in train_frames[frame_ids]:
         pred = fld.deform_var(tape, batch_pts, traj.frame_time(int(fi)),
@@ -436,9 +468,9 @@ class TestSharedKnotStates:
                                        err_msg=name)
 
     def test_sliced_knot_states_pass_fd_check(self):
-        traj, split, cfg = _tiny_run(quintic=True)
+        traj, split, cfg = _tiny_run(quintic=True, n_knots=4)
         sup_pts = traj.positions[0][np.asarray(split.supervised)]
-        fld = SplineField(trainer._field_config(cfg, 4), traj.positions[0], seed=3)
+        fld = SplineField(cfg.field_config(len(split.train_frames)), traj.positions[0], seed=3)
         rng = np.random.default_rng(3)
         for name in fld.store.names():
             fld.store.value(name)[...] = rng.normal(0.0, 0.05, fld.store.value(name).shape)
