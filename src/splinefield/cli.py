@@ -7,7 +7,9 @@ held-out frames, then its own wall time on a line of its own), interp
 
 `fit --set key=value` takes any TrainConfig or FieldConfig key, grid_levels
 as a comma list (`--set grid_levels=16,32`). A flag of fit or eval that sets
-a TrainConfig or SplitSpec field has that field's default, and no other.
+a TrainConfig or SplitSpec field has that field's default, and no other;
+eval's `--K-neighbors` and `--scale` have `trainer.evaluate`'s. eval scores
+the frames `--stride` holds out, so it takes no `--frac` or `--seed`.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad usage or validation, 3
 optimization divergence. Every subcommand checks the paths it will write
@@ -88,10 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--ckpt", required=True)
     e.add_argument("--traj", required=True)
     e.add_argument("--stride", type=int)
-    e.add_argument("--frac", type=float, dest="supervised_fraction")
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--K-neighbors", type=int, default=10)
-    e.add_argument("--scale", type=float, default=1e4)
+    e.add_argument("--K-neighbors", type=int, dest="k")
+    e.add_argument("--scale", type=float)
     e.add_argument("--report", default=None, help="per-frame CSV path")
 
     i = sub.add_parser("interp", help="deform canonical points to new times")
@@ -163,13 +163,11 @@ def _cmd_fit(args) -> int:
 
 def _cmd_eval(args) -> int:
     t0 = time.perf_counter()
-    if not (np.isfinite(args.scale) and args.scale > 0):
-        raise ValueError(f"--scale must be finite and > 0, got {args.scale}")
     fld = SplineField.load(args.ckpt)
     traj = dataio.read_traj(args.traj)
-    split = dataio.split_frames(traj, SplitSpec(**_given(args, SplitSpec)), seed=args.seed)
-    summary, rows = trainer.evaluate(fld, traj, split, k=args.K_neighbors,
-                                     scale=args.scale)
+    split = dataio.split_frames(traj, SplitSpec(**_given(args, SplitSpec)))
+    given = {n: getattr(args, n) for n in ("k", "scale") if hasattr(args, n)}
+    summary, rows = trainer.evaluate(fld, traj, split, **given)
     if args.report:
         metrics.write_report(args.report, rows)
     print(f"epe={summary['epe']:.6g} mean_I={summary['mean_I']:.6g} "

@@ -21,8 +21,8 @@ base and stack once and each knot modulates the samples; otherwise each
 knot builds its grid and samples it (see `TriplaneEncoder`).
 
 The MLP variants differ only in the MLP's feature map and activation (see
-`MLPEncoder`). The coupled-4D baseline is the rank-0 sine MLP
-whose feature map appends time as a fourth input coordinate.
+`MLPEncoder`). The coupled-4D baseline is the rank-0 sine MLP; `SplineField`
+hands its `encode` the points with time appended (`xyzt`).
 
 An encoder holds no parameters: `params()` declares each as (name, shape,
 init) in draw order, init(rng, shape) drawing the array (None: zeros).
@@ -48,13 +48,13 @@ def low_rank(base, res, v_t):
     return base if res is None else ad.add(base, ad.weighted_stack_sum(v_t, res))
 
 
-def xyz(x_norm: np.ndarray, t) -> np.ndarray:
+def xyz(x_norm: np.ndarray) -> np.ndarray:
     """The identity feature map of the SIREN variant."""
     return x_norm
 
 
 def xyzt(x_norm: np.ndarray, t: float) -> np.ndarray:
-    """The coupled baseline's feature map: time t in [0, 1] as a fourth
+    """The coupled baseline's input: time t in [0, 1] as a fourth
     coordinate 2t - 1 in [-1, 1]."""
     return np.concatenate([x_norm, np.full((x_norm.shape[0], 1), 2.0 * t - 1.0)], axis=1)
 
@@ -88,8 +88,8 @@ class MLPEncoder:
     `low_rank` from the knot's code) with sine(w0) or ReLU activations.
 
     The SIREN variant uses the identity features `xyz` and sines, the PE
-    variant `positional_encode` and ReLUs, and the coupled baseline `xyzt`
-    and sines at rank 0, so its only temporal input is the time coordinate.
+    variant `positional_encode` and ReLUs, and the coupled baseline sines at
+    rank 0 on its `xyzt` input, whose time coordinate is its only time input.
     """
 
     def __init__(self, rank: int, in_dim: int, hidden: int, depth: int, w0: float,
@@ -115,11 +115,9 @@ class MLPEncoder:
                 yield f"enc.mlp.l{i}.Wres", (self.rank, ci, co), normal(1.0 / ci, 0.1)
             yield f"enc.mlp.l{i}.b", (co,), None
 
-    def spatial(self, tape: Tape, store: ParamStore, x_norm: np.ndarray, knots: int,
-                t: float | None = None) -> np.ndarray:
-        """The feature map of the normalized points at time t, which only the
-        coupled baseline's map reads; it is the same for any count of knots."""
-        return self.features(x_norm, t)
+    def spatial(self, tape: Tape, store: ParamStore, x_norm: np.ndarray, knots: int):
+        """The feature map of the normalized points, the same for any count of knots."""
+        return self.features(x_norm)
 
     def encode(self, tape: Tape, store: ParamStore, h: np.ndarray, v_t: Var | None) -> Var:
         """The features h of `spatial` under the knot code v_t, which

@@ -20,21 +20,22 @@ checkpoint's arrays against them, drawing and allocating nothing more.
 A `KnotCache` holds the knot states predicted on one point set, and that
 point set's encoder `spatial` (the time-invariant half of the encoder's
 work, see `encoders`), so each knot only modulates what the first one
-computed; it is made with the number of knots it will hold, which the grid
-encoder's size rule reads. The plain-array queries (`deform`, `velocity`,
-`acceleration`, `advect`) take one time or a 1-D sequence of times and run
-on a NoGradTape. A loaded field is read-only (its canonical points,
-normalizer center and parameter arrays raise ValueError on a write), so
-it keeps one `KnotCache(n_knots)` for its canonical points: each knot is
-predicted at most once per loaded field, by the first query that needs it,
-and any later query there is a Hermite evaluation of cached states (the
-cache drops its `spatial` once it holds every knot). Other
-point sets, and fields built from a seed (which training updates in
-place), get a new cache per call, which predicts each knot once.
+computed. `SplineField.knot_cache(points, times)` makes every cache; its
+`knots` counts the knots it will hold (of the segments around `times`), the
+grid encoder's size rule reads those still to predict, and a full cache
+drops its `spatial`. The plain-array queries (`deform`, `velocity`,
+`acceleration`, `advect`) take a 1-D sequence of times, or one time as a
+sequence of one, and run on a NoGradTape. A loaded field is read-only (its
+canonical points, normalizer center and parameter arrays raise ValueError
+on a write), so it keeps one `KnotCache(n_knots)` for its canonical points:
+each knot is predicted at most once per loaded field, by the first query
+that needs it, and any later query there is a Hermite evaluation of cached
+states. Other point sets, and fields built from a seed (which training
+updates in place), get a new cache per call, which predicts each knot once.
 
 The coupled-4D baseline variant bypasses the spline entirely: its MLP takes
-the continuous time as a fourth input and returns the offset directly, with
-velocity/acceleration obtained by central finite differences in t.
+the time as a fourth input (`encoders.xyzt`) and returns the offset directly,
+with velocity/acceleration obtained by central finite differences in t.
 """
 
 from __future__ import annotations
@@ -106,14 +107,14 @@ class FieldConfig:
 
 class KnotCache(dict):
     """Knot index -> knot state on one point set, plus that point set's
-    encoder `spatial`, computed by the first knot predicted into the cache.
-    `knots` is how many knots will be predicted on the point set, which the
-    grid encoder's size rule reads. A loaded field keeps one for its
+    encoder `spatial`, computed by the first knot predicted into the cache and
+    dropped once it holds all `knots`, predicted or put in (the grid encoder's
+    size rule reads those still to predict). A loaded field keeps one for its
     canonical points for its whole life, which its read-only arrays make
     safe; any other cache lives for one query or one training step."""
 
-    def __init__(self, knots: int, states=()):
-        super().__init__(states)
+    def __init__(self, knots: int):
+        super().__init__()
         self.knots = knots
         self.spatial = None
 
@@ -174,9 +175,9 @@ class SplineField:
             return _GRIDS[c.variant](c.rank, c.grid_levels, c.grid_channels)
         features, in_dim, act = {
             "siren-resfields": (enc.xyz, 3, "sine"),
-            "pe-resfields": (lambda x, t: enc.positional_encode(x, c.pe_frequencies),
+            "pe-resfields": (lambda x: enc.positional_encode(x, c.pe_frequencies),
                              3 + 6 * c.pe_frequencies, "relu"),
-            "coupled4d-baseline": (enc.xyzt, 4, "sine"),
+            "coupled4d-baseline": (enc.xyz, 4, "sine"),    # _coupled_var appends time
         }[c.variant]
         rank = 0 if c.variant == "coupled4d-baseline" else c.rank
         return enc.MLPEncoder(rank, in_dim, c.hidden, c.depth, c.w0, features, act)
@@ -221,7 +222,7 @@ class SplineField:
         cache = KnotCache(1) if cache is None else cache
         if cache.spatial is None:
             cache.spatial = self.encoder.spatial(tape, self.store, self.normalize(points),
-                                                 cache.knots)
+                                                 cache.knots - len(cache))
         v_t = (ad.take(self.store.var("codes", tape), np.array(knot_idx))
                if self.encoder.rank > 0 else None)
         out = self._decode(tape, self.encoder.encode(tape, self.store, cache.spatial, v_t))
@@ -240,7 +241,7 @@ class SplineField:
         for k in (start, start + 1):
             if k not in cache:
                 cache[k] = self.predict_knot(tape, points, k, cache)
-                if cache is self._canonical_knots and len(cache) == cache.knots:
+                if len(cache) == cache.knots:
                     cache.spatial = None    # every knot is cached: no query reads it again
         (dx0, *rest0), (dx1, *rest1) = cache[start], cache[start + 1]
         const = np.asarray(points, dtype=np.float64)
@@ -249,8 +250,8 @@ class SplineField:
 
     def _coupled_var(self, tape, points, t, order: int) -> Var:
         if order == 0:
-            h = self.encoder.spatial(tape, self.store, self.normalize(points), 1, t)
-            feat = self.encoder.encode(tape, self.store, h, None)
+            xt = enc.xyzt(self.normalize(points), t)
+            feat = self.encoder.encode(tape, self.store, xt, None)
             return ad.add(self._decode(tape, feat), np.asarray(points, dtype=np.float64))
         if order == 1:
             lo, hi = max(t - _FD_T_EPS, 0.0), min(t + _FD_T_EPS, 1.0)
@@ -278,26 +279,24 @@ class SplineField:
         """Differentiable acceleration at t_query (t-bar units)."""
         return self.derivative_var(tape, points, t_query, 2, knot_cache)
 
-    def _knot_cache(self, points, knots: int) -> KnotCache:
-        """A loaded field's canonical cache when `points` equal (shape and
-        values) its canonical points, else a new cache for `knots` knots."""
+    def knot_cache(self, points, times) -> KnotCache:
+        """A loaded field's canonical cache when `points` equal (shape and values)
+        its canonical points, else a new one for the segments around `times`."""
         c = self._canonical_knots
-        return c if c is not None and np.array_equal(points, self.canonical) else KnotCache(knots)
+        if c is not None and np.array_equal(points, self.canonical):
+            return c
+        return KnotCache(len(spline.segment_knots(times, self.cfg.n_knots)))
 
     def _query(self, var_fn, points, t_query, **kw) -> np.ndarray:
-        """var_fn's values at one time or a 1-D sequence of times, with the
-        knots of `_knot_cache`: a loaded field's canonical ones, or this call's."""
-        tape = NoGradTape()
-        if np.ndim(t_query) == 0:
-            cache = self._knot_cache(points, 2)
-            return var_fn(tape, points, t_query, knot_cache=cache, **kw).value
+        """var_fn's values at a 1-D sequence of times, or at one time unstacked."""
         times = np.asarray(t_query, dtype=np.float64)
-        if times.ndim != 1 or times.size == 0:
+        if times.ndim > 1 or times.size == 0:
             raise ValueError(f"t_query must be a scalar or a non-empty 1-D sequence, "
                              f"got shape {times.shape}")
-        cache = self._knot_cache(points, len(spline.segment_knots(times, self.cfg.n_knots)))
-        return np.stack([var_fn(tape, points, float(t), knot_cache=cache, **kw).value
-                         for t in times])
+        flat = times.reshape(-1)
+        tape, cache = NoGradTape(), self.knot_cache(points, flat)
+        values = [var_fn(tape, points, float(t), knot_cache=cache, **kw).value for t in flat]
+        return np.stack(values) if times.ndim else values[0]
 
     def deform(self, points, t_query) -> np.ndarray:
         """Positions at t_query: [N, 3] for a scalar, [T, N, 3] for a 1-D sequence.
@@ -319,7 +318,7 @@ class SplineField:
             raise ValueError(f"from_t must be in [0, 1], got {from_t}")
         if not (np.isfinite(dt) and dt >= 0):
             raise ValueError(f"dt must be finite and >= 0, got {dt}")
-        tape, cache = NoGradTape(), self._knot_cache(points, 2)
+        tape, cache = NoGradTape(), self.knot_cache(points, [from_t])
         base = self.deform_var(tape, points, from_t, knot_cache=cache).value
         vel = self.velocity_var(tape, points, from_t, physical=True, knot_cache=cache)
         return base + vel.value * dt

@@ -11,8 +11,9 @@ energy:
 
 This yields exactly 1 for uniform motion and ~0 for independent noise.
 A sequence is scored per transition between consecutive frames, with None for
-a transition that has no motion; `trainer.evaluate` passes the held-out
-frames, so a transition may span training frames between them.
+a transition that has no motion. `trainer.evaluate` passes the held-out
+frames, so a transition may span training frames between them; it also
+holds eval's default K and EPE scale, which are required here.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _block_scores(p: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
     return (k / wsum[valid]) * num[valid] / energy[valid]
 
 
-def morans_i_frame(positions: np.ndarray, vectors: np.ndarray, k: int = 10):
+def morans_i_frame(positions: np.ndarray, vectors: np.ndarray, k: int):
     """Mean Moran's I of one frame's motion vectors, or None if the frame
     has no motion (all vectors below 1e-12)."""
     if k < 2:
@@ -84,7 +85,7 @@ def morans_i_frame(positions: np.ndarray, vectors: np.ndarray, k: int = 10):
     return float(np.mean(scores))
 
 
-def morans_i_sequence(positions: np.ndarray, k: int = 10) -> list:
+def morans_i_sequence(positions: np.ndarray, k: int) -> list:
     """Mean Moran's I of each consecutive-frame transition of a [T, N_p, 3]
     trajectory: T - 1 entries, the one for frames t -> t+1 at index t, each
     None if that transition has no motion."""
@@ -92,7 +93,7 @@ def morans_i_sequence(positions: np.ndarray, k: int = 10) -> list:
     return [morans_i_frame(positions[t], vectors[t], k) for t in range(vectors.shape[0])]
 
 
-def epe(pred: np.ndarray, gt: np.ndarray, scale: float = 1e4) -> float:
+def epe(pred: np.ndarray, gt: np.ndarray, scale: float) -> float:
     """Mean Euclidean end-point error over all (point, frame) pairs, scaled."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)

@@ -7,9 +7,9 @@ tuple of Vars `SplineField.predict_knot` returns) once: the two knots around
 that time run on the velocity term's neighbor closure and each Var of their
 states is sliced to the batch rows, and all three terms share those states.
 The slice keeps no encoder `spatial`, which belongs to the closure's point
-set: the other knots compute the batch's once and share it. Each cache is
-made with the number of knots its point set will predict, the size rule's
-input (see `encoders.TriplaneEncoder`).
+set: the other knots compute the batch's once and share it. Both caches come
+from `SplineField.knot_cache`, the batch's for every time of the step, so its
+`knots` count the sliced states too (see `encoders.TriplaneEncoder`).
 Parameters update with Adam; grid and temporal-code parameters get a 10x
 learning rate. Adam's squared-norm pass per gradient checks finiteness and
 gives the run log's per-group gradient norms; its update runs in place, in
@@ -36,7 +36,7 @@ from . import metrics
 from . import spline
 from .autodiff import ParamStore, Tape
 from .dataio import Split, TrajectorySet
-from .field import FieldConfig, KnotCache, SplineField
+from .field import FieldConfig, SplineField
 
 
 class DivergenceError(RuntimeError):
@@ -251,19 +251,17 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
 
         # one knot state per knot: the two around t_rand run on the velocity
         # closure and are sliced to the batch rows, the rest on the batch
-        knots = len(spline.segment_knots(step_times, fld.cfg.n_knots))
-        knot_cache = KnotCache(knots)
+        knot_cache = fld.knot_cache(batch_pts, step_times)
         lv = lacc = 0.0
         if cfg.alpha > 0:
             needed, loc_rows, loc_nbrs, w_rows = graph.subgraph_closure(rows)
             sliced = len(needed) > len(rows)
-            closure = KnotCache(2) if sliced else knot_cache
+            closure = fld.knot_cache(sup_pts[needed], [t_rand]) if sliced else knot_cache
             vel = fld.velocity_var(tape, sup_pts[needed], t_rand, knot_cache=closure)
             lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
             if sliced:
-                states = {k: tuple(ad.take(s, loc_rows) for s in state)
-                          for k, state in closure.items()}
-                knot_cache = KnotCache(knots - 2, states)
+                knot_cache.update((k, tuple(ad.take(s, loc_rows) for s in state))
+                                  for k, state in closure.items())
         recon = None
         for fi, t_q in zip(train_frames[frame_ids], frame_times):
             pred = fld.deform_var(tape, batch_pts, t_q, knot_cache=knot_cache)
@@ -318,13 +316,15 @@ def evaluate(field: SplineField, traj: TrajectorySet, split: Split,
     `epe`, `mean_I`, `n_frames` and `skipped`, the frames whose outgoing
     transition had no motion; per-frame rows, each with its outgoing
     transition's `mean_I`, None on the last). A trajectory whose point
-    count differs from the field's canonical points, or a `k` outside
-    [2, point count), is a ValueError, raised before anything is deformed."""
+    count differs from the field's canonical points, a `k` outside [2, point
+    count) or a `scale` not finite and > 0 raises ValueError before any deform."""
     n = field.canonical.shape[0]
     if traj.n_points != n:
         raise ValueError(f"trajectory has {traj.n_points} points, checkpoint has {n}")
     if not 2 <= k < n:
         raise ValueError(f"Moran's I needs 2 <= K < {n} (the point count), got K={k}")
+    if not (np.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and > 0 (--scale), got {scale}")
     frames = list(split.test_frames)
     if not frames:
         raise ValueError("no frames to evaluate")

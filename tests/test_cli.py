@@ -337,6 +337,31 @@ class TestEval:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage!")
         assert main(["eval", "--ckpt", str(bad), "--traj", str(traj)]) == 1
+        # the scale is checked by evaluate, after the load
+        assert main(["eval", "--ckpt", str(bad), "--traj", str(traj), "--scale", "0"]) == 1
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--frac", "0.5"]])
+    def test_split_seed_and_fraction_are_no_eval_options(self, capsys, flag):
+        # evaluate scores the held-out frames, which --stride alone sets
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--ckpt", "c", "--traj", "t", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_only_given_options_reach_evaluate(self, tmp_path, monkeypatch):
+        traj = _gen(tmp_path)
+        ckpt = _fit(tmp_path, traj)
+        seen = []
+        evaluate = trainer.evaluate
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs)
+            return evaluate(*args, **kwargs)
+        monkeypatch.setattr(trainer, "evaluate", spy)
+        argv = ["eval", "--ckpt", str(ckpt), "--traj", str(traj), "--stride", "2"]
+        assert main(argv) == 0
+        assert main([*argv, "--K-neighbors", "5", "--scale", "2"]) == 0
+        assert seen == [{}, {"k": 5, "scale": 2.0}]
 
     def test_checkpoint_missing_array_is_io_error(self, tmp_path, capsys):
         traj = _gen(tmp_path)

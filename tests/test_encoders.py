@@ -430,8 +430,7 @@ class TestCoupled4D:
     def test_time_changes_output_for_static_input(self):
         e, store = _build("coupled4d-baseline")
         x = np.zeros((2, 3))
-        a, b = (e.encode(Tape(), store, e.spatial(Tape(), store, x, 1, t), None).value
-                for t in (0.0, 1.0))
+        a, b = (e.encode(Tape(), store, enc.xyzt(x, t), None).value for t in (0.0, 1.0))
         assert not np.allclose(a, b)
 
 

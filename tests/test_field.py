@@ -341,6 +341,42 @@ class TestMultiTimeQueries:
         assert len(calls) <= f.cfg.n_knots
         assert summary == expected
 
+    @pytest.mark.parametrize("variant,loaded", [("siren-resfields", False),
+                                                ("siren-resfields", True),
+                                                ("triplanes", False), ("triplanes", True)])
+    def test_a_scalar_time_is_a_sequence_of_one(self, tmp_path, variant, loaded):
+        f = _randomized(SplineField(_variant_cfg(variant), _points(8)))
+        if loaded:
+            f.save(tmp_path / "f.ckpt")
+            f = SplineField.load(tmp_path / "f.ckpt")
+        for query in (f.deform, f.velocity, f.acceleration):
+            for t in (0, 0.37, 1.0):
+                want = query(f.canonical, [t])[0]
+                for scalar in (t, np.float64(t), np.array(t)):
+                    got = query(f.canonical, scalar)
+                    assert got.shape == (8, 3) and np.array_equal(got, want), (query, t)
+
+    def test_a_non_numeric_time_is_a_value_error(self):
+        f = SplineField(_small_cfg(), _points())
+        for query in (f.deform, f.velocity, f.acceleration):
+            with pytest.raises(ValueError, match="abc"):
+                query(f.canonical, "abc")
+
+    def test_a_full_per_call_cache_drops_the_encoder_samples(self, monkeypatch):
+        f = _randomized(SplineField(_variant_cfg("triplanes"), _points(8)))
+        caches = []
+        make = SplineField.knot_cache
+
+        def spy(fld, points, times):
+            caches.append(make(fld, points, times))
+            return caches[-1]
+        monkeypatch.setattr(SplineField, "knot_cache", spy)
+        f.deform(_points(5, seed=1), [0.1, 0.9, 0.4])
+        [cache] = caches
+        assert len(cache) == cache.knots == f.cfg.n_knots and cache.spatial is None
+        f.deform(_points(5, seed=1), [0.1])
+        assert len(caches[1]) == caches[1].knots == 2 and caches[1].spatial is None
+
     def test_advect_matches_separate_queries(self):
         f = _randomized(SplineField(_small_cfg(), _points()))
         expected = (f.deform(f.canonical, 0.7)

@@ -204,7 +204,7 @@ class TestMoransISequence:
 class TestEpe:
     def test_exact_match(self):
         x = np.random.default_rng(10).normal(size=(3, 5, 3))
-        assert epe(x, x) == 0.0
+        assert epe(x, x, scale=1e4) == 0.0
 
     def test_uniform_offset_scaled(self):
         gt = np.zeros((4, 3))
@@ -220,7 +220,7 @@ class TestEpe:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            epe(np.zeros((2, 3)), np.zeros((3, 3)))
+            epe(np.zeros((2, 3)), np.zeros((3, 3)), scale=1.0)
 
     def test_bitwise_the_norm_of_the_difference_with_one_temporary(self):
         rng = np.random.default_rng(12)
@@ -228,7 +228,7 @@ class TestEpe:
         want = float(np.mean(np.linalg.norm(pred - gt, axis=-1))) * 1e4
         tracemalloc.start()
         try:
-            got = epe(pred, gt)
+            got = epe(pred, gt, scale=1e4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

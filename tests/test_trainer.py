@@ -431,21 +431,29 @@ class TestSharedKnotStates:
         (0, 1.0, 0.01), (6, 1.0, 0.01), (6, 0.0, 0.01), (6, 1.0, 0.0), (6, 0.0, 0.0)])
     def test_each_cache_predicts_the_knots_it_was_made_for(self, monkeypatch, batch_points,
                                                            alpha, beta):
-        # KnotCache.knots is the grid encoder's size-rule input
+        # KnotCache.knots counts the knots a cache will hold, predicted or
+        # sliced in from the velocity closure; the rest is the size-rule input
         traj, split, cfg = _tiny_run(steps=6, kind="composite", n_knots=6, frames_per_step=2,
                                      batch_points=batch_points, alpha=alpha, beta=beta)
-        caches = []
+        calls = []
         predict = SplineField.predict_knot
 
         def counting(fld, tape, points, knot_idx, cache=None):
-            caches.append(cache)
+            calls.append((cache, knot_idx))
             return predict(fld, tape, points, knot_idx, cache)
         monkeypatch.setattr(SplineField, "predict_knot", counting)
         train(traj, split, cfg)
-        made = {id(c): c for c in caches}
+        made = {id(c): c for c, _ in calls}
         assert len(made) > cfg.steps or not (batch_points and alpha)
+        sliced_caches = 0
         for key, cache in made.items():
-            assert sum(id(c) == key for c in caches) == cache.knots
+            predicted = [k for c, k in calls if id(c) == key]
+            sliced_in = cache.keys() - set(predicted)
+            assert len(predicted) == len(set(predicted))
+            assert len(predicted) + len(sliced_in) == cache.knots == len(cache)
+            assert cache.spatial is None
+            sliced_caches += bool(sliced_in)
+        assert bool(sliced_caches) == bool(batch_points and alpha)
 
     @pytest.mark.parametrize("batch_points,quintic,alpha,beta", [
         (0, False, 1.0, 0.01), (6, False, 1.0, 0.01), (0, True, 1.0, 0.01),
@@ -480,11 +488,12 @@ class TestSharedKnotStates:
         assert len(needed) > len(rows)
 
         def loss(tape):
-            cache = KnotCache(2)
-            vel = fld.velocity_var(tape, sup_pts[needed], 0.4, knot_cache=cache)
+            closure = fld.knot_cache(sup_pts[needed], [0.4])
+            vel = fld.velocity_var(tape, sup_pts[needed], 0.4, knot_cache=closure)
             lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
-            cache = KnotCache(2, {k: tuple(ad.take(s, loc_rows) for s in state)
-                                  for k, state in cache.items()})
+            cache = fld.knot_cache(sup_pts[rows], [0.4, 0.9])
+            cache.update((k, tuple(ad.take(s, loc_rows) for s in state))
+                         for k, state in closure.items())
             pos = fld.deform_var(tape, sup_pts[rows], 0.9, knot_cache=cache)
             acc = fld.acceleration_var(tape, sup_pts[rows], 0.4, knot_cache=cache)
             # smooth terms only: an L1 kink would fail the central difference
@@ -699,6 +708,18 @@ class TestEvaluate:
         assert np.isnan(summary["mean_I"])
         assert summary["skipped"] == [] and summary["n_frames"] == 1
         assert [(r["frame_idx"], r["mean_I"], r["epe"]) for r in rows] == [(2, None, 0.0)]
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_scale_fails_before_deforming(self, scale):
+        traj = dataio.gen_synthetic("rigid-translate", 30, 5, seed=0)
+        split = dataio.Split(train_frames=(0, 2, 4), test_frames=(1, 3),
+                             supervised=np.arange(30))
+
+        class NoDeform(_Replay):
+            def deform(self, pts, times):
+                raise AssertionError("deform ran before the scale was checked")
+        with pytest.raises(ValueError, match=r"scale must be finite and > 0 \(--scale\)"):
+            trainer.evaluate(NoDeform(traj), traj, split, scale=scale)
 
     def test_split_arithmetic(self):
         traj = dataio.gen_synthetic("rigid-translate", 20, 120, seed=0)
