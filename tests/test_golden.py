@@ -1,4 +1,4 @@
-"""Same-seed digests of ten short fits, and a committed checkpoint.
+"""Same-seed digests of fourteen short fits, and a committed checkpoint.
 
 Each case fits a field for a few steps on one seeded scene and pins
 SHA-256 digests (first 16 hex digits) of what the fit and its checkpoint
@@ -13,9 +13,12 @@ CHANGES.md.
 The scene has 280 points, 70 of them supervised, so the triaxes factors
 (32 and 64 cells) take the encoder's build-then-sample path on every point
 set, while the triplanes factors (1024 and 4096 cells) sample their base and
-residual stacks first in training. The scene's fields have two knots, so
-on all 280 points the reloaded field's queries, which share its canonical
-knot cache, build the level-32 planes instead.
+residual stacks first in training. Most cases fit two knots, so on all
+280 points the reloaded field's queries, which share its canonical knot
+states, build the level-32 planes instead. The four 6-knot cases fit a knot
+count at which a step reads some knots and not others, so their digests
+also pin the order in which a step and a query predict their knots: with
+two knots every order is [0, 1].
 
 `tests/data/triplanes_small.ckpt` is a perturbed 20-point triplanes field
 (levels (4, 8), 4 channels) written by an earlier commit, and
@@ -46,6 +49,10 @@ CASES = {
     "siren-batch": {"batch_points": 60, "accel_mode": "l2", "lr_decay": 0.5},
     "siren-rank0": {"rank": 0},
     "triplanes-rank0": {"variant": "triplanes", "rank": 0},
+    "siren-6knots": {"n_knots": 6},
+    "triplanes-6knots": {"variant": "triplanes", "n_knots": 6},
+    "siren-batch-6knots": {"n_knots": 6, "batch_points": 60},
+    "triplanes-alpha0-6knots": {"variant": "triplanes", "n_knots": 6, "alpha": 0.0},
 }
 
 PINS = {
@@ -79,6 +86,18 @@ PINS = {
     "triplanes-rank0": {
         "params": "a35f76e0e67cd822", "log": "f0acdd8d951d27e2", "ckpt": "b87aa0b39967aba4",
         "eval": "c17f42d253a78204", "report": "d50674cbe8d2c58f", "queries": "971119c1475bcde6"},
+    "siren-6knots": {
+        "params": "e8aaf97bb6b9cae2", "log": "ee591cd22deafcd1", "ckpt": "9a9dd8a2d20b6fa2",
+        "eval": "29ffa92f6ad9c83f", "report": "5b2dca9a213130ac", "queries": "cc8a3be90dd6c6b7"},
+    "triplanes-6knots": {
+        "params": "ee6d20c2dae8cb2f", "log": "d7da471a389878f1", "ckpt": "27702ca167ecd200",
+        "eval": "83a25770b0998521", "report": "f3a5c2294aed2761", "queries": "246e3793e3506104"},
+    "siren-batch-6knots": {
+        "params": "7a1061d0058f16ac", "log": "af6d576adf00d2c4", "ckpt": "1723db513ae54821",
+        "eval": "2c696bc1ab048239", "report": "3efd3930584bdfe7", "queries": "7d4f111d0e23e70c"},
+    "triplanes-alpha0-6knots": {
+        "params": "278ef90141c46e69", "log": "83c1beea10fe475b", "ckpt": "37a85ab079e935e1",
+        "eval": "540b0b98f6f4a0cc", "report": "1d0877d9ff4dfc63", "queries": "0c52fe7df32e307c"},
 }
 
 
@@ -145,3 +164,26 @@ def test_committed_checkpoint_loads_and_queries_alike():
         got = query(fld.canonical, want["times"])
         np.testing.assert_allclose(got, want[name], rtol=1e-12,
                                    atol=1e-12 * np.abs(want[name]).max(), err_msg=name)
+
+
+if __name__ == "__main__":
+    # Prints each case's digests (all cases, or those named) in the PINS
+    # layout, and after a case the keys that differ from its pins:
+    #   PYTHONPATH=src python tests/test_golden.py [case ...]
+    import sys
+    import tempfile
+
+    if unknown := [c for c in sys.argv[1:] if c not in CASES]:
+        sys.exit(f"no golden case {', '.join(unknown)}; the cases are {', '.join(CASES)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        print("PINS = {")
+        for case in sys.argv[1:] or CASES:
+            got = digests(case, tmp)
+            moved = [k for k, v in got.items() if PINS.get(case, {}).get(k) != v]
+            note = f"  # moved: {', '.join(moved)}" if case in PINS and moved else (
+                "" if case in PINS else "  # not pinned")
+            items = [f'"{k}": "{v}"' for k, v in got.items()]
+            print(f'    "{case}": {{')
+            print("        " + ", ".join(items[:3]) + ",")
+            print("        " + ", ".join(items[3:]) + "}," + note)
+        print("}")
