@@ -365,15 +365,6 @@ def bilinear_sample(plane: Var, u, v) -> Var:
     return _sample_grid(plane, interp_matrix((u, v), pv.shape[:2]), stacked=False)
 
 
-def linear_sample(axis_grid: Var, u) -> Var:
-    """Sample a [D, C] axis at fractional grid coordinates u: the contract
-    of bilinear_sample with S [B, D] (2 weights per row)."""
-    av = axis_grid.value
-    if av.ndim != 2:
-        raise ValueError(f"axis grid must be [D, C], got {av.shape}")
-    return _sample_grid(axis_grid, interp_matrix((u,), av.shape[:1]), stacked=False)
-
-
 # -- layers and the spec-facing surface ----------------------------------
 
 

@@ -9,9 +9,10 @@ encoder alike; the coordinates never see time. Rank 0 (v_t None) degenerates
 both to a time-invariant encoder.
 
 So an encoder's work splits in two. `spatial(tape, store, x_norm, knots)`
-is the time-invariant part, done once per point set that `knots` knots will
+is the time-invariant part, done for a point set that `knots` knots will
 modulate; `encode(tape, store, spatial, v_t)` is the per-knot modulation of
-it, and `SplineField` hands every knot of a point set the same `spatial`.
+it. `SplineField.knot_states` makes one `spatial` for the knots it predicts
+on a point set in one call, and hands each of them that `spatial`.
 For the MLP encoder `spatial` is the feature map. For the grid encoder it
 rests on an identity: grid interpolation is linear, so sampling
 base + sum_r v_t[r] * res[r] at a point equals applying `low_rank` to the

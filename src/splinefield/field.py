@@ -7,31 +7,31 @@ whose family the tuple's length picks. The field owns the per-knot codes
 ([n_knots, rank]): it checks the knot index and hands the encoder that
 knot's code v_t. The MLP variants share one encoder class and differ only
 in its feature map and activation; the plane and axis variants share the
-factorized-grid class. Velocity and acceleration come
-from the closed-form segment derivatives, in normalized segment-time units
-unless physical scaling is requested; one evaluator,
-`spline.segment_derivative`, serves all three by derivative order.
-Constant-velocity advection extrapolates past the fitted interval.
+factorized-grid class. Velocity and acceleration come from the closed-form
+segment derivatives, in normalized segment-time units unless physical
+scaling is requested; one evaluator, `spline.segment_derivative`, serves
+all three by derivative order. Constant-velocity advection extrapolates
+past the fitted interval.
 
 Each parameter is declared once (`SplineField.params`: codes, encoder, decoder).
 A new field draws them in order from default_rng(seed); a load checks the
 checkpoint's arrays against them, drawing and allocating nothing more.
 
-A `KnotCache` holds the knot states predicted on one point set, and that
-point set's encoder `spatial` (the time-invariant half of the encoder's
-work, see `encoders`), so each knot only modulates what the first one
-computed. `SplineField.knot_cache(points, times)` makes every cache; its
-`knots` counts the knots it will hold (of the segments around `times`), the
-grid encoder's size rule reads those still to predict, and a full cache
-drops its `spatial`. The plain-array queries (`deform`, `velocity`,
-`acceleration`, `advect`) take a 1-D sequence of times, or one time as a
-sequence of one, and run on a NoGradTape. A loaded field is read-only (its
+A dict, knot index -> state, holds the knot states of one point set. A
+query or loss at time t reads the two knots around t, so each call names
+the knots it needs: `SplineField.knot_states` predicts, in the order
+listed, each one the dict lacks, all from one encoder `spatial` of the
+points (the time-invariant half of the encoder's work, see `encoders`)
+made for that many knots. `derivative_var` asks for its two knots, a no-op
+when its caller listed them. The plain-array queries (`deform`,
+`velocity`, `acceleration`, `advect`) take a 1-D sequence of times, or one
+time as a sequence of one, list the segment knots of all their times in
+first-use order, and run on a NoGradTape. A loaded field is read-only (its
 canonical points, normalizer center and parameter arrays raise ValueError
-on a write), so it keeps one `KnotCache(n_knots)` for its canonical points:
-each knot is predicted at most once per loaded field, by the first query
-that needs it, and any later query there is a Hermite evaluation of cached
-states. Other point sets, and fields built from a seed (which training
-updates in place), get a new cache per call, which predicts each knot once.
+on a write), so it keeps one dict for its canonical points: each knot is
+predicted at most once per loaded field, by the first query that needs it.
+Other point sets, and fields built from a seed (which training updates in
+place), get a new dict per call, which predicts each knot once.
 
 The coupled-4D baseline variant bypasses the spline entirely: its MLP takes
 the time as a fourth input (`encoders.xyzt`) and returns the offset directly,
@@ -105,18 +105,18 @@ class FieldConfig:
                  "non-empty with each level >= 2")]
 
 
-class KnotCache(dict):
-    """Knot index -> knot state on one point set, plus that point set's
-    encoder `spatial`, computed by the first knot predicted into the cache and
-    dropped once it holds all `knots`, predicted or put in (the grid encoder's
-    size rule reads those still to predict). A loaded field keeps one for its
-    canonical points for its whole life, which its read-only arrays make
-    safe; any other cache lives for one query or one training step."""
-
-    def __init__(self, knots: int):
-        super().__init__()
-        self.knots = knots
-        self.spatial = None
+def _times(name: str, value, scalar: bool = False) -> np.ndarray:
+    """`value` as float64: a number, or unless `scalar` a non-empty 1-D
+    sequence of numbers; anything else, a bool or a string too, raises
+    ValueError naming `name`."""
+    try:
+        times = np.asarray(value)
+    except ValueError:      # a ragged sequence
+        times = np.asarray(None)
+    if times.dtype.kind not in "iuf" or times.size == 0 or times.ndim > (0 if scalar else 1):
+        want = "a number" if scalar else "a number or a non-empty 1-D sequence of numbers"
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+    return times.astype(np.float64)
 
 
 class SplineField:
@@ -152,7 +152,7 @@ class SplineField:
         hidden = (cfg.hidden,) if cfg.variant in _GRIDS else ()
         self._decoder_dims = (self.encoder.out_dim, *hidden, self.out_channels)
         self.store = ParamStore()
-        self._canonical_knots = None    # a loaded field's KnotCache, see load
+        self._canonical_states = None   # a loaded field's knot states, see load
         if arrays is None:
             rng = np.random.default_rng(seed)
             for name, shape, init in self.params():
@@ -204,46 +204,53 @@ class SplineField:
 
     def normalize(self, points: np.ndarray) -> np.ndarray:
         """Query points mapped to the encoders' [-1, 1] box; every query of
-        every variant passes here, so a NaN or inf point raises ValueError."""
+        every variant passes here, so points that are not [N, 3], or a NaN or
+        inf point, raise ValueError."""
         points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"query points must be [N, 3], got shape {points.shape}")
         if not np.all(np.isfinite(points)):
             raise ValueError("query points must be finite")
         return (points - self.center) / self.half_extent
 
-    def predict_knot(self, tape: Tape, points: np.ndarray, knot_idx: int,
-                     cache: KnotCache | None = None) -> tuple:
+    def predict_knot(self, tape: Tape, spatial, knot_idx: int) -> tuple:
         """The knot state at one knot: Vars (delta_x, m) of shape [B, 3], and the
-        curvature a as a third for a quintic field. The encoder's `spatial` of
-        `points` comes from `cache`, which gets it if it has none yet."""
+        curvature a as a third for a quintic field, from the encoder's
+        `spatial` of the B points (see `knot_states`)."""
         if self.cfg.variant == "coupled4d-baseline":
             raise ValueError("the coupled-4D baseline has no knot states")
         if not (0 <= knot_idx < self.cfg.n_knots):
             raise ValueError(f"knot index {knot_idx} out of range [0, {self.cfg.n_knots})")
-        cache = KnotCache(1) if cache is None else cache
-        if cache.spatial is None:
-            cache.spatial = self.encoder.spatial(tape, self.store, self.normalize(points),
-                                                 cache.knots - len(cache))
         v_t = (ad.take(self.store.var("codes", tape), np.array(knot_idx))
                if self.encoder.rank > 0 else None)
-        out = self._decode(tape, self.encoder.encode(tape, self.store, cache.spatial, v_t))
+        out = self._decode(tape, self.encoder.encode(tape, self.store, spatial, v_t))
         return tuple(out[:, j:j + 3] for j in range(0, self.out_channels, 3))
 
+    def knot_states(self, tape: Tape, points, knots, states: dict | None = None) -> dict:
+        """`states` (a new dict if None), knot index -> state on `points`, with
+        each of the distinct `knots` it lacks predicted in the order listed,
+        all from one encoder `spatial` of the points made for that many knots.
+        The coupled-4D baseline has no knot states and predicts none."""
+        states = {} if states is None else states
+        todo = [k for k in knots if k not in states]
+        if todo and self.cfg.variant != "coupled4d-baseline":
+            spatial = self.encoder.spatial(tape, self.store, self.normalize(points), len(todo))
+            for k in todo:
+                states[k] = self.predict_knot(tape, spatial, k)
+        return states
+
     def derivative_var(self, tape, points, t_query, order: int,
-                       knot_cache: KnotCache | None = None) -> Var:
+                       states: dict | None = None) -> Var:
         """Differentiable order-th time derivative (0, 1 or 2) at t_query: the
         Hermite (or quintic) basis of that order on the two knots around it, in
-        t-bar units. `knot_cache` holds the knot states of one point set.
-        The coupled-4D baseline differentiates by central differences."""
+        t-bar units, read from (and predicted into) `states`, the knot states
+        of `points`. The coupled-4D baseline differentiates by central
+        differences."""
         start, t_bar = spline.locate_segment(t_query, self.cfg.n_knots)   # validates t_query
         if self.cfg.variant == "coupled4d-baseline":
             return self._coupled_var(tape, points, t_query, order)
-        cache = KnotCache(2) if knot_cache is None else knot_cache
-        for k in (start, start + 1):
-            if k not in cache:
-                cache[k] = self.predict_knot(tape, points, k, cache)
-                if len(cache) == cache.knots:
-                    cache.spatial = None    # every knot is cached: no query reads it again
-        (dx0, *rest0), (dx1, *rest1) = cache[start], cache[start + 1]
+        states = self.knot_states(tape, points, (start, start + 1), states)
+        (dx0, *rest0), (dx1, *rest1) = states[start], states[start + 1]
         const = np.asarray(points, dtype=np.float64)
         ends = (ad.add(dx0, const), *rest0, ad.add(dx1, const), *rest1)
         return spline.segment_derivative(ends, t_bar, order)
@@ -262,40 +269,34 @@ class SplineField:
         a, b, c = (self._coupled_var(tape, points, s, 0) for s in (tq + eps, tq, tq - eps))
         return ad.mul(ad.add(ad.add(a, c), ad.mul(b, -2.0)), 1.0 / eps ** 2)
 
-    def deform_var(self, tape, points, t_query, knot_cache=None) -> Var:
+    def deform_var(self, tape, points, t_query, states=None) -> Var:
         """Differentiable deformation of `points` to time t_query."""
-        return self.derivative_var(tape, points, t_query, 0, knot_cache)
+        return self.derivative_var(tape, points, t_query, 0, states)
 
     def velocity_var(self, tape, points, t_query, physical: bool = False,
-                     knot_cache=None) -> Var:
+                     states=None) -> Var:
         """Differentiable velocity at t_query (t-bar units by default; the
         coupled baseline's is always per unit of global time)."""
-        v = self.derivative_var(tape, points, t_query, 1, knot_cache)
+        v = self.derivative_var(tape, points, t_query, 1, states)
         if physical and self.cfg.variant != "coupled4d-baseline":
             v = ad.mul(v, float(self.cfg.n_knots - 1))
         return v
 
-    def acceleration_var(self, tape, points, t_query, knot_cache=None) -> Var:
+    def acceleration_var(self, tape, points, t_query, states=None) -> Var:
         """Differentiable acceleration at t_query (t-bar units)."""
-        return self.derivative_var(tape, points, t_query, 2, knot_cache)
-
-    def knot_cache(self, points, times) -> KnotCache:
-        """A loaded field's canonical cache when `points` equal (shape and values)
-        its canonical points, else a new one for the segments around `times`."""
-        c = self._canonical_knots
-        if c is not None and np.array_equal(points, self.canonical):
-            return c
-        return KnotCache(len(spline.segment_knots(times, self.cfg.n_knots)))
+        return self.derivative_var(tape, points, t_query, 2, states)
 
     def _query(self, var_fn, points, t_query, **kw) -> np.ndarray:
-        """var_fn's values at a 1-D sequence of times, or at one time unstacked."""
-        times = np.asarray(t_query, dtype=np.float64)
-        if times.ndim > 1 or times.size == 0:
-            raise ValueError(f"t_query must be a scalar or a non-empty 1-D sequence, "
-                             f"got shape {times.shape}")
+        """var_fn's values at a 1-D sequence of times, or at one time unstacked,
+        from the states of all their knots: the loaded field's canonical dict
+        when `points` equal (shape and values) its canonical points, else a new one."""
+        times = _times("t_query", t_query)
         flat = times.reshape(-1)
-        tape, cache = NoGradTape(), self.knot_cache(points, flat)
-        values = [var_fn(tape, points, float(t), knot_cache=cache, **kw).value for t in flat]
+        tape, states = NoGradTape(), self._canonical_states
+        if states is None or not np.array_equal(points, self.canonical):
+            states = {}
+        self.knot_states(tape, points, spline.segment_knots(flat, self.cfg.n_knots), states)
+        values = [var_fn(tape, points, float(t), states=states, **kw).value for t in flat]
         return np.stack(values) if times.ndim else values[0]
 
     def deform(self, points, t_query) -> np.ndarray:
@@ -314,14 +315,17 @@ class SplineField:
 
     def advect(self, points, from_t: float, dt: float) -> np.ndarray:
         """deform(points, from_t) + physical velocity * dt."""
+        from_t = float(_times("from_t", from_t, scalar=True))
+        dt = float(_times("dt", dt, scalar=True))
         if not (0.0 <= from_t <= 1.0):
             raise ValueError(f"from_t must be in [0, 1], got {from_t}")
         if not (np.isfinite(dt) and dt >= 0):
             raise ValueError(f"dt must be finite and >= 0, got {dt}")
-        tape, cache = NoGradTape(), self.knot_cache(points, [from_t])
-        base = self.deform_var(tape, points, from_t, knot_cache=cache).value
-        vel = self.velocity_var(tape, points, from_t, physical=True, knot_cache=cache)
-        return base + vel.value * dt
+
+        def moved(tape, pts, t, states):
+            vel = self.velocity_var(tape, pts, t, physical=True, states=states)
+            return ad.add(self.deform_var(tape, pts, t, states), ad.mul(vel, dt))
+        return self._query(moved, points, from_t)
 
     # -- checkpoints --------------------------------------------------------
 
@@ -337,10 +341,10 @@ class SplineField:
 
     @classmethod
     def load(cls, path) -> "SplineField":
-        """Read a checkpoint into a read-only field with a canonical knot cache
-        (see the module docstring); a header that lacks a config key, or a
-        header, canonical point set or parameter set that does not make a
-        field, raises FormatError."""
+        """Read a checkpoint into a read-only field that keeps its canonical
+        knot states (see the module docstring); a header that lacks a config
+        key, or a header, canonical point set or parameter set that does not
+        make a field, raises FormatError."""
         arrays, header = dataio.read_checkpoint(path)
         try:
             cfg_d = dict(header["config"])
@@ -353,5 +357,5 @@ class SplineField:
             raise dataio.FormatError(f"malformed checkpoint {path}: {e}") from None
         for a in (fld.canonical, fld.center, *map(fld.store.value, fld.store.names())):
             a.flags.writeable = False
-        fld._canonical_knots = KnotCache(fld.cfg.n_knots)
+        fld._canonical_states = {}
         return fld

@@ -48,10 +48,11 @@ def locate_segment(t_query: float, n_knots: int):
     return start, t_query * (n_knots - 1) - start
 
 
-def segment_knots(times, n_knots: int) -> set:
-    """The knots of the segments around `times`: start and start + 1 of each."""
-    starts = {locate_segment(t, n_knots)[0] for t in times}
-    return starts | {s + 1 for s in starts}
+def segment_knots(times, n_knots: int) -> list:
+    """The knots of the segments around `times`, start and start + 1 of each,
+    in first-use order: the order in which the times read them."""
+    starts = [locate_segment(t, n_knots)[0] for t in times]
+    return list(dict.fromkeys(k for s in starts for k in (s, s + 1)))
 
 
 # Power coefficients (constant term first) of each basis function, one row per

@@ -3,13 +3,14 @@
 Training supervises the field at a random subset of frames per step with
 an L1 reconstruction term, plus velocity-coherence and acceleration
 penalties sampled at a random time. A step predicts each knot's state (the
-tuple of Vars `SplineField.predict_knot` returns) once: the two knots around
-that time run on the velocity term's neighbor closure and each Var of their
-states is sliced to the batch rows, and all three terms share those states.
-The slice keeps no encoder `spatial`, which belongs to the closure's point
-set: the other knots compute the batch's once and share it. Both caches come
-from `SplineField.knot_cache`, the batch's for every time of the step, so its
-`knots` count the sliced states too (see `encoders.TriplaneEncoder`).
+tuple of Vars `SplineField.predict_knot` returns) once, in the order its
+terms read them: the random time's two knots for the velocity term, then
+the frames', then the random time's for the acceleration term. With a
+batch smaller than the velocity term's neighbor closure, those two knots
+run on the closure and each Var of their states is sliced to the batch
+rows; `SplineField.knot_states` then predicts the batch's other knots from
+one encoder `spatial` of the batch, made for that many knots (see
+`encoders.TriplaneEncoder`), and all three terms share the states.
 Parameters update with Adam; grid and temporal-code parameters get a 10x
 learning rate. Adam's squared-norm pass per gradient checks finiteness and
 gives the run log's per-group gradient norms; its update runs in place, in
@@ -244,33 +245,34 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
         n_f = min(cfg.frames_per_step, train_frames.shape[0])
         frame_ids = rng.choice(train_frames.shape[0], n_f, replace=False)
         frame_times = [traj.frame_time(int(fi)) for fi in train_frames[frame_ids]]
-        step_times = list(frame_times)
+        read = frame_times      # the times the terms read, in their order
         if cfg.alpha > 0 or cfg.beta > 0:
             t_rand = float(rng.uniform(0.0, 1.0))
-            step_times.append(t_rand)
+            read = [t_rand] * (cfg.alpha > 0) + frame_times + [t_rand] * (cfg.beta > 0)
+        knots = spline.segment_knots(read, fld.cfg.n_knots)
 
-        # one knot state per knot: the two around t_rand run on the velocity
-        # closure and are sliced to the batch rows, the rest on the batch
-        knot_cache = fld.knot_cache(batch_pts, step_times)
+        states = {}
         lv = lacc = 0.0
         if cfg.alpha > 0:
             needed, loc_rows, loc_nbrs, w_rows = graph.subgraph_closure(rows)
+            # a closure beyond the batch predicts t_rand's knots, sliced to the batch
             sliced = len(needed) > len(rows)
-            closure = fld.knot_cache(sup_pts[needed], [t_rand]) if sliced else knot_cache
-            vel = fld.velocity_var(tape, sup_pts[needed], t_rand, knot_cache=closure)
+            closure = {} if sliced else fld.knot_states(tape, batch_pts, knots, states)
+            vel = fld.velocity_var(tape, sup_pts[needed], t_rand, states=closure)
             lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
             if sliced:
-                knot_cache.update((k, tuple(ad.take(s, loc_rows) for s in state))
-                                  for k, state in closure.items())
+                states = {k: tuple(ad.take(s, loc_rows) for s in state)
+                          for k, state in closure.items()}
+        fld.knot_states(tape, batch_pts, knots, states)
         recon = None
         for fi, t_q in zip(train_frames[frame_ids], frame_times):
-            pred = fld.deform_var(tape, batch_pts, t_q, knot_cache=knot_cache)
+            pred = fld.deform_var(tape, batch_pts, t_q, states=states)
             gt = traj.positions[fi][sup[rows]]
             term = losses.recon_loss_l1(pred, gt)
             recon = term if recon is None else recon + term
         recon = recon * (1.0 / n_f)
         if cfg.beta > 0:
-            acc = fld.acceleration_var(tape, batch_pts, t_rand, knot_cache=knot_cache)
+            acc = fld.acceleration_var(tape, batch_pts, t_rand, states=states)
             lacc = losses.acceleration_loss(acc, mode=cfg.accel_mode)
 
         total = losses.total_loss(recon, lv, lacc, cfg.alpha, cfg.beta)

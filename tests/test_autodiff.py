@@ -256,6 +256,12 @@ class TestParamStoreLeaves:
         np.testing.assert_array_equal(grad, np.full((2, 4), 5.0))   # no zero_grad
 
 
+def _linear_sample(axis: Var, u) -> Var:
+    """A [D, C] axis sampled linearly at grid coordinates u, as the axis
+    encoder samples it: sample_grid through a one-axis interp_matrix."""
+    return ad.sample_grid(axis, ad.interp_matrix((u,), axis.value.shape[:1]))
+
+
 class TestOps:
     def test_getitem_and_take_gradients(self):
         store = ParamStore()
@@ -339,7 +345,7 @@ class TestOps:
         axis0 = rng.normal(size=(6, 3))
         u = rng.uniform(0, 5, size=5)
         tape = Tape()
-        out = ad.linear_sample(Var(axis0.copy(), tape), u)
+        out = _linear_sample(Var(axis0.copy(), tape), u)
         for i in range(5):
             i0 = int(u[i])
             f = u[i] - i0
@@ -350,7 +356,7 @@ class TestOps:
     def test_vertex_exact_sampling(self):
         axis = np.arange(10.0).reshape(5, 2)
         tape = Tape()
-        out = ad.linear_sample(Var(axis, tape), np.array([2.0]))
+        out = _linear_sample(Var(axis, tape), np.array([2.0]))
         np.testing.assert_array_equal(out.value[0], axis[2])
 
 
@@ -440,7 +446,7 @@ class TestGridSampling:
         g = rng.normal(size=(B, 3))
         tape = Tape()
         avar = Var(axis, tape)
-        out = ad.linear_sample(avar, u)
+        out = _linear_sample(avar, u)
         tape.backward(ad.vsum(ad.mul(out, g)))
         value, daxis = _scatter_linear(axis, u, g)
         _assert_rel(out.value, value)
@@ -466,7 +472,7 @@ class TestGridSampling:
         with pytest.raises(ValueError, match="NaN"):
             ad.bilinear_sample(Var(np.zeros((3, 3, 2)), tape), coords["u"], coords["v"])
         with pytest.raises(ValueError, match="NaN"):
-            ad.linear_sample(Var(np.zeros((3, 2)), tape), coords[where])
+            _linear_sample(Var(np.zeros((3, 2)), tape), coords[where])
 
     def test_infinite_coordinates_clamp_to_edge(self):
         plane = np.arange(18.0).reshape(3, 3, 2)
@@ -475,7 +481,7 @@ class TestGridSampling:
         tape = Tape()
         pvar, avar = Var(plane, tape), Var(axis, tape)
         pout = ad.bilinear_sample(pvar, u, v)
-        aout = ad.linear_sample(avar, u)
+        aout = _linear_sample(avar, u)
         np.testing.assert_array_equal(pout.value, [plane[0, 2], plane[2, 0]])
         np.testing.assert_array_equal(aout.value, [axis[0], axis[2]])
         tape.backward(ad.vsum(pout) + ad.vsum(aout))
@@ -487,7 +493,7 @@ class TestGridSampling:
     def test_single_cell_grid_or_2d_coordinates_rejected(self):
         tape = Tape()
         with pytest.raises(ValueError, match="at least 2"):
-            ad.linear_sample(Var(np.zeros((1, 2)), tape), np.array([0.0]))
+            _linear_sample(Var(np.zeros((1, 2)), tape), np.array([0.0]))
         with pytest.raises(ValueError, match="1-D"):
             ad.bilinear_sample(Var(np.zeros((3, 3, 2)), tape), np.zeros((2, 2)),
                                np.zeros((2, 2)))
@@ -499,7 +505,7 @@ class TestGridSampling:
         stack = rng.normal(size=(3, *dims, 2))
         coords = [rng.uniform(-0.5, d - 0.5, n) for d in dims]
         S = ad.interp_matrix(coords, dims)
-        sample = ad.bilinear_sample if len(dims) == 2 else ad.linear_sample
+        sample = ad.bilinear_sample if len(dims) == 2 else _linear_sample
         g = rng.normal(size=(3, n, 2))
         tape = Tape()
         svar = Var(stack, tape)
@@ -533,7 +539,7 @@ class TestGridSampling:
         plane, axis = Var(rng.normal(size=(4, 4, 2)), tape), Var(rng.normal(size=(4, 2)), tape)
         u = rng.uniform(0, 3, 6)
         out = ad.mul(ad.bilinear_sample(plane, u, rng.uniform(0, 3, 6)),
-                     ad.linear_sample(axis, u))
+                     _linear_sample(axis, u))
         tape.backward(ad.vsum(out))
         assert plane.grad is not None and axis.grad is not None
 
@@ -558,8 +564,6 @@ PRIMITIVES = {
     "bilinear_sample": ([_R.normal(size=(3, 3, 2))],
                         lambda p: ad.bilinear_sample(p, np.linspace(0, 2, 4),
                                                      np.linspace(2, 0, 4))),
-    "linear_sample": ([_R.normal(size=(3, 2))],
-                      lambda a: ad.linear_sample(a, np.linspace(0, 2, 4))),
     "sample_grid": ([_R.normal(size=(3, 3, 2))], lambda p: ad.sample_grid(p, _S)),
     "sample_stack": ([_R.normal(size=(2, 3, 3, 2))], lambda s: ad.sample_stack(s, _S)),
 }
@@ -611,8 +615,9 @@ class TestOperandChecks:
          "rank mismatch"),
         (lambda t: ad.bilinear_sample(Var(np.zeros((3, 3)), t), np.zeros(2), np.zeros(2)),
          ValueError, r"plane must be \[D, D, C\]"),
-        (lambda t: ad.linear_sample(Var(np.zeros((3, 3, 2)), t), np.zeros(2)), ValueError,
-         r"axis grid must be \[D, C\]"),
+        (lambda t: ad.sample_grid(Var(np.zeros((3, 3, 2)), t),
+                                  ad.interp_matrix((np.zeros(2),), (3,))), ValueError,
+         r"grid of shape \(3, 3, 2\) does not hold 3 cells"),
         (lambda t: ad.sample_grid(Var(np.zeros((4, 4, 2)), t), _S), ValueError,
          r"grid of shape \(4, 4, 2\) does not hold 9 cells"),
         (lambda t: ad.sample_grid(Var(np.zeros((2, 3, 3, 2)), t), _S), ValueError,

@@ -476,9 +476,9 @@ class TestInterpAdvectFlow:
         calls = []
         predict = SplineField.predict_knot
 
-        def counting(self, tape, points, k, cache=None):
+        def counting(self, tape, spatial, k):
             calls.append(k)
-            return predict(self, tape, points, k, cache)
+            return predict(self, tape, spatial, k)
         monkeypatch.setattr(SplineField, "predict_knot", counting)
         assert main(["flow", "--ckpt", str(ckpt), "--frames", "5",
                      "--out-prefix", str(tmp_path / "flow")]) == 0

@@ -49,11 +49,12 @@ def _randomized(f: SplineField, seed=99) -> SplineField:
 def _states(f: SplineField, knot_idx: int) -> np.ndarray:
     """The knot state at knot_idx for five fixed points, as one [5, 6] array."""
     points = np.random.default_rng(12).uniform(-1, 1, (5, 3))
-    return np.concatenate([s.value for s in f.predict_knot(Tape(), points, knot_idx)], axis=1)
+    states = f.knot_states(Tape(), points, [knot_idx])
+    return np.concatenate([s.value for s in states[knot_idx]], axis=1)
 
 
 class TestTemporalCodes:
-    """The field's per-knot codes, seen through `SplineField.predict_knot`."""
+    """The field's per-knot codes, seen through `SplineField.knot_states`."""
 
     def test_rank_zero_is_empty(self):
         for variant in ALL_KNOT_VARIANTS:
@@ -86,12 +87,12 @@ class TestTemporalCodes:
                 f = _field(variant, rank=rank)
                 for k in (-1, 3):
                     with pytest.raises(ValueError, match=r"out of range \[0, 3\)"):
-                        f.predict_knot(Tape(), np.zeros((1, 3)), k)
+                        f.knot_states(Tape(), np.zeros((1, 3)), [k])
 
     def test_differentiable_wrt_codes(self):
         f = _randomized(_field("siren-resfields", rank=2, n_knots=4))
         tape = Tape()
-        dx, m = f.predict_knot(tape, np.random.default_rng(14).uniform(-1, 1, (4, 3)), 1)
+        dx, m = f.knot_states(tape, np.random.default_rng(14).uniform(-1, 1, (4, 3)), [1])[1]
         tape.backward(ad.vsum(ad.mul(dx, dx)))
         grad = f.store.grad("codes")
         assert np.all(grad[1] != 0)
@@ -164,6 +165,11 @@ def _encode(e, tape, store, x, v_t):
     return e.encode(tape, store, e.spatial(tape, store, x, 1), v_t)
 
 
+def _linear_sample(axis, u):
+    """A [D, C] axis sampled linearly at grid coordinates u."""
+    return ad.sample_grid(axis, ad.interp_matrix((u,), axis.value.shape[:1]))
+
+
 class TestEncoders:
     @pytest.mark.parametrize("variant", ALL_KNOT_VARIANTS)
     def test_deterministic_and_time_varying(self, variant):
@@ -187,7 +193,7 @@ class TestEncoders:
         monkeypatch.setattr(f.encoder, "encode", lambda *a: pytest.fail("encoder ran"))
         for k in (-1, 3):
             with pytest.raises(ValueError, match=r"knot index -?\d out of range \[0, 3\)"):
-                f.predict_knot(Tape(), np.zeros((1, 3)), k)
+                f.knot_states(Tape(), np.zeros((1, 3)), [k])
 
     @pytest.mark.parametrize("variant", ALL_KNOT_VARIANTS)
     def test_gradients_pass_fd_check(self, variant):
@@ -241,7 +247,7 @@ def _lazy_encode(e, tape, store, x, v_t):
         for fname, axes in e.FACTORS:
             key = f"enc.grid.L{li}.{fname}"
             coords = [enc._to_grid_units(x[:, a], d) for a in axes]
-            sample = ad.bilinear_sample if len(axes) == 2 else ad.linear_sample
+            sample = ad.bilinear_sample if len(axes) == 2 else _linear_sample
             f = sample(store.var(f"{key}.base", tape), *coords)
             if e.rank > 0:
                 res = store.var(f"{key}.res", tape)
@@ -254,7 +260,7 @@ def _lazy_encode(e, tape, store, x, v_t):
 
 def _build_then_sample(e, tape, store, x, v_t):
     """Oracle: each factor's knot grid built with `low_rank` on the tape, then
-    sampled with bilinear_sample or linear_sample, at every knot."""
+    sampled bilinearly or linearly, at every knot."""
     feats = []
     for li, d in enumerate(e.levels):
         level = None
@@ -263,7 +269,7 @@ def _build_then_sample(e, tape, store, x, v_t):
             res = store.var(f"{key}.res", tape) if e.rank > 0 else None
             grid = enc.low_rank(store.var(f"{key}.base", tape), res, v_t)
             coords = [enc._to_grid_units(x[:, a], d) for a in axes]
-            sample = ad.bilinear_sample if len(axes) == 2 else ad.linear_sample
+            sample = ad.bilinear_sample if len(axes) == 2 else _linear_sample
             f = sample(grid, *coords)
             level = f if level is None else ad.mul(level, f)
         feats.append(level)
@@ -383,7 +389,7 @@ class TestGridEncoders:
             for fname, axes in e.FACTORS:
                 grid = Var(_materialized(e, store, li, fname, 1), Tape())
                 coords = [enc._to_grid_units(x[:, a], d) for a in axes]
-                sample = ad.bilinear_sample if len(axes) == 2 else ad.linear_sample
+                sample = ad.bilinear_sample if len(axes) == 2 else _linear_sample
                 f = sample(grid, *coords).value
                 level = f if level is None else level * f
             feats.append(level)

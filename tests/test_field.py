@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,11 @@ def _randomized(field, seed=99, scale=0.05):
             v = field.store.value(name)
             v += rng.normal(0, scale, v.shape)
     return field
+
+
+def _state(f, tape, k):
+    """Knot k's state on the field's canonical points, predicted alone."""
+    return f.knot_states(tape, f.canonical, [k])[k]
 
 
 class TestConfig:
@@ -81,31 +88,32 @@ class TestPredictKnot:
     def test_zero_init_decoder_gives_identity_states(self):
         f = SplineField(_small_cfg(), _points())
         tape = Tape()
-        dx, m = f.predict_knot(tape, f.canonical, 0)
+        dx, m = _state(f, tape, 0)
         np.testing.assert_array_equal(dx.value, np.zeros((6, 3)))
         np.testing.assert_array_equal(m.value, np.zeros((6, 3)))
 
     def test_deterministic(self):
         f = _randomized(SplineField(_small_cfg(), _points()))
-        a = f.predict_knot(Tape(), f.canonical, 1)[0].value
-        b = f.predict_knot(Tape(), f.canonical, 1)[0].value
+        a = _state(f, Tape(), 1)[0].value
+        b = _state(f, Tape(), 1)[0].value
         np.testing.assert_array_equal(a, b)
 
     def test_index_validation(self):
         f = SplineField(_small_cfg(), _points())
-        with pytest.raises(ValueError):
-            f.predict_knot(Tape(), f.canonical, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            _state(f, Tape(), 3)
 
     def test_coupled_variant_has_no_knots(self):
         f = SplineField(_small_cfg(variant="coupled4d-baseline"), _points())
-        with pytest.raises(ValueError):
-            f.predict_knot(Tape(), f.canonical, 0)
+        assert f.knot_states(Tape(), f.canonical, [0, 1]) == {}
+        with pytest.raises(ValueError, match="no knot states"):
+            f.predict_knot(Tape(), None, 0)
 
     def test_gradients_pass_fd_check(self):
         f = _randomized(SplineField(_small_cfg(), _points(4)))
 
         def loss(tape):
-            dx, m = f.predict_knot(tape, f.canonical, 1)
+            dx, m = _state(f, tape, 1)
             return ad.vmean(ad.mul(dx, dx)) + ad.vmean(ad.absolute(m))
 
         assert fd_check(loss, f.store, samples=30,
@@ -123,7 +131,7 @@ class TestDeform:
         f = _randomized(SplineField(_small_cfg(), _points()))
         for k in range(f.cfg.n_knots):
             t = k / (f.cfg.n_knots - 1)
-            dx = f.predict_knot(Tape(), f.canonical, k)[0].value
+            dx = _state(f, Tape(), k)[0].value
             np.testing.assert_allclose(f.deform(f.canonical, t),
                                        f.canonical + dx, atol=1e-12)
 
@@ -131,8 +139,8 @@ class TestDeform:
         f = _randomized(SplineField(_small_cfg(), _points()))
         t = 0.63
         start, t_bar = spline.locate_segment(t, f.cfg.n_knots)
-        dx0, m0 = f.predict_knot(Tape(), f.canonical, start)
-        dx1, m1 = f.predict_knot(Tape(), f.canonical, start + 1)
+        dx0, m0 = _state(f, Tape(), start)
+        dx1, m1 = _state(f, Tape(), start + 1)
         ends = (f.canonical + dx0.value, m0.value, f.canonical + dx1.value, m1.value)
         np.testing.assert_allclose(f.deform(f.canonical, t),
                                    spline.segment_derivative(ends, t_bar, 0),
@@ -147,7 +155,7 @@ class TestVelocityAcceleration:
 
     def test_velocity_at_knot_equals_tangent(self):
         f = _randomized(SplineField(_small_cfg(), _points()))
-        m = f.predict_knot(Tape(), f.canonical, 1)[1].value
+        m = _state(f, Tape(), 1)[1].value
         t = 1 / (f.cfg.n_knots - 1)
         np.testing.assert_allclose(f.velocity(f.canonical, t), m, atol=1e-12)
 
@@ -200,6 +208,15 @@ class TestAdvect:
             with pytest.raises(ValueError, match="dt must be finite"):
                 f.advect(f.canonical, 0.5, dt)
 
+    @pytest.mark.parametrize("from_t, dt, named", [
+        ("abc", 0.1, "from_t"), (np.array([0.2, 0.3]), 0.1, "from_t"), ([0.5], 0.1, "from_t"),
+        (True, 0.1, "from_t"), (None, 0.1, "from_t"), (0.5, "x", "dt"), (0.5, True, "dt"),
+        (0.5, np.array([0.1, 0.2]), "dt"), (0.5, None, "dt")])
+    def test_a_non_number_is_a_value_error_naming_it(self, from_t, dt, named):
+        f = SplineField(_small_cfg(), _points())
+        with pytest.raises(ValueError, match=f"^{named} must be a number, got "):
+            f.advect(f.canonical, from_t, dt)
+
 
 class TestNonFiniteQueryPoints:
     QUERIES = {"deform": lambda f, p: f.deform(p, 0.5),
@@ -219,10 +236,22 @@ class TestNonFiniteQueryPoints:
             self.QUERIES[query](f, pts)
 
 
+class TestQueryPointShapes:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_points_that_are_not_n_by_3_raise_naming_the_shape(self, variant):
+        f = _randomized(SplineField(_small_cfg(variant=variant, grid_levels=(4, 8),
+                                               grid_channels=4), _points()))
+        for shape in ((3,), (5, 2), (2, 3, 1), (5, 4)):
+            for name, query in TestNonFiniteQueryPoints.QUERIES.items():
+                with pytest.raises(ValueError, match=re.escape(
+                        f"query points must be [N, 3], got shape {shape}")):
+                    query(f, np.zeros(shape))
+
+
 class TestQuinticField:
     def test_predict_knot_returns_curvature(self):
         f = SplineField(_small_cfg(quintic=True), _points())
-        _, _, a = f.predict_knot(Tape(), f.canonical, 0)
+        _, _, a = _state(f, Tape(), 0)
         assert a.value.shape == (6, 3)
 
     def test_velocity_matches_fd(self):
@@ -271,12 +300,33 @@ def _count_knot_calls(monkeypatch) -> list:
     calls = []
     predict = SplineField.predict_knot
 
-    def counting(self, tape, points, k, cache=None):
+    def counting(self, tape, spatial, k):
         calls.append(k)
-        return predict(self, tape, points, k, cache)
+        return predict(self, tape, spatial, k)
 
     monkeypatch.setattr(SplineField, "predict_knot", counting)
     return calls
+
+
+def _spy_spatial(monkeypatch, f) -> list:
+    """Per call of f's encoder `spatial`, [its knots argument, the knots then
+    predicted from what it returned, in order]; other fields go unrecorded."""
+    made = []
+    spatial, predict = f.encoder.spatial, SplineField.predict_knot
+
+    def spying(tape, store, x_norm, knots):
+        made.append([spatial(tape, store, x_norm, knots), knots, []])
+        return made[-1][0]
+
+    def counting(self, tape, sp, k):
+        for m in made:
+            if m[0] is sp:
+                m[2].append(k)
+        return predict(self, tape, sp, k)
+
+    monkeypatch.setattr(f.encoder, "spatial", spying)
+    monkeypatch.setattr(SplineField, "predict_knot", counting)
+    return made
 
 
 class TestMultiTimeQueries:
@@ -361,21 +411,27 @@ class TestMultiTimeQueries:
         for query in (f.deform, f.velocity, f.acceleration):
             with pytest.raises(ValueError, match="abc"):
                 query(f.canonical, "abc")
+            for bad in (True, [0.2, "0.3"], [0.2, None], [[0.2], [0.3, 0.4]]):
+                with pytest.raises(ValueError, match="^t_query must be a number"):
+                    query(f.canonical, bad)
 
-    def test_a_full_per_call_cache_drops_the_encoder_samples(self, monkeypatch):
+    def test_each_spatial_is_made_for_the_knots_predicted_from_it(self, monkeypatch):
+        # a seeded field: one spatial per call, its knots in first-use order
         f = _randomized(SplineField(_variant_cfg("triplanes"), _points(8)))
-        caches = []
-        make = SplineField.knot_cache
+        made = _spy_spatial(monkeypatch, f)
+        pts = _points(5, seed=1)
+        f.deform(pts, [0.9, 0.1, 0.4])
+        f.deform(pts, [0.1])
+        f.velocity(pts, 0.5)
+        f.advect(pts, 0.2, 0.1)
+        assert [(knots, ks) for _, knots, ks in made] == [
+            (4, [2, 3, 0, 1]), (2, [0, 1]), (2, [1, 2]), (2, [0, 1])]
 
-        def spy(fld, points, times):
-            caches.append(make(fld, points, times))
-            return caches[-1]
-        monkeypatch.setattr(SplineField, "knot_cache", spy)
-        f.deform(_points(5, seed=1), [0.1, 0.9, 0.4])
-        [cache] = caches
-        assert len(cache) == cache.knots == f.cfg.n_knots and cache.spatial is None
-        f.deform(_points(5, seed=1), [0.1])
-        assert len(caches[1]) == caches[1].knots == 2 and caches[1].spatial is None
+    def test_a_query_predicts_in_the_order_its_times_read_the_knots(self, monkeypatch):
+        f = _randomized(SplineField(_small_cfg(n_knots=6), _points()))
+        calls = _count_knot_calls(monkeypatch)
+        f.velocity(f.canonical, [0.5, 0.95, 0.05, 0.5, 0.45])
+        assert calls == [2, 3, 4, 5, 0, 1]
 
     def test_advect_matches_separate_queries(self):
         f = _randomized(SplineField(_small_cfg(), _points()))
@@ -518,17 +574,22 @@ class TestLoadedFieldKnotCache:
         g.deform(g.canonical, _TIMES)
         assert calls == []
 
-    def test_a_full_cache_drops_the_encoder_samples(self, tmp_path):
+    def test_each_spatial_is_made_for_the_knots_predicted_from_it(self, tmp_path,
+                                                                   monkeypatch):
+        # a partial canonical query, then a full one: the second makes a new
+        # spatial for the knots the first left, and a third makes none
         path = _saved(tmp_path, "triplanes", False)
-        g, fresh = SplineField.load(path), SplineField.load(path)
-        cache = g._canonical_knots
+        g = SplineField.load(path)
+        made = _spy_spatial(monkeypatch, g)
         before = g.deform(g.canonical, 0.0)
-        assert len(cache) < g.cfg.n_knots and cache.spatial is not None
-        g.deform(g.canonical, np.linspace(0.0, 1.0, 2 * g.cfg.n_knots))
-        assert len(cache) == g.cfg.n_knots and cache.spatial is None
+        assert [(knots, ks) for _, knots, ks in made] == [(2, [0, 1])]
+        g.deform(g.canonical, np.linspace(1.0, 0.0, 2 * g.cfg.n_knots))
+        assert [(knots, ks) for _, knots, ks in made] == [(2, [0, 1]), (2, [2, 3])]
         assert np.array_equal(g.deform(g.canonical, 0.0), before)
         for name, query in _QUERIES:
+            fresh = SplineField.load(path)
             assert np.array_equal(query(g, g.canonical), query(fresh, fresh.canonical)), name
+        assert len(made) == 2
 
     @pytest.mark.parametrize("variant,quintic", _CACHED_CASES)
     def test_a_seeded_field_recomputes(self, variant, quintic):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from splinefield import autodiff as ad
-from splinefield import dataio, losses, metrics, trainer
+from splinefield import dataio, encoders, losses, metrics, trainer
 from splinefield.autodiff import ParamStore, Tape
 from splinefield.dataio import SplitSpec, split_frames
-from splinefield.field import FieldConfig, KnotCache, SplineField
+from splinefield.field import FieldConfig, SplineField
 from splinefield.trainer import Adam, TrainConfig, parse_run_config, train
 
 from gradcheck import fd_check
@@ -321,8 +321,8 @@ class _Perturbed(SplineField):
 
 
 def _three_cache_step(traj, split, cfg):
-    """The former training step, one knot cache per loss term: recon frames,
-    velocity closure and acceleration. Returns (total, {group: gradient})."""
+    """The former training step, one dict of knot states per loss term: recon
+    frames, velocity closure and acceleration. Returns (total, {group: gradient})."""
     rng = np.random.default_rng(cfg.seed)
     canonical = traj.positions[0]
     fld = _Perturbed(cfg.field_config(len(split.train_frames)), canonical, seed=cfg.seed)
@@ -339,11 +339,10 @@ def _three_cache_step(traj, split, cfg):
     batch_pts = sup_pts[rows]
     n_f = min(cfg.frames_per_step, train_frames.shape[0])
     frame_ids = rng.choice(train_frames.shape[0], n_f, replace=False)
-    knot_cache = KnotCache(fld.cfg.n_knots)
+    states = {}
     recon = None
     for fi in train_frames[frame_ids]:
-        pred = fld.deform_var(tape, batch_pts, traj.frame_time(int(fi)),
-                              knot_cache=knot_cache)
+        pred = fld.deform_var(tape, batch_pts, traj.frame_time(int(fi)), states=states)
         term = losses.recon_loss_l1(pred, traj.positions[fi][sup[rows]])
         recon = term if recon is None else recon + term
     recon = recon * (1.0 / n_f)
@@ -352,10 +351,10 @@ def _three_cache_step(traj, split, cfg):
         t_rand = float(rng.uniform(0.0, 1.0))
         if cfg.alpha > 0:
             needed, loc_rows, loc_nbrs, w_rows = graph.subgraph_closure(rows)
-            vel = fld.velocity_var(tape, sup_pts[needed], t_rand, knot_cache=KnotCache(2))
+            vel = fld.velocity_var(tape, sup_pts[needed], t_rand, states={})
             lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
         if cfg.beta > 0:
-            acc = fld.acceleration_var(tape, batch_pts, t_rand, knot_cache=KnotCache(2))
+            acc = fld.acceleration_var(tape, batch_pts, t_rand, states={})
             lacc = losses.acceleration_loss(acc, mode=cfg.accel_mode)
     total = losses.total_loss(recon, lv, lacc, cfg.alpha, cfg.beta)
     fld.store.zero_grad()
@@ -364,23 +363,48 @@ def _three_cache_step(traj, split, cfg):
 
 
 class _KnotCalls:
-    """Records (knot index, point count) of every predict_knot call, per step."""
+    """Per step: (knot index, point count) of every predict_knot call in
+    `steps`; (point count, knots argument, knots predicted from it) of every
+    encoder `spatial` in `spatials`; the time of every derivative_var in `times`."""
 
     def __init__(self, monkeypatch):
-        self.steps = []
-        predict = SplineField.predict_knot
+        self.steps, self.spatials, self.times = [], [], []
+        made = []       # (spatial, its record), to find the one a knot reads
+        predict, derivative = SplineField.predict_knot, SplineField.derivative_var
         tape_cls = trainer.Tape
 
-        def counting(fld, tape, points, knot_idx, cache=None):
-            self.steps[-1].append((knot_idx, len(points)))
-            return predict(fld, tape, points, knot_idx, cache)
+        def spying(spatial):
+            def spy(enc, tape, store, x_norm, knots):
+                out = spatial(enc, tape, store, x_norm, knots)
+                made.append((out, (len(x_norm), knots, [])))
+                self.spatials[-1].append(made[-1][1])
+                return out
+            return spy
+
+        def counting(fld, tape, spatial, knot_idx):
+            n_points, _, predicted = next(rec for sp, rec in made if sp is spatial)
+            predicted.append(knot_idx)
+            self.steps[-1].append((knot_idx, n_points))
+            return predict(fld, tape, spatial, knot_idx)
+
+        def reading(fld, tape, points, t_query, order, states=None):
+            self.times[-1].append(t_query)
+            return derivative(fld, tape, points, t_query, order, states)
 
         def step_tape():
-            self.steps.append([])
+            for per_step in (self.steps, self.spatials, self.times):
+                per_step.append([])
             return tape_cls()
 
+        for cls in (encoders.MLPEncoder, encoders.TriplaneEncoder):
+            monkeypatch.setattr(cls, "spatial", spying(cls.spatial))
         monkeypatch.setattr(SplineField, "predict_knot", counting)
+        monkeypatch.setattr(SplineField, "derivative_var", reading)
         monkeypatch.setattr(trainer, "Tape", step_tape)
+
+
+# (batch_points, alpha, beta): with and without a sliced velocity closure
+_STEP_CASES = [(0, 1.0, 0.01), (6, 1.0, 0.01), (6, 0.0, 0.01), (6, 1.0, 0.0), (6, 0.0, 0.0)]
 
 
 class TestSharedKnotStates:
@@ -427,33 +451,44 @@ class TestSharedKnotStates:
                 assert names.count(name) == factors * len(point_sets)
             assert len(point_sets) == 1 or batch_points
 
-    @pytest.mark.parametrize("batch_points,alpha,beta", [
-        (0, 1.0, 0.01), (6, 1.0, 0.01), (6, 0.0, 0.01), (6, 1.0, 0.0), (6, 0.0, 0.0)])
+    @pytest.mark.parametrize("batch_points,alpha,beta", _STEP_CASES)
     def test_each_cache_predicts_the_knots_it_was_made_for(self, monkeypatch, batch_points,
                                                            alpha, beta):
-        # KnotCache.knots counts the knots a cache will hold, predicted or
-        # sliced in from the velocity closure; the rest is the size-rule input
-        traj, split, cfg = _tiny_run(steps=6, kind="composite", n_knots=6, frames_per_step=2,
-                                     batch_points=batch_points, alpha=alpha, beta=beta)
-        calls = []
-        predict = SplineField.predict_knot
-
-        def counting(fld, tape, points, knot_idx, cache=None):
-            calls.append((cache, knot_idx))
-            return predict(fld, tape, points, knot_idx, cache)
-        monkeypatch.setattr(SplineField, "predict_knot", counting)
+        # each encoder spatial, the cached work of one point set, is made for
+        # the knots predicted from it, the size-rule input: a sliced step's
+        # batch spatial counts only the knots not sliced in from the closure
+        traj, split, cfg = _tiny_run(steps=6, kind="composite", variant="triplanes",
+                                     grid_levels=(4, 8), grid_channels=3, n_knots=6,
+                                     frames_per_step=2, batch_points=batch_points,
+                                     alpha=alpha, beta=beta)
+        calls = _KnotCalls(monkeypatch)
         train(traj, split, cfg)
-        made = {id(c): c for c, _ in calls}
-        assert len(made) > cfg.steps or not (batch_points and alpha)
-        sliced_caches = 0
-        for key, cache in made.items():
-            predicted = [k for c, k in calls if id(c) == key]
-            sliced_in = cache.keys() - set(predicted)
-            assert len(predicted) == len(set(predicted))
-            assert len(predicted) + len(sliced_in) == cache.knots == len(cache)
-            assert cache.spatial is None
-            sliced_caches += bool(sliced_in)
-        assert bool(sliced_caches) == bool(batch_points and alpha)
+        batch = batch_points or len(split.supervised)
+        sliced = 0
+        for made in calls.spatials:
+            assert all(knots == len(predicted) for _, knots, predicted in made)
+            sizes = [n for n, _, _ in made]
+            if sizes[0] > batch:    # the velocity closure, then the batch if it needs more
+                sliced += 1
+                assert made[0][1] == 2 and sizes[1:] in ([], [batch])
+            else:
+                assert sizes == [batch]
+        assert bool(sliced) == bool(batch_points and alpha)
+
+    @pytest.mark.parametrize("batch_points,alpha,beta", _STEP_CASES)
+    def test_knots_are_predicted_in_first_use_order(self, monkeypatch, batch_points, alpha,
+                                                    beta):
+        # the order the terms read them: velocity, the frames, acceleration
+        traj, split, cfg = _tiny_run(steps=6, kind="composite", n_knots=6, frames_per_step=3,
+                                     batch_points=batch_points, alpha=alpha, beta=beta)
+        calls = _KnotCalls(monkeypatch)
+        train(traj, split, cfg)
+        for step, times in zip(calls.steps, calls.times):
+            first_use = []
+            for t in times:
+                start = min(int(t * (cfg.n_knots - 1)), cfg.n_knots - 2)
+                first_use += [k for k in (start, start + 1) if k not in first_use]
+            assert [k for k, _ in step] == first_use
 
     @pytest.mark.parametrize("batch_points,quintic,alpha,beta", [
         (0, False, 1.0, 0.01), (6, False, 1.0, 0.01), (0, True, 1.0, 0.01),
@@ -488,14 +523,13 @@ class TestSharedKnotStates:
         assert len(needed) > len(rows)
 
         def loss(tape):
-            closure = fld.knot_cache(sup_pts[needed], [0.4])
-            vel = fld.velocity_var(tape, sup_pts[needed], 0.4, knot_cache=closure)
+            closure = {}
+            vel = fld.velocity_var(tape, sup_pts[needed], 0.4, states=closure)
             lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
-            cache = fld.knot_cache(sup_pts[rows], [0.4, 0.9])
-            cache.update((k, tuple(ad.take(s, loc_rows) for s in state))
-                         for k, state in closure.items())
-            pos = fld.deform_var(tape, sup_pts[rows], 0.9, knot_cache=cache)
-            acc = fld.acceleration_var(tape, sup_pts[rows], 0.4, knot_cache=cache)
+            states = {k: tuple(ad.take(s, loc_rows) for s in state)
+                      for k, state in closure.items()}
+            pos = fld.deform_var(tape, sup_pts[rows], 0.9, states=states)
+            acc = fld.acceleration_var(tape, sup_pts[rows], 0.4, states=states)
             # smooth terms only: an L1 kink would fail the central difference
             return lv + ad.vmean(ad.mul(pos, pos)) + ad.vmean(ad.mul(acc, acc))
 
