@@ -1,4 +1,4 @@
-"""Same-seed digests of fourteen short fits, and a committed checkpoint.
+"""Same-seed digests of fifteen short fits, and a committed checkpoint.
 
 Each case fits a field for a few steps on one seeded scene and pins
 SHA-256 digests (first 16 hex digits) of what the fit and its checkpoint
@@ -18,7 +18,10 @@ residual stacks first in training. Most cases fit two knots, so on all
 states, build the level-32 planes instead. The four 6-knot cases fit a knot
 count at which a step reads some knots and not others, so their digests
 also pin the order in which a step and a query predict their knots: with
-two knots every order is [0, 1].
+two knots every order is [0, 1]. The two batch cases train on 60 of the 70
+points, so the velocity term predicts its knots on the batch's neighbor
+closure and slices their states to the batch rows; triplanes-batch pins
+that slice on a grid field.
 
 `tests/data/triplanes_small.ckpt` is a perturbed 20-point triplanes field
 (levels (4, 8), 4 channels) written by an earlier commit, and
@@ -53,6 +56,7 @@ CASES = {
     "triplanes-6knots": {"variant": "triplanes", "n_knots": 6},
     "siren-batch-6knots": {"n_knots": 6, "batch_points": 60},
     "triplanes-alpha0-6knots": {"variant": "triplanes", "n_knots": 6, "alpha": 0.0},
+    "triplanes-batch": {"variant": "triplanes", "batch_points": 60},
 }
 
 PINS = {
@@ -98,6 +102,9 @@ PINS = {
     "triplanes-alpha0-6knots": {
         "params": "278ef90141c46e69", "log": "83c1beea10fe475b", "ckpt": "37a85ab079e935e1",
         "eval": "540b0b98f6f4a0cc", "report": "1d0877d9ff4dfc63", "queries": "0c52fe7df32e307c"},
+    "triplanes-batch": {
+        "params": "ec633ef532736d5f", "log": "8ac2c257c2a826a6", "ckpt": "60e813898d2e15c8",
+        "eval": "ab6fd3668db0abc0", "report": "71a25ed8fff75c78", "queries": "112a9faf18943970"},
 }
 
 
