@@ -1,7 +1,7 @@
 """Spline-based trajectory fitting with time-variant spatial encoders.
 
 The package fits dense point trajectories with cubic Hermite splines whose
-knot states (offsets and tangents) are predicted by small coordinate
+knot states (positions and tangents) are predicted by small coordinate
 networks, trains them with a self-contained reverse-mode autodiff engine,
 and evaluates temporal interpolation (EPE) and spatial coherence
 (Moran's I over motion vectors).

@@ -1,17 +1,17 @@
 """The spline deformation field.
 
-Composes an encoder and a decoder MLP into per-knot states, the tuple
-(offset, tangent) or, for a quintic field, (offset, tangent, curvature),
-then interpolates with the Hermite segment located for the query time,
-whose family the tuple's length picks. The field owns the per-knot codes
-([n_knots, rank]): it checks the knot index and hands the encoder that
+Composes an encoder and a decoder MLP into per-knot states: (position,
+tangent), or (position, tangent, curvature) for a quintic field, a position
+being the decoder's offset plus the points. A state is the segment endpoint
+`spline.segment_derivative` reads: the two states around the query time go
+to it as they are, the tuple's length picks the Hermite family, and the
+derivative order gives position, velocity or acceleration (in normalized
+segment-time units unless physical scaling is requested). The field owns
+the per-knot codes ([n_knots, rank]) and hands the encoder the checked
 knot's code v_t. The MLP variants share one encoder class and differ only
-in its feature map and activation; the plane and axis variants share the
-factorized-grid class. Velocity and acceleration come from the closed-form
-segment derivatives, in normalized segment-time units unless physical
-scaling is requested; one evaluator, `spline.segment_derivative`, serves
-all three by derivative order. Constant-velocity advection extrapolates
-past the fitted interval.
+in feature map and activation; the plane and axis variants share the
+factorized-grid class. Constant-velocity advection extrapolates past the
+fitted interval.
 
 Each parameter is declared once (`SplineField.params`: codes, encoder, decoder).
 A new field draws them in order from default_rng(seed); a load checks the
@@ -214,9 +214,9 @@ class SplineField:
         return (points - self.center) / self.half_extent
 
     def predict_knot(self, tape: Tape, spatial, knot_idx: int) -> tuple:
-        """The knot state at one knot: Vars (delta_x, m) of shape [B, 3], and the
-        curvature a as a third for a quintic field, from the encoder's
-        `spatial` of the B points (see `knot_states`)."""
+        """The decoder's output at one knot: Vars (offset, tangent) of shape
+        [B, 3], and the curvature as a third for a quintic field, from the
+        encoder's `spatial` of the B points (see `knot_states`)."""
         if self.cfg.variant == "coupled4d-baseline":
             raise ValueError("the coupled-4D baseline has no knot states")
         if not (0 <= knot_idx < self.cfg.n_knots):
@@ -227,16 +227,18 @@ class SplineField:
         return tuple(out[:, j:j + 3] for j in range(0, self.out_channels, 3))
 
     def knot_states(self, tape: Tape, points, knots, states: dict | None = None) -> dict:
-        """`states` (a new dict if None), knot index -> state on `points`, with
-        each of the distinct `knots` it lacks predicted in the order listed,
-        all from one encoder `spatial` of the points made for that many knots.
-        The coupled-4D baseline has no knot states and predicts none."""
+        """`states` (a new dict if None), knot index -> (position, tangent[,
+        curvature]) on `points`, with each of the distinct `knots` it lacks
+        predicted in the order listed, all from one encoder `spatial` of the
+        points made for that many knots. It is the one place that adds the
+        points to `predict_knot`'s offset. The coupled-4D baseline predicts none."""
         states = {} if states is None else states
         todo = [k for k in knots if k not in states]
         if todo and self.cfg.variant != "coupled4d-baseline":
             spatial = self.encoder.spatial(tape, self.store, self.normalize(points), len(todo))
             for k in todo:
-                states[k] = self.predict_knot(tape, spatial, k)
+                offset, *rest = self.predict_knot(tape, spatial, k)
+                states[k] = (ad.add(offset, np.asarray(points, dtype=np.float64)), *rest)
         return states
 
     def derivative_var(self, tape, points, t_query, order: int,
@@ -250,10 +252,7 @@ class SplineField:
         if self.cfg.variant == "coupled4d-baseline":
             return self._coupled_var(tape, points, t_query, order)
         states = self.knot_states(tape, points, (start, start + 1), states)
-        (dx0, *rest0), (dx1, *rest1) = states[start], states[start + 1]
-        const = np.asarray(points, dtype=np.float64)
-        ends = (ad.add(dx0, const), *rest0, ad.add(dx1, const), *rest1)
-        return spline.segment_derivative(ends, t_bar, order)
+        return spline.segment_derivative((*states[start], *states[start + 1]), t_bar, order)
 
     def _coupled_var(self, tape, points, t, order: int) -> Var:
         if order == 0:

@@ -1,15 +1,15 @@
 """Gradient-descent fitting of a spline deformation field to trajectories.
 
-Training supervises the field at a random subset of frames per step with
-an L1 reconstruction term, plus velocity-coherence and acceleration
-penalties sampled at a random time. A step predicts each knot's state (the
-tuple of Vars `SplineField.predict_knot` returns) once, in the order its
+Training supervises the field at a random subset of frames per step with an
+L1 reconstruction term, plus velocity-coherence and acceleration penalties
+sampled at a random time. A step predicts each knot's state (position,
+tangent[, curvature], see `SplineField.knot_states`) once, in the order its
 terms read them: the random time's two knots for the velocity term, then
-the frames', then the random time's for the acceleration term. With a
-batch smaller than the velocity term's neighbor closure, those two knots
-run on the closure and each Var of their states is sliced to the batch
-rows; `SplineField.knot_states` then predicts the batch's other knots from
-one encoder `spatial` of the batch, made for that many knots (see
+the frames', then the random time's for the acceleration term. With a batch
+smaller than the velocity term's neighbor closure, those two knots run on
+the closure and each Var of their states is sliced to the batch rows;
+`SplineField.knot_states` then predicts the batch's other knots from one
+encoder `spatial` of the batch, made for that many knots (see
 `encoders.TriplaneEncoder`), and all three terms share the states.
 Parameters update with Adam; grid and temporal-code parameters get a 10x
 learning rate. Adam's squared-norm pass per gradient checks finiteness and

@@ -87,9 +87,8 @@ class TestConfig:
 class TestPredictKnot:
     def test_zero_init_decoder_gives_identity_states(self):
         f = SplineField(_small_cfg(), _points())
-        tape = Tape()
-        dx, m = _state(f, tape, 0)
-        np.testing.assert_array_equal(dx.value, np.zeros((6, 3)))
+        x, m = _state(f, Tape(), 0)
+        np.testing.assert_array_equal(x.value, f.canonical)
         np.testing.assert_array_equal(m.value, np.zeros((6, 3)))
 
     def test_deterministic(self):
@@ -127,24 +126,34 @@ class TestDeform:
             np.testing.assert_allclose(f.deform(f.canonical, t), f.canonical,
                                        atol=1e-15)
 
-    def test_knot_time_query_equals_offset_prediction(self):
-        f = _randomized(SplineField(_small_cfg(), _points()))
-        for k in range(f.cfg.n_knots):
-            t = k / (f.cfg.n_knots - 1)
-            dx = _state(f, Tape(), k)[0].value
-            np.testing.assert_allclose(f.deform(f.canonical, t),
-                                       f.canonical + dx, atol=1e-12)
+    def test_knot_time_query_equals_the_knot_position(self):
+        for variant, quintic in _SPLINE_CASES:
+            f = _randomized(SplineField(_variant_cfg(variant, quintic), _points()))
+            for k in range(f.cfg.n_knots):
+                t = k / (f.cfg.n_knots - 1)
+                np.testing.assert_allclose(f.deform(f.canonical, t),
+                                           _state(f, Tape(), k)[0].value, atol=1e-12,
+                                           err_msg=f"{variant} quintic={quintic} knot {k}")
 
     def test_mid_segment_matches_manual_composition(self):
         f = _randomized(SplineField(_small_cfg(), _points()))
         t = 0.63
         start, t_bar = spline.locate_segment(t, f.cfg.n_knots)
-        dx0, m0 = _state(f, Tape(), start)
-        dx1, m1 = _state(f, Tape(), start + 1)
-        ends = (f.canonical + dx0.value, m0.value, f.canonical + dx1.value, m1.value)
+        ends = (*_state(f, Tape(), start), *_state(f, Tape(), start + 1))
         np.testing.assert_allclose(f.deform(f.canonical, t),
-                                   spline.segment_derivative(ends, t_bar, 0),
+                                   spline.segment_derivative([e.value for e in ends], t_bar, 0),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("quintic, nodes", [(False, 7), (True, 11)])
+    def test_a_query_of_listed_knots_records_only_the_segment_basis(self, quintic, nodes):
+        # one product per end state and the adds that sum them: the states
+        # already hold the knot positions, so nothing adds the points again
+        f = SplineField(_small_cfg(quintic=quintic), _points())
+        tape = Tape()
+        states = f.knot_states(tape, f.canonical, [1, 2])
+        before = len(tape._nodes)
+        f.deform_var(tape, f.canonical, 0.8, states)
+        assert len(tape._nodes) - before == nodes
 
 
 class TestVelocityAcceleration:
@@ -292,6 +301,7 @@ _VARIANT_CASES = [("siren-resfields", False), ("pe-resfields", False),
                   ("triplanes", False), ("triaxes", False),
                   ("coupled4d-baseline", False), ("siren-resfields", True),
                   ("triplanes", True)]
+_SPLINE_CASES = [(v, q) for v in VARIANTS if v != "coupled4d-baseline" for q in (False, True)]
 _TIMES = [0.0, 0.1, 0.33, 0.34, 0.5, 0.9, 1.0]
 
 
