@@ -11,13 +11,13 @@ a TrainConfig or SplitSpec field has that field's default, and no other;
 eval's `--K-neighbors` and `--scale` have `trainer.evaluate`'s. eval scores
 the frames `--stride` holds out, so it takes no `--frac` or `--seed`.
 
-Exit codes: 0 success, 1 I/O failure, 2 bad usage or validation, 3
-optimization divergence. Every subcommand checks the paths it will write
-(`--out`, `fit --log-csv`, `eval --report`, the first file of `flow
---out-prefix`) before it reads or computes anything, so an output that
-cannot be written exits 1 before a fit's first step or a query's first
-knot. Set SDF_THREADS=0 for a deterministic run (the implementation is
-single threaded regardless).
+Exit codes: 0 success, 1 I/O failure, 2 bad usage, validation or a failed
+allocation (a size too large for memory), 3 optimization divergence. Every
+subcommand checks the paths it will write (`--out`, `fit --log-csv`, `eval
+--report`, the first file of `flow --out-prefix`) before it reads or
+computes anything, so an output that cannot be written exits 1 before a
+fit's first step or a query's first knot. Set SDF_THREADS=0 for a
+deterministic run (the implementation is single threaded regardless).
 """
 
 from __future__ import annotations
@@ -238,9 +238,9 @@ def main(argv=None) -> int:
             if path:
                 _check_output(path)
         return _COMMANDS[args.command](args)
-    except (FormatError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(e, ValueError) else EXIT_IO
+    except (FormatError, OSError, ValueError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(e, (ValueError, MemoryError)) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -95,7 +95,7 @@ def split_frames(traj: TrajectorySet, spec: SplitSpec, seed: int = 0) -> Split:
         raise ValueError(
             f"split needs at least 2 training frames, got {len(train)} "
             f"(T={traj.n_frames}, stride={spec.stride})")
-    test = tuple(t for t in range(traj.n_frames) if t not in set(train))
+    test = tuple(sorted(set(range(traj.n_frames)).difference(train)))
     rng = np.random.default_rng(seed)
     n_sup = max(1, int(round(spec.supervised_fraction * traj.n_points)))
     supervised = np.sort(rng.choice(traj.n_points, size=n_sup, replace=False))

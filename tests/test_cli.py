@@ -249,6 +249,22 @@ class TestFit:
                    str(tmp_path / "f.ckpt")])
         assert rc == 3
 
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 2.00 TiB"), "Unable to allocate 2.00 TiB"),
+        (MemoryError(), "MemoryError")])
+    def test_an_allocation_failure_is_a_one_line_usage_error(self, tmp_path, monkeypatch,
+                                                              capsys, error, message):
+        traj = _gen(tmp_path)
+
+        def boom(*a, **kw):
+            raise error
+
+        monkeypatch.setattr(trainer, "train", boom)
+        rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {message}\n"
+
 
 # the argv of each writing subcommand other than fit, with its output flag last
 WRITERS = {

@@ -175,13 +175,15 @@ def test_committed_checkpoint_loads_and_queries_alike():
 
 if __name__ == "__main__":
     # Prints each case's digests (all cases, or those named) in the PINS
-    # layout, and after a case the keys that differ from its pins:
+    # layout, and after a case the keys that differ from its pins; exits 1
+    # if a pinned case moved:
     #   PYTHONPATH=src python tests/test_golden.py [case ...]
     import sys
     import tempfile
 
     if unknown := [c for c in sys.argv[1:] if c not in CASES]:
         sys.exit(f"no golden case {', '.join(unknown)}; the cases are {', '.join(CASES)}")
+    any_moved = False
     with tempfile.TemporaryDirectory() as tmp:
         print("PINS = {")
         for case in sys.argv[1:] or CASES:
@@ -189,8 +191,10 @@ if __name__ == "__main__":
             moved = [k for k, v in got.items() if PINS.get(case, {}).get(k) != v]
             note = f"  # moved: {', '.join(moved)}" if case in PINS and moved else (
                 "" if case in PINS else "  # not pinned")
+            any_moved |= case in PINS and bool(moved)
             items = [f'"{k}": "{v}"' for k, v in got.items()]
             print(f'    "{case}": {{')
             print("        " + ", ".join(items[:3]) + ",")
             print("        " + ", ".join(items[3:]) + "}," + note)
         print("}")
+    sys.exit(1 if any_moved else 0)
