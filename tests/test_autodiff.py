@@ -1,9 +1,11 @@
 import gc
 import inspect
+import math
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from splinefield import autodiff as ad
 from splinefield.autodiff import NoGradTape, ParamStore, Tape, TapeStateError, Var
@@ -542,6 +544,86 @@ class TestGridSampling:
                      _linear_sample(axis, u))
         tape.backward(ad.vsum(out))
         assert plane.grad is not None and axis.grad is not None
+
+
+def _two_branch_interp_matrix(coords, dims):
+    """The former interp_matrix, with its own code for one axis and for two."""
+    if len(coords) == 1:
+        i0, fu = ad._cell_coords(coords[0], dims[0])
+        cols = i0[:, None] + np.array([0, 1], dtype=np.int32)
+        weights = np.stack([1 - fu, fu], axis=1)
+    else:
+        du, dv = dims
+        i0, fu = ad._cell_coords(coords[0], du)
+        j0, fv = ad._cell_coords(coords[1], dv)
+        cols = (i0 * dv + j0)[:, None] + np.array([0, dv, 1, dv + 1], dtype=np.int32)
+        weights = np.stack([(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv],
+                           axis=1)
+    b, k = cols.shape
+    return sp.csr_matrix((weights.reshape(-1), cols.reshape(-1),
+                          np.arange(0, k * b + 1, k, dtype=np.int32)),
+                         shape=(b, math.prod(dims)))
+
+
+def _block_diagonal_sample(stack, S, g, grad):
+    """The former sample_stack on a stack [R, *cells, C]: its value, and its
+    gradient given the one before backward (None if none), both through the
+    block-diagonal matrix of R copies of S."""
+    r, (b, n_cells), c = stack.shape[0], S.shape, stack.shape[-1]
+    shift = np.arange(r, dtype=np.int32)[:, None]
+    indptr = np.append(S.indptr[:-1] + S.nnz * shift, r * S.nnz).astype(np.int32)
+    big = sp.csr_matrix((np.tile(S.data, r), (S.indices + n_cells * shift).reshape(-1),
+                         indptr), shape=(r * b, r * n_cells))
+    value = (big @ stack.reshape(-1, c)).reshape(r, b, c)
+    scattered = (big.T @ g.reshape(-1, c)).reshape(stack.shape)
+    return value, scattered if grad is None else grad + scattered
+
+
+def _bytes_equal(actual, desired):
+    assert actual.dtype == desired.dtype and actual.shape == desired.shape
+    assert actual.tobytes() == desired.tobytes()
+
+
+class TestFormerSamplers:
+    """interp_matrix and sample_stack against the former code, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["uniform", "upper-edge", "below-zero", "inf", "empty"])
+    @pytest.mark.parametrize("dims", [(5,), (4, 6), (2, 2)])
+    def test_interp_matrix_equals_two_branch_oracle(self, dims, case):
+        rng = np.random.default_rng(len(dims) + dims[0])
+        if case == "inf":
+            coords = [np.array([-np.inf, np.inf, 0.5, np.inf])[rng.permutation(4)]
+                      for _ in dims]
+        elif case == "empty":
+            coords = [np.zeros(0) for _ in dims]
+        else:
+            coords = [_sampled(d, 30, case, rng) for d in dims]
+        got, want = ad.interp_matrix(coords, dims), _two_branch_interp_matrix(coords, dims)
+        assert got.shape == want.shape
+        for attr in ("indices", "indptr", "data"):
+            _bytes_equal(getattr(got, attr), getattr(want, attr))
+
+    @pytest.mark.parametrize("preallocated", [True, False])
+    @pytest.mark.parametrize("n", [7, 0])
+    @pytest.mark.parametrize("dims", [(5,), (4, 6)])
+    def test_sample_stack_equals_block_diagonal_oracle(self, dims, n, preallocated):
+        rng = np.random.default_rng(n + len(dims))
+        store = ParamStore()
+        stack = store.add("s", rng.normal(size=(3, *dims, 2)))
+        grad = store.grad("s")
+        grad[...] = rng.normal(size=grad.shape)
+        before = grad.copy()
+        S = ad.interp_matrix([rng.uniform(-0.5, d - 0.5, n) for d in dims], dims)
+        g = rng.normal(size=(3, n, 2))
+        tape = Tape()
+        svar = store.var("s", tape) if preallocated else Var(stack, tape)
+        out = ad.sample_stack(svar, S)
+        tape.backward(ad.vsum(ad.mul(out, g)))
+        value, want = _block_diagonal_sample(stack, S, g, before if preallocated else None)
+        _bytes_equal(out.value, value)
+        _bytes_equal(svar.grad, want)
+        if preallocated:    # summed in place into the store's own array
+            assert svar.grad is grad
 
 
 # every primitive on operands it differentiates: name -> (operand values, call)

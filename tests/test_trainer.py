@@ -615,6 +615,19 @@ class TestOneLeafPerTape:
             assert all(len(ids) == 1 for ids in per_name.values())
             assert len([n for t, n, _ in leaves if id(t) == tape_id]) > len(per_name)
 
+    @pytest.mark.parametrize("variant, nodes", [("siren-resfields", 115), ("triplanes", 147)])
+    def test_fit_step_tape_nodes_are_pinned(self, monkeypatch, variant, nodes):
+        """Leaves, interpolation matrices and the stack sampler's matrices
+        record no node: the pins were read before the per-tape leaf cache,
+        the two-branch interp_matrix and the block-diagonal stack matrix left
+        the engine."""
+        counts = []
+        backward = Tape.backward
+        monkeypatch.setattr(Tape, "backward", lambda tape, out: counts.append(
+            len(tape._nodes)) or backward(tape, out))
+        train(*_tiny_run(steps=3, kind="composite", variant=variant, batch_points=6))
+        assert counts == [nodes] * 3
+
     def test_runlog_rows_carry_gradient_norms(self, monkeypatch):
         norms = []
         step = Adam.step
