@@ -192,8 +192,8 @@ def _parse_times(raw: str) -> list:
 
 
 def _cmd_interp(args) -> int:
-    fld = SplineField.load(args.ckpt)
     times = _parse_times(args.times)
+    fld = SplineField.load(args.ckpt)
     dataio.write_traj(args.out, TrajectorySet(fld.deform(fld.canonical, times)))
     print(f"wrote {args.out}: {len(times)} frames")
     return EXIT_OK

@@ -233,7 +233,7 @@ class SplineField:
         points made for that many knots. It is the one place that adds the
         points to `predict_knot`'s offset. The coupled-4D baseline predicts none."""
         states = {} if states is None else states
-        todo = [k for k in knots if k not in states]
+        todo = [k for k in dict.fromkeys(knots) if k not in states]
         if todo and self.cfg.variant != "coupled4d-baseline":
             spatial = self.encoder.spatial(tape, self.store, self.normalize(points), len(todo))
             for k in todo:

@@ -464,6 +464,12 @@ class TestInterpAdvectFlow:
                    "--out", str(tmp_path / "x.traj")])
         assert rc == 2
 
+    def test_interp_parses_times_before_reading_the_checkpoint(self, tmp_path, capsys):
+        rc = main(["interp", "--ckpt", str(tmp_path / "missing.ckpt"), "--times", "abc",
+                   "--out", str(tmp_path / "x.traj")])
+        assert rc == 2
+        assert "--times" in capsys.readouterr().err
+
     def test_advect_dt_zero_equals_deform(self, tmp_path):
         traj = _gen(tmp_path)
         ckpt = _fit(tmp_path, traj)

@@ -437,6 +437,13 @@ class TestMultiTimeQueries:
         assert [(knots, ks) for _, knots, ks in made] == [
             (4, [2, 3, 0, 1]), (2, [0, 1]), (2, [1, 2]), (2, [0, 1])]
 
+    def test_a_repeated_knot_is_predicted_once(self, monkeypatch):
+        f = _randomized(SplineField(_variant_cfg("triplanes"), _points(8)))
+        made = _spy_spatial(monkeypatch, f)
+        states = f.knot_states(Tape(), _points(5, seed=1), [1, 1, 0])
+        assert list(states) == [1, 0]
+        assert [(knots, ks) for _, knots, ks in made] == [(2, [1, 0])]
+
     def test_a_query_predicts_in_the_order_its_times_read_the_knots(self, monkeypatch):
         f = _randomized(SplineField(_small_cfg(n_knots=6), _points()))
         calls = _count_knot_calls(monkeypatch)
