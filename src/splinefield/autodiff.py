@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
 A forward pass builds a Tape of backward closures; Tape.backward replays them
-in exact reverse execution order, dropping each one as it runs. A ParamStore
-gives each parameter one leaf Var per tape whose grad is the store's array, so
+in exact reverse execution order, dropping each one as it runs. Each use of a
+ParamStore parameter is a new leaf Var whose grad is the store's array, so
 backward sums into it in place: zero the grads first. A NoGradTape runs the
 same forward ops but records nothing, for inference.
 
@@ -50,7 +50,6 @@ class Tape:
     def __init__(self):
         self._nodes = []
         self._used = False
-        self._leaves = {}       # (store, name) -> leaf; dropped by backward
 
     def record(self, backward_fn) -> None:
         self._nodes.append(backward_fn)
@@ -62,7 +61,6 @@ class Tape:
         if self._used:
             raise TapeStateError("backward called twice on the same tape")
         self._used = True
-        self._leaves = None     # breaks the tape -> leaf -> tape cycle
         _accum(output, np.ones_like(output.value))
         # popping frees each closure, and the Vars it holds, once replayed
         nodes, self._nodes = self._nodes, []
@@ -72,10 +70,6 @@ class Tape:
 
 class NoGradTape(Tape):
     """A tape that records nothing: forward values only, no closure kept."""
-
-    def __init__(self):
-        super().__init__()
-        self._leaves = None
 
     def record(self, backward_fn) -> None:
         pass
@@ -130,6 +124,13 @@ def _accum(x, g) -> None:
         x.grad = g.copy()
     else:
         x.grad += g
+
+
+def _grad_buffer(x: Var) -> np.ndarray:
+    """x's gradient array, made zeros first if no gradient has reached x."""
+    if x.grad is None:
+        x.grad = np.zeros_like(x.value)
+    return x.grad
 
 
 def _op(value, tape: Tape, backward) -> Var:
@@ -239,9 +240,7 @@ def take(x: Var, key) -> Var:
     rows along axis 0. Repeated indices sum their gradients."""
 
     def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.value)
-        np.add.at(x.grad, key, g)
+        np.add.at(_grad_buffer(x), key, g)
 
     return _op(np.array(x.value[key]), x.tape, backward)
 
@@ -260,11 +259,9 @@ def weighted_stack_sum(v, stack) -> Var:
         if isinstance(v, Var):
             _accum(v, np.tensordot(sv, g, axes=(tuple(range(1, sv.ndim)), tuple(range(g.ndim)))))
         if isinstance(stack, Var):      # one rank at a time, no [rank, ...] temporary
-            if stack.grad is None:
-                stack.grad = np.zeros_like(sv)
-            term = np.empty_like(g)
+            grad, term = _grad_buffer(stack), np.empty_like(g)
             for r in range(vv.shape[0]):
-                stack.grad[r] += np.multiply(g, vv[r], out=term)
+                grad[r] += np.multiply(g, vv[r], out=term)
 
     return _op(np.tensordot(vv, sv, axes=(0, 0)), _tape_of(v, stack), backward)
 
@@ -293,19 +290,16 @@ def interp_matrix(coords, dims) -> sp.csr_matrix:
     `coords` holds one 1-D array of fractional grid coordinates per axis, in
     grid units [0, D-1]; they are clamped to the border (so +-inf reads the
     edge) and NaN raises ValueError. Row b holds point b's 2 or 4 corner
-    weights; every row has the same nonzero count, so indptr is a stride
+    weights, the products of one (1 - f, f) pair per axis, the first axis
+    fastest; every row has the same nonzero count, so indptr is a stride
     range and no COO conversion or index sort is needed."""
-    if len(coords) == 1:
-        i0, fu = _cell_coords(coords[0], dims[0])
-        cols = i0[:, None] + np.array([0, 1], dtype=np.int32)
-        weights = np.stack([1 - fu, fu], axis=1)
-    else:
-        du, dv = dims
-        i0, fu = _cell_coords(coords[0], du)
-        j0, fv = _cell_coords(coords[1], dv)
-        cols = (i0 * dv + j0)[:, None] + np.array([0, dv, 1, dv + 1], dtype=np.int32)
-        weights = np.stack([(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv],
-                           axis=1)
+    cols, weights = np.zeros((1, 1), dtype=np.int32), np.ones((1, 1))
+    for a, (u, n) in enumerate(zip(coords, dims)):
+        i0, f = _cell_coords(u, n)
+        stride = math.prod(dims[a + 1:])
+        low = cols + (i0 * stride)[:, None]
+        cols = np.concatenate([low, low + stride], axis=1)
+        weights = np.concatenate([weights * (1 - f)[:, None], weights * f[:, None]], axis=1)
     b, k = cols.shape
     return sp.csr_matrix((weights.reshape(-1), cols.reshape(-1),
                           np.arange(0, k * b + 1, k, dtype=np.int32)),
@@ -314,30 +308,23 @@ def interp_matrix(coords, dims) -> sp.csr_matrix:
 
 def _sample_grid(grid: Var, S: sp.csr_matrix, stacked: bool) -> Var:
     """S applied to the cells of one grid [*cells, C] (result [B, C]), or to
-    each grid of a stack [R, *cells, C] (result [R, B, C]) through the
-    block-diagonal matrix of R copies of S. The forward is S @ grid, the
-    backward adds S.T @ g to the grid's gradient."""
+    each grid of a stack [R, *cells, C] in turn (result [R, B, C]). The
+    forward is S @ grid, the backward adds S.T @ g to that grid's slice of
+    the gradient."""
     gv = grid.value
     (b, n_cells), c = S.shape, gv.shape[-1]
     lead = gv.shape[:1] if stacked else ()
     if gv.ndim < 2 + stacked or gv.size != math.prod(lead) * n_cells * c:
         raise ValueError(f"{'stack' if stacked else 'grid'} of shape {gv.shape} does not "
                          f"hold {n_cells} cells per grid")
-    if stacked:
-        r = lead[0]
-        shift = np.arange(r, dtype=np.int32)[:, None]
-        indptr = np.append(S.indptr[:-1] + S.nnz * shift, r * S.nnz).astype(np.int32)
-        S = sp.csr_matrix((np.tile(S.data, r), (S.indices + n_cells * shift).reshape(-1),
-                           indptr), shape=(r * b, r * n_cells))
+    grids = gv.reshape(-1, n_cells, c)
 
     def backward(g):
-        scattered = (S.T @ g.reshape(-1, c)).reshape(gv.shape)
-        if grid.grad is None:
-            grid.grad = scattered
-        else:
-            grid.grad += scattered
+        grad = _grad_buffer(grid)
+        for slot, gr in zip(grad if stacked else grad[None], g.reshape(len(grids), b, c)):
+            slot += (S.T @ gr).reshape(slot.shape)
 
-    return _op((S @ gv.reshape(-1, c)).reshape(*lead, b, c), grid.tape, backward)
+    return _op(np.stack([S @ x for x in grids]).reshape(*lead, b, c), grid.tape, backward)
 
 
 def sample_grid(grid: Var, S: sp.csr_matrix) -> Var:
@@ -407,12 +394,9 @@ class ParamStore:
             g[...] = 0.0
 
     def var(self, name: str, tape: Tape) -> Var:
-        """The parameter's leaf Var on the given tape, one per tape (a NoGradTape
-        gets a fresh one per call). Its grad is the store's gradient array, so
-        backward sums each use into it in place: zero the grads before backward."""
-        leaves = {} if tape._leaves is None else tape._leaves
-        leaf = leaves.get((self, name))
-        if leaf is None:
-            leaf = leaves[self, name] = Var(self._values[name], tape)
-            leaf.grad = self._grads[name]
+        """A new leaf Var of the parameter on the given tape. Its grad is the
+        store's gradient array, so backward sums each use into it in place:
+        zero the grads before backward."""
+        leaf = Var(self._values[name], tape)
+        leaf.grad = self._grads[name]
         return leaf

@@ -591,30 +591,6 @@ class TestOneLeafPerTape:
             np.testing.assert_array_equal(fld.store.grad(name), ref.store.grad(name),
                                           err_msg=name)
 
-    @pytest.mark.parametrize("variant", ["siren-resfields", "triplanes"])
-    def test_fit_step_makes_one_leaf_per_parameter(self, monkeypatch, variant):
-        leaves = []
-        var = ParamStore.var
-
-        def counting_var(store, name, tape):
-            leaf = var(store, name, tape)
-            leaves.append((tape, name, leaf))
-            return leaf
-
-        monkeypatch.setattr(ParamStore, "var", counting_var)
-        traj, split, cfg = _tiny_run(steps=2, kind="composite", variant=variant)
-        fld, _ = train(traj, split, cfg)
-        tapes = {id(t) for t, _, _ in leaves}
-        assert len(tapes) == 2
-        for tape_id in tapes:
-            per_name = {}
-            for t, name, leaf in leaves:
-                if id(t) == tape_id:
-                    per_name.setdefault(name, set()).add(id(leaf))
-            assert sorted(per_name) == sorted(fld.store.names())
-            assert all(len(ids) == 1 for ids in per_name.values())
-            assert len([n for t, n, _ in leaves if id(t) == tape_id]) > len(per_name)
-
     @pytest.mark.parametrize("variant, nodes", [("siren-resfields", 115), ("triplanes", 147)])
     def test_fit_step_tape_nodes_are_pinned(self, monkeypatch, variant, nodes):
         """Leaves, interpolation matrices and the stack sampler's matrices
