@@ -593,10 +593,8 @@ class TestOneLeafPerTape:
 
     @pytest.mark.parametrize("variant, nodes", [("siren-resfields", 115), ("triplanes", 147)])
     def test_fit_step_tape_nodes_are_pinned(self, monkeypatch, variant, nodes):
-        """Leaves, interpolation matrices and the stack sampler's matrices
-        record no node: the pins were read before the per-tape leaf cache,
-        the two-branch interp_matrix and the block-diagonal stack matrix left
-        the engine."""
+        """Tape nodes per fit step. Making a leaf or an interpolation matrix
+        records none, and sampling a stack records one node in all."""
         counts = []
         backward = Tape.backward
         monkeypatch.setattr(Tape, "backward", lambda tape, out: counts.append(
