@@ -206,6 +206,23 @@ class TestFit:
         assert [p.split("=")[0] for p in line[0].split()[3:]] == \
             ["forward", "backward", "optimizer"]
 
+    def test_reports_the_last_total_and_median_phase_times(self, tmp_path, capsys,
+                                                            monkeypatch):
+        logs, train = [], trainer.train
+
+        def recording(*args):
+            fld, log = train(*args)
+            logs.append(log)
+            return fld, log
+        monkeypatch.setattr(trainer, "train", recording)
+        ckpt = _fit(tmp_path, _gen(tmp_path))
+        rows = logs[0].rows
+        med = [np.median([r[f"{k}_ms"] for r in rows])
+               for k in ("forward", "backward", "optimizer")]
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"wrote {ckpt}: final loss {rows[-1]['total']:.6g}",
+            "median step ms: forward={:.3f} backward={:.3f} optimizer={:.3f}".format(*med)]
+
     def test_missing_traj_is_io_error(self, tmp_path):
         rc = main(["fit", "--traj", str(tmp_path / "nope.traj"),
                    "--out", str(tmp_path / "f.ckpt")])

@@ -34,6 +34,16 @@ def _brute_knn(points, k):
     return np.lexsort((np.broadcast_to(np.arange(n), (n, n)), d2), axis=1)[:, :k]
 
 
+def _former_subgraph_closure(graph, rows):
+    """NeighborGraph.subgraph_closure as it was: np.unique, then a remap array
+    with one slot per index up to the largest needed one and -1 elsewhere."""
+    rows = np.asarray(rows)
+    needed = np.unique(np.concatenate([rows, graph.indices[rows].ravel()]))
+    remap = np.full(int(needed.max()) + 1, -1, dtype=np.int64)
+    remap[needed] = np.arange(len(needed))
+    return needed, remap[rows], remap[graph.indices[rows]], graph.weights[rows]
+
+
 class TestKnn:
     def test_collinear_middle_picks_nearer_endpoint(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
@@ -144,6 +154,23 @@ class TestVelocityLoss:
         direct = np.mean([np.sum(g.weights[i] * np.sum(
             (v[i] - v[g.indices[i]]) ** 2, axis=1)) for i in rows])
         assert batched == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("batch", ["random", "largest-index", "every-point", "one-row"])
+    def test_subgraph_closure_equals_remap_oracle(self, seed, batch):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 60))
+        g = build_knn(rng.normal(size=(n, 3)), int(rng.integers(1, 7)))
+        rows = {"random": np.sort(rng.choice(n, n // 3, replace=False)),
+                "largest-index": np.sort(np.append(rng.choice(n - 1, 3, replace=False), n - 1)),
+                "every-point": np.arange(n),
+                "one-row": rng.choice(n, 1)}[batch]
+        got, want = g.subgraph_closure(rows), _former_subgraph_closure(g, rows)
+        if batch == "every-point":
+            np.testing.assert_array_equal(got[0], np.arange(n))
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 class TestAccelerationLoss:

@@ -302,6 +302,21 @@ class TestTrain:
             b"gn:codes,gn:dec.l0.W\r\n"
             b"4,0.5,0.25,0.125,1.0,12.346,1.500,2.250,0.062,3.0,0.1\r\n")
 
+    def test_unweighted_terms_leave_total_equal_to_recon(self):
+        traj, split, cfg = _tiny_run(steps=4, alpha=0.0, beta=0.0)
+        _, log = train(traj, split, cfg)
+        assert [r["total"] for r in log.rows] == [r["recon"] for r in log.rows]
+        assert {(r["lv"], r["lacc"]) for r in log.rows} == {(0.0, 0.0)}
+
+    @pytest.mark.parametrize("batch_points", [0, 6])
+    def test_total_sums_the_weighted_terms_in_order(self, batch_points):
+        traj, split, cfg = _tiny_run(steps=4, alpha=0.7, beta=0.3, batch_points=batch_points)
+        _, log = train(traj, split, cfg)
+        # the decoder starts at zero offsets, so only step 0 has no motion to penalize
+        assert all(r["lv"] > 0 and r["lacc"] > 0 for r in log.rows[1:])
+        assert [r["total"] for r in log.rows] == [
+            r["recon"] + cfg.alpha * r["lv"] + cfg.beta * r["lacc"] for r in log.rows]
+
     def test_batched_points_run(self):
         traj, split, cfg = _tiny_run(steps=5, batch_points=6)
         _, log = train(traj, split, cfg)
