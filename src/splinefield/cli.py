@@ -153,11 +153,10 @@ def _cmd_fit(args) -> int:
     fld.save(args.out)
     if args.log_csv:
         log.write_csv(args.log_csv)
-    print(f"wrote {args.out}: final loss {log.final_total:.6g}")
-    if log.rows:
-        med = {k: np.median([r[k] for r in log.rows])
-               for k in ("forward_ms", "backward_ms", "optimizer_ms")}
-        print("median step ms: " + " ".join(f"{k[:-3]}={v:.3f}" for k, v in med.items()))
+    print(f"wrote {args.out}: final loss {log.rows[-1]['total']:.6g}")
+    med = {k: np.median([r[k] for r in log.rows])
+           for k in ("forward_ms", "backward_ms", "optimizer_ms")}
+    print("median step ms: " + " ".join(f"{k[:-3]}={v:.3f}" for k, v in med.items()))
     return EXIT_OK
 
 

@@ -37,10 +37,9 @@ class NeighborGraph:
         local arrays to reproduce the loss restricted to `rows`.
         """
         rows = np.asarray(rows)
-        needed = np.unique(np.concatenate([rows, self.indices[rows].ravel()]))
-        remap = np.full(int(needed.max()) + 1, -1, dtype=np.int64)
-        remap[needed] = np.arange(len(needed))
-        return needed, remap[rows], remap[self.indices[rows]], self.weights[rows]
+        nbrs = self.indices[rows]
+        needed, local = np.unique(np.concatenate([rows, nbrs.ravel()]), return_inverse=True)
+        return needed, local[:len(rows)], local[len(rows):].reshape(nbrs.shape), self.weights[rows]
 
 
 def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
@@ -104,13 +103,3 @@ def recon_loss_l1(pred: Var, gt) -> Var:
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
     return ad.vmean(ad.absolute(ad.add(pred, -gt)))
-
-
-def total_loss(recon, lv, lacc, alpha: float, beta: float):
-    """recon + alpha * lv + beta * lacc (works on Vars and floats)."""
-    out = recon
-    if alpha != 0.0:
-        out = out + alpha * lv
-    if beta != 0.0:
-        out = out + beta * lacc
-    return out

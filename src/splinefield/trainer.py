@@ -196,16 +196,12 @@ class RunLog:
                           "backward_ms": backward_ms, "optimizer_ms": optimizer_ms,
                           "grad_norms": grad_norms})
 
-    @property
-    def final_total(self) -> float:
-        return self.rows[-1]["total"] if self.rows else float("nan")
-
     def write_csv(self, path) -> None:
         """The losses and wallclock, then the phase times and one `gn:<group>`
         gradient-norm column per parameter group, in store order."""
         terms = ("recon", "lv", "lacc", "total")
         times = ("wallclock_ms", "forward_ms", "backward_ms", "optimizer_ms")
-        groups = list(self.rows[0]["grad_norms"]) if self.rows else []
+        groups = list(self.rows[0]["grad_norms"])
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
             writer.writerow(["step", *terms, *times, *(f"gn:{g}" for g in groups)])
@@ -275,7 +271,8 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
             acc = fld.acceleration_var(tape, batch_pts, t_rand, states=states)
             lacc = losses.acceleration_loss(acc, mode=cfg.accel_mode)
 
-        total = losses.total_loss(recon, lv, lacc, cfg.alpha, cfg.beta)
+        total = recon + cfg.alpha * lv if cfg.alpha > 0 else recon
+        total = total + cfg.beta * lacc if cfg.beta > 0 else total
         if not np.isfinite(total.value):
             raise DivergenceError(f"non-finite loss at step {step}")
 

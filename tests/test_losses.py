@@ -4,7 +4,7 @@ from scipy.spatial import cKDTree
 
 from splinefield import losses
 from splinefield.autodiff import NoGradTape, Tape, Var
-from splinefield.losses import build_knn, knn_indices, total_loss
+from splinefield.losses import build_knn, knn_indices
 
 
 def _value(loss, x, *args, **kw) -> float:
@@ -219,16 +219,3 @@ class TestReconLoss:
         with pytest.raises(ValueError):
             recon_loss_l1(np.zeros((2, 3)), np.zeros((3, 3)))
 
-
-class TestTotalLoss:
-    def test_zero_weights_reduce_to_recon(self):
-        assert total_loss(1.7, 5.0, 9.0, 0.0, 0.0) == 1.7
-
-    def test_default_weights_hand_value(self):
-        assert total_loss(1.0, 2.0, 3.0, 1.0, 0.01) == pytest.approx(3.03)
-
-    def test_linearity_per_term(self):
-        base = total_loss(1.0, 2.0, 4.0, 0.5, 0.25)
-        assert total_loss(2.0, 2.0, 4.0, 0.5, 0.25) - base == pytest.approx(1.0)
-        assert total_loss(1.0, 4.0, 4.0, 0.5, 0.25) - base == pytest.approx(1.0)
-        assert total_loss(1.0, 2.0, 8.0, 0.5, 0.25) - base == pytest.approx(1.0)

@@ -371,7 +371,8 @@ def _three_cache_step(traj, split, cfg):
         if cfg.beta > 0:
             acc = fld.acceleration_var(tape, batch_pts, t_rand, states={})
             lacc = losses.acceleration_loss(acc, mode=cfg.accel_mode)
-    total = losses.total_loss(recon, lv, lacc, cfg.alpha, cfg.beta)
+    total = recon + cfg.alpha * lv if cfg.alpha > 0 else recon
+    total = total + cfg.beta * lacc if cfg.beta > 0 else total
     fld.store.zero_grad()
     tape.backward(total)
     return float(total.value), {n: fld.store.grad(n).copy() for n in fld.store.names()}
