@@ -196,15 +196,22 @@ def write_checkpoint(path, arrays: dict, header: dict | None = None) -> None:
     Layout: magic 'SDFCKPT1', u32 version, u32 header length, UTF-8 JSON
     header, u32 section count, then per section: u16 name length, name,
     u8 shape rank, u32 dims, f32 payload (row-major). Little-endian.
+    An array that is not finite in f32 raises ValueError naming it before
+    the file is opened, since `read_checkpoint` would refuse it.
     """
     hdr = json.dumps(header or {}, sort_keys=True).encode("utf-8")
+    with np.errstate(over="ignore"):    # an overflow to inf is refused below
+        f32 = {name: np.ascontiguousarray(arrays[name], dtype=np.float32)
+               for name in sorted(arrays)}
+    for name, arr in f32.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"array {name!r} is not finite in float32")
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<II", CKPT_VERSION, len(hdr)))
         f.write(hdr)
-        f.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype=np.float32)
+        f.write(struct.pack("<I", len(f32)))
+        for name, arr in f32.items():
             nb = name.encode("utf-8")
             f.write(struct.pack("<H", len(nb)))
             f.write(nb)

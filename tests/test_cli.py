@@ -223,6 +223,15 @@ class TestFit:
             f"wrote {ckpt}: final loss {rows[-1]['total']:.6g}",
             "median step ms: forward={:.3f} backward={:.3f} optimizer={:.3f}".format(*med)]
 
+    def test_parameters_beyond_float32_write_no_checkpoint(self, tmp_path, capsys):
+        traj = _gen(tmp_path, kind="composite", points=80, frames=9)
+        ckpt = tmp_path / "f.ckpt"
+        assert main(["fit", "--traj", str(traj), "--out", str(ckpt), "--steps", "2",
+                     "--lr", "1e40"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: array 'codes' is not finite in float32"]
+        assert not ckpt.exists()
+
     def test_missing_traj_is_io_error(self, tmp_path):
         rc = main(["fit", "--traj", str(tmp_path / "nope.traj"),
                    "--out", str(tmp_path / "f.ckpt")])
@@ -602,10 +611,12 @@ class TestMalformedInput:
 
 
 def _nan_in_bias(ckpt, bad):
-    """One NaN in dec.l0.b."""
-    arrays, header = dataio.read_checkpoint(ckpt)
-    arrays["dec.l0.b"][0] = np.nan
-    dataio.write_checkpoint(bad, arrays, header)
+    """One NaN in dec.l0.b, patched into the bytes: write_checkpoint refuses it."""
+    data = bytearray(ckpt.read_bytes())
+    name = b"dec.l0.b"
+    rank_at = data.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
+    struct.pack_into("<f", data, rank_at + 1 + 4 * data[rank_at], np.nan)
+    bad.write_bytes(bytes(data))
 
 
 def _second_canonical(ckpt, bad):

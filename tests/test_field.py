@@ -506,6 +506,14 @@ class TestCheckpoint:
         g = SplineField.load(path)
         assert g.store.names() == [name for name, _, _ in g.params()]
 
+    def test_a_parameter_beyond_float32_is_refused_before_writing(self, tmp_path):
+        f = SplineField(_small_cfg(), _points())
+        f.store.value("dec.l0.W")[1, 2] = 1e39
+        path = tmp_path / "field.ckpt"
+        with pytest.raises(ValueError, match="'dec.l0.W' is not finite in float32"):
+            f.save(path)
+        assert not path.exists()
+
     def test_save_is_deterministic(self, tmp_path):
         f = SplineField(_small_cfg(), _points())
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
