@@ -1,4 +1,5 @@
-"""Trajectory container, frame splits, synthetic scenes, and file formats.
+"""Trajectory container, frame splits, synthetic scenes, file formats, and
+the configs' type rule (`check_config`).
 
 Trajectory files use a small binary layout: an 8-byte magic "SDFTRAJ1",
 a u32 frame count T, a u32 point count N_p, then T*N_p*3 little-endian
@@ -9,11 +10,13 @@ f32 arrays and a JSON header; `write_checkpoint` documents the layout.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,13 +27,37 @@ CKPT_VERSION = 1
 SYNTHETIC_KINDS = ("rigid-translate", "rotate", "bending-sheet",
                    "swing-arm", "composite")
 
-__all__ = ["FormatError", "TrajectorySet", "SplitSpec", "Split", "split_frames",
-           "gen_synthetic", "write_traj", "read_traj", "write_checkpoint",
+__all__ = ["FormatError", "check_config", "TrajectorySet", "SplitSpec", "Split",
+           "split_frames", "gen_synthetic", "write_traj", "read_traj", "write_checkpoint",
            "read_checkpoint", "export_ply", "flow_colors"]
 
 
 class FormatError(Exception):
     """Malformed checkpoint or trajectory file."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# a config key's type, by the type of its default: (test, requirement)
+_TYPES = {int: (_is_int, "an integer"),
+          float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+          bool: (lambda v: isinstance(v, bool), "a bool"),
+          tuple: (lambda v: all(map(_is_int, v)), "integers"),
+          str: (lambda v: isinstance(v, str), "a string")}
+
+
+def check_config(config, checks) -> None:
+    """Raise ValueError "<key> must be <requirement>, got <value>" at the first
+    failed check of the dataclass `config`: first each key's type, read from
+    its default, then `checks`, (key, ok, requirement) triples made lazily, so
+    that each may assume the types."""
+    types = ((f.name, *_TYPES[type(f.default)]) for f in fields(config))
+    typed = ((name, test(getattr(config, name)), want) for name, test, want in types)
+    for name, ok, want in itertools.chain(typed, checks):
+        if not ok:
+            raise ValueError(f"{name} must be {want}, got {getattr(config, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -70,10 +97,11 @@ class SplitSpec:
     supervised_fraction: float = 0.25
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if not 0.0 < self.supervised_fraction <= 1.0:
-            raise ValueError("supervised_fraction must be in (0, 1]")
+        check_config(self, self._checks())
+
+    def _checks(self):
+        yield "stride", self.stride >= 1, ">= 1"
+        yield "supervised_fraction", 0.0 < self.supervised_fraction <= 1.0, "in (0, 1]"
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ with velocity/acceleration obtained by central finite differences in t.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -61,11 +60,6 @@ CODE_INIT_STD = 1e-2      # per-knot temporal codes ~ N(0, (1e-2)^2)
 PE_FREQUENCIES_MAX = 52
 _FD_T_EPS = 1e-4  # time step for the coupled baseline's FD derivatives
 _GRIDS = {"triplanes": enc.TriplaneEncoder, "triaxes": enc.TriaxesEncoder}
-_SIZES = ("n_knots", "rank", "hidden", "depth", "pe_frequencies", "grid_channels")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass
@@ -83,16 +77,10 @@ class FieldConfig:
 
     def __post_init__(self):
         self.grid_levels = tuple(self.grid_levels)
-        for name, ok, want in self._checks():
-            if not ok:
-                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
+        dataio.check_config(self, self._checks())
 
     def _checks(self):
-        # (field, ok, requirement); every type is checked before any value is compared
-        yield from ((k, _is_int(getattr(self, k)), "an integer") for k in _SIZES)
-        yield "grid_levels", all(map(_is_int, self.grid_levels)), "integers"
-        yield "quintic", isinstance(self.quintic, bool), "a bool"
-        yield "w0", isinstance(self.w0, numbers.Real) and not isinstance(self.w0, bool), "a number"
+        # (field, ok, requirement); check_config has checked every key's type
         yield from [
                 ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
                 ("n_knots", self.n_knots >= 2, ">= 2"), ("rank", self.rank >= 0, ">= 0"),

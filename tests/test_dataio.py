@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -98,6 +99,15 @@ class TestSplit:
             SplitSpec(stride=0)
         with pytest.raises(ValueError):
             SplitSpec(supervised_fraction=0.0)
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(stride=2.5), "stride must be an integer, got 2.5"),
+        (dict(stride=True), "stride must be an integer, got True"),
+        (dict(supervised_fraction="0.5"), "supervised_fraction must be a number, got '0.5'"),
+        (dict(supervised_fraction=False), "supervised_fraction must be a number, got False")])
+    def test_spec_key_of_the_wrong_type_is_named(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SplitSpec(**bad)
 
 
 class TestTrajFormat:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -207,6 +208,29 @@ class TestRunConfigParsing:
             TrainConfig(knn_k=k)
         with pytest.raises(ValueError, match="knn_k"):
             parse_run_config([f"knn_k={k}"])
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("bad, message", [
+        (dict(steps=2.5), "steps must be an integer, got 2.5"),
+        (dict(steps=True), "steps must be an integer, got True"),
+        (dict(lr="0.1"), "lr must be a number, got '0.1'"),
+        (dict(accel_mode=1), "accel_mode must be a string, got 1")])
+    def test_a_key_of_the_wrong_type_is_named_at_construction(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**bad)
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(TrainConfig)])
+    def test_every_key_checks_the_type_of_its_default(self, key):
+        default = getattr(TrainConfig(), key)
+        wrong = {bool: 1, int: True, float: "1", str: 1, tuple: (1.5,)}[type(default)]
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            TrainConfig(**{key: wrong})
+        assert getattr(TrainConfig(**{key: default}), key) == default
+
+    def test_numbers_of_other_types_are_accepted(self):
+        cfg = TrainConfig(steps=np.int64(3), lr=1, alpha=np.float32(0.5), seed=np.uint8(2))
+        assert (cfg.steps, cfg.lr, cfg.alpha, cfg.seed) == (3, 1, 0.5, 2)
 
 
 class TestOneDefault:
