@@ -5,7 +5,8 @@ The velocity loss penalizes squared velocity differences between each point
 and its k nearest canonical-space neighbors, weighted by normalized inverse
 distance. The acceleration loss is the mean absolute component of the
 analytic acceleration (an L2-norm alternative is available via `mode`).
-Each loss takes Vars and returns a scalar Var.
+Each loss takes Vars and returns a scalar Var. Which terms a step computes,
+and their weighted sum, are the trainer's.
 """
 
 from __future__ import annotations

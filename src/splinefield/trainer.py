@@ -10,7 +10,10 @@ smaller than the velocity term's neighbor closure, those two knots run on
 the closure and each Var of their states is sliced to the batch rows;
 `SplineField.knot_states` then predicts the batch's other knots from one
 encoder `spatial` of the batch, made for that many knots (see
-`encoders.TriplaneEncoder`), and all three terms share the states.
+`encoders.TriplaneEncoder`), and all three terms share the states. The step
+computes the velocity term only for alpha > 0 and the acceleration term only
+for beta > 0, and sums recon + alpha * lv + beta * lacc over the terms it
+computed.
 Parameters update with Adam; grid and temporal-code parameters get a 10x
 learning rate. Adam's squared-norm pass per gradient checks finiteness and
 gives the run log's per-group gradient norms; its update runs in place, in
@@ -185,6 +188,8 @@ class Adam:
 
 @dataclass
 class RunLog:
+    """One row per step; a fit logs at least one, as TrainConfig checks steps >= 1."""
+
     rows: list = dc_field(default_factory=list)
 
     def record(self, step, recon, lv, lacc, total, wallclock_ms, forward_ms,
