@@ -4,7 +4,9 @@ the configs' type rule (`check_config`).
 Trajectory files use a small binary layout: an 8-byte magic "SDFTRAJ1",
 a u32 frame count T, a u32 point count N_p, then T*N_p*3 little-endian
 f32 positions ordered frame-major. Total size is 16 + 4*T*N_p*3 bytes.
-Every position must be finite. Checkpoints (magic "SDFCKPT1") hold named
+Every position must be finite; both readers check that on the f32 values,
+before the cast to float64, which would raise numpy's invalid-value warning
+on a signaling NaN. Checkpoints (magic "SDFCKPT1") hold named
 f32 arrays and a JSON header; `write_checkpoint` documents the layout.
 """
 
@@ -14,6 +16,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import struct
 import warnings
 from dataclasses import dataclass, fields
@@ -23,6 +26,7 @@ import numpy as np
 TRAJ_MAGIC = b"SDFTRAJ1"
 CKPT_MAGIC = b"SDFCKPT1"
 CKPT_VERSION = 1
+READ_CHUNK = 1 << 20    # f32 payload bytes `read_traj` converts at once, whole frames
 
 SYNTHETIC_KINDS = ("rigid-translate", "rotate", "bending-sheet",
                    "swing-arm", "composite")
@@ -60,6 +64,16 @@ def check_config(config, checks) -> None:
             raise ValueError(f"{name} must be {want}, got {getattr(config, name)!r}")
 
 
+def _check_finite(p: np.ndarray, first_frame: int = 0) -> None:
+    """Raise ValueError naming the first point of the [T, N_p, 3] positions p
+    (frame 0 of p being frame `first_frame`) that is not finite. The test
+    reads p's min and max, which NaN propagates to, so it makes no [T, N_p, 3]
+    temporary and, on f32, no cast."""
+    if p.size and not (np.isfinite(p.min()) and np.isfinite(p.max())):
+        frame, point = np.argwhere(~np.isfinite(p).all(axis=2))[0]
+        raise ValueError(f"non-finite position at frame {first_frame + frame}, point {point}")
+
+
 @dataclass(frozen=True)
 class TrajectorySet:
     """Dense point trajectories, positions[t, i] is point i at frame t."""
@@ -71,9 +85,7 @@ class TrajectorySet:
             raise ValueError(f"positions must be [T, N_p, 3], got {p.shape}")
         if p.shape[1] < 1:
             raise ValueError(f"need at least one point per frame, got N_p={p.shape[1]}")
-        if not np.isfinite(p).all():
-            frame, point = np.argwhere(~np.isfinite(p).all(axis=2))[0]
-            raise ValueError(f"non-finite position at frame {frame}, point {point}")
+        _check_finite(p)
         object.__setattr__(self, "positions", p)
 
     @property
@@ -199,23 +211,36 @@ def write_traj(path, traj: TrajectorySet) -> None:
 
 
 def read_traj(path) -> TrajectorySet:
+    """Read a trajectory file into a float64 TrajectorySet. The payload is
+    read, checked and converted into the result READ_CHUNK bytes of whole
+    frames at a time, so the file is never held whole, as bytes or as f32. A
+    wrong size or magic, or a non-finite position, raises FormatError."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 16:
-        raise FormatError(f"file truncated at byte {len(blob)}: header needs 16 bytes")
-    if blob[:8] != TRAJ_MAGIC:
-        raise FormatError(f"bad magic at byte 0: {blob[:8]!r}")
-    n_frames, n_points = struct.unpack_from("<II", blob, 8)
-    expect = 16 + 4 * n_frames * n_points * 3
-    if len(blob) != expect:
-        raise FormatError(
-            f"payload size mismatch at byte 16: have {len(blob)} bytes, "
-            f"expected {expect} for T={n_frames}, N_p={n_points}")
-    pos = np.frombuffer(blob, dtype="<f4", offset=16).reshape(n_frames, n_points, 3)
-    try:
-        return TrajectorySet(pos.astype(np.float64))
-    except ValueError as e:
-        raise FormatError(f"bad trajectory payload at byte 16: {e}") from None
+        size = os.fstat(f.fileno()).st_size
+        if size < 16:
+            raise FormatError(f"file truncated at byte {size}: header needs 16 bytes")
+        head = f.read(16)
+        if head[:8] != TRAJ_MAGIC:
+            raise FormatError(f"bad magic at byte 0: {head[:8]!r}")
+        n_frames, n_points = struct.unpack_from("<II", head, 8)
+        expect = 16 + 4 * n_frames * n_points * 3
+        if size != expect:
+            raise FormatError(
+                f"payload size mismatch at byte 16: have {size} bytes, "
+                f"expected {expect} for T={n_frames}, N_p={n_points}")
+        pos = np.empty((n_frames, n_points, 3))
+        step = max(1, READ_CHUNK // max(1, 12 * n_points))   # frames per chunk
+        buf = np.empty((min(step, n_frames), n_points, 3), dtype="<f4")
+        try:
+            for lo in range(0, n_frames, step):
+                f32 = buf[:n_frames - lo]
+                if f.readinto(f32) != f32.nbytes:
+                    raise FormatError(f"file truncated at byte {f.tell()}")
+                _check_finite(f32, lo)
+                pos[lo:lo + len(f32)] = f32
+            return TrajectorySet(pos)
+        except ValueError as e:
+            raise FormatError(f"bad trajectory payload at byte 16: {e}") from None
 
 
 def write_checkpoint(path, arrays: dict, header: dict | None = None) -> None:
@@ -283,10 +308,10 @@ def read_checkpoint(path):
             payload = data[off:off + 4 * n]
             if len(payload) != 4 * n:
                 raise FormatError(f"truncated payload for {name!r} at byte {off}")
-            arr = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
-            if not np.isfinite(arr).all():
+            arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
+            if not np.isfinite(arr).all():     # on f32: a signaling NaN's cast warns
                 raise FormatError(f"non-finite value in array {name!r} at byte {off}")
-            arrays[name] = arr
+            arrays[name] = arr.astype(np.float64)
             off += 4 * n
     except struct.error as e:
         raise FormatError(f"truncated file at byte {off}: {e}") from None

@@ -22,14 +22,20 @@ query or loss at time t reads the two knots around t, so each call names
 the knots it needs: `SplineField.knot_states` predicts, in the order
 listed, each one the dict lacks, all from one encoder `spatial` of the
 points (the time-invariant half of the encoder's work, see `encoders`)
-made for that many knots. `derivative_var` asks for its two knots, a no-op
+made for that many knots. On a NoGradTape it does so per fixed block of
+at most QUERY_BLOCK points, one `spatial` each, and joins the blocks, so
+activations are [block, hidden], not [N, hidden]; a training tape predicts
+over all points at once. `derivative_var` asks for its two knots, a no-op
 when its caller listed them. The plain-array queries (`deform`,
 `velocity`, `acceleration`, `advect`) take a 1-D sequence of times, or one
 time as a sequence of one, list the segment knots of all their times in
-first-use order, and run on a NoGradTape. A loaded field is read-only (its
-canonical points, normalizer center and parameter arrays raise ValueError
-on a write), so it keeps one dict for its canonical points: each knot is
-predicted at most once per loaded field, by the first query that needs it.
+first-use order, and run on a NoGradTape. A multi-time query fills one
+[T, N, 3] output frame by frame; `deform_frames` hands the frames out one
+at a time instead, to a caller that keeps few of them (`trainer.evaluate`).
+A loaded field is read-only (its canonical points, normalizer center and
+parameter arrays raise ValueError on a write), so it keeps one dict for its
+canonical points: each knot is predicted at most once per loaded field, by
+the first query that needs it.
 Other point sets, and fields built from a seed (which training updates in
 place), get a new dict per call, which predicts each knot once.
 
@@ -59,6 +65,10 @@ CODE_INIT_STD = 1e-2      # per-knot temporal codes ~ N(0, (1e-2)^2)
 # periods and sin, cos carry nothing; 2.0 ** l itself overflows at l = 1024.
 PE_FREQUENCIES_MAX = 52
 _FD_T_EPS = 1e-4  # time step for the coupled baseline's FD derivatives
+# Most points per block of a query's knot predictions. BLAS picks its kernel
+# by a matrix's row count and pairs rows, so the blocks share one even size of
+# about half this or more (see `_blocks`): each row sums as when unblocked.
+QUERY_BLOCK = 4096
 _GRIDS = {"triplanes": enc.TriplaneEncoder, "triaxes": enc.TriaxesEncoder}
 
 
@@ -91,6 +101,14 @@ class FieldConfig:
                 ("grid_channels", self.grid_channels >= 1, ">= 1"),
                 ("grid_levels", bool(self.grid_levels) and min(self.grid_levels) >= 2,
                  "non-empty with each level >= 2")]
+
+
+def _blocks(n: int) -> list:
+    """Row slices covering n points, as few as keep each within QUERY_BLOCK
+    rows, all of one even size but the last."""
+    count = max(1, -(-n // QUERY_BLOCK))
+    step = max(2, 2 * -(-n // (2 * count)))
+    return [slice(lo, lo + step) for lo in range(0, max(n, 1), step)]
 
 
 def _times(name: str, value, scalar: bool = False) -> np.ndarray:
@@ -218,15 +236,25 @@ class SplineField:
         """`states` (a new dict if None), knot index -> (position, tangent[,
         curvature]) on `points`, with each of the distinct `knots` it lacks
         predicted in the order listed, all from one encoder `spatial` of the
-        points made for that many knots. It is the one place that adds the
-        points to `predict_knot`'s offset. The coupled-4D baseline predicts none."""
+        points made for that many knots, or on a NoGradTape one per block of
+        `_blocks`, told the size of the whole set. It is the one place that
+        adds the points to `predict_knot`'s offset. The coupled-4D baseline
+        predicts none."""
         states = {} if states is None else states
         todo = [k for k in dict.fromkeys(knots) if k not in states]
-        if todo and self.cfg.variant != "coupled4d-baseline":
-            spatial = self.encoder.spatial(tape, self.store, self.normalize(points), len(todo))
+        if not todo or self.cfg.variant == "coupled4d-baseline":
+            return states
+        x = self.normalize(points)
+        parts = {k: [] for k in todo}
+        for rows in _blocks(len(x)) if isinstance(tape, NoGradTape) else [slice(None)]:
+            # the whole set's size picks the grid encoder's case in every block
+            spatial = self.encoder.spatial(tape, self.store, x[rows], len(todo), len(x))
             for k in todo:
-                offset, *rest = self.predict_knot(tape, spatial, k)
-                states[k] = (ad.add(offset, np.asarray(points, dtype=np.float64)), *rest)
+                parts[k].append(self.predict_knot(tape, spatial, k))
+        for k in todo:
+            offset, *rest = (p[0] if len(p) == 1 else ad.concat(p, axis=0)
+                             for p in zip(*parts.pop(k)))
+            states[k] = (ad.add(offset, np.asarray(points, dtype=np.float64)), *rest)
         return states
 
     def derivative_var(self, tape, points, t_query, order: int,
@@ -273,18 +301,36 @@ class SplineField:
         """Differentiable acceleration at t_query (t-bar units)."""
         return self.derivative_var(tape, points, t_query, 2, states)
 
-    def _query(self, var_fn, points, t_query, **kw) -> np.ndarray:
-        """var_fn's values at a 1-D sequence of times, or at one time unstacked,
-        from the states of all their knots: the loaded field's canonical dict
-        when `points` equal (shape and values) its canonical points, else a new one."""
-        times = _times("t_query", t_query)
-        flat = times.reshape(-1)
+    def _states(self, points, times) -> tuple:
+        """A NoGradTape and the states of every knot `times` read: the loaded
+        field's canonical dict when `points` equal (shape and values) its
+        canonical points, else a new one."""
         tape, states = NoGradTape(), self._canonical_states
         if states is None or not np.array_equal(points, self.canonical):
             states = {}
-        self.knot_states(tape, points, spline.segment_knots(flat, self.cfg.n_knots), states)
-        values = [var_fn(tape, points, float(t), states=states, **kw).value for t in flat]
-        return np.stack(values) if times.ndim else values[0]
+        self.knot_states(tape, points, spline.segment_knots(times, self.cfg.n_knots), states)
+        return tape, states
+
+    def _frames(self, var_fn, points, times, **kw):
+        """var_fn's values at each of the 1-D `times` in turn, a generator:
+        the first frame predicts every knot the times read."""
+        tape, states = self._states(points, times)
+        for t in times:
+            yield var_fn(tape, points, float(t), states=states, **kw).value
+
+    def _query(self, var_fn, points, t_query, **kw) -> np.ndarray:
+        """var_fn's values at a 1-D sequence of times, filled into one [T, N,
+        3] array, or at one time unstacked, with no generator or copy."""
+        times = _times("t_query", t_query)
+        if not times.ndim:
+            tape, states = self._states(points, times.reshape(1))
+            return var_fn(tape, points, float(times), states=states, **kw).value
+        out = None
+        for i, frame in enumerate(self._frames(var_fn, points, times, **kw)):
+            if out is None:
+                out = np.empty((times.size, *frame.shape))
+            out[i] = frame
+        return out
 
     def deform(self, points, t_query) -> np.ndarray:
         """Positions at t_query: [N, 3] for a scalar, [T, N, 3] for a 1-D sequence.
@@ -293,6 +339,12 @@ class SplineField:
         each knot it needs once per call, whatever the number of times, or
         once per loaded field on its canonical points."""
         return self._query(self.deform_var, points, t_query)
+
+    def deform_frames(self, points, times):
+        """`deform` at each of `times` (a number or a 1-D sequence), one [N, 3]
+        frame at a time from a generator that keeps none of them: each knot is
+        predicted once, by the first frame, as by a multi-time `deform`."""
+        return self._frames(self.deform_var, points, _times("times", times).reshape(-1))
 
     def velocity(self, points, t_query, physical: bool = False) -> np.ndarray:
         return self._query(self.velocity_var, points, t_query, physical=physical)

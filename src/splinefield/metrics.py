@@ -12,8 +12,10 @@ energy:
 This yields exactly 1 for uniform motion and ~0 for independent noise.
 A sequence is scored per transition between consecutive frames, with None for
 a transition that has no motion. `trainer.evaluate` passes the held-out
-frames, so a transition may span training frames between them; it also
-holds eval's default K and EPE scale, which are required here.
+frames one transition at a time, so a transition may span training frames
+between them, and has `epe` write each frame's per-point errors into one
+[T, N] array; it also holds eval's default K and EPE scale, which are
+required here.
 """
 
 from __future__ import annotations
@@ -85,16 +87,19 @@ def morans_i_frame(positions: np.ndarray, vectors: np.ndarray, k: int):
     return float(np.mean(scores))
 
 
-def morans_i_sequence(positions: np.ndarray, k: int) -> list:
+def morans_i_sequence(positions, k: int) -> list:
     """Mean Moran's I of each consecutive-frame transition of a [T, N_p, 3]
-    trajectory: T - 1 entries, the one for frames t -> t+1 at index t, each
-    None if that transition has no motion."""
+    trajectory, or of a sequence of its [N_p, 3] frames: T - 1 entries, the
+    one for frames t -> t+1 at index t, each None if that transition has no
+    motion."""
     vectors = motion_vectors(positions)
     return [morans_i_frame(positions[t], vectors[t], k) for t in range(vectors.shape[0])]
 
 
-def epe(pred: np.ndarray, gt: np.ndarray, scale: float) -> float:
-    """Mean Euclidean end-point error over all (point, frame) pairs, scaled."""
+def epe(pred: np.ndarray, gt: np.ndarray, scale: float, out=None) -> float:
+    """Mean Euclidean end-point error over all (point, frame) pairs, scaled;
+    `out`, if given, receives the per-pair errors (pred's shape without its
+    last axis)."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
@@ -102,7 +107,7 @@ def epe(pred: np.ndarray, gt: np.ndarray, scale: float) -> float:
     # the sum of squares np.linalg.norm takes, in place: one temporary, not three
     sq = pred - gt
     sq *= sq
-    return float(np.mean(np.sqrt(sq.sum(axis=-1)))) * scale
+    return float(np.mean(np.sqrt(sq.sum(axis=-1), out=out))) * scale
 
 
 def write_report(path, rows) -> None:

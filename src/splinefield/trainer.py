@@ -313,10 +313,13 @@ def evaluate(field: SplineField, traj: TrajectorySet, split: Split,
              k: int = 10, scale: float = 1e4):
     """End-point error and motion coherence on the split's held-out frames.
 
-    All frames are deformed by one multi-time `field.deform` call, which runs
-    without recording a tape and predicts each knot once. Moran's I scores the
-    transitions between consecutive held-out frames, so with stride 4 the
-    3 -> 5 transition spans training frame 4. Returns (summary dict with
+    The frames stream from one `field.deform_frames` generator, which runs
+    without recording a tape and predicts each knot once. Only the current
+    frame and the one before it are live, next to the knot states and one
+    [T, N] array of per-point errors: the summary EPE is that array's mean
+    and each row's EPE its row's. Moran's I scores the transitions between
+    consecutive held-out frames, each from its two frames, so with stride 4
+    the 3 -> 5 transition spans training frame 4. Returns (summary dict with
     `epe`, `mean_I`, `n_frames` and `skipped`, the frames whose outgoing
     transition had no motion; per-frame rows, each with its outgoing
     transition's `mean_I`, None on the last). A trajectory whose point
@@ -332,15 +335,18 @@ def evaluate(field: SplineField, traj: TrajectorySet, split: Split,
     frames = list(split.test_frames)
     if not frames:
         raise ValueError("no frames to evaluate")
-    preds = field.deform(field.canonical, [traj.frame_time(t) for t in frames])
-    gts = traj.positions[frames]
-    scores = metrics.morans_i_sequence(preds, k=k) if len(frames) >= 2 else []
-    rows = [{"frame_idx": t, "mean_I": score,
-             "epe": metrics.epe(preds[j], gts[j], scale=scale), "n_points": n}
-            for j, (t, score) in enumerate(zip(frames, scores + [None]))]
-    scored = [s for s in scores if s is not None]
-    summary = {"epe": metrics.epe(preds, gts, scale=scale),
+    preds = field.deform_frames(field.canonical, [traj.frame_time(t) for t in frames])
+    errors = np.empty((len(frames), n))
+    rows, prev = [], None
+    for j, (t, pred) in enumerate(zip(frames, preds)):
+        if prev is not None:
+            rows[-1]["mean_I"] = metrics.morans_i_sequence((prev, pred), k=k)[0]
+        err = metrics.epe(pred, traj.positions[t], scale, out=errors[j])
+        rows.append({"frame_idx": t, "mean_I": None, "epe": err, "n_points": n})
+        prev = pred
+    scored = [r["mean_I"] for r in rows[:-1] if r["mean_I"] is not None]
+    summary = {"epe": float(np.mean(errors)) * scale,
                "mean_I": float(np.mean(scored)) if scored else float("nan"),
                "n_frames": len(frames),
-               "skipped": [t for t, s in zip(frames, scores) if s is None]}
+               "skipped": [r["frame_idx"] for r in rows[:-1] if r["mean_I"] is None]}
     return summary, rows

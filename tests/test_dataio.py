@@ -1,5 +1,7 @@
 import re
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +159,56 @@ class TestTrajFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="frame 2, point 5"):
             read_traj(path)
+
+    def test_a_chunked_read_is_bitwise_the_one_chunk_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.traj"
+        write_traj(path, gen_synthetic("composite", 50, 11, seed=2))
+        whole = read_traj(path).positions
+        monkeypatch.setattr(dataio, "READ_CHUNK", 3 * 50 * 12)     # 3 frames a chunk
+        assert np.array_equal(read_traj(path).positions, whole)
+
+    def test_a_later_chunk_names_the_frame_of_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "nan.traj"
+        write_traj(path, gen_synthetic("rotate", 6, 11, seed=0))
+        blob = bytearray(path.read_bytes())
+        off = 16 + 4 * ((7 * 6 + 3) * 3 + 1)        # frame 7, point 3, y
+        blob[off:off + 4] = np.array([np.inf], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        monkeypatch.setattr(dataio, "READ_CHUNK", 3 * 6 * 12)
+        with pytest.raises(FormatError, match="at byte 16: non-finite position at frame 7, "
+                                              "point 3$"):
+            read_traj(path)
+
+    def test_peak_memory_is_the_result_and_one_chunk(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.traj"
+        write_traj(path, gen_synthetic("composite", 2000, 40, seed=0))
+        # four frames a chunk, with most of a fifth to spare for the file object
+        monkeypatch.setattr(dataio, "READ_CHUNK", 5 * 2000 * 12 - 1, raising=False)
+        tracemalloc.start()
+        try:
+            back = read_traj(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole file as bytes, then as float64 and its finiteness mask took 1.6x
+        assert peak < back.positions.nbytes + dataio.READ_CHUNK
+
+    @pytest.mark.parametrize("kind", ["traj", "ckpt"])
+    def test_a_signaling_nan_is_a_format_error_with_no_warning(self, tmp_path, kind):
+        # float32 bits 0x7f800001 raise numpy's invalid-value warning in a cast
+        path = tmp_path / f"snan.{kind}"
+        if kind == "traj":
+            write_traj(path, gen_synthetic("rotate", 6, 4, seed=0))
+            read, named = read_traj, "non-finite position at frame 3, point 5$"
+        else:
+            write_checkpoint(path, {"w": np.zeros((2, 3))})
+            read, named = read_checkpoint, "non-finite value in array 'w'"
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-4] + struct.pack("<I", 0x7F800001))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=named):
+                read(path)
 
     # `ckpt` holds one section, "w" of shape [2, 3]: a 6-float payload after
     # its u8 rank and two u32 dims

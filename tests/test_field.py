@@ -5,6 +5,7 @@ import pytest
 
 from splinefield import autodiff as ad
 from splinefield import dataio, spline, trainer
+from splinefield import field as field_module
 from splinefield.autodiff import Tape
 from splinefield.field import VARIANTS, FieldConfig, SplineField
 
@@ -324,8 +325,8 @@ def _spy_spatial(monkeypatch, f) -> list:
     made = []
     spatial, predict = f.encoder.spatial, SplineField.predict_knot
 
-    def spying(tape, store, x_norm, knots):
-        made.append([spatial(tape, store, x_norm, knots), knots, []])
+    def spying(tape, store, x_norm, knots, n_points):
+        made.append([spatial(tape, store, x_norm, knots, n_points), knots, []])
         return made[-1][0]
 
     def counting(self, tape, sp, k):
@@ -380,9 +381,9 @@ class TestMultiTimeQueries:
         calls = []
         spatial = f.encoder.spatial
 
-        def counting(tape, store, x_norm, knots):
+        def counting(tape, store, x_norm, knots, n_points):
             calls.append((len(x_norm), knots))
-            return spatial(tape, store, x_norm, knots)
+            return spatial(tape, store, x_norm, knots, n_points)
         monkeypatch.setattr(f.encoder, "spatial", counting)
         f.deform(f.canonical, np.linspace(0.0, 1.0, 25))
         f.deform(f.canonical, [0.1, 0.2, 0.3])
@@ -455,6 +456,78 @@ class TestMultiTimeQueries:
         expected = (f.deform(f.canonical, 0.7)
                     + f.velocity(f.canonical, 0.7, physical=True) * 0.25)
         assert np.array_equal(f.advect(f.canonical, 0.7, 0.25), expected)
+
+
+_BLOCK_CASES = [(v, False) for v in VARIANTS] + [
+    (v, True) for v in VARIANTS if v != "coupled4d-baseline"]
+
+
+def _every_query(f, pts) -> list:
+    """Every plain-array query of pts: multi-time, single-time and streamed."""
+    return [f.deform(pts, _TIMES), f.velocity(pts, _TIMES), f.acceleration(pts, _TIMES),
+            f.velocity(pts, _TIMES, physical=True), f.deform(pts, 0.62),
+            f.velocity(pts, 0.3), f.acceleration(pts, 1.0), f.advect(pts, 0.3, 0.25),
+            np.stack(list(f.deform_frames(pts, _TIMES)))]
+
+
+class TestQueryBlocks:
+    @pytest.mark.parametrize("variant,quintic", _BLOCK_CASES)
+    def test_blocked_queries_equal_the_unblocked_call(self, monkeypatch, variant, quintic):
+        # 300 points in blocks of at most 64: five blocks of 60 rows
+        pts = _points(300, seed=4)
+        f = _randomized(SplineField(_variant_cfg(variant, quintic), pts))
+        monkeypatch.setattr(field_module, "QUERY_BLOCK", 10 ** 9)
+        whole = _every_query(f, pts)
+        monkeypatch.setattr(field_module, "QUERY_BLOCK", 64)
+        blocked = _every_query(f, pts)
+        for i, (got, want) in enumerate(zip(blocked, whole)):
+            assert np.array_equal(got, want), i
+        calls = _count_knot_calls(monkeypatch)
+        f.deform(pts, _TIMES)
+        assert len(calls) == (0 if variant == "coupled4d-baseline" else 5 * f.cfg.n_knots)
+
+    @pytest.mark.parametrize("variant,quintic", [("siren-resfields", False),
+                                                 ("pe-resfields", True)])
+    def test_one_point_past_a_block_keeps_the_bits(self, monkeypatch, variant, quintic):
+        # two blocks of about 2048 rows; blocks of 4096 and 1 would not keep
+        # them, as BLAS sums a lone row apart from the others
+        pts = _points(field_module.QUERY_BLOCK + 1, seed=4)
+        f = _randomized(SplineField(_variant_cfg(variant, quintic), pts))
+        blocked = f.deform(pts, _TIMES)
+        monkeypatch.setattr(field_module, "QUERY_BLOCK", 10 ** 9)
+        assert np.array_equal(blocked, f.deform(pts, _TIMES))
+
+    def test_every_grid_block_takes_the_case_of_the_whole_set(self, monkeypatch):
+        # 600 points sample each level-32 plane at every knot, case (b); a
+        # block of 60, below the plane's 1024 cells, would alone take case (a)
+        cfg = FieldConfig(variant="triplanes", n_knots=4, rank=2, hidden=8,
+                          grid_levels=(4, 32), grid_channels=3)
+        pts = _points(600, seed=5)
+        f = _randomized(SplineField(cfg, pts))
+        monkeypatch.setattr(field_module, "QUERY_BLOCK", 10 ** 9)
+        whole = _every_query(f, pts)
+        monkeypatch.setattr(field_module, "QUERY_BLOCK", 64)
+        made = _spy_spatial(monkeypatch, f)
+        blocked = _every_query(f, pts)
+        assert all(S is not None for spatial, _, _ in made
+                   for level in spatial for _, _, S in level)
+        for i, (got, want) in enumerate(zip(blocked, whole)):
+            assert np.array_equal(got, want), i
+
+    def test_a_training_tape_predicts_over_all_points_at_once(self, monkeypatch):
+        f = _randomized(SplineField(_variant_cfg("siren-resfields"), _points(300)))
+        monkeypatch.setattr(field_module, "QUERY_BLOCK", 64)
+        made = _spy_spatial(monkeypatch, f)
+        f.knot_states(Tape(), f.canonical, [0, 1])
+        assert [(len(spatial), ks) for spatial, _, ks in made] == [(300, [0, 1])]
+
+    def test_blocks_share_one_even_size_within_the_bound(self, monkeypatch):
+        monkeypatch.setattr(field_module, "QUERY_BLOCK", 64)
+        for n in (0, 1, 63, 64, 65, 129, 300, 1001):
+            rows = field_module._blocks(n)
+            sizes = [len(range(n)[r]) for r in rows]
+            assert sum(sizes) == n and max(sizes) <= 64, n
+            assert len(set(sizes[:-1])) <= 1 and all(s % 2 == 0 for s in sizes[:-1]), n
 
 
 class TestCheckpoint:
@@ -615,6 +688,18 @@ class TestLoadedFieldKnotCache:
             fresh = SplineField.load(path)
             assert np.array_equal(query(g, g.canonical), query(fresh, fresh.canonical)), name
         assert len(made) == 2
+
+    def test_a_cached_scalar_query_runs_no_block_loop_or_generator(self, tmp_path,
+                                                                     monkeypatch):
+        g = SplineField.load(_saved(tmp_path, "siren-resfields", False))
+        want = [g.deform(g.canonical, t) for t in _TIMES]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a cached scalar query ran a block loop or a generator")
+        monkeypatch.setattr(field_module, "_blocks", fail)
+        monkeypatch.setattr(SplineField, "_frames", fail)
+        for t, frame in zip(_TIMES, want):
+            assert np.array_equal(g.deform(g.canonical, t), frame)
 
     @pytest.mark.parametrize("variant,quintic", _CACHED_CASES)
     def test_a_seeded_field_recomputes(self, variant, quintic):

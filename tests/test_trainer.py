@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from splinefield import autodiff as ad
 from splinefield import dataio, encoders, losses, metrics, trainer
+from splinefield import field as field_module
 from splinefield.autodiff import ParamStore, Tape
 from splinefield.dataio import SplitSpec, split_frames
 from splinefield.field import FieldConfig, SplineField
@@ -414,8 +416,8 @@ class _KnotCalls:
         tape_cls = trainer.Tape
 
         def spying(spatial):
-            def spy(enc, tape, store, x_norm, knots):
-                out = spatial(enc, tape, store, x_norm, knots)
+            def spy(enc, tape, store, x_norm, knots, n_points):
+                out = spatial(enc, tape, store, x_norm, knots, n_points)
                 made.append((out, (len(x_norm), knots, [])))
                 self.spatials[-1].append(made[-1][1])
                 return out
@@ -727,14 +729,14 @@ class TestTrainBoundaries:
 
 
 class _Replay:
-    """A field stand-in whose deform looks up the ground-truth frame at each time."""
+    """A field stand-in whose deform_frames looks up the ground-truth frame at each time."""
 
     def __init__(self, traj):
         self.traj, self.canonical = traj, traj.positions[0]
 
-    def deform(self, pts, times):
+    def deform_frames(self, pts, times):
         idx = np.rint(np.asarray(times) * (self.traj.n_frames - 1)).astype(int)
-        return self.traj.positions[idx]
+        return (self.traj.positions[i] for i in idx)
 
 
 class TestEvaluate:
@@ -777,7 +779,7 @@ class TestEvaluate:
                              supervised=np.arange(30))
 
         class NoDeform(_Replay):
-            def deform(self, pts, times):
+            def deform_frames(self, pts, times):
                 raise AssertionError("deform ran before the scale was checked")
         with pytest.raises(ValueError, match=r"scale must be finite and > 0 \(--scale\)"):
             trainer.evaluate(NoDeform(traj), traj, split, scale=scale)
@@ -786,6 +788,28 @@ class TestEvaluate:
         traj = dataio.gen_synthetic("rigid-translate", 20, 120, seed=0)
         split = split_frames(traj, SplitSpec(stride=4, supervised_fraction=0.25))
         assert len(split.test_frames) == 90
+
+    def test_peak_memory_is_below_one_stack_of_the_frames(self, monkeypatch):
+        # the frames stream, so what grows with T is the [T, N] error array;
+        # small point blocks, for the knot predictions and for Moran's I,
+        # keep the rest, the knot states and two frames, in view
+        traj = dataio.gen_synthetic("composite", 3000, 41, seed=0)
+        split = split_frames(traj, SplitSpec(stride=4, supervised_fraction=0.25))
+        fld = SplineField(FieldConfig(n_knots=4, rank=4), traj.positions[0])
+        w = fld.store.value("dec.l0.W")
+        w += np.random.default_rng(1).normal(0.0, 0.05, w.shape)
+        monkeypatch.setattr(field_module, "QUERY_BLOCK", 256, raising=False)
+        monkeypatch.setattr(metrics, "_BLOCK", 256)
+        tracemalloc.start()
+        try:
+            summary, _ = trainer.evaluate(fld, traj, split, k=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary["skipped"] == []
+        # the predictions, their copy of the ground truth, the motion vectors
+        # and the squared errors were each one such stack
+        assert peak < len(split.test_frames) * traj.n_points * 3 * 8
 
     def test_report_matches_direct_metric_calls(self):
         traj, split, cfg = _tiny_run(steps=10)
