@@ -8,12 +8,12 @@ the layer weights of the MLP encoder and the factor grids of the plane/axis
 encoder alike; the coordinates never see time. Rank 0 (v_t None) degenerates
 both to a time-invariant encoder.
 
-So an encoder's work splits in two. `spatial(tape, store, x_norm, knots,
-n_points)` is the time-invariant part, done for a point set (or one block of
-a set of n_points) that `knots` knots will modulate; `encode(tape, store,
-spatial, v_t)` is the per-knot modulation of it. `SplineField.knot_states`
-makes one `spatial` per block for the knots it predicts on a point set in
-one call, and hands each of them that `spatial`.
+So an encoder's work splits in two. `spatial(tape, store, x_norm, knots)`
+is the time-invariant part, done for a point set that `knots` knots will
+modulate; `encode(tape, store, spatial, v_t)` is the per-knot modulation of
+it. `SplineField.knot_states` makes one `spatial` for the knots it predicts
+on a point set in one call, and hands each of them that `spatial`, or, for a
+query over point blocks, each block's `spatial_rows` of it.
 For the MLP encoder `spatial` is the feature map. For the grid encoder it
 rests on an identity: grid interpolation is linear, so sampling
 base + sum_r v_t[r] * res[r] at a point equals applying `low_rank` to the
@@ -117,11 +117,13 @@ class MLPEncoder:
                 yield f"enc.mlp.l{i}.Wres", (self.rank, ci, co), normal(1.0 / ci, 0.1)
             yield f"enc.mlp.l{i}.b", (co,), None
 
-    def spatial(self, tape: Tape, store: ParamStore, x_norm: np.ndarray, knots: int,
-                n_points: int):
-        """The feature map of the normalized points, the same for any count of
-        knots or size of the whole set."""
+    def spatial(self, tape: Tape, store: ParamStore, x_norm: np.ndarray, knots: int):
+        """The feature map of the normalized points, the same for any count of knots."""
         return self.features(x_norm)
+
+    def spatial_rows(self, h: np.ndarray, rows: slice) -> np.ndarray:
+        """The `spatial` of the points `rows`, read from that of a whole set."""
+        return h[rows]
 
     def encode(self, tape: Tape, store: ParamStore, h: np.ndarray, v_t: Var | None) -> Var:
         """The features h of `spatial` under the knot code v_t, which
@@ -145,14 +147,12 @@ class TriplaneEncoder:
     combined by elementwise product, and levels are concatenated.
 
     `spatial` computes each factor's cell lookup, the interpolation matrix S
-    of the points, once. Then, by the size B (`n_points`) of the point set,
-    of the whole set when the points are one block of it so that every block
-    takes the unblocked call's case, and the number K of knots that will
-    modulate it:
+    of the B points, once. Then, by the size of the point set and the number
+    K of knots that will modulate it:
     (a) a factor with residuals and 8 * B below K times its cell count (D*D
         for a plane, D for an axis), and B below the cell count itself,
-        samples its base and its residual stack at the points, and each
-        knot applies `low_rank` to the samples;
+        samples its base to [B, C] and its residual stack to [R, B, C]
+        there, and each knot applies `low_rank` to the samples;
     (b) otherwise each knot builds its grid with `low_rank` and samples it
         through S, bilinearly for a plane and linearly for an axis.
     Both give the knot grid's samples, since interpolation commutes with the
@@ -162,7 +162,9 @@ class TriplaneEncoder:
     forward-only query broke even near B = cells / 4 at two knots and
     B = cells / 2 at four, hence the factor 8. The bound B < cells keeps the
     samples no larger than the factor's own parameters. Rank 0 has no
-    residuals and samples its base at each knot, as case (b).
+    residuals and samples its base at each knot, as case (b). A block of the
+    points (`spatial_rows`) keeps the whole set's case, so in case (b) each
+    knot builds its grids once per block.
     """
 
     FACTORS = (("xy", (0, 1)), ("yz", (1, 2)), ("xz", (0, 2)))
@@ -184,11 +186,11 @@ class TriplaneEncoder:
                            uniform(GRID_INIT_RANGE, 0.1))
 
     def spatial(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
-                knots: int, n_points: int) -> list:
+                knots: int) -> list:
         """Per level, per factor, the (base, res, S) each of `knots` knots hands
         `low_rank` and then samples through S: the samples and S None in
-        case (a), the parameters and the lookup in case (b). The case reads
-        n_points, the size of the set x_norm is all or one block of."""
+        case (a), the parameters and the lookup in case (b)."""
+        b = x_norm.shape[0]
         levels = []
         for li, d in enumerate(self.levels):
             factors = []
@@ -199,11 +201,17 @@ class TriplaneEncoder:
                 S = ad.interp_matrix([_to_grid_units(x_norm[:, a], d) for a in axes],
                                      (d,) * len(axes))
                 cells = d ** len(axes)
-                if res is not None and n_points < cells and 8 * n_points < knots * cells:
+                if res is not None and b < cells and 8 * b < knots * cells:
                     base, res, S = ad.sample_grid(base, S), ad.sample_stack(res, S), None
                 factors.append((base, res, S))
             levels.append(factors)
         return levels
+
+    def spatial_rows(self, spatial: list, rows: slice) -> list:
+        """The `spatial` of the points `rows`, read from that of a whole set:
+        their rows of the samples in case (a), of S in case (b)."""
+        return [[(base[rows], res[:, rows], None) if S is None else (base, res, S[rows])
+                 for base, res, S in factors] for factors in spatial]
 
     def encode(self, tape: Tape, store: ParamStore, spatial: list, v_t: Var | None) -> Var:
         """The factors of `spatial` under the knot code v_t (None at rank 0)."""

@@ -22,16 +22,17 @@ query or loss at time t reads the two knots around t, so each call names
 the knots it needs: `SplineField.knot_states` predicts, in the order
 listed, each one the dict lacks, all from one encoder `spatial` of the
 points (the time-invariant half of the encoder's work, see `encoders`)
-made for that many knots. On a NoGradTape it does so per fixed block of
-at most QUERY_BLOCK points, one `spatial` each, and joins the blocks, so
-activations are [block, hidden], not [N, hidden]; a training tape predicts
-over all points at once. `derivative_var` asks for its two knots, a no-op
-when its caller listed them. The plain-array queries (`deform`,
-`velocity`, `acceleration`, `advect`) take a 1-D sequence of times, or one
-time as a sequence of one, list the segment knots of all their times in
-first-use order, and run on a NoGradTape. A multi-time query fills one
-[T, N, 3] output frame by frame; `deform_frames` hands the frames out one
-at a time instead, to a caller that keeps few of them (`trainer.evaluate`).
+made for that many knots. On a NoGradTape it predicts them per block of
+at most QUERY_BLOCK points, each reading its rows of that one `spatial`,
+and joins the blocks, so activations are [block, hidden], not [N, hidden];
+a training tape predicts over all points at once. `derivative_var` asks
+for its two knots, a no-op when its caller listed them. The plain-array
+queries (`deform`, `velocity`, `acceleration`, `advect`) take a 1-D
+sequence of times, or one time as a sequence of one, list the segment
+knots of all their times in first-use order, and run on a NoGradTape. A
+multi-time query fills one [T, N, 3] output frame by frame; `deform_frames`
+hands the frames out one at a time instead, to a caller that keeps few of
+them (`trainer.evaluate`).
 A loaded field is read-only (its canonical points, normalizer center and
 parameter arrays raise ValueError on a write), so it keeps one dict for its
 canonical points: each knot is predicted at most once per loaded field, by
@@ -65,9 +66,7 @@ CODE_INIT_STD = 1e-2      # per-knot temporal codes ~ N(0, (1e-2)^2)
 # periods and sin, cos carry nothing; 2.0 ** l itself overflows at l = 1024.
 PE_FREQUENCIES_MAX = 52
 _FD_T_EPS = 1e-4  # time step for the coupled baseline's FD derivatives
-# Most points per block of a query's knot predictions. BLAS picks its kernel
-# by a matrix's row count and pairs rows, so the blocks share one even size of
-# about half this or more (see `_blocks`): each row sums as when unblocked.
+# Most points per block of a query's knot predictions (see `_blocks`).
 QUERY_BLOCK = 4096
 _GRIDS = {"triplanes": enc.TriplaneEncoder, "triaxes": enc.TriaxesEncoder}
 
@@ -105,7 +104,15 @@ class FieldConfig:
 
 def _blocks(n: int) -> list:
     """Row slices covering n points, as few as keep each within QUERY_BLOCK
-    rows, all of one even size but the last."""
+    rows, all of one even size but the last.
+
+    A blocked query equals the unblocked call up to how the BLAS sums a row
+    of a matmul, which may depend on the matrix's row count: a lone last row
+    or a small odd block can take another kernel. Even blocks of about half
+    the bound or more kept every output bitwise with OpenBLAS 0.3.31 on an
+    AVX-512 Xeon, at 4097 to 12 001 points; with another BLAS or CPU they
+    may differ in the last bits above QUERY_BLOCK points. Up to it a query
+    is one block, the unblocked call itself."""
     count = max(1, -(-n // QUERY_BLOCK))
     step = max(2, 2 * -(-n // (2 * count)))
     return [slice(lo, lo + step) for lo in range(0, max(n, 1), step)]
@@ -236,21 +243,21 @@ class SplineField:
         """`states` (a new dict if None), knot index -> (position, tangent[,
         curvature]) on `points`, with each of the distinct `knots` it lacks
         predicted in the order listed, all from one encoder `spatial` of the
-        points made for that many knots, or on a NoGradTape one per block of
-        `_blocks`, told the size of the whole set. It is the one place that
-        adds the points to `predict_knot`'s offset. The coupled-4D baseline
+        points made for that many knots; on a NoGradTape, per block of
+        `_blocks` from the block's rows of it. It is the one place that adds
+        the points to `predict_knot`'s offset. The coupled-4D baseline
         predicts none."""
         states = {} if states is None else states
         todo = [k for k in dict.fromkeys(knots) if k not in states]
         if not todo or self.cfg.variant == "coupled4d-baseline":
             return states
-        x = self.normalize(points)
+        spatial = self.encoder.spatial(tape, self.store, self.normalize(points), len(todo))
+        blocks = _blocks(len(points)) if isinstance(tape, NoGradTape) else [slice(None)]
         parts = {k: [] for k in todo}
-        for rows in _blocks(len(x)) if isinstance(tape, NoGradTape) else [slice(None)]:
-            # the whole set's size picks the grid encoder's case in every block
-            spatial = self.encoder.spatial(tape, self.store, x[rows], len(todo), len(x))
+        for rows in blocks:
+            part = spatial if len(blocks) == 1 else self.encoder.spatial_rows(spatial, rows)
             for k in todo:
-                parts[k].append(self.predict_knot(tape, spatial, k))
+                parts[k].append(self.predict_knot(tape, part, k))
         for k in todo:
             offset, *rest = (p[0] if len(p) == 1 else ad.concat(p, axis=0)
                              for p in zip(*parts.pop(k)))

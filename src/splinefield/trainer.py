@@ -314,15 +314,18 @@ def evaluate(field: SplineField, traj: TrajectorySet, split: Split,
     """End-point error and motion coherence on the split's held-out frames.
 
     The frames stream from one `field.deform_frames` generator, which runs
-    without recording a tape and predicts each knot once. Only the current
-    frame and the one before it are live, next to the knot states and one
-    [T, N] array of per-point errors: the summary EPE is that array's mean
-    and each row's EPE its row's. Moran's I scores the transitions between
-    consecutive held-out frames, each from its two frames, so with stride 4
-    the 3 -> 5 transition spans training frame 4. Returns (summary dict with
-    `epe`, `mean_I`, `n_frames` and `skipped`, the frames whose outgoing
-    transition had no motion; per-frame rows, each with its outgoing
-    transition's `mean_I`, None on the last). A trajectory whose point
+    without recording a tape and predicts each knot once. Of the predicted
+    frames only the current one and the one before it are kept, next to the
+    knot states and one [T, N] array of per-point errors: the summary EPE is
+    that array's mean and each row's EPE its row's. Scoring a transition
+    makes three more frame-sized temporaries (`morans_i_sequence` stacks its
+    two frames and takes their difference) and a frame's EPE one, each freed
+    before the next frame. Moran's I scores the transitions between
+    consecutive held-out frames, so with stride 4 the 3 -> 5 transition
+    spans training frame 4. Returns (summary dict with `epe`, `mean_I`,
+    `n_frames` and `skipped`, the frames whose outgoing transition had no
+    motion; per-frame rows, each with its outgoing transition's `mean_I`,
+    None on the last). A trajectory whose point
     count differs from the field's canonical points, a `k` outside [2, point
     count) or a `scale` not finite and > 0 raises ValueError before any deform."""
     n = field.canonical.shape[0]

@@ -162,7 +162,7 @@ class TestPositionalEncoding:
 def _encode(e, tape, store, x, v_t):
     """One knot's features of the points x: the encoder's spatial of x for
     that one knot, then the knot's modulation of it."""
-    return e.encode(tape, store, e.spatial(tape, store, x, 1, len(x)), v_t)
+    return e.encode(tape, store, e.spatial(tape, store, x, 1), v_t)
 
 
 def _linear_sample(axis, u):
@@ -292,7 +292,7 @@ def _knot_outputs(e, store, x, tape, route, knots):
     spatial for `knots` knots, shared by the three) or "oracle"."""
     if route == "oracle":
         return [_build_then_sample(e, tape, store, x, _code(tape, store, k)) for k in range(3)]
-    spatial = e.spatial(tape, store, x, knots, len(x))
+    spatial = e.spatial(tape, store, x, knots)
     return [e.encode(tape, store, spatial, _code(tape, store, k)) for k in range(3)]
 
 
@@ -301,7 +301,7 @@ class TestSizeRule:
     def test_takes_the_case_its_size_picks(self, variant, b, knots, below):
         e, store = _build(variant, rank=2)
         x = np.random.default_rng(b).uniform(-1, 1, (b, 3))
-        spatial = e.spatial(Tape(), store, x, knots, len(x))
+        spatial = e.spatial(Tape(), store, x, knots)
         assert [all(S is None for _, _, S in level) for level in spatial] == below
         assert [any(S is None for _, _, S in level) for level in spatial] == below
         for (base, res, S), (_, axes) in zip(spatial[0], e.FACTORS):
@@ -310,7 +310,7 @@ class TestSizeRule:
 
     def test_rank_zero_builds_at_every_size(self):
         e, store = _build("triplanes", rank=0)
-        spatial = e.spatial(Tape(), store, np.zeros((2, 3)), 8, 2)
+        spatial = e.spatial(Tape(), store, np.zeros((2, 3)), 8)
         assert all(S is not None and res is None for level in spatial for _, res, S in level)
 
     @pytest.mark.parametrize("variant, b, knots, below", SIZE_RULE_SIDES)

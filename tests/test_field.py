@@ -325,8 +325,8 @@ def _spy_spatial(monkeypatch, f) -> list:
     made = []
     spatial, predict = f.encoder.spatial, SplineField.predict_knot
 
-    def spying(tape, store, x_norm, knots, n_points):
-        made.append([spatial(tape, store, x_norm, knots, n_points), knots, []])
+    def spying(tape, store, x_norm, knots):
+        made.append([spatial(tape, store, x_norm, knots), knots, []])
         return made[-1][0]
 
     def counting(self, tape, sp, k):
@@ -381,9 +381,9 @@ class TestMultiTimeQueries:
         calls = []
         spatial = f.encoder.spatial
 
-        def counting(tape, store, x_norm, knots, n_points):
+        def counting(tape, store, x_norm, knots):
             calls.append((len(x_norm), knots))
-            return spatial(tape, store, x_norm, knots, n_points)
+            return spatial(tape, store, x_norm, knots)
         monkeypatch.setattr(f.encoder, "spatial", counting)
         f.deform(f.canonical, np.linspace(0.0, 1.0, 25))
         f.deform(f.canonical, [0.1, 0.2, 0.3])
@@ -470,6 +470,45 @@ def _every_query(f, pts) -> list:
             np.stack(list(f.deform_frames(pts, _TIMES)))]
 
 
+def _rows_sum_alike(f, n) -> bool:
+    """Whether this BLAS sums each row of an [n, ci] @ [ci, co] matmul alike
+    in every block of `_blocks(n)` and in the whole matrix, for each layer
+    weight of f: the assumption under which a blocked query is bitwise the
+    unblocked call. It held with OpenBLAS 0.3.31 on an AVX-512 Xeon; a BLAS
+    that sums a small or odd block by another kernel moves the last bits."""
+    rng = np.random.default_rng(0)
+    for name in f.store.names():
+        if name.endswith((".W", ".Wb")):
+            a, w = rng.normal(size=(n, f.store.value(name).shape[0])), f.store.value(name)
+            if not np.array_equal(np.concatenate([a[r] @ w for r in field_module._blocks(n)]),
+                                  a @ w):
+                return False
+    return True
+
+
+def _assert_blocked_equal(blocked, whole, bitwise):
+    """Blocked query outputs against the unblocked ones: bitwise where the
+    BLAS sums rows alike (`_rows_sum_alike`), else up to rounding."""
+    for i, (got, want) in enumerate(zip(blocked, whole)):
+        if bitwise:
+            assert np.array_equal(got, want), i
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12, err_msg=str(i))
+
+
+def _spy_blocks(monkeypatch) -> list:
+    """The spatial argument of every SplineField.predict_knot call."""
+    seen = []
+    predict = SplineField.predict_knot
+
+    def spying(self, tape, spatial, k):
+        seen.append(spatial)
+        return predict(self, tape, spatial, k)
+
+    monkeypatch.setattr(SplineField, "predict_knot", spying)
+    return seen
+
+
 class TestQueryBlocks:
     @pytest.mark.parametrize("variant,quintic", _BLOCK_CASES)
     def test_blocked_queries_equal_the_unblocked_call(self, monkeypatch, variant, quintic):
@@ -479,9 +518,7 @@ class TestQueryBlocks:
         monkeypatch.setattr(field_module, "QUERY_BLOCK", 10 ** 9)
         whole = _every_query(f, pts)
         monkeypatch.setattr(field_module, "QUERY_BLOCK", 64)
-        blocked = _every_query(f, pts)
-        for i, (got, want) in enumerate(zip(blocked, whole)):
-            assert np.array_equal(got, want), i
+        _assert_blocked_equal(_every_query(f, pts), whole, _rows_sum_alike(f, 300))
         calls = _count_knot_calls(monkeypatch)
         f.deform(pts, _TIMES)
         assert len(calls) == (0 if variant == "coupled4d-baseline" else 5 * f.cfg.n_knots)
@@ -489,13 +526,14 @@ class TestQueryBlocks:
     @pytest.mark.parametrize("variant,quintic", [("siren-resfields", False),
                                                  ("pe-resfields", True)])
     def test_one_point_past_a_block_keeps_the_bits(self, monkeypatch, variant, quintic):
-        # two blocks of about 2048 rows; blocks of 4096 and 1 would not keep
-        # them, as BLAS sums a lone row apart from the others
-        pts = _points(field_module.QUERY_BLOCK + 1, seed=4)
+        # two blocks of about 2048 rows; with OpenBLAS 0.3.31 on an AVX-512
+        # Xeon, blocks of 4096 and 1 moved the bits: a lone row took another kernel
+        n = field_module.QUERY_BLOCK + 1
+        pts = _points(n, seed=4)
         f = _randomized(SplineField(_variant_cfg(variant, quintic), pts))
         blocked = f.deform(pts, _TIMES)
         monkeypatch.setattr(field_module, "QUERY_BLOCK", 10 ** 9)
-        assert np.array_equal(blocked, f.deform(pts, _TIMES))
+        _assert_blocked_equal([blocked], [f.deform(pts, _TIMES)], _rows_sum_alike(f, n))
 
     def test_every_grid_block_takes_the_case_of_the_whole_set(self, monkeypatch):
         # 600 points sample each level-32 plane at every knot, case (b); a
@@ -507,19 +545,38 @@ class TestQueryBlocks:
         monkeypatch.setattr(field_module, "QUERY_BLOCK", 10 ** 9)
         whole = _every_query(f, pts)
         monkeypatch.setattr(field_module, "QUERY_BLOCK", 64)
-        made = _spy_spatial(monkeypatch, f)
+        seen = _spy_blocks(monkeypatch)
         blocked = _every_query(f, pts)
-        assert all(S is not None for spatial, _, _ in made
-                   for level in spatial for _, _, S in level)
-        for i, (got, want) in enumerate(zip(blocked, whole)):
-            assert np.array_equal(got, want), i
+        # case (b) in every block: each factor's S, of the block's 60 rows
+        assert {S is not None and S.shape[0] for spatial in seen for level in spatial
+                for _, _, S in level} == {60}
+        _assert_blocked_equal(blocked, whole, _rows_sum_alike(f, 600))
+
+    def test_a_block_reads_its_rows_of_the_case_a_samples(self, monkeypatch):
+        # 300 points and four knots sample each level-32 plane once, case (a),
+        # and each level-4 plane per knot, case (b)
+        cfg = FieldConfig(variant="triplanes", n_knots=4, rank=2, hidden=8,
+                          grid_levels=(4, 32), grid_channels=3)
+        pts = _points(300, seed=5)
+        f = _randomized(SplineField(cfg, pts))
+        monkeypatch.setattr(field_module, "QUERY_BLOCK", 10 ** 9)
+        whole = f.deform(pts, _TIMES)
+        monkeypatch.setattr(field_module, "QUERY_BLOCK", 64)
+        seen = _spy_blocks(monkeypatch)
+        blocked = f.deform(pts, _TIMES)
+        assert len(seen) == 5 * 4
+        for coarse, fine in seen:
+            assert all(S.shape[0] == 60 for _, _, S in coarse)
+            assert all(S is None and base.shape[0] == 60 and res.shape[1] == 60
+                       for base, res, S in fine)
+        _assert_blocked_equal([blocked], [whole], _rows_sum_alike(f, 300))
 
     def test_a_training_tape_predicts_over_all_points_at_once(self, monkeypatch):
         f = _randomized(SplineField(_variant_cfg("siren-resfields"), _points(300)))
         monkeypatch.setattr(field_module, "QUERY_BLOCK", 64)
-        made = _spy_spatial(monkeypatch, f)
+        seen = _spy_blocks(monkeypatch)
         f.knot_states(Tape(), f.canonical, [0, 1])
-        assert [(len(spatial), ks) for spatial, _, ks in made] == [(300, [0, 1])]
+        assert [len(spatial) for spatial in seen] == [300, 300]
 
     def test_blocks_share_one_even_size_within_the_bound(self, monkeypatch):
         monkeypatch.setattr(field_module, "QUERY_BLOCK", 64)

@@ -416,8 +416,8 @@ class _KnotCalls:
         tape_cls = trainer.Tape
 
         def spying(spatial):
-            def spy(enc, tape, store, x_norm, knots, n_points):
-                out = spatial(enc, tape, store, x_norm, knots, n_points)
+            def spy(enc, tape, store, x_norm, knots):
+                out = spatial(enc, tape, store, x_norm, knots)
                 made.append((out, (len(x_norm), knots, [])))
                 self.spatials[-1].append(made[-1][1])
                 return out
