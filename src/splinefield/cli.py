@@ -211,11 +211,10 @@ def _cmd_flow(args) -> int:
         raise ValueError("--frames must be >= 1")
     fld = SplineField.load(args.ckpt)
     times = np.linspace(0.0, 1.0, args.frames)
-    pts = fld.deform(fld.canonical, times)
-    vel = fld.velocity(fld.canonical, times)
-    for j in range(args.frames):
-        dataio.export_ply(f"{args.out_prefix}_{j:04d}.ply", pts[j],
-                          dataio.flow_colors(vel[j]))
+    # the first frame predicts every knot; each velocity reads the field's states
+    for j, (t, pts) in enumerate(zip(times, fld.deform_frames(fld.canonical, times))):
+        dataio.export_ply(f"{args.out_prefix}_{j:04d}.ply", pts,
+                          dataio.flow_colors(fld.velocity(fld.canonical, t)))
     print(f"wrote {args.frames} PLY files at {args.out_prefix}_*.ply")
     return EXIT_OK
 

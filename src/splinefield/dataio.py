@@ -203,7 +203,12 @@ def gen_synthetic(kind: str, n_points: int, n_frames: int,
 
 
 def write_traj(path, traj: TrajectorySet) -> None:
-    data = traj.positions.astype("<f4")
+    """Write traj in the trajectory layout. A position that is not finite in
+    f32 raises ValueError naming its frame and point before the file is
+    opened, since `read_traj` would refuse it."""
+    with np.errstate(over="ignore"):    # an overflow to inf is refused below
+        data = traj.positions.astype("<f4")
+    _check_finite(data)
     with open(path, "wb") as f:
         f.write(TRAJ_MAGIC)
         f.write(struct.pack("<II", traj.n_frames, traj.n_points))

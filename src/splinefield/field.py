@@ -20,19 +20,19 @@ checkpoint's arrays against them, drawing and allocating nothing more.
 A dict, knot index -> state, holds the knot states of one point set. A
 query or loss at time t reads the two knots around t, so each call names
 the knots it needs: `SplineField.knot_states` predicts, in the order
-listed, each one the dict lacks, all from one encoder `spatial` of the
-points (the time-invariant half of the encoder's work, see `encoders`)
-made for that many knots. On a NoGradTape it predicts them per block of
-at most QUERY_BLOCK points, each reading its rows of that one `spatial`,
-and joins the blocks, so activations are [block, hidden], not [N, hidden];
-a training tape predicts over all points at once. `derivative_var` asks
-for its two knots, a no-op when its caller listed them. The plain-array
-queries (`deform`, `velocity`, `acceleration`, `advect`) take a 1-D
-sequence of times, or one time as a sequence of one, list the segment
-knots of all their times in first-use order, and run on a NoGradTape. A
-multi-time query fills one [T, N, 3] output frame by frame; `deform_frames`
-hands the frames out one at a time instead, to a caller that keeps few of
-them (`trainer.evaluate`).
+listed, each one the dict lacks, from an encoder `spatial` (the
+time-invariant half of the encoder's work, see `encoders`) made for that
+many knots. On a NoGradTape it predicts them per block of at most
+QUERY_BLOCK points, each from its own `spatial` of the block's rows, and
+joins the blocks, so features, samples and activations are [block, ...],
+not [N, ...]; a training tape predicts over all points at once.
+`derivative_var` asks for its two knots, a no-op when its caller listed
+them. The plain-array queries (`deform`, `velocity`, `acceleration`,
+`advect`) take a 1-D sequence of times, or one time as a sequence of one,
+list the segment knots of all their times in first-use order, and run on
+a NoGradTape. A multi-time query fills one [T, N, 3] output frame by
+frame; `deform_frames` hands the frames out one at a time instead, to a
+caller that keeps few of them (`trainer.evaluate`, `cli flow`).
 A loaded field is read-only (its canonical points, normalizer center and
 parameter arrays raise ValueError on a write), so it keeps one dict for its
 canonical points: each knot is predicted at most once per loaded field, by
@@ -139,18 +139,16 @@ class SplineField:
                  arrays: dict | None = None, normalizer=None):
         """Draws a new field's parameters from default_rng(seed), or takes `arrays`."""
         canonical_points = np.asarray(canonical_points, dtype=np.float64)
-        if canonical_points.ndim != 2 or canonical_points.shape[1] != 3:
-            raise ValueError("canonical points must be [N_p, 3]")
+        if (canonical_points.ndim != 2 or canonical_points.shape[1] != 3
+                or not canonical_points.size):
+            raise ValueError("canonical points must be [N_p, 3] with N_p >= 1")
         if not np.all(np.isfinite(canonical_points)):
             raise ValueError("canonical points must be finite")
         self.cfg = cfg
         self.canonical = canonical_points
+        lo, hi = canonical_points.min(axis=0), canonical_points.max(axis=0)
         if normalizer is None:
-            lo = canonical_points.min(axis=0)
-            hi = canonical_points.max(axis=0)
-            center = 0.5 * (lo + hi)
-            half = max(float(np.max(hi - lo)) * 0.5, 1e-9)
-            normalizer = (center, half)
+            normalizer = (0.5 * (lo + hi), max(float(np.max(hi - lo)) * 0.5, 1e-9))
         self.center = np.asarray(normalizer[0], dtype=np.float64)
         self.half_extent = float(normalizer[1])
         if self.center.shape != (3,) or not np.all(np.isfinite(self.center)):
@@ -158,6 +156,10 @@ class SplineField:
         if not (np.isfinite(self.half_extent) and self.half_extent > 0):
             raise ValueError(f"normalizer half_extent must be finite and > 0, "
                              f"got {self.half_extent}")
+        with np.errstate(over="ignore"):    # an overflow to inf is refused below
+            if not np.all(np.isfinite(self.normalize([lo, hi]))):
+                raise ValueError(f"normalizer ({self.center}, {self.half_extent}) takes "
+                                 f"the canonical points past float64")
 
         self.encoder = self._build_encoder()
         self.out_channels = 3 if cfg.variant == "coupled4d-baseline" else 9 if cfg.quintic else 6
@@ -242,22 +244,20 @@ class SplineField:
     def knot_states(self, tape: Tape, points, knots, states: dict | None = None) -> dict:
         """`states` (a new dict if None), knot index -> (position, tangent[,
         curvature]) on `points`, with each of the distinct `knots` it lacks
-        predicted in the order listed, all from one encoder `spatial` of the
-        points made for that many knots; on a NoGradTape, per block of
-        `_blocks` from the block's rows of it. It is the one place that adds
-        the points to `predict_knot`'s offset. The coupled-4D baseline
-        predicts none."""
+        predicted in the order listed from an encoder `spatial` made for
+        that many knots: one of all the points, or on a NoGradTape one per
+        block of `_blocks`. It is the one place that adds the points to
+        `predict_knot`'s offset. The coupled-4D baseline predicts none."""
         states = {} if states is None else states
         todo = [k for k in dict.fromkeys(knots) if k not in states]
         if not todo or self.cfg.variant == "coupled4d-baseline":
             return states
-        spatial = self.encoder.spatial(tape, self.store, self.normalize(points), len(todo))
-        blocks = _blocks(len(points)) if isinstance(tape, NoGradTape) else [slice(None)]
+        x_norm = self.normalize(points)
         parts = {k: [] for k in todo}
-        for rows in blocks:
-            part = spatial if len(blocks) == 1 else self.encoder.spatial_rows(spatial, rows)
+        for rows in _blocks(len(points)) if isinstance(tape, NoGradTape) else [slice(None)]:
+            spatial = self.encoder.spatial(tape, self.store, x_norm, len(todo), rows)
             for k in todo:
-                parts[k].append(self.predict_knot(tape, part, k))
+                parts[k].append(self.predict_knot(tape, spatial, k))
         for k in todo:
             offset, *rest = (p[0] if len(p) == 1 else ad.concat(p, axis=0)
                              for p in zip(*parts.pop(k)))

@@ -142,6 +142,16 @@ class TestTrajFormat:
         with pytest.raises(FormatError):
             read_traj(path)
 
+    def test_a_position_past_float32_is_refused_before_the_file_is_opened(self, tmp_path):
+        # finite in float64, so the trajectory holds it, but inf once written
+        positions = np.zeros((2, 3, 3))
+        positions[1, 2, 0] = 1e39
+        path = tmp_path / "big.traj"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^non-finite position at frame 1, point 2$"):
+                write_traj(path, TrajectorySet(positions))
+        assert not path.exists()
 
     def test_zero_points_rejected_with_count(self, tmp_path):
         path = tmp_path / "empty.traj"

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,7 +72,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("center, half", [((0.0, 0.0), 1.0), ((0.0, np.nan, 0.0), 1.0),
                                               ((0.0, 0.0, 0.0), 0.0),
-                                              ((0.0, 0.0, 0.0), np.inf)])
+                                              ((0.0, 0.0, 0.0), np.inf),
+                                              ((0.0, 0.0, 0.0), 1e-310),
+                                              ((1e308, 0.0, 0.0), 0.5)])
     def test_bad_normalizer_is_rejected(self, center, half):
         with pytest.raises(ValueError, match="normalizer"):
             SplineField(_small_cfg(), _points(), normalizer=(center, half))
@@ -79,7 +82,8 @@ class TestConfig:
     @pytest.mark.parametrize("points, named", [
         (np.zeros((6, 2)), r"\[N_p, 3\]"), (np.zeros(3), r"\[N_p, 3\]"),
         (np.where(np.eye(6, 3) > 0, np.nan, 0.0), "finite"),
-        (np.where(np.eye(6, 3) > 0, np.inf, 0.0), "finite")])
+        (np.where(np.eye(6, 3) > 0, np.inf, 0.0), "finite"),
+        (np.zeros((0, 3)), r"\[N_p, 3\] with N_p >= 1")])
     def test_bad_canonical_points_are_rejected(self, points, named):
         with pytest.raises(ValueError, match=f"canonical points must be {named}"):
             SplineField(_small_cfg(), points)
@@ -325,8 +329,8 @@ def _spy_spatial(monkeypatch, f) -> list:
     made = []
     spatial, predict = f.encoder.spatial, SplineField.predict_knot
 
-    def spying(tape, store, x_norm, knots):
-        made.append([spatial(tape, store, x_norm, knots), knots, []])
+    def spying(tape, store, x_norm, knots, rows):
+        made.append([spatial(tape, store, x_norm, knots, rows), knots, []])
         return made[-1][0]
 
     def counting(self, tape, sp, k):
@@ -381,9 +385,9 @@ class TestMultiTimeQueries:
         calls = []
         spatial = f.encoder.spatial
 
-        def counting(tape, store, x_norm, knots):
+        def counting(tape, store, x_norm, knots, rows):
             calls.append((len(x_norm), knots))
-            return spatial(tape, store, x_norm, knots)
+            return spatial(tape, store, x_norm, knots, rows)
         monkeypatch.setattr(f.encoder, "spatial", counting)
         f.deform(f.canonical, np.linspace(0.0, 1.0, 25))
         f.deform(f.canonical, [0.1, 0.2, 0.3])
@@ -524,7 +528,9 @@ class TestQueryBlocks:
         assert len(calls) == (0 if variant == "coupled4d-baseline" else 5 * f.cfg.n_knots)
 
     @pytest.mark.parametrize("variant,quintic", [("siren-resfields", False),
-                                                 ("pe-resfields", True)])
+                                                 ("pe-resfields", True),
+                                                 ("triplanes", False), ("triplanes", True),
+                                                 ("triaxes", False)])
     def test_one_point_past_a_block_keeps_the_bits(self, monkeypatch, variant, quintic):
         # two blocks of about 2048 rows; with OpenBLAS 0.3.31 on an AVX-512
         # Xeon, blocks of 4096 and 1 moved the bits: a lone row took another kernel
@@ -570,6 +576,26 @@ class TestQueryBlocks:
             assert all(S is None and base.shape[0] == 60 and res.shape[1] == 60
                        for base, res, S in fine)
         _assert_blocked_equal([blocked], [whole], _rows_sum_alike(f, 300))
+
+    def test_a_block_bounds_the_live_memory_of_every_variant(self, monkeypatch):
+        # each block makes its own spatial, so no query holds the whole set's
+        # PE features or interpolation matrices: with blocks of 256 of 3000
+        # points every variant peaks near siren, whose spatial is the points
+        monkeypatch.setattr(field_module, "QUERY_BLOCK", 256)
+        pts = _points(3000, seed=6)
+        peaks = {}
+        for variant in ("siren-resfields", "pe-resfields", "triplanes", "triaxes"):
+            f = SplineField(_small_cfg(variant=variant, grid_levels=(8, 16), grid_channels=4),
+                            pts)
+            f.deform(pts[:8], 0.5)
+            tracemalloc.start()
+            try:
+                f.deform(pts, 0.5)
+                peaks[variant] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        siren = peaks.pop("siren-resfields")
+        assert all(peak < 1.4 * siren for peak in peaks.values()), (siren, peaks)
 
     def test_a_training_tape_predicts_over_all_points_at_once(self, monkeypatch):
         f = _randomized(SplineField(_variant_cfg("siren-resfields"), _points(300)))

@@ -1,0 +1,174 @@
+"""A seeded fuzz gate for the two file readers.
+
+Each mutation of the committed checkpoint `data/triplanes_small.ckpt`, or
+of a small trajectory written here, must either load and query finite
+values or raise FormatError: no other exception and no warning of any
+kind. The mutations are bit flips anywhere, bit flips in the header and
+framing, truncations, and for the checkpoint JSON header values of the
+wrong type or range and missing or extra keys. Random cases are drawn from
+default_rng(SEED), so every run tries the same files; the small families
+(header values, header bits, trajectory truncations) are tried whole.
+"""
+
+import copy
+import json
+import math
+import os
+import struct
+import warnings
+
+import numpy as np
+import pytest
+
+from splinefield import dataio
+from splinefield.dataio import FormatError
+from splinefield.field import SplineField
+
+SEED = 20260
+CKPT = os.path.join(os.path.dirname(__file__), "data", "triplanes_small.ckpt")
+# JSON values of the wrong type, or of a type a key takes but out of its range
+VALUES = [None, True, False, "", "x", "triplanes", [], [1], [4, 8], [2.5], {}, {"a": 1},
+          -1, 0, 1, 2, 10 ** 9, -2.5, 1e-310, 1e300, -1e300, float("nan"), float("inf")]
+
+
+def _load_and_query(path) -> None:
+    fld = SplineField.load(path)
+    outs = (fld.deform(fld.canonical, [0.0, 0.45, 1.0]), fld.velocity(fld.canonical, 0.3),
+            fld.acceleration(fld.canonical, 0.7), fld.advect(fld.canonical, 1.0, 0.5))
+    assert all(np.isfinite(out).all() for out in outs)
+
+
+def _read_traj(path) -> None:
+    assert np.isfinite(dataio.read_traj(path).positions).all()
+
+
+def _outcomes(read, path, cases) -> dict:
+    """Write each (label, bytes) of `cases` to path and read it: the labels
+    that loaded and those refused with FormatError; anything else fails,
+    naming the case."""
+    seen = {"loaded": [], "refused": []}
+    for label, blob in cases:
+        with open(path, "wb") as f:
+            f.write(blob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                read(path)
+            except FormatError:
+                seen["refused"].append(label)
+                continue
+            except Exception as e:
+                pytest.fail(f"{label}: {type(e).__name__}: {e}")
+        seen["loaded"].append(label)
+    return seen
+
+
+def _flips(rng, blob: bytes, offsets, count: int, label: str):
+    """`count` copies of blob, each with one to three bits flipped at
+    offsets drawn from `offsets`."""
+    for i in range(count):
+        out = bytearray(blob)
+        for off in rng.choice(offsets, size=rng.integers(1, 4)):
+            out[off] ^= 1 << int(rng.integers(8))
+        yield f"{label} {i}", bytes(out)
+
+
+def _ckpt_framing(blob: bytes) -> np.ndarray:
+    """The byte offsets of the checkpoint's magic, version, header and
+    section framing: every byte but the f32 payloads."""
+    (hlen,) = struct.unpack_from("<I", blob, 12)
+    off = 16 + hlen + 4
+    spans = [range(off)]
+    for _ in range(struct.unpack_from("<I", blob, off - 4)[0]):
+        (nlen,) = struct.unpack_from("<H", blob, off)
+        rank = blob[off + 2 + nlen]
+        dims = struct.unpack_from(f"<{rank}I", blob, off + 3 + nlen)
+        end = off + 3 + nlen + 4 * rank
+        spans.append(range(off, end))
+        off = end + 4 * math.prod(dims)
+    assert off == len(blob)
+    return np.concatenate([np.arange(r.start, r.stop) for r in spans])
+
+
+def _with_header(blob: bytes, header: dict) -> bytes:
+    (hlen,) = struct.unpack_from("<I", blob, 12)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:12] + struct.pack("<I", len(text)) + text + blob[16 + hlen:]
+
+
+def _header_cases(blob: bytes):
+    """Each config key, center and half_extent set to each of VALUES; each
+    key dropped; an extra key in the config and in the header."""
+    (hlen,) = struct.unpack_from("<I", blob, 12)
+    header = json.loads(blob[16:16 + hlen])
+
+    def edited(where, key, *value):
+        h = copy.deepcopy(header)
+        keys = h[where] if where else h
+        if value:
+            keys[key] = value[0]
+        else:
+            del keys[key]
+        return _with_header(blob, h)
+
+    for where, key in [("config", k) for k in header["config"]] + [(None, k) for k in header]:
+        name = f"{where}.{key}" if where else key
+        for value in VALUES:
+            yield f"{name} = {value!r}", edited(where, key, value)
+        yield f"no {name}", edited(where, key)
+    for where in ("config", None):
+        yield f"extra key in {where or 'header'}", edited(where, "extra", 1)
+
+
+def _committed() -> bytes:
+    with open(CKPT, "rb") as f:
+        return f.read()
+
+
+class TestCheckpointFuzz:
+    def test_bit_flips_anywhere(self, tmp_path):
+        blob, rng = _committed(), np.random.default_rng(SEED)
+        seen = _outcomes(_load_and_query, tmp_path / "f.ckpt",
+                         _flips(rng, blob, np.arange(len(blob)), 300, "flip"))
+        assert seen["loaded"] and seen["refused"]
+
+    def test_bit_flips_in_the_header_and_framing(self, tmp_path):
+        blob, rng = _committed(), np.random.default_rng(SEED + 1)
+        seen = _outcomes(_load_and_query, tmp_path / "f.ckpt",
+                         _flips(rng, blob, _ckpt_framing(blob), 300, "framing flip"))
+        assert seen["refused"]
+
+    def test_truncations(self, tmp_path):
+        blob, rng = _committed(), np.random.default_rng(SEED + 2)
+        cases = ((f"first {n} bytes", blob[:n]) for n in rng.integers(0, len(blob), 200))
+        seen = _outcomes(_load_and_query, tmp_path / "f.ckpt", cases)
+        assert not seen["loaded"]
+
+    def test_header_values_and_keys(self, tmp_path):
+        seen = _outcomes(_load_and_query, tmp_path / "f.ckpt", _header_cases(_committed()))
+        # an unread header key is ignored; a header without a config is refused
+        assert "extra key in header" in seen["loaded"] and "no config" in seen["refused"]
+
+
+class TestTrajectoryFuzz:
+    @pytest.fixture
+    def blob(self, tmp_path) -> bytes:
+        path = tmp_path / "t.traj"
+        dataio.write_traj(path, dataio.gen_synthetic("composite", 7, 5, seed=0))
+        return path.read_bytes()
+
+    def test_bit_flips_anywhere(self, tmp_path, blob):
+        rng = np.random.default_rng(SEED + 3)
+        seen = _outcomes(_read_traj, tmp_path / "f.traj",
+                         _flips(rng, blob, np.arange(len(blob)), 300, "flip"))
+        assert seen["loaded"] and seen["refused"]
+
+    def test_every_bit_of_the_header(self, tmp_path, blob):
+        cases = ((f"bit {b} of byte {i}", blob[:i] + bytes([blob[i] ^ 1 << b]) + blob[i + 1:])
+                 for i in range(16) for b in range(8))
+        seen = _outcomes(_read_traj, tmp_path / "f.traj", cases)
+        assert not seen["loaded"]
+
+    def test_every_truncation(self, tmp_path, blob):
+        cases = ((f"first {n} bytes", blob[:n]) for n in range(len(blob)))
+        assert not _outcomes(_read_traj, tmp_path / "f.traj", cases)["loaded"]
