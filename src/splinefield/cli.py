@@ -211,7 +211,7 @@ def _cmd_flow(args) -> int:
         raise ValueError("--frames must be >= 1")
     fld = SplineField.load(args.ckpt)
     times = np.linspace(0.0, 1.0, args.frames)
-    # the first frame predicts every knot; each velocity reads the field's states
+    # deform_frames predicts every knot; each velocity reads the field's states
     for j, (t, pts) in enumerate(zip(times, fld.deform_frames(fld.canonical, times))):
         dataio.export_ply(f"{args.out_prefix}_{j:04d}.ply", pts,
                           dataio.flow_colors(fld.velocity(fld.canonical, t)))

@@ -1,5 +1,5 @@
 """Trajectory container, frame splits, synthetic scenes, file formats, and
-the configs' type rule (`check_config`).
+the configs' type rule (`check_config`, with `is_int` and `is_number`).
 
 Trajectory files use a small binary layout: an 8-byte magic "SDFTRAJ1",
 a u32 frame count T, a u32 point count N_p, then T*N_p*3 little-endian
@@ -31,24 +31,29 @@ READ_CHUNK = 1 << 20    # f32 payload bytes `read_traj` converts at once, whole 
 SYNTHETIC_KINDS = ("rigid-translate", "rotate", "bending-sheet",
                    "swing-arm", "composite")
 
-__all__ = ["FormatError", "check_config", "TrajectorySet", "SplitSpec", "Split",
-           "split_frames", "gen_synthetic", "write_traj", "read_traj", "write_checkpoint",
-           "read_checkpoint", "export_ply", "flow_colors"]
+__all__ = ["FormatError", "is_int", "is_number", "check_config", "TrajectorySet",
+           "SplitSpec", "Split", "split_frames", "gen_synthetic", "write_traj", "read_traj",
+           "write_checkpoint", "read_checkpoint", "export_ply", "flow_colors"]
 
 
 class FormatError(Exception):
     """Malformed checkpoint or trajectory file."""
 
 
-def _is_int(v) -> bool:
+def is_int(v) -> bool:
+    """The type test of an int config key: an integer, not a bool."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def is_number(v) -> bool:
+    """The type test of a float config key: a real number, not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 # a config key's type, by the type of its default: (test, requirement)
-_TYPES = {int: (_is_int, "an integer"),
-          float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+_TYPES = {int: (is_int, "an integer"), float: (is_number, "a number"),
           bool: (lambda v: isinstance(v, bool), "a bool"),
-          tuple: (lambda v: all(map(_is_int, v)), "integers"),
+          tuple: (lambda v: all(map(is_int, v)), "integers"),
           str: (lambda v: isinstance(v, str), "a string")}
 
 

@@ -25,7 +25,8 @@ time-invariant half of the encoder's work, see `encoders`) made for that
 many knots. On a NoGradTape it predicts them per block of at most
 QUERY_BLOCK points, each from its own `spatial` of the block's rows, and
 joins the blocks, so features, samples and activations are [block, ...],
-not [N, ...]; a training tape predicts over all points at once.
+not [N, ...]; a training tape predicts over all points at once. The
+coupled-4D baseline's MLP runs on the same row slices (`_rows`).
 `derivative_var` asks for its two knots, a no-op when its caller listed
 them. The plain-array queries (`deform`, `velocity`, `acceleration`,
 `advect`) take a 1-D sequence of times, or one time as a sequence of one,
@@ -109,13 +110,27 @@ def _blocks(n: int) -> list:
     A blocked query equals the unblocked call up to how the BLAS sums a row
     of a matmul, which may depend on the matrix's row count: a lone last row
     or a small odd block can take another kernel. Even blocks of about half
-    the bound or more kept every output bitwise with OpenBLAS 0.3.31 on an
-    AVX-512 Xeon, at 4097 to 12 001 points; with another BLAS or CPU they
-    may differ in the last bits above QUERY_BLOCK points. Up to it a query
-    is one block, the unblocked call itself."""
+    the bound or more kept every spline variant's outputs bitwise with
+    OpenBLAS 0.3.31 on an AVX-512 Xeon, at 4097 to 12 001 points. The
+    coupled-4D baseline's moved there, by up to 7.8e-16 in a position (its
+    finite differences magnify that to 1.8e-9 in an acceleration): its
+    decoder's [64, 3] product sums a row differently per block. With another
+    BLAS or CPU any variant may differ in the last bits above QUERY_BLOCK
+    points. Up to it a query is one block, the unblocked call itself."""
     count = max(1, -(-n // QUERY_BLOCK))
     step = max(2, 2 * -(-n // (2 * count)))
     return [slice(lo, lo + step) for lo in range(0, max(n, 1), step)]
+
+
+def _rows(tape, n: int) -> list:
+    """The row slices a prediction over n points runs on: the blocks of
+    `_blocks(n)` on a NoGradTape, all rows at once on a recording tape."""
+    return _blocks(n) if isinstance(tape, NoGradTape) else [slice(None)]
+
+
+def _joined(parts) -> Var:
+    """The [rows, ...] Vars of `_rows`' slices as one, in row order."""
+    return parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
 
 
 def _times(name: str, value, scalar: bool = False) -> np.ndarray:
@@ -149,8 +164,12 @@ class SplineField:
         lo, hi = canonical_points.min(axis=0), canonical_points.max(axis=0)
         if normalizer is None:
             normalizer = (0.5 * (lo + hi), max(float(np.max(hi - lo)) * 0.5, 1e-9))
-        self.center = np.asarray(normalizer[0], dtype=np.float64)
-        self.half_extent = float(normalizer[1])
+        center, half_extent = normalizer
+        if not (np.ndim(center) == 1 and all(map(dataio.is_number, [*center, half_extent]))):
+            raise ValueError(f"normalizer must be numbers, got center {center!r}, "
+                             f"half_extent {half_extent!r}")
+        self.center = np.asarray(center, dtype=np.float64)
+        self.half_extent = float(half_extent)
         if self.center.shape != (3,) or not np.all(np.isfinite(self.center)):
             raise ValueError(f"normalizer center must be 3 finite numbers, got {self.center}")
         if not (np.isfinite(self.half_extent) and self.half_extent > 0):
@@ -245,8 +264,8 @@ class SplineField:
         """`states` (a new dict if None), knot index -> (position, tangent[,
         curvature]) on `points`, with each of the distinct `knots` it lacks
         predicted in the order listed from an encoder `spatial` made for
-        that many knots: one of all the points, or on a NoGradTape one per
-        block of `_blocks`. It is the one place that adds the points to
+        that many knots: one per slice of `_rows`, all the points or on a
+        NoGradTape a block. It is the one place that adds the points to
         `predict_knot`'s offset. The coupled-4D baseline predicts none."""
         states = {} if states is None else states
         todo = [k for k in dict.fromkeys(knots) if k not in states]
@@ -254,13 +273,12 @@ class SplineField:
             return states
         x_norm = self.normalize(points)
         parts = {k: [] for k in todo}
-        for rows in _blocks(len(points)) if isinstance(tape, NoGradTape) else [slice(None)]:
+        for rows in _rows(tape, len(points)):
             spatial = self.encoder.spatial(tape, self.store, x_norm, len(todo), rows)
             for k in todo:
                 parts[k].append(self.predict_knot(tape, spatial, k))
         for k in todo:
-            offset, *rest = (p[0] if len(p) == 1 else ad.concat(p, axis=0)
-                             for p in zip(*parts.pop(k)))
+            offset, *rest = map(_joined, zip(*parts.pop(k)))
             states[k] = (ad.add(offset, np.asarray(points, dtype=np.float64)), *rest)
         return states
 
@@ -279,9 +297,11 @@ class SplineField:
 
     def _coupled_var(self, tape, points, t, order: int) -> Var:
         if order == 0:
-            xt = enc.xyzt(self.normalize(points), t)
-            feat = self.encoder.encode(tape, self.store, xt, None)
-            return ad.add(self._decode(tape, feat), np.asarray(points, dtype=np.float64))
+            x_norm = self.normalize(points)
+            offset = _joined([self._decode(tape, self.encoder.encode(
+                tape, self.store, enc.xyzt(x_norm[rows], t), None))
+                for rows in _rows(tape, len(points))])
+            return ad.add(offset, np.asarray(points, dtype=np.float64))
         if order == 1:
             lo, hi = max(t - _FD_T_EPS, 0.0), min(t + _FD_T_EPS, 1.0)
             a, b = (self._coupled_var(tape, points, s, 0) for s in (hi, lo))
@@ -318,25 +338,16 @@ class SplineField:
         self.knot_states(tape, points, spline.segment_knots(times, self.cfg.n_knots), states)
         return tape, states
 
-    def _frames(self, var_fn, points, times, **kw):
-        """var_fn's values at each of the 1-D `times` in turn, a generator:
-        the first frame predicts every knot the times read."""
-        tape, states = self._states(points, times)
-        for t in times:
-            yield var_fn(tape, points, float(t), states=states, **kw).value
-
     def _query(self, var_fn, points, t_query, **kw) -> np.ndarray:
         """var_fn's values at a 1-D sequence of times, filled into one [T, N,
-        3] array, or at one time unstacked, with no generator or copy."""
+        3] array, or at one time unstacked, with no copy."""
         times = _times("t_query", t_query)
+        tape, states = self._states(points, times.reshape(-1))
         if not times.ndim:
-            tape, states = self._states(points, times.reshape(1))
             return var_fn(tape, points, float(times), states=states, **kw).value
-        out = None
-        for i, frame in enumerate(self._frames(var_fn, points, times, **kw)):
-            if out is None:
-                out = np.empty((times.size, *frame.shape))
-            out[i] = frame
+        out = np.empty((times.size, *np.shape(points)))
+        for i, t in enumerate(times):
+            out[i] = var_fn(tape, points, float(t), states=states, **kw).value
         return out
 
     def deform(self, points, t_query) -> np.ndarray:
@@ -349,9 +360,11 @@ class SplineField:
 
     def deform_frames(self, points, times):
         """`deform` at each of `times` (a number or a 1-D sequence), one [N, 3]
-        frame at a time from a generator that keeps none of them: each knot is
-        predicted once, by the first frame, as by a multi-time `deform`."""
-        return self._frames(self.deform_var, points, _times("times", times).reshape(-1))
+        frame at a time from a generator that keeps none of them. The call
+        predicts every knot the times read, as a multi-time `deform` does."""
+        times = _times("times", times).reshape(-1)
+        tape, states = self._states(points, times)
+        return (self.deform_var(tape, points, float(t), states=states).value for t in times)
 
     def velocity(self, points, t_query, physical: bool = False) -> np.ndarray:
         return self._query(self.velocity_var, points, t_query, physical=physical)
@@ -398,7 +411,7 @@ class SplineField:
                 raise ValueError(f"header config has no {', '.join(missing)}")
             canonical = arrays.pop("__canonical__")
             fld = cls(FieldConfig(**cfg_d), canonical, arrays=arrays,
-                      normalizer=(np.asarray(header["center"]), header["half_extent"]))
+                      normalizer=(header["center"], header["half_extent"]))
         except (KeyError, TypeError, ValueError) as e:
             raise dataio.FormatError(f"malformed checkpoint {path}: {e}") from None
         for a in (fld.canonical, fld.center, *map(fld.store.value, fld.store.names())):

@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 
 from splinefield import autodiff as ad
 from splinefield.autodiff import Var
+from splinefield.dataio import is_int
 
 DIST_EPS = 1e-8        # distance floor; also guards duplicate points
 ACCEL_MODES = ("l1", "l2")
@@ -49,8 +50,8 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     k-d tree candidates are re-sorted by exact (d², index); a row whose k-th d²
     is not clearly below its farthest candidate's is re-queried with twice as many."""
     n = points.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < N neighbors: N={n}, k={k}")
+    if not (is_int(k) and 1 <= k < n):
+        raise ValueError(f"need an integer 1 <= k < N neighbors: N={n}, k={k!r}")
     tree = cKDTree(points)
     out = np.empty((n, k), dtype=np.int64)
     todo, c = np.arange(n), k + 2    # self, k neighbors and one to spare

@@ -2,20 +2,21 @@
 
 The coherence score measures spatial autocorrelation of frame-to-frame
 motion vectors. For each point we gather the K nearest points at the
-frame's start positions (the point itself is always its own nearest
-neighbor, so a neighborhood holds K points including the center), weight
-pairs by inverse distance, and normalize by the neighborhood's motion
-energy:
+frame's start positions, weight pairs by inverse distance, and normalize by
+the neighborhood's motion energy:
 
     I_i = (K / sum_jk w_jk) * (sum_jk w_jk <v_j, v_k>) / (sum_j ||v_j||^2)
 
 This yields exactly 1 for uniform motion and ~0 for independent noise.
-A sequence is scored per transition between consecutive frames, with None for
-a transition that has no motion. `trainer.evaluate` passes the held-out
-frames one transition at a time, so a transition may span training frames
-between them, and has `epe` write each frame's per-point errors into one
-[T, N] array; it also holds eval's default K and EPE scale, which are
-required here.
+A neighborhood holds its center when at most K points, the center
+included, share its position. When more do, the k-d tree returns K of
+them, which need not include the center, in an order it does not promise.
+A sequence is scored per transition between consecutive frames, its motion
+vectors the difference of the two, with None for a transition that has no
+motion. `trainer.evaluate` passes the held-out frames one transition at a
+time, so a transition may span training frames between them, and has `epe`
+write each frame's per-point errors into one [T, N] array; it also holds
+eval's default K and EPE scale, which are required here.
 """
 
 from __future__ import annotations
@@ -25,20 +26,16 @@ import csv
 import numpy as np
 from scipy.spatial import cKDTree
 
+from splinefield.dataio import is_int
+
 ZERO_MOTION_EPS = 1e-12
 _BLOCK = 4096      # points per pair-kernel block; bounds temporaries to O(block*K)
 
 
-def motion_vectors(positions: np.ndarray) -> np.ndarray:
-    """Consecutive-frame differences of a [T, N_p, 3] trajectory."""
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.ndim != 3 or positions.shape[0] < 2:
-        raise ValueError(f"need [T>=2, N_p, 3] positions, got {positions.shape}")
-    return positions[1:] - positions[:-1]
-
-
 def _neighborhoods(positions: np.ndarray, k: int) -> np.ndarray:
-    """K-point neighborhoods (self included) per point."""
+    """The indices of the K nearest points to each point, ties picked by
+    the k-d tree: the point itself is among them unless more than K points
+    share its position."""
     n = positions.shape[0]
     if n <= k:
         raise ValueError(f"need more points than K: N={n}, K={k}")
@@ -69,8 +66,8 @@ def _block_scores(p: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
 def morans_i_frame(positions: np.ndarray, vectors: np.ndarray, k: int):
     """Mean Moran's I of one frame's motion vectors, or None if the frame
     has no motion (all vectors below 1e-12)."""
-    if k < 2:
-        raise ValueError(f"Moran's I needs K >= 2 neighbors, got K={k}: "
+    if not (is_int(k) and k >= 2):
+        raise ValueError(f"Moran's I needs an integer K >= 2 neighbors, got K={k!r}: "
                          "a neighborhood of one point has no pairs")
     positions = np.asarray(positions, dtype=np.float64)
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -92,8 +89,10 @@ def morans_i_sequence(positions, k: int) -> list:
     trajectory, or of a sequence of its [N_p, 3] frames: T - 1 entries, the
     one for frames t -> t+1 at index t, each None if that transition has no
     motion."""
-    vectors = motion_vectors(positions)
-    return [morans_i_frame(positions[t], vectors[t], k) for t in range(vectors.shape[0])]
+    if len(positions) < 2:
+        raise ValueError(f"Moran's I needs at least two frames, got {len(positions)}")
+    return [morans_i_frame(a, np.subtract(b, a, dtype=np.float64), k)
+            for a, b in zip(positions[:-1], positions[1:])]
 
 
 def epe(pred: np.ndarray, gt: np.ndarray, scale: float, out=None) -> float:

@@ -39,7 +39,7 @@ from . import losses
 from . import metrics
 from . import spline
 from .autodiff import ParamStore, Tape
-from .dataio import Split, TrajectorySet
+from .dataio import Split, TrajectorySet, is_int, is_number
 from .field import FieldConfig, SplineField
 
 
@@ -313,26 +313,30 @@ def evaluate(field: SplineField, traj: TrajectorySet, split: Split,
              k: int = 10, scale: float = 1e4):
     """End-point error and motion coherence on the split's held-out frames.
 
-    The frames stream from one `field.deform_frames` generator, which runs
-    without recording a tape and predicts each knot once. Of the predicted
+    The frames stream from one `field.deform_frames` generator, whose call
+    predicts each knot once without recording a tape. Of the predicted
     frames only the current one and the one before it are kept, next to the
     knot states and one [T, N] array of per-point errors: the summary EPE is
     that array's mean and each row's EPE its row's. Scoring a transition
-    makes three more frame-sized temporaries (`morans_i_sequence` stacks its
-    two frames and takes their difference) and a frame's EPE one, each freed
-    before the next frame. Moran's I scores the transitions between
+    makes one more frame-sized temporary, the difference of its two frames
+    in `morans_i_sequence`, and a frame's EPE one, each freed before the
+    next frame. Moran's I scores the transitions between
     consecutive held-out frames, so with stride 4 the 3 -> 5 transition
     spans training frame 4. Returns (summary dict with `epe`, `mean_I`,
     `n_frames` and `skipped`, the frames whose outgoing transition had no
     motion; per-frame rows, each with its outgoing transition's `mean_I`,
     None on the last). A trajectory whose point
-    count differs from the field's canonical points, a `k` outside [2, point
-    count) or a `scale` not finite and > 0 raises ValueError before any deform."""
+    count differs from the field's canonical points, a `k` not an integer in
+    [2, point count) or a `scale` not a number, finite and > 0 raises
+    ValueError before any deform."""
     n = field.canonical.shape[0]
     if traj.n_points != n:
         raise ValueError(f"trajectory has {traj.n_points} points, checkpoint has {n}")
-    if not 2 <= k < n:
-        raise ValueError(f"Moran's I needs 2 <= K < {n} (the point count), got K={k}")
+    if not (is_int(k) and 2 <= k < n):
+        raise ValueError(f"Moran's I needs an integer K with 2 <= K < {n} (the point count), "
+                         f"got K={k!r}")
+    if not is_number(scale):
+        raise ValueError(f"scale must be a number (--scale), got {scale!r}")
     if not (np.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be finite and > 0 (--scale), got {scale}")
     frames = list(split.test_frames)

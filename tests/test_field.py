@@ -74,10 +74,25 @@ class TestConfig:
                                               ((0.0, 0.0, 0.0), 0.0),
                                               ((0.0, 0.0, 0.0), np.inf),
                                               ((0.0, 0.0, 0.0), 1e-310),
-                                              ((1e308, 0.0, 0.0), 0.5)])
+                                              ((1e308, 0.0, 0.0), 0.5),
+                                              # a bool or a string is not a number
+                                              ((0.0, 0.0, 0.0), True),
+                                              ((0.0, 0.0, 0.0), "0.5"),
+                                              ((True, 0.0, 0.0), 0.5),
+                                              (("0", 0.0, 0.0), 0.5)])
     def test_bad_normalizer_is_rejected(self, center, half):
         with pytest.raises(ValueError, match="normalizer"):
             SplineField(_small_cfg(), _points(), normalizer=(center, half))
+
+    @pytest.mark.parametrize("key, value", [("half_extent", True), ("half_extent", "0.5"),
+                                            ("center", [True, 0, 0]), ("center", ["0", 0, 0])])
+    def test_a_header_normalizer_that_is_not_numbers_is_refused(self, tmp_path, key, value):
+        path = tmp_path / "field.ckpt"
+        SplineField(_small_cfg(), _points()).save(path)
+        arrays, header = dataio.read_checkpoint(path)
+        dataio.write_checkpoint(path, arrays, {**header, key: value})
+        with pytest.raises(dataio.FormatError, match="normalizer must be numbers"):
+            SplineField.load(path)
 
     @pytest.mark.parametrize("points, named", [
         (np.zeros((6, 2)), r"\[N_p, 3\]"), (np.zeros(3), r"\[N_p, 3\]"),
@@ -530,16 +545,18 @@ class TestQueryBlocks:
     @pytest.mark.parametrize("variant,quintic", [("siren-resfields", False),
                                                  ("pe-resfields", True),
                                                  ("triplanes", False), ("triplanes", True),
-                                                 ("triaxes", False)])
+                                                 ("triaxes", False),
+                                                 ("coupled4d-baseline", False)])
     def test_one_point_past_a_block_keeps_the_bits(self, monkeypatch, variant, quintic):
         # two blocks of about 2048 rows; with OpenBLAS 0.3.31 on an AVX-512
         # Xeon, blocks of 4096 and 1 moved the bits: a lone row took another kernel
         n = field_module.QUERY_BLOCK + 1
         pts = _points(n, seed=4)
         f = _randomized(SplineField(_variant_cfg(variant, quintic), pts))
-        blocked = f.deform(pts, _TIMES)
+        # probe the BLAS on the blocks the query ran on, before the bound is lifted
+        blocked, alike = f.deform(pts, _TIMES), _rows_sum_alike(f, n)
         monkeypatch.setattr(field_module, "QUERY_BLOCK", 10 ** 9)
-        _assert_blocked_equal([blocked], [f.deform(pts, _TIMES)], _rows_sum_alike(f, n))
+        _assert_blocked_equal([blocked], [f.deform(pts, _TIMES)], alike)
 
     def test_every_grid_block_takes_the_case_of_the_whole_set(self, monkeypatch):
         # 600 points sample each level-32 plane at every knot, case (b); a
@@ -579,12 +596,13 @@ class TestQueryBlocks:
 
     def test_a_block_bounds_the_live_memory_of_every_variant(self, monkeypatch):
         # each block makes its own spatial, so no query holds the whole set's
-        # PE features or interpolation matrices: with blocks of 256 of 3000
-        # points every variant peaks near siren, whose spatial is the points
+        # PE features or interpolation matrices, and the coupled baseline's
+        # MLP runs per block too: with blocks of 256 of 3000 points every
+        # variant peaks near siren, whose spatial is the points
         monkeypatch.setattr(field_module, "QUERY_BLOCK", 256)
         pts = _points(3000, seed=6)
         peaks = {}
-        for variant in ("siren-resfields", "pe-resfields", "triplanes", "triaxes"):
+        for variant in VARIANTS:
             f = SplineField(_small_cfg(variant=variant, grid_levels=(8, 16), grid_channels=4),
                             pts)
             f.deform(pts[:8], 0.5)
@@ -778,9 +796,8 @@ class TestLoadedFieldKnotCache:
         want = [g.deform(g.canonical, t) for t in _TIMES]
 
         def fail(*args, **kwargs):
-            raise AssertionError("a cached scalar query ran a block loop or a generator")
+            raise AssertionError("a cached scalar query ran a block loop")
         monkeypatch.setattr(field_module, "_blocks", fail)
-        monkeypatch.setattr(SplineField, "_frames", fail)
         for t, frame in zip(_TIMES, want):
             assert np.array_equal(g.deform(g.canonical, t), frame)
 

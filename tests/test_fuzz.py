@@ -148,6 +148,11 @@ class TestCheckpointFuzz:
         seen = _outcomes(_load_and_query, tmp_path / "f.ckpt", _header_cases(_committed()))
         # an unread header key is ignored; a header without a config is refused
         assert "extra key in header" in seen["loaded"] and "no config" in seen["refused"]
+        # so is a normalizer that is not numbers, a bool or a string among them
+        for key in ("center", "half_extent"):
+            for value in VALUES:
+                if not dataio.is_number(value):
+                    assert f"{key} = {value!r}" in seen["refused"]
 
 
 class TestTrajectoryFuzz:

@@ -70,6 +70,14 @@ class TestKnn:
         with pytest.raises(ValueError):
             knn_indices(np.zeros((3, 3)), 3)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
+    def test_a_k_that_is_not_an_integer_is_rejected(self, k):
+        pts = np.random.default_rng(3).normal(size=(50, 3))
+        with pytest.raises(ValueError, match=r"need an integer 1 <= k < N neighbors"):
+            knn_indices(pts, k)
+        with pytest.raises(ValueError, match=r"need an integer 1 <= k < N neighbors"):
+            build_knn(pts, k)
+
     @pytest.mark.parametrize("k", [0, -3])
     def test_k_below_one_rejected(self, k):
         pts = np.random.default_rng(3).normal(size=(50, 3))

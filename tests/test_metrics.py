@@ -6,37 +6,15 @@ import pytest
 
 from splinefield import metrics
 from splinefield.dataio import gen_synthetic
-from splinefield.metrics import (epe, morans_i_frame, morans_i_sequence,
-                                 motion_vectors, write_report)
-
-
-class TestMotionVectors:
-    def test_static_trajectory(self):
-        traj = np.tile(np.random.default_rng(0).normal(size=(1, 5, 3)), (4, 1, 1))
-        np.testing.assert_array_equal(motion_vectors(traj), np.zeros((3, 5, 3)))
-
-    def test_uniform_translation(self):
-        base = np.random.default_rng(1).normal(size=(5, 3))
-        d = np.array([0.1, 0.0, -0.2])
-        traj = np.stack([base + i * d for i in range(4)])
-        v = motion_vectors(traj)
-        np.testing.assert_allclose(v, np.tile(d, (3, 5, 1)), atol=1e-14)
-
-    def test_matches_loop_oracle(self):
-        traj = np.random.default_rng(2).normal(size=(6, 4, 3))
-        v = motion_vectors(traj)
-        for t in range(5):
-            for i in range(4):
-                np.testing.assert_array_equal(v[t, i], traj[t + 1, i] - traj[t, i])
-
-    def test_needs_two_frames(self):
-        with pytest.raises(ValueError):
-            motion_vectors(np.zeros((1, 5, 3)))
+from splinefield.metrics import epe, morans_i_frame, morans_i_sequence, write_report
 
 
 def _brute_neighborhoods(positions, k):
-    """Oracle of metrics._neighborhoods: the K nearest points (self included)
-    by an exhaustive distance sort, ties by ascending index."""
+    """metrics._neighborhoods by an exhaustive distance sort, ties by
+    ascending index. The k-d tree promises no order among ties, so where more
+    than K points share a position (`_awkward_scene`'s 15 at K = 10) the two
+    may pick other K of them, a point's own index left out by either; such a
+    neighborhood has no pair weight, so both score it alike."""
     n = positions.shape[0]
     if n <= k:
         raise ValueError(f"need more points than K: N={n}, K={k}")
@@ -150,6 +128,12 @@ class TestMoransIDefinition:
         with _brute(brute), pytest.raises(ValueError, match="K >= 2"):
             morans_i_frame(pts, vec, k=k)
 
+    @pytest.mark.parametrize("k", [2.5, 10.0, True, np.float64(3), "3"])
+    def test_a_k_that_is_not_an_integer_is_rejected(self, k):
+        pts, vec = _awkward_scene()
+        with pytest.raises(ValueError, match=r"integer K >= 2 neighbors, got K="):
+            morans_i_frame(pts, vec, k=k)
+
     @pytest.mark.parametrize("n_vectors, k, match", [
         (5, 5, "need more points than K: N=5, K=5"),
         (4, 2, r"positions and vectors must both be \[N_p, 3\]")])
@@ -195,6 +179,11 @@ class TestMoransISequence:
         assert fast.count(None) == 1
         np.testing.assert_allclose([s for s in fast if s is not None],
                                    [s for s in slow if s is not None], atol=1e-10)
+
+    def test_needs_two_frames(self):
+        for positions in (np.zeros((1, 5, 3)), np.zeros((0, 5, 3)), (np.zeros((5, 3)),)):
+            with pytest.raises(ValueError, match="at least two frames"):
+                morans_i_sequence(positions, k=2)
 
     def test_static_sequence_all_skipped(self):
         traj = np.tile(np.random.default_rng(9).normal(size=(1, 50, 3)), (4, 1, 1))

@@ -784,6 +784,41 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"scale must be finite and > 0 \(--scale\)"):
             trainer.evaluate(NoDeform(traj), traj, split, scale=scale)
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(k=2.5), "integer K"), (dict(k=10.0), "integer K"), (dict(k=True), "integer K"),
+        (dict(k="5"), "integer K"), (dict(scale=True), r"scale must be a number \(--scale\)"),
+        (dict(scale="1e4"), r"scale must be a number \(--scale\)"),
+        (dict(scale=None), r"scale must be a number \(--scale\)")])
+    def test_a_k_or_scale_of_the_wrong_type_fails_before_deforming(self, kw, match):
+        traj = dataio.gen_synthetic("rigid-translate", 30, 5, seed=0)
+        split = dataio.Split(train_frames=(0, 2, 4), test_frames=(1, 3),
+                             supervised=np.arange(30))
+
+        class NoDeform(_Replay):
+            def deform_frames(self, pts, times):
+                raise AssertionError("deform ran before k and scale were checked")
+        with pytest.raises(ValueError, match=match):
+            trainer.evaluate(NoDeform(traj), traj, split, **kw)
+
+    def test_each_transition_is_scored_by_morans_i_sequence(self, monkeypatch):
+        # the benchmark times Moran's I through this one function
+        traj = dataio.gen_synthetic("composite", 40, 13, seed=2)
+        split = split_frames(traj, SplitSpec(stride=4, supervised_fraction=0.5))
+        seen, score = [], metrics.morans_i_sequence
+
+        def spying(positions, k):
+            seen.append([np.array(p) for p in positions])
+            return score(positions, k)
+        monkeypatch.setattr(metrics, "morans_i_sequence", spying)
+        summary, rows = trainer.evaluate(_Replay(traj), traj, split, k=5)
+        frames = list(split.test_frames)
+        assert len(seen) == len(frames) - 1 >= 2
+        for pair, a, b in zip(seen, frames[:-1], frames[1:]):
+            assert len(pair) == 2
+            assert np.array_equal(pair[0], traj.positions[a])
+            assert np.array_equal(pair[1], traj.positions[b])
+        assert summary["mean_I"] == np.mean([r["mean_I"] for r in rows[:-1]])
+
     def test_split_arithmetic(self):
         traj = dataio.gen_synthetic("rigid-translate", 20, 120, seed=0)
         split = split_frames(traj, SplitSpec(stride=4, supervised_fraction=0.25))
