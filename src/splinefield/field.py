@@ -168,8 +168,12 @@ class SplineField:
         if not (np.ndim(center) == 1 and all(map(dataio.is_number, [*center, half_extent]))):
             raise ValueError(f"normalizer must be numbers, got center {center!r}, "
                              f"half_extent {half_extent!r}")
-        self.center = np.asarray(center, dtype=np.float64)
-        self.half_extent = float(half_extent)
+        try:
+            self.center = np.asarray(center, dtype=np.float64)
+            self.half_extent = float(half_extent)
+        except OverflowError:   # an integer past float64
+            raise ValueError(f"normalizer must be numbers within float64, got center "
+                             f"{center!r}, half_extent {half_extent!r}") from None
         if self.center.shape != (3,) or not np.all(np.isfinite(self.center)):
             raise ValueError(f"normalizer center must be 3 finite numbers, got {self.center}")
         if not (np.isfinite(self.half_extent) and self.half_extent > 0):

@@ -28,7 +28,7 @@ SEED = 20260
 CKPT = os.path.join(os.path.dirname(__file__), "data", "triplanes_small.ckpt")
 # JSON values of the wrong type, or of a type a key takes but out of its range
 VALUES = [None, True, False, "", "x", "triplanes", [], [1], [4, 8], [2.5], {}, {"a": 1},
-          -1, 0, 1, 2, 10 ** 9, -2.5, 1e-310, 1e300, -1e300, float("nan"), float("inf")]
+          -1, 0, 1, 2, 10 ** 9, 10 ** 400, -2.5, 1e-310, 1e300, -1e300, float("nan"), float("inf")]
 
 
 def _load_and_query(path) -> None:
