@@ -31,7 +31,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import dataio, metrics, trainer
-from .dataio import FormatError, SplitSpec, TrajectorySet
+from .dataio import FormatError, SplitSpec
 from .field import SplineField
 from .trainer import DivergenceError
 
@@ -193,7 +193,7 @@ def _parse_times(raw: str) -> list:
 def _cmd_interp(args) -> int:
     times = _parse_times(args.times)
     fld = SplineField.load(args.ckpt)
-    dataio.write_traj(args.out, TrajectorySet(fld.deform(fld.canonical, times)))
+    dataio.write_traj(args.out, fld.deform_frames(fld.canonical, times))
     print(f"wrote {args.out}: {len(times)} frames")
     return EXIT_OK
 

@@ -4,10 +4,10 @@ the configs' type rule (`check_config`, with `is_int` and `is_number`).
 Trajectory files use a small binary layout: an 8-byte magic "SDFTRAJ1",
 a u32 frame count T, a u32 point count N_p, then T*N_p*3 little-endian
 f32 positions ordered frame-major. Total size is 16 + 4*T*N_p*3 bytes.
-Every position must be finite; both readers check that on the f32 values,
-before the cast to float64, which would raise numpy's invalid-value warning
-on a signaling NaN. Checkpoints (magic "SDFCKPT1") hold named
-f32 arrays and a JSON header; `write_checkpoint` documents the layout.
+Checkpoints (magic "SDFCKPT1") hold named f32 arrays and a JSON header;
+`write_checkpoint` documents the layout. Both readers return the f32 values,
+which their consumers convert exactly to float64 before computing, and check
+them finite with no cast: a cast warns on a signaling NaN.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 TRAJ_MAGIC = b"SDFTRAJ1"
 CKPT_MAGIC = b"SDFCKPT1"
 CKPT_VERSION = 1
-READ_CHUNK = 1 << 20    # f32 payload bytes `read_traj` converts at once, whole frames
 
 SYNTHETIC_KINDS = ("rigid-translate", "rotate", "bending-sheet",
                    "swing-arm", "composite")
@@ -69,12 +68,15 @@ def check_config(config, checks) -> None:
             raise ValueError(f"{name} must be {want}, got {getattr(config, name)!r}")
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether a is all finite, by its min and max: no temporary, no f32 cast."""
+    return not a.size or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def _check_finite(p: np.ndarray, first_frame: int = 0) -> None:
     """Raise ValueError naming the first point of the [T, N_p, 3] positions p
-    (frame 0 of p being frame `first_frame`) that is not finite. The test
-    reads p's min and max, which NaN propagates to, so it makes no [T, N_p, 3]
-    temporary and, on f32, no cast."""
-    if p.size and not (np.isfinite(p.min()) and np.isfinite(p.max())):
+    (frame 0 of p being frame `first_frame`) that is not finite."""
+    if not _finite(p):
         frame, point = np.argwhere(~np.isfinite(p).all(axis=2))[0]
         raise ValueError(f"non-finite position at frame {first_frame + frame}, point {point}")
 
@@ -82,10 +84,11 @@ def _check_finite(p: np.ndarray, first_frame: int = 0) -> None:
 @dataclass(frozen=True)
 class TrajectorySet:
     """Dense point trajectories, positions[t, i] is point i at frame t."""
-    positions: np.ndarray   # [T, N_p, 3] float64
+    positions: np.ndarray   # [T, N_p, 3] float32 or float64, kept as given; else float64
 
     def __post_init__(self):
-        p = np.asarray(self.positions, dtype=np.float64)
+        p = np.asarray(self.positions)
+        p = p if p.dtype in (np.float32, np.float64) else p.astype(np.float64)
         if p.ndim != 3 or p.shape[2] != 3 or p.shape[0] < 1:
             raise ValueError(f"positions must be [T, N_p, 3], got {p.shape}")
         if p.shape[1] < 1:
@@ -207,24 +210,36 @@ def gen_synthetic(kind: str, n_points: int, n_frames: int,
     return TrajectorySet(np.stack(frames))
 
 
-def write_traj(path, traj: TrajectorySet) -> None:
-    """Write traj in the trajectory layout. A position that is not finite in
-    f32 raises ValueError naming its frame and point before the file is
-    opened, since `read_traj` would refuse it."""
-    with np.errstate(over="ignore"):    # an overflow to inf is refused below
-        data = traj.positions.astype("<f4")
-    _check_finite(data)
-    with open(path, "wb") as f:
-        f.write(TRAJ_MAGIC)
-        f.write(struct.pack("<II", traj.n_frames, traj.n_points))
-        f.write(data.tobytes(order="C"))
+def write_traj(path, traj) -> None:
+    """Write a TrajectorySet, or an iterable of [N_p, 3] frames, as f32 a
+    frame at a time into `path` + ".part", renamed to path once whole. A
+    frame not shaped like the first, or a position not finite in f32 (which
+    `read_traj` refuses), raises ValueError naming the frame; path is untouched."""
+    part, shape = f"{path}.part", None
+    try:
+        with open(part, "wb") as f:
+            f.write(TRAJ_MAGIC + bytes(8))      # T and N_p, once counted
+            for t, frame in enumerate(getattr(traj, "positions", traj)):
+                with np.errstate(over="ignore"):    # an overflow to inf is refused below
+                    data = np.ascontiguousarray(frame, dtype="<f4")
+                shape = shape or data.shape
+                if data.shape != shape or shape[1:] != (3,) or not shape[0]:
+                    raise ValueError(f"frame {t} must be [N_p, 3] like frame 0, got {data.shape}")
+                _check_finite(data[None], t)
+                f.write(data)
+            if shape is None:
+                raise ValueError("no frames to write")
+            f.seek(8)
+            f.write(struct.pack("<II", t + 1, shape[0]))
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
 
 
 def read_traj(path) -> TrajectorySet:
-    """Read a trajectory file into a float64 TrajectorySet. The payload is
-    read, checked and converted into the result READ_CHUNK bytes of whole
-    frames at a time, so the file is never held whole, as bytes or as f32. A
-    wrong size or magic, or a non-finite position, raises FormatError."""
+    """Read a trajectory file's payload in one call into an f32 TrajectorySet;
+    a wrong size or magic, or a non-finite position, raises FormatError."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size < 16:
@@ -238,19 +253,13 @@ def read_traj(path) -> TrajectorySet:
             raise FormatError(
                 f"payload size mismatch at byte 16: have {size} bytes, "
                 f"expected {expect} for T={n_frames}, N_p={n_points}")
-        pos = np.empty((n_frames, n_points, 3))
-        step = max(1, READ_CHUNK // max(1, 12 * n_points))   # frames per chunk
-        buf = np.empty((min(step, n_frames), n_points, 3), dtype="<f4")
-        try:
-            for lo in range(0, n_frames, step):
-                f32 = buf[:n_frames - lo]
-                if f.readinto(f32) != f32.nbytes:
-                    raise FormatError(f"file truncated at byte {f.tell()}")
-                _check_finite(f32, lo)
-                pos[lo:lo + len(f32)] = f32
-            return TrajectorySet(pos)
-        except ValueError as e:
-            raise FormatError(f"bad trajectory payload at byte 16: {e}") from None
+        pos = np.empty((n_frames, n_points, 3), dtype="<f4")
+        if f.readinto(pos) != pos.nbytes:
+            raise FormatError(f"file truncated at byte {f.tell()}")
+    try:
+        return TrajectorySet(pos)
+    except ValueError as e:
+        raise FormatError(f"bad trajectory payload at byte 16: {e}") from None
 
 
 def write_checkpoint(path, arrays: dict, header: dict | None = None) -> None:
@@ -267,27 +276,22 @@ def write_checkpoint(path, arrays: dict, header: dict | None = None) -> None:
         f32 = {name: np.ascontiguousarray(arrays[name], dtype=np.float32)
                for name in sorted(arrays)}
     for name, arr in f32.items():
-        if not np.isfinite(arr).all():
+        if not _finite(arr):
             raise ValueError(f"array {name!r} is not finite in float32")
     with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<II", CKPT_VERSION, len(hdr)))
-        f.write(hdr)
+        f.write(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(hdr)) + hdr)
         f.write(struct.pack("<I", len(f32)))
         for name, arr in f32.items():
             nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+            f.write(struct.pack("<H", len(nb)) + nb)
+            f.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            f.write(arr)
 
 
 def read_checkpoint(path):
-    """Read a checkpoint file; returns (arrays, header).
-
-    A non-finite value, a repeated array name or bytes after the last
-    section raise FormatError naming the array or the byte offset."""
+    """Read a checkpoint file; returns (arrays, header), the arrays read-only
+    f32 views of its bytes. A non-finite value, a repeated array name or bytes
+    after the last section raise FormatError naming the array or byte offset."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:8] != CKPT_MAGIC:
@@ -315,13 +319,11 @@ def read_checkpoint(path):
             shape = struct.unpack_from(f"<{rank}I", data, off)
             off += 4 * rank
             n = math.prod(shape)
-            payload = data[off:off + 4 * n]
-            if len(payload) != 4 * n:
+            if off + 4 * n > len(data):
                 raise FormatError(f"truncated payload for {name!r} at byte {off}")
-            arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
-            if not np.isfinite(arr).all():     # on f32: a signaling NaN's cast warns
+            arrays[name] = np.frombuffer(data, "<f4", n, off).reshape(shape)
+            if not _finite(arrays[name]):
                 raise FormatError(f"non-finite value in array {name!r} at byte {off}")
-            arrays[name] = arr.astype(np.float64)
             off += 4 * n
     except struct.error as e:
         raise FormatError(f"truncated file at byte {off}: {e}") from None

@@ -33,7 +33,7 @@ them. The plain-array queries (`deform`, `velocity`, `acceleration`,
 list the segment knots of all their times in first-use order, and run on
 a NoGradTape. A multi-time query fills one [T, N, 3] output frame by
 frame; `deform_frames` hands the frames out one at a time instead, to a
-caller that keeps few of them (`trainer.evaluate`, `cli flow`).
+caller that keeps few of them (`trainer.evaluate`, `cli` interp and flow).
 A loaded field is read-only (its canonical points, normalizer center and
 parameter arrays raise ValueError on a write), so it keeps one dict for its
 canonical points: each knot is predicted at most once per loaded field, by

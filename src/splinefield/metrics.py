@@ -99,12 +99,10 @@ def epe(pred: np.ndarray, gt: np.ndarray, scale: float, out=None) -> float:
     """Mean Euclidean end-point error over all (point, frame) pairs, scaled;
     `out`, if given, receives the per-pair errors (pred's shape without its
     last axis)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    # the sum of squares np.linalg.norm takes, in place: one temporary, not three
-    sq = pred - gt
+    if np.shape(pred) != np.shape(gt):
+        raise ValueError(f"shape mismatch: {np.shape(pred)} vs {np.shape(gt)}")
+    # np.linalg.norm's sum of squares, in float64 and in place: one temporary
+    sq = np.subtract(pred, gt, dtype=np.float64)
     sq *= sq
     return float(np.mean(np.sqrt(sq.sum(axis=-1), out=out))) * scale
 

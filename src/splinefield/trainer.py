@@ -219,11 +219,10 @@ class RunLog:
 def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
     """Fit a SplineField to the training frames. Returns (field, run log)."""
     rng = np.random.default_rng(cfg.seed)
-    canonical = traj.positions[0]
-    fld = SplineField(cfg.field_config(len(split.train_frames)), canonical, seed=cfg.seed)
+    fld = SplineField(cfg.field_config(len(split.train_frames)), traj.positions[0], seed=cfg.seed)
 
     sup = np.asarray(split.supervised)
-    sup_pts = canonical[sup]
+    sup_pts = fld.canonical[sup]    # float64, whatever the trajectory's dtype
     if cfg.alpha > 0:
         if sup.shape[0] <= cfg.knn_k:
             raise ValueError(f"knn_k (--K-neighbors) {cfg.knn_k} needs more than "

@@ -1,12 +1,13 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from splinefield import cli, dataio, trainer
 from splinefield.cli import main
-from splinefield.field import SplineField
+from splinefield.field import FieldConfig, SplineField
 from splinefield.trainer import DivergenceError
 
 
@@ -495,6 +496,54 @@ class TestInterpAdvectFlow:
                    "--out", str(tmp_path / "x.traj")])
         assert rc == 2
         assert "--times" in capsys.readouterr().err
+
+    def test_interp_file_is_the_multi_time_deform_written_whole(self, fitted, tmp_path):
+        _, ckpt = fitted
+        times = [0.0, 0.13, 0.5, 0.77, 1.0]
+        out, whole = tmp_path / "interp.traj", tmp_path / "whole.traj"
+        assert main(["interp", "--ckpt", str(ckpt), "--times", ",".join(map(str, times)),
+                     "--out", str(out)]) == 0
+        fld = SplineField.load(ckpt)
+        dataio.write_traj(whole, dataio.TrajectorySet(fld.deform(fld.canonical, times)))
+        assert out.read_bytes() == whole.read_bytes()
+
+    def test_a_non_finite_frame_exits_2_and_leaves_the_output_as_it_was(
+            self, fitted, tmp_path, monkeypatch, capsys):
+        _, ckpt = fitted
+        frames = SplineField.deform_frames
+
+        def past_float32_second(self, points, times):
+            first = next(frames(self, points, times))
+            return iter([first, np.where(np.arange(len(points))[:, None] == 4, 1e39, first)])
+        monkeypatch.setattr(SplineField, "deform_frames", past_float32_second)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "interp.traj").write_bytes(b"before")
+        assert main(["interp", "--ckpt", str(ckpt), "--times", "0.0,0.5",
+                     "--out", str(out / "interp.traj")]) == 2
+        assert capsys.readouterr().err == "error: non-finite position at frame 1, point 4\n"
+        assert [p.name for p in out.iterdir()] == ["interp.traj"]
+        assert (out / "interp.traj").read_bytes() == b"before"
+
+    def test_interp_of_many_times_holds_about_one_frame(self, tmp_path):
+        ckpt, n = tmp_path / "wide.ckpt", 3000
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (n, 3))
+        SplineField(FieldConfig(rank=2, hidden=16, depth=2), pts).save(ckpt)
+
+        def peak(times) -> int:
+            tracemalloc.start()
+            try:
+                assert main(["interp", "--ckpt", str(ckpt), "--times", ",".join(times),
+                             "--out", str(tmp_path / "interp.traj")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the two end times read every knot, as the 300 do
+        ends, many = peak(["0", "1"]), peak([f"{t:.4f}" for t in np.linspace(0, 1, 300)])
+        frame = n * 3 * 8
+        # the [T, N, 3] deform, its f32 cast and the cast's bytes took about
+        # 300 * 2 frames more (41.7 MB)
+        assert many < ends + 2 * frame
 
     def test_advect_dt_zero_equals_deform(self, tmp_path):
         traj = _gen(tmp_path)

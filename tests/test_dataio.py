@@ -27,6 +27,18 @@ class TestTrajectorySet:
         with pytest.raises(ValueError):
             TrajectorySet(pos)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float32_and_float64_positions_are_kept_without_a_copy(self, dtype):
+        pos = np.arange(24.0, dtype=dtype).reshape(2, 4, 3)
+        assert TrajectorySet(pos).positions is pos
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float16])
+    def test_other_dtypes_become_float64(self, dtype):
+        pos = np.arange(24).reshape(2, 4, 3).astype(dtype)
+        traj = TrajectorySet(pos)
+        assert traj.positions.dtype == np.float64
+        assert np.array_equal(traj.positions, pos)
+
     def test_frame_time(self):
         traj = TrajectorySet(np.zeros((5, 2, 3)))
         assert traj.frame_time(0) == 0.0
@@ -153,6 +165,56 @@ class TestTrajFormat:
                 write_traj(path, TrajectorySet(positions))
         assert not path.exists()
 
+    def test_a_file_reads_as_float32_and_writes_back_byte_identical(self, tmp_path):
+        path, again, wide = tmp_path / "t.traj", tmp_path / "again.traj", tmp_path / "w.traj"
+        write_traj(path, gen_synthetic("composite", 25, 7, seed=4))
+        back = read_traj(path)
+        assert back.positions.dtype == np.float32
+        write_traj(again, back)
+        write_traj(wide, TrajectorySet(back.positions.astype(np.float64)))
+        assert again.read_bytes() == wide.read_bytes() == path.read_bytes()
+
+    def test_frames_stream_to_the_bytes_of_their_set(self, tmp_path):
+        traj = gen_synthetic("swing-arm", 9, 5, seed=1)
+        whole, streamed = tmp_path / "whole.traj", tmp_path / "streamed.traj"
+        write_traj(whole, traj)
+        write_traj(streamed, iter(traj.positions))
+        assert streamed.read_bytes() == whole.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.traj", "whole.traj"]
+
+    @pytest.mark.parametrize("frames, message", [
+        ([np.zeros((4, 3)), np.zeros((5, 3))], r"^frame 1 must be \[N_p, 3\] like frame 0, "
+                                               r"got \(5, 3\)$"),
+        ([np.zeros((4, 2))], r"^frame 0 must be \[N_p, 3\] like frame 0, got \(4, 2\)$"),
+        ([np.zeros((0, 3))], r"^frame 0 must be \[N_p, 3\]"),
+        ([], "^no frames to write$"),
+        ([np.zeros((4, 3)), np.zeros((4, 3)), np.full((4, 3), 1e39)],
+         "^non-finite position at frame 2, point 0$"),
+    ], ids=["points-differ", "two-columns", "no-points", "no-frames", "past-float32"])
+    def test_a_bad_stream_leaves_the_file_as_it_was(self, tmp_path, frames, message):
+        path = tmp_path / "t.traj"
+        path.write_bytes(b"before")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                write_traj(path, iter(frames))
+        assert [p.name for p in tmp_path.iterdir()] == ["t.traj"]
+        assert path.read_bytes() == b"before"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_writing_holds_at_most_two_f32_frames(self, tmp_path, dtype):
+        traj = TrajectorySet(gen_synthetic("composite", 2000, 40, seed=0).positions.astype(dtype))
+        tracemalloc.start()
+        try:
+            write_traj(tmp_path / "t.traj", traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an f32 frame is written as it is; a float64 frame is cast to an f32
+        # frame of 24 000 bytes while the one before it is live, where a cast
+        # of the whole set and its bytes took 1 920 000
+        assert peak < 2 * 2000 * 3 * 4 + (16 << 10)
+
     def test_zero_points_rejected_with_count(self, tmp_path):
         path = tmp_path / "empty.traj"
         path.write_bytes(TRAJ_MAGIC + struct.pack("<II", 9, 0))
@@ -170,38 +232,30 @@ class TestTrajFormat:
         with pytest.raises(FormatError, match="frame 2, point 5"):
             read_traj(path)
 
-    def test_a_chunked_read_is_bitwise_the_one_chunk_read(self, tmp_path, monkeypatch):
-        path = tmp_path / "t.traj"
-        write_traj(path, gen_synthetic("composite", 50, 11, seed=2))
-        whole = read_traj(path).positions
-        monkeypatch.setattr(dataio, "READ_CHUNK", 3 * 50 * 12)     # 3 frames a chunk
-        assert np.array_equal(read_traj(path).positions, whole)
-
-    def test_a_later_chunk_names_the_frame_of_the_file(self, tmp_path, monkeypatch):
+    def test_a_later_frame_is_named_as_in_the_file(self, tmp_path):
         path = tmp_path / "nan.traj"
         write_traj(path, gen_synthetic("rotate", 6, 11, seed=0))
         blob = bytearray(path.read_bytes())
         off = 16 + 4 * ((7 * 6 + 3) * 3 + 1)        # frame 7, point 3, y
         blob[off:off + 4] = np.array([np.inf], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
-        monkeypatch.setattr(dataio, "READ_CHUNK", 3 * 6 * 12)
         with pytest.raises(FormatError, match="at byte 16: non-finite position at frame 7, "
                                               "point 3$"):
             read_traj(path)
 
-    def test_peak_memory_is_the_result_and_one_chunk(self, tmp_path, monkeypatch):
+    def test_peak_memory_is_the_float32_result(self, tmp_path):
         path = tmp_path / "t.traj"
         write_traj(path, gen_synthetic("composite", 2000, 40, seed=0))
-        # four frames a chunk, with most of a fifth to spare for the file object
-        monkeypatch.setattr(dataio, "READ_CHUNK", 5 * 2000 * 12 - 1, raising=False)
         tracemalloc.start()
         try:
             back = read_traj(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the whole file as bytes, then as float64 and its finiteness mask took 1.6x
-        assert peak < back.positions.nbytes + dataio.READ_CHUNK
+        assert back.positions.dtype == np.float32
+        # 64 KiB of slack for the file object and the header; the chunked
+        # float64 read this replaced peaked at 3x the f32 payload's 960 000 bytes
+        assert peak < back.positions.nbytes + (64 << 10)
 
     @pytest.mark.parametrize("kind", ["traj", "ckpt"])
     def test_a_signaling_nan_is_a_format_error_with_no_warning(self, tmp_path, kind):

@@ -3,7 +3,10 @@
 Each mutation of the committed checkpoint `data/triplanes_small.ckpt`, or
 of a small trajectory written here, must either load and query finite
 values or raise FormatError: no other exception and no warning of any
-kind. The mutations are bit flips anywhere, bit flips in the header and
+kind. A trajectory that loads must hold f32 positions, and split and score
+its frames against frame 0 as fit and eval do, in float64: a position near
+the f32 maximum, tried here, overflows any consumer that computes in f32.
+The mutations are bit flips anywhere, bit flips in the header and
 framing, truncations, and for the checkpoint JSON header values of the
 wrong type or range and missing or extra keys. Random cases are drawn from
 default_rng(SEED), so every run tries the same files; the small families
@@ -20,7 +23,7 @@ import warnings
 import numpy as np
 import pytest
 
-from splinefield import dataio
+from splinefield import dataio, metrics
 from splinefield.dataio import FormatError
 from splinefield.field import SplineField
 
@@ -39,7 +42,11 @@ def _load_and_query(path) -> None:
 
 
 def _read_traj(path) -> None:
-    assert np.isfinite(dataio.read_traj(path).positions).all()
+    traj = dataio.read_traj(path)
+    assert traj.positions.dtype == np.float32 and np.isfinite(traj.positions).all()
+    dataio.split_frames(traj, dataio.SplitSpec())
+    for frame in traj.positions:
+        assert np.isfinite(metrics.epe(frame, traj.positions[0], 1.0))
 
 
 def _outcomes(read, path, cases) -> dict:
@@ -173,6 +180,20 @@ class TestTrajectoryFuzz:
                  for i in range(16) for b in range(8))
         seen = _outcomes(_read_traj, tmp_path / "f.traj", cases)
         assert not seen["loaded"]
+
+    def test_positions_near_the_float32_maximum(self, tmp_path, blob):
+        top = np.finfo(np.float32).max
+        # one coordinate of a point at +-max in frame 0 and -+max in a later
+        # frame: their difference, and its square, lie past f32
+        cases = []
+        for frame, point, axis in [(1, 0, 0), (2, 6, 2), (4, 3, 1)]:
+            for sign in (1.0, -1.0):
+                pos = np.frombuffer(blob, "<f4", offset=16).reshape(5, 7, 3).copy()
+                pos[0, point, axis], pos[frame, point, axis] = sign * top, -sign * top
+                cases.append((f"{sign:+} max at point {point}, frame {frame}",
+                              blob[:16] + pos.tobytes()))
+        seen = _outcomes(_read_traj, tmp_path / "f.traj", cases)
+        assert len(seen["loaded"]) == len(cases)
 
     def test_every_truncation(self, tmp_path, blob):
         cases = ((f"first {n} bytes", blob[:n]) for n in range(len(blob)))

@@ -12,7 +12,7 @@ from splinefield import autodiff as ad
 from splinefield import dataio, encoders, losses, metrics, trainer
 from splinefield import field as field_module
 from splinefield.autodiff import ParamStore, Tape
-from splinefield.dataio import SplitSpec, split_frames
+from splinefield.dataio import SplitSpec, TrajectorySet, split_frames
 from splinefield.field import FieldConfig, SplineField
 from splinefield.trainer import Adam, TrainConfig, parse_run_config, train
 
@@ -854,3 +854,38 @@ class TestEvaluate:
         direct = metrics.epe(fld.deform(fld.canonical, traj.frame_time(t0)),
                              traj.positions[t0], scale=1e4)
         assert rows[0]["epe"] == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def file_and_wide(tmp_path_factory):
+    """A scene read from its file, f32, and the same positions as float64."""
+    path = tmp_path_factory.mktemp("scene") / "scene.traj"
+    dataio.write_traj(path, dataio.gen_synthetic("composite", 160, 13, seed=3))
+    read = dataio.read_traj(path)
+    assert read.positions.dtype == np.float32
+    return read, TrajectorySet(read.positions.astype(np.float64))
+
+
+class TestFloat32Trajectory:
+    """Every consumer of a trajectory computes in float64, to which f32
+    converts exactly, so the f32 positions `read_traj` keeps fit and score
+    as their float64 copy does, to the byte."""
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"variant": "pe-resfields", "quintic": True, "accel_mode": "l2"},
+        {"variant": "triplanes"}, {"variant": "triaxes"}, {"variant": "coupled4d-baseline"},
+        {"variant": "triplanes", "batch_points": 30}],
+        ids=["siren", "pe-quintic-l2", "triplanes", "triaxes", "coupled4d", "triplanes-batch"])
+    def test_a_fit_and_its_evaluation_match_the_float64_copy(self, file_and_wide, tmp_path,
+                                                             kw):
+        got = []
+        for traj in file_and_wide:
+            split = split_frames(traj, SplitSpec(4, 0.25), seed=3)
+            fld, log = train(traj, split, TrainConfig(steps=3, seed=3, **kw))
+            ckpt, report = tmp_path / "fit.ckpt", tmp_path / "report.csv"
+            fld.save(ckpt)
+            summary, rows = trainer.evaluate(SplineField.load(ckpt), traj, split)
+            metrics.write_report(report, rows)
+            got.append((ckpt.read_bytes(), summary, rows, report.read_bytes(),
+                        [(r["total"], r["grad_norms"]) for r in log.rows]))
+        assert got[0] == got[1]
