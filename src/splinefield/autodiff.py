@@ -2,9 +2,9 @@
 
 A forward pass builds a Tape of backward closures; Tape.backward replays them
 in exact reverse execution order, dropping each one as it runs. Each use of a
-ParamStore parameter is a new leaf Var whose grad is the store's array, so
-backward sums into it in place: zero the grads first. A NoGradTape runs the
-same forward ops but records nothing, for inference.
+ParamStore parameter on a Tape is a new leaf Var whose grad is the store's
+array, so backward sums into it in place: zero the grads first. A NoGradTape
+runs the same forward ops but records nothing, for inference.
 
 Every primitive keeps one contract, through `_op`: one forward value and
 one backward rule, which runs only once a gradient has reached the output.
@@ -366,7 +366,8 @@ def forward_linear(x, W, b) -> Var:
 
 
 class ParamStore:
-    """Named float64 parameter arrays with mirrored gradient buffers."""
+    """Named float64 parameter arrays. A parameter's zeroed gradient buffer is
+    made when first asked for, by grad or by a leaf on a recording tape."""
 
     def __init__(self):
         self._values: dict[str, np.ndarray] = {}
@@ -377,7 +378,6 @@ class ParamStore:
             raise ValueError(f"duplicate parameter name: {name!r}")
         arr = np.array(value, dtype=np.float64, order="C")   # reshape(-1) is a view
         self._values[name] = arr
-        self._grads[name] = np.zeros_like(arr)
         return arr
 
     def names(self) -> list[str]:
@@ -387,16 +387,23 @@ class ParamStore:
         return self._values[name]
 
     def grad(self, name: str) -> np.ndarray:
+        if name not in self._grads:
+            self._grads[name] = np.zeros(self._values[name].shape)
         return self._grads[name]
 
     def zero_grad(self) -> None:
         for g in self._grads.values():
             g[...] = 0.0
 
+    def drop_grads(self) -> None:
+        self._grads.clear()
+
     def var(self, name: str, tape: Tape) -> Var:
-        """A new leaf Var of the parameter on the given tape. Its grad is the
-        store's gradient array, so backward sums each use into it in place:
-        zero the grads before backward."""
+        """A new leaf Var of the parameter on the given tape. On a recording
+        tape its grad is the store's gradient array, so backward sums each use
+        into it in place: zero the grads before backward. A NoGradTape leaf
+        keeps grad None, and the store makes no buffer for it."""
         leaf = Var(self._values[name], tape)
-        leaf.grad = self._grads[name]
+        if not isinstance(tape, NoGradTape):
+            leaf.grad = self.grad(name)
         return leaf

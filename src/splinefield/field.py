@@ -337,7 +337,7 @@ class SplineField:
         field's canonical dict when `points` equal (shape and values) its
         canonical points, else a new one."""
         tape, states = NoGradTape(), self._canonical_states
-        if states is None or not np.array_equal(points, self.canonical):
+        if states is None or not (points is self.canonical or np.array_equal(points, self.canonical)):
             states = {}
         self.knot_states(tape, points, spline.segment_knots(times, self.cfg.n_knots), states)
         return tape, states

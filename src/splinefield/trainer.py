@@ -217,7 +217,8 @@ class RunLog:
 
 
 def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
-    """Fit a SplineField to the training frames. Returns (field, run log)."""
+    """Fit a SplineField to the training frames. Returns (field, run log).
+    The returned field holds no gradients: read a step's inside the loop."""
     rng = np.random.default_rng(cfg.seed)
     fld = SplineField(cfg.field_config(len(split.train_frames)), traj.positions[0], seed=cfg.seed)
 
@@ -301,6 +302,7 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
                    (time.perf_counter() - t0) * 1e3, forward_ms=(t_fwd - t_step) * 1e3,
                    backward_ms=(t_bwd - t_fwd) * 1e3, optimizer_ms=(t_opt - t_bwd) * 1e3,
                    grad_norms=norms)
+    fld.store.drop_grads()
     return fld, log
 
 

@@ -240,6 +240,36 @@ class TestParamStoreLeaves:
         tape = NoGradTape()
         assert store.var("W", tape) is not store.var("W", tape)
 
+    def test_no_grad_tape_leaf_makes_no_buffer(self):
+        store = _wb_store()
+        leaf = store.var("W", NoGradTape())
+        assert leaf.grad is None
+        assert store._grads == {}
+
+    def test_grad_makes_one_zeroed_buffer(self):
+        store = _wb_store()
+        grad = store.grad("W")
+        assert grad.dtype == np.float64
+        np.testing.assert_array_equal(grad, np.zeros((2, 4)))
+        assert list(store._grads) == ["W"]
+        assert store.grad("W") is grad
+        assert store.var("W", Tape()).grad is grad
+
+    def test_drop_grads_then_a_recording_tape_gets_a_new_zeroed_buffer(self):
+        store = _wb_store()
+        tape = Tape()
+        tape.backward(ad.vsum(store.var("W", tape)))
+        old = store.grad("W")
+        store.drop_grads()
+        assert store._grads == {}
+        tape = Tape()
+        leaf = store.var("W", tape)
+        assert leaf.grad is not old
+        np.testing.assert_array_equal(leaf.grad, np.zeros((2, 4)))
+        tape.backward(ad.vsum(leaf))
+        np.testing.assert_array_equal(store.grad("W"), np.ones((2, 4)))
+        np.testing.assert_array_equal(old, np.ones((2, 4)))
+
     def test_uses_sum_in_place_into_the_store(self):
         store = _wb_store()
         tape = Tape()

@@ -718,11 +718,17 @@ class TestCheckpoint:
         for name, a in arrays.items():
             assert g.store.value(name).dtype == np.float64
             assert np.array_equal(g.store.value(name), a)
-        # the file's bytes, then the float64 parameters and their gradients; a
-        # bytes copy of each section and a float64 copy ahead of the store's
-        # own peaked 20 % higher
+        # the file's bytes, then the float64 parameters, with no gradient
+        # buffer; a bytes copy of each section and a float64 copy ahead of
+        # the store's own peaked 20 % higher
         wide = 8 * sum(a.size for a in arrays.values())
-        assert peak < path.stat().st_size + 2 * wide + (256 << 10)
+        assert peak < path.stat().st_size + wide + (256 << 10)
+        # queries run on a NoGradTape, which makes no buffer either
+        g.deform(g.canonical, 0.4)
+        traj = dataio.TrajectorySet(np.stack([g.canonical] * 5))
+        trainer.evaluate(g, traj, dataio.split_frames(traj, dataio.SplitSpec(2, 0.5), seed=0),
+                         k=3)
+        assert g.store._grads == {}
 
     def test_save_is_deterministic(self, tmp_path):
         f = SplineField(_small_cfg(), _points())

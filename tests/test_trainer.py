@@ -276,6 +276,17 @@ def _tiny_run(steps=15, kind="rigid-translate", **kw):
     return traj, split, TrainConfig(**base)
 
 
+def _step_grads(monkeypatch):
+    """A list that gets a copy of every parameter's gradient as each Adam
+    step of `train` reads it; the field `train` returns holds none. It spies
+    on whatever class `trainer.Adam` names when called."""
+    seen = []
+    step = trainer.Adam.step
+    monkeypatch.setattr(trainer.Adam, "step", lambda opt, *a: seen.append(
+        {n: opt.store.grad(n).copy() for n in opt.store.names()}) or step(opt, *a))
+    return seen
+
+
 class TestTrain:
     def test_loss_decreases(self):
         traj, split, cfg = _tiny_run(steps=60)
@@ -544,13 +555,14 @@ class TestSharedKnotStates:
                                      frames_per_step=9, n_knots=4, quintic=quintic,
                                      alpha=alpha, beta=beta)
         monkeypatch.setattr(trainer, "SplineField", _Perturbed)
-        fld, log = train(traj, split, cfg)
+        seen = _step_grads(monkeypatch)
+        _, log = train(traj, split, cfg)
         total, grads = _three_cache_step(traj, split, cfg)
         assert log.rows[0]["total"] == pytest.approx(total, rel=1e-12, abs=0)
+        assert len(seen) == 1 and list(seen[0]) == list(grads)
         for name, g in grads.items():
             tol = 1e-12 * max(np.max(np.abs(g)), 1e-300)
-            np.testing.assert_allclose(fld.store.grad(name), g, rtol=0, atol=tol,
-                                       err_msg=name)
+            np.testing.assert_allclose(seen[0][name], g, rtol=0, atol=tol, err_msg=name)
 
     def test_sliced_knot_states_pass_fd_check(self):
         traj, split, cfg = _tiny_run(quintic=True, n_knots=4)
@@ -620,18 +632,21 @@ class TestOneLeafPerTape:
         traj, split, cfg = _tiny_run(steps=3, kind="composite", variant=variant,
                                      quintic=quintic, batch_points=6, lr_decay=0.5)
         monkeypatch.setattr(trainer, "SplineField", _Perturbed)
+        seen = _step_grads(monkeypatch)
         fld, log = train(traj, split, cfg)
         with monkeypatch.context() as m:
             m.setattr(ParamStore, "var", _flush_per_call_var)
             m.setattr(ad, "weighted_stack_sum", _outer_product_stack_sum)
             m.setattr(trainer, "Adam", _FormerAdam)
+            ref_seen = _step_grads(m)
             ref, ref_log = train(traj, split, cfg)
         assert [r["total"] for r in log.rows] == [r["total"] for r in ref_log.rows]
+        assert len(seen) == len(ref_seen) == 3
         for name in ref.store.names():
             np.testing.assert_array_equal(fld.store.value(name), ref.store.value(name),
                                           err_msg=name)
-            np.testing.assert_array_equal(fld.store.grad(name), ref.store.grad(name),
-                                          err_msg=name)
+            for grads, ref_grads in zip(seen, ref_seen):
+                np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
 
     @pytest.mark.parametrize("variant, nodes", [("siren-resfields", 115), ("triplanes", 147)])
     def test_fit_step_tape_nodes_are_pinned(self, monkeypatch, variant, nodes):
@@ -645,18 +660,36 @@ class TestOneLeafPerTape:
         assert counts == [nodes] * 3
 
     def test_runlog_rows_carry_gradient_norms(self, monkeypatch):
-        norms = []
-        step = Adam.step
-        monkeypatch.setattr(Adam, "step", lambda opt, *a: norms.append(
-            {n: float(np.linalg.norm(opt.store.grad(n))) for n in opt.store.names()})
-            or step(opt, *a))
+        seen = _step_grads(monkeypatch)
         traj, split, cfg = _tiny_run(steps=3)
         fld, log = train(traj, split, cfg)
-        assert len(norms) == 3
-        for row, want in zip(log.rows, norms):
+        assert len(seen) == 3
+        for row, grads in zip(log.rows, seen):
             assert list(row["grad_norms"]) == fld.store.names()
-            for name, value in want.items():
-                assert row["grad_norms"][name] == pytest.approx(value, rel=1e-12)
+            for name, g in grads.items():
+                assert row["grad_norms"][name] == pytest.approx(np.linalg.norm(g), rel=1e-12)
+
+
+class TestTrainedFieldGradients:
+    @pytest.mark.parametrize("variant", ["siren-resfields", "triplanes"])
+    def test_returned_field_holds_no_gradient_buffer(self, variant):
+        fld, _ = train(*_tiny_run(steps=2, variant=variant, batch_points=6))
+        assert fld.store._grads == {}
+
+    def test_train_leaves_alive_its_float64_parameters(self):
+        traj, split, cfg = _tiny_run(steps=2, kind="composite", variant="triplanes",
+                                     grid_levels=(32, 64), grid_channels=8, batch_points=6)
+        tracemalloc.start()
+        try:
+            fld, _ = train(traj, split, cfg)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the parameters, then the canonical points and the run log; the
+        # gradients, as wide as the parameters, and Adam's moments are gone
+        wide = 8 * sum(fld.store.value(n).size for n in fld.store.names())
+        assert wide > (2 << 20)
+        assert retained < wide + (256 << 10)
 
 
 class TestTrainBoundaries:
