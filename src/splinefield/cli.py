@@ -6,8 +6,9 @@ held-out frames, then its own wall time on a line of its own), interp
 (velocity-colored point clouds).
 
 `fit --set key=value` takes any TrainConfig or FieldConfig key, grid_levels
-as a comma list (`--set grid_levels=16,32`). A flag of fit or eval that sets
-a TrainConfig or SplitSpec field has that field's default, and no other;
+as a comma list (`--set grid_levels=16,32`) and a bool as 1/true/yes/on or
+0/false/no/off in any case (`--set quintic=on`). A flag of fit or eval that
+sets a TrainConfig or SplitSpec field has that field's default, and no other;
 eval's `--K-neighbors` and `--scale` have `trainer.evaluate`'s. eval scores
 the frames `--stride` holds out, so it takes no `--frac` or `--seed`.
 
@@ -33,7 +34,7 @@ import numpy as np
 from . import dataio, metrics, trainer
 from .dataio import FormatError, SplitSpec
 from .field import SplineField
-from .trainer import DivergenceError
+from .trainer import DivergenceError, TrainConfig
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -82,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--variant")
     f.add_argument("--seed", type=int)
     f.add_argument("--set", action="append", default=[], metavar="key=value",
-                   help="any TrainConfig or FieldConfig key, e.g. rank=4 or "
-                        "grid_levels=16,32 (a comma list)")
+                   help="any TrainConfig or FieldConfig key, e.g. rank=4, grid_levels=16,32 "
+                        "(a comma list) or quintic=on (1/true/yes/on or 0/false/no/off)")
 
     e = sub.add_parser("eval", help="score a checkpoint on held-out frames",
                        argument_default=argparse.SUPPRESS)
@@ -139,8 +140,7 @@ def _given(args, cls) -> dict:
 
 def _cmd_fit(args) -> int:
     traj = dataio.read_traj(args.traj)
-    cfg = trainer.parse_run_config(args.set,
-                                   trainer.TrainConfig(**_given(args, trainer.TrainConfig)))
+    cfg = dataio.parse_config(TrainConfig, args.set, TrainConfig(**_given(args, TrainConfig)))
     split = dataio.split_frames(traj, SplitSpec(**_given(args, SplitSpec)), seed=cfg.seed)
     n_knots = cfg.field_config(len(split.train_frames)).n_knots
     print(f"fitting {cfg.variant}: {len(split.train_frames)} train frames, "

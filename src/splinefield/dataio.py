@@ -1,5 +1,5 @@
 """Trajectory container, frame splits, synthetic scenes, file formats, and
-the configs' type rule (`check_config`, with `is_int` and `is_number`).
+the config type rule (`parse_config` parses, `check_config` checks values).
 
 Trajectory files use a small binary layout: an 8-byte magic "SDFTRAJ1",
 a u32 frame count T, a u32 point count N_p, then T*N_p*3 little-endian
@@ -19,7 +19,7 @@ import numbers
 import os
 import struct
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ CKPT_VERSION = 1
 SYNTHETIC_KINDS = ("rigid-translate", "rotate", "bending-sheet",
                    "swing-arm", "composite")
 
-__all__ = ["FormatError", "is_int", "is_number", "check_config", "TrajectorySet",
+__all__ = ["FormatError", "is_int", "is_number", "check_config", "parse_config", "TrajectorySet",
            "SplitSpec", "Split", "split_frames", "gen_synthetic", "write_traj", "read_traj",
            "write_checkpoint", "read_checkpoint", "export_ply", "flow_colors"]
 
@@ -49,11 +49,13 @@ def is_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-# a config key's type, by the type of its default: (test, requirement)
-_TYPES = {int: (is_int, "an integer"), float: (is_number, "a number"),
-          bool: (lambda v: isinstance(v, bool), "a bool"),
-          tuple: (lambda v: all(map(is_int, v)), "integers"),
-          str: (lambda v: isinstance(v, str), "a string")}
+_BOOLS = dict(zip(("1", "true", "yes", "on", "0", "false", "no", "off"), [True] * 4 + [False] * 4))
+# a config key's type, by the type of its default: (test, requirement, parse of a string)
+_TYPES = {int: (is_int, "an integer", int), float: (is_number, "a number", float),
+          bool: (lambda v: isinstance(v, bool), "a bool", lambda s: _BOOLS[s.lower()]),
+          tuple: (lambda v: all(map(is_int, v)), "integers",
+                  lambda s: tuple(map(int, s.split(",")))),
+          str: (lambda v: isinstance(v, str), "a string", str)}
 
 
 def check_config(config, checks) -> None:
@@ -61,11 +63,31 @@ def check_config(config, checks) -> None:
     failed check of the dataclass `config`: first each key's type, read from
     its default, then `checks`, (key, ok, requirement) triples made lazily, so
     that each may assume the types."""
-    types = ((f.name, *_TYPES[type(f.default)]) for f in fields(config))
+    types = ((f.name, *_TYPES[type(f.default)][:2]) for f in fields(config))
     typed = ((name, test(getattr(config, name)), want) for name, test, want in types)
     for name, ok, want in itertools.chain(typed, checks):
         if not ok:
             raise ValueError(f"{name} must be {want}, got {getattr(config, name)!r}")
+
+
+def parse_config(cls, pairs, base=None):
+    """cls(**values): base's (cls()'s if None), each "key=value" of `pairs` parsed
+    by its key's type as an int, a float, a comma list of ints, a string or a bool
+    (1/true/yes/on or 0/false/no/off, in any case). A value that does not parse
+    raises ValueError "<key> must be <requirement>, got <raw>"; cls checks the rest."""
+    types = {f.name: _TYPES[type(f.default)] for f in fields(cls)}
+    values = asdict(base or cls())
+    for pair in pairs:
+        key, eq, raw = pair.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {pair!r}")
+        if key not in types:
+            raise ValueError(f"unknown config key {key!r}; valid keys: {', '.join(types)}")
+        try:
+            values[key] = types[key][2](raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"{key} must be {types[key][1]}, got {raw!r}") from None
+    return cls(**values)
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -335,10 +357,16 @@ def read_checkpoint(path):
 
 
 def export_ply(path, points: np.ndarray, colors=None) -> None:
-    """ASCII PLY point cloud, optionally with uchar RGB per vertex."""
+    """ASCII PLY point cloud, optionally with uchar RGB per vertex; a point not
+    finite in float32, as its header declares, raises ValueError naming its row."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points must be [N, 3], got {points.shape}")
+    with np.errstate(over="ignore"):    # an overflow to inf is refused below
+        f32 = points.astype(np.float32)
+    if not _finite(f32):
+        bad = np.argwhere(~np.isfinite(f32).all(axis=1))[0, 0]
+        raise ValueError(f"point {bad} is not finite in float32: {points[bad].tolist()}")
     lines = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}",
              "property float x", "property float y", "property float z"]
     if colors is not None:

@@ -42,8 +42,10 @@ Other point sets, and fields built from a seed (which training updates in
 place), get a new dict per call, which predicts each knot once.
 
 The coupled-4D baseline variant bypasses the spline entirely: its MLP takes
-the time as a fourth input (`encoders.xyzt`) and returns the offset directly,
-with velocity/acceleration obtained by central finite differences in t.
+the time as a fourth input (`encoders.xyzt`) and returns the offset directly.
+Its velocity is a difference quotient on [t - 1e-4, t + 1e-4] cut to [0, 1]:
+one-sided at t = 0 and 1, lopsided within 1e-4 of either end. Acceleration
+is a central second difference of step 1e-3 at t clamped into [1e-3, 1 - 1e-3].
 """
 
 from __future__ import annotations
@@ -291,8 +293,8 @@ class SplineField:
         """Differentiable order-th time derivative (0, 1 or 2) at t_query: the
         Hermite (or quintic) basis of that order on the two knots around it, in
         t-bar units, read from (and predicted into) `states`, the knot states
-        of `points`. The coupled-4D baseline differentiates by central
-        differences."""
+        of `points`. The coupled-4D baseline takes finite differences in t (see
+        the module docstring)."""
         start, t_bar = spline.locate_segment(t_query, self.cfg.n_knots)   # validates t_query
         if self.cfg.variant == "coupled4d-baseline":
             return self._coupled_var(tape, points, t_query, order)

@@ -95,38 +95,6 @@ class TrainConfig(FieldConfig):
         return FieldConfig(**keys)
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
-
-def parse_run_config(pairs, base: TrainConfig | None = None) -> TrainConfig:
-    """Build a TrainConfig from key=value strings over `base`; any TrainConfig
-    or FieldConfig key, with a tuple (grid_levels) as a comma list."""
-    cfg = base or TrainConfig()
-    values = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"expected key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        if key not in values:
-            raise ValueError(f"unknown config key {key!r}; valid keys: {', '.join(values)}")
-        cur = values[key]
-        if isinstance(cur, bool):
-            if raw.lower() not in _BOOL_TRUE | _BOOL_FALSE:
-                raise ValueError(f"bad boolean for {key}: {raw!r}")
-            values[key] = raw.lower() in _BOOL_TRUE
-        elif isinstance(cur, (int, float, tuple)):
-            tuple_ = isinstance(cur, tuple)
-            try:
-                values[key] = tuple(map(int, raw.split(","))) if tuple_ else type(cur)(raw)
-            except ValueError:
-                want = "a comma list of integers" if tuple_ else type(cur).__name__
-                raise ValueError(f"{key} must be {want}, got {raw!r}") from None
-        else:
-            values[key] = raw
-    return TrainConfig(**values)
-
-
 class Adam:
     """Adam with per-name state and learning rates, in place in BLOCK-sized blocks."""
 

@@ -599,6 +599,9 @@ MALFORMED = {
                            "dt"),
     "advect-dt-nan": (["advect", "--ckpt", "{ckpt}", "--from-t", "0.5", "--dt", "nan"], "dt"),
     "advect-dt-inf": (["advect", "--ckpt", "{ckpt}", "--from-t", "0.5", "--dt", "inf"], "dt"),
+    # finite in float64, but the PLY's float32 properties cannot hold the points
+    "advect-dt-1e308": (["advect", "--ckpt", "{ckpt}", "--from-t", "0.5", "--dt", "1e308"],
+                        "point 0 is not finite in float32"),
     "flow-frames-0": (["flow", "--ckpt", "{ckpt}", "--frames", "0"], "--frames"),
     "interp-non-numeric-time": (["interp", "--ckpt", "{ckpt}", "--times", "0.1,abc"],
                                 "--times entry 'abc' is not a number"),
@@ -744,6 +747,37 @@ class TestMalformedCheckpoint:
         assert main(["eval", "--ckpt", str(bad), "--traj", str(traj)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
+
+
+# one key per config type: (key, a string of the wrong type, the type's requirement)
+WRONG_TYPES = [("steps", "1e3", "an integer"), ("lr", "fast", "a number"),
+               ("quintic", "maybe", "a bool"), ("grid_levels", "16,x", "integers")]
+
+
+class TestOneMessageForm:
+    """A value of the wrong type reads "<key> must be <requirement>, got ..."
+    from `fit --set`, from TrainConfig and, for a field key, from a header."""
+
+    @pytest.mark.parametrize("key, raw, want", WRONG_TYPES)
+    def test_fit_set(self, fitted, tmp_path, capsys, key, raw, want):
+        traj, _ = fitted
+        assert main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt"),
+                     "--set", f"{key}={raw}"]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be {want}, got {raw!r}\n"
+
+    @pytest.mark.parametrize("key, raw, want", WRONG_TYPES)
+    def test_train_config(self, key, raw, want):
+        with pytest.raises(ValueError, match=f"^{key} must be {want}, got "):
+            trainer.TrainConfig(**{key: raw})
+
+    @pytest.mark.parametrize("key, raw, want",
+                             [w for w in WRONG_TYPES if w[0] in FieldConfig.__annotations__])
+    def test_checkpoint_header(self, fitted, tmp_path, key, raw, want):
+        _, ckpt = fitted
+        bad = tmp_path / "bad.ckpt"
+        _config(**{key: raw})(ckpt, bad)
+        with pytest.raises(dataio.FormatError, match=f": {key} must be {want}, got "):
+            SplineField.load(bad)
 
 
 class TestEnv:

@@ -374,3 +374,15 @@ class TestPly:
         with pytest.raises(ValueError, match=named):
             export_ply(path, points, colors)
         assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [1e39, -3.5e38, np.inf, np.nan])
+    def test_a_point_past_float32_is_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "p.ply"
+        points = np.zeros((4, 3))
+        points[2, 1] = bad
+        with pytest.raises(ValueError, match="^point 2 is not finite in float32"):
+            export_ply(path, points)
+        assert not path.exists()
+        points[2, 1] = 3.4e38       # float32's largest is about 3.40282e38
+        export_ply(path, points)
+        assert "339999999999999996" in path.read_text()   # the float64, as given

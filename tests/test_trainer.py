@@ -12,9 +12,9 @@ from splinefield import autodiff as ad
 from splinefield import dataio, encoders, losses, metrics, trainer
 from splinefield import field as field_module
 from splinefield.autodiff import ParamStore, Tape
-from splinefield.dataio import SplitSpec, TrajectorySet, split_frames
+from splinefield.dataio import SplitSpec, TrajectorySet, parse_config, split_frames
 from splinefield.field import FieldConfig, SplineField
-from splinefield.trainer import Adam, TrainConfig, parse_run_config, train
+from splinefield.trainer import Adam, TrainConfig, train
 
 from gradcheck import fd_check
 
@@ -177,26 +177,41 @@ class TestBlockedAdam:
 
 class TestRunConfigParsing:
     def test_key_value_overrides(self):
-        cfg = parse_run_config(["steps=50", "lr=0.01", "variant=triplanes",
-                                "quintic=true"])
+        cfg = parse_config(TrainConfig, ["steps=50", "lr=0.01", "variant=triplanes",
+                                         "quintic=true"])
         assert (cfg.steps, cfg.lr, cfg.variant, cfg.quintic) == \
             (50, 0.01, "triplanes", True)
 
     def test_bad_key(self):
         with pytest.raises(ValueError, match="'nonsense'") as exc:
-            parse_run_config(["nonsense=1"])
+            parse_config(TrainConfig, ["nonsense=1"])
         assert ", ".join(f.name for f in fields(TrainConfig)) in str(exc.value)
 
     def test_bad_format(self):
         with pytest.raises(ValueError):
-            parse_run_config(["steps"])
+            parse_config(TrainConfig, ["steps"])
 
     def test_false_boolean(self):
-        assert parse_run_config(["quintic=off"], TrainConfig(quintic=True)).quintic is False
+        assert parse_config(TrainConfig, ["quintic=off"],
+                            TrainConfig(quintic=True)).quintic is False
 
     def test_bad_boolean(self):
-        with pytest.raises(ValueError, match="bad boolean for quintic: 'maybe'"):
-            parse_run_config(["quintic=maybe"])
+        with pytest.raises(ValueError, match="^quintic must be a bool, got 'maybe'$"):
+            parse_config(TrainConfig, ["quintic=maybe"])
+
+    @pytest.mark.parametrize("spelling, value", [
+        *((s, True) for s in ("1", "true", "yes", "on")),
+        *((s, False) for s in ("0", "false", "no", "off"))])
+    @pytest.mark.parametrize("case", [str.lower, str.upper, str.title])
+    def test_boolean_spellings(self, spelling, value, case):
+        base = TrainConfig(quintic=not value)
+        assert parse_config(TrainConfig, [f"quintic={case(spelling)}"], base).quintic is value
+
+    @pytest.mark.parametrize("raw", ["", "2", "y", " on"])
+    def test_other_booleans_fail_with_the_type_message(self, raw):
+        with pytest.raises(ValueError) as exc:
+            parse_config(TrainConfig, [f"quintic={raw}"])
+        assert str(exc.value) == f"quintic must be a bool, got {raw!r}"
 
     @pytest.mark.parametrize("name, value", [("alpha", -1.0), ("alpha", float("nan")),
                                              ("beta", float("inf")), ("beta", -0.5)])
@@ -209,7 +224,7 @@ class TestRunConfigParsing:
         with pytest.raises(ValueError, match="knn_k"):
             TrainConfig(knn_k=k)
         with pytest.raises(ValueError, match="knn_k"):
-            parse_run_config([f"knn_k={k}"])
+            parse_config(TrainConfig, [f"knn_k={k}"])
 
 
 class TestConfigTypes:
@@ -252,7 +267,7 @@ class TestOneDefault:
         for f in fields(FieldConfig):
             value = getattr(cfg, f.name)
             raw = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-            assert getattr(parse_run_config([f"{f.name}={raw}"]), f.name) == value
+            assert getattr(parse_config(TrainConfig, [f"{f.name}={raw}"]), f.name) == value
 
     def test_every_key_round_trips_off_its_default(self):
         off = dict(variant="triplanes", n_knots=5, rank=3, hidden=12, depth=2, w0=12.5,
@@ -265,7 +280,7 @@ class TestOneDefault:
         assert all(getattr(default, k) != v for k, v in off.items())
         raw = [f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
                for k, v in off.items()]
-        assert parse_run_config(raw) == TrainConfig(**off)
+        assert parse_config(TrainConfig, raw) == TrainConfig(**off)
 
 
 def _tiny_run(steps=15, kind="rigid-translate", **kw):
