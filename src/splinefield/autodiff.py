@@ -4,12 +4,13 @@ A forward pass builds a Tape of backward closures; Tape.backward replays them
 in exact reverse execution order, dropping each one as it runs. Each use of a
 ParamStore parameter on a Tape is a new leaf Var whose grad is the store's
 array, so backward sums into it in place: zero the grads first. A NoGradTape
-runs the same forward ops but records nothing, for inference.
+runs the same forward ops, for inference, and makes no GradSlot or closure.
 
 Every primitive keeps one contract, through `_op`: one forward value and
 one backward rule, which runs only once a gradient has reached the output.
 Operands may be Vars or constants (arrays, floats); a constant operand gets
-no gradient, and none is computed for it.
+no gradient, and none is computed for it. A closure holds GradSlots and the
+arrays its rule reads, never a Var, so a value no rule reads dies with its Var.
 
 The engine covers exactly what the deformation-field pipeline needs: dense
 linear layers, low-rank weighted stacks, sine/relu activations, grid
@@ -46,6 +47,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 class Tape:
     """Ordered record of backward closures for one forward pass."""
+    recording = True
 
     def __init__(self):
         self._nodes = []
@@ -61,32 +63,41 @@ class Tape:
         if self._used:
             raise TapeStateError("backward called twice on the same tape")
         self._used = True
-        _accum(output, np.ones_like(output.value))
-        # popping frees each closure, and the Vars it holds, once replayed
+        _accum(output.slot, np.ones_like(output.value))
+        # popping frees each closure, and the slots and read arrays it holds
         nodes, self._nodes = self._nodes, []
         while nodes:
             nodes.pop()()
 
 
 class NoGradTape(Tape):
-    """A tape that records nothing: forward values only, no closure kept."""
-
-    def record(self, backward_fn) -> None:
-        pass
+    """A tape whose ops record nothing: forward values only, no slot or closure."""
+    recording = False
 
     def backward(self, output: "Var") -> None:
         raise TapeStateError("a NoGradTape records nothing to differentiate")
 
 
-class Var:
-    """A node in the computation graph: a float64 array plus its gradient."""
+class GradSlot:
+    """A Var's gradient, None until one reaches it, and its value's shape."""
+    __slots__ = ("grad", "shape")
 
-    __slots__ = ("value", "grad", "tape", "__weakref__")
+    def __init__(self, shape):
+        self.grad, self.shape = None, shape
+
+
+class Var:
+    """A node in the computation graph: a float64 array plus, on a recording
+    tape, the GradSlot that its grad reads and sets."""
+    __slots__ = ("value", "slot", "tape", "__weakref__")
 
     def __init__(self, value, tape: Tape):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
+        self.slot = GradSlot(self.value.shape) if tape.recording else None
         self.tape = tape
+
+    grad = property(lambda self: self.slot and self.slot.grad,
+                    lambda self, g: setattr(self.slot, "grad", g))
 
     @property
     def shape(self):
@@ -116,34 +127,32 @@ def _tape_of(*xs) -> Tape:
     raise TypeError("at least one operand must be a Var")
 
 
-def _accum(x, g) -> None:
-    if not isinstance(x, Var):
+def _accum(slot, g) -> None:
+    if slot is None:
         return
-    g = _unbroadcast(np.asarray(g, dtype=np.float64), x.value.shape)
-    if x.grad is None:
-        x.grad = g.copy()
+    g = _unbroadcast(np.asarray(g, dtype=np.float64), slot.shape)
+    if slot.grad is None:
+        slot.grad = g.copy()
     else:
-        x.grad += g
+        slot.grad += g
 
 
-def _grad_buffer(x: Var) -> np.ndarray:
-    """x's gradient array, made zeros first if no gradient has reached x."""
-    if x.grad is None:
-        x.grad = np.zeros_like(x.value)
-    return x.grad
+def _grad_buffer(slot: GradSlot) -> np.ndarray:
+    """The slot's gradient array, made zeros first if no gradient has reached it."""
+    if slot.grad is None:
+        slot.grad = np.zeros(slot.shape)
+    return slot.grad
 
 
-def _op(value, tape: Tape, backward) -> Var:
-    """The output Var of one primitive, with one closure on the tape that
-    calls backward(out.grad) once a gradient has reached the output. An
+def _op(value, tape: Tape, backward, *operands) -> Var:
+    """The output Var of one primitive. On a recording tape one closure goes
+    on the tape that calls backward(out.grad, *slots), a slot per operand
+    (None for a constant), once a gradient has reached the output. An
     output that never reaches the loss leaves its operands' grads alone."""
     out = Var(value, tape)
-
-    def bw():
-        if out.grad is not None:
-            backward(out.grad)
-
-    tape.record(bw)
+    if tape.recording:
+        slot, slots = out.slot, [x.slot if isinstance(x, Var) else None for x in operands]
+        tape.record(lambda: slot.grad is None or backward(slot.grad, *slots))
     return out
 
 
@@ -151,24 +160,25 @@ def _op(value, tape: Tape, backward) -> Var:
 
 
 def add(a, b) -> Var:
-    def backward(g):
-        _accum(a, g)
-        _accum(b, g)
+    def backward(g, sa, sb):
+        _accum(sa, g)
+        _accum(sb, g)
 
-    return _op(_val(a) + _val(b), _tape_of(a, b), backward)
+    return _op(_val(a) + _val(b), _tape_of(a, b), backward, a, b)
 
 
 def mul(a, b) -> Var:
     """Elementwise a * b; a constant factor (array or float) gets no gradient."""
     av, bv = _val(a), _val(b)
+    fa, fb = (av if isinstance(b, Var) else None), (bv if isinstance(a, Var) else None)
 
-    def backward(g):
-        if isinstance(a, Var):
-            _accum(a, g * bv)
-        if isinstance(b, Var):
-            _accum(b, g * av)
+    def backward(g, sa, sb):
+        if sa is not None:
+            _accum(sa, g * fb)
+        if sb is not None:
+            _accum(sb, g * fa)
 
-    return _op(av * bv, _tape_of(a, b), backward)
+    return _op(av * bv, _tape_of(a, b), backward, a, b)
 
 
 def matmul(a, b) -> Var:
@@ -176,45 +186,45 @@ def matmul(a, b) -> Var:
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
 
-    def backward(g):
-        if isinstance(a, Var):
-            _accum(a, g @ bv.T)
-        if isinstance(b, Var):
-            _accum(b, av.T @ g)
+    def backward(g, sa, sb):
+        if sa is not None:
+            _accum(sa, g @ bv.T)
+        if sb is not None:
+            _accum(sb, av.T @ g)
 
-    return _op(av @ bv, _tape_of(a, b), backward)
+    return _op(av @ bv, _tape_of(a, b), backward, a, b)
 
 
 def sine(x: Var, w0: float = 1.0) -> Var:
     """Elementwise sin(w0 * x)."""
     xv = x.value
-    return _op(np.sin(w0 * xv), x.tape, lambda g: _accum(x, g * (w0 * np.cos(w0 * xv))))
+    return _op(np.sin(w0 * xv), x.tape, lambda g, s: _accum(s, g * (w0 * np.cos(w0 * xv))), x)
 
 
 def relu(x: Var) -> Var:
     mask = x.value > 0.0
-    return _op(np.where(mask, x.value, 0.0), x.tape, lambda g: _accum(x, g * mask))
+    return _op(np.where(mask, x.value, 0.0), x.tape, lambda g, s: _accum(s, g * mask), x)
 
 
 def absolute(x: Var) -> Var:
     """Elementwise |x| with subgradient 0 at 0."""
     s = np.sign(x.value)
-    return _op(np.abs(x.value), x.tape, lambda g: _accum(x, g * s))
+    return _op(np.abs(x.value), x.tape, lambda g, sx: _accum(sx, g * s), x)
 
 
 def sqrt(x: Var, eps: float = 0.0) -> Var:
     """Elementwise sqrt(x + eps); pass a small eps to keep gradients finite at 0."""
     root = np.sqrt(x.value + eps)
-    return _op(root, x.tape, lambda g: _accum(x, g * (0.5 / np.maximum(root, 1e-300))))
+    return _op(root, x.tape, lambda g, s: _accum(s, g * (0.5 / np.maximum(root, 1e-300))), x)
 
 
 def vsum(x: Var, axis=None) -> Var:
-    def backward(g):
+    def backward(g, s):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(g, x.value.shape))
+        _accum(s, np.broadcast_to(g, s.shape))
 
-    return _op(x.value.sum(axis=axis), x.tape, backward)
+    return _op(x.value.sum(axis=axis), x.tape, backward, x)
 
 
 def vmean(x: Var) -> Var:
@@ -226,23 +236,23 @@ def concat(xs, axis: int = 0) -> Var:
     vals = [_val(x) for x in xs]
     offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
 
-    def backward(g):
-        for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
+    def backward(g, *slots):
+        for s, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
-            _accum(x, g[tuple(sl)])
+            _accum(s, g[tuple(sl)])
 
-    return _op(np.concatenate(vals, axis=axis), _tape_of(*xs), backward)
+    return _op(np.concatenate(vals, axis=axis), _tape_of(*xs), backward, *xs)
 
 
 def take(x: Var, key) -> Var:
     """x.value[key] for any numpy key: slices, or integer arrays gathering
     rows along axis 0. Repeated indices sum their gradients."""
 
-    def backward(g):
-        np.add.at(_grad_buffer(x), key, g)
+    def backward(g, s):
+        np.add.at(_grad_buffer(s), key, g)
 
-    return _op(np.array(x.value[key]), x.tape, backward)
+    return _op(np.array(x.value[key]), x.tape, backward, x)
 
 
 def weighted_stack_sum(v, stack) -> Var:
@@ -255,15 +265,15 @@ def weighted_stack_sum(v, stack) -> Var:
     if vv.ndim != 1 or sv.shape[0] != vv.shape[0]:
         raise ValueError(f"rank mismatch: v {vv.shape} vs stack {sv.shape}")
 
-    def backward(g):
-        if isinstance(v, Var):
-            _accum(v, np.tensordot(sv, g, axes=(tuple(range(1, sv.ndim)), tuple(range(g.ndim)))))
-        if isinstance(stack, Var):      # one rank at a time, no [rank, ...] temporary
-            grad, term = _grad_buffer(stack), np.empty_like(g)
+    def backward(g, s_v, s_stack):
+        if s_v is not None:
+            _accum(s_v, np.tensordot(sv, g, axes=(tuple(range(1, sv.ndim)), tuple(range(g.ndim)))))
+        if s_stack is not None:     # one rank at a time, no [rank, ...] temporary
+            grad, term = _grad_buffer(s_stack), np.empty_like(g)
             for r in range(vv.shape[0]):
                 grad[r] += np.multiply(g, vv[r], out=term)
 
-    return _op(np.tensordot(vv, sv, axes=(0, 0)), _tape_of(v, stack), backward)
+    return _op(np.tensordot(vv, sv, axes=(0, 0)), _tape_of(v, stack), backward, v, stack)
 
 
 def _cell_coords(u, n: int):
@@ -319,12 +329,12 @@ def _sample_grid(grid: Var, S: sp.csr_matrix, stacked: bool) -> Var:
                          f"hold {n_cells} cells per grid")
     grids = gv.reshape(-1, n_cells, c)
 
-    def backward(g):
-        grad = _grad_buffer(grid)
-        for slot, gr in zip(grad if stacked else grad[None], g.reshape(len(grids), b, c)):
-            slot += (S.T @ gr).reshape(slot.shape)
+    def backward(g, s):
+        grad = _grad_buffer(s)
+        for part, gr in (zip(grad, g) if stacked else [(grad, g)]):
+            part += (S.T @ gr).reshape(part.shape)
 
-    return _op(np.stack([S @ x for x in grids]).reshape(*lead, b, c), grid.tape, backward)
+    return _op(np.stack([S @ x for x in grids]).reshape(*lead, b, c), grid.tape, backward, grid)
 
 
 def sample_grid(grid: Var, S: sp.csr_matrix) -> Var:
@@ -402,8 +412,8 @@ class ParamStore:
         """A new leaf Var of the parameter on the given tape. On a recording
         tape its grad is the store's gradient array, so backward sums each use
         into it in place: zero the grads before backward. A NoGradTape leaf
-        keeps grad None, and the store makes no buffer for it."""
+        has no slot, and the store makes no buffer for it."""
         leaf = Var(self._values[name], tape)
-        if not isinstance(tape, NoGradTape):
+        if tape.recording:
             leaf.grad = self.grad(name)
         return leaf

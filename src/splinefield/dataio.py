@@ -1,5 +1,6 @@
-"""Trajectory container, frame splits, synthetic scenes, file formats, and
-the config type rule (`parse_config` parses, `check_config` checks values).
+"""Trajectory container, frame splits, synthetic scenes, file formats, and the
+config type rule: `parse_config` parses, and `check_config` checks values and
+stores them as Python types (numpy bools, ints and floats are taken alike).
 
 Trajectory files use a small binary layout: an 8-byte magic "SDFTRAJ1",
 a u32 frame count T, a u32 point count N_p, then T*N_p*3 little-endian
@@ -45,27 +46,36 @@ def is_int(v) -> bool:
 
 
 def is_number(v) -> bool:
-    """The type test of a float config key: a real number, not a bool."""
+    """The type test of a float config key: a real number, not a bool, that
+    float() takes: an integer of magnitude 2**1024 - 2**970 or more rounds past float64."""
+    if is_int(v):
+        return abs(int(v)) < 2 ** 1024 - 2 ** 970
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 _BOOLS = dict(zip(("1", "true", "yes", "on", "0", "false", "no", "off"), [True] * 4 + [False] * 4))
-# a config key's type, by the type of its default: (test, requirement, parse of a string)
-_TYPES = {int: (is_int, "an integer", int), float: (is_number, "a number", float),
-          bool: (lambda v: isinstance(v, bool), "a bool", lambda s: _BOOLS[s.lower()]),
-          tuple: (lambda v: all(map(is_int, v)), "integers",
-                  lambda s: tuple(map(int, s.split(",")))),
-          str: (lambda v: isinstance(v, str), "a string", str)}
+# a config key's type, by the type of its default: (test, requirement, parse of
+# a string, the plain Python value of a value that passed the test)
+_TYPES = {int: (is_int, "an integer", int, int), float: (is_number, "a number", float, float),
+          bool: (lambda v: isinstance(v, (bool, np.bool_)), "a bool",
+                 lambda s: _BOOLS[s.lower()], bool),
+          tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(is_int, v)), "integers",
+                  lambda s: tuple(map(int, s.split(","))), lambda v: tuple(map(int, v))),
+          str: (lambda v: isinstance(v, str), "a string", str, str)}
 
 
 def check_config(config, checks) -> None:
     """Raise ValueError "<key> must be <requirement>, got <value>" at the first
     failed check of the dataclass `config`: first each key's type, read from
     its default, then `checks`, (key, ok, requirement) triples made lazily, so
-    that each may assume the types."""
-    types = ((f.name, *_TYPES[type(f.default)][:2]) for f in fields(config))
-    typed = ((name, test(getattr(config, name)), want) for name, test, want in types)
-    for name, ok, want in itertools.chain(typed, checks):
+    that each may assume the types. A value that passes its type test is stored
+    as its default's Python type, so the config is plain JSON."""
+    def typed(f):
+        test, want, _, plain = _TYPES[type(f.default)]
+        if ok := test(value := getattr(config, f.name)):
+            object.__setattr__(config, f.name, plain(value))    # frozen ones too
+        return f.name, ok, want
+    for name, ok, want in itertools.chain(map(typed, fields(config)), checks):
         if not ok:
             raise ValueError(f"{name} must be {want}, got {getattr(config, name)!r}")
 

@@ -88,7 +88,6 @@ class FieldConfig:
     quintic: bool = False
 
     def __post_init__(self):
-        self.grid_levels = tuple(self.grid_levels)
         dataio.check_config(self, self._checks())
 
     def _checks(self):
@@ -170,12 +169,8 @@ class SplineField:
         if not (np.ndim(center) == 1 and all(map(dataio.is_number, [*center, half_extent]))):
             raise ValueError(f"normalizer must be numbers, got center {center!r}, "
                              f"half_extent {half_extent!r}")
-        try:
-            self.center = np.asarray(center, dtype=np.float64)
-            self.half_extent = float(half_extent)
-        except OverflowError:   # an integer past float64
-            raise ValueError(f"normalizer must be numbers within float64, got center "
-                             f"{center!r}, half_extent {half_extent!r}") from None
+        self.center = np.asarray(center, dtype=np.float64)    # is_number: no overflow
+        self.half_extent = float(half_extent)
         if self.center.shape != (3,) or not np.all(np.isfinite(self.center)):
             raise ValueError(f"normalizer center must be 3 finite numbers, got {self.center}")
         if not (np.isfinite(self.half_extent) and self.half_extent > 0):

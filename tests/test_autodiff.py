@@ -1,6 +1,7 @@
 import gc
 import inspect
 import math
+import types
 import weakref
 
 import numpy as np
@@ -700,6 +701,32 @@ class TestOpContract:
         tape.backward(ad.vsum(ad.mul(z, z)))
         assert [x.grad for x in operands] == [None] * len(operands)
         np.testing.assert_array_equal(z.grad, 2.0 * np.arange(3.0))
+
+    @pytest.mark.parametrize("name", PRIMITIVES)
+    def test_closure_holds_no_var(self, name):
+        values, call = PRIMITIVES[name]
+        tape = Tape()
+        call(*[Var(v, tape) for v in values])
+        todo, seen = list(tape._nodes), set()
+        while todo:
+            obj = todo.pop()
+            assert not isinstance(obj, Var)
+            if id(obj) not in seen and isinstance(obj, types.FunctionType):
+                seen.add(id(obj))
+                todo += [c.cell_contents for c in obj.__closure__ or ()]
+            elif isinstance(obj, (list, tuple)):
+                todo += obj
+
+    @pytest.mark.parametrize("name", PRIMITIVES)
+    def test_no_grad_tape_op_makes_no_slot_and_records_nothing(self, name, monkeypatch):
+        values, call = PRIMITIVES[name]
+        monkeypatch.setattr(Tape, "record", lambda *a: pytest.fail("recorded"))
+        tape = NoGradTape()
+        operands = [Var(v, tape) for v in values]
+        out = call(*operands)
+        assert out.slot is None and out.grad is None
+        assert [x.slot for x in operands] == [None] * len(operands)
+        assert tape._nodes == []
 
     @pytest.mark.parametrize("name, expected", [
         ("mul", lambda c, x: c),

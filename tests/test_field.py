@@ -49,11 +49,12 @@ class TestConfig:
                                      dict(grid_levels=()), dict(grid_levels=(1, 8)),
                                      dict(w0=0.0), dict(w0=-5.0), dict(w0=np.nan),
                                      dict(w0=np.inf), dict(rank=-1),
-                                     # sizes are integers, quintic a bool, w0 a number
+                                     # sizes are integers, quintic a bool, w0 a number,
+                                     # grid_levels a list or tuple of integers
                                      dict(n_knots=3.0), dict(rank=True), dict(hidden=16.0),
                                      dict(depth=np.float64(2)), dict(pe_frequencies=4.0),
                                      dict(grid_channels=False), dict(grid_levels=(32, 64.0)),
-                                     dict(quintic=0), dict(quintic=np.bool_(True)),
+                                     dict(quintic=0), dict(grid_levels=5),
                                      dict(w0=True), dict(w0="30")])
     def test_sizes_that_build_no_field_are_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
@@ -63,6 +64,27 @@ class TestConfig:
         cfg = FieldConfig(n_knots=np.int64(3), rank=np.int32(2), grid_levels=(np.int16(4), 8),
                           w0=np.float32(30))
         assert SplineField(cfg, _points()).store.value("codes").shape == (3, 2)
+
+    def test_numpy_scalars_are_stored_as_python_values(self):
+        cfg = FieldConfig(n_knots=np.int64(3), rank=np.uint8(2), w0=np.float32(30),
+                          grid_levels=[np.int64(16), 32], quintic=np.True_)
+        assert cfg == FieldConfig(n_knots=3, rank=2, w0=30.0, grid_levels=(16, 32), quintic=True)
+        assert [type(getattr(cfg, k)) for k in ("n_knots", "rank", "w0", "quintic")] == \
+            [int, int, float, bool]
+        assert type(cfg.grid_levels) is tuple and set(map(type, cfg.grid_levels)) == {int}
+
+    @pytest.mark.parametrize("value", [5, None, "16,32", b"16", 16.0, {16: 32}])
+    def test_grid_levels_type_is_checked_before_conversion(self, value):
+        message = f"grid_levels must be integers, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FieldConfig(grid_levels=value)
+
+    @pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400), 2 ** 1024 - 2 ** 970],
+                             ids=["10**400", "-10**400", "2**1024-2**970"])
+    def test_an_integer_past_float64_is_not_a_number(self, value):
+        with pytest.raises(ValueError, match="^w0 must be a number, got "):
+            FieldConfig(w0=value)
+        assert FieldConfig(w0=2 ** 1024 - 2 ** 970 - 1).w0 == np.finfo(np.float64).max
 
     @pytest.mark.parametrize("value", [-3, 53, 100000])
     def test_pe_frequencies_outside_its_bound_is_rejected(self, value):
@@ -667,6 +689,16 @@ class TestCheckpoint:
         edit(arrays)
         dataio.write_checkpoint(path, arrays, header)
         return path
+
+    @pytest.mark.parametrize("value", [5, None, "16,32"])
+    def test_a_header_grid_levels_that_is_not_a_list_names_the_key(self, tmp_path, value):
+        path = tmp_path / "field.ckpt"
+        SplineField(_small_cfg(), _points()).save(path)
+        arrays, header = dataio.read_checkpoint(path)
+        dataio.write_checkpoint(path, arrays,
+                                {**header, "config": {**header["config"], "grid_levels": value}})
+        with pytest.raises(dataio.FormatError, match="grid_levels must be integers"):
+            SplineField.load(path)
 
     def test_missing_array_is_format_error(self, tmp_path):
         path = self._rewrite(tmp_path, lambda a: a.pop("dec.l0.W"))

@@ -3,10 +3,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from splinefield import autodiff as ad
 from splinefield import dataio, encoders, losses, metrics, trainer
@@ -248,6 +250,23 @@ class TestConfigTypes:
     def test_numbers_of_other_types_are_accepted(self):
         cfg = TrainConfig(steps=np.int64(3), lr=1, alpha=np.float32(0.5), seed=np.uint8(2))
         assert (cfg.steps, cfg.lr, cfg.alpha, cfg.seed) == (3, 1, 0.5, 2)
+
+    def test_a_fit_configured_with_numpy_scalars_saves_the_python_header(self, tmp_path):
+        numpy_keys = dict(steps=np.int64(2), lr=np.float32(0.5), n_knots=np.int32(3),
+                          rank=np.uint8(2), w0=np.float32(30), quintic=np.True_,
+                          grid_levels=[np.int64(4), 8], batch_points=np.int16(6), knn_k=4)
+        python_keys = dict(steps=2, lr=0.5, n_knots=3, rank=2, w0=30.0, quintic=True,
+                           grid_levels=(4, 8), batch_points=6, knn_k=4)
+        traj = dataio.gen_synthetic("composite", 30, 9, seed=0)
+        split = split_frames(traj, SplitSpec(stride=2, supervised_fraction=0.5), seed=0)
+        blobs = []
+        for keys in (numpy_keys, python_keys):
+            fld, _ = train(traj, split, TrainConfig(hidden=8, depth=2, **keys))
+            path = tmp_path / f"{len(blobs)}.ckpt"
+            fld.save(path)
+            blobs.append((dataio.read_checkpoint(path)[1], path.read_bytes()))
+        assert blobs[0][0] == blobs[1][0]
+        assert blobs[0][1] == blobs[1][1]
 
 
 class TestOneDefault:
@@ -630,9 +649,10 @@ def _outer_product_stack_sum(v, stack):
         if out.grad is None:
             return
         g = out.grad
-        ad._accum(v, np.tensordot(sv, g, axes=(tuple(range(1, sv.ndim)),
-                                               tuple(range(g.ndim)))))
-        ad._accum(stack, vv.reshape((-1,) + (1,) * g.ndim) * g[None, ...])
+        ad._accum(v.slot if isinstance(v, ad.Var) else None,
+                  np.tensordot(sv, g, axes=(tuple(range(1, sv.ndim)), tuple(range(g.ndim)))))
+        ad._accum(stack.slot if isinstance(stack, ad.Var) else None,
+                  vv.reshape((-1,) + (1,) * g.ndim) * g[None, ...])
 
     tape.record(bw)
     return out
@@ -707,6 +727,93 @@ class TestTrainedFieldGradients:
         assert retained < wide + (256 << 10)
 
 
+def _held_bytes(nodes, params, through_vars=True) -> int:
+    """The bytes of the distinct arrays reachable from a tape's closures,
+    through their cells, containers, sparse matrices and slotted objects,
+    not counting `params` (ids of parameter arrays) or what a tape holds. A
+    view counts as its base. With through_vars False a Var is not entered:
+    what is left is what the gradient rules themselves captured."""
+    seen, arrays, todo = set(), {}, list(nodes)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (Tape, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            if id(obj) not in params:
+                arrays[id(obj)] = obj.nbytes
+        elif isinstance(obj, types.FunctionType):
+            todo += [c.cell_contents for c in obj.__closure__ or ()]
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+        elif isinstance(obj, dict):
+            todo += obj.values()
+        elif sp.issparse(obj):
+            todo += [obj.data, obj.indices, obj.indptr]
+        elif through_vars or not isinstance(obj, ad.Var):
+            todo += [getattr(obj, a, None) for a in getattr(type(obj), "__slots__", ())]
+    return sum(arrays.values())
+
+
+class TestTapeHoldsWhatBackwardReads:
+    """At the start of Tape.backward on a fit step, the closures on the tape
+    hold the arrays their rules read and no forward value besides: no Var
+    is reachable from them."""
+
+    @pytest.mark.parametrize("variant", ["siren-resfields", "triplanes"])
+    def test_fit_step_holds_only_what_rules_read(self, monkeypatch, variant):
+        traj = dataio.gen_synthetic("composite", 240, 9, seed=3)
+        split = split_frames(traj, SplitSpec(stride=2, supervised_fraction=0.5), seed=3)
+        cfg = TrainConfig(steps=1, variant=variant, hidden=32, grid_levels=(8, 16),
+                          grid_channels=4, knn_k=4)
+        made, held, backward = [], [], Tape.backward
+
+        class Kept(SplineField):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        def measured(tape, out):
+            store = made[0].store
+            params = {id(a) for n in store.names() for a in (store.value(n), store.grad(n))}
+            held.append([_held_bytes(tape._nodes, params, through) for through in (True, False)])
+            return backward(tape, out)
+
+        monkeypatch.setattr(trainer, "SplineField", Kept)
+        monkeypatch.setattr(Tape, "backward", measured)
+        train(traj, split, cfg)
+        (total, read), = held
+        assert read > 0
+        assert total <= 1.02 * read, f"{variant}: tape holds {total} bytes, rules read {read}"
+
+
+class TestBlasThreadCount:
+    """Same-seed fits are byte-identical at any BLAS thread count."""
+
+    def test_fit_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 5000 points, all supervised: the step's [5000, 64] products are large
+        # enough for OpenBLAS to split them between threads
+        script = "\n".join([
+            "import sys", "from splinefield import dataio, trainer",
+            "traj = dataio.gen_synthetic('composite', 5000, 30, seed=0)",
+            "split = dataio.split_frames(traj, dataio.SplitSpec(4, 1.0), seed=0)",
+            "fld, _ = trainer.train(traj, split, trainer.TrainConfig(steps=3))",
+            "fld.save(sys.argv[1])"])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(trainer.__file__)))
+        paths = {n: tmp_path / f"threads{n}.ckpt" for n in ("1", "2")}
+        runs = [subprocess.Popen([sys.executable, "-c", script, str(path)],
+                                 env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n})
+                for n, path in paths.items()]
+        try:
+            assert [run.wait(timeout=120) for run in runs] == [0, 0]
+        finally:
+            for run in runs:
+                run.kill()
+        assert paths["1"].read_bytes() == paths["2"].read_bytes()
+
+
 class TestTrainBoundaries:
     def _sparse(self):
         traj = dataio.gen_synthetic("composite", 200, 9, seed=0)
@@ -750,7 +857,7 @@ class TestTrainBoundaries:
             if fault == "loss":
                 return ad.mul(term, np.nan)
             return ad._op(term.value, term.tape,
-                          lambda g: ad._accum(term, np.full_like(g, np.nan)))
+                          lambda g, s: ad._accum(s, np.full_like(g, np.nan)), term)
         monkeypatch.setattr(trainer, "SplineField", Kept)
         monkeypatch.setattr(losses, "recon_loss_l1", faulty)
         with pytest.raises(trainer.DivergenceError, match=message):
