@@ -4,7 +4,10 @@ from scipy.spatial import cKDTree
 
 from splinefield import losses
 from splinefield.autodiff import NoGradTape, Tape, Var
+from splinefield.dataio import SYNTHETIC_KINDS, gen_synthetic
 from splinefield.losses import build_knn, knn_indices
+
+from knn_oracle import brute_knn
 
 
 def _value(loss, x, *args, **kw) -> float:
@@ -24,14 +27,6 @@ def acceleration_loss(a, mode="l1") -> float:
 
 def recon_loss_l1(pred, gt) -> float:
     return _value(losses.recon_loss_l1, pred, gt)
-
-
-def _brute_knn(points, k):
-    """Exhaustive k nearest neighbors, self excluded, ties by ascending index."""
-    n = points.shape[0]
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    return np.lexsort((np.broadcast_to(np.arange(n), (n, n)), d2), axis=1)[:, :k]
 
 
 def _former_subgraph_closure(graph, rows):
@@ -96,7 +91,7 @@ class TestKnn:
         assert any(i not in row for i, row in enumerate(tree_idx))
         idx = knn_indices(pts, k)
         assert idx.dtype == np.int64
-        np.testing.assert_array_equal(idx, _brute_knn(pts, k))
+        np.testing.assert_array_equal(idx, brute_knn(pts, k))
 
     @pytest.mark.parametrize("k", [1, 6, 26])
     def test_exact_distance_ties_match_brute_oracle(self, k):
@@ -104,12 +99,41 @@ class TestKnn:
         axis = np.arange(7.0)
         grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
         pts = np.random.default_rng(5).permutation(np.concatenate([grid, grid[::9]]))
-        np.testing.assert_array_equal(knn_indices(pts, k), _brute_knn(pts, k))
+        np.testing.assert_array_equal(knn_indices(pts, k), brute_knn(pts, k))
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_random_points_match_brute_oracle(self, seed):
         pts = np.random.default_rng(seed).uniform(size=(500, 3))
-        np.testing.assert_array_equal(knn_indices(pts, 10), _brute_knn(pts, 10))
+        np.testing.assert_array_equal(knn_indices(pts, 10), brute_knn(pts, 10))
+
+    @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+    def test_synthetic_frames_match_brute_oracle(self, kind):
+        for frame in gen_synthetic(kind, 300, 4, seed=2).positions:
+            np.testing.assert_array_equal(knn_indices(frame, 10), brute_knn(frame, 10))
+
+    @pytest.mark.parametrize("k", [1, 6, 26])
+    def test_doubled_lattice_matches_brute_oracle(self, k):
+        # every site of a shuffled integer lattice twice: each point has one
+        # coincident other, and every distance ties
+        axis = np.arange(6.0)
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        pts = np.random.default_rng(6).permutation(np.concatenate([grid, grid]))
+        np.testing.assert_array_equal(knn_indices(pts, k), brute_knn(pts, k))
+
+    @pytest.mark.parametrize("size", ["k", "k+1", "k+2", "3k"])
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_coincident_groups_match_brute_oracle(self, k, size):
+        # two groups of scattered indices: one on a random point, one at the
+        # origin written with both signs of zero
+        m = {"k": k, "k+1": k + 1, "k+2": k + 2, "3k": 3 * k}[size]
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(200, 3))
+        on_point, at_origin = rng.permutation(200)[:2 * m].reshape(2, m)
+        pts[on_point] = pts[on_point[0]]
+        pts[at_origin] = 0.0
+        pts[at_origin[::2], ::2] = -0.0
+        assert np.signbit(pts[at_origin]).any()
+        np.testing.assert_array_equal(knn_indices(pts, k), brute_knn(pts, k))
 
     def test_weights_row_normalized(self):
         pts = np.random.default_rng(2).normal(size=(20, 3))
