@@ -163,11 +163,20 @@ class Split:
     supervised: np.ndarray  # point ids with ground truth available
 
 
+def _check_ints(*checks) -> None:
+    """Raise ValueError "<name> must be an integer, got ..." or "<name> must be
+    >= <least>, got ..." at the first failed (name, value, least) of `checks`."""
+    for name, value, least in checks:
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def split_frames(traj: TrajectorySet, spec: SplitSpec, seed: int = 0) -> Split:
     """Every stride-th frame trains; the rest are held out. A random subset
-    of points, drawn with `seed` (>= 0), is supervised."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    of points, drawn with `seed` (an integer >= 0), is supervised."""
+    _check_ints(("seed", seed, 0))
     if spec.stride == 1:
         warnings.warn("stride=1 leaves no held-out frames", stacklevel=2)
     train = tuple(range(0, traj.n_frames, spec.stride))
@@ -186,10 +195,7 @@ def gen_synthetic(kind: str, n_points: int, n_frames: int,
                   seed: int = 0) -> TrajectorySet:
     if kind not in SYNTHETIC_KINDS:
         raise ValueError(f"unknown scene kind {kind!r}, choose from {SYNTHETIC_KINDS}")
-    if n_points < 1 or n_frames < 2:
-        raise ValueError("need n_points >= 1 and n_frames >= 2")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_ints(("n_points", n_points, 1), ("n_frames", n_frames, 2), ("seed", seed, 0))
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, n_frames)
 

@@ -47,25 +47,38 @@ class NeighborGraph:
 def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     """Exact k nearest neighbors (self excluded), ties broken by ascending index.
 
-    k-d tree candidates are re-sorted by exact (d², index); a row whose k-th d²
-    is not clearly below its farthest candidate's is re-queried with twice as many."""
+    One k-d tree query takes k + 2 candidates a row: self, k and a spare. A row
+    whose self comes first and whose tree distances rise by over a relative 1e-9
+    through the spare keeps the tree's order: the margin dwarfs the rounding
+    between tree distances and exact d², so it is the (d², index) order. A row
+    with k or more coincident others gets the k lowest-index ones (grouped by
+    one np.unique, made only if the query shows a zero distance). The others
+    re-sort their candidates by exact (d², index), re-queried with twice as
+    many while the k-th d² is not clearly below the farthest's."""
     n = points.shape[0]
     if not (is_int(k) and 1 <= k < n):
         raise ValueError(f"need an integer 1 <= k < N neighbors: N={n}, k={k!r}")
     tree = cKDTree(points)
-    out = np.empty((n, k), dtype=np.int64)
-    todo, c = np.arange(n), k + 2    # self, k neighbors and one to spare
+    dist, idx = tree.query(points, k=min(k + 2, n))
+    dist *= (1.0 + 1e-9) ** -np.arange(idx.shape[1])   # a rise of 1e-9 or less is now none
+    out, rows = idx[:, 1:k + 1], np.arange(n)          # a view: no copy of the [N, k] answer
+    todo = rows[(idx[:, 0] != rows) | np.any(dist[:, 1:] <= dist[:, :-1], axis=1)]
+    if np.any(dist[:, 1] == 0):
+        _, group, count = np.unique(points, axis=0, return_inverse=True, return_counts=True)
+        big, todo = rows[count[group] > k], todo[count[group[todo]] <= k]
+        lowest = np.argsort(group, kind="stable")[(np.cumsum(count) - count)[group[big], None]
+                                                  + np.arange(k + 1)]
+        out[big] = np.sort(np.where(lowest == big[:, None], n, lowest), axis=1)[:, :k]
+    idx = idx[todo]
     while todo.size:
-        c = min(c, n)
-        idx = tree.query(points[todo], k=c)[1]
         d2 = np.sum((points[todo, None, :] - points[idx]) ** 2, axis=2)
         far = d2.max(axis=1)
         d2[idx == todo[:, None]] = np.inf
         order = np.lexsort((idx, d2), axis=1)[:, :k]
         out[todo] = np.take_along_axis(idx, order, axis=1)
         kth = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
-        todo = todo[(kth * (1.0 + 1e-9) >= far) & (c < n)]
-        c *= 2
+        todo = todo[(kth * (1.0 + 1e-9) >= far) & (idx.shape[1] < n)]
+        idx = tree.query(points[todo], k=min(2 * idx.shape[1], n))[1]
     return out
 
 

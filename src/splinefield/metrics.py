@@ -1,16 +1,17 @@
 """Evaluation metrics: end-point error and Moran's-I spatial coherence.
 
 The coherence score measures spatial autocorrelation of frame-to-frame
-motion vectors. For each point we gather the K nearest points at the
-frame's start positions, weight pairs by inverse distance, and normalize by
-the neighborhood's motion energy:
+motion vectors. Each point's neighborhood is the point and its K - 1
+nearest others by (d², index) (`losses.knn_indices`) at the frame's start
+positions, whose inverse distances weight the pairs; the score is
+normalized by the neighborhood's motion energy:
 
     I_i = (K / sum_jk w_jk) * (sum_jk w_jk <v_j, v_k>) / (sum_j ||v_j||^2)
 
 This yields exactly 1 for uniform motion and ~0 for independent noise.
-A neighborhood holds its center when at most K points, the center
-included, share its position. When more do, the k-d tree returns K of
-them, which need not include the center, in an order it does not promise.
+Neighborhoods are per frame, not the velocity loss's canonical ones: the
+score asks whether points near each other when a motion starts move alike,
+and canonical neighbors can drift apart in a deformed frame.
 A sequence is scored per transition between consecutive frames, its motion
 vectors the difference of the two, with None for a transition that has no
 motion. `trainer.evaluate` passes the held-out frames one transition at a
@@ -24,22 +25,12 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from splinefield.dataio import is_int
+from splinefield.losses import knn_indices
 
 ZERO_MOTION_EPS = 1e-12
 _BLOCK = 4096      # points per pair-kernel block; bounds temporaries to O(block*K)
-
-
-def _neighborhoods(positions: np.ndarray, k: int) -> np.ndarray:
-    """The indices of the K nearest points to each point, ties picked by
-    the k-d tree: the point itself is among them unless more than K points
-    share its position."""
-    n = positions.shape[0]
-    if n <= k:
-        raise ValueError(f"need more points than K: N={n}, K={k}")
-    return cKDTree(positions).query(positions, k=k)[1]
 
 
 def _block_scores(p: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
@@ -75,7 +66,9 @@ def morans_i_frame(positions: np.ndarray, vectors: np.ndarray, k: int):
         raise ValueError("positions and vectors must both be [N_p, 3]")
     if np.all(np.linalg.norm(vectors, axis=1) < ZERO_MOTION_EPS):
         return None
-    nbhd = _neighborhoods(positions, k).T   # [K, N]
+    if len(positions) <= k:
+        raise ValueError(f"need more points than K: N={len(positions)}, K={k}")
+    nbhd = np.vstack([np.arange(len(positions)), knn_indices(positions, k - 1).T])   # [K, N]
     blocks = [nbhd[:, b:b + _BLOCK] for b in range(0, nbhd.shape[1], _BLOCK)]
     scores = np.concatenate([_block_scores(positions.T[:, cols], vectors.T[:, cols], k)
                              for cols in blocks])

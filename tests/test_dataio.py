@@ -80,6 +80,23 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic("galloping-horse", 10, 5)
 
+    @pytest.mark.parametrize("args, match", [
+        (("composite", 2.5, 9), "n_points must be an integer, got 2.5"),
+        (("composite", "5", 9), "n_points must be an integer, got '5'"),
+        (("composite", 5, 9.0), "n_frames must be an integer, got 9.0"),
+        (("composite", 5, 9, 1.5), "seed must be an integer, got 1.5"),
+        (("composite", 5, 9, True), "seed must be an integer, got True")])
+    def test_an_argument_that_is_not_an_integer_is_named(self, args, match):
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            gen_synthetic(*args)
+
+    @pytest.mark.parametrize("args, match", [
+        (("rotate", 0, 9), "n_points must be >= 1, got 0"),
+        (("rotate", 5, 1), "n_frames must be >= 2, got 1")])
+    def test_an_argument_out_of_range_is_named(self, args, match):
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            gen_synthetic(*args)
+
 
 class TestSplit:
     def test_stride_four_on_120_frames(self):
@@ -102,6 +119,12 @@ class TestSplit:
         assert len(a.supervised) == 250
         assert len(set(a.supervised)) == 250
         np.testing.assert_array_equal(a.supervised, b.supervised)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_a_seed_that_is_not_an_integer_is_named(self, seed):
+        traj = TrajectorySet(np.zeros((12, 10, 3)))
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            split_frames(traj, SplitSpec(), seed=seed)
 
     def test_too_few_train_frames(self):
         traj = TrajectorySet(np.zeros((3, 10, 3)))

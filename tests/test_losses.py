@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -27,6 +29,41 @@ def acceleration_loss(a, mode="l1") -> float:
 
 def recon_loss_l1(pred, gt) -> float:
     return _value(losses.recon_loss_l1, pred, gt)
+
+
+@pytest.fixture
+def knn_calls(monkeypatch):
+    """The row count of each tree query that knn_indices makes, and how many
+    times it calls np.unique."""
+    calls = {"queries": [], "unique": 0}
+    unique = np.unique
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            calls["queries"].append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    def counting_unique(*args, **kwargs):
+        calls["unique"] += 1
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(losses, "cKDTree", CountingTree)
+    monkeypatch.setattr(np, "unique", counting_unique)
+    return calls
+
+
+def _lattice(side):
+    axis = np.arange(float(side))
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _former_subgraph_closure(graph, rows):
@@ -96,8 +133,7 @@ class TestKnn:
     @pytest.mark.parametrize("k", [1, 6, 26])
     def test_exact_distance_ties_match_brute_oracle(self, k):
         # a shuffled integer lattice, some sites doubled: every distance ties
-        axis = np.arange(7.0)
-        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        grid = _lattice(7)
         pts = np.random.default_rng(5).permutation(np.concatenate([grid, grid[::9]]))
         np.testing.assert_array_equal(knn_indices(pts, k), brute_knn(pts, k))
 
@@ -115,8 +151,7 @@ class TestKnn:
     def test_doubled_lattice_matches_brute_oracle(self, k):
         # every site of a shuffled integer lattice twice: each point has one
         # coincident other, and every distance ties
-        axis = np.arange(6.0)
-        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        grid = _lattice(6)
         pts = np.random.default_rng(6).permutation(np.concatenate([grid, grid]))
         np.testing.assert_array_equal(knn_indices(pts, k), brute_knn(pts, k))
 
@@ -134,6 +169,39 @@ class TestKnn:
         pts[at_origin[::2], ::2] = -0.0
         assert np.signbit(pts[at_origin]).any()
         np.testing.assert_array_equal(knn_indices(pts, k), brute_knn(pts, k))
+
+    def test_distinct_points_take_the_tree_order_from_one_query(self, knn_calls):
+        pts = np.random.default_rng(8).uniform(size=(400, 3))
+        idx = knn_indices(pts, 10)
+        assert knn_calls == {"queries": [400], "unique": 0}
+        np.testing.assert_array_equal(idx, brute_knn(pts, 10))
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_a_coincident_group_is_answered_without_a_requery(self, k, knn_calls):
+        # a group of 3k points far from 300 distinct ones: the distinct rows
+        # are answered from the tree, the group's from np.unique's groups
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(size=(300 + 3 * k, 3))
+        group = rng.permutation(len(pts))[:3 * k]
+        pts[group] = 50.0
+        idx = knn_indices(pts, k)
+        assert knn_calls == {"queries": [len(pts)], "unique": 1}
+        np.testing.assert_array_equal(idx, brute_knn(pts, k))
+        np.testing.assert_array_equal(idx[group], [np.sort(group)[np.sort(group) != i][:k]
+                                                   for i in group])
+
+    @pytest.mark.parametrize("k", [1, 6, 26])
+    def test_tied_distances_are_requeried_and_resorted(self, k, knn_calls):
+        pts = np.random.default_rng(10).permutation(_lattice(6))
+        idx = knn_indices(pts, k)
+        assert len(knn_calls["queries"]) > 1 and knn_calls["unique"] == 0
+        np.testing.assert_array_equal(idx, brute_knn(pts, k))
+
+    def test_coincident_points_take_no_quadratic_memory(self):
+        rng = np.random.default_rng(11)
+        coincident = np.tile(rng.normal(size=(1, 3)), (4000, 1))
+        spread = rng.normal(size=(4000, 3))
+        assert _traced_peak(knn_indices, coincident, 10) < 2 * _traced_peak(knn_indices, spread, 10)
 
     def test_weights_row_normalized(self):
         pts = np.random.default_rng(2).normal(size=(20, 3))

@@ -8,27 +8,30 @@ from splinefield import metrics
 from splinefield.dataio import gen_synthetic
 from splinefield.metrics import epe, morans_i_frame, morans_i_sequence, write_report
 
-
-def _brute_neighborhoods(positions, k):
-    """metrics._neighborhoods by an exhaustive distance sort, ties by
-    ascending index. The k-d tree promises no order among ties, so where more
-    than K points share a position (`_awkward_scene`'s 15 at K = 10) the two
-    may pick other K of them, a point's own index left out by either; such a
-    neighborhood has no pair weight, so both score it alike."""
-    n = positions.shape[0]
-    if n <= k:
-        raise ValueError(f"need more points than K: N={n}, K={k}")
-    d2 = np.sum((positions[:, None, :] - positions[None, :, :]) ** 2, axis=2)
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+from knn_oracle import brute_knn
 
 
 @contextlib.contextmanager
 def _brute(on=True):
-    """Score with the exhaustive neighborhoods instead of the k-d tree's."""
+    """Score with the brute-force oracle's neighbors instead of knn_indices'."""
     with pytest.MonkeyPatch.context() as mp:
         if on:
-            mp.setattr(metrics, "_neighborhoods", _brute_neighborhoods)
+            mp.setattr(metrics, "knn_indices", brute_knn)
         yield
+
+
+def _neighborhoods(positions, k):
+    """Each point, then its K - 1 nearest others as the metric finds them."""
+    return np.column_stack([np.arange(len(positions)), metrics.knn_indices(positions, k - 1)])
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMoransIFrame:
@@ -64,20 +67,34 @@ class TestMoransIFrame:
         with _brute():
             assert morans_i_frame(pts, v, k=10) > 0.99
 
-    def test_kdtree_matches_brute_force(self):
+    def test_kdtree_matches_brute_force(self, monkeypatch):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(500, 3))
         v = rng.normal(size=(500, 3))
+        block_scores, blocks = metrics._block_scores, []
+        monkeypatch.setattr(metrics, "_block_scores",
+                            lambda p, vec, k: blocks.append(p) or block_scores(p, vec, k))
         fast = morans_i_frame(pts, v, k=10)
+        # the neighborhoods scored are each point, then the oracle's 9 nearest
+        oracle = np.column_stack([np.arange(500), brute_knn(pts, 9)])
+        np.testing.assert_array_equal(np.concatenate(blocks, axis=2), pts.T[:, oracle.T])
         with _brute():
-            slow = morans_i_frame(pts, v, k=10)
-        assert abs(fast - slow) < 1e-10
+            assert morans_i_frame(pts, v, k=10) == fast
+
+    def test_a_collapsed_frame_takes_no_quadratic_memory(self):
+        rng = np.random.default_rng(15)
+        v = rng.normal(size=(10_000, 3))
+        collapsed = np.tile(rng.normal(size=(1, 3)), (10_000, 1))
+        assert morans_i_frame(collapsed, v, k=10) is None
+        spread = rng.normal(size=(10_000, 3))
+        assert (_traced_peak(morans_i_frame, collapsed, v, 10)
+                < 2 * _traced_peak(morans_i_frame, spread, v, 10))
 
 
 def _loop_oracle(positions, vectors, k):
     """Mean of I_i = (K / sum w) * (sum w <v_j, v_k>) / (sum ||v_j||^2) over
     the points with pair weight and motion, one point and one pair at a time."""
-    nbhd = metrics._neighborhoods(positions, k)
+    nbhd = _neighborhoods(positions, k)
     scores = []
     for i in range(positions.shape[0]):
         num = wsum = energy = 0.0
@@ -146,13 +163,8 @@ class TestMoransIDefinition:
         rng = np.random.default_rng(14)
         n, k = 50_000, 10
         pts, vec = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
-        tracemalloc.start()
-        try:
-            morans_i_frame(pts, vec, k=k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < n * k * k * 3 * 8 / 5   # one [N, K, K, 3] float64 is 120 MB
+        # one [N, K, K, 3] float64 is 120 MB
+        assert _traced_peak(morans_i_frame, pts, vec, k) < n * k * k * 3 * 8 / 5
 
 
 class TestMoransISequence:
@@ -174,11 +186,10 @@ class TestMoransISequence:
         fast = morans_i_sequence(traj, k=10)
         with _brute():
             slow = morans_i_sequence(traj, k=10)
-        # the sheet turns back mid-sequence, so one transition has no motion
-        assert [s is None for s in fast] == [s is None for s in slow]
+        # the sheet turns back mid-sequence, so one transition has no motion;
+        # the same neighborhoods give the same scores, bit for bit
         assert fast.count(None) == 1
-        np.testing.assert_allclose([s for s in fast if s is not None],
-                                   [s for s in slow if s is not None], atol=1e-10)
+        assert fast == slow
 
     def test_needs_two_frames(self):
         for positions in (np.zeros((1, 5, 3)), np.zeros((0, 5, 3)), (np.zeros((5, 3)),)):
