@@ -3,8 +3,8 @@
 A forward pass builds a Tape of backward closures; Tape.backward replays them
 in exact reverse execution order, dropping each one as it runs. Each use of a
 ParamStore parameter on a Tape is a new leaf Var whose grad is the store's
-array, so backward sums into it in place: zero the grads first. A NoGradTape
-runs the same forward ops, for inference, and makes no GradSlot or closure.
+array, so backward sums into it in place: zero the grads first. A query runs
+the same ops on plain arrays, with no tape: only a recording tape makes Vars.
 
 Every primitive keeps one contract, through `_op`: one forward value and
 one backward rule, which runs only once a gradient has reached the output.
@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 
 class TapeStateError(RuntimeError):
-    """Raised when a tape is replayed twice, or one that records nothing."""
+    """Raised when a tape is replayed twice; a query runs on arrays, with no tape."""
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -47,7 +47,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 class Tape:
     """Ordered record of backward closures for one forward pass."""
-    recording = True
 
     def __init__(self):
         self._nodes = []
@@ -70,14 +69,6 @@ class Tape:
             nodes.pop()()
 
 
-class NoGradTape(Tape):
-    """A tape whose ops record nothing: forward values only, no slot or closure."""
-    recording = False
-
-    def backward(self, output: "Var") -> None:
-        raise TapeStateError("a NoGradTape records nothing to differentiate")
-
-
 class GradSlot:
     """A Var's gradient, None until one reaches it, and its value's shape."""
     __slots__ = ("grad", "shape")
@@ -87,16 +78,16 @@ class GradSlot:
 
 
 class Var:
-    """A node in the computation graph: a float64 array plus, on a recording
-    tape, the GradSlot that its grad reads and sets."""
+    """A node in the computation graph on a recording tape: a float64 array
+    and the GradSlot that its grad reads and sets."""
     __slots__ = ("value", "slot", "tape", "__weakref__")
 
     def __init__(self, value, tape: Tape):
         self.value = np.asarray(value, dtype=np.float64)
-        self.slot = GradSlot(self.value.shape) if tape.recording else None
+        self.slot = GradSlot(self.value.shape)
         self.tape = tape
 
-    grad = property(lambda self: self.slot and self.slot.grad,
+    grad = property(lambda self: self.slot.grad,
                     lambda self, g: setattr(self.slot, "grad", g))
 
     @property
@@ -120,13 +111,6 @@ def _val(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def _tape_of(*xs) -> Tape:
-    for x in xs:
-        if isinstance(x, Var):
-            return x.tape
-    raise TypeError("at least one operand must be a Var")
-
-
 def _accum(slot, g) -> None:
     if slot is None:
         return
@@ -144,15 +128,18 @@ def _grad_buffer(slot: GradSlot) -> np.ndarray:
     return slot.grad
 
 
-def _op(value, tape: Tape, backward, *operands) -> Var:
-    """The output Var of one primitive. On a recording tape one closure goes
-    on the tape that calls backward(out.grad, *slots), a slot per operand
-    (None for a constant), once a gradient has reached the output. An
-    output that never reaches the loss leaves its operands' grads alone."""
+def _op(value, backward, *operands):
+    """The output of one primitive: with no Var operand, the float64 array
+    value; else a Var on the first Var's tape, and one closure goes on that
+    tape that calls backward(out.grad, *slots), a slot per operand (None for
+    a constant), once a gradient has reached the output. An output that never
+    reaches the loss leaves its operands' grads alone."""
+    tape = next((x.tape for x in operands if isinstance(x, Var)), None)
+    if tape is None:
+        return np.asarray(value, dtype=np.float64)
     out = Var(value, tape)
-    if tape.recording:
-        slot, slots = out.slot, [x.slot if isinstance(x, Var) else None for x in operands]
-        tape.record(lambda: slot.grad is None or backward(slot.grad, *slots))
+    slot, slots = out.slot, [x.slot if isinstance(x, Var) else None for x in operands]
+    tape.record(lambda: slot.grad is None or backward(slot.grad, *slots))
     return out
 
 
@@ -164,7 +151,7 @@ def add(a, b) -> Var:
         _accum(sa, g)
         _accum(sb, g)
 
-    return _op(_val(a) + _val(b), _tape_of(a, b), backward, a, b)
+    return _op(_val(a) + _val(b), backward, a, b)
 
 
 def mul(a, b) -> Var:
@@ -178,7 +165,7 @@ def mul(a, b) -> Var:
         if sb is not None:
             _accum(sb, g * fa)
 
-    return _op(av * bv, _tape_of(a, b), backward, a, b)
+    return _op(av * bv, backward, a, b)
 
 
 def matmul(a, b) -> Var:
@@ -192,30 +179,30 @@ def matmul(a, b) -> Var:
         if sb is not None:
             _accum(sb, av.T @ g)
 
-    return _op(av @ bv, _tape_of(a, b), backward, a, b)
+    return _op(av @ bv, backward, a, b)
 
 
 def sine(x: Var, w0: float = 1.0) -> Var:
     """Elementwise sin(w0 * x)."""
-    xv = x.value
-    return _op(np.sin(w0 * xv), x.tape, lambda g, s: _accum(s, g * (w0 * np.cos(w0 * xv))), x)
+    xv = _val(x)
+    return _op(np.sin(w0 * xv), lambda g, s: _accum(s, g * (w0 * np.cos(w0 * xv))), x)
 
 
 def relu(x: Var) -> Var:
-    mask = x.value > 0.0
-    return _op(np.where(mask, x.value, 0.0), x.tape, lambda g, s: _accum(s, g * mask), x)
+    mask = _val(x) > 0.0
+    return _op(np.where(mask, _val(x), 0.0), lambda g, s: _accum(s, g * mask), x)
 
 
 def absolute(x: Var) -> Var:
     """Elementwise |x| with subgradient 0 at 0."""
-    s = np.sign(x.value)
-    return _op(np.abs(x.value), x.tape, lambda g, sx: _accum(sx, g * s), x)
+    s = np.sign(_val(x))
+    return _op(np.abs(_val(x)), lambda g, sx: _accum(sx, g * s), x)
 
 
 def sqrt(x: Var, eps: float = 0.0) -> Var:
     """Elementwise sqrt(x + eps); pass a small eps to keep gradients finite at 0."""
-    root = np.sqrt(x.value + eps)
-    return _op(root, x.tape, lambda g, s: _accum(s, g * (0.5 / np.maximum(root, 1e-300))), x)
+    root = np.sqrt(_val(x) + eps)
+    return _op(root, lambda g, s: _accum(s, g * (0.5 / np.maximum(root, 1e-300))), x)
 
 
 def vsum(x: Var, axis=None) -> Var:
@@ -224,12 +211,12 @@ def vsum(x: Var, axis=None) -> Var:
             g = np.expand_dims(g, axis)
         _accum(s, np.broadcast_to(g, s.shape))
 
-    return _op(x.value.sum(axis=axis), x.tape, backward, x)
+    return _op(_val(x).sum(axis=axis), backward, x)
 
 
 def vmean(x: Var) -> Var:
     """The mean of every element."""
-    return mul(vsum(x), 1.0 / float(x.value.size))
+    return mul(vsum(x), 1.0 / float(_val(x).size))
 
 
 def concat(xs, axis: int = 0) -> Var:
@@ -242,17 +229,17 @@ def concat(xs, axis: int = 0) -> Var:
             sl[axis] = slice(lo, hi)
             _accum(s, g[tuple(sl)])
 
-    return _op(np.concatenate(vals, axis=axis), _tape_of(*xs), backward, *xs)
+    return _op(np.concatenate(vals, axis=axis), backward, *xs)
 
 
 def take(x: Var, key) -> Var:
-    """x.value[key] for any numpy key: slices, or integer arrays gathering
-    rows along axis 0. Repeated indices sum their gradients."""
+    """A copy of x's value[key] for any numpy key: slices, or integer arrays
+    gathering rows along axis 0. Repeated indices sum their gradients."""
 
     def backward(g, s):
         np.add.at(_grad_buffer(s), key, g)
 
-    return _op(np.array(x.value[key]), x.tape, backward, x)
+    return _op(np.array(_val(x)[key]), backward, x)
 
 
 def weighted_stack_sum(v, stack) -> Var:
@@ -273,7 +260,7 @@ def weighted_stack_sum(v, stack) -> Var:
             for r in range(vv.shape[0]):
                 grad[r] += np.multiply(g, vv[r], out=term)
 
-    return _op(np.tensordot(vv, sv, axes=(0, 0)), _tape_of(v, stack), backward, v, stack)
+    return _op(np.tensordot(vv, sv, axes=(0, 0)), backward, v, stack)
 
 
 def _cell_coords(u, n: int):
@@ -321,7 +308,7 @@ def _sample_grid(grid: Var, S: sp.csr_matrix, stacked: bool) -> Var:
     each grid of a stack [R, *cells, C] in turn (result [R, B, C]). The
     forward is S @ grid, the backward adds S.T @ g to that grid's slice of
     the gradient."""
-    gv = grid.value
+    gv = _val(grid)
     (b, n_cells), c = S.shape, gv.shape[-1]
     lead = gv.shape[:1] if stacked else ()
     if gv.ndim < 2 + stacked or gv.size != math.prod(lead) * n_cells * c:
@@ -334,7 +321,7 @@ def _sample_grid(grid: Var, S: sp.csr_matrix, stacked: bool) -> Var:
         for part, gr in (zip(grad, g) if stacked else [(grad, g)]):
             part += (S.T @ gr).reshape(part.shape)
 
-    return _op(np.stack([S @ x for x in grids]).reshape(*lead, b, c), grid.tape, backward, grid)
+    return _op(np.stack([S @ x for x in grids]).reshape(*lead, b, c), backward, grid)
 
 
 def sample_grid(grid: Var, S: sp.csr_matrix) -> Var:
@@ -356,7 +343,7 @@ def bilinear_sample(plane: Var, u, v) -> Var:
     gradient; see `interp_matrix` for clamping. The forward is S @ plane
     and the plane's gradient S.T @ g, with S [B, D*D] (4 weights per row).
     """
-    pv = plane.value
+    pv = _val(plane)
     if pv.ndim != 3:
         raise ValueError(f"plane must be [D, D, C], got {pv.shape}")
     return _sample_grid(plane, interp_matrix((u, v), pv.shape[:2]), stacked=False)
@@ -377,7 +364,7 @@ def forward_linear(x, W, b) -> Var:
 
 class ParamStore:
     """Named float64 parameter arrays. A parameter's zeroed gradient buffer is
-    made when first asked for, by grad or by a leaf on a recording tape."""
+    made when first asked for, by grad or by a leaf on a tape."""
 
     def __init__(self):
         self._values: dict[str, np.ndarray] = {}
@@ -408,12 +395,13 @@ class ParamStore:
     def drop_grads(self) -> None:
         self._grads.clear()
 
-    def var(self, name: str, tape: Tape) -> Var:
-        """A new leaf Var of the parameter on the given tape. On a recording
-        tape its grad is the store's gradient array, so backward sums each use
-        into it in place: zero the grads before backward. A NoGradTape leaf
-        has no slot, and the store makes no buffer for it."""
+    def var(self, name: str, tape: Tape | None):
+        """A new leaf Var of the parameter on the given tape, whose grad is
+        the store's gradient array, so backward sums each use into it in
+        place: zero the grads before backward. With no tape, the store's own
+        array, and no gradient buffer is made."""
+        if tape is None:
+            return self._values[name]
         leaf = Var(self._values[name], tape)
-        if tape.recording:
-            leaf.grad = self.grad(name)
+        leaf.grad = self.grad(name)
         return leaf

@@ -41,15 +41,15 @@ class FormatError(Exception):
 
 
 def is_int(v) -> bool:
-    """The type test of an int config key: an integer, not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    """The type test of an int config key: an integer, not a bool, that int64 holds."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and -2 ** 63 <= v < 2 ** 63
 
 
 def is_number(v) -> bool:
     """The type test of a float config key: a real number, not a bool, that
     float() takes: an integer of magnitude 2**1024 - 2**970 or more rounds past float64."""
-    if is_int(v):
-        return abs(int(v)) < 2 ** 1024 - 2 ** 970
+    if isinstance(v, numbers.Integral):
+        return not isinstance(v, bool) and abs(int(v)) < 2 ** 1024 - 2 ** 970
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 

@@ -22,16 +22,16 @@ query or loss at time t reads the two knots around t, so each call names
 the knots it needs: `SplineField.knot_states` predicts, in the order
 listed, each one the dict lacks, from an encoder `spatial` (the
 time-invariant half of the encoder's work, see `encoders`) made for that
-many knots. On a NoGradTape it predicts them per block of at most
-QUERY_BLOCK points, each from its own `spatial` of the block's rows, and
-joins the blocks, so features, samples and activations are [block, ...],
-not [N, ...]; a training tape predicts over all points at once. The
-coupled-4D baseline's MLP runs on the same row slices (`_rows`).
+many knots. With no tape, on plain arrays, it predicts them per block of
+at most QUERY_BLOCK points, each from its own `spatial` of the block's
+rows, and joins the blocks, so features, samples and activations are
+[block, ...], not [N, ...]; a training tape predicts over all points at
+once. The coupled-4D baseline's MLP runs on the same row slices (`_rows`).
 `derivative_var` asks for its two knots, a no-op when its caller listed
 them. The plain-array queries (`deform`, `velocity`, `acceleration`,
 `advect`) take a 1-D sequence of times, or one time as a sequence of one,
-list the segment knots of all their times in first-use order, and run on
-a NoGradTape. A multi-time query fills one [T, N, 3] output frame by
+list the segment knots of all their times in first-use order, and run with
+no tape, making no Var. A multi-time query fills one [T, N, 3] output frame by
 frame; `deform_frames` hands the frames out one at a time instead, to a
 caller that keeps few of them (`trainer.evaluate`, `cli` interp and flow).
 A loaded field is read-only (its canonical points, normalizer center and
@@ -58,7 +58,7 @@ from splinefield import autodiff as ad
 from splinefield import dataio
 from splinefield import encoders as enc
 from splinefield import spline
-from splinefield.autodiff import NoGradTape, ParamStore, Tape, Var
+from splinefield.autodiff import ParamStore, Tape, Var
 
 VARIANTS = ("siren-resfields", "pe-resfields", "triplanes", "triaxes",
             "coupled4d-baseline")
@@ -125,12 +125,12 @@ def _blocks(n: int) -> list:
 
 def _rows(tape, n: int) -> list:
     """The row slices a prediction over n points runs on: the blocks of
-    `_blocks(n)` on a NoGradTape, all rows at once on a recording tape."""
-    return _blocks(n) if isinstance(tape, NoGradTape) else [slice(None)]
+    `_blocks(n)` with no tape, all rows at once on a recording tape."""
+    return _blocks(n) if tape is None else [slice(None)]
 
 
 def _joined(parts) -> Var:
-    """The [rows, ...] Vars of `_rows`' slices as one, in row order."""
+    """The [rows, ...] parts of `_rows`' slices as one, in row order."""
     return parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
 
 
@@ -248,10 +248,11 @@ class SplineField:
             raise ValueError("query points must be finite")
         return (points - self.center) / self.half_extent
 
-    def predict_knot(self, tape: Tape, spatial, knot_idx: int) -> tuple:
-        """The decoder's output at one knot: Vars (offset, tangent) of shape
-        [B, 3], and the curvature as a third for a quintic field, from the
-        encoder's `spatial` of the B points (see `knot_states`)."""
+    def predict_knot(self, tape: Tape | None, spatial, knot_idx: int) -> tuple:
+        """The decoder's output at one knot: (offset, tangent) of shape [B,
+        3], and the curvature as a third for a quintic field, from the
+        encoder's `spatial` of the B points (see `knot_states`); Vars on a
+        tape, else arrays, each a copy, not a view of the decoder output."""
         if self.cfg.variant == "coupled4d-baseline":
             raise ValueError("the coupled-4D baseline has no knot states")
         if not (0 <= knot_idx < self.cfg.n_knots):
@@ -259,14 +260,14 @@ class SplineField:
         v_t = (ad.take(self.store.var("codes", tape), np.array(knot_idx))
                if self.encoder.rank > 0 else None)
         out = self._decode(tape, self.encoder.encode(tape, self.store, spatial, v_t))
-        return tuple(out[:, j:j + 3] for j in range(0, self.out_channels, 3))
+        return tuple(ad.take(out, np.s_[:, j:j + 3]) for j in range(0, self.out_channels, 3))
 
-    def knot_states(self, tape: Tape, points, knots, states: dict | None = None) -> dict:
+    def knot_states(self, tape: Tape | None, points, knots, states: dict | None = None) -> dict:
         """`states` (a new dict if None), knot index -> (position, tangent[,
         curvature]) on `points`, with each of the distinct `knots` it lacks
         predicted in the order listed from an encoder `spatial` made for
-        that many knots: one per slice of `_rows`, all the points or on a
-        NoGradTape a block. It is the one place that adds the points to
+        that many knots: one per slice of `_rows`, all the points or with
+        no tape a block. It is the one place that adds the points to
         `predict_knot`'s offset. The coupled-4D baseline predicts none."""
         states = {} if states is None else states
         todo = [k for k in dict.fromkeys(knots) if k not in states]
@@ -285,10 +286,10 @@ class SplineField:
 
     def derivative_var(self, tape, points, t_query, order: int,
                        states: dict | None = None) -> Var:
-        """Differentiable order-th time derivative (0, 1 or 2) at t_query: the
-        Hermite (or quintic) basis of that order on the two knots around it, in
-        t-bar units, read from (and predicted into) `states`, the knot states
-        of `points`. The coupled-4D baseline takes finite differences in t (see
+        """Order-th time derivative (0, 1 or 2) at t_query, a Var on a tape or
+        an array with tape None: the Hermite (or quintic) basis of that order
+        on the two knots around it, in t-bar units, read from (and predicted
+        into) `states`, the knot states of `points`. The coupled-4D baseline takes finite differences in t (see
         the module docstring)."""
         start, t_bar = spline.locate_segment(t_query, self.cfg.n_knots)   # validates t_query
         if self.cfg.variant == "coupled4d-baseline":
@@ -329,32 +330,31 @@ class SplineField:
         """Differentiable acceleration at t_query (t-bar units)."""
         return self.derivative_var(tape, points, t_query, 2, states)
 
-    def _states(self, points, times) -> tuple:
-        """A NoGradTape and the states of every knot `times` read: the loaded
-        field's canonical dict when `points` equal (shape and values) its
-        canonical points, else a new one."""
-        tape, states = NoGradTape(), self._canonical_states
+    def _states(self, points, times) -> dict:
+        """The array states of every knot `times` read: the loaded field's
+        canonical dict when `points` equal (shape and values) its canonical
+        points, else a new one."""
+        states = self._canonical_states
         if states is None or not (points is self.canonical or np.array_equal(points, self.canonical)):
             states = {}
-        self.knot_states(tape, points, spline.segment_knots(times, self.cfg.n_knots), states)
-        return tape, states
+        return self.knot_states(None, points, spline.segment_knots(times, self.cfg.n_knots), states)
 
     def _query(self, var_fn, points, t_query, **kw) -> np.ndarray:
         """var_fn's values at a 1-D sequence of times, filled into one [T, N,
         3] array, or at one time unstacked, with no copy."""
         times = _times("t_query", t_query)
-        tape, states = self._states(points, times.reshape(-1))
+        states = self._states(points, times.reshape(-1))
         if not times.ndim:
-            return var_fn(tape, points, float(times), states=states, **kw).value
+            return var_fn(None, points, float(times), states=states, **kw)
         out = np.empty((times.size, *np.shape(points)))
         for i, t in enumerate(times):
-            out[i] = var_fn(tape, points, float(t), states=states, **kw).value
+            out[i] = var_fn(None, points, float(t), states=states, **kw)
         return out
 
     def deform(self, points, t_query) -> np.ndarray:
         """Positions at t_query: [N, 3] for a scalar, [T, N, 3] for a 1-D sequence.
 
-        Like velocity and acceleration, it runs on a NoGradTape and predicts
+        Like velocity and acceleration, it runs on arrays and predicts
         each knot it needs once per call, whatever the number of times, or
         once per loaded field on its canonical points."""
         return self._query(self.deform_var, points, t_query)
@@ -364,8 +364,8 @@ class SplineField:
         frame at a time from a generator that keeps none of them. The call
         predicts every knot the times read, as a multi-time `deform` does."""
         times = _times("times", times).reshape(-1)
-        tape, states = self._states(points, times)
-        return (self.deform_var(tape, points, float(t), states=states).value for t in times)
+        states = self._states(points, times)
+        return (self.deform_var(None, points, float(t), states=states) for t in times)
 
     def velocity(self, points, t_query, physical: bool = False) -> np.ndarray:
         return self._query(self.velocity_var, points, t_query, physical=physical)

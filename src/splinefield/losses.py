@@ -5,8 +5,9 @@ The velocity loss penalizes squared velocity differences between each point
 and its k nearest canonical-space neighbors, weighted by normalized inverse
 distance. The acceleration loss is the mean absolute component of the
 analytic acceleration (an L2-norm alternative is available via `mode`).
-Each loss takes Vars and returns a scalar Var. Which terms a step computes,
-and their weighted sum, are the trainer's.
+Each loss takes Vars and returns a scalar Var, or takes arrays and returns
+a 0-d array. Which terms a step computes, and their weighted sum, are the
+trainer's.
 """
 
 from __future__ import annotations
@@ -54,10 +55,15 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     with k or more coincident others gets the k lowest-index ones (grouped by
     one np.unique, made only if the query shows a zero distance). The others
     re-sort their candidates by exact (d², index), re-queried with twice as
-    many while the k-th d² is not clearly below the farthest's."""
+    many while the k-th d² is not clearly below the farthest's. Points whose
+    squared distances overflow float64 raise ValueError, as the tree would
+    report such a neighbour missing, with index N."""
     n = points.shape[0]
     if not (is_int(k) and 1 <= k < n):
         raise ValueError(f"need an integer 1 <= k < N neighbors: N={n}, k={k!r}")
+    with np.errstate(over="ignore"):    # every d² is at most the span's squared norm
+        if not np.isfinite(np.sum(np.square(np.ptp(points, axis=0), dtype=np.float64))):
+            raise ValueError(f"points span {np.ptp(points, axis=0)}, whose squares overflow float64")
     tree = cKDTree(points)
     dist, idx = tree.query(points, k=min(k + 2, n))
     dist *= (1.0 + 1e-9) ** -np.arange(idx.shape[1])   # a rise of 1e-9 or less is now none

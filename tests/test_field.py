@@ -384,6 +384,38 @@ def _spy_spatial(monkeypatch, f) -> list:
     return made
 
 
+class TestArrayQueries:
+    """A query runs the training code on arrays, with no tape and no Var."""
+
+    @pytest.mark.parametrize("variant, quintic", _VARIANT_CASES)
+    def test_deform_var_with_no_tape_returns_an_array(self, variant, quintic):
+        f = _randomized(SplineField(_variant_cfg(variant, quintic), _points()))
+        out = f.deform_var(None, f.canonical, 0.63)
+        assert type(out) is np.ndarray
+        want = f.deform_var(Tape(), f.canonical, 0.63).value
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+        assert out.tobytes() == f.deform(f.canonical, 0.63).tobytes()
+
+    @pytest.mark.parametrize("variant, quintic", _VARIANT_CASES)
+    def test_a_query_makes_no_var(self, variant, quintic, monkeypatch):
+        f = _randomized(SplineField(_variant_cfg(variant, quintic), _points(8)))
+        traj = dataio.TrajectorySet(np.stack([f.canonical + 0.01 * i for i in range(5)]))
+        split = dataio.split_frames(traj, dataio.SplitSpec(2, 0.5), seed=0)
+        made, init = [], ad.Var.__init__
+
+        def counted(self, *args):
+            made.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(ad.Var, "__init__", counted)
+        f.deform(f.canonical, [0.2, 0.7])
+        f.velocity(_points(5, seed=1), 0.4)
+        trainer.evaluate(f, traj, split, k=3)
+        assert made == []
+        f.deform_var(Tape(), f.canonical, 0.2)      # the counter sees a tape's Vars
+        assert made
+
+
 class TestMultiTimeQueries:
     @pytest.mark.parametrize("variant,quintic", _VARIANT_CASES)
     def test_sequence_equals_per_time_calls(self, variant, quintic):
@@ -755,7 +787,7 @@ class TestCheckpoint:
         # the store's own peaked 20 % higher
         wide = 8 * sum(a.size for a in arrays.values())
         assert peak < path.stat().st_size + wide + (256 << 10)
-        # queries run on a NoGradTape, which makes no buffer either
+        # queries run on arrays with no tape, which make no buffer either
         g.deform(g.canonical, 0.4)
         traj = dataio.TrajectorySet(np.stack([g.canonical] * 5))
         trainer.evaluate(g, traj, dataio.split_frames(traj, dataio.SplitSpec(2, 0.5), seed=0),

@@ -1,4 +1,4 @@
-"""A seeded fuzz gate for the two file readers.
+"""A seeded fuzz gate for the two file readers and the config entry points.
 
 Each mutation of the committed checkpoint `data/triplanes_small.ckpt`, or
 of a small trajectory written here, must either load and query finite
@@ -11,12 +11,22 @@ framing, truncations, and for the checkpoint JSON header values of the
 wrong type or range and missing or extra keys. Random cases are drawn from
 default_rng(SEED), so every run tries the same files; the small families
 (header values, header bits, trajectory truncations) are tried whole.
+
+Each key of FieldConfig, TrainConfig and SplitSpec takes each value of one
+pool (CONFIG_VALUES) through its constructor; the field keys also through a
+checkpoint header, and the string values through `parse_config`. Each case
+must build a config whose field saves and reloads to an equal config (a
+SplitSpec: one that splits a trajectory), or raise ValueError naming the
+key (FormatError from a header); a TypeError, or any other error, fails.
+Pairs of keys are drawn from default_rng(SEED + 4).
 """
 
 import copy
+import dataclasses
 import json
 import math
 import os
+import re
 import struct
 import warnings
 
@@ -24,14 +34,21 @@ import numpy as np
 import pytest
 
 from splinefield import dataio, metrics
-from splinefield.dataio import FormatError
-from splinefield.field import SplineField
+from splinefield.dataio import FormatError, SplitSpec, parse_config
+from splinefield.field import FieldConfig, SplineField
+from splinefield.trainer import TrainConfig
 
 SEED = 20260
 CKPT = os.path.join(os.path.dirname(__file__), "data", "triplanes_small.ckpt")
 # JSON values of the wrong type, or of a type a key takes but out of its range
 VALUES = [None, True, False, "", "x", "triplanes", [], [1], [4, 8], [2.5], {}, {"a": 1},
           -1, 0, 1, 2, 10 ** 9, 10 ** 400, -2.5, 1e-310, 1e300, -1e300, float("nan"), float("inf")]
+# config values of every kind a caller might pass, for every key
+CONFIG_VALUES = [None, "", b"1", True, np.int64(3), np.float64(0.5), np.bool_(True), 1e400,
+                 10 ** 400, float("nan"), -1, [], (1.5,), "16,32", object(), "3", 7, 0.5]
+# a small base, so that every field a case builds is quick to make and save
+SMALL = {FieldConfig: dict(hidden=8, grid_levels=(4, 8)),
+         TrainConfig: dict(hidden=8, grid_levels=(4, 8)), SplitSpec: {}}
 
 
 def _load_and_query(path) -> None:
@@ -198,3 +215,102 @@ class TestTrajectoryFuzz:
     def test_every_truncation(self, tmp_path, blob):
         cases = ((f"first {n} bytes", blob[:n]) for n in range(len(blob)))
         assert not _outcomes(_read_traj, tmp_path / "f.traj", cases)["loaded"]
+
+
+def _keys(cls) -> list:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def _saves_and_reloads(cfg, path) -> None:
+    """A built config's field saves and reloads to an equal config; a
+    SplitSpec splits a 30-frame trajectory."""
+    if isinstance(cfg, SplitSpec):
+        dataio.split_frames(dataio.gen_synthetic("composite", 8, 30, seed=0), cfg)
+        return
+    fc = cfg.field_config(4) if isinstance(cfg, TrainConfig) else cfg
+    SplineField(fc, np.random.default_rng(SEED).uniform(-1.0, 1.0, (6, 3))).save(path)
+    assert SplineField.load(path).cfg == fc
+
+
+def _built_or_named(make, keys, path, label: str) -> str:
+    """Run make(): "built" if the config it makes saves and reloads,
+    "refused" if it raises a ValueError that names one of `keys`; any other
+    outcome, a warning too, fails, naming the case."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = make()
+        except ValueError as e:
+            if not re.match(rf"({'|'.join(keys)}) must be ", str(e)):
+                pytest.fail(f"{label}: the ValueError names no key of {keys}: {e}")
+            return "refused"
+        except Exception as e:
+            pytest.fail(f"{label}: {type(e).__name__}: {e}")
+        try:
+            _saves_and_reloads(cfg, path)
+        except Exception as e:
+            pytest.fail(f"{label}: built, but {type(e).__name__}: {e}")
+    return "built"
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("cls", SMALL, ids=lambda c: c.__name__)
+    def test_each_key_takes_each_value(self, tmp_path, cls):
+        seen = [_built_or_named(lambda: cls(**{**SMALL[cls], key: value}), [key],
+                                tmp_path / "f.ckpt", f"{cls.__name__}({key}={value!r})")
+                for key in _keys(cls) for value in CONFIG_VALUES]
+        assert {"built", "refused"} == set(seen)
+
+    def test_seeded_pairs_of_keys(self, tmp_path):
+        rng = np.random.default_rng(SEED + 4)
+        for _ in range(200):
+            cls = list(SMALL)[rng.integers(len(SMALL))]
+            keys = [str(k) for k in rng.choice(_keys(cls), 2, replace=False)]
+            values = [CONFIG_VALUES[i] for i in rng.integers(len(CONFIG_VALUES), size=2)]
+            kw = dict(zip(keys, values))
+            _built_or_named(lambda: cls(**{**SMALL[cls], **kw}), keys, tmp_path / "f.ckpt",
+                            f"{cls.__name__}(**{kw!r})")
+
+    @pytest.mark.parametrize("cls", SMALL, ids=lambda c: c.__name__)
+    def test_string_values_through_parse_config(self, tmp_path, cls):
+        for key in _keys(cls):
+            for value in [v for v in CONFIG_VALUES if isinstance(v, str)]:
+                _built_or_named(lambda: parse_config(cls, [f"{key}={value}"], cls(**SMALL[cls])),
+                                [key], tmp_path / "f.ckpt", f"{cls.__name__} --set {key}={value}")
+
+    def test_field_keys_through_a_checkpoint_header(self, tmp_path):
+        # a header value loads to the config the constructor builds from it,
+        # or is refused with the constructor's message; a valid config whose
+        # parameters the file does not hold is refused naming a parameter
+        path = tmp_path / "f.ckpt"
+        base = FieldConfig(**SMALL[FieldConfig])
+        SplineField(base, np.random.default_rng(SEED).uniform(-1.0, 1.0, (6, 3))).save(path)
+        blob = path.read_bytes()
+        header = json.loads(blob[16:16 + struct.unpack_from("<I", blob, 12)[0]])
+        seen = set()
+        for key in _keys(FieldConfig):
+            for value in CONFIG_VALUES:
+                try:
+                    value = json.loads(json.dumps(value.item() if isinstance(value, np.generic)
+                                                  else value))
+                except TypeError:
+                    continue        # bytes and objects have no JSON form
+                try:
+                    want = FieldConfig(**{**dataclasses.asdict(base), key: value})
+                except ValueError as e:
+                    want = e
+                path.write_bytes(_with_header(blob, {**header, "config": {
+                    **header["config"], key: value}}))
+                label = f"header {key} = {value!r}"
+                try:
+                    got = SplineField.load(path).cfg
+                except FormatError as e:
+                    assert (str(want) in str(e) if isinstance(want, ValueError)
+                            else "parameter" in str(e)), f"{label}: {e}"
+                    seen.add("refused")
+                except Exception as e:
+                    pytest.fail(f"{label}: {type(e).__name__}: {e}")
+                else:
+                    assert got == want, label
+                    seen.add("loaded")
+        assert seen == {"loaded", "refused"}

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from splinefield import losses
-from splinefield.autodiff import NoGradTape, Tape, Var
+from splinefield import losses, metrics
+from splinefield.autodiff import Tape, Var
 from splinefield.dataio import SYNTHETIC_KINDS, gen_synthetic
 from splinefield.losses import build_knn, knn_indices
 
@@ -13,8 +13,8 @@ from knn_oracle import brute_knn
 
 
 def _value(loss, x, *args, **kw) -> float:
-    """A loss of the array x, evaluated on a tape that records nothing."""
-    return float(loss(Var(x, NoGradTape()), *args, **kw).value)
+    """A loss of the array x, evaluated on arrays with no tape."""
+    return float(loss(x, *args, **kw))
 
 
 def velocity_loss(v, g) -> float:
@@ -202,6 +202,23 @@ class TestKnn:
         coincident = np.tile(rng.normal(size=(1, 3)), (4000, 1))
         spread = rng.normal(size=(4000, 3))
         assert _traced_peak(knn_indices, coincident, 10) < 2 * _traced_peak(knn_indices, spread, 10)
+
+    def test_points_whose_squared_distances_overflow_are_refused(self):
+        # the tree reports a neighbour whose d² overflows to inf as missing,
+        # index N, which once came back as a neighbour or an IndexError
+        far = np.array([[0.0, 0, 0], [1e200, 0, 0], [2e200, 0, 0], [3e200, 0, 0]])
+        for n in (2, 3):
+            with pytest.raises(ValueError, match=r"points span \[.*\], whose squares overflow"):
+                knn_indices(far[:n], 1)
+        with pytest.raises(ValueError, match="whose squares overflow"):
+            build_knn(far, 2)
+        with pytest.raises(ValueError, match="whose squares overflow"):
+            metrics.morans_i_frame(far, np.tile([1.0, 0, 0], (4, 1)), k=2)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_points_short_of_the_overflow_match_brute_oracle(self, k):
+        pts = np.random.default_rng(12).normal(size=(60, 3)) * 1e150
+        np.testing.assert_array_equal(knn_indices(pts, k), brute_knn(pts, k))
 
     def test_weights_row_normalized(self):
         pts = np.random.default_rng(2).normal(size=(20, 3))

@@ -641,7 +641,7 @@ def _flush_per_call_var(store, name, tape):
 def _outer_product_stack_sum(v, stack):
     """The former weighted_stack_sum, whose backward builds the full
     [rank, ...] product for the stack."""
-    tape = ad._tape_of(v, stack)
+    tape = next(x.tape for x in (v, stack) if isinstance(x, ad.Var))
     vv, sv = ad._val(v), ad._val(stack)
     out = ad.Var(np.tensordot(vv, sv, axes=(0, 0)), tape)
 
@@ -821,6 +821,15 @@ class TestTrainBoundaries:
         assert len(split.supervised) == 50
         return traj, split
 
+    def test_points_whose_squared_distances_overflow_are_refused(self):
+        # a float64 trajectory can hold what no f32 file can: the KNN graph's
+        # d² would overflow, and the tree once made that an IndexError
+        traj = dataio.gen_synthetic("composite", 200, 9, seed=0)
+        traj = TrajectorySet(traj.positions.astype(np.float64) * 1e200)
+        split = split_frames(traj, SplitSpec(4, 0.5), seed=0)
+        with pytest.raises(ValueError, match="points span .*, whose squares overflow"):
+            train(traj, split, TrainConfig(steps=2, hidden=8))
+
     @pytest.mark.parametrize("k", [50, 60])
     def test_knn_k_not_below_supervised_count_rejected(self, k):
         traj, split = self._sparse()
@@ -856,8 +865,7 @@ class TestTrainBoundaries:
                 return term                 # steps 0 and 1 run clean
             if fault == "loss":
                 return ad.mul(term, np.nan)
-            return ad._op(term.value, term.tape,
-                          lambda g, s: ad._accum(s, np.full_like(g, np.nan)), term)
+            return ad._op(term.value, lambda g, s: ad._accum(s, np.full_like(g, np.nan)), term)
         monkeypatch.setattr(trainer, "SplineField", Kept)
         monkeypatch.setattr(losses, "recon_loss_l1", faulty)
         with pytest.raises(trainer.DivergenceError, match=message):
