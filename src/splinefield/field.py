@@ -286,11 +286,11 @@ class SplineField:
 
     def derivative_var(self, tape, points, t_query, order: int,
                        states: dict | None = None) -> Var:
-        """Order-th time derivative (0, 1 or 2) at t_query, a Var on a tape or
-        an array with tape None: the Hermite (or quintic) basis of that order
-        on the two knots around it, in t-bar units, read from (and predicted
-        into) `states`, the knot states of `points`. The coupled-4D baseline takes finite differences in t (see
-        the module docstring)."""
+        """Order-th time derivative (0, 1 or 2) at t_query, a Var on a tape, an
+        array with tape None: the Hermite (or quintic) basis of that order on
+        the two knots around it, in t-bar units, read from (and predicted into)
+        `states`, the knot states of `points`. The coupled-4D baseline takes
+        finite differences in t (see the module docstring)."""
         start, t_bar = spline.locate_segment(t_query, self.cfg.n_knots)   # validates t_query
         if self.cfg.variant == "coupled4d-baseline":
             return self._coupled_var(tape, points, t_query, order)

@@ -63,7 +63,7 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"need an integer 1 <= k < N neighbors: N={n}, k={k!r}")
     with np.errstate(over="ignore"):    # every d² is at most the span's squared norm
         if not np.isfinite(np.sum(np.square(np.ptp(points, axis=0), dtype=np.float64))):
-            raise ValueError(f"points span {np.ptp(points, axis=0)}, whose squares overflow float64")
+            raise ValueError(f"points span {np.ptp(points, axis=0)}: d² overflows float64")
     tree = cKDTree(points)
     dist, idx = tree.query(points, k=min(k + 2, n))
     dist *= (1.0 + 1e-9) ** -np.arange(idx.shape[1])   # a rise of 1e-9 or less is now none

@@ -208,11 +208,11 @@ class TestKnn:
         # index N, which once came back as a neighbour or an IndexError
         far = np.array([[0.0, 0, 0], [1e200, 0, 0], [2e200, 0, 0], [3e200, 0, 0]])
         for n in (2, 3):
-            with pytest.raises(ValueError, match=r"points span \[.*\], whose squares overflow"):
+            with pytest.raises(ValueError, match=r"points span \[.*\]: d² overflows float64"):
                 knn_indices(far[:n], 1)
-        with pytest.raises(ValueError, match="whose squares overflow"):
+        with pytest.raises(ValueError, match="d² overflows float64"):
             build_knn(far, 2)
-        with pytest.raises(ValueError, match="whose squares overflow"):
+        with pytest.raises(ValueError, match="d² overflows float64"):
             metrics.morans_i_frame(far, np.tile([1.0, 0, 0], (4, 1)), k=2)
 
     @pytest.mark.parametrize("k", [1, 5])

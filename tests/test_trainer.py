@@ -827,7 +827,7 @@ class TestTrainBoundaries:
         traj = dataio.gen_synthetic("composite", 200, 9, seed=0)
         traj = TrajectorySet(traj.positions.astype(np.float64) * 1e200)
         split = split_frames(traj, SplitSpec(4, 0.5), seed=0)
-        with pytest.raises(ValueError, match="points span .*, whose squares overflow"):
+        with pytest.raises(ValueError, match="points span .*: d² overflows float64"):
             train(traj, split, TrainConfig(steps=2, hidden=8))
 
     @pytest.mark.parametrize("k", [50, 60])
