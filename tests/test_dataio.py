@@ -76,6 +76,16 @@ class TestGenSynthetic:
             assert traj.positions.shape == (6, 30, 3)
             assert np.all(np.isfinite(traj.positions))
 
+    @pytest.mark.parametrize("kind", dataio.SYNTHETIC_KINDS)
+    def test_every_4th_frame_of_a_finer_scene_is_the_scene(self, kind):
+        # a scene is analytic in t with every draw made first, so a T-frame
+        # fit can be scored on the 4(T - 1) + 1-frame scene of its seed
+        for n_frames in (2, 5, 13, 60):
+            for seed in (0, 3):
+                coarse = gen_synthetic(kind, 300, n_frames, seed).positions
+                fine = gen_synthetic(kind, 300, 4 * (n_frames - 1) + 1, seed).positions
+                assert fine[::4].tobytes() == coarse.tobytes(), (n_frames, seed)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             gen_synthetic("galloping-horse", 10, 5)

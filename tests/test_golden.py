@@ -1,4 +1,5 @@
-"""Same-seed digests of fifteen short fits, and a committed checkpoint.
+"""Same-seed digests of fifteen short fits and of the synthetic scenes, and
+a committed checkpoint.
 
 Each case fits a field for a few steps on one seeded scene and pins
 SHA-256 digests (first 16 hex digits) of what the fit and its checkpoint
@@ -22,6 +23,10 @@ two knots every order is [0, 1]. The two batch cases train on 60 of the 70
 points, so the velocity term predicts its knots on the batch's neighbor
 closure and slices their states to the batch rows; triplanes-batch pins
 that slice on a grid field.
+
+SCENE_PINS holds the digest of `gen_synthetic`'s positions bytes for every
+scene kind at two sizes (n_points, n_frames, seed): 37 points, which the
+bending sheet's 7 x 7 grid does not fill, and 500 points over 60 frames.
 
 `tests/data/triplanes_small.ckpt` is a perturbed 20-point triplanes field
 (levels (4, 8), 4 channels) written by an earlier commit, and
@@ -107,6 +112,15 @@ PINS = {
         "eval": "ab6fd3668db0abc0", "report": "71a25ed8fff75c78", "queries": "112a9faf18943970"},
 }
 
+SCENE_SIZES = {"37x9": (37, 9, 3), "500x60": (500, 60, 3)}
+SCENE_PINS = {
+    "rigid-translate": {"37x9": "75a9fdf3fe5e7c7e", "500x60": "a913f87ef2d3412a"},
+    "rotate": {"37x9": "83d57a2f48f39bd6", "500x60": "1ade709611ebbbc7"},
+    "bending-sheet": {"37x9": "d3fed7a7bad9279c", "500x60": "072ea6d8b827e715"},
+    "swing-arm": {"37x9": "1d080379f851f540", "500x60": "cc980f8d15443a86"},
+    "composite": {"37x9": "a966a51bb6cd7286", "500x60": "f628665e252f5597"},
+}
+
 
 def scene():
     traj = dataio.gen_synthetic("composite", 280, 13, seed=3)
@@ -158,6 +172,16 @@ def digests(case: str, tmp) -> dict:
     }
 
 
+def scene_digests(kind: str) -> dict:
+    return {size: _sha(dataio.gen_synthetic(kind, *args).positions.tobytes())
+            for size, args in SCENE_SIZES.items()}
+
+
+@pytest.mark.parametrize("kind", dataio.SYNTHETIC_KINDS)
+def test_synthetic_scene_matches_its_pins(kind):
+    assert scene_digests(kind) == SCENE_PINS[kind]
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_same_seed_fit_matches_its_pins(case, tmp_path):
     assert digests(case, str(tmp_path)) == PINS[case]
@@ -174,9 +198,9 @@ def test_committed_checkpoint_loads_and_queries_alike():
 
 
 if __name__ == "__main__":
-    # Prints each case's digests (all cases, or those named) in the PINS
-    # layout, and after a case the keys that differ from its pins; exits 1
-    # if a pinned case moved:
+    # Prints every scene's digests in the SCENE_PINS layout, then each case's
+    # (all cases, or those named) in the PINS layout, each followed by the
+    # keys that differ from its pins; exits 1 if a scene or a pinned case moved:
     #   PYTHONPATH=src python tests/test_golden.py [case ...]
     import sys
     import tempfile
@@ -184,6 +208,14 @@ if __name__ == "__main__":
     if unknown := [c for c in sys.argv[1:] if c not in CASES]:
         sys.exit(f"no golden case {', '.join(unknown)}; the cases are {', '.join(CASES)}")
     any_moved = False
+    print("SCENE_PINS = {")
+    for kind in dataio.SYNTHETIC_KINDS:
+        got = scene_digests(kind)
+        moved = [k for k, v in got.items() if SCENE_PINS[kind][k] != v]
+        any_moved |= bool(moved)
+        items = ", ".join(f'"{k}": "{v}"' for k, v in got.items())
+        print(f'    "{kind}": {{{items}}},' + (f"  # moved: {', '.join(moved)}" if moved else ""))
+    print("}")
     with tempfile.TemporaryDirectory() as tmp:
         print("PINS = {")
         for case in sys.argv[1:] or CASES:
