@@ -191,61 +191,56 @@ def split_frames(traj: TrajectorySet, spec: SplitSpec, seed: int = 0) -> Split:
     return Split(train_frames=train, test_frames=test, supervised=supervised)
 
 
+def _rotation(a, i: int, j: int) -> np.ndarray:
+    """The 3x3 rotation by the angle a that turns axis i toward axis j."""
+    rot = np.eye(3)
+    rot[i, i] = rot[j, j] = np.cos(a)
+    rot[j, i], rot[i, j] = np.sin(a), -np.sin(a)
+    return rot
+
+
 def gen_synthetic(kind: str, n_points: int, n_frames: int,
                   seed: int = 0) -> TrajectorySet:
+    """A scene of `n_points` points at the `n_frames` times t = linspace(0, 1).
+    Every draw from default_rng(seed) comes before the first frame, so frame t
+    is the kind's positions at(t) alone, and a 4(T - 1) + 1-frame scene taken
+    at every 4th frame is the T-frame scene. The kinds' motions:
+    - rigid-translate: points uniform in [-1, 1]^3 move by t (0.6, -0.3, 0.45);
+    - rotate: those points turn about z by a quarter turn times t;
+    - bending-sheet: a jittered grid on the xy square lifts by 0.35 sin(pi t)
+      times a profile from 0.5 at x = -1 and x = 1 up to 1 at x = 0;
+    - swing-arm: points along x, an arm hinged at the origin, swing about y
+      by the angle 0.6 sin(2 pi t);
+    - composite: the uniform points move by t (0.4, 0.2, -0.3) plus a z wobble
+      0.1 sin(2 pi t + phase), each point's phase uniform in [0, 2 pi)."""
     if kind not in SYNTHETIC_KINDS:
         raise ValueError(f"unknown scene kind {kind!r}, choose from {SYNTHETIC_KINDS}")
     _check_ints(("n_points", n_points, 1), ("n_frames", n_frames, 2), ("seed", seed, 0))
     rng = np.random.default_rng(seed)
-    ts = np.linspace(0.0, 1.0, n_frames)
-
     if kind == "bending-sheet":
         side = int(np.ceil(np.sqrt(n_points)))
         gx, gy = np.meshgrid(np.linspace(-1, 1, side), np.linspace(-1, 1, side))
         base = np.stack([gx.ravel(), gy.ravel()], axis=1)[:n_points]
         base = base + rng.normal(0.0, 0.02, size=base.shape)
-        # one-signed bend profile: the whole sheet lifts together, more near
-        # one edge, so ground-truth motion stays spatially coherent
+        # one-signed bend profile: the whole sheet lifts together, most along
+        # x = 0, so ground-truth motion stays spatially coherent
         profile = 0.5 + 0.5 * np.sin(0.5 * np.pi * (base[:, 0] + 1.0))
-        frames = []
-        for t in ts:
-            z = 0.35 * profile * np.sin(np.pi * t)
-            frames.append(np.column_stack([base[:, 0], base[:, 1], z]))
-        return TrajectorySet(np.stack(frames))
-
-    pts = rng.uniform(-1.0, 1.0, size=(n_points, 3))
-
+        at = lambda t: np.column_stack([base[:, 0], base[:, 1], 0.35 * profile * np.sin(np.pi * t)])
+    else:   # swing-arm draws and discards these: its arm's draws come after them
+        pts = rng.uniform(-1.0, 1.0, size=(n_points, 3))
     if kind == "rigid-translate":
-        direction = np.array([0.6, -0.3, 0.45])
-        frames = [pts + t * direction for t in ts]
+        at = lambda t: pts + t * np.array([0.6, -0.3, 0.45])
     elif kind == "rotate":
-        frames = []
-        for t in ts:
-            a = 0.5 * np.pi * t
-            rot = np.array([[np.cos(a), -np.sin(a), 0.0],
-                            [np.sin(a), np.cos(a), 0.0],
-                            [0.0, 0.0, 1.0]])
-            frames.append(pts @ rot.T)
+        at = lambda t: pts @ _rotation(0.5 * np.pi * t, 0, 1).T
     elif kind == "swing-arm":
-        # points along an arm hinged at the origin, swinging in the xz plane
-        pts = np.column_stack([rng.uniform(0.1, 1.0, n_points),
-                               rng.normal(0.0, 0.05, n_points),
+        arm = np.column_stack([rng.uniform(0.1, 1.0, n_points), rng.normal(0.0, 0.05, n_points),
                                rng.normal(0.0, 0.05, n_points)])
-        frames = []
-        for t in ts:
-            a = 0.6 * np.sin(2.0 * np.pi * t)
-            rot = np.array([[np.cos(a), 0.0, np.sin(a)],
-                            [0.0, 1.0, 0.0],
-                            [-np.sin(a), 0.0, np.cos(a)]])
-            frames.append(pts @ rot.T)
-    else:   # composite: translation plus a per-point sinusoidal wobble
+        at = lambda t: arm @ _rotation(0.6 * np.sin(2.0 * np.pi * t), 2, 0).T
+    elif kind == "composite":
         phase = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, 1))
-        direction = np.array([0.4, 0.2, -0.3])
-        frames = []
-        for t in ts:
-            wobble = 0.1 * np.sin(2.0 * np.pi * t + phase)
-            frames.append(pts + t * direction + wobble * np.array([0.0, 0.0, 1.0]))
-    return TrajectorySet(np.stack(frames))
+        at = lambda t: (pts + t * np.array([0.4, 0.2, -0.3])
+                        + 0.1 * np.sin(2.0 * np.pi * t + phase) * np.array([0.0, 0.0, 1.0]))
+    return TrajectorySet(np.stack([at(t) for t in np.linspace(0.0, 1.0, n_frames)]))
 
 
 def write_traj(path, traj) -> None:
