@@ -14,15 +14,15 @@ set x_norm, which `knots` knots will modulate; `encode(tape, store,
 spatial, v_t)` is the per-knot modulation of it. `SplineField.knot_states`
 makes one `spatial` per block of the points it predicts knots on, for the
 knots it predicts in one call, and hands each of them that `spatial`.
-For the MLP encoder `spatial` is the feature map. For the grid encoder it
-rests on an identity: grid interpolation is linear, so sampling
+For the MLP encoder `spatial` is the positional encoding. For the grid
+encoder it rests on an identity: grid interpolation is linear, so sampling
 base + sum_r v_t[r] * res[r] at a point equals applying `low_rank` to the
 samples of base and of each res[r]. A factor with residuals, fewer points
 than cells and enough knots to repay sampling its residual stack samples
 base and stack once and each knot modulates the samples; otherwise each
 knot builds its grid and samples it (see `TriplaneEncoder`).
 
-The MLP variants differ only in the MLP's feature map and activation (see
+The MLP variants differ only in PE frequency count and activation (see
 `MLPEncoder`). The coupled-4D baseline is the rank-0 sine MLP; `SplineField`
 hands its `encode` the points with time appended (`xyzt`).
 
@@ -50,11 +50,6 @@ def low_rank(base, res, v_t):
     return base if res is None else ad.add(base, ad.weighted_stack_sum(v_t, res))
 
 
-def xyz(x_norm: np.ndarray) -> np.ndarray:
-    """The identity feature map of the SIREN variant."""
-    return x_norm
-
-
 def xyzt(x_norm: np.ndarray, t: float) -> np.ndarray:
     """The coupled baseline's input: time t in [0, 1] as a fourth
     coordinate 2t - 1 in [-1, 1]."""
@@ -65,7 +60,7 @@ def positional_encode(x: np.ndarray, n_frequencies: int) -> np.ndarray:
     """Sinusoidal encoding: x, then [sin(2^l pi x), cos(2^l pi x)] per l.
 
     x is [B, 3] with coordinates in [-1, 1]; blocks are concatenated along
-    the channel axis, 3 channels per block.
+    the channel axis, 3 channels per block; 0 frequencies copy x.
     """
     blocks = [x]
     for l in range(n_frequencies):
@@ -85,21 +80,22 @@ def normal(std: float, scale: float = 1.0):
 
 
 class MLPEncoder:
-    """The MLP encoder of every MLP variant: a feature map of the normalized
-    coordinates, then `depth` time-variant linear layers (weights built by
-    `low_rank` from the knot's code) with sine(w0) or ReLU activations.
+    """The MLP encoder of every MLP variant: the normalized coordinates'
+    `positional_encode` at `frequencies` frequencies, then `depth` time-variant
+    linear layers (weights built by `low_rank` from the knot's code) with
+    sine(w0) or ReLU activations.
 
-    The SIREN variant uses the identity features `xyz` and sines, the PE
-    variant `positional_encode` and ReLUs, and the coupled baseline sines at
-    rank 0 on its `xyzt` input, whose time coordinate is its only time input.
+    The SIREN variant takes 0 frequencies and sines, the PE variant its
+    `pe_frequencies` and ReLUs, and the coupled baseline sines at rank 0 on
+    its `xyzt` input, whose time coordinate is its only time input.
     """
 
     def __init__(self, rank: int, in_dim: int, hidden: int, depth: int, w0: float,
-                 features, act: str):
+                 frequencies: int, act: str):
         self.rank = rank
         self.in_dim = in_dim
         self.depth = depth
-        self.features = features
+        self.frequencies = frequencies
         # the activation, and the uniform init bound of layer i with ci inputs
         self._act, self._bound = {
             "sine": (lambda h: ad.sine(h, w0),
@@ -118,8 +114,8 @@ class MLPEncoder:
             yield f"enc.mlp.l{i}.b", (co,), None
 
     def spatial(self, tape: Tape, store: ParamStore, x_norm: np.ndarray, knots: int, rows: slice):
-        """The feature map of the normalized points `rows`, for any count of knots."""
-        return self.features(x_norm[rows])
+        """The positional encoding of the normalized points `rows`, for any count of knots."""
+        return positional_encode(x_norm[rows], self.frequencies)
 
     def encode(self, tape: Tape, store: ParamStore, h: np.ndarray, v_t: Var | None) -> Var:
         """The features h of `spatial` under the knot code v_t, which

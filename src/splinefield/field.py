@@ -9,7 +9,7 @@ derivative order gives position, velocity or acceleration (in normalized
 segment-time units unless physical scaling is requested). The field owns
 the per-knot codes ([n_knots, rank]) and hands the encoder the checked
 knot's code v_t. The MLP variants share one encoder class and differ only
-in feature map and activation; the plane and axis variants share the
+in PE frequency count and activation; the plane and axis variants share the
 factorized-grid class. Constant-velocity advection extrapolates past the
 fitted interval.
 
@@ -208,14 +208,13 @@ class SplineField:
         c = self.cfg
         if c.variant in _GRIDS:
             return _GRIDS[c.variant](c.rank, c.grid_levels, c.grid_channels)
-        features, in_dim, act = {
-            "siren-resfields": (enc.xyz, 3, "sine"),
-            "pe-resfields": (lambda x: enc.positional_encode(x, c.pe_frequencies),
-                             3 + 6 * c.pe_frequencies, "relu"),
-            "coupled4d-baseline": (enc.xyz, 4, "sine"),    # _coupled_var appends time
+        frequencies, in_dim, act = {
+            "siren-resfields": (0, 3, "sine"),
+            "pe-resfields": (c.pe_frequencies, 3 + 6 * c.pe_frequencies, "relu"),
+            "coupled4d-baseline": (0, 4, "sine"),    # _coupled_var appends time
         }[c.variant]
         rank = 0 if c.variant == "coupled4d-baseline" else c.rank
-        return enc.MLPEncoder(rank, in_dim, c.hidden, c.depth, c.w0, features, act)
+        return enc.MLPEncoder(rank, in_dim, c.hidden, c.depth, c.w0, frequencies, act)
 
     def params(self):
         """(name, shape, init) of each parameter in draw order: codes, encoder, decoder."""
