@@ -189,6 +189,16 @@ class TestFit:
         assert "fitting" not in out     # rejected where the config is built
         assert not (tmp_path / "f.ckpt").exists()
 
+    def test_a_size_past_the_parameter_budget_is_usage_error(self, tmp_path, capsys):
+        traj = _gen(tmp_path)
+        rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt"),
+                   "--steps", "2", "--set", "depth=10000000"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "the size keys (" in err and "past the budget" in err
+        assert "fitting" not in out     # rejected where the config is built
+        assert not (tmp_path / "f.ckpt").exists()
+
     def test_log_csv_has_one_row_per_step(self, tmp_path):
         log = tmp_path / "log.csv"
         _fit(tmp_path, _gen(tmp_path), extra=["--log-csv", str(log)])
@@ -701,8 +711,9 @@ def _wrapping_dims(ckpt, bad):
 
 def _config(**edits):
     """A header whose config asks for arrays of over 128 TiB, or for 10**12
-    layers, far beyond the checkpoint's; loading must refuse them before
-    allocating anything, in the time a small checkpoint takes."""
+    layers, far beyond the checkpoint's; loading must refuse them at the
+    config's parameter budget, before allocating anything, in the time a
+    small checkpoint takes."""
     def corrupt(ckpt, bad):
         arrays, header = dataio.read_checkpoint(ckpt)
         header["config"].update(edits)
@@ -710,15 +721,16 @@ def _config(**edits):
     return corrupt
 
 
+_PAST_THE_BUDGET = "past the budget of 134217728 values"
 CORRUPTIONS = {"nan-in-dec.l0.b": (_nan_in_bias, "'dec.l0.b'"),
                "repeated-canonical": (_second_canonical, "'__canonical__'"),
                "trailing-bytes": (_trailing_garbage, "trailing bytes"),
                "dims-wrap-int64": (_wrapping_dims, "truncated payload for 'huge'"),
-               "n_knots-1e14": (_config(n_knots=10 ** 14), "(100000000000000, 2)"),
-               "hidden-2**45": (_config(hidden=2 ** 45), "35184372088832"),
+               "n_knots-1e14": (_config(n_knots=10 ** 14), _PAST_THE_BUDGET),
+               "hidden-2**45": (_config(hidden=2 ** 45), _PAST_THE_BUDGET),
                "triplanes-level-65536": (_config(variant="triplanes", grid_levels=[65536]),
-                                         "(65536, 65536, 16)"),
-               "depth-10**12": (_config(depth=10 ** 12), "enc.mlp.l2.Wb has shape None")}
+                                         _PAST_THE_BUDGET),
+               "depth-10**12": (_config(depth=10 ** 12), _PAST_THE_BUDGET)}
 
 
 class TestMalformedCheckpoint:

@@ -1,4 +1,5 @@
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -694,6 +695,63 @@ class TestQueryBlocks:
         monkeypatch.setattr(field_module, "QUERY_BLOCK", 4096)
         first, last = (len(range(4097)[r]) for r in field_module._blocks(4097))
         assert 2 * last >= first
+
+
+_PAST_THE_BUDGET = [dict(hidden=8, depth=10 ** 7),
+                    # tiny arrays, each counted as PARAM_ARRAY_COST values more
+                    dict(hidden=1, rank=0, depth=10 ** 7),
+                    dict(variant="triplanes", grid_levels=(2 ** 20,)),
+                    dict(variant="triaxes", grid_channels=2 ** 40),
+                    dict(n_knots=2 ** 40), dict(hidden=2 ** 62)]
+
+
+class TestParameterBudget:
+    @pytest.mark.parametrize("rank", [0, 8])
+    @pytest.mark.parametrize("quintic", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_the_closed_form_is_what_params_declares(self, variant, quintic, rank):
+        cfg = FieldConfig(variant=variant, quintic=quintic, rank=rank, n_knots=5, hidden=5,
+                          depth=3, pe_frequencies=2, grid_levels=(3, 5), grid_channels=2)
+        f = SplineField(cfg, _points())
+        declared = [np.prod(shape, dtype=int) for _, shape, _ in f.params()]
+        assert cfg.size() == (sum(declared), len(declared))
+        assert cfg.size() == (sum(f.store.value(n).size for n in f.store.names()),
+                              len(f.store.names()))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_default_fits_the_budget(self, variant):
+        values, arrays = FieldConfig(variant=variant).size()
+        assert values + field_module.PARAM_ARRAY_COST * arrays <= field_module.PARAM_BUDGET
+
+    @pytest.mark.parametrize("bad", _PAST_THE_BUDGET, ids=["depth", "tiny-arrays", "plane-level",
+                                                           "axis-channels", "n_knots", "hidden"])
+    def test_a_size_past_the_budget_is_refused_by_the_config(self, bad):
+        # only configs are made here: a refused size is never drawn
+        for cls in (FieldConfig, trainer.TrainConfig):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"^the size keys \(n_knots, rank, hidden, depth, "
+                                                 r"pe_frequencies, grid_levels, grid_channels\) "
+                                                 r"declare \d+ parameter values in \d+ arrays"):
+                cls(**bad)
+            assert time.perf_counter() - start < 1.0
+
+    def test_the_budget_is_inclusive(self, monkeypatch):
+        cfg = _small_cfg()
+        values, arrays = cfg.size()
+        monkeypatch.setattr(field_module, "PARAM_BUDGET",
+                            values + field_module.PARAM_ARRAY_COST * arrays)
+        assert _small_cfg() == cfg
+        with pytest.raises(ValueError, match="past the budget"):
+            _small_cfg(depth=3)
+
+    def test_a_header_size_past_the_budget_is_a_format_error(self, tmp_path):
+        path = tmp_path / "field.ckpt"
+        SplineField(_small_cfg(), _points()).save(path)
+        arrays, header = dataio.read_checkpoint(path)
+        dataio.write_checkpoint(path, arrays,
+                                {**header, "config": {**header["config"], "depth": 10 ** 7}})
+        with pytest.raises(dataio.FormatError, match="the size keys .* past the budget"):
+            SplineField.load(path)
 
 
 class TestCheckpoint:
