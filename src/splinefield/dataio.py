@@ -368,8 +368,9 @@ def read_checkpoint(path):
 
 
 def export_ply(path, points: np.ndarray, colors=None) -> None:
-    """ASCII PLY point cloud, optionally with uchar RGB per vertex; a point not
-    finite in float32, as its header declares, raises ValueError naming its row."""
+    """ASCII PLY point cloud, optionally with uchar RGB per vertex, each color
+    written as its int (truncated); a point not finite in float32, or a color
+    not in [0, 256), as the header declares them, raises ValueError naming its row."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points must be [N, 3], got {points.shape}")
@@ -384,6 +385,9 @@ def export_ply(path, points: np.ndarray, colors=None) -> None:
         colors = np.asarray(colors)
         if colors.shape != points.shape:
             raise ValueError("colors must match points shape")
+        if (bad := ~((colors >= 0) & (colors < 256)).all(axis=1)).any():    # NaN too
+            row = np.argmax(bad)
+            raise ValueError(f"color {row} is not in [0, 256) for a uchar: {colors[row].tolist()}")
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
     lines.append("end_header")
     # the body is one %-format over every value in row order, colors as ints
@@ -399,7 +403,7 @@ def export_ply(path, points: np.ndarray, colors=None) -> None:
 def flow_colors(velocities: np.ndarray) -> np.ndarray:
     """Map velocity magnitude to RGB: zero motion is gray, fast is red."""
     v = np.linalg.norm(np.asarray(velocities, dtype=np.float64), axis=1)
-    peak = v.max()
+    peak = v.max(initial=0.0)
     t = v / peak if peak > 0 else np.zeros_like(v)
     r = np.clip(128 + 127 * t, 0, 255)
     gb = np.clip(128 * (1.0 - t), 0, 255)

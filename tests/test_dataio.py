@@ -408,6 +408,20 @@ class TestPly:
             export_ply(path, points, colors)
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad", [-5, 300.7, 256.0, -0.5, np.nan, 1e30, -np.inf],
+                             ids=str)
+    def test_a_color_a_uchar_cannot_hold_is_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "p.ply"
+        colors = np.full((4, 3), 255.9)
+        colors[2, 1] = bad
+        with pytest.raises(ValueError, match=r"^color 2 is not in \[0, 256\) for a uchar"):
+            export_ply(path, np.zeros((4, 3)), colors)
+        assert not path.exists()
+
+    def test_no_velocities_have_no_colors(self):
+        colors = flow_colors(np.zeros((0, 3)))
+        assert colors.shape == (0, 3) and colors.dtype == np.uint8
+
     @pytest.mark.parametrize("bad", [1e39, -3.5e38, np.inf, np.nan])
     def test_a_point_past_float32_is_rejected_before_writing(self, tmp_path, bad):
         path = tmp_path / "p.ply"
