@@ -718,11 +718,6 @@ class TestParameterBudget:
         assert cfg.size() == (sum(f.store.value(n).size for n in f.store.names()),
                               len(f.store.names()))
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_every_default_fits_the_budget(self, variant):
-        values, arrays = FieldConfig(variant=variant).size()
-        assert values + field_module.PARAM_ARRAY_COST * arrays <= field_module.PARAM_BUDGET
-
     @pytest.mark.parametrize("bad", _PAST_THE_BUDGET, ids=["depth", "tiny-arrays", "plane-level",
                                                            "axis-channels", "n_knots", "hidden"])
     def test_a_size_past_the_budget_is_refused_by_the_config(self, bad):
