@@ -194,25 +194,21 @@ def split_frames(traj: TrajectorySet, spec: SplitSpec, seed: int = 0) -> Split:
 def _rotation(a, i: int, j: int) -> np.ndarray:
     """The 3x3 rotation by the angle a that turns axis i toward axis j."""
     rot = np.eye(3)
-    rot[i, i] = rot[j, j] = np.cos(a)
-    rot[j, i], rot[i, j] = np.sin(a), -np.sin(a)
+    rot[[i, j, j, i], [i, j, i, j]] = np.cos(a), np.cos(a), np.sin(a), -np.sin(a)
     return rot
 
 
 def gen_synthetic(kind: str, n_points: int, n_frames: int,
                   seed: int = 0) -> TrajectorySet:
-    """A scene of `n_points` points at the `n_frames` times t = linspace(0, 1).
-    Every draw from default_rng(seed) comes before the first frame, so frame t
-    is the kind's positions at(t) alone, and a 4(T - 1) + 1-frame scene taken
-    at every 4th frame is the T-frame scene. The kinds' motions:
-    - rigid-translate: points uniform in [-1, 1]^3 move by t (0.6, -0.3, 0.45);
-    - rotate: those points turn about z by a quarter turn times t;
-    - bending-sheet: a jittered grid on the xy square lifts by 0.35 sin(pi t)
-      times a profile from 0.5 at x = -1 and x = 1 up to 1 at x = 0;
-    - swing-arm: points along x, an arm hinged at the origin, swing about y
-      by the angle 0.6 sin(2 pi t);
-    - composite: the uniform points move by t (0.4, 0.2, -0.3) plus a z wobble
-      0.1 sin(2 pi t + phase), each point's phase uniform in [0, 2 pi)."""
+    """A scene at the n_frames times t = linspace(0, 1). Every draw from
+    default_rng(seed) comes before frame 0, so frame t is the kind's at(t)
+    alone, and a 4(T - 1) + 1-frame scene at every 4th frame is the T-frame
+    scene. rigid-translate: points uniform in [-1, 1]^3 move by t (0.6, -0.3,
+    0.45). rotate: they turn about z by a quarter turn times t. bending-sheet:
+    a jittered xy grid lifts in z by 0.35 sin(pi t) times a profile of 1 at
+    x = 0 and 0.5 at x = +-1. swing-arm: an arm along x swings about y by
+    0.6 sin(2 pi t). composite: uniform points move by t (0.4, 0.2, -0.3) and
+    wobble in z by 0.1 sin(2 pi t + phase), with a uniform phase per point."""
     if kind not in SYNTHETIC_KINDS:
         raise ValueError(f"unknown scene kind {kind!r}, choose from {SYNTHETIC_KINDS}")
     _check_ints(("n_points", n_points, 1), ("n_frames", n_frames, 2), ("seed", seed, 0))
@@ -222,8 +218,7 @@ def gen_synthetic(kind: str, n_points: int, n_frames: int,
         gx, gy = np.meshgrid(np.linspace(-1, 1, side), np.linspace(-1, 1, side))
         base = np.stack([gx.ravel(), gy.ravel()], axis=1)[:n_points]
         base = base + rng.normal(0.0, 0.02, size=base.shape)
-        # one-signed bend profile: the whole sheet lifts together, most along
-        # x = 0, so ground-truth motion stays spatially coherent
+        # a one-signed profile lifts the whole sheet together: coherent ground truth
         profile = 0.5 + 0.5 * np.sin(0.5 * np.pi * (base[:, 0] + 1.0))
         at = lambda t: np.column_stack([base[:, 0], base[:, 1], 0.35 * profile * np.sin(np.pi * t)])
     else:   # swing-arm draws and discards these: its arm's draws come after them
@@ -368,9 +363,8 @@ def read_checkpoint(path):
 
 
 def export_ply(path, points: np.ndarray, colors=None) -> None:
-    """ASCII PLY point cloud, optionally with uchar RGB per vertex, each color
-    written as its int (truncated); a point not finite in float32, or a color
-    not in [0, 256), as the header declares them, raises ValueError naming its row."""
+    """ASCII PLY point cloud, optionally with uchar RGB per vertex; a point not
+    finite in float32, or a color not in [0, 256), raises ValueError naming its row."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points must be [N, 3], got {points.shape}")

@@ -50,6 +50,8 @@ is a central second difference of step 1e-3 at t clamped into [1e-3, 1 - 1e-3].
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -72,12 +74,9 @@ _FD_T_EPS = 1e-4  # time step for the coupled baseline's FD derivatives
 # Most points per block of a query's knot predictions (see `_blocks`).
 QUERY_BLOCK = 4096
 _GRIDS = {"triplanes": enc.TriplaneEncoder, "triaxes": enc.TriaxesEncoder}
-# The most parameter values a field may declare: 1 GiB of float64, 4 GiB with
-# their gradients and Adam's two moments (a default triplanes field has 2.21 M).
-# An array counts PARAM_ARRAY_COST values more: with its gradient and moments
-# it took about 650 bytes of headers and store entries, as 20 values do.
-PARAM_BUDGET = 2 ** 27
-PARAM_ARRAY_COST = 32
+# The most parameter values (1 GiB of float64, 4 GiB with gradients and Adam's
+# moments) and arrays a field may declare; a default triplanes field has 2.21 M in 17.
+PARAM_BUDGET, PARAM_ARRAYS = 2 ** 27, 2 ** 16
 
 
 @dataclass
@@ -97,8 +96,7 @@ class FieldConfig:
         dataio.check_config(self, self._checks())
 
     def _checks(self):
-        # (field, ok, requirement); check_config has checked every key's type.
-        # Then the parameter budget, which the size keys' checks let size() assume
+        # (field, ok, requirement); check_config has checked every key's type
         yield from [
                 ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
                 ("n_knots", self.n_knots >= 2, ">= 2"), ("rank", self.rank >= 0, ">= 0"),
@@ -109,33 +107,6 @@ class FieldConfig:
                 ("grid_channels", self.grid_channels >= 1, ">= 1"),
                 ("grid_levels", bool(self.grid_levels) and min(self.grid_levels) >= 2,
                  "non-empty with each level >= 2")]
-        values, arrays = self.size()
-        if values + PARAM_ARRAY_COST * arrays > PARAM_BUDGET:
-            raise ValueError(
-                f"the size keys (n_knots, rank, hidden, depth, pe_frequencies, grid_levels, "
-                f"grid_channels) declare {values} parameter values in {arrays} arrays, past "
-                f"the budget of {PARAM_BUDGET} values (an array counts {PARAM_ARRAY_COST} more)")
-
-    def size(self) -> tuple:
-        """(values, arrays) of the parameters `SplineField.params` declares, in
-        closed form, so that no size is drawn or even listed before it is checked."""
-        rank = 0 if self.variant == "coupled4d-baseline" else self.rank
-        if self.variant in _GRIDS:
-            factors = _GRIDS[self.variant].FACTORS
-            values = (1 + rank) * self.grid_channels * sum(
-                d ** len(axes) for d in self.grid_levels for _, axes in factors)
-            arrays = (1 + (rank > 0)) * len(factors) * len(self.grid_levels)
-            dims = (self.grid_channels * len(self.grid_levels), self.hidden)
-        else:
-            in_dim = {"siren-resfields": 3, "pe-resfields": 3 + 6 * self.pe_frequencies,
-                      "coupled4d-baseline": 4}[self.variant]
-            values = ((1 + rank) * self.hidden * (in_dim + (self.depth - 1) * self.hidden)
-                      + self.depth * self.hidden)
-            arrays = (2 + (rank > 0)) * self.depth
-            dims = (self.hidden,)
-        dims += (3 if self.variant == "coupled4d-baseline" else 9 if self.quintic else 6,)
-        values += rank * self.n_knots + sum(ci * co + co for ci, co in zip(dims, dims[1:]))
-        return values, arrays + (rank > 0) + 2 * (len(dims) - 1)
 
 
 def _blocks(n: int) -> list:
@@ -222,6 +193,12 @@ class SplineField:
         self._decoder_dims = (self.encoder.out_dim, *hidden, self.out_channels)
         self.store = ParamStore()
         self._canonical_states = None   # a loaded field's knot states, see load
+        # params() is lazy, so the count stops at the first array past the budget
+        sizes = itertools.accumulate(math.prod(shape) for _, shape, _ in self.params())
+        if any(i >= PARAM_ARRAYS or n > PARAM_BUDGET for i, n in enumerate(sizes)):
+            raise ValueError(f"the size keys (n_knots, rank, hidden, depth, pe_frequencies, "
+                             f"grid_levels, grid_channels) declare over {PARAM_BUDGET} "
+                             f"parameter values or over {PARAM_ARRAYS} arrays")
         if arrays is None:
             rng = np.random.default_rng(seed)
             for name, shape, init in self.params():

@@ -697,47 +697,37 @@ class TestQueryBlocks:
         assert 2 * last >= first
 
 
-_PAST_THE_BUDGET = [dict(hidden=8, depth=10 ** 7),
-                    # tiny arrays, each counted as PARAM_ARRAY_COST values more
-                    dict(hidden=1, rank=0, depth=10 ** 7),
+_PAST_THE_BUDGET = [dict(hidden=8, depth=10 ** 7), dict(hidden=1, rank=0, depth=10 ** 7),
                     dict(variant="triplanes", grid_levels=(2 ** 20,)),
                     dict(variant="triaxes", grid_channels=2 ** 40),
                     dict(n_knots=2 ** 40), dict(hidden=2 ** 62)]
+_BUDGET_MESSAGE = (r"^the size keys \(n_knots, rank, hidden, depth, pe_frequencies, grid_levels, "
+                   r"grid_channels\) declare over 134217728 parameter values or over 65536 arrays$")
 
 
 class TestParameterBudget:
-    @pytest.mark.parametrize("rank", [0, 8])
-    @pytest.mark.parametrize("quintic", [False, True])
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_the_closed_form_is_what_params_declares(self, variant, quintic, rank):
-        cfg = FieldConfig(variant=variant, quintic=quintic, rank=rank, n_knots=5, hidden=5,
-                          depth=3, pe_frequencies=2, grid_levels=(3, 5), grid_channels=2)
-        f = SplineField(cfg, _points())
-        declared = [np.prod(shape, dtype=int) for _, shape, _ in f.params()]
-        assert cfg.size() == (sum(declared), len(declared))
-        assert cfg.size() == (sum(f.store.value(n).size for n in f.store.names()),
-                              len(f.store.names()))
-
-    @pytest.mark.parametrize("bad", _PAST_THE_BUDGET, ids=["depth", "tiny-arrays", "plane-level",
+    @pytest.mark.parametrize("bad", _PAST_THE_BUDGET, ids=["depth", "many-arrays", "plane-level",
                                                            "axis-channels", "n_knots", "hidden"])
-    def test_a_size_past_the_budget_is_refused_by_the_config(self, bad):
-        # only configs are made here: a refused size is never drawn
-        for cls in (FieldConfig, trainer.TrainConfig):
-            start = time.perf_counter()
-            with pytest.raises(ValueError, match=r"^the size keys \(n_knots, rank, hidden, depth, "
-                                                 r"pe_frequencies, grid_levels, grid_channels\) "
-                                                 r"declare \d+ parameter values in \d+ arrays"):
-                cls(**bad)
-            assert time.perf_counter() - start < 1.0
+    def test_a_size_past_the_budget_is_refused_before_any_draw(self, monkeypatch, bad):
+        monkeypatch.setattr(ad.ParamStore, "add", lambda *a: pytest.fail("a parameter was drawn"))
+        cfg = FieldConfig(**bad)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=_BUDGET_MESSAGE):
+            SplineField(cfg, _points())
+        assert time.perf_counter() - start < 1.0
 
-    def test_the_budget_is_inclusive(self, monkeypatch):
-        cfg = _small_cfg()
-        values, arrays = cfg.size()
-        monkeypatch.setattr(field_module, "PARAM_BUDGET",
-                            values + field_module.PARAM_ARRAY_COST * arrays)
-        assert _small_cfg() == cfg
-        with pytest.raises(ValueError, match="past the budget"):
-            _small_cfg(depth=3)
+    @pytest.mark.parametrize("name, slack", [("PARAM_BUDGET", 0), ("PARAM_BUDGET", -1),
+                                             ("PARAM_ARRAYS", 0), ("PARAM_ARRAYS", -1)])
+    def test_a_field_at_the_budget_builds(self, monkeypatch, name, slack):
+        store = SplineField(_small_cfg(), _points()).store
+        at = {"PARAM_BUDGET": sum(store.value(n).size for n in store.names()),
+              "PARAM_ARRAYS": len(store.names())}[name]
+        monkeypatch.setattr(field_module, name, at + slack)
+        if slack:
+            with pytest.raises(ValueError, match="the size keys"):
+                SplineField(_small_cfg(), _points())
+        else:
+            SplineField(_small_cfg(), _points())
 
     def test_a_header_size_past_the_budget_is_a_format_error(self, tmp_path):
         path = tmp_path / "field.ckpt"
@@ -745,7 +735,7 @@ class TestParameterBudget:
         arrays, header = dataio.read_checkpoint(path)
         dataio.write_checkpoint(path, arrays,
                                 {**header, "config": {**header["config"], "depth": 10 ** 7}})
-        with pytest.raises(dataio.FormatError, match="the size keys .* past the budget"):
+        with pytest.raises(dataio.FormatError, match="declare over 134217728 parameter values"):
             SplineField.load(path)
 
 
