@@ -2,8 +2,8 @@
 
 Subcommands: gen (synthetic scenes), fit (train a field), eval (metrics on
 held-out frames, then its own wall time on a line of its own), interp
-(deform to arbitrary times), advect (extrapolate past a query time), flow
-(velocity-colored point clouds).
+(deform to arbitrary times), advect (extrapolate past a query time) and flow
+(velocity-colored point clouds), both writing binary little-endian PLY.
 
 `fit --set key=value` takes any TrainConfig or FieldConfig key, grid_levels
 as a comma list (`--set grid_levels=16,32`) and a bool as 1/true/yes/on or
@@ -105,9 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--ckpt", required=True)
     a.add_argument("--from-t", type=float, required=True)
     a.add_argument("--dt", type=float, required=True)
-    a.add_argument("--out", required=True, help="PLY of advected points")
+    a.add_argument("--out", required=True, help="binary little-endian PLY of advected points")
 
-    fl = sub.add_parser("flow", help="export velocity-colored point clouds")
+    fl = sub.add_parser("flow", help="velocity-colored binary little-endian PLY point clouds")
     fl.add_argument("--ckpt", required=True)
     fl.add_argument("--frames", type=int, default=8,
                     help="number of evenly spaced times")

@@ -8,11 +8,13 @@ f32 positions ordered frame-major. Total size is 16 + 4*T*N_p*3 bytes.
 Checkpoints (magic "SDFCKPT1") hold named f32 arrays and a JSON header;
 `write_checkpoint` documents the layout. Both readers return the f32 values,
 which their consumers convert exactly to float64 before computing, and check
-them finite with no cast: a cast warns on a signaling NaN.
+them finite with no cast: a cast warns on a signaling NaN. A PLY vertex is
+binary little-endian f32 x, y, z, then u8 red, green, blue if colored.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -238,31 +240,38 @@ def gen_synthetic(kind: str, n_points: int, n_frames: int,
     return TrajectorySet(np.stack([at(t) for t in np.linspace(0.0, 1.0, n_frames)]))
 
 
-def write_traj(path, traj) -> None:
-    """Write a TrajectorySet, or an iterable of [N_p, 3] frames, as f32 a
-    frame at a time into `path` + ".part", renamed to path once whole. A
-    frame not shaped like the first, or a position not finite in f32 (which
-    `read_traj` refuses), raises ValueError naming the frame; path is untouched."""
-    part, shape = f"{path}.part", None
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file at path + ".part", renamed to path only if the block ends without an error."""
+    part = f"{path}.part"
     try:
         with open(part, "wb") as f:
-            f.write(TRAJ_MAGIC + bytes(8))      # T and N_p, once counted
-            for t, frame in enumerate(getattr(traj, "positions", traj)):
-                with np.errstate(over="ignore"):    # an overflow to inf is refused below
-                    data = np.ascontiguousarray(frame, dtype="<f4")
-                shape = shape or data.shape
-                if data.shape != shape or shape[1:] != (3,) or not shape[0]:
-                    raise ValueError(f"frame {t} must be [N_p, 3] like frame 0, got {data.shape}")
-                _check_finite(data[None], t)
-                f.write(data)
-            if shape is None:
-                raise ValueError("no frames to write")
-            f.seek(8)
-            f.write(struct.pack("<II", t + 1, shape[0]))
+            yield f
         os.replace(part, path)
     finally:
         if os.path.exists(part):
             os.remove(part)
+
+
+def write_traj(path, traj) -> None:
+    """Write a TrajectorySet, or an iterable of [N_p, 3] frames, as f32 a frame
+    at a time. A frame not shaped like the first, or a position not finite in
+    f32 (which `read_traj` refuses), raises ValueError naming the frame."""
+    shape = None
+    with _replacing(path) as f:
+        f.write(TRAJ_MAGIC + bytes(8))      # T and N_p, once counted
+        for t, frame in enumerate(getattr(traj, "positions", traj)):
+            with np.errstate(over="ignore"):    # an overflow to inf is refused below
+                data = np.ascontiguousarray(frame, dtype="<f4")
+            shape = shape or data.shape
+            if data.shape != shape or shape[1:] != (3,) or not shape[0]:
+                raise ValueError(f"frame {t} must be [N_p, 3] like frame 0, got {data.shape}")
+            _check_finite(data[None], t)
+            f.write(data)
+        if shape is None:
+            raise ValueError("no frames to write")
+        f.seek(8)
+        f.write(struct.pack("<II", t + 1, shape[0]))
 
 
 def read_traj(path) -> TrajectorySet:
@@ -306,7 +315,7 @@ def write_checkpoint(path, arrays: dict, header: dict | None = None) -> None:
     for name, arr in f32.items():
         if not _finite(arr):
             raise ValueError(f"array {name!r} is not finite in float32")
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         f.write(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(hdr)) + hdr)
         f.write(struct.pack("<I", len(f32)))
         for name, arr in f32.items():
@@ -363,35 +372,29 @@ def read_checkpoint(path):
 
 
 def export_ply(path, points: np.ndarray, colors=None) -> None:
-    """ASCII PLY point cloud, optionally with uchar RGB per vertex; a point not
-    finite in float32, or a color not in [0, 256), raises ValueError naming its row."""
+    """A PLY point cloud as above; a point or color it cannot hold raises ValueError naming it."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points must be [N, 3], got {points.shape}")
+    body = np.empty(len(points), [("xyz", "<f4", 3)] + [("rgb", "u1", 3)] * (colors is not None))
     with np.errstate(over="ignore"):    # an overflow to inf is refused below
-        f32 = points.astype(np.float32)
-    if not _finite(f32):
-        bad = np.argwhere(~np.isfinite(f32).all(axis=1))[0, 0]
+        body["xyz"] = points
+    if not _finite(body["xyz"]):
+        bad = np.argwhere(~np.isfinite(body["xyz"]).all(axis=1))[0, 0]
         raise ValueError(f"point {bad} is not finite in float32: {points[bad].tolist()}")
-    lines = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}",
+    lines = ["ply", "format binary_little_endian 1.0", f"element vertex {len(points)}",
              "property float x", "property float y", "property float z"]
     if colors is not None:
-        colors = np.asarray(colors)
-        if colors.shape != points.shape:
+        if (colors := np.asarray(colors)).shape != points.shape:
             raise ValueError("colors must match points shape")
-        if (bad := ~((colors >= 0) & (colors < 256)).all(axis=1)).any():    # NaN too
-            row = np.argmax(bad)
+        if not (colors.min(initial=0) >= 0 and colors.max(initial=0) < 256):    # NaN too
+            row = np.argmax(~((colors >= 0) & (colors < 256)).all(axis=1))
             raise ValueError(f"color {row} is not in [0, 256) for a uchar: {colors[row].tolist()}")
+        body["rgb"] = colors    # a float color truncates toward 0
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
-    lines.append("end_header")
-    # the body is one %-format over every value in row order, colors as ints
-    table = np.empty((points.shape[0], 3 if colors is None else 6), dtype=object)
-    table[:, :3] = points
-    if colors is not None:
-        table[:, 3:] = colors.astype(int)
-    row = " ".join(["%.6f"] * 3 + ["%d"] * (table.shape[1] - 3)) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n" + (row * len(table)) % tuple(table.ravel()))
+    with _replacing(path) as f:
+        f.write("\n".join(lines + ["end_header", ""]).encode("ascii"))
+        body.tofile(f)
 
 
 def flow_colors(velocities: np.ndarray) -> np.ndarray:

@@ -60,13 +60,13 @@ def positional_encode(x: np.ndarray, n_frequencies: int) -> np.ndarray:
     """Sinusoidal encoding: x, then [sin(2^l pi x), cos(2^l pi x)] per l.
 
     x is [B, 3] with coordinates in [-1, 1]; blocks are concatenated along
-    the channel axis, 3 channels per block; 0 frequencies copy x.
+    the channel axis, 3 channels per block; 0 frequencies return x itself.
     """
     blocks = [x]
     for l in range(n_frequencies):
         w = (2.0 ** l) * np.pi
         blocks += [np.sin(w * x), np.cos(w * x)]
-    return np.concatenate(blocks, axis=1)
+    return np.concatenate(blocks, axis=1) if n_frequencies else x
 
 
 def uniform(bound: float, scale: float = 1.0):

@@ -7,8 +7,11 @@ import pytest
 
 from splinefield import cli, dataio, trainer
 from splinefield.cli import main
+from splinefield.dataio import flow_colors
 from splinefield.field import FieldConfig, SplineField
 from splinefield.trainer import DivergenceError
+
+from ply_oracle import read_ply
 
 
 def _gen(tmp_path, kind="rigid-translate", points=40, frames=9, seed=0):
@@ -561,11 +564,9 @@ class TestInterpAdvectFlow:
                    "--dt", "0.0", "--out", str(out)])
         assert rc == 0
         fld = SplineField.load(ckpt)
-        expected = fld.deform(fld.canonical, 0.5)
-        lines = out.read_text().splitlines()
-        body = lines[lines.index("end_header") + 1:]
-        got = np.array([[float(x) for x in line.split()] for line in body])
-        np.testing.assert_allclose(got, expected, atol=1e-5)
+        _, xyz, rgb = read_ply(out)
+        np.testing.assert_array_equal(xyz, fld.deform(fld.canonical, 0.5).astype(np.float32))
+        assert rgb is None
 
     def test_flow_emits_requested_count(self, tmp_path):
         traj = _gen(tmp_path)
@@ -574,6 +575,16 @@ class TestInterpAdvectFlow:
                    "--out-prefix", str(tmp_path / "flow")])
         assert rc == 0
         assert len(list(tmp_path.glob("flow_*.ply"))) == 6
+
+    def test_flow_frames_hold_deform_and_velocity_colors(self, fitted, tmp_path):
+        _, ckpt = fitted
+        assert main(["flow", "--ckpt", str(ckpt), "--frames", "4",
+                     "--out-prefix", str(tmp_path / "flow")]) == 0
+        fld = SplineField.load(ckpt)
+        for j, t in enumerate(np.linspace(0.0, 1.0, 4)):
+            _, xyz, rgb = read_ply(tmp_path / f"flow_{j:04d}.ply")
+            np.testing.assert_array_equal(xyz, fld.deform(fld.canonical, t).astype(np.float32))
+            np.testing.assert_array_equal(rgb, flow_colors(fld.velocity(fld.canonical, t)))
 
     def test_flow_predicts_each_knot_once(self, fitted, tmp_path, monkeypatch):
         # deform and velocity at every frame time share the loaded field's knots

@@ -1,3 +1,4 @@
+import errno
 import re
 import struct
 import tracemalloc
@@ -11,6 +12,8 @@ from splinefield.dataio import (TRAJ_MAGIC, FormatError, SplitSpec, TrajectorySe
                                 export_ply, flow_colors, gen_synthetic,
                                 read_checkpoint, read_traj, split_frames,
                                 write_checkpoint, write_traj)
+
+from ply_oracle import read_ply
 
 
 class TestTrajectorySet:
@@ -323,21 +326,69 @@ class TestTrajFormat:
             read(bad)
 
 
+class _NoSpace:
+    """A file whose every write fails as on a full disk."""
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+# each binary writer, writing a file whose bytes depend on v
+WRITERS = {"traj": lambda path, v: write_traj(path, gen_synthetic("rotate", 5, 3, seed=v)),
+           "ckpt": lambda path, v: write_checkpoint(path, {"w": np.full((2, 3), v)}),
+           "ply": lambda path, v: export_ply(path, np.full((4, 3), v), np.full((4, 3), v))}
+
+
+class TestReplaceOnSuccess:
+    @pytest.mark.parametrize("failing", ["write", "rename"])
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch, writer, failing):
+        path = tmp_path / f"out.{writer}"
+        WRITERS[writer](path, 1)
+        before = path.read_bytes()
+        if failing == "write":
+            monkeypatch.setattr(dataio, "open", lambda *a, **k: _NoSpace(open(*a, **k)),
+                                raising=False)
+        else:
+            def no_space(src, dst):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            monkeypatch.setattr(dataio.os, "replace", no_space)
+        with pytest.raises(OSError, match="No space left on device"):
+            WRITERS[writer](path, 2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_an_interrupt_midway_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "t.traj"
+        write_traj(path, gen_synthetic("rotate", 5, 3, seed=1))
+        before = path.read_bytes()
+
+        def frames():
+            yield np.zeros((5, 3))
+            raise KeyboardInterrupt
+        with pytest.raises(KeyboardInterrupt):
+            write_traj(path, frames())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.traj"]
+
+
 class TestPly:
     def test_single_point_header(self, tmp_path):
         path = tmp_path / "p.ply"
         export_ply(path, np.array([[1.0, 2.0, 3.0]]))
-        text = path.read_text()
-        assert "element vertex 1" in text
-
-    def test_round_trip_six_digits(self, tmp_path):
-        pts = np.random.default_rng(5).normal(size=(10, 3))
-        path = tmp_path / "p.ply"
-        export_ply(path, pts)
-        lines = path.read_text().splitlines()
-        body = lines[lines.index("end_header") + 1:]
-        back = np.array([[float(x) for x in line.split()] for line in body])
-        np.testing.assert_allclose(back, pts, atol=1e-5)
+        header, xyz, rgb = read_ply(path)
+        assert header == ["ply", "format binary_little_endian 1.0", "element vertex 1",
+                          "property float x", "property float y", "property float z",
+                          "end_header"]
+        assert xyz.tolist() == [[1.0, 2.0, 3.0]] and rgb is None
 
     def test_zero_velocity_maps_to_gray(self):
         colors = flow_colors(np.zeros((3, 3)))
@@ -351,51 +402,35 @@ class TestPly:
     def test_colored_export(self, tmp_path):
         path = tmp_path / "c.ply"
         export_ply(path, np.zeros((2, 3)), np.full((2, 3), 10, dtype=np.uint8))
-        text = path.read_text()
-        assert "property uchar red" in text
-        assert text.strip().endswith("0.000000 0.000000 0.000000 10 10 10")
-
-    @staticmethod
-    def _per_row(path, points, colors=None):
-        """The per-point formatting export_ply replaced: the byte oracle."""
-        lines = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}",
-                 "property float x", "property float y", "property float z"]
-        if colors is not None:
-            lines += ["property uchar red", "property uchar green", "property uchar blue"]
-        lines.append("end_header")
-        for i in range(points.shape[0]):
-            row = f"{points[i, 0]:.6f} {points[i, 1]:.6f} {points[i, 2]:.6f}"
-            if colors is not None:
-                c = colors[i].astype(int)
-                row += f" {c[0]} {c[1]} {c[2]}"
-            lines.append(row)
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+        header, xyz, rgb = read_ply(path)
+        assert header[-4:] == ["property uchar red", "property uchar green",
+                               "property uchar blue", "end_header"]
+        assert xyz.tolist() == [[0.0] * 3] * 2 and rgb.tolist() == [[10] * 3] * 2
 
     @pytest.mark.parametrize("n", [0, 1, 500])
     @pytest.mark.parametrize("colored", [False, True])
-    def test_bytes_equal_the_per_row_format(self, tmp_path, n, colored):
+    def test_reads_back_as_float32_and_uint8(self, tmp_path, n, colored):
+        # every float32 bitwise: -0.0, values below 1e-6 and float32's largest too
         rng = np.random.default_rng(n)
-        edge = [-0.0, 0.0, 5e-7, -5e-7, 0.0000015, 2.0000005, 0.1234565, -1.9999995,
-                1e6, -1e6, 123456789.1234565, 1e15, -3.5e20, 1e-300, 2.675]
+        edge = [-0.0, 0.0, 5e-7, -5e-7, 1.234567e-4, 2.0000005, 0.1234565, -1.9999995,
+                1e6, -1e6, 123456789.1234565, 1e15, -3.4e38, 3.4e38, 1e-300, 2.675]
         points = rng.normal(0.0, 10.0 ** rng.integers(-8, 9, (n, 3)), (n, 3))
         points.ravel()[:min(len(edge), points.size)] = edge[:points.size]
         colors = rng.integers(0, 256, (n, 3)).astype(np.uint8) if colored else None
-        got, want = tmp_path / "got.ply", tmp_path / "want.ply"
-        export_ply(got, points, colors)
-        self._per_row(want, points, colors)
-        assert got.read_bytes() == want.read_bytes()
-        if points.size >= len(edge):
-            assert b"end_header\n-0.000000 0.000000 " in got.read_bytes()
-            assert b" 1000000.000000" in got.read_bytes()
+        path = tmp_path / "p.ply"
+        export_ply(path, points, colors)
+        header, xyz, rgb = read_ply(path)
+        assert header[2] == f"element vertex {n}"
+        assert xyz.dtype == np.float32 and xyz.tobytes() == points.astype(np.float32).tobytes()
+        assert rgb is None if colors is None else np.array_equal(rgb, colors)
+        if n == 500:
+            assert xyz[1, 1] == np.float32(1.234567e-4) and xyz[4, 1] == np.float32(3.4e38)
 
-    def test_float_colors_truncate_like_the_per_row_format(self, tmp_path):
-        points = np.zeros((3, 3))
-        colors = np.array([[0.0, 127.9, 255.0], [1.5, 2.5, 3.99], [10, 20, 30]])
-        got, want = tmp_path / "got.ply", tmp_path / "want.ply"
-        export_ply(got, points, colors)
-        self._per_row(want, points, colors)
-        assert got.read_bytes() == want.read_bytes()
+    def test_float_colors_truncate_as_before(self, tmp_path):
+        colors = np.array([[0.0, 127.9, 255.0], [1.5, 2.5, 3.99], [10, 20, 255.999]])
+        path = tmp_path / "p.ply"
+        export_ply(path, np.zeros((3, 3)), colors)
+        np.testing.assert_array_equal(read_ply(path)[2], colors.astype(int))
 
     @pytest.mark.parametrize("points, colors, named", [
         (np.zeros((2, 2)), None, "points must be"),
@@ -418,6 +453,19 @@ class TestPly:
             export_ply(path, np.zeros((4, 3)), colors)
         assert not path.exists()
 
+    def test_writing_holds_little_more_than_the_packed_body(self, tmp_path):
+        rng = np.random.default_rng(0)
+        points = rng.normal(size=(10 ** 5, 3))
+        colors = flow_colors(rng.normal(size=(10 ** 5, 3)))
+        tracemalloc.start()
+        try:
+            export_ply(tmp_path / "p.ply", points, colors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the body is 1.5 MB: 10**5 vertices of 15 bytes
+        assert peak < 5 << 20
+
     def test_no_velocities_have_no_colors(self):
         colors = flow_colors(np.zeros((0, 3)))
         assert colors.shape == (0, 3) and colors.dtype == np.uint8
@@ -432,4 +480,4 @@ class TestPly:
         assert not path.exists()
         points[2, 1] = 3.4e38       # float32's largest is about 3.40282e38
         export_ply(path, points)
-        assert "339999999999999996" in path.read_text()   # the float64, as given
+        assert read_ply(path)[1][2, 1] == np.float32(3.4e38)
