@@ -1,10 +1,10 @@
 """Spline-based trajectory fitting with time-variant spatial encoders.
 
-The package fits dense point trajectories with cubic Hermite splines whose
-knot states (positions and tangents) are predicted by small coordinate
-networks, trains them with a self-contained reverse-mode autodiff engine,
-and evaluates temporal interpolation (EPE) and spatial coherence
-(Moran's I over motion vectors).
+The package fits dense point trajectories with cubic or quintic Hermite
+splines whose knot states (positions, tangents and, if quintic, curvatures)
+are predicted by small coordinate networks, trains them with a self-contained
+reverse-mode autodiff engine, and evaluates temporal interpolation (EPE)
+and spatial coherence (Moran's I over motion vectors).
 """
 
 from splinefield.spline import (

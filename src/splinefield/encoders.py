@@ -11,9 +11,11 @@ both to a time-invariant encoder.
 So an encoder's work splits in two. `spatial(tape, store, x_norm, knots,
 rows)` is the time-invariant part for the points `rows` of the normalized
 set x_norm, which `knots` knots will modulate; `encode(tape, store,
-spatial, v_t)` is the per-knot modulation of it. `SplineField.knot_states`
+spatial, v_t, memo)` is the per-knot modulation of it. `SplineField.knot_states`
 makes one `spatial` per block of the points it predicts knots on, for the
-knots it predicts in one call, and hands each of them that `spatial`.
+knots it predicts in one call, and hands each of them that `spatial` and
+the knot's `memo`, which the first block fills with the knot's point-free
+tensors (an MLP layer's weight and bias, a case-(b) grid) for the others.
 For the MLP encoder `spatial` is the positional encoding. For the grid
 encoder it rests on an identity: grid interpolation is linear, so sampling
 base + sum_r v_t[r] * res[r] at a point equals applying `low_rank` to the
@@ -90,10 +92,10 @@ class MLPEncoder:
     its `xyzt` input, whose time coordinate is its only time input.
     """
 
-    def __init__(self, rank: int, in_dim: int, hidden: int, depth: int, w0: float,
+    def __init__(self, rank: int, coords: int, hidden: int, depth: int, w0: float,
                  frequencies: int, act: str):
         self.rank = rank
-        self.in_dim = in_dim
+        self.in_dim = coords * (1 + 2 * frequencies)    # see positional_encode
         self.depth = depth
         self.frequencies = frequencies
         # the activation, and the uniform init bound of layer i with ci inputs
@@ -117,14 +119,17 @@ class MLPEncoder:
         """The positional encoding of the normalized points `rows`, for any count of knots."""
         return positional_encode(x_norm[rows], self.frequencies)
 
-    def encode(self, tape: Tape, store: ParamStore, h: np.ndarray, v_t: Var | None) -> Var:
-        """The features h of `spatial` under the knot code v_t, which
-        modulates the weights (None for the coupled baseline)."""
+    def encode(self, tape: Tape, store: ParamStore, h: np.ndarray, v_t: Var | None,
+               memo: dict | None = None) -> Var:
+        """The features h of `spatial` under the knot code v_t (None for the
+        coupled baseline), which modulates the layer weights kept in `memo`."""
+        memo = {} if memo is None else memo
         for i in range(self.depth):
-            wb = store.var(f"enc.mlp.l{i}.Wb", tape)
-            wres = store.var(f"enc.mlp.l{i}.Wres", tape) if self.rank > 0 else None
-            b = store.var(f"enc.mlp.l{i}.b", tape)
-            h = self._act(ad.forward_linear(h, low_rank(wb, wres, v_t), b))
+            if i not in memo:
+                wb = store.var(f"enc.mlp.l{i}.Wb", tape)
+                wres = store.var(f"enc.mlp.l{i}.Wres", tape) if self.rank > 0 else None
+                memo[i] = low_rank(wb, wres, v_t), store.var(f"enc.mlp.l{i}.b", tape)
+            h = self._act(ad.forward_linear(h, *memo[i]))
         return h
 
 
@@ -156,7 +161,7 @@ class TriplaneEncoder:
     samples no larger than the factor's own parameters. Rank 0 has no
     residuals and samples its base at each knot, as case (b). A block of the
     points takes the whole set's case and samples, or keeps the S of, its
-    own rows only, so in case (b) each knot builds its grids once per block.
+    own rows only.
     """
 
     FACTORS = (("xy", (0, 1)), ("yz", (1, 2)), ("xz", (0, 2)))
@@ -200,15 +205,18 @@ class TriplaneEncoder:
             levels.append(factors)
         return levels
 
-    def encode(self, tape: Tape, store: ParamStore, spatial: list, v_t: Var | None) -> Var:
-        """The factors of `spatial` under the knot code v_t (None at rank 0)."""
+    def encode(self, tape: Tape, store: ParamStore, spatial: list, v_t: Var | None,
+               memo: dict | None = None) -> Var:
+        """The factors of `spatial` under the knot code v_t (None at rank 0),
+        each case-(b) grid taken from, or built into, `memo`."""
+        memo = {} if memo is None else memo
         feats = []
-        for factors in spatial:
+        for li, factors in enumerate(spatial):
             level = None
-            for base, res, S in factors:
-                f = low_rank(base, res, v_t)
-                if S is not None:
-                    f = ad.sample_grid(f, S)
+            for fi, (base, res, S) in enumerate(factors):
+                if S is not None and (li, fi) not in memo:
+                    memo[li, fi] = low_rank(base, res, v_t)
+                f = low_rank(base, res, v_t) if S is None else ad.sample_grid(memo[li, fi], S)
                 level = f if level is None else ad.mul(level, f)
             feats.append(level)
         return ad.concat(feats, axis=1) if len(feats) > 1 else feats[0]

@@ -20,13 +20,13 @@ checkpoint's arrays against them, drawing and allocating nothing more.
 A dict, knot index -> state, holds the knot states of one point set. A
 query or loss at time t reads the two knots around t, so each call names
 the knots it needs: `SplineField.knot_states` predicts, in the order
-listed, each one the dict lacks, from an encoder `spatial` (the
-time-invariant half of the encoder's work, see `encoders`) made for that
-many knots. With no tape, on plain arrays, it predicts them per block of
-at most QUERY_BLOCK points, each from its own `spatial` of the block's
-rows, and joins the blocks, so features, samples and activations are
-[block, ...], not [N, ...]; a training tape predicts over all points at
-once. The coupled-4D baseline's MLP runs on the same row slices (`_rows`).
+listed, each one the dict lacks, per block of at most QUERY_BLOCK points,
+from an encoder `spatial` (the time-invariant half of the encoder's work,
+see `encoders`) of the block's rows, and joins the blocks, so activations
+are [block, ...], not [N, ...]; a knot's first block builds its point-free
+tensors for the rest. Arrays and tapes take the same blocks, so a tape of
+over QUERY_BLOCK rows sums each gradient over its blocks. The coupled-4D
+baseline's MLP runs on the same blocks.
 `derivative_var` asks for its two knots, a no-op when its caller listed
 them. The plain-array queries (`deform`, `velocity`, `acceleration`,
 `advect`) take a 1-D sequence of times, or one time as a sequence of one,
@@ -62,8 +62,16 @@ from splinefield import encoders as enc
 from splinefield import spline
 from splinefield.autodiff import ParamStore, Tape, Var
 
-VARIANTS = ("siren-resfields", "pe-resfields", "triplanes", "triaxes",
-            "coupled4d-baseline")
+# Each variant's encoder from its config; the coupled baseline's takes x, y, z, t.
+_ENCODERS = {
+    "siren-resfields": lambda c: enc.MLPEncoder(c.rank, 3, c.hidden, c.depth, c.w0, 0, "sine"),
+    "pe-resfields": lambda c: enc.MLPEncoder(c.rank, 3, c.hidden, c.depth, c.w0,
+                                             c.pe_frequencies, "relu"),
+    "triplanes": lambda c: enc.TriplaneEncoder(c.rank, c.grid_levels, c.grid_channels),
+    "triaxes": lambda c: enc.TriaxesEncoder(c.rank, c.grid_levels, c.grid_channels),
+    "coupled4d-baseline": lambda c: enc.MLPEncoder(0, 4, c.hidden, c.depth, c.w0, 0, "sine"),
+}
+VARIANTS = tuple(_ENCODERS)
 
 CODE_INIT_STD = 1e-2      # per-knot temporal codes ~ N(0, (1e-2)^2)
 # Positional-encoding octaves. A float64 coordinate in [0.5, 1] is a multiple
@@ -73,7 +81,6 @@ PE_FREQUENCIES_MAX = 52
 _FD_T_EPS = 1e-4  # time step for the coupled baseline's FD derivatives
 # Most points per block of a query's knot predictions (see `_blocks`).
 QUERY_BLOCK = 4096
-_GRIDS = {"triplanes": enc.TriplaneEncoder, "triaxes": enc.TriaxesEncoder}
 # The most parameter values (1 GiB of float64, 4 GiB with gradients and Adam's
 # moments) and arrays a field may declare; a default triplanes field has 2.21 M in 17.
 PARAM_BUDGET, PARAM_ARRAYS = 2 ** 27, 2 ** 16
@@ -128,14 +135,8 @@ def _blocks(n: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, max(n, 1), step)]
 
 
-def _rows(tape, n: int) -> list:
-    """The row slices a prediction over n points runs on: the blocks of
-    `_blocks(n)` with no tape, all rows at once on a recording tape."""
-    return _blocks(n) if tape is None else [slice(None)]
-
-
 def _joined(parts) -> Var:
-    """The [rows, ...] parts of `_rows`' slices as one, in row order."""
+    """The [block, ...] parts of `_blocks`' slices as one, in row order."""
     return parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
 
 
@@ -186,10 +187,10 @@ class SplineField:
                 raise ValueError(f"normalizer ({self.center}, {self.half_extent}) takes "
                                  f"the canonical points past float64")
 
-        self.encoder = self._build_encoder()
+        self.encoder = _ENCODERS[cfg.variant](cfg)
         self.out_channels = 3 if cfg.variant == "coupled4d-baseline" else 9 if cfg.quintic else 6
         # grid features go through a small two-layer MLP
-        hidden = (cfg.hidden,) if cfg.variant in _GRIDS else ()
+        hidden = (cfg.hidden,) if isinstance(self.encoder, enc.TriplaneEncoder) else ()
         self._decoder_dims = (self.encoder.out_dim, *hidden, self.out_channels)
         self.store = ParamStore()
         self._canonical_states = None   # a loaded field's knot states, see load
@@ -214,18 +215,6 @@ class SplineField:
             raise ValueError(f"{cfg.variant} declares no parameter {', '.join(extra)}")
 
     # -- construction ------------------------------------------------------
-
-    def _build_encoder(self):
-        c = self.cfg
-        if c.variant in _GRIDS:
-            return _GRIDS[c.variant](c.rank, c.grid_levels, c.grid_channels)
-        frequencies, in_dim, act = {
-            "siren-resfields": (0, 3, "sine"),
-            "pe-resfields": (c.pe_frequencies, 3 + 6 * c.pe_frequencies, "relu"),
-            "coupled4d-baseline": (0, 4, "sine"),    # _coupled_var appends time
-        }[c.variant]
-        rank = 0 if c.variant == "coupled4d-baseline" else c.rank
-        return enc.MLPEncoder(rank, in_dim, c.hidden, c.depth, c.w0, frequencies, act)
 
     def params(self):
         """(name, shape, init) of each parameter in draw order: codes, encoder, decoder."""
@@ -258,37 +247,39 @@ class SplineField:
             raise ValueError("query points must be finite")
         return (points - self.center) / self.half_extent
 
-    def predict_knot(self, tape: Tape | None, spatial, knot_idx: int) -> tuple:
-        """The decoder's output at one knot: (offset, tangent) of shape [B,
-        3], and the curvature as a third for a quintic field, from the
-        encoder's `spatial` of the B points (see `knot_states`); Vars on a
-        tape, else arrays, each a copy, not a view of the decoder output."""
+    def predict_knot(self, tape: Tape | None, spatial, knot_idx: int,
+                     memo: dict | None = None) -> tuple:
+        """The decoder's output at one knot: (offset, tangent) of shape [B, 3],
+        and the curvature as a third for a quintic field, from the encoder's
+        `spatial` of the B points and the knot's `memo` (see `knot_states`);
+        Vars on a tape, else arrays, each a copy, not a view of the output."""
         if self.cfg.variant == "coupled4d-baseline":
             raise ValueError("the coupled-4D baseline has no knot states")
         if not (0 <= knot_idx < self.cfg.n_knots):
             raise ValueError(f"knot index {knot_idx} out of range [0, {self.cfg.n_knots})")
         v_t = (ad.take(self.store.var("codes", tape), np.array(knot_idx))
                if self.encoder.rank > 0 else None)
-        out = self._decode(tape, self.encoder.encode(tape, self.store, spatial, v_t))
+        out = self._decode(tape, self.encoder.encode(tape, self.store, spatial, v_t, memo))
         return tuple(ad.take(out, np.s_[:, j:j + 3]) for j in range(0, self.out_channels, 3))
 
     def knot_states(self, tape: Tape | None, points, knots, states: dict | None = None) -> dict:
         """`states` (a new dict if None), knot index -> (position, tangent[,
         curvature]) on `points`, with each of the distinct `knots` it lacks
-        predicted in the order listed from an encoder `spatial` made for
-        that many knots: one per slice of `_rows`, all the points or with
-        no tape a block. It is the one place that adds the points to
+        predicted in the order listed, per block of `_blocks`, from an encoder
+        `spatial` of the block made for that many knots, with one memo per
+        knot over the blocks. It is the one place that adds the points to
         `predict_knot`'s offset. The coupled-4D baseline predicts none."""
         states = {} if states is None else states
         todo = [k for k in dict.fromkeys(knots) if k not in states]
         if not todo or self.cfg.variant == "coupled4d-baseline":
             return states
-        x_norm = self.normalize(points)
-        parts = {k: [] for k in todo}
-        for rows in _rows(tape, len(points)):
+        x_norm, blocks = self.normalize(points), _blocks(len(points))
+        parts, memos = {k: [] for k in todo}, {k: {} for k in todo}
+        for rows in blocks:
             spatial = self.encoder.spatial(tape, self.store, x_norm, len(todo), rows)
-            for k in todo:
-                parts[k].append(self.predict_knot(tape, spatial, k))
+            for k in todo:      # a knot's last block drops its memo, freeing its grids
+                memo = memos.pop(k) if rows is blocks[-1] else memos[k]
+                parts[k].append(self.predict_knot(tape, spatial, k, memo))
         for k in todo:
             offset, *rest = map(_joined, zip(*parts.pop(k)))
             states[k] = (ad.add(offset, np.asarray(points, dtype=np.float64)), *rest)
@@ -312,7 +303,7 @@ class SplineField:
             x_norm = self.normalize(points)
             offset = _joined([self._decode(tape, self.encoder.encode(
                 tape, self.store, enc.xyzt(x_norm[rows], t), None))
-                for rows in _rows(tape, len(points))])
+                for rows in _blocks(len(points))])
             return ad.add(offset, np.asarray(points, dtype=np.float64))
         if order == 1:
             lo, hi = max(t - _FD_T_EPS, 0.0), min(t + _FD_T_EPS, 1.0)

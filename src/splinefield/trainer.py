@@ -9,7 +9,7 @@ the frames', then the random time's for the acceleration term. With a batch
 smaller than the velocity term's neighbor closure, those two knots run on
 the closure and each Var of their states is sliced to the batch rows;
 `SplineField.knot_states` then predicts the batch's other knots from one
-encoder `spatial` of the batch, made for that many knots (see
+encoder `spatial` per block of the batch, made for that many knots (see
 `encoders.TriplaneEncoder`), and all three terms share the states. The step
 computes the velocity term only for alpha > 0 and the acceleration term only
 for beta > 0, and sums recon + alpha * lv + beta * lacc over the terms it

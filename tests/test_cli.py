@@ -592,9 +592,9 @@ class TestInterpAdvectFlow:
         calls = []
         predict = SplineField.predict_knot
 
-        def counting(self, tape, spatial, k):
+        def counting(self, tape, spatial, k, memo=None):
             calls.append(k)
-            return predict(self, tape, spatial, k)
+            return predict(self, tape, spatial, k, memo)
         monkeypatch.setattr(SplineField, "predict_knot", counting)
         assert main(["flow", "--ckpt", str(ckpt), "--frames", "5",
                      "--out-prefix", str(tmp_path / "flow")]) == 0

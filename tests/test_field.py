@@ -356,9 +356,9 @@ def _count_knot_calls(monkeypatch) -> list:
     calls = []
     predict = SplineField.predict_knot
 
-    def counting(self, tape, spatial, k):
+    def counting(self, tape, spatial, k, memo=None):
         calls.append(k)
-        return predict(self, tape, spatial, k)
+        return predict(self, tape, spatial, k, memo)
 
     monkeypatch.setattr(SplineField, "predict_knot", counting)
     return calls
@@ -374,11 +374,11 @@ def _spy_spatial(monkeypatch, f) -> list:
         made.append([spatial(tape, store, x_norm, knots, rows), knots, []])
         return made[-1][0]
 
-    def counting(self, tape, sp, k):
+    def counting(self, tape, sp, k, memo=None):
         for m in made:
             if m[0] is sp:
                 m[2].append(k)
-        return predict(self, tape, sp, k)
+        return predict(self, tape, sp, k, memo)
 
     monkeypatch.setattr(f.encoder, "spatial", spying)
     monkeypatch.setattr(SplineField, "predict_knot", counting)
@@ -578,9 +578,9 @@ def _spy_blocks(monkeypatch) -> list:
     seen = []
     predict = SplineField.predict_knot
 
-    def spying(self, tape, spatial, k):
+    def spying(self, tape, spatial, k, memo=None):
         seen.append(spatial)
-        return predict(self, tape, spatial, k)
+        return predict(self, tape, spatial, k, memo)
 
     monkeypatch.setattr(SplineField, "predict_knot", spying)
     return seen
@@ -676,12 +676,60 @@ class TestQueryBlocks:
         siren = peaks.pop("siren-resfields")
         assert all(peak < 1.4 * siren for peak in peaks.values()), (siren, peaks)
 
-    def test_a_training_tape_predicts_over_all_points_at_once(self, monkeypatch):
-        f = _randomized(SplineField(_variant_cfg("siren-resfields"), _points(300)))
+    @pytest.mark.parametrize("variant,quintic", _BLOCK_CASES)
+    def test_a_blocked_tape_equals_the_one_block_tape(self, monkeypatch, variant, quintic):
+        # 300 points in blocks of at most 64: the tape records five blocks of
+        # 60 rows, whose loss and gradients differ from one block's only in
+        # the order they are summed, so each gradient entry is held to its
+        # array's largest (a sum that cancels loses its relative digits); the
+        # coupled baseline's second difference would magnify that by 1e6
+        pts = _points(300, seed=4)
+        f = _randomized(SplineField(_variant_cfg(variant, quintic), pts))
+        weights = np.random.default_rng(7).normal(size=(300, 3))
+        encode, encodes = f.encoder.encode, []
+        monkeypatch.setattr(f.encoder, "encode", lambda *a: encodes.append(a) or encode(*a))
+        queries = [f.deform_var, f.velocity_var]
+        if variant != "coupled4d-baseline":
+            queries.append(f.acceleration_var)
+
+        def loss_and_grads():
+            tape, states, loss = Tape(), {}, 0.0
+            for var in queries:
+                loss = ad.add(loss, ad.vsum(ad.mul(var(tape, pts, 0.4, states=states), weights)))
+            f.store.zero_grad()
+            tape.backward(loss)
+            return loss.value, {n: f.store.grad(n).copy() for n in f.store.names()}
+
+        monkeypatch.setattr(field_module, "QUERY_BLOCK", 10 ** 9)
+        whole = loss_and_grads()
+        one_block = len(encodes)
+        encodes.clear()
         monkeypatch.setattr(field_module, "QUERY_BLOCK", 64)
-        seen = _spy_blocks(monkeypatch)
-        f.knot_states(Tape(), f.canonical, [0, 1])
-        assert [len(spatial) for spatial in seen] == [300, 300]
+        blocked = loss_and_grads()
+        assert len(encodes) == 5 * one_block
+        np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-12)
+        for name, grad in whole[1].items():
+            np.testing.assert_allclose(blocked[1][name], grad, rtol=1e-12,
+                                       atol=1e-12 * np.abs(grad).max(), err_msg=name)
+
+    @pytest.mark.parametrize("variant", ["siren-resfields", "pe-resfields", "triplanes",
+                                         "triaxes"])
+    def test_a_knot_modulates_its_tensors_once_per_call(self, monkeypatch, variant):
+        # 600 points and four knots: every factor takes case (b), whose grid,
+        # like an MLP layer's weight, is one low_rank per knot in any block count
+        cfg = FieldConfig(variant=variant, n_knots=4, rank=2, hidden=8, depth=2,
+                          grid_levels=(4, 32), grid_channels=3)
+        pts = _points(600, seed=5)
+        f = _randomized(SplineField(cfg, pts))
+        stack_sum, sums = ad.weighted_stack_sum, []
+        monkeypatch.setattr(ad, "weighted_stack_sum",
+                            lambda v, s: sums.append(v) or stack_sum(v, s))
+        per_knot = cfg.depth if variant.endswith("resfields") else 2 * 3   # layers, factors
+        for block in (10 ** 9, 64):     # one block, then ten of 60 rows
+            monkeypatch.setattr(field_module, "QUERY_BLOCK", block)
+            sums.clear()
+            f.deform(pts, _TIMES)
+            assert len(sums) == per_knot * cfg.n_knots, block
 
     def test_blocks_share_one_even_size_within_the_bound(self, monkeypatch):
         monkeypatch.setattr(field_module, "QUERY_BLOCK", 64)

@@ -36,6 +36,8 @@ its canonical points: the checkpoint must keep loading and querying alike.
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,12 +199,21 @@ def test_committed_checkpoint_loads_and_queries_alike():
                                    atol=1e-12 * np.abs(want[name]).max(), err_msg=name)
 
 
+def test_the_script_exits_0_at_two_blas_threads():
+    # two BLAS threads may split a matmul's sums another way than one does
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 if __name__ == "__main__":
     # Prints every scene's digests in the SCENE_PINS layout, then each case's
     # (all cases, or those named) in the PINS layout, each followed by the
     # keys that differ from its pins; exits 1 if a scene or a pinned case moved:
     #   PYTHONPATH=src python tests/test_golden.py [case ...]
-    import sys
     import tempfile
 
     if unknown := [c for c in sys.argv[1:] if c not in CASES]:

@@ -468,11 +468,11 @@ class _KnotCalls:
                 return out
             return spy
 
-        def counting(fld, tape, spatial, knot_idx):
+        def counting(fld, tape, spatial, knot_idx, memo=None):
             n_points, _, predicted = next(rec for sp, rec in made if sp is spatial)
             predicted.append(knot_idx)
             self.steps[-1].append((knot_idx, n_points))
-            return predict(fld, tape, spatial, knot_idx)
+            return predict(fld, tape, spatial, knot_idx, memo)
 
         def reading(fld, tape, points, t_query, order, states=None):
             self.times[-1].append(t_query)
