@@ -17,7 +17,8 @@ allocation (a size too large for memory), 3 optimization divergence. Every
 subcommand checks the paths it will write (`--out`, `fit --log-csv`, `eval
 --report`, the first file of `flow --out-prefix`) before it reads or
 computes anything, so an output that cannot be written exits 1 before a
-fit's first step or a query's first knot. Set SDF_THREADS=0 for a
+fit's first step or a query's first knot, and one whose real path is also an
+input (`--traj`, `--ckpt`) or another output exits 2. Set SDF_THREADS=0 for a
 deterministic run (the implementation is single threaded regardless).
 """
 
@@ -133,6 +134,16 @@ def _check_output(path: str) -> None:
         raise OSError(f"cannot write {path}: directory {parent} is not writable")
 
 
+def _check_distinct(outputs, inputs) -> None:
+    """A ValueError naming the first output whose real path an input or an earlier output has."""
+    seen = {os.path.realpath(p): "an input" for p in inputs}
+    for path in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"cannot write {path}: it is also {seen[real]}")
+        seen[real] = "another output"
+
+
 def _given(args, cls) -> dict:
     """The flags given on the command line that set a field of dataclass cls."""
     return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
@@ -232,9 +243,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _threads()
-        for path in _OUTPUTS[args.command](args):
-            if path:
-                _check_output(path)
+        outputs = [p for p in _OUTPUTS[args.command](args) if p]
+        _check_distinct(outputs, [getattr(args, a) for a in ("traj", "ckpt") if hasattr(args, a)])
+        for path in outputs:
+            _check_output(path)
         return _COMMANDS[args.command](args)
     except (FormatError, OSError, ValueError, MemoryError) as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)

@@ -15,6 +15,8 @@ binary little-endian f32 x, y, z, then u8 red, green, blue if colored.
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import itertools
 import json
 import math
@@ -251,6 +253,14 @@ def _replacing(path):
     finally:
         if os.path.exists(part):
             os.remove(part)
+
+
+def _write_csv(path, header, rows) -> None:
+    """A UTF-8 CSV of header then rows via `_replacing`: a failing row leaves path as it was."""
+    with _replacing(path) as f, io.TextIOWrapper(f, encoding="utf-8", newline="") as text:
+        writer = csv.writer(text)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_traj(path, traj) -> None:

@@ -22,10 +22,9 @@ eval's default K and EPE scale, which are required here.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
+from splinefield import dataio
 from splinefield.dataio import is_int
 from splinefield.losses import knn_indices
 
@@ -102,10 +101,6 @@ def epe(pred: np.ndarray, gt: np.ndarray, scale: float, out=None) -> float:
 
 def write_report(path, rows) -> None:
     """CSV metric report: frame_idx, mean_I, epe, n_points."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["frame_idx", "mean_I", "epe", "n_points"])
-        for r in rows:
-            writer.writerow([r["frame_idx"],
-                             "" if r.get("mean_I") is None else repr(float(r["mean_I"])),
-                             repr(float(r["epe"])), r["n_points"]])
+    dataio._write_csv(path, ["frame_idx", "mean_I", "epe", "n_points"], (
+        [r["frame_idx"], "" if r.get("mean_I") is None else repr(float(r["mean_I"])),
+         repr(float(r["epe"])), r["n_points"]] for r in rows))

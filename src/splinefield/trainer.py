@@ -1,6 +1,6 @@
 """Gradient-descent fitting of a spline deformation field to trajectories.
 
-Training supervises the field at a random subset of frames per step with an
+Each step supervises up to FRAMES_PER_STEP random training frames with an
 L1 reconstruction term, plus velocity-coherence and acceleration penalties
 sampled at a random time. A step predicts each knot's state (position,
 tangent[, curvature], see `SplineField.knot_states`) once, in the order its
@@ -15,9 +15,10 @@ computes the velocity term only for alpha > 0 and the acceleration term only
 for beta > 0, and sums recon + alpha * lv + beta * lacc over the terms it
 computed.
 Parameters update with Adam; grid and temporal-code parameters get a 10x
-learning rate. Adam's squared-norm pass per gradient checks finiteness and
-gives the run log's per-group gradient norms; its update runs in place, in
-cache-sized blocks. The run log also times each step's phases.
+learning rate (Adam.GRID_LR_MULT); Adam's BETA1, BETA2 and EPS are constants
+too. Its squared-norm pass per gradient checks finiteness and gives the run
+log's per-group gradient norms; its update runs in place, in cache-sized
+blocks. The run log also times each step's phases.
 
 A non-finite loss or gradient raises DivergenceError naming the step (and,
 for a gradient, the parameter group) before any parameter is updated.
@@ -28,19 +29,22 @@ for a gradient, the parameter group) before any parameter is updated.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from . import dataio
 from . import losses
 from . import metrics
 from . import spline
 from .autodiff import ParamStore, Tape
 from .dataio import Split, TrajectorySet, is_int, is_number
 from .field import FieldConfig, SplineField
+
+
+FRAMES_PER_STEP = 4
 
 
 class DivergenceError(RuntimeError):
@@ -56,31 +60,20 @@ class TrainConfig(FieldConfig):
     steps: int = 2000
     lr: float = 1e-3
     lr_decay: float = 1.0       # final lr fraction, cosine-annealed over steps
-    grid_lr_mult: float = 10.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     alpha: float = 1.0
     beta: float = 0.01
     accel_mode: str = "l1"
     knot_factor: int = 2
     seed: int = 0
     batch_points: int = 0       # 0 means use every supervised point
-    frames_per_step: int = 4
     knn_k: int = 10
 
     def _checks(self):
         yield from [
                 ("knn_k", self.knn_k >= 1, ">= 1 (--K-neighbors)"),
                 ("steps", self.steps >= 1, ">= 1"), ("lr_decay", 0 < self.lr_decay <= 1, "in (0, 1]"),
-                ("frames_per_step", self.frames_per_step >= 1, ">= 1"),
                 ("batch_points", self.batch_points >= 0, ">= 0"), ("seed", self.seed >= 0, ">= 0"),
                 ("lr", np.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
-                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-                ("eps", np.isfinite(self.eps) and self.eps > 0, "finite and > 0"),
-                ("grid_lr_mult", np.isfinite(self.grid_lr_mult) and self.grid_lr_mult >= 0,
-                 "finite and >= 0"),
                 ("alpha", np.isfinite(self.alpha) and self.alpha >= 0, "finite and >= 0"),
                 ("beta", np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
                 ("accel_mode", self.accel_mode in losses.ACCEL_MODES, f"in {losses.ACCEL_MODES}"),
@@ -99,19 +92,19 @@ class Adam:
     """Adam with per-name state and learning rates, in place in BLOCK-sized blocks."""
 
     BLOCK = 1 << 15
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+    GRID_LR_MULT = 10.0
 
-    def __init__(self, store: ParamStore, cfg: TrainConfig):
+    def __init__(self, store: ParamStore):
         self.store = store
-        self.cfg = cfg
         self.t = 0
         self._m = {n: np.zeros_like(store.value(n)) for n in store.names()}
         self._v = {n: np.zeros_like(store.value(n)) for n in store.names()}
         self._scratch = np.empty((2, self.BLOCK))
 
-    def lr_for(self, name: str, lr_scale: float = 1.0) -> float:
-        lr = self.cfg.lr * lr_scale
+    def lr_for(self, name: str, lr: float) -> float:
         if name == "codes" or "enc.grid" in name:
-            return lr * self.cfg.grid_lr_mult
+            return lr * self.GRID_LR_MULT
         return lr
 
     def grad_norms(self) -> dict:
@@ -128,29 +121,28 @@ class Adam:
                 norms[name] = float(top * np.sqrt(np.einsum("i,i->", g / top, g / top)))
         return norms
 
-    def step(self, lr_scale: float = 1.0) -> dict:
-        """One Adam update of every parameter; returns the gradient norms."""
+    def step(self, lr: float) -> dict:
+        """One Adam update of every parameter at base rate lr; returns the gradient norms."""
         norms = self.grad_norms()
-        c = self.cfg
         self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for name in self.store.names():
-            lr = self.lr_for(name, lr_scale)
+            group_lr = self.lr_for(name, lr)
             p, g = self.store.value(name).reshape(-1), self.store.grad(name).reshape(-1)
             m, v = self._m[name].reshape(-1), self._v[name].reshape(-1)
             for lo in range(0, p.size, self.BLOCK):
                 blk = slice(lo, lo + self.BLOCK)
                 gb, mb, vb = g[blk], m[blk], v[blk]
                 s, u = self._scratch[:, :gb.size]
-                mb *= c.beta1
-                mb += np.multiply(1.0 - c.beta1, gb, out=s)
-                vb *= c.beta2
-                vb += np.multiply(np.multiply(1.0 - c.beta2, gb, out=s), gb, out=s)
+                mb *= self.BETA1
+                mb += np.multiply(1.0 - self.BETA1, gb, out=s)
+                vb *= self.BETA2
+                vb += np.multiply(np.multiply(1.0 - self.BETA2, gb, out=s), gb, out=s)
                 np.sqrt(np.divide(vb, bc2, out=s), out=s)
-                s += c.eps
+                s += self.EPS
                 np.divide(np.divide(mb, bc1, out=u), s, out=u)
-                p[blk] -= np.multiply(lr, u, out=u)
+                p[blk] -= np.multiply(group_lr, u, out=u)
         return norms
 
 
@@ -175,13 +167,9 @@ class RunLog:
         terms = ("recon", "lv", "lacc", "total")
         times = ("wallclock_ms", "forward_ms", "backward_ms", "optimizer_ms")
         groups = list(self.rows[0]["grad_norms"])
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["step", *terms, *times, *(f"gn:{g}" for g in groups)])
-            for r in self.rows:
-                writer.writerow([r["step"], *(repr(r[k]) for k in terms),
-                                 *(f"{r[k]:.3f}" for k in times),
-                                 *(repr(r["grad_norms"][g]) for g in groups)])
+        dataio._write_csv(path, ["step", *terms, *times, *(f"gn:{g}" for g in groups)], (
+            [r["step"], *(repr(r[k]) for k in terms), *(f"{r[k]:.3f}" for k in times),
+             *(repr(r["grad_norms"][g]) for g in groups)] for r in self.rows))
 
 
 def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
@@ -199,7 +187,7 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
         graph = losses.build_knn(sup_pts, cfg.knn_k)
 
     train_frames = np.asarray(split.train_frames)
-    opt = Adam(fld.store, cfg)
+    opt = Adam(fld.store)
     log = RunLog()
     t0 = time.perf_counter()
 
@@ -211,7 +199,7 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
         else:
             rows = np.arange(sup.shape[0])
         batch_pts = sup_pts[rows]
-        n_f = min(cfg.frames_per_step, train_frames.shape[0])
+        n_f = min(FRAMES_PER_STEP, train_frames.shape[0])
         frame_ids = rng.choice(train_frames.shape[0], n_f, replace=False)
         frame_times = [traj.frame_time(int(fi)) for fi in train_frames[frame_ids]]
         read = frame_times      # the times the terms read, in their order
@@ -260,7 +248,7 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
             lr_scale = 1.0
         t_bwd = time.perf_counter()
         try:
-            norms = opt.step(lr_scale)
+            norms = opt.step(cfg.lr * lr_scale)
         except DivergenceError as e:
             raise DivergenceError(f"{e} at step {step}") from None
         t_opt = time.perf_counter()

@@ -1,4 +1,5 @@
 import re
+import shutil
 import struct
 import tracemalloc
 
@@ -141,7 +142,7 @@ class TestFit:
         assert not (tmp_path / "f.ckpt").exists()
 
     @pytest.mark.parametrize("field,args", [
-        ("frames_per_step", ["--set", "frames_per_step=0"]),
+        ("steps", ["--steps", "0"]),
         ("steps", ["--steps", "-5"]),
         ("lr", ["--lr", "-1"]),
         ("lr", ["--lr", "nan"]),
@@ -150,14 +151,14 @@ class TestFit:
         ("lr_decay", ["--set", "lr_decay=2"]),
         ("lr_decay", ["--set", "lr_decay=0"]),
         ("accel_mode", ["--set", "accel_mode=l3"]),
-        ("beta1", ["--set", "beta1=1"]),
-        ("beta1", ["--set", "beta1=-0.5"]),
-        ("beta2", ["--set", "beta2=1"]),
-        ("eps", ["--set", "eps=0"]),
-        ("eps", ["--set", "eps=-1"]),
-        ("eps", ["--set", "eps=nan"]),
-        ("grid_lr_mult", ["--set", "grid_lr_mult=-1"]),
-        ("grid_lr_mult", ["--set", "grid_lr_mult=inf"]),
+        ("lr", ["--lr", "0"]),
+        ("lr_decay", ["--set", "lr_decay=nan"]),
+        ("alpha", ["--alpha", "inf"]),
+        ("knn_k", ["--set", "knn_k=0"]),
+        ("w0", ["--set", "w0=nan"]),
+        ("pe_frequencies", ["--set", "pe_frequencies=-1"]),
+        ("grid_levels", ["--set", "grid_levels=16,1"]),
+        ("accel_mode", ["--set", "accel_mode=L1"]),
         ("w0", ["--set", "w0=0"]),
         ("w0", ["--set", "w0=-5"]),
         ("alpha", ["--alpha", "-1"]),
@@ -333,6 +334,36 @@ class TestOutputChecks:
         assert main([*argv, str(out)]) == 1
         named = f"{out}_0000.ply" if command == "flow" else str(out)
         assert f"cannot write {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, shared", [
+        (["fit", "--traj", "{traj}", "--out", "{ckpt}", "--log-csv", "{ckpt}"], "{ckpt}"),
+        (["fit", "--traj", "{traj}", "--out", "{traj}"], "{traj}"),
+        (["fit", "--traj", "{traj}", "--out", "{new}", "--log-csv", "{traj}"], "{traj}"),
+        (["eval", "--ckpt", "{ckpt}", "--traj", "{traj}", "--report", "{ckpt}"], "{ckpt}"),
+        (["eval", "--ckpt", "{ckpt}", "--traj", "{traj}", "--report", "{traj}"], "{traj}"),
+        (["interp", "--ckpt", "{ckpt}", "--times", "0.5", "--out", "{ckpt}"], "{ckpt}"),
+        (["advect", "--ckpt", "{ckpt}", "--from-t", "0.5", "--dt", "0.1", "--out", "{link}"],
+         "{link}")],
+        ids=["fit-out-log-csv", "fit-out-traj", "fit-log-csv-traj", "eval-report-ckpt",
+             "eval-report-traj", "interp-out-ckpt", "advect-out-link-to-ckpt"])
+    def test_an_output_sharing_a_path_is_usage_error_and_keeps_every_file(
+            self, fitted, tmp_path, capsys, monkeypatch, argv, shared):
+        paths = {"traj": tmp_path / "s.traj", "ckpt": tmp_path / "f.ckpt",
+                 "link": tmp_path / "link.ply", "new": tmp_path / "new.ckpt"}
+        for src, name in zip(fitted, ("traj", "ckpt")):
+            shutil.copyfile(src, paths[name])
+        paths["link"].symlink_to(paths["ckpt"])
+        kept = {p: p.read_bytes() for p in (paths["traj"], paths["ckpt"])}
+
+        def no_read(*a, **kw):
+            raise AssertionError("a file was read before the paths were compared")
+        monkeypatch.setattr(SplineField, "load", no_read)
+        monkeypatch.setattr(dataio, "read_traj", no_read)
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {shared.format(**paths)}: it is also ")
+        assert {p: p.read_bytes() for p in kept} == kept
+        assert not paths["new"].exists() and len(list(tmp_path.iterdir())) == 3
 
 
 class TestEval:
@@ -633,6 +664,11 @@ MALFORMED = {
     "fit-unknown-set-key": (["fit", "--traj", "{traj}", "--set", "nope=1"], "nope"),
     "fit-set-snapshot-every": (["fit", "--traj", "{traj}", "--set", "snapshot_every=5"],
                                "unknown config key 'snapshot_every'"),
+    # keys that are trainer constants now
+    **{f"fit-set-{k}": (["fit", "--traj", "{traj}", "--set", f"{k}={v}"],
+                        f"unknown config key '{k}'")
+       for k, v in (("beta1", "0.9"), ("beta2", "0.999"), ("eps", "1e-8"),
+                    ("grid_lr_mult", "10"), ("frames_per_step", "4"))},
     "fit-unknown-variant": (["fit", "--traj", "{traj}", "--variant", "nope"], "nope"),
     **{f"eval-scale-{x}": (["eval", "--ckpt", "{ckpt}", "--traj", "{traj}", "--scale", x],
                            "--scale") for x in ("nan", "-1", "0", "inf")},

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from splinefield import dataio, metrics
+from splinefield import dataio, metrics, trainer
 from splinefield.dataio import (TRAJ_MAGIC, FormatError, SplitSpec, TrajectorySet,
                                 export_ply, flow_colors, gen_synthetic,
                                 read_checkpoint, read_traj, split_frames,
@@ -337,14 +337,31 @@ class _NoSpace:
     def __exit__(self, *exc):
         self._f.close()
 
+    def __getattr__(self, name):    # the rest of the file, for a text wrapper
+        return getattr(self._f, name)
+
     def write(self, data):
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
-# each binary writer, writing a file whose bytes depend on v
+def _run_log(*norms):
+    """A RunLog with one row per entry of norms, each row's gradient norms."""
+    log = trainer.RunLog()
+    for step, gn in enumerate(norms):
+        log.record(step, 0.5, 0.25, 0.125, 1.0, 12.0, 1.0, 2.0, 0.5, gn)
+    return log
+
+
+def _report_rows(*epes):
+    return [{"frame_idx": j, "mean_I": 0.5, "epe": e, "n_points": 10} for j, e in enumerate(epes)]
+
+
+# each writer, writing a file whose bytes depend on v
 WRITERS = {"traj": lambda path, v: write_traj(path, gen_synthetic("rotate", 5, 3, seed=v)),
            "ckpt": lambda path, v: write_checkpoint(path, {"w": np.full((2, 3), v)}),
-           "ply": lambda path, v: export_ply(path, np.full((4, 3), v), np.full((4, 3), v))}
+           "ply": lambda path, v: export_ply(path, np.full((4, 3), v), np.full((4, 3), v)),
+           "log-csv": lambda path, v: _run_log({"codes": v}).write_csv(path),
+           "report": lambda path, v: metrics.write_report(path, _report_rows(v))}
 
 
 class TestReplaceOnSuccess:
@@ -378,6 +395,20 @@ class TestReplaceOnSuccess:
             write_traj(path, frames())
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["t.traj"]
+
+    @pytest.mark.parametrize("writer, failing_second_row, error", [
+        ("log-csv", lambda path: _run_log({"codes": 1.0}, {}).write_csv(path), KeyError),
+        ("report", lambda path: metrics.write_report(path, _report_rows(1.0, "x")), ValueError)],
+        ids=["log-csv", "report"])
+    def test_a_csv_row_failing_midway_leaves_the_old_file(self, tmp_path, writer,
+                                                           failing_second_row, error):
+        path = tmp_path / f"{writer}.csv"
+        WRITERS[writer](path, 3.0)
+        before = path.read_bytes()
+        with pytest.raises(error):
+            failing_second_row(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestPly:

@@ -30,56 +30,55 @@ def _store_with(theta):
 class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
         store = _store_with([1.0, 2.0])
-        opt = Adam(store, TrainConfig(lr=0.1))
+        opt = Adam(store)
         for _ in range(3):
             store.zero_grad()
-            opt.step()
+            opt.step(0.1)
         np.testing.assert_array_equal(store.value("theta"), [1.0, 2.0])
 
     def test_first_step_magnitude_is_lr(self):
         # bias correction makes the first update exactly lr for constant g
         store = _store_with([0.0])
-        opt = Adam(store, TrainConfig(lr=0.05))
+        opt = Adam(store)
         store.grad("theta")[:] = 7.3
-        opt.step()
+        opt.step(0.05)
         assert abs(store.value("theta")[0]) == pytest.approx(0.05, rel=1e-6)
 
     def test_quadratic_bowl_converges(self):
         store = _store_with([1.0, -0.5])
-        opt = Adam(store, TrainConfig(lr=1e-2))
+        opt = Adam(store)
         for _ in range(500):
             store.zero_grad()
             store.grad("theta")[:] = 2.0 * store.value("theta")
-            opt.step()
+            opt.step(1e-2)
         assert np.max(np.abs(store.value("theta"))) < 1e-3
 
     def test_nonfinite_gradient_aborts_with_group_name(self):
         store = _store_with([1.0])
-        opt = Adam(store, TrainConfig())
+        opt = Adam(store)
         store.grad("theta")[:] = np.nan
         with pytest.raises(Exception, match="theta"):
-            opt.step()
+            opt.step(1e-3)
 
     def test_grid_parameters_get_boosted_lr(self):
         store = ParamStore()
         store.add("codes", np.zeros(2))
         store.add("enc.grid.L0.xy.base", np.zeros(2))
         store.add("enc.mlp.l0.Wb", np.zeros(2))
-        opt = Adam(store, TrainConfig(lr=1e-3, grid_lr_mult=10))
-        assert opt.lr_for("codes") == pytest.approx(1e-2)
-        assert opt.lr_for("enc.grid.L0.xy.base") == pytest.approx(1e-2)
-        assert opt.lr_for("enc.mlp.l0.Wb") == pytest.approx(1e-3)
+        opt = Adam(store)
+        assert opt.lr_for("codes", 1e-3) == pytest.approx(1e-2)
+        assert opt.lr_for("enc.grid.L0.xy.base", 1e-3) == pytest.approx(1e-2)
+        assert opt.lr_for("enc.mlp.l0.Wb", 1e-3) == pytest.approx(1e-3)
 
 
 class _FormerAdam(Adam):
     """The per-name Adam with whole-array temporaries that the blocked,
     in-place step replaced; the oracle of its bitwise tests."""
 
-    def step(self, lr_scale: float = 1.0) -> None:
-        c = self.cfg
+    def step(self, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for name in self.store.names():
             g = self.store.grad(name)
             if not np.all(np.isfinite(g)):
@@ -87,12 +86,12 @@ class _FormerAdam(Adam):
                     f"non-finite gradient in parameter group {name!r}")
             m = self._m[name]
             v = self._v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + c.eps)
-            self.store.value(name)[...] -= self.lr_for(name, lr_scale) * update
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+            self.store.value(name)[...] -= self.lr_for(name, lr) * update
 
 
 class TestBlockedAdam:
@@ -111,17 +110,16 @@ class TestBlockedAdam:
 
     def test_bitwise_equal_to_former_adam(self):
         new, old = self._stores()
-        cfg = TrainConfig(lr=3e-3, grid_lr_mult=10.0)
-        opt_new, opt_old = Adam(new, cfg), _FormerAdam(old, cfg)
+        opt_new, opt_old = Adam(new), _FormerAdam(old)
         rng = np.random.default_rng(12)
         for step in range(5):
             for name, shape in self.SIZES.items():
                 g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
                 new.grad(name)[...] = g
                 old.grad(name)[...] = g
-            lr_scale = 1.0 - 0.15 * step
-            opt_new.step(lr_scale)
-            opt_old.step(lr_scale)
+            lr = 3e-3 * (1.0 - 0.15 * step)
+            opt_new.step(lr)
+            opt_old.step(lr)
         for name in self.SIZES:
             np.testing.assert_array_equal(new.value(name), old.value(name), err_msg=name)
             np.testing.assert_array_equal(opt_new._m[name], opt_old._m[name], err_msg=name)
@@ -132,7 +130,7 @@ class TestBlockedAdam:
         rng = np.random.default_rng(13)
         for name, shape in self.SIZES.items():
             store.grad(name)[...] = rng.normal(size=shape)
-        norms = Adam(store, TrainConfig()).step()
+        norms = Adam(store).step(1e-3)
         assert list(norms) == list(self.SIZES)
         for name in self.SIZES:
             assert norms[name] == pytest.approx(np.linalg.norm(store.grad(name)), rel=1e-12)
@@ -141,7 +139,7 @@ class TestBlockedAdam:
         store = _store_with([1.0, 2.0])
         store.grad("theta")[:] = [3e200, -4e200]
         with np.errstate(over="ignore"):
-            norms = Adam(store, TrainConfig()).step()
+            norms = Adam(store).step(1e-3)
         assert norms["theta"] == pytest.approx(5e200, rel=1e-12)
         assert np.all(np.isfinite(store.value("theta")))
 
@@ -150,12 +148,12 @@ class TestBlockedAdam:
         # the overflow fallback
         script = "\n".join([
             "import numpy as np", "from splinefield.autodiff import ParamStore",
-            "from splinefield.trainer import Adam, TrainConfig",
+            "from splinefield.trainer import Adam",
             "store, g = ParamStore(), np.random.default_rng(0).normal(size=1 << 20)",
             "for name, scale in (('small', 1e3), ('big', 1e200)):",
             "    store.add(name, np.zeros(g.size))", "    store.grad(name)[:] = g * scale",
             "with np.errstate(over='ignore'):",
-            "    print(repr(Adam(store, TrainConfig()).grad_norms()))"])
+            "    print(repr(Adam(store).grad_norms()))"])
         src = os.path.dirname(os.path.dirname(os.path.abspath(trainer.__file__)))
         out = [subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src,
@@ -170,9 +168,9 @@ class TestBlockedAdam:
         store.add("b", [3.0, 4.0])
         store.grad("a")[:] = 0.5
         store.grad("b")[1] = bad
-        opt = Adam(store, TrainConfig())
+        opt = Adam(store)
         with pytest.raises(trainer.DivergenceError, match="'b'"):
-            opt.step()
+            opt.step(1e-3)
         np.testing.assert_array_equal(store.value("a"), [1.0, 2.0])
         assert opt.t == 0
 
@@ -291,9 +289,8 @@ class TestOneDefault:
     def test_every_key_round_trips_off_its_default(self):
         off = dict(variant="triplanes", n_knots=5, rank=3, hidden=12, depth=2, w0=12.5,
                    pe_frequencies=2, grid_levels=(8, 16), grid_channels=4, quintic=True,
-                   steps=7, lr=0.003, lr_decay=0.5, grid_lr_mult=2.0, beta1=0.8,
-                   beta2=0.99, eps=1e-6, alpha=0.5, beta=0.02, accel_mode="l2",
-                   knot_factor=3, seed=11, batch_points=9, frames_per_step=2, knn_k=6)
+                   steps=7, lr=0.003, lr_decay=0.5, alpha=0.5, beta=0.02, accel_mode="l2",
+                   knot_factor=3, seed=11, batch_points=9, knn_k=6)
         assert set(off) == {f.name for f in fields(TrainConfig)}
         default = TrainConfig()
         assert all(getattr(default, k) != v for k, v in off.items())
@@ -423,7 +420,7 @@ def _three_cache_step(traj, split, cfg):
     else:
         rows = np.arange(sup.shape[0])
     batch_pts = sup_pts[rows]
-    n_f = min(cfg.frames_per_step, train_frames.shape[0])
+    n_f = min(trainer.FRAMES_PER_STEP, train_frames.shape[0])
     frame_ids = rng.choice(train_frames.shape[0], n_f, replace=False)
     states = {}
     recon = None
@@ -544,10 +541,10 @@ class TestSharedKnotStates:
         # each encoder spatial, the cached work of one point set, is made for
         # the knots predicted from it, the size-rule input: a sliced step's
         # batch spatial counts only the knots not sliced in from the closure
+        monkeypatch.setattr(trainer, "FRAMES_PER_STEP", 2)
         traj, split, cfg = _tiny_run(steps=6, kind="composite", variant="triplanes",
                                      grid_levels=(4, 8), grid_channels=3, n_knots=6,
-                                     frames_per_step=2, batch_points=batch_points,
-                                     alpha=alpha, beta=beta)
+                                     batch_points=batch_points, alpha=alpha, beta=beta)
         calls = _KnotCalls(monkeypatch)
         train(traj, split, cfg)
         batch = batch_points or len(split.supervised)
@@ -566,7 +563,8 @@ class TestSharedKnotStates:
     def test_knots_are_predicted_in_first_use_order(self, monkeypatch, batch_points, alpha,
                                                     beta):
         # the order the terms read them: velocity, the frames, acceleration
-        traj, split, cfg = _tiny_run(steps=6, kind="composite", n_knots=6, frames_per_step=3,
+        monkeypatch.setattr(trainer, "FRAMES_PER_STEP", 3)
+        traj, split, cfg = _tiny_run(steps=6, kind="composite", n_knots=6,
                                      batch_points=batch_points, alpha=alpha, beta=beta)
         calls = _KnotCalls(monkeypatch)
         train(traj, split, cfg)
@@ -585,9 +583,9 @@ class TestSharedKnotStates:
                                               alpha, beta):
         # a non-rigid scene, so that a misaligned row shows in the recon term,
         # which reads every training frame and so the knots around t_rand too
+        monkeypatch.setattr(trainer, "FRAMES_PER_STEP", 9)
         traj, split, cfg = _tiny_run(steps=1, kind="composite", batch_points=batch_points,
-                                     frames_per_step=9, n_knots=4, quintic=quintic,
-                                     alpha=alpha, beta=beta)
+                                     n_knots=4, quintic=quintic, alpha=alpha, beta=beta)
         monkeypatch.setattr(trainer, "SplineField", _Perturbed)
         seen = _step_grads(monkeypatch)
         _, log = train(traj, split, cfg)
@@ -861,7 +859,7 @@ class TestTrainBoundaries:
         def faulty(pred, gt):
             term = recon(pred, gt)
             calls.append(None)
-            if len(calls) <= 2 * min(cfg.frames_per_step, len(split.train_frames)):
+            if len(calls) <= 2 * min(trainer.FRAMES_PER_STEP, len(split.train_frames)):
                 return term                 # steps 0 and 1 run clean
             if fault == "loss":
                 return ad.mul(term, np.nan)
