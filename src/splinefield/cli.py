@@ -15,17 +15,20 @@ the frames `--stride` holds out, so it takes no `--frac` or `--seed`.
 Exit codes: 0 success, 1 I/O failure, 2 bad usage, validation or a failed
 allocation (a size too large for memory), 3 optimization divergence. Every
 subcommand checks the paths it will write (`--out`, `fit --log-csv`, `eval
---report`, the first file of `flow --out-prefix`) before it reads or
-computes anything, so an output that cannot be written exits 1 before a
-fit's first step or a query's first knot, and one whose real path is also an
-input (`--traj`, `--ckpt`) or another output exits 2. Set SDF_THREADS=0 for a
-deterministic run (the implementation is single threaded regardless).
+--report`, `flow`'s `<prefix>_NNNN.ply` for NNNN below `--frames`) before it
+reads or computes anything, so an output that cannot be written exits 1
+before a fit's first step or a query's first knot, and one whose real path
+is also an input (`--traj`, `--ckpt`) or another output exits 2; `flow`
+tests only its first file for writing, as all share one directory. Set
+SDF_THREADS=0 for a deterministic run (the implementation is single
+threaded regardless).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from dataclasses import fields
@@ -144,6 +147,18 @@ def _check_distinct(outputs, inputs) -> None:
         seen[real] = "another output"
 
 
+def _check_frames(prefix: str, frames: int, inputs) -> None:
+    """A ValueError naming the first `flow` frame, `<prefix>_NNNN.ply` with
+    NNNN = f"{j:04d}" for a j below frames, whose real path an input has."""
+    head, name = os.path.split(f"{prefix}_")
+    frame = re.compile(re.escape(name) + r"(\d{4,})\.ply")
+    for path in inputs:
+        real_head, real_name = os.path.split(os.path.realpath(path))
+        if ((m := frame.fullmatch(real_name)) and real_head == os.path.realpath(head)
+                and f"{int(m[1]):04d}" == m[1] and int(m[1]) < frames):
+            raise ValueError(f"cannot write {prefix}_{m[1]}.ply: it is also an input")
+
+
 def _given(args, cls) -> dict:
     """The flags given on the command line that set a field of dataclass cls."""
     return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
@@ -244,7 +259,10 @@ def main(argv=None) -> int:
     try:
         _threads()
         outputs = [p for p in _OUTPUTS[args.command](args) if p]
-        _check_distinct(outputs, [getattr(args, a) for a in ("traj", "ckpt") if hasattr(args, a)])
+        inputs = [getattr(args, a) for a in ("traj", "ckpt") if hasattr(args, a)]
+        _check_distinct(outputs, inputs)
+        if args.command == "flow":
+            _check_frames(args.out_prefix, args.frames, inputs)
         for path in outputs:
             _check_output(path)
         return _COMMANDS[args.command](args)

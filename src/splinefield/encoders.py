@@ -5,8 +5,8 @@ feature vector; `SplineField` owns the per-knot codes and passes a knot's
 row in. Time enters only through that code: one modulation, `low_rank`
 (base + sum_r v_t[r] * res[r]), makes every time-variant tensor at a knot,
 the layer weights of the MLP encoder and the factor grids of the plane/axis
-encoder alike; the coordinates never see time. Rank 0 (v_t None) degenerates
-both to a time-invariant encoder.
+encoder alike; the coordinates never see time. Rank 0 (v_t None) is the
+coupled baseline's alone: a spline field's knots differ only by their codes.
 
 So an encoder's work splits in two. `spatial(tape, store, x_norm, knots,
 rows)` is the time-invariant part for the points `rows` of the normalized
@@ -19,10 +19,10 @@ tensors (an MLP layer's weight and bias, a case-(b) grid) for the others.
 For the MLP encoder `spatial` is the positional encoding. For the grid
 encoder it rests on an identity: grid interpolation is linear, so sampling
 base + sum_r v_t[r] * res[r] at a point equals applying `low_rank` to the
-samples of base and of each res[r]. A factor with residuals, fewer points
-than cells and enough knots to repay sampling its residual stack samples
-base and stack once and each knot modulates the samples; otherwise each
-knot builds its grid and samples it (see `TriplaneEncoder`).
+samples of base and of each res[r]. A factor with fewer points than cells
+and enough knots to repay sampling its residual stack samples base and
+stack once and each knot modulates the samples; otherwise each knot builds
+its grid and samples it (see `TriplaneEncoder`).
 
 The MLP variants differ only in PE frequency count and activation (see
 `MLPEncoder`). The coupled-4D baseline is the rank-0 sine MLP; `SplineField`
@@ -47,7 +47,8 @@ GRID_INIT_RANGE = 0.1     # grid bases uniform in [-0.1, 0.1]
 def low_rank(base, res, v_t):
     """base + sum_r v_t[r] * res[r], the time-variant tensor at one knot.
 
-    res has shape [rank, *base.shape]; None (rank 0) returns base itself.
+    res has shape [rank, *base.shape]; None, the coupled baseline's rank 0,
+    returns base itself.
     """
     return base if res is None else ad.add(base, ad.weighted_stack_sum(v_t, res))
 
@@ -146,10 +147,10 @@ class TriplaneEncoder:
     `spatial` computes each factor's cell lookup, the interpolation matrix S
     of the points `rows`, once. Then, by the size B of the whole point set
     and the number K of knots that will modulate it:
-    (a) a factor with residuals and 8 * B below K times its cell count (D*D
-        for a plane, D for an axis), and B below the cell count itself,
-        samples its base to [B, C] and its residual stack to [R, B, C]
-        there, and each knot applies `low_rank` to the samples;
+    (a) a factor with 8 * B below K times its cell count (D*D for a plane,
+        D for an axis), and B below the cell count itself, samples its base
+        to [B, C] and its residual stack to [R, B, C] there, and each knot
+        applies `low_rank` to the samples;
     (b) otherwise each knot builds its grid with `low_rank` and samples it
         through S, bilinearly for a plane and linearly for an axis.
     Both give the knot grid's samples, since interpolation commutes with the
@@ -158,8 +159,7 @@ class TriplaneEncoder:
     2-vCPU Xeon (rank 8, 16 channels, level-32 and level-64 planes), a
     forward-only query broke even near B = cells / 4 at two knots and
     B = cells / 2 at four, hence the factor 8. The bound B < cells keeps the
-    samples no larger than the factor's own parameters. Rank 0 has no
-    residuals and samples its base at each knot, as case (b). A block of the
+    samples no larger than the factor's own parameters. A block of the
     points takes the whole set's case and samples, or keeps the S of, its
     own rows only.
     """
@@ -173,14 +173,13 @@ class TriplaneEncoder:
         self.out_dim = channels * len(self.levels)
 
     def params(self):
-        """Each level's factor bases and residual stacks (rank > 0)."""
+        """Each level's factor bases and residual stacks."""
         for li, d in enumerate(self.levels):
             for fname, axes in self.FACTORS:
                 shape = (d,) * len(axes) + (self.channels,)
                 yield f"enc.grid.L{li}.{fname}.base", shape, uniform(GRID_INIT_RANGE)
-                if self.rank > 0:
-                    yield (f"enc.grid.L{li}.{fname}.res", (self.rank,) + shape,
-                           uniform(GRID_INIT_RANGE, 0.1))
+                yield (f"enc.grid.L{li}.{fname}.res", (self.rank,) + shape,
+                       uniform(GRID_INIT_RANGE, 0.1))
 
     def spatial(self, tape: Tape, store: ParamStore, x_norm: np.ndarray,
                 knots: int, rows: slice) -> list:
@@ -195,20 +194,20 @@ class TriplaneEncoder:
             for fname, axes in self.FACTORS:
                 key = f"enc.grid.L{li}.{fname}"
                 base = store.var(f"{key}.base", tape)
-                res = store.var(f"{key}.res", tape) if self.rank > 0 else None
+                res = store.var(f"{key}.res", tape)
                 S = ad.interp_matrix([_to_grid_units(x_norm[:, a], d) for a in axes],
                                      (d,) * len(axes))
                 cells = d ** len(axes)
-                if res is not None and b < cells and 8 * b < knots * cells:
+                if b < cells and 8 * b < knots * cells:
                     base, res, S = ad.sample_grid(base, S), ad.sample_stack(res, S), None
                 factors.append((base, res, S))
             levels.append(factors)
         return levels
 
-    def encode(self, tape: Tape, store: ParamStore, spatial: list, v_t: Var | None,
+    def encode(self, tape: Tape, store: ParamStore, spatial: list, v_t: Var,
                memo: dict | None = None) -> Var:
-        """The factors of `spatial` under the knot code v_t (None at rank 0),
-        each case-(b) grid taken from, or built into, `memo`."""
+        """The factors of `spatial` under the knot code v_t, each case-(b)
+        grid taken from, or built into, `memo`."""
         memo = {} if memo is None else memo
         feats = []
         for li, factors in enumerate(spatial):

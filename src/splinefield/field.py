@@ -106,7 +106,7 @@ class FieldConfig:
         # (field, ok, requirement); check_config has checked every key's type
         yield from [
                 ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
-                ("n_knots", self.n_knots >= 2, ">= 2"), ("rank", self.rank >= 0, ">= 0"),
+                ("n_knots", self.n_knots >= 2, ">= 2"), ("rank", self.rank >= 1, ">= 1"),
                 ("w0", np.isfinite(self.w0) and self.w0 > 0, "finite and > 0"),
                 ("pe_frequencies", 0 <= self.pe_frequencies <= PE_FREQUENCIES_MAX,
                  f"in [0, {PE_FREQUENCIES_MAX}]"),
@@ -257,8 +257,7 @@ class SplineField:
             raise ValueError("the coupled-4D baseline has no knot states")
         if not (0 <= knot_idx < self.cfg.n_knots):
             raise ValueError(f"knot index {knot_idx} out of range [0, {self.cfg.n_knots})")
-        v_t = (ad.take(self.store.var("codes", tape), np.array(knot_idx))
-               if self.encoder.rank > 0 else None)
+        v_t = ad.take(self.store.var("codes", tape), np.array(knot_idx))
         out = self._decode(tape, self.encoder.encode(tape, self.store, spatial, v_t, memo))
         return tuple(ad.take(out, np.s_[:, j:j + 3]) for j in range(0, self.out_channels, 3))
 

@@ -182,7 +182,11 @@ class TestFit:
         ("grid_levels", ["--set", "grid_levels="]),
         ("grid_levels", ["--set", "grid_levels=1"]),
         ("pe_frequencies", ["--set", "pe_frequencies=53"]),
-        ("grid_channels", ["--set", "grid_channels=0"])])
+        ("grid_channels", ["--set", "grid_channels=0"]),
+        # a spline field's knots differ only by their codes; the coupled
+        # baseline ignores rank, but the rule is one for every variant
+        *(("rank", ["--variant", v, "--set", "rank=0"])
+          for v in ("siren-resfields", "triplanes", "coupled4d-baseline"))])
     def test_bad_train_config_is_usage_error(self, tmp_path, capsys, field, args):
         traj = _gen(tmp_path)
         rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt"),
@@ -364,6 +368,30 @@ class TestOutputChecks:
         assert err.startswith(f"error: cannot write {shared.format(**paths)}: it is also ")
         assert {p: p.read_bytes() for p in kept} == kept
         assert not paths["new"].exists() and len(list(tmp_path.iterdir())) == 3
+
+    @pytest.mark.parametrize("ckpt, prefix, frames, refused", [
+        ("x_0001.ply", "x", 3, True), ("x_0002.ply", "link/x", 3, True),
+        ("x_0003.ply", "x", 3, False), ("x_00001.ply", "x", 3, False),
+        ("x_0001.ply", "y", 3, False)],
+        ids=["frame-1", "frame-2-through-a-linked-directory", "past-the-last-frame",
+             "five-digits", "another-prefix"])
+    def test_flow_refuses_a_checkpoint_at_any_frame_path(self, fitted, tmp_path, capsys,
+                                                         monkeypatch, ckpt, prefix, frames,
+                                                         refused):
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        ckpt, prefix = tmp_path / ckpt, str(tmp_path / prefix)
+        shutil.copyfile(fitted[1], ckpt)
+        kept = ckpt.read_bytes()
+        if refused:
+            monkeypatch.setattr(SplineField, "load", lambda *a: pytest.fail("the ckpt was read"))
+        argv = ["flow", "--ckpt", str(ckpt), "--frames", str(frames), "--out-prefix", prefix]
+        assert main(argv) == (2 if refused else 0)
+        if refused:
+            frame = f"{prefix}_{ckpt.name[2:]}"
+            assert capsys.readouterr().err == f"error: cannot write {frame}: it is also an input\n"
+        else:
+            assert len(list(tmp_path.glob("[xy]_*.ply"))) == frames + 1     # frames and ckpt
+        assert ckpt.read_bytes() == kept
 
 
 class TestEval:
@@ -755,10 +783,10 @@ def _wrapping_dims(ckpt, bad):
 
 
 def _config(**edits):
-    """A header whose config asks for arrays of over 128 TiB, or for 10**12
-    layers, far beyond the checkpoint's; loading must refuse them at the
-    field's parameter budget, before allocating anything, in the time a
-    small checkpoint takes."""
+    """A header whose config takes `edits`: here arrays of over 128 TiB, or
+    10**12 layers, far beyond the checkpoint's, which loading must refuse at
+    the field's parameter budget, before allocating anything, in the time a
+    small checkpoint takes; or rank 0, which no variant takes."""
     def corrupt(ckpt, bad):
         arrays, header = dataio.read_checkpoint(ckpt)
         header["config"].update(edits)
@@ -775,7 +803,9 @@ CORRUPTIONS = {"nan-in-dec.l0.b": (_nan_in_bias, "'dec.l0.b'"),
                "hidden-2**45": (_config(hidden=2 ** 45), _PAST_THE_BUDGET),
                "triplanes-level-65536": (_config(variant="triplanes", grid_levels=[65536]),
                                          _PAST_THE_BUDGET),
-               "depth-10**12": (_config(depth=10 ** 12), _PAST_THE_BUDGET)}
+               "depth-10**12": (_config(depth=10 ** 12), _PAST_THE_BUDGET),
+               **{f"{v}-rank-0": (_config(variant=v, rank=0), "rank must be >= 1, got 0")
+                  for v in ("siren-resfields", "triplanes", "coupled4d-baseline")}}
 
 
 class TestMalformedCheckpoint:

@@ -31,9 +31,7 @@ def _build(variant, rank=2, n_knots=3, seed=0):
 
 def _code(tape, store: ParamStore, knot_idx: int):
     """The code v_t the field hands the encoder at a knot: row knot_idx of the
-    store's codes on the tape, or None at rank 0."""
-    if "codes" not in store.names():
-        return None
+    store's codes on the tape."""
     return ad.take(store.var("codes", tape), np.array(knot_idx))
 
 
@@ -57,8 +55,7 @@ class TestTemporalCodes:
     """The field's per-knot codes, seen through `SplineField.knot_states`."""
 
     def test_rank_zero_is_empty(self):
-        for variant in ALL_KNOT_VARIANTS:
-            assert "codes" not in _field(variant, rank=0).store.names(), variant
+        # the coupled baseline builds its encoder at rank 0 whatever rank says
         assert "codes" not in _field("coupled4d-baseline", rank=2).store.names()
 
     def test_zero_codes_give_zero_vector(self):
@@ -83,7 +80,7 @@ class TestTemporalCodes:
 
     def test_index_out_of_range(self):
         for variant in ALL_KNOT_VARIANTS:
-            for rank in (0, 2):
+            for rank in (1, 2):
                 f = _field(variant, rank=rank)
                 for k in (-1, 3):
                     with pytest.raises(ValueError, match=r"out of range \[0, 3\)"):
@@ -182,12 +179,6 @@ class TestEncoders:
         assert not np.allclose(a, c)   # codes differ per knot
 
     @pytest.mark.parametrize("variant", ALL_KNOT_VARIANTS)
-    def test_rank_zero_is_time_invariant(self, variant):
-        f = _randomized(_field(variant, rank=0))
-        assert not any("res" in n for n in f.store.names())
-        np.testing.assert_array_equal(_states(f, 0), _states(f, 2))
-
-    @pytest.mark.parametrize("variant", ALL_KNOT_VARIANTS)
     def test_knot_index_validated(self, variant, monkeypatch):
         # the field checks the index once, before the encoder runs
         f = _field(variant)
@@ -209,31 +200,41 @@ class TestEncoders:
         assert err < 1e-4
 
 
+def _constant_grids(store: ParamStore, c: float) -> None:
+    """Every grid base set to c and every residual stack to 0, so each knot's
+    grids are the constant c whatever its code."""
+    for name in store.names():
+        if name.startswith("enc.grid"):
+            store.value(name)[...] = c if name.endswith(".base") else 0.0
+
+
 class TestTriplanes:
     def test_constant_planes_give_constant_cubed(self):
-        e, store = _build("triplanes", rank=0)
+        e, store = _build("triplanes")
         c = 0.7
-        for name in store.names():
-            if name.startswith("enc.grid"):
-                store.value(name)[...] = c
-        out = _encode(e, Tape(), store, np.random.default_rng(9).uniform(-1, 1, (5, 3)), None)
+        _constant_grids(store, c)
+        tape = Tape()
+        out = _encode(e, tape, store, np.random.default_rng(9).uniform(-1, 1, (5, 3)),
+                      _code(tape, store, 1))
         np.testing.assert_allclose(out.value, np.full(out.value.shape, c ** 3),
                                    atol=1e-12)
 
     def test_zero_plane_annihilates(self):
-        e, store = _build("triplanes", rank=0)
+        e, store = _build("triplanes")
         store.value("enc.grid.L0.xy.base")[...] = 0.0
-        out = _encode(e, Tape(), store, np.zeros((2, 3)), None)
+        store.value("enc.grid.L0.xy.res")[...] = 0.0
+        tape = Tape()
+        out = _encode(e, tape, store, np.zeros((2, 3)), _code(tape, store, 1))
         np.testing.assert_array_equal(out.value[:, :3], np.zeros((2, 3)))
 
 
 class TestTriaxes:
     def test_constant_axes_give_constant_cubed(self):
-        e, store = _build("triaxes", rank=0)
-        for name in store.names():
-            if name.startswith("enc.grid"):
-                store.value(name)[...] = 0.5
-        out = _encode(e, Tape(), store, np.random.default_rng(11).uniform(-1, 1, (4, 3)), None)
+        e, store = _build("triaxes")
+        _constant_grids(store, 0.5)
+        tape = Tape()
+        out = _encode(e, tape, store, np.random.default_rng(11).uniform(-1, 1, (4, 3)),
+                      _code(tape, store, 1))
         np.testing.assert_allclose(out.value, np.full(out.value.shape, 0.125),
                                    atol=1e-14)
 
@@ -250,10 +251,9 @@ def _lazy_encode(e, tape, store, x, v_t):
             coords = [enc._to_grid_units(x[:, a], d) for a in axes]
             sample = ad.bilinear_sample if len(axes) == 2 else _linear_sample
             f = sample(store.var(f"{key}.base", tape), *coords)
-            if e.rank > 0:
-                res = store.var(f"{key}.res", tape)
-                for r in range(e.rank):
-                    f = ad.add(f, ad.mul(v_t[np.array(r)], sample(res[r], *coords)))
+            res = store.var(f"{key}.res", tape)
+            for r in range(e.rank):
+                f = ad.add(f, ad.mul(v_t[np.array(r)], sample(res[r], *coords)))
             level = f if level is None else ad.mul(level, f)
         feats.append(level)
     return ad.concat(feats, axis=1)
@@ -267,8 +267,8 @@ def _build_then_sample(e, tape, store, x, v_t):
         level = None
         for fname, axes in e.FACTORS:
             key = f"enc.grid.L{li}.{fname}"
-            res = store.var(f"{key}.res", tape) if e.rank > 0 else None
-            grid = enc.low_rank(store.var(f"{key}.base", tape), res, v_t)
+            grid = enc.low_rank(store.var(f"{key}.base", tape), store.var(f"{key}.res", tape),
+                                v_t)
             coords = [enc._to_grid_units(x[:, a], d) for a in axes]
             sample = ad.bilinear_sample if len(axes) == 2 else _linear_sample
             f = sample(grid, *coords)
@@ -308,11 +308,6 @@ class TestSizeRule:
         for (base, res, S), (_, axes) in zip(spatial[0], e.FACTORS):
             want = (b, 3) if S is None else (4,) * len(axes) + (3,)
             assert base.shape == want and res.shape == (2,) + want
-
-    def test_rank_zero_builds_at_every_size(self):
-        e, store = _build("triplanes", rank=0)
-        spatial = e.spatial(Tape(), store, np.zeros((2, 3)), 8, slice(None))
-        assert all(S is not None and res is None for level in spatial for _, res, S in level)
 
     @pytest.mark.parametrize("variant, b, knots, below", SIZE_RULE_SIDES)
     def test_values_and_gradients_match_build_then_sample(self, variant, b, knots, below):
@@ -365,16 +360,12 @@ GRID_INIT_SHA256 = {
 }
 
 
-def _materialized(e, store: ParamStore, level: int, factor: str,
-                  knot_idx: int) -> np.ndarray:
+def _materialized(store: ParamStore, level: int, factor: str, knot_idx: int) -> np.ndarray:
     """Explicit grid base + sum_r v_t[r] * res[r] in numpy; the oracle of
     the equivalence tests."""
     key = f"enc.grid.L{level}.{factor}"
-    p = store.value(f"{key}.base").copy()
-    if e.rank > 0:
-        v = store.value("codes")[knot_idx]
-        p += np.tensordot(v, store.value(f"{key}.res"), axes=(0, 0))
-    return p
+    v = store.value("codes")[knot_idx]
+    return store.value(f"{key}.base") + np.tensordot(v, store.value(f"{key}.res"), axes=(0, 0))
 
 
 class TestGridEncoders:
@@ -388,7 +379,7 @@ class TestGridEncoders:
         for li, d in enumerate(e.levels):
             level = None
             for fname, axes in e.FACTORS:
-                grid = Var(_materialized(e, store, li, fname, 1), Tape())
+                grid = Var(_materialized(store, li, fname, 1), Tape())
                 coords = [enc._to_grid_units(x[:, a], d) for a in axes]
                 sample = ad.bilinear_sample if len(axes) == 2 else _linear_sample
                 f = sample(grid, *coords).value
@@ -396,7 +387,7 @@ class TestGridEncoders:
             feats.append(level)
         np.testing.assert_allclose(got, np.concatenate(feats, axis=1), atol=1e-12)
 
-    @pytest.mark.parametrize("rank", [0, 3])
+    @pytest.mark.parametrize("rank", [1, 3])
     @pytest.mark.parametrize("variant", ["triplanes", "triaxes"])
     def test_values_and_gradients_match_lazy_sampling(self, variant, rank):
         e, store = _build(variant, rank=rank)

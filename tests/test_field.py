@@ -745,7 +745,7 @@ class TestQueryBlocks:
         assert 2 * last >= first
 
 
-_PAST_THE_BUDGET = [dict(hidden=8, depth=10 ** 7), dict(hidden=1, rank=0, depth=10 ** 7),
+_PAST_THE_BUDGET = [dict(hidden=8, depth=10 ** 7), dict(hidden=1, rank=1, depth=10 ** 7),
                     dict(variant="triplanes", grid_levels=(2 ** 20,)),
                     dict(variant="triaxes", grid_channels=2 ** 40),
                     dict(n_knots=2 ** 40), dict(hidden=2 ** 62)]

@@ -45,7 +45,7 @@ VALUES = [None, True, False, "", "x", "triplanes", [], [1], [4, 8], [2.5], {}, {
           -1, 0, 1, 2, 10 ** 9, 10 ** 400, -2.5, 1e-310, 1e300, -1e300, float("nan"), float("inf")]
 # config values of every kind a caller might pass, for every key
 CONFIG_VALUES = [None, "", b"1", True, np.int64(3), np.float64(0.5), np.bool_(True), 1e400,
-                 10 ** 400, float("nan"), -1, [], (1.5,), "16,32", object(), "3", 7, 0.5]
+                 10 ** 400, float("nan"), -1, 0, [], (1.5,), "16,32", object(), "3", 7, 0.5]
 # a small base, so that every field a case builds is quick to make and save
 SMALL = {FieldConfig: dict(hidden=8, grid_levels=(4, 8)),
          TrainConfig: dict(hidden=8, grid_levels=(4, 8)), SplitSpec: {}}

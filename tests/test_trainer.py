@@ -332,12 +332,12 @@ class TestTrain:
             assert r1["total"] == r2["total"]
             assert r1["recon"] == r2["recon"]
 
-    def test_rank_zero_plateaus_on_motion(self):
-        # time-invariant encoding cannot distinguish knots: recon stays high
-        traj, split, cfg = _tiny_run(steps=120, rank=0, alpha=0.0, beta=0.0)
-        _, log = train(traj, split, cfg)
-        moved = np.linalg.norm(traj.positions[-1, 0] - traj.positions[0, 0])
-        assert log.rows[-1]["recon"] > 0.02 * moved
+    def test_rank_zero_is_refused_for_every_variant(self):
+        # a spline field's knots differ only by their codes, so rank 0 would
+        # predict one state at every knot; the coupled baseline ignores rank
+        for variant in field_module.VARIANTS:
+            with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
+                TrainConfig(variant=variant, rank=0)
 
     def test_knot_count_resolution(self):
         assert TrainConfig(knot_factor=2).field_config(30).n_knots == 15
