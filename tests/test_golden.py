@@ -56,7 +56,7 @@ CASES = {
     "coupled4d": {"variant": "coupled4d-baseline"},
     "siren-quintic": {"quintic": True},
     "triplanes-quintic": {"variant": "triplanes", "quintic": True},
-    "siren-batch": {"batch_points": 60, "accel_mode": "l2", "lr_decay": 0.5},
+    "siren-batch": {"batch_points": 60},
     "siren-6knots": {"n_knots": 6},
     "triplanes-6knots": {"variant": "triplanes", "n_knots": 6},
     "siren-batch-6knots": {"n_knots": 6, "batch_points": 60},
@@ -87,8 +87,8 @@ PINS = {
         "params": "7bdc337b6b013414", "log": "c74e6b22eaa8b6d6", "ckpt": "0c373047ff351521",
         "eval": "1881dbb4b02e9f3b", "report": "c2376ae4ac18f801", "queries": "6eefa38b9662bba4"},
     "siren-batch": {
-        "params": "ac2f40c3edc91c22", "log": "aa2dad01dca0452d", "ckpt": "c4ba681a8aca38a9",
-        "eval": "7cce27f3561c743f", "report": "85aabe5354eb9390", "queries": "1c560658b3bca418"},
+        "params": "834f412a2c2c59cb", "log": "fa58fbd03267094e", "ckpt": "f2118a5a6dac65a5",
+        "eval": "5989d82d00c1fb58", "report": "ccc80f6ce6d7d252", "queries": "7e9dd40e7c670a18"},
     "siren-6knots": {
         "params": "e8aaf97bb6b9cae2", "log": "ee591cd22deafcd1", "ckpt": "9a9dd8a2d20b6fa2",
         "eval": "29ffa92f6ad9c83f", "report": "5b2dca9a213130ac", "queries": "cc8a3be90dd6c6b7"},
