@@ -199,12 +199,6 @@ def absolute(x: Var) -> Var:
     return _op(np.abs(_val(x)), lambda g, sx: _accum(sx, g * s), x)
 
 
-def sqrt(x: Var, eps: float = 0.0) -> Var:
-    """Elementwise sqrt(x + eps); pass a small eps to keep gradients finite at 0."""
-    root = np.sqrt(_val(x) + eps)
-    return _op(root, lambda g, s: _accum(s, g * (0.5 / np.maximum(root, 1e-300))), x)
-
-
 def vsum(x: Var, axis=None) -> Var:
     def backward(g, s):
         if axis is not None:

@@ -4,10 +4,9 @@ neighborhoods.
 The velocity loss penalizes squared velocity differences between each point
 and its k nearest canonical-space neighbors, weighted by normalized inverse
 distance. The acceleration loss is the mean absolute component of the
-analytic acceleration (an L2-norm alternative is available via `mode`).
-Each loss takes Vars and returns a scalar Var, or takes arrays and returns
-a 0-d array. Which terms a step computes, and their weighted sum, are the
-trainer's.
+analytic acceleration. Each loss takes Vars and returns a scalar Var, or
+takes arrays and returns a 0-d array. Which terms a step computes, and their
+weighted sum, are the trainer's.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from splinefield.autodiff import Var
 from splinefield.dataio import is_int
 
 DIST_EPS = 1e-8        # distance floor; also guards duplicate points
-ACCEL_MODES = ("l1", "l2")
 
 
 @dataclass(frozen=True)
@@ -109,13 +107,9 @@ def velocity_loss_rows(velocities: Var, rows, nbrs, weights) -> Var:
     return ad.vmean(ad.vsum(ad.mul(sq, weights), axis=1))
 
 
-def acceleration_loss(accels: Var, mode: str = "l1") -> Var:
-    """Mean |a|: per-component absolute mean ('l1', default) or mean norm ('l2')."""
-    if mode == "l1":
-        return ad.vmean(ad.absolute(accels))
-    if mode == "l2":
-        return ad.vmean(ad.sqrt(ad.vsum(ad.mul(accels, accels), axis=1), eps=1e-24))
-    raise ValueError(f"unknown mode {mode!r}")
+def acceleration_loss(accels: Var) -> Var:
+    """Mean absolute component of the accelerations."""
+    return ad.vmean(ad.absolute(accels))
 
 
 def recon_loss_l1(pred: Var, gt) -> Var:

@@ -14,11 +14,11 @@ encoder `spatial` per block of the batch, made for that many knots (see
 computes the velocity term only for alpha > 0 and the acceleration term only
 for beta > 0, and sums recon + alpha * lv + beta * lacc over the terms it
 computed.
-Parameters update with Adam; grid and temporal-code parameters get a 10x
-learning rate (Adam.GRID_LR_MULT); Adam's BETA1, BETA2 and EPS are constants
-too. Its squared-norm pass per gradient checks finiteness and gives the run
-log's per-group gradient norms; its update runs in place, in cache-sized
-blocks. The run log also times each step's phases.
+Parameters update with Adam at the constant rate cfg.lr; grid and
+temporal-code parameters get a 10x rate (Adam.GRID_LR_MULT); Adam's BETA1,
+BETA2 and EPS are constants too. Its squared-norm pass per gradient checks
+finiteness and gives the run log's per-group gradient norms; its update runs
+in place, in cache-sized blocks. The run log also times each step's phases.
 
 A non-finite loss or gradient raises DivergenceError naming the step (and,
 for a gradient, the parameter group) before any parameter is updated.
@@ -59,10 +59,8 @@ class TrainConfig(FieldConfig):
     n_knots: int = 0
     steps: int = 2000
     lr: float = 1e-3
-    lr_decay: float = 1.0       # final lr fraction, cosine-annealed over steps
     alpha: float = 1.0
     beta: float = 0.01
-    accel_mode: str = "l1"
     knot_factor: int = 2
     seed: int = 0
     batch_points: int = 0       # 0 means use every supervised point
@@ -71,12 +69,11 @@ class TrainConfig(FieldConfig):
     def _checks(self):
         yield from [
                 ("knn_k", self.knn_k >= 1, ">= 1 (--K-neighbors)"),
-                ("steps", self.steps >= 1, ">= 1"), ("lr_decay", 0 < self.lr_decay <= 1, "in (0, 1]"),
+                ("steps", self.steps >= 1, ">= 1"),
                 ("batch_points", self.batch_points >= 0, ">= 0"), ("seed", self.seed >= 0, ">= 0"),
                 ("lr", np.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
                 ("alpha", np.isfinite(self.alpha) and self.alpha >= 0, "finite and >= 0"),
                 ("beta", np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
-                ("accel_mode", self.accel_mode in losses.ACCEL_MODES, f"in {losses.ACCEL_MODES}"),
                 ("knot_factor", self.knot_factor >= 1, ">= 1")]
         self.field_config(2)        # the field keys: FieldConfig raises on a bad one
 
@@ -230,7 +227,7 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
         recon = recon * (1.0 / n_f)
         if cfg.beta > 0:
             acc = fld.acceleration_var(tape, batch_pts, t_rand, states=states)
-            lacc = losses.acceleration_loss(acc, mode=cfg.accel_mode)
+            lacc = losses.acceleration_loss(acc)
 
         total = recon + cfg.alpha * lv if cfg.alpha > 0 else recon
         total = total + cfg.beta * lacc if cfg.beta > 0 else total
@@ -240,15 +237,9 @@ def train(traj: TrajectorySet, split: Split, cfg: TrainConfig):
         t_fwd = time.perf_counter()
         fld.store.zero_grad()
         tape.backward(total)
-        if cfg.lr_decay < 1.0 and cfg.steps > 1:
-            frac = step / (cfg.steps - 1)
-            lr_scale = cfg.lr_decay + (1.0 - cfg.lr_decay) \
-                * 0.5 * (1.0 + np.cos(np.pi * frac))
-        else:
-            lr_scale = 1.0
         t_bwd = time.perf_counter()
         try:
-            norms = opt.step(cfg.lr * lr_scale)
+            norms = opt.step(cfg.lr)
         except DivergenceError as e:
             raise DivergenceError(f"{e} at step {step}") from None
         t_opt = time.perf_counter()

@@ -659,7 +659,6 @@ PRIMITIVES = {
     "sine": ([_R.normal(size=5)], lambda x: ad.sine(x, 3.0)),
     "relu": ([_R.normal(size=5)], ad.relu),
     "absolute": ([_R.normal(size=5)], ad.absolute),
-    "sqrt": ([_R.uniform(1, 2, 5)], ad.sqrt),
     "vsum": ([_R.normal(size=(3, 2))], lambda x: ad.vsum(x, axis=1)),
     "concat": ([_R.normal(size=(3, 2)), _R.normal(size=(3, 1))],
                lambda a, b: ad.concat([a, b], axis=1)),

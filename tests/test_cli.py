@@ -148,17 +148,17 @@ class TestFit:
         ("lr", ["--lr", "nan"]),
         ("lr", ["--lr", "inf"]),
         ("batch_points", ["--set", "batch_points=-1"]),
-        ("lr_decay", ["--set", "lr_decay=2"]),
-        ("lr_decay", ["--set", "lr_decay=0"]),
-        ("accel_mode", ["--set", "accel_mode=l3"]),
+        ("batch_points", ["--set", "batch_points=1.5"]),
+        ("knn_k", ["--set", "knn_k=two"]),
+        ("knot_factor", ["--set", "knot_factor=2.5"]),
         ("lr", ["--lr", "0"]),
-        ("lr_decay", ["--set", "lr_decay=nan"]),
+        ("alpha", ["--set", "alpha=-inf"]),
         ("alpha", ["--alpha", "inf"]),
         ("knn_k", ["--set", "knn_k=0"]),
         ("w0", ["--set", "w0=nan"]),
         ("pe_frequencies", ["--set", "pe_frequencies=-1"]),
         ("grid_levels", ["--set", "grid_levels=16,1"]),
-        ("accel_mode", ["--set", "accel_mode=L1"]),
+        ("seed", ["--set", "seed=1.5"]),
         ("w0", ["--set", "w0=0"]),
         ("w0", ["--set", "w0=-5"]),
         ("alpha", ["--alpha", "-1"]),
@@ -696,7 +696,8 @@ MALFORMED = {
     **{f"fit-set-{k}": (["fit", "--traj", "{traj}", "--set", f"{k}={v}"],
                         f"unknown config key '{k}'")
        for k, v in (("beta1", "0.9"), ("beta2", "0.999"), ("eps", "1e-8"),
-                    ("grid_lr_mult", "10"), ("frames_per_step", "4"))},
+                    ("grid_lr_mult", "10"), ("frames_per_step", "4"),
+                    ("accel_mode", "l2"), ("lr_decay", "0.5"))},
     "fit-unknown-variant": (["fit", "--traj", "{traj}", "--variant", "nope"], "nope"),
     **{f"eval-scale-{x}": (["eval", "--ckpt", "{ckpt}", "--traj", "{traj}", "--scale", x],
                            "--scale") for x in ("nan", "-1", "0", "inf")},

@@ -23,8 +23,8 @@ def velocity_loss(v, g) -> float:
     return _value(losses.velocity_loss_rows, v, rows, g.indices, g.weights)
 
 
-def acceleration_loss(a, mode="l1") -> float:
-    return _value(losses.acceleration_loss, a, mode)
+def acceleration_loss(a) -> float:
+    return _value(losses.acceleration_loss, a)
 
 
 def recon_loss_l1(pred, gt) -> float:
@@ -300,12 +300,6 @@ class TestAccelerationLoss:
     def test_positive_homogeneity(self):
         a = np.random.default_rng(7).normal(size=(6, 3))
         assert acceleration_loss(2 * a) == pytest.approx(2 * acceleration_loss(a))
-
-    def test_l2_mode(self):
-        a = np.array([[3.0, 4.0, 0.0]])
-        assert acceleration_loss(a, mode="l2") == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            acceleration_loss(a, mode="huber")
 
     def test_var_path(self):
         a0 = np.random.default_rng(8).normal(size=(4, 3))

@@ -231,8 +231,7 @@ class TestConfigTypes:
     @pytest.mark.parametrize("bad, message", [
         (dict(steps=2.5), "steps must be an integer, got 2.5"),
         (dict(steps=True), "steps must be an integer, got True"),
-        (dict(lr="0.1"), "lr must be a number, got '0.1'"),
-        (dict(accel_mode=1), "accel_mode must be a string, got 1")])
+        (dict(lr="0.1"), "lr must be a number, got '0.1'")])
     def test_a_key_of_the_wrong_type_is_named_at_construction(self, bad, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TrainConfig(**bad)
@@ -289,14 +288,40 @@ class TestOneDefault:
     def test_every_key_round_trips_off_its_default(self):
         off = dict(variant="triplanes", n_knots=5, rank=3, hidden=12, depth=2, w0=12.5,
                    pe_frequencies=2, grid_levels=(8, 16), grid_channels=4, quintic=True,
-                   steps=7, lr=0.003, lr_decay=0.5, alpha=0.5, beta=0.02, accel_mode="l2",
-                   knot_factor=3, seed=11, batch_points=9, knn_k=6)
+                   steps=7, lr=0.003, alpha=0.5, beta=0.02, knot_factor=3, seed=11,
+                   batch_points=9, knn_k=6)
         assert set(off) == {f.name for f in fields(TrainConfig)}
         default = TrainConfig()
         assert all(getattr(default, k) != v for k, v in off.items())
         raw = [f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
                for k, v in off.items()]
         assert parse_config(TrainConfig, raw) == TrainConfig(**off)
+
+    # every key TrainConfig declares, off the tiny fit's value; on this split
+    # (7 training frames, 15 supervised points) knot_factor 2 derives 3 knots
+    # and 3 derives 2
+    TRAIN_KEYS_OFF = dict(n_knots=4, steps=3, lr=0.003, alpha=0.5, beta=0.02, knot_factor=3,
+                          seed=1, batch_points=6, knn_k=4)
+
+    @staticmethod
+    def _tiny_fit(tmp_path, **off):
+        """(losses and gradient norms of every step, checkpoint bytes) of a 2-step fit."""
+        traj = dataio.gen_synthetic("composite", 30, 13, seed=0)
+        split = split_frames(traj, SplitSpec(stride=2, supervised_fraction=0.5), seed=0)
+        fld, log = train(traj, split, TrainConfig(**{"steps": 2, "rank": 2, "hidden": 8, "depth": 2, **off}))
+        fld.save(tmp_path / "fit.ckpt")
+        return ([(r["recon"], r["lv"], r["lacc"], r["total"], r["grad_norms"])
+                 for r in log.rows], (tmp_path / "fit.ckpt").read_bytes())
+
+    def test_train_keys_off_are_every_train_key(self):
+        assert set(self.TRAIN_KEYS_OFF) == set(TrainConfig.__annotations__)
+
+    @pytest.mark.parametrize("key", TRAIN_KEYS_OFF)
+    def test_every_train_key_changes_the_fit(self, tmp_path, key):
+        # a key that no code reads leaves the run log and the checkpoint alone
+        default = self._tiny_fit(tmp_path)
+        off = self._tiny_fit(tmp_path, **{key: self.TRAIN_KEYS_OFF[key]})
+        assert off[0] != default[0] or off[1] != default[1]
 
 
 def _tiny_run(steps=15, kind="rigid-translate", **kw):
@@ -438,7 +463,7 @@ def _three_cache_step(traj, split, cfg):
             lv = losses.velocity_loss_rows(vel, loc_rows, loc_nbrs, w_rows)
         if cfg.beta > 0:
             acc = fld.acceleration_var(tape, batch_pts, t_rand, states={})
-            lacc = losses.acceleration_loss(acc, mode=cfg.accel_mode)
+            lacc = losses.acceleration_loss(acc)
     total = recon + cfg.alpha * lv if cfg.alpha > 0 else recon
     total = total + cfg.beta * lacc if cfg.beta > 0 else total
     fld.store.zero_grad()
@@ -663,7 +688,7 @@ class TestOneLeafPerTape:
     @pytest.mark.parametrize("variant,quintic", VARIANTS)
     def test_fit_bitwise_equal_to_flush_per_call(self, monkeypatch, variant, quintic):
         traj, split, cfg = _tiny_run(steps=3, kind="composite", variant=variant,
-                                     quintic=quintic, batch_points=6, lr_decay=0.5)
+                                     quintic=quintic, batch_points=6)
         monkeypatch.setattr(trainer, "SplineField", _Perturbed)
         seen = _step_grads(monkeypatch)
         fld, log = train(traj, split, cfg)
@@ -1033,10 +1058,10 @@ class TestFloat32Trajectory:
     as their float64 copy does, to the byte."""
 
     @pytest.mark.parametrize("kw", [
-        {}, {"variant": "pe-resfields", "quintic": True, "accel_mode": "l2"},
+        {}, {"variant": "pe-resfields", "quintic": True},
         {"variant": "triplanes"}, {"variant": "triaxes"}, {"variant": "coupled4d-baseline"},
         {"variant": "triplanes", "batch_points": 30}],
-        ids=["siren", "pe-quintic-l2", "triplanes", "triaxes", "coupled4d", "triplanes-batch"])
+        ids=["siren", "pe-quintic", "triplanes", "triaxes", "coupled4d", "triplanes-batch"])
     def test_a_fit_and_its_evaluation_match_the_float64_copy(self, file_and_wide, tmp_path,
                                                              kw):
         got = []
