@@ -19,7 +19,8 @@ subcommand checks the paths it will write (`--out`, `fit --log-csv`, `eval
 reads or computes anything, so an output that cannot be written exits 1
 before a fit's first step or a query's first knot, and one whose real path
 is also an input (`--traj`, `--ckpt`) or another output exits 2; `flow`
-tests only its first file for writing, as all share one directory. Set
+tests its first file for writing, as all share one directory, and scans
+that directory once for a frame path that is a directory. Set
 SDF_THREADS=0 for a deterministic run (the implementation is single
 threaded regardless).
 """
@@ -148,15 +149,25 @@ def _check_distinct(outputs, inputs) -> None:
 
 
 def _check_frames(prefix: str, frames: int, inputs) -> None:
-    """A ValueError naming the first `flow` frame, `<prefix>_NNNN.ply` with
-    NNNN = f"{j:04d}" for a j below frames, whose real path an input has."""
+    """Of the `flow` frames, `<prefix>_NNNN.ply` with NNNN = f"{j:04d}" for a
+    j below frames: a ValueError naming the first whose real path an input
+    has, then an OSError naming one that is a directory, found by one scan
+    of the prefix's directory."""
     head, name = os.path.split(f"{prefix}_")
     frame = re.compile(re.escape(name) + r"(\d{4,})\.ply")
+
+    def frame_digits(file_name):
+        m = frame.fullmatch(file_name)
+        return m and f"{int(m[1]):04d}" == m[1] and int(m[1]) < frames and m[1]
+
     for path in inputs:
         real_head, real_name = os.path.split(os.path.realpath(path))
-        if ((m := frame.fullmatch(real_name)) and real_head == os.path.realpath(head)
-                and f"{int(m[1]):04d}" == m[1] and int(m[1]) < frames):
-            raise ValueError(f"cannot write {prefix}_{m[1]}.ply: it is also an input")
+        if real_head == os.path.realpath(head) and (j := frame_digits(real_name)):
+            raise ValueError(f"cannot write {prefix}_{j}.ply: it is also an input")
+    with os.scandir(head or ".") as entries:
+        for entry in entries:
+            if (j := frame_digits(entry.name)) and entry.is_dir():
+                raise OSError(f"cannot write {prefix}_{j}.ply: it is a directory")
 
 
 def _given(args, cls) -> dict:
@@ -261,10 +272,10 @@ def main(argv=None) -> int:
         outputs = [p for p in _OUTPUTS[args.command](args) if p]
         inputs = [getattr(args, a) for a in ("traj", "ckpt") if hasattr(args, a)]
         _check_distinct(outputs, inputs)
-        if args.command == "flow":
-            _check_frames(args.out_prefix, args.frames, inputs)
         for path in outputs:
             _check_output(path)
+        if args.command == "flow":
+            _check_frames(args.out_prefix, args.frames, inputs)
         return _COMMANDS[args.command](args)
     except (FormatError, OSError, ValueError, MemoryError) as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)

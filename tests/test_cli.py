@@ -393,6 +393,23 @@ class TestOutputChecks:
             assert len(list(tmp_path.glob("[xy]_*.ply"))) == frames + 1     # frames and ckpt
         assert ckpt.read_bytes() == kept
 
+    @pytest.mark.parametrize("directory, refused", [
+        ("x_0001.ply", True), ("x_0002.ply", True), ("x_0003.ply", False),
+        ("x_00001.ply", False)],
+        ids=["frame-1", "last-frame", "past-the-last-frame", "five-digits"])
+    def test_flow_refuses_a_directory_at_any_frame_path(self, fitted, tmp_path, capsys,
+                                                        monkeypatch, directory, refused):
+        (tmp_path / directory).mkdir()
+        if refused:
+            monkeypatch.setattr(SplineField, "load", lambda *a: pytest.fail("the ckpt was read"))
+        prefix = str(tmp_path / "x")
+        argv = ["flow", "--ckpt", str(fitted[1]), "--frames", "3", "--out-prefix", prefix]
+        assert main(argv) == (1 if refused else 0)
+        if refused:
+            err = capsys.readouterr().err
+            assert err == f"error: cannot write {tmp_path / directory}: it is a directory\n"
+        assert (tmp_path / "x_0000.ply").exists() != refused
+
 
 class TestEval:
     def test_report_rows_match_test_frames(self, tmp_path):
