@@ -58,6 +58,59 @@ class TestGen:
         assert not (tmp_path / "s.traj").exists()
 
 
+# fit arguments whose value the config refuses, and the field the error names;
+# a key is its case's pytest id, written out so that removing a case renames no
+# other case
+BAD_TRAIN_CONFIGS = {
+    "steps-args0": ("steps", ["--steps", "0"]),
+    "steps-args1": ("steps", ["--steps", "-5"]),
+    "lr-args2": ("lr", ["--lr", "-1"]),
+    "lr-args3": ("lr", ["--lr", "nan"]),
+    "lr-args4": ("lr", ["--lr", "inf"]),
+    "batch_points-args5": ("batch_points", ["--set", "batch_points=-1"]),
+    "batch_points-args6": ("batch_points", ["--set", "batch_points=1.5"]),
+    "knn_k-args7": ("knn_k", ["--set", "knn_k=two"]),
+    "knot_factor-args8": ("knot_factor", ["--set", "knot_factor=2.5"]),
+    "lr-args9": ("lr", ["--lr", "0"]),
+    "alpha-args10": ("alpha", ["--set", "alpha=-inf"]),
+    "alpha-args11": ("alpha", ["--alpha", "inf"]),
+    "knn_k-args12": ("knn_k", ["--set", "knn_k=0"]),
+    "w0-args13": ("w0", ["--set", "w0=nan"]),
+    "pe_frequencies-args14": ("pe_frequencies", ["--set", "pe_frequencies=-1"]),
+    "grid_levels-args15": ("grid_levels", ["--set", "grid_levels=16,1"]),
+    "seed-args16": ("seed", ["--set", "seed=1.5"]),
+    "w0-args17": ("w0", ["--set", "w0=0"]),
+    "w0-args18": ("w0", ["--set", "w0=-5"]),
+    "alpha-args19": ("alpha", ["--alpha", "-1"]),
+    "alpha-args20": ("alpha", ["--alpha", "nan"]),
+    "beta-args21": ("beta", ["--beta", "nan"]),
+    "beta-args22": ("beta", ["--beta", "-0.5"]),
+    "beta-args23": ("beta", ["--set", "beta=inf"]),
+    "knot_factor-args24": ("knot_factor", ["--set", "knot_factor=0"]),
+    "knot_factor-args25": ("knot_factor", ["--K", "0"]),
+    "n_knots-args26": ("n_knots", ["--set", "n_knots=-1"]),
+    "n_knots-args27": ("n_knots", ["--set", "n_knots=1"]),
+    "rank-args28": ("rank", ["--set", "rank=-1"]),
+    "hidden-args29": ("hidden", ["--set", "hidden=0"]),
+    "depth-args30": ("depth", ["--set", "depth=0"]),
+    "variant-args31": ("variant", ["--variant", "nope"]),
+    "seed-args32": ("seed", ["--set", "seed=-1"]),
+    "seed-args33": ("seed", ["--seed", "-1"]),
+    "steps-args34": ("steps", ["--set", "steps=1e3"]),
+    "lr-args35": ("lr", ["--set", "lr=fast"]),
+    "grid_levels-args36": ("grid_levels", ["--set", "grid_levels=16,x"]),
+    "grid_levels-args37": ("grid_levels", ["--set", "grid_levels="]),
+    "grid_levels-args38": ("grid_levels", ["--set", "grid_levels=1"]),
+    "pe_frequencies-args39": ("pe_frequencies", ["--set", "pe_frequencies=53"]),
+    "grid_channels-args40": ("grid_channels", ["--set", "grid_channels=0"]),
+    # a spline field's knots differ only by their codes; the coupled
+    # baseline ignores rank, but the rule is one for every variant
+    "rank-args41": ("rank", ["--variant", "siren-resfields", "--set", "rank=0"]),
+    "rank-args42": ("rank", ["--variant", "triplanes", "--set", "rank=0"]),
+    "rank-args43": ("rank", ["--variant", "coupled4d-baseline", "--set", "rank=0"]),
+}
+
+
 class TestFit:
     def test_logs_knot_count(self, tmp_path, capsys):
         traj = tmp_path / "long.traj"
@@ -141,52 +194,8 @@ class TestFit:
         assert "50" in err and "50 supervised points" in err
         assert not (tmp_path / "f.ckpt").exists()
 
-    @pytest.mark.parametrize("field,args", [
-        ("steps", ["--steps", "0"]),
-        ("steps", ["--steps", "-5"]),
-        ("lr", ["--lr", "-1"]),
-        ("lr", ["--lr", "nan"]),
-        ("lr", ["--lr", "inf"]),
-        ("batch_points", ["--set", "batch_points=-1"]),
-        ("batch_points", ["--set", "batch_points=1.5"]),
-        ("knn_k", ["--set", "knn_k=two"]),
-        ("knot_factor", ["--set", "knot_factor=2.5"]),
-        ("lr", ["--lr", "0"]),
-        ("alpha", ["--set", "alpha=-inf"]),
-        ("alpha", ["--alpha", "inf"]),
-        ("knn_k", ["--set", "knn_k=0"]),
-        ("w0", ["--set", "w0=nan"]),
-        ("pe_frequencies", ["--set", "pe_frequencies=-1"]),
-        ("grid_levels", ["--set", "grid_levels=16,1"]),
-        ("seed", ["--set", "seed=1.5"]),
-        ("w0", ["--set", "w0=0"]),
-        ("w0", ["--set", "w0=-5"]),
-        ("alpha", ["--alpha", "-1"]),
-        ("alpha", ["--alpha", "nan"]),
-        ("beta", ["--beta", "nan"]),
-        ("beta", ["--beta", "-0.5"]),
-        ("beta", ["--set", "beta=inf"]),
-        ("knot_factor", ["--set", "knot_factor=0"]),
-        ("knot_factor", ["--K", "0"]),
-        ("n_knots", ["--set", "n_knots=-1"]),
-        ("n_knots", ["--set", "n_knots=1"]),
-        ("rank", ["--set", "rank=-1"]),
-        ("hidden", ["--set", "hidden=0"]),
-        ("depth", ["--set", "depth=0"]),
-        ("variant", ["--variant", "nope"]),
-        ("seed", ["--set", "seed=-1"]),
-        ("seed", ["--seed", "-1"]),
-        ("steps", ["--set", "steps=1e3"]),
-        ("lr", ["--set", "lr=fast"]),
-        ("grid_levels", ["--set", "grid_levels=16,x"]),
-        ("grid_levels", ["--set", "grid_levels="]),
-        ("grid_levels", ["--set", "grid_levels=1"]),
-        ("pe_frequencies", ["--set", "pe_frequencies=53"]),
-        ("grid_channels", ["--set", "grid_channels=0"]),
-        # a spline field's knots differ only by their codes; the coupled
-        # baseline ignores rank, but the rule is one for every variant
-        *(("rank", ["--variant", v, "--set", "rank=0"])
-          for v in ("siren-resfields", "triplanes", "coupled4d-baseline"))])
+    @pytest.mark.parametrize("field, args", BAD_TRAIN_CONFIGS.values(),
+                             ids=BAD_TRAIN_CONFIGS.keys())
     def test_bad_train_config_is_usage_error(self, tmp_path, capsys, field, args):
         traj = _gen(tmp_path)
         rc = main(["fit", "--traj", str(traj), "--out", str(tmp_path / "f.ckpt"),
