@@ -14,13 +14,14 @@ the frames `--stride` holds out, so it takes no `--frac` or `--seed`.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad usage, validation or a failed
 allocation (a size too large for memory), 3 optimization divergence. Every
-subcommand checks the paths it will write (`--out`, `fit --log-csv`, `eval
---report`, `flow`'s `<prefix>_NNNN.ply` for NNNN below `--frames`) before it
-reads or computes anything, so an output that cannot be written exits 1
-before a fit's first step or a query's first knot, and one whose real path
-is also an input (`--traj`, `--ckpt`) or another output exits 2; `flow`
-tests its first file for writing, as all share one directory, and scans
-that directory once for a frame path that is a directory. Set
+subcommand lists the paths it will write (`--out`, `fit --log-csv`, `eval
+--report`, `flow`'s `<prefix>_NNNN.ply` for each NNNN below `--frames`, which
+is 1 to 10000 so that the four digits sort in frame order) and checks them
+before it reads or computes anything. An output whose real path, or that of
+its temp file (the path + ".part", renamed to the path once written), is also
+an input (`--traj`, `--ckpt`) or another output's exits 2; one that cannot be
+written, or that names no file (an empty path or one ending in a separator),
+exits 1, before a fit's first step or a query's first knot. Set
 SDF_THREADS=0 for a deterministic run (the implementation is single
 threaded regardless).
 """
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 import time
 from dataclasses import fields
@@ -45,6 +45,7 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
+MAX_FRAMES = 10_000     # flow's frame names hold four digits
 
 
 def _threads() -> int:
@@ -115,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fl = sub.add_parser("flow", help="velocity-colored binary little-endian PLY point clouds")
     fl.add_argument("--ckpt", required=True)
     fl.add_argument("--frames", type=int, default=8,
-                    help="number of evenly spaced times")
+                    help=f"number of evenly spaced times, 1 to {MAX_FRAMES}")
     fl.add_argument("--out-prefix", required=True)
     return p
 
@@ -130,6 +131,8 @@ def _cmd_gen(args) -> int:
 def _check_output(path: str) -> None:
     """An OSError naming path unless a file can be written there."""
     parent = os.path.dirname(os.path.abspath(path))
+    if os.path.basename(path) in ("", ".", ".."):
+        raise OSError(f"cannot write {path!r}: it names no file")
     if os.path.isdir(path):
         raise OSError(f"cannot write {path}: it is a directory")
     if not os.path.isdir(parent):
@@ -139,35 +142,17 @@ def _check_output(path: str) -> None:
 
 
 def _check_distinct(outputs, inputs) -> None:
-    """A ValueError naming the first output whose real path an input or an earlier output has."""
+    """A ValueError naming the first output whose real path, or that of its
+    temp file, an input or an earlier output (or its temp file) has."""
     seen = {os.path.realpath(p): "an input" for p in inputs}
     for path in outputs:
-        real = os.path.realpath(path)
-        if real in seen:
-            raise ValueError(f"cannot write {path}: it is also {seen[real]}")
-        seen[real] = "another output"
-
-
-def _check_frames(prefix: str, frames: int, inputs) -> None:
-    """Of the `flow` frames, `<prefix>_NNNN.ply` with NNNN = f"{j:04d}" for a
-    j below frames: a ValueError naming the first whose real path an input
-    has, then an OSError naming one that is a directory, found by one scan
-    of the prefix's directory."""
-    head, name = os.path.split(f"{prefix}_")
-    frame = re.compile(re.escape(name) + r"(\d{4,})\.ply")
-
-    def frame_digits(file_name):
-        m = frame.fullmatch(file_name)
-        return m and f"{int(m[1]):04d}" == m[1] and int(m[1]) < frames and m[1]
-
-    for path in inputs:
-        real_head, real_name = os.path.split(os.path.realpath(path))
-        if real_head == os.path.realpath(head) and (j := frame_digits(real_name)):
-            raise ValueError(f"cannot write {prefix}_{j}.ply: it is also an input")
-    with os.scandir(head or ".") as entries:
-        for entry in entries:
-            if (j := frame_digits(entry.name)) and entry.is_dir():
-                raise OSError(f"cannot write {prefix}_{j}.ply: it is a directory")
+        part = f"{path}{dataio.PART_SUFFIX}"
+        for claim, name, owner in ((path, "it", "another output"),
+                                   (part, f"its temp file {part}", f"the temp file of {path}")):
+            real = os.path.realpath(claim)
+            if real in seen:
+                raise ValueError(f"cannot write {path}: {name} is also {seen[real]}")
+            seen[real] = owner
 
 
 def _given(args, cls) -> dict:
@@ -243,15 +228,19 @@ def _cmd_advect(args) -> int:
     return EXIT_OK
 
 
+def _frame_paths(args) -> list:
+    """flow's `<prefix>_NNNN.ply` for each NNNN below --frames, once --frames is in range."""
+    if not 1 <= args.frames <= MAX_FRAMES:
+        raise ValueError(f"--frames must be in [1, {MAX_FRAMES}], got {args.frames}")
+    return [f"{args.out_prefix}_{j:04d}.ply" for j in range(args.frames)]
+
+
 def _cmd_flow(args) -> int:
-    if args.frames < 1:
-        raise ValueError("--frames must be >= 1")
     fld = SplineField.load(args.ckpt)
     times = np.linspace(0.0, 1.0, args.frames)
     # deform_frames predicts every knot; each velocity reads the field's states
-    for j, (t, pts) in enumerate(zip(times, fld.deform_frames(fld.canonical, times))):
-        dataio.export_ply(f"{args.out_prefix}_{j:04d}.ply", pts,
-                          dataio.flow_colors(fld.velocity(fld.canonical, t)))
+    for path, t, pts in zip(_frame_paths(args), times, fld.deform_frames(fld.canonical, times)):
+        dataio.export_ply(path, pts, dataio.flow_colors(fld.velocity(fld.canonical, t)))
     print(f"wrote {args.frames} PLY files at {args.out_prefix}_*.ply")
     return EXIT_OK
 
@@ -261,7 +250,7 @@ _COMMANDS = {"gen": _cmd_gen, "fit": _cmd_fit, "eval": _cmd_eval,
 # the paths each subcommand writes; main checks them before any work starts
 _OUTPUTS = {"gen": lambda a: [a.out], "fit": lambda a: [a.out, a.log_csv],
             "eval": lambda a: [a.report], "interp": lambda a: [a.out],
-            "advect": lambda a: [a.out], "flow": lambda a: [f"{a.out_prefix}_0000.ply"]}
+            "advect": lambda a: [a.out], "flow": _frame_paths}
 
 
 def main(argv=None) -> int:
@@ -269,13 +258,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _threads()
-        outputs = [p for p in _OUTPUTS[args.command](args) if p]
+        outputs = [p for p in _OUTPUTS[args.command](args) if p is not None]
         inputs = [getattr(args, a) for a in ("traj", "ckpt") if hasattr(args, a)]
         _check_distinct(outputs, inputs)
         for path in outputs:
             _check_output(path)
-        if args.command == "flow":
-            _check_frames(args.out_prefix, args.frames, inputs)
         return _COMMANDS[args.command](args)
     except (FormatError, OSError, ValueError, MemoryError) as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)

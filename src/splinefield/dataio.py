@@ -31,6 +31,7 @@ import numpy as np
 TRAJ_MAGIC = b"SDFTRAJ1"
 CKPT_MAGIC = b"SDFCKPT1"
 CKPT_VERSION = 1
+PART_SUFFIX = ".part"   # a writer's temp file is its path + PART_SUFFIX
 
 SYNTHETIC_KINDS = ("rigid-translate", "rotate", "bending-sheet",
                    "swing-arm", "composite")
@@ -244,8 +245,8 @@ def gen_synthetic(kind: str, n_points: int, n_frames: int,
 
 @contextlib.contextmanager
 def _replacing(path):
-    """A binary file at path + ".part", renamed to path only if the block ends without an error."""
-    part = f"{path}.part"
+    """A binary file at path + PART_SUFFIX, renamed to path only if the block ends with no error."""
+    part = f"{path}{PART_SUFFIX}"
     try:
         with open(part, "wb") as f:
             yield f

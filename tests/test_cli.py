@@ -1,3 +1,4 @@
+import argparse
 import re
 import shutil
 import struct
@@ -418,6 +419,76 @@ class TestOutputChecks:
             err = capsys.readouterr().err
             assert err == f"error: cannot write {tmp_path / directory}: it is a directory\n"
         assert (tmp_path / "x_0000.ply").exists() != refused
+
+    @pytest.mark.parametrize("ckpt, link, argv, err", [
+        ("out.traj.part", None,
+         ["interp", "--ckpt", "{d}/out.traj.part", "--times", "0.5", "--out", "{d}/out.traj"],
+         "{d}/out.traj: its temp file {d}/out.traj.part is also an input"),
+        ("f.ckpt", None, ["fit", "--traj", "{traj}", "--out", "{d}/a.part", "--log-csv", "{d}/a"],
+         "{d}/a: its temp file {d}/a.part is also another output"),
+        ("f.ckpt", None, ["fit", "--traj", "{traj}", "--out", "{d}/a", "--log-csv", "{d}/a.part"],
+         "{d}/a.part: it is also the temp file of {d}/a"),
+        ("x_0001.ply.part", None,
+         ["flow", "--ckpt", "{d}/x_0001.ply.part", "--frames", "3", "--out-prefix", "{d}/x"],
+         "{d}/x_0001.ply: its temp file {d}/x_0001.ply.part is also an input"),
+        ("f.ckpt", "x_0001.ply",
+         ["flow", "--ckpt", "{d}/f.ckpt", "--frames", "3", "--out-prefix", "{d}/x"],
+         "{d}/x_0001.ply: it is also an input")],
+        ids=["interp-temp-file-is-ckpt", "fit-log-csv-temp-file-is-out",
+             "fit-out-temp-file-is-log-csv", "flow-temp-file-is-ckpt", "flow-frame-links-to-ckpt"])
+    def test_a_path_a_writer_takes_is_usage_error_and_keeps_every_file(
+            self, fitted, tmp_path, capsys, monkeypatch, ckpt, link, argv, err):
+        shutil.copyfile(fitted[1], tmp_path / ckpt)
+        if link:
+            (tmp_path / link).symlink_to(tmp_path / ckpt)
+        kept = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def no_read(*a, **kw):
+            raise AssertionError("a file was read before the paths were compared")
+        monkeypatch.setattr(SplineField, "load", no_read)
+        monkeypatch.setattr(dataio, "read_traj", no_read)
+        assert main([a.format(d=tmp_path, traj=fitted[0]) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {err.format(d=tmp_path)}\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == kept
+        assert link is None or (tmp_path / link).is_symlink()
+
+    @pytest.mark.parametrize("command", ["fit", "fit-log-csv", "gen", "eval", "interp", "advect"])
+    @pytest.mark.parametrize("out", ["", "nope/"], ids=["empty", "trailing-separator"])
+    def test_an_output_naming_no_file_fails_before_any_work(self, fitted, tmp_path, capsys,
+                                                           monkeypatch, command, out):
+        def no_work(*a, **kw):
+            raise AssertionError("work started before the output paths were checked")
+        for owner, name in ((SplineField, "load"), (dataio, "read_traj"),
+                            (dataio, "gen_synthetic")):
+            monkeypatch.setattr(owner, name, no_work)
+        monkeypatch.chdir(tmp_path)
+        argv = {**WRITERS, "fit": ["fit", "--traj", "{traj}", "--out"],
+                "fit-log-csv": ["fit", "--traj", "{traj}", "--out", "f.ckpt", "--log-csv"]}
+        assert main([*(a.format(ckpt=fitted[1], traj=fitted[0]) for a in argv[command]),
+                     out]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out!r}: it names no file\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("frames, code, err", [
+        ("10000", 1, "the checks passed"),
+        ("10001", 2, "--frames must be in [1, 10000], got 10001")], ids=["10000", "10001"])
+    def test_flow_writes_at_most_10000_frames(self, fitted, tmp_path, capsys, monkeypatch,
+                                              frames, code, err):
+        def loaded(*a, **kw):
+            raise OSError("the checks passed")
+        monkeypatch.setattr(SplineField, "load", loaded)
+        argv = ["flow", "--ckpt", str(fitted[1]), "--frames", frames,
+                "--out-prefix", str(tmp_path / "x")]
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_every_subcommand_lists_its_outputs(self):
+        """main checks the paths of `_OUTPUTS[command]`, so a subcommand missing
+        there would write unchecked paths."""
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(cli._COMMANDS) == set(cli._OUTPUTS)
 
 
 class TestEval:
